@@ -8,8 +8,7 @@ of a periodically re-anchored pullback. Candidate points are certified for
 (epsilon, delta)-second-order stationarity by Lanczos on finite-difference
 Hessian products.
 
-Environment knobs: PRSRG_BACKEND selects the reduction-kernel backend
-(auto, numba, numpy); PRSRG_THREADS caps sweep parallelism.
+Environment knob: PRSRG_THREADS caps sweep parallelism.
 """
 
 from ._kernels import backend_name
@@ -18,13 +17,13 @@ from .diagnostics import (Certification, EscapeStats, EscapeThreshold,
                           certify, check_improve_or_localize,
                           check_variance_bound, escape_threshold,
                           lanczos_min_eig, stuck_region_experiment)
-from .errors import (ContractViolation, EmptyBatch, NumericalFailure,
-                     OutOfBall, ParameterError, SchemaError)
+from .errors import (ContractViolation, EmptyBatch, InvariantViolation,
+                     NumericalFailure, OutOfBall, ParameterError, SchemaError)
 from .geometry import (Euclidean, Manifold, ManifoldPoint, Sphere, Stiefel,
                        TangentVector, make_manifold)
 from .harness import (ExperimentConfig, dump_config, load_config,
-                      parse_config, parse_spectrum, run_bench, run_certify,
-                      run_couple, run_experiment, run_sweep)
+                      parse_config, parse_spectrum, run_certify, run_couple,
+                      run_experiment, run_sweep)
 from .problems import (DataRayleighInstance, QuadraticSaddleInstance,
                        RayleighInstance, StreamingRayleighInstance,
                        load_matrix, make_data_rayleigh,
@@ -44,8 +43,8 @@ __all__ = [
     "BaselineConfig", "Batch", "Certification", "ContractViolation",
     "DataRayleighInstance", "EmptyBatch", "EscapeStats", "EscapeThreshold",
     "Euclidean", "ExitReason", "ExperimentConfig", "FiniteSumObjective",
-    "LipschitzEstimate", "Manifold", "ManifoldPoint", "NumericalFailure",
-    "OutOfBall", "ParameterError", "PullbackOracle",
+    "InvariantViolation", "LipschitzEstimate", "Manifold", "ManifoldPoint",
+    "NumericalFailure", "OutOfBall", "ParameterError", "PullbackOracle",
     "QuadraticSaddleInstance", "RayleighInstance", "SchemaError",
     "SolverConstants", "SolverParams", "SolverReport",
     "StreamingRayleighInstance", "StreamTree", "Sphere", "Stiefel",
@@ -57,7 +56,7 @@ __all__ = [
     "make_data_rayleigh", "make_manifold", "make_quadratic_saddle",
     "make_rayleigh", "make_streaming_rayleigh", "master_stream",
     "parse_config", "parse_spectrum", "prsrg_run", "read_trace",
-    "rows_to_csv", "run_bench", "run_certify", "run_couple",
+    "rows_to_csv", "run_certify", "run_couple",
     "run_experiment", "run_sweep", "save_matrix", "small_grad_check",
     "stuck_region_experiment", "tssrg_run", "tssrg_run_coupled",
     "write_trace",

@@ -1,4 +1,4 @@
-"""Hot batch-gradient kernels with a numba backend and a pure-numpy fallback.
+"""Hot batch-gradient kernels.
 
 The inner loops of every objective reduce to one of two shapes:
 
@@ -7,135 +7,33 @@ The inner loops of every objective reduce to one of two shapes:
 * ``rows_rank1_mean`` / ``rows_rank1_mean_idx`` — mean over data rows of
   ``a_i (a_i . y)`` for sample-covariance objectives.
 
-Backend selection: the environment variable ``PRSRG_BACKEND`` may be ``auto``
-(default: numba when importable), ``numba``, or ``numpy``. The ``*_numpy`` and
-``*_numba`` variants both stay importable so the benchmark can time them
-head to head.
-
-Determinism: kernels are single-threaded and compiled without fastmath, so a
-given backend always produces the same bits for the same inputs. The two
-backends round differently (numpy reduces pairwise, the numba loops reduce
-sequentially); traces are bit-stable per backend, not across backends.
+Determinism: each kernel is a fixed sequence of numpy reductions, so the
+same inputs always produce the same bits.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    from numba import njit
 
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only on numba-less installs
-    njit = None
-    HAS_NUMBA = False
-
-
-def _paired_rank2_mean_numpy(P: np.ndarray, Q: np.ndarray, idx: np.ndarray,
-                             y: np.ndarray) -> np.ndarray:
+def paired_rank2_mean(P: np.ndarray, Q: np.ndarray, idx: np.ndarray,
+                      y: np.ndarray) -> np.ndarray:
     Pi = P[idx]
     Qi = Q[idx]
     acc = Pi.T @ (Qi @ y) + Qi.T @ (Pi @ y)
     return acc / idx.shape[0]
 
 
-def _rows_rank1_mean_numpy(A: np.ndarray, y: np.ndarray) -> np.ndarray:
+def rows_rank1_mean(A: np.ndarray, y: np.ndarray) -> np.ndarray:
     return A.T @ (A @ y) / A.shape[0]
 
 
-def _rows_rank1_mean_idx_numpy(A: np.ndarray, idx: np.ndarray,
-                               y: np.ndarray) -> np.ndarray:
+def rows_rank1_mean_idx(A: np.ndarray, idx: np.ndarray,
+                        y: np.ndarray) -> np.ndarray:
     Ai = A[idx]
     return Ai.T @ (Ai @ y) / idx.shape[0]
 
 
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _paired_rank2_mean_numba(P, Q, idx, y):  # pragma: no cover - compiled
-        d = P.shape[1]
-        out = np.zeros(d)
-        for j in range(idx.shape[0]):
-            i = idx[j]
-            qy = 0.0
-            py = 0.0
-            for k in range(d):
-                qy += Q[i, k] * y[k]
-                py += P[i, k] * y[k]
-            for k in range(d):
-                out[k] += P[i, k] * qy + Q[i, k] * py
-        return out / idx.shape[0]
-
-    @njit(cache=True)
-    def _rows_rank1_mean_numba(A, y):  # pragma: no cover - compiled
-        rows, d = A.shape
-        out = np.zeros(d)
-        for i in range(rows):
-            ay = 0.0
-            for k in range(d):
-                ay += A[i, k] * y[k]
-            for k in range(d):
-                out[k] += A[i, k] * ay
-        return out / rows
-
-    @njit(cache=True)
-    def _rows_rank1_mean_idx_numba(A, idx, y):  # pragma: no cover - compiled
-        d = A.shape[1]
-        out = np.zeros(d)
-        for j in range(idx.shape[0]):
-            i = idx[j]
-            ay = 0.0
-            for k in range(d):
-                ay += A[i, k] * y[k]
-            for k in range(d):
-                out[k] += A[i, k] * ay
-        return out / idx.shape[0]
-
-else:
-    _paired_rank2_mean_numba = None
-    _rows_rank1_mean_numba = None
-    _rows_rank1_mean_idx_numba = None
-
-
-def _pick_backend() -> str:
-    requested = os.environ.get("PRSRG_BACKEND", "auto").lower()
-    if requested not in ("auto", "numba", "numpy"):
-        raise ValueError(
-            f"PRSRG_BACKEND must be one of auto/numba/numpy, got {requested!r}")
-    if requested == "numba" and not HAS_NUMBA:
-        raise ImportError("PRSRG_BACKEND=numba but numba is not importable")
-    if requested == "auto":
-        return "numba" if HAS_NUMBA else "numpy"
-    return requested
-
-
-BACKEND = _pick_backend()
-
-if BACKEND == "numba":
-    paired_rank2_mean = _paired_rank2_mean_numba
-    rows_rank1_mean = _rows_rank1_mean_numba
-    rows_rank1_mean_idx = _rows_rank1_mean_idx_numba
-else:
-    paired_rank2_mean = _paired_rank2_mean_numpy
-    rows_rank1_mean = _rows_rank1_mean_numpy
-    rows_rank1_mean_idx = _rows_rank1_mean_idx_numpy
-
-
 def backend_name() -> str:
-    return BACKEND
-
-
-def backend_variants(name: str):
-    """Both implementations of a kernel, for benchmarking: {backend: fn}."""
-    table = {
-        "paired_rank2_mean": (_paired_rank2_mean_numpy, _paired_rank2_mean_numba),
-        "rows_rank1_mean": (_rows_rank1_mean_numpy, _rows_rank1_mean_numba),
-        "rows_rank1_mean_idx": (_rows_rank1_mean_idx_numpy, _rows_rank1_mean_idx_numba),
-    }
-    np_fn, nb_fn = table[name]
-    out = {"numpy": np_fn}
-    if nb_fn is not None:
-        out["numba"] = nb_fn
-    return out
+    """Name of the kernel implementation; numpy is the only one."""
+    return "numpy"

@@ -15,15 +15,13 @@ import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
-import numpy as np
-
 from .diagnostics import Certification, certify
 from .errors import ParameterError
 from .geometry import Manifold, ManifoldPoint, TangentVector
 from .pullback import PullbackOracle
-from .rng import (TAG_BATCH, TAG_DIAG, TAG_OUTER, TAG_PERTURB, StreamTree,
-                  master_stream)
-from .solver import EPOCH_KEYS, SolverReport, derive_params, prsrg_run
+from .rng import TAG_BATCH, TAG_OUTER, TAG_PERTURB, StreamTree, as_stream
+from .solver import (EPOCH_KEYS, FINITE_SUM, SolverReport, prsrg_run,
+                     probe_params)
 from .trace import TraceRow
 from .tssrg import boundary_alpha
 
@@ -134,8 +132,6 @@ def _prgd_run(objective, man: Manifold, x0, config, epsilon, delta, budget,
 
 def _rsgd_run(objective, man: Manifold, x0, config, epsilon, delta, budget,
               stream: StreamTree, seed) -> SolverReport:
-    if objective.n is None and config.batch < 1:
-        raise ParameterError("rsgd needs a positive batch size")
     rows: list[TraceRow] = []
     x = x0
     best_x, best_F = x0, float(objective.value(x0))
@@ -173,11 +169,7 @@ def baseline_run(objective, manifold: Manifold, x0: ManifoldPoint,
     if budget < 0:
         raise ParameterError("budget must be >= 0")
     manifold._require_point(x0)
-    seed = rng if isinstance(rng, (int, np.integer)) else None
-    stream = master_stream(int(rng)) if seed is not None else rng
-    if not isinstance(stream, StreamTree):
-        raise ParameterError("rng must be a 64-bit seed or a StreamTree")
-    seed = int(seed) if seed is not None else None
+    stream, seed = as_stream(rng)
 
     if config.kind == "prgd":
         return _prgd_run(objective, manifold, x0, config, epsilon, delta,
@@ -186,13 +178,8 @@ def baseline_run(objective, manifold: Manifold, x0: ManifoldPoint,
         return _rsgd_run(objective, manifold, x0, config, epsilon, delta,
                          budget, stream, seed)
     # rsrg_unperturbed: the main solver with r forced to zero
-    if objective.n is None:
-        raise ParameterError("rsrg_unperturbed autoconfig needs a finite sum")
-    probe = PullbackOracle(objective, x0)
-    est = probe.estimate_lipschitz(stream.child(TAG_DIAG).generator())
-    params = derive_params("finite_sum", objective.n, epsilon, delta,
-                           est.L_hat, est.rho_hat, D=manifold.D,
-                           budget=budget, l_hat=est.l_hat)
+    params, est = probe_params(objective, x0, epsilon, delta, budget, stream,
+                               mode=FINITE_SUM)
     params = replace(params, r=0.0)
     report = prsrg_run(objective, manifold, x0, params, stream,
                        l_hat=est.l_hat)

@@ -1,9 +1,10 @@
 """Command-line entry points.
 
 Subcommands: run (optimize per config), certify (check a stored point),
-couple (stuck-region experiment), sweep (n x seed grid), bench (kernel
-backend timings). Exit codes: 0 success, 2 config/point validation error,
-3 couple anchor is not a saddle, 1 unexpected failure.
+couple (stuck-region experiment), sweep (n x seed grid), print-config.
+Exit codes: 0 success, 1 internal failure (non-finite values mid-run or a
+broken accounting invariant), 2 config/point validation error, 3 couple
+anchor is not a saddle. Failures print one ``error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -13,10 +14,10 @@ import dataclasses
 import json
 import sys
 
-from . import _kernels
-from .errors import ContractViolation, ParameterError, SchemaError
-from .harness import (ALGOS, dump_config, load_config, run_bench, run_certify,
-                      run_couple, run_experiment, run_sweep)
+from .errors import (ContractViolation, InvariantViolation, NumericalFailure,
+                     ParameterError, SchemaError)
+from .harness import (ALGOS, dump_config, load_config, run_certify, run_couple,
+                      run_experiment, run_sweep)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -31,8 +32,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     "solver and its experiment harness")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, config_required=True):
-        p.add_argument("--config", required=config_required,
+    def common(p):
+        p.add_argument("--config", required=True,
                        help="INI experiment config")
         p.add_argument("--seed", type=int, default=None,
                        help="override [experiment] seed")
@@ -58,12 +59,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="run the [sweep] grid")
     common(p_sweep)
-
-    p_bench = sub.add_parser("bench", help="time kernel backends")
-    p_bench.add_argument("--out", default=None, help="write timings JSON")
-    p_bench.add_argument("--n", type=int, default=1000)
-    p_bench.add_argument("--d", type=int, default=100)
-    p_bench.add_argument("--reps", type=int, default=20)
 
     p_cfg = sub.add_parser("print-config",
                            help="parse a config and echo its canonical form")
@@ -116,19 +111,6 @@ def main(argv=None) -> int:
             print(json.dumps({"cells": len(rows), "out": str(out_dir)},
                              sort_keys=True))
             return EXIT_OK
-        if args.command == "bench":
-            timings = run_bench(sizes=((args.n, args.d),), reps=args.reps)
-            lines = [f"active backend: {_kernels.backend_name()}"]
-            for kernel, rows in timings.items():
-                for backend, ns in rows.items():
-                    lines.append(f"{kernel} {backend}: {ns / 1e3:.1f} us")
-            text = "\n".join(lines)
-            print(text)
-            if args.out:
-                from pathlib import Path
-                Path(args.out).write_text(
-                    json.dumps(timings, indent=2, sort_keys=True) + "\n")
-            return EXIT_OK
         if args.command == "print-config":
             cfg = load_config(args.config)
             print(dump_config(cfg), end="")
@@ -137,6 +119,9 @@ def main(argv=None) -> int:
     except (ParameterError, SchemaError, ContractViolation, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    except (NumericalFailure, InvariantViolation) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FAIL
 
 
 if __name__ == "__main__":

@@ -15,14 +15,13 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import ContractViolation, ParameterError, SchemaError
 from .geometry import TangentVector
 from .pullback import PullbackOracle
 from .rng import TAG_DIAG, TAG_PERTURB, TAG_TRIAL, StreamTree, master_stream
 from .tssrg import TssrgParams, tssrg_run_coupled
-from .trace import TraceSegment
+from .trace import _STEP_EVENTS, TraceSegment
 
 LANCZOS_MAX_ITERS = 50
 LANCZOS_TOL_FACTOR = 1e-6
@@ -124,21 +123,13 @@ def lanczos_min_eig(matvec, dim: int, *, max_iters: int = LANCZOS_MAX_ITERS,
             w -= Q[:, :nq] @ (Q[:, :nq].T @ w)
             beta = float(np.linalg.norm(w))
             total_iters += 1
-            if len(alphas) == 1:
-                vals = np.array([alphas[0]])
-                s_last = 1.0
-            else:
-                vals, vecs = eigh_tridiagonal(np.asarray(alphas),
-                                              np.asarray(betas))
-                s_last = float(vecs[-1, 0])
+            T = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+            vals, vecs = np.linalg.eigh(T)
+            s_last = float(vecs[-1, 0])
             hnorm = max(abs(vals[0]), abs(vals[-1]))
             if vals[0] < best_val:
-                if len(alphas) == 1:
-                    y = np.array([1.0])
-                else:
-                    y = vecs[:, 0]
                 best_val = float(vals[0])
-                best_vec = Q[:, :nq] @ y
+                best_vec = Q[:, :nq] @ vecs[:, 0]
             resid = beta * abs(s_last)
             if resid <= max(tol_factor * hnorm, 1e-30):
                 v = best_vec / np.linalg.norm(best_vec)
@@ -206,9 +197,6 @@ def certify(oracle: PullbackOracle, x=None, epsilon: float = 1e-3,
                          lanczos_iters=res.iterations, passed=passed,
                          epsilon=epsilon, delta=delta, tolerance=tol,
                          converged=res.converged)
-
-
-_STEP_EVENTS = ("step", "uniform_break", "max_iter")
 
 
 @dataclass

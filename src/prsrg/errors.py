@@ -25,6 +25,10 @@ class SchemaError(ValueError):
     """A trace segment is missing columns a checker needs."""
 
 
+class InvariantViolation(RuntimeError):
+    """An internal invariant broke: a library bug, not bad input."""
+
+
 class NumericalFailure(RuntimeError):
     """Non-finite values appeared mid-run.
 

@@ -1,4 +1,4 @@
-"""Experiment configuration, runners, sweeps, and the kernel benchmark.
+"""Experiment configuration, runners, and sweeps.
 
 Configs are INI files (configparser dialect) with sections [experiment],
 [problem], [solver], [constants], [baseline], [couple], [sweep]. Every run
@@ -20,16 +20,13 @@ import configparser
 import dataclasses
 import io
 import json
-import math
 import os
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from . import _kernels
 from .baselines import BaselineConfig, baseline_run
 from .diagnostics import certify, stuck_region_experiment
 from .errors import ParameterError, SchemaError
@@ -38,8 +35,7 @@ from .problems import (load_matrix, make_data_rayleigh, make_quadratic_saddle,
                        make_rayleigh, make_streaming_rayleigh)
 from .pullback import PullbackOracle
 from .rng import TAG_DIAG, TAG_INIT, master_stream
-from .solver import (FINITE_SUM, ONLINE, SolverConstants, SolverParams,
-                     derive_params, prsrg_run)
+from .solver import SolverConstants, SolverParams, probe_params, prsrg_run
 from .trace import write_trace
 
 ALGOS = ("prsrg", "prgd", "rsgd", "rsrg_unperturbed")
@@ -47,6 +43,8 @@ PROBLEM_KINDS = ("rayleigh", "quadratic_saddle", "streaming_rayleigh",
                  "data_rayleigh")
 
 _SOLVER_OVERRIDE_KEYS = ("eta", "m", "b", "B", "T_max", "r", "D")
+# far above any dimension whose dense d x d problem matrices fit in memory
+_MAX_LINSPACE = 1_000_000
 
 
 def parse_spectrum(text: str) -> np.ndarray:
@@ -65,8 +63,9 @@ def parse_spectrum(text: str) -> np.ndarray:
                 a, b, k = float(parts[1]), float(parts[2]), int(parts[3])
             except ValueError as exc:
                 raise ParameterError(f"spectrum term {term!r}: {exc}") from exc
-            if k < 1:
-                raise ParameterError(f"spectrum term {term!r}: k must be >= 1")
+            if not 1 <= k <= _MAX_LINSPACE:
+                raise ParameterError(f"spectrum term {term!r}: k must be in "
+                                     f"[1, {_MAX_LINSPACE}]")
             vals.extend(np.linspace(a, b, k).tolist())
         else:
             try:
@@ -149,11 +148,15 @@ class ExperimentConfig:
 
 
 def _get(parser, section, key, conv, default):
+    """Read one option; ``none`` or an empty value unsets an optional key
+    (one whose default is None) and is an error anywhere else."""
     if not parser.has_option(section, key):
         return default
     raw = parser.get(section, key).strip()
     if raw.lower() in ("none", ""):
-        return None
+        if default is None:
+            return None
+        raise ParameterError(f"[{section}] {key} needs a value")
     try:
         if conv is bool:
             return raw.lower() in ("1", "true", "yes", "on")
@@ -204,8 +207,12 @@ def parse_config(text: str) -> ExperimentConfig:
         c3=_get(parser, "couple", "c3", float, 10.0),
         rho_hat=_get(parser, "couple", "rho_hat", float, None),
     )
-    n_raw = _get(parser, "sweep", "n", str, "")
-    n_values = tuple(int(s) for s in n_raw.split(",") if s.strip()) if n_raw else ()
+    n_raw = _get(parser, "sweep", "n", str, None)
+    try:
+        n_values = tuple(int(s) for s in (n_raw or "").split(",")
+                         if s.strip())
+    except ValueError as exc:
+        raise ParameterError(f"[sweep] n = {n_raw!r}: {exc}") from exc
     sweep = SweepSpec(n_values=n_values,
                       seeds=_get(parser, "sweep", "seeds", int, 1))
     return ExperimentConfig(
@@ -318,13 +325,23 @@ def resolve_start(cfg: ExperimentConfig, objective, stream) -> ManifoldPoint:
     if name == "zero":
         return man.point(np.zeros(man.ambient_dim))
     if name.startswith("eig:") or (name.startswith("e") and name[1:].isdigit()):
-        j = int(name.split(":")[1]) if ":" in name else int(name[1:]) - 1
         if not hasattr(objective, "eigvec"):
             raise ParameterError(f"[problem] start {name!r} needs a spectrum "
                                  "problem")
+        try:
+            j = int(name[4:]) if ":" in name else int(name[1:]) - 1
+        except ValueError as exc:
+            raise ParameterError(f"[problem] start {name!r}: {exc}") from exc
+        if not 0 <= j < man.ambient_dim:
+            raise ParameterError(f"[problem] start {name!r}: eigenvector "
+                                 f"index out of range for dimension "
+                                 f"{man.ambient_dim}")
         return objective.eigvec(j)
     if name.startswith("coords:"):
-        vals = np.array([float(s) for s in name[7:].split(",")])
+        try:
+            vals = np.array([float(s) for s in name[7:].split(",")])
+        except ValueError as exc:
+            raise ParameterError(f"[problem] start {name!r}: {exc}") from exc
         return man.point(vals)
     if name.startswith("file:"):
         return load_point(man, name[5:])
@@ -375,25 +392,10 @@ def resolve_params(cfg: ExperimentConfig, objective, x0,
 
     Returns (params, l_hat, lipschitz_estimate).
     """
-    man = objective.manifold
-    probe = PullbackOracle(objective, x0)
-    est = probe.estimate_lipschitz(stream.child(TAG_DIAG).generator())
-    mode = cfg.mode
-    if mode is None:
-        mode = FINITE_SUM if objective.n is not None else ONLINE
-    if mode == FINITE_SUM:
-        if objective.n is None:
-            raise ParameterError("[solver] finite_sum mode needs a finite sum")
-        scale = objective.n
-    else:
-        if objective.sigma_hint is None:
-            raise ParameterError("[solver] online mode needs a sigma estimate")
-        scale = objective.sigma_hint
-    params = derive_params(mode, scale, cfg.epsilon, cfg.delta, est.L_hat,
-                           est.rho_hat, cfg.constants, D=man.D,
-                           budget=cfg.budget, l_hat=est.l_hat)
-    params = _apply_overrides(params, cfg.overrides)
-    return params, est.l_hat, est
+    params, est = probe_params(objective, x0, cfg.epsilon, cfg.delta,
+                               cfg.budget, stream, mode=cfg.mode,
+                               constants=cfg.constants)
+    return _apply_overrides(params, cfg.overrides), est.l_hat, est
 
 
 def run_experiment(cfg: ExperimentConfig, *, out: str | None = None):
@@ -407,17 +409,12 @@ def run_experiment(cfg: ExperimentConfig, *, out: str | None = None):
     man = objective.manifold
     x0 = resolve_start(cfg, objective, stream)
     params = None
-    if cfg.algo == "prsrg":
+    if cfg.algo in ("prsrg", "rsrg_unperturbed"):
         params, l_hat, _ = resolve_params(cfg, objective, x0, stream)
+        if cfg.algo == "rsrg_unperturbed":
+            params = dataclasses.replace(params, r=0.0)
         report = prsrg_run(objective, man, x0, params, stream, l_hat=l_hat,
                            record_gaps=cfg.record_gaps)
-        report.seed = cfg.seed
-    elif cfg.algo == "rsrg_unperturbed":
-        params, l_hat, _ = resolve_params(cfg, objective, x0, stream)
-        params = dataclasses.replace(params, r=0.0)
-        report = prsrg_run(objective, man, x0, params, stream, l_hat=l_hat,
-                           record_gaps=cfg.record_gaps)
-        report.seed = cfg.seed
     else:
         bcfg = BaselineConfig(kind=cfg.algo, eta=cfg.baseline_eta,
                               r=cfg.baseline_r,
@@ -425,7 +422,7 @@ def run_experiment(cfg: ExperimentConfig, *, out: str | None = None):
                               batch=cfg.baseline_batch)
         report = baseline_run(objective, man, x0, bcfg, cfg.epsilon,
                               cfg.delta, cfg.budget, stream)
-        report.seed = cfg.seed
+    report.seed = cfg.seed
     target = out if out is not None else cfg.out
     if target is not None:
         write_artifacts(target, cfg, report, params)
@@ -442,17 +439,21 @@ def params_dict(params: SolverParams | None) -> dict | None:
             "mode": params.mode}
 
 
+def _write_json(prefix, suffix: str, payload: dict) -> Path:
+    """Write payload as sorted, indented JSON to prefix.suffix, creating
+    the parent directory."""
+    path = Path(prefix).with_suffix(suffix)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    return path
+
+
 def write_artifacts(prefix, cfg: ExperimentConfig, report, params) -> tuple[Path, Path]:
-    prefix = Path(prefix)
-    if prefix.parent != Path("."):
-        prefix.parent.mkdir(parents=True, exist_ok=True)
-    trace_path = prefix.with_suffix(".trace.csv")
-    report_path = prefix.with_suffix(".report.json")
-    write_trace(trace_path, report.trace)
     payload = {"config": dump_config(cfg), "params": params_dict(params),
                "report": report.as_dict()}
-    report_path.write_text(json.dumps(payload, indent=2, sort_keys=True)
-                           + "\n")
+    report_path = _write_json(prefix, ".report.json", payload)
+    trace_path = Path(prefix).with_suffix(".trace.csv")
+    write_trace(trace_path, report.trace)
     return trace_path, report_path
 
 
@@ -530,10 +531,7 @@ def run_couple(cfg: ExperimentConfig, *, out: str | None = None) -> dict:
     payload["params"] = params_dict(params)
     target = out if out is not None else cfg.out
     if target is not None:
-        path = Path(target).with_suffix(".couple.json")
-        if path.parent != Path("."):
-            path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        _write_json(target, ".couple.json", payload)
     return payload
 
 
@@ -549,40 +547,6 @@ def run_certify(cfg: ExperimentConfig, point_path, *,
     payload = cert.as_dict()
     target = out if out is not None else cfg.out
     if target is not None:
-        path = Path(target).with_suffix(".cert.json")
-        if path.parent != Path("."):
-            path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        _write_json(target, ".cert.json", payload)
     return payload
 
-
-def run_bench(sizes=((1000, 100),), reps: int = 20) -> dict:
-    """Time each reduction kernel under every available backend.
-
-    Returns {kernel: {backend: best_ns_per_call}} over ``reps`` calls per
-    (n, d) size, taking the fastest rep to suppress jitter.
-    """
-    rng = np.random.default_rng(0)
-    out: dict[str, dict[str, float]] = {}
-    for n, d in sizes:
-        P = rng.standard_normal((n, d))
-        Q = rng.standard_normal((n, d))
-        A = rng.standard_normal((n, d))
-        y = rng.standard_normal(d)
-        idx = rng.integers(0, n, size=max(n // 8, 1)).astype(np.int64)
-        cases = {
-            "paired_rank2_mean": lambda f: f(P, Q, idx, y),
-            "rows_rank1_mean": lambda f: f(A, y),
-        }
-        for kernel, call in cases.items():
-            label = f"{kernel}[n={n},d={d}]"
-            out[label] = {}
-            for backend, fn in _kernels.backend_variants(kernel).items():
-                call(fn)  # warm up (jit compile)
-                best = math.inf
-                for _ in range(reps):
-                    t0 = time.perf_counter_ns()
-                    call(fn)
-                    best = min(best, time.perf_counter_ns() - t0)
-                out[label][backend] = best
-    return out

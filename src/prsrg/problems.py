@@ -354,8 +354,10 @@ def load_matrix(path) -> np.ndarray:
     """Load a dense matrix from a PRSRGMAT binary or a CSV file."""
     path = Path(path)
     if path.suffix.lower() == ".csv":
-        out = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
-        return out
+        try:
+            return np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+        except ValueError as exc:
+            raise ParameterError(f"{path}: not a numeric CSV: {exc}") from exc
     with open(path, "rb") as fh:
         head = fh.read(16)
         if len(head) != 16 or head[:8] != MAGIC:

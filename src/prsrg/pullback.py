@@ -265,19 +265,3 @@ class PullbackOracle:
         rho_hat = 1.2 * r_max
         return LipschitzEstimate(l_hat, rho_hat, l_hat + rho_hat * D)
 
-
-def pullback_value(oracle: PullbackOracle, u: TangentVector) -> float:
-    return oracle.value(u)
-
-
-def pullback_grad_minibatch(oracle: PullbackOracle, I, u: TangentVector) -> TangentVector:
-    return oracle.grad_minibatch(I, u)
-
-
-def pullback_grad_largebatch(oracle: PullbackOracle, B_size: int, u: TangentVector,
-                             rng: np.random.Generator) -> TangentVector:
-    return oracle.grad_largebatch(B_size, u, rng)
-
-
-def pullback_hvp(oracle: PullbackOracle, u: TangentVector, v: TangentVector) -> TangentVector:
-    return oracle.hvp(u, v)

@@ -22,6 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ParameterError
+
 # Stream purpose tags. Fixed small integers; part of the reproducibility
 # contract (changing them changes every trace).
 TAG_OUTER = 1      # one child per outer iteration of the solver
@@ -55,5 +57,18 @@ class StreamTree:
 def master_stream(seed: int) -> StreamTree:
     """Root of the tree for a run with the given 64-bit seed."""
     if not 0 <= int(seed) < 2**64:
-        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
+        raise ParameterError(
+            f"seed must be a 64-bit unsigned integer, got {seed}")
     return StreamTree(int(seed))
+
+
+def as_stream(rng) -> tuple[StreamTree, int | None]:
+    """Normalize a run's ``rng`` argument: a 64-bit seed or a StreamTree.
+
+    Returns (stream, seed); seed is None when a StreamTree was given.
+    """
+    if isinstance(rng, (int, np.integer)):
+        return master_stream(int(rng)), int(rng)
+    if not isinstance(rng, StreamTree):
+        raise ParameterError("rng must be a 64-bit seed or a StreamTree")
+    return rng, None

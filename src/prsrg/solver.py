@@ -27,15 +27,14 @@ from typing import Optional
 import numpy as np
 
 from .diagnostics import Certification, certify
-from .errors import ContractViolation, ParameterError
+from .errors import ContractViolation, InvariantViolation, ParameterError
 from .geometry import Manifold, ManifoldPoint
-from .pullback import PullbackOracle
-from .rng import TAG_ANCHOR, TAG_OUTER, TAG_PERTURB, StreamTree, master_stream
-from .trace import TraceRow
+from .pullback import LipschitzEstimate, PullbackOracle
+from .rng import TAG_ANCHOR, TAG_DIAG, TAG_OUTER, TAG_PERTURB, as_stream
+from .trace import _STEP_EVENTS, TraceRow
 from .tssrg import ExitReason, TssrgParams, tssrg_run
 
 EPOCH_KEYS = ("type1_descent", "type2_descent", "useful", "wasted", "escape")
-_STEP_EVENTS = ("step", "uniform_break", "max_iter")
 
 FINITE_SUM = "finite_sum"
 ONLINE = "online"
@@ -246,10 +245,7 @@ def prsrg_run(objective, manifold: Manifold, x0: ManifoldPoint,
         raise ContractViolation(
             f"run ball radius {params.tssrg.D} exceeds the manifold chart "
             f"radius {manifold.D}")
-    seed = rng if isinstance(rng, (int, np.integer)) else None
-    stream = master_stream(int(rng)) if seed is not None else rng
-    if not isinstance(stream, StreamTree):
-        raise ParameterError("rng must be a 64-bit seed or a StreamTree")
+    stream, seed = as_stream(rng)
 
     B = params.tssrg.B_size
     b = params.tssrg.b
@@ -351,8 +347,9 @@ def prsrg_run(objective, manifold: Manifold, x0: ManifoldPoint,
         counts[label] += 1
 
     if total_q > params.budget:
-        raise ContractViolation(
-            f"query accounting bug: used {total_q} of {params.budget}")
+        raise InvariantViolation(
+            f"query accounting bug: used {total_q} of {params.budget} "
+            f"after {outer_t} outer iterations")
     return SolverReport(best_point=best_x, best_F=best_F, certified=certified,
                         certified_point=certified_point, final_point=x,
                         queries_used=total_q, diag_queries=diag_q,
@@ -361,33 +358,48 @@ def prsrg_run(objective, manifold: Manifold, x0: ManifoldPoint,
                         seed=seed)
 
 
+def probe_params(objective, x0: ManifoldPoint, epsilon: float,
+                 delta: float, budget: int, stream, *,
+                 mode: str | None = None,
+                 constants: SolverConstants | None = None,
+                 lipschitz_pairs: int = 200
+                 ) -> tuple[SolverParams, LipschitzEstimate]:
+    """Probe smoothness at x0 and derive run parameters from it.
+
+    The mode defaults to finite_sum when the objective is a finite sum and
+    to online otherwise; online mode scales by the objective's sigma_hint.
+    The probe draws from ``stream.child(TAG_DIAG)``.
+    """
+    if mode is None:
+        mode = FINITE_SUM if objective.n is not None else ONLINE
+    if mode == FINITE_SUM:
+        if objective.n is None:
+            raise ParameterError("finite_sum mode needs a finite sum")
+        scale = objective.n
+    else:
+        if objective.sigma_hint is None:
+            raise ParameterError("online mode needs a sigma estimate")
+        scale = objective.sigma_hint
+    probe = PullbackOracle(objective, x0)
+    est = probe.estimate_lipschitz(stream.child(TAG_DIAG).generator(),
+                                   pairs=lipschitz_pairs)
+    params = derive_params(mode, scale, epsilon, delta, est.L_hat,
+                           est.rho_hat, constants, D=objective.manifold.D,
+                           budget=budget, l_hat=est.l_hat)
+    return params, est
+
+
 def auto_solve(objective, x0: ManifoldPoint, epsilon: float, delta: float,
                budget: int, rng, *, mode: str | None = None,
                constants: SolverConstants | None = None,
                lipschitz_pairs: int = 200,
                record_gaps: bool = False) -> tuple[SolverReport, SolverParams]:
     """Estimate smoothness at x0, derive parameters, and run the solver."""
-    from .rng import TAG_DIAG
-
-    seed = rng if isinstance(rng, (int, np.integer)) else None
-    stream = master_stream(int(rng)) if seed is not None else rng
-    man = objective.manifold
-    probe = PullbackOracle(objective, x0)
-    est = probe.estimate_lipschitz(stream.child(TAG_DIAG).generator(),
-                                   pairs=lipschitz_pairs)
-    if mode is None:
-        mode = FINITE_SUM if objective.n is not None else ONLINE
-    if mode == FINITE_SUM:
-        scale = objective.n
-    else:
-        if objective.sigma_hint is None:
-            raise ParameterError("online mode needs a sigma estimate")
-        scale = objective.sigma_hint
-    params = derive_params(mode, scale, epsilon, delta, est.L_hat,
-                           est.rho_hat, constants, D=man.D, budget=budget,
-                           l_hat=est.l_hat)
-    report = prsrg_run(objective, man, x0, params, stream,
+    stream, seed = as_stream(rng)
+    params, est = probe_params(objective, x0, epsilon, delta, budget, stream,
+                               mode=mode, constants=constants,
+                               lipschitz_pairs=lipschitz_pairs)
+    report = prsrg_run(objective, objective.manifold, x0, params, stream,
                        l_hat=est.l_hat, record_gaps=record_gaps)
-    if seed is not None:
-        report.seed = int(seed)
+    report.seed = seed
     return report, params

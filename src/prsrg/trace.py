@@ -42,6 +42,9 @@ COLUMNS = ("outer_t", "inner_k", "epoch_type", "F_value",
            "grad_norm_or_batch", "estimator_gap", "u_norm", "queries_cum",
            "event")
 
+# events whose row carries a fresh inner-step estimator norm
+_STEP_EVENTS = ("step", "uniform_break", "max_iter")
+
 
 @dataclass
 class TraceRow:

@@ -463,20 +463,6 @@ def test_cli_couple_trials_zero(tmp_path, capsys):
     assert (tmp_path / "c.couple.json").exists()
 
 
-def test_cli_bench(tmp_path, capsys):
-    out = tmp_path / "bench.json"
-    rc = main(["bench", "--n", "64", "--d", "8", "--reps", "2",
-               "--out", str(out)])
-    assert rc == EXIT_OK
-    text = capsys.readouterr().out
-    assert "active backend:" in text
-    timings = json.loads(out.read_text())
-    assert "paired_rank2_mean[n=64,d=8]" in timings
-    assert "rows_rank1_mean[n=64,d=8]" in timings
-    for rows in timings.values():
-        assert all(ns > 0 for ns in rows.values())
-
-
 def test_cli_sweep(tmp_path, capsys):
     cfgfile = tmp_path / "sweep.ini"
     cfgfile.write_text(SWEEP_RUN.replace("seeds = 2", "seeds = 1"))

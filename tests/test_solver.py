@@ -353,3 +353,15 @@ def test_auto_solve_selects_online():
                                     rng=37)
     assert params.mode == "online"
     assert report.queries_used <= 3000
+
+
+def test_auto_solve_validates_rng_and_mode(small_rayleigh):
+    x0 = small_rayleigh.eigvec(0)
+    with pytest.raises(ParameterError):
+        auto_solve(small_rayleigh, x0, epsilon=1e-3, delta=0.5, budget=1000,
+                   rng="not-a-seed")
+    obj = make_streaming_rayleigh(d=6, spectrum=np.linspace(2.0, 0.5, 6),
+                                  seed=None)
+    with pytest.raises(ParameterError):
+        auto_solve(obj, obj.manifold.point(np.eye(6)[0]), epsilon=0.5,
+                   delta=1.0, budget=1000, rng=1, mode="finite_sum")
