@@ -1,18 +1,18 @@
 """Comparator optimizers sharing the solver's trace and query accounting.
 
-Three baselines: ``prgd`` takes full-gradient retraction steps and, at
+Two baselines: ``prgd`` takes full-gradient retraction steps and, at
 small-gradient points, perturbs in the tangent space and descends the
 pullback there for a fixed number of steps; ``rsgd`` is plain Riemannian
-minibatch SGD; ``rsrg_unperturbed`` is the main solver with the
-perturbation radius forced to zero. All three emit the same SolverReport
-and trace schema, with prgd/rsgd rows labeled ``baseline``, so a CSV diff
-against the solver is meaningful.
+minibatch SGD. Both emit the solver's SolverReport and trace schema, with
+rows labeled ``baseline``, so a CSV diff against the solver is meaningful.
+The third comparator, ``rsrg_unperturbed`` (the main solver with the
+perturbation radius forced to zero), runs through ``harness.run_experiment``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from .diagnostics import Certification, certify
@@ -20,12 +20,11 @@ from .errors import ParameterError
 from .geometry import Manifold, ManifoldPoint, TangentVector
 from .pullback import PullbackOracle
 from .rng import TAG_BATCH, TAG_OUTER, TAG_PERTURB, StreamTree, as_stream
-from .solver import (EPOCH_KEYS, FINITE_SUM, SolverReport, prsrg_run,
-                     probe_params)
+from .solver import EPOCH_KEYS, SolverReport
 from .trace import TraceRow
 from .tssrg import boundary_alpha
 
-BASELINE_KINDS = ("prgd", "rsgd", "rsrg_unperturbed")
+BASELINE_KINDS = ("prgd", "rsgd")
 
 
 @dataclass(frozen=True)
@@ -174,14 +173,5 @@ def baseline_run(objective, manifold: Manifold, x0: ManifoldPoint,
     if config.kind == "prgd":
         return _prgd_run(objective, manifold, x0, config, epsilon, delta,
                          budget, stream, seed)
-    if config.kind == "rsgd":
-        return _rsgd_run(objective, manifold, x0, config, epsilon, delta,
-                         budget, stream, seed)
-    # rsrg_unperturbed: the main solver with r forced to zero
-    params, est = probe_params(objective, x0, epsilon, delta, budget, stream,
-                               mode=FINITE_SUM)
-    params = replace(params, r=0.0)
-    report = prsrg_run(objective, manifold, x0, params, stream,
-                       l_hat=est.l_hat)
-    report.seed = seed
-    return report
+    return _rsgd_run(objective, manifold, x0, config, epsilon, delta,
+                     budget, stream, seed)

@@ -13,10 +13,10 @@ All retractions are second order (zero initial acceleration), so pullback
 gradients and Hessians agree with their Riemannian counterparts at u = 0.
 
 The differentiated retraction ``T_u = DR_x(u)`` maps T_x M to T_{R_x(u)} M;
-its adjoint ``T_u*`` pulls gradients back to the anchor tangent space. The
-sphere and Euclidean manifolds use closed forms; the generic fallback builds
-a central finite-difference Jacobian in deterministic orthonormal tangent
-bases (QR completion of the constraint normal space).
+its adjoint ``T_u*`` pulls gradients back to the anchor tangent space. Every
+manifold applies both in closed form; ``dretract_matrix`` expresses T_u in
+deterministic orthonormal tangent bases (QR completion of the constraint
+normal space).
 """
 
 from __future__ import annotations
@@ -29,9 +29,6 @@ from .errors import ContractViolation, OutOfBall, ParameterError
 
 # On-manifold / tangency tolerance for validation.
 TOL = 1e-10
-
-# Central FD step for the generic differentiated retraction.
-DRETRACT_FD_STEP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -61,10 +58,11 @@ def _freeze(a) -> np.ndarray:
 
 
 class Manifold:
-    """Base class: shared validation, sampling, and FD fallbacks.
+    """Base class: shared validation, tangent bases, and sampling.
 
     Subclasses set ``dim`` (intrinsic), ``ambient_dim``, and override the
-    constraint/tangency/retraction primitives. All operations are pure
+    constraint/tangency/retraction primitives and the closed-form
+    differentiated retraction and its adjoint. All operations are pure
     functions of their inputs; random sources are caller-owned.
     """
 
@@ -153,6 +151,24 @@ class Manifold:
             raise OutOfBall(
                 f"||u|| = {n:.6e} exceeds ball radius D = {self.ball_radius_D}")
 
+    def _dretract_target(self, x: ManifoldPoint, u: TangentVector,
+                         v: TangentVector | None = None,
+                         w: TangentVector | None = None) -> ManifoldPoint:
+        """Check a differential query and return y = R_x(u).
+
+        u (and v, when given) must be based at x with u inside the ball; w,
+        when given, must be based at y.
+        """
+        self._require_base(x, u)
+        if v is not None:
+            self._require_base(x, v)
+        self._require_in_ball(u)
+        y = self.retract(x, u)
+        if w is not None and (w.base.manifold_id != self.manifold_id
+                              or not np.array_equal(w.base.coords, y.coords)):
+            raise ContractViolation("w must be tangent at R_x(u)")
+        return y
+
     # -- core operations -----------------------------------------------------
 
     def retract(self, x: ManifoldPoint, u: TangentVector) -> ManifoldPoint:
@@ -182,24 +198,8 @@ class Manifold:
 
     def dretract_apply(self, x: ManifoldPoint, u: TangentVector,
                        v: TangentVector) -> TangentVector:
-        """T_u[v]: differential of the retraction at u, applied to v.
-
-        Generic implementation: central finite differences of the retraction,
-        step ``1e-6 * max(1, ||u||)``, projected onto the target tangent space.
-        """
-        self._require_base(x, u)
-        self._require_base(x, v)
-        self._require_in_ball(u)
-        y = self.retract(x, u)
-        nv = v.norm
-        if nv == 0.0:
-            return self.zero_tangent(y)
-        h = DRETRACT_FD_STEP * max(1.0, u.norm)
-        step = (h / nv) * v.coords
-        plus = self._retract_coords(x.coords, u.coords + step)
-        minus = self._retract_coords(x.coords, u.coords - step)
-        diff = (plus - minus) * (nv / (2.0 * h))
-        return TangentVector(y, _freeze(self.project_ambient(y, diff)))
+        """T_u[v]: differential of the retraction at u, applied to v."""
+        raise NotImplementedError
 
     def dretract_matrix(self, x: ManifoldPoint, u: TangentVector) -> np.ndarray:
         """T_u as a (dim x dim) matrix between the tangent bases at x and R_x(u)."""
@@ -218,20 +218,9 @@ class Manifold:
                                w: TangentVector) -> TangentVector:
         """T_u*[w]: adjoint of T_u, pulling w in T_{R_x(u)} M back to T_x M.
 
-        Satisfies <T_u v, w> = <v, T_u* w> for all tangent v at x. Generic
-        implementation transposes the finite-difference Jacobian in the
-        deterministic tangent bases.
+        Satisfies <T_u v, w> = <v, T_u* w> for all tangent v at x.
         """
-        self._require_base(x, u)
-        self._require_in_ball(u)
-        y = self.retract(x, u)
-        if w.base.manifold_id != self.manifold_id or not np.array_equal(
-                w.base.coords, y.coords):
-            raise ContractViolation("w must be tangent at R_x(u)")
-        M = self.dretract_matrix(x, u)
-        Bx = self.tangent_basis(x)
-        By = self.tangent_basis(y)
-        return TangentVector(x, _freeze(Bx @ (M.T @ (By.T @ w.coords))))
+        raise NotImplementedError
 
     def dretract_sigma_min(self, x: ManifoldPoint, u: TangentVector) -> float:
         """Smallest singular value of T_u (basis independent)."""
@@ -287,22 +276,15 @@ class Sphere(Manifold):
         return x.coords.reshape(-1, 1)
 
     # T_u[v] = (I - yy^T) v / ||x+u||  with y = R_x(u); adjoint swaps the
-    # projector to the anchor side. Both are exact, no FD needed.
+    # projector to the anchor side.
     def dretract_apply(self, x, u, v):
-        self._require_base(x, u)
-        self._require_base(x, v)
-        self._require_in_ball(u)
-        y = self.retract(x, u)
+        y = self._dretract_target(x, u, v=v)
         s = float(np.linalg.norm(x.coords + u.coords))
         out = (v.coords - (y.coords @ v.coords) * y.coords) / s
         return TangentVector(y, _freeze(out))
 
     def dretract_adjoint_apply(self, x, u, w):
-        self._require_base(x, u)
-        self._require_in_ball(u)
-        y = self.retract(x, u)
-        if not np.array_equal(w.base.coords, y.coords):
-            raise ContractViolation("w must be tangent at R_x(u)")
+        self._dretract_target(x, u, w=w)
         s = float(np.linalg.norm(x.coords + u.coords))
         out = (w.coords - (x.coords @ w.coords) * x.coords) / s
         return TangentVector(x, _freeze(out))
@@ -315,8 +297,11 @@ class Sphere(Manifold):
 class Stiefel(Manifold):
     """Orthonormal frames St(n, p) with the polar retraction.
 
-    Coordinates are row-major flattened n-by-p matrices. The differentiated
-    retraction uses the generic finite-difference fallback.
+    Coordinates are row-major flattened n-by-p matrices. With W = X + U,
+    W^T W = S = I + U^T U (X^T U is skew), so R_x(u) = W K with K = S^(-1/2),
+    and the differential and its adjoint are closed forms in the
+    eigenbasis of S (Absil, Mahony & Sepulchre 2008, ch. 4; Absil & Malick
+    2012).
     """
 
     def __init__(self, n: int, p: int, ball_radius_D: float = 0.5, c0: float = 1.0):
@@ -347,14 +332,46 @@ class Stiefel(Manifold):
         S = X.T @ A
         return (A - X @ ((S + S.T) / 2.0)).reshape(-1)
 
-    def _retract_coords(self, x, u):
-        X = self._mat(x)
+    def _polar(self, x, u):
+        """W = X + U, U, K = S^(-1/2) and S's eigenpairs (lam, E)."""
         U = self._mat(u)
-        W = X + U
-        # polar factor: W (I + U^T U)^(-1/2); U^T U symmetric PSD
-        vals, vecs = np.linalg.eigh(np.eye(self.p) + U.T @ U)
-        inv_sqrt = vecs @ np.diag(1.0 / np.sqrt(vals)) @ vecs.T
-        return (W @ inv_sqrt).reshape(-1)
+        lam, E = np.linalg.eigh(np.eye(self.p) + U.T @ U)
+        K = E @ np.diag(1.0 / np.sqrt(lam)) @ E.T
+        return self._mat(x) + U, U, K, lam, E
+
+    @staticmethod
+    def _dinvsqrt(lam, E, H):
+        """Derivative of S -> S^(-1/2) along symmetric H, S = E diag(lam) E^T.
+
+        Elementwise in the eigenbasis with the divided difference of
+        s^(-1/2), -1 / (sqrt(l_i) sqrt(l_j) (sqrt(l_i) + sqrt(l_j))): no
+        branch for equal eigenvalues and no cancellation (at u = 0, S = I).
+        """
+        r = np.sqrt(lam)
+        F = -1.0 / (np.outer(r, r) * (r[:, None] + r[None, :]))
+        return E @ (F * (E.T @ H @ E)) @ E.T
+
+    def _retract_coords(self, x, u):
+        W, _, K, _, _ = self._polar(x, u)
+        return (W @ K).reshape(-1)
+
+    # T_u[V] = V K + W dK[U^T V + V^T U]; the adjoint transposes each step,
+    # T_u*[Z] = P_X(Z K + U dK[W^T Z + Z^T W]) (dK is self-adjoint).
+    def dretract_apply(self, x, u, v):
+        y = self._dretract_target(x, u, v=v)
+        W, U, K, lam, E = self._polar(x.coords, u.coords)
+        V = self._mat(v.coords)
+        H = U.T @ V
+        out = V @ K + W @ self._dinvsqrt(lam, E, H + H.T)
+        return TangentVector(y, _freeze(out.reshape(-1)))
+
+    def dretract_adjoint_apply(self, x, u, w):
+        self._dretract_target(x, u, w=w)
+        W, U, K, lam, E = self._polar(x.coords, u.coords)
+        Z = self._mat(w.coords)
+        H = W.T @ Z
+        out = (Z @ K + U @ self._dinvsqrt(lam, E, H + H.T)).reshape(-1)
+        return TangentVector(x, _freeze(self.project_ambient(x, out)))
 
     def _normal_frame(self, x):
         X = self._mat(x.coords)
@@ -404,18 +421,10 @@ class Euclidean(Manifold):
         return np.empty((self.ambient_dim, 0))
 
     def dretract_apply(self, x, u, v):
-        self._require_base(x, u)
-        self._require_base(x, v)
-        self._require_in_ball(u)
-        y = self.retract(x, u)
-        return TangentVector(y, v.coords)
+        return TangentVector(self._dretract_target(x, u, v=v), v.coords)
 
     def dretract_adjoint_apply(self, x, u, w):
-        self._require_base(x, u)
-        self._require_in_ball(u)
-        y = self.retract(x, u)
-        if not np.array_equal(w.base.coords, y.coords):
-            raise ContractViolation("w must be tangent at R_x(u)")
+        self._dretract_target(x, u, w=w)
         return TangentVector(x, w.coords)
 
     def rand_point(self, rng):

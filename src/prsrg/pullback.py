@@ -21,9 +21,13 @@ import numpy as np
 
 from .errors import EmptyBatch, ParameterError
 from .geometry import Manifold, ManifoldPoint, TangentVector
+from .rng import TAG_DIAG, master_stream
 
 # Central FD step for Hessian-vector products of the pullback.
 HVP_FD_STEP = 1e-4
+
+# Size of the fixed streaming batch behind ``PullbackOracle.hvp``.
+HVP_BATCH_SIZE = 2048
 
 
 @dataclass(frozen=True)
@@ -89,22 +93,21 @@ class LipschitzEstimate:
 class PullbackOracle:
     """Pullback values, batch gradients, and FD Hessian-vector products at one anchor.
 
-    Immutable after construction except for the query tallies (guarded by the
-    interpreter's serialized execution; batches are reduced in a fixed order
-    so traces are bit-stable).
+    Each gradient retracts u once and pulls the Riemannian gradient at
+    R_x(u) back through the manifold's closed-form ``dretract_adjoint_apply``.
+    Immutable after construction except for the query tallies and the lazily
+    drawn streaming HVP batch (guarded by the interpreter's serialized
+    execution; batches are reduced in a fixed order so traces are bit-stable).
     """
 
-    def __init__(self, objective: FiniteSumObjective, anchor: ManifoldPoint,
-                 hvp_batch_size: int = 2048):
+    def __init__(self, objective: FiniteSumObjective, anchor: ManifoldPoint):
         self.objective = objective
         self.manifold = objective.manifold
         self.manifold._require_point(anchor)
         self.anchor = anchor
         self.queries = 0
         self.diag_queries = 0
-        self._adjoint_cache: dict[bytes, object] = {}
         self._hvp_batch: Batch | None = None
-        self._hvp_batch_size = int(hvp_batch_size)
 
     # -- helpers -------------------------------------------------------------
 
@@ -116,24 +119,6 @@ class PullbackOracle:
 
     def retract(self, u: TangentVector) -> ManifoldPoint:
         return self.manifold.retract(self.anchor, u)
-
-    def _adjoint(self, u: TangentVector):
-        """w_coords -> T_u*[w] coords; cached per u (the FD Jacobian path is
-        the expensive part on manifolds without closed forms)."""
-        key = u.coords.tobytes()
-        fn = self._adjoint_cache.get(key)
-        if fn is None:
-            man, anchor = self.manifold, self.anchor
-            y = man.retract(anchor, u)
-
-            def fn(w_coords, _y=y, _u=u):
-                w = TangentVector(_y, w_coords)
-                return man.dretract_adjoint_apply(anchor, _u, w).coords
-
-            if len(self._adjoint_cache) >= 8:
-                self._adjoint_cache.pop(next(iter(self._adjoint_cache)))
-            self._adjoint_cache[key] = fn
-        return fn
 
     # -- oracle operations -----------------------------------------------------
 
@@ -149,10 +134,9 @@ class PullbackOracle:
             raise EmptyBatch("gradient requested over an empty batch")
         self.manifold._require_base(self.anchor, u)
         self.manifold._require_in_ball(u)
-        y = self.retract(u)
-        g = self.objective.batch_riem_grad(batch, y)
+        g = self.objective.batch_riem_grad(batch, self.retract(u))
         self.queries += batch.size
-        return TangentVector(self.anchor, self._adjoint(u)(g.coords))
+        return self.manifold.dretract_adjoint_apply(self.anchor, u, g)
 
     def grad_minibatch(self, I, u: TangentVector) -> TangentVector:
         """Pullback gradient over an explicit index multiset (or Batch)."""
@@ -176,17 +160,38 @@ class PullbackOracle:
         self.manifold._require_base(self.anchor, u)
         self.manifold._require_in_ball(u)
         g = self.objective.full_riem_grad(self.retract(u))
-        return TangentVector(self.anchor, self._adjoint(u)(g.coords))
+        return self.manifold.dretract_adjoint_apply(self.anchor, u, g)
 
     def _full_batch(self) -> Batch:
         if self.objective.n is not None:
             return Batch(size=int(self.objective.n), idx=None)
         if self._hvp_batch is None:
-            rng = np.random.Generator(np.random.Philox(
-                np.random.SeedSequence(entropy=0xC0FFEE, spawn_key=(8,))))
+            rng = master_stream(0xC0FFEE).child(TAG_DIAG).generator()
             self._hvp_batch = self.objective.sample_largebatch(
-                self._hvp_batch_size, rng)
+                HVP_BATCH_SIZE, rng)
         return self._hvp_batch
+
+    def _diag_grad(self, u: TangentVector) -> TangentVector:
+        """Full-batch pullback gradient charged to ``diag_queries``."""
+        batch = self._full_batch()
+        g = self.objective.batch_riem_grad(batch, self.retract(u))
+        self.diag_queries += batch.size
+        return self.manifold.dretract_adjoint_apply(self.anchor, u, g)
+
+    def _fd_hvp(self, u: TangentVector, v: TangentVector,
+                grad) -> TangentVector:
+        """Central difference of ``grad`` at u along v, step
+        ``1e-4 * max(1, ||v||)``, projected onto the anchor tangent space."""
+        nv = v.norm
+        if nv == 0.0:
+            return self.zero()
+        s = HVP_FD_STEP * max(1.0, nv)
+        step = (s / nv) * v.coords
+        gp = grad(TangentVector(self.anchor, u.coords + step))
+        gm = grad(TangentVector(self.anchor, u.coords - step))
+        out = (gp.coords - gm.coords) * (nv / (2.0 * s))
+        return TangentVector(self.anchor,
+                             self.manifold.project_ambient(self.anchor, out))
 
     def hvp(self, u: TangentVector, v: TangentVector) -> TangentVector:
         """FD Hessian-vector product of the pullback at u.
@@ -199,33 +204,7 @@ class PullbackOracle:
         self.manifold._require_base(self.anchor, u)
         self.manifold._require_base(self.anchor, v)
         self.manifold._require_in_ball(u)
-        nv = v.norm
-        if nv == 0.0:
-            return self.zero()
-        batch = self._full_batch()
-        s = HVP_FD_STEP * max(1.0, nv)
-        step = (s / nv) * v.coords
-        up = TangentVector(self.anchor, u.coords + step)
-        um = TangentVector(self.anchor, u.coords - step)
-        gp = self.objective.batch_riem_grad(batch, self.retract(up))
-        gm = self.objective.batch_riem_grad(batch, self.retract(um))
-        self.diag_queries += 2 * batch.size
-        out = (self._adjoint(up)(gp.coords) - self._adjoint(um)(gm.coords)) \
-            * (nv / (2.0 * s))
-        proj = self.manifold.project_ambient(self.anchor, out)
-        return TangentVector(self.anchor, proj)
-
-    def _exact_hvp(self, u: TangentVector, v: TangentVector) -> TangentVector:
-        """FD HVP of the exact pullback gradient (Lipschitz probes)."""
-        nv = v.norm
-        if nv == 0.0:
-            return self.zero()
-        s = HVP_FD_STEP * max(1.0, nv)
-        step = (s / nv) * v.coords
-        gp = self.exact_grad(TangentVector(self.anchor, u.coords + step))
-        gm = self.exact_grad(TangentVector(self.anchor, u.coords - step))
-        out = (gp.coords - gm.coords) * (nv / (2.0 * s))
-        return TangentVector(self.anchor, self.manifold.project_ambient(self.anchor, out))
+        return self._fd_hvp(u, v, self._diag_grad)
 
     def estimate_lipschitz(self, rng: np.random.Generator,
                            pairs: int = 200) -> LipschitzEstimate:
@@ -258,8 +237,8 @@ class PullbackOracle:
             if nw < 1e-12:
                 continue
             w = TangentVector(x, w.coords / nw)
-            hu = self._exact_hvp(u, w)
-            hv = self._exact_hvp(v, w)
+            hu = self._fd_hvp(u, w, self.exact_grad)
+            hv = self._fd_hvp(v, w, self.exact_grad)
             r_max = max(r_max, float(np.linalg.norm(hu.coords - hv.coords)) / du)
         l_hat = 1.2 * l_max
         rho_hat = 1.2 * r_max

@@ -227,7 +227,6 @@ def _half_rule_large(rows, epsilon: float) -> bool:
 
 def prsrg_run(objective, manifold: Manifold, x0: ManifoldPoint,
               params: SolverParams, rng, *, l_hat: float | None = None,
-              certify_candidates: bool = True,
               record_gaps: bool = False) -> SolverReport:
     """Run the full solver from x0 under a strict query budget.
 
@@ -282,17 +281,16 @@ def prsrg_run(objective, manifold: Manifold, x0: ManifoldPoint,
                 estimator_gap=None, u_norm=0.0,
                 queries_cum=total_q + oracle.queries, event="grad_check")
             rows_all.append(check_row)
-            if certify_candidates:
-                cert = certify(oracle, None, params.epsilon, params.delta,
-                               l_hat=l_hat)
-                if cert.passed:
-                    check_row.epoch_type = "useful"
-                    certified = cert
-                    certified_point = x
-                    exit_reason = "certified"
-                    total_q += oracle.queries
-                    diag_q += oracle.diag_queries
-                    break
+            cert = certify(oracle, None, params.epsilon, params.delta,
+                           l_hat=l_hat)
+            if cert.passed:
+                check_row.epoch_type = "useful"
+                certified = cert
+                certified_point = x
+                exit_reason = "certified"
+                total_q += oracle.queries
+                diag_q += oracle.diag_queries
+                break
             radius = min(params.r, params.tssrg.D)
             remaining = params.budget - total_q - oracle.queries
             T_run = min(params.tssrg.T_max,
@@ -361,8 +359,7 @@ def prsrg_run(objective, manifold: Manifold, x0: ManifoldPoint,
 def probe_params(objective, x0: ManifoldPoint, epsilon: float,
                  delta: float, budget: int, stream, *,
                  mode: str | None = None,
-                 constants: SolverConstants | None = None,
-                 lipschitz_pairs: int = 200
+                 constants: SolverConstants | None = None
                  ) -> tuple[SolverParams, LipschitzEstimate]:
     """Probe smoothness at x0 and derive run parameters from it.
 
@@ -381,8 +378,7 @@ def probe_params(objective, x0: ManifoldPoint, epsilon: float,
             raise ParameterError("online mode needs a sigma estimate")
         scale = objective.sigma_hint
     probe = PullbackOracle(objective, x0)
-    est = probe.estimate_lipschitz(stream.child(TAG_DIAG).generator(),
-                                   pairs=lipschitz_pairs)
+    est = probe.estimate_lipschitz(stream.child(TAG_DIAG).generator())
     params = derive_params(mode, scale, epsilon, delta, est.L_hat,
                            est.rho_hat, constants, D=objective.manifold.D,
                            budget=budget, l_hat=est.l_hat)
@@ -392,13 +388,11 @@ def probe_params(objective, x0: ManifoldPoint, epsilon: float,
 def auto_solve(objective, x0: ManifoldPoint, epsilon: float, delta: float,
                budget: int, rng, *, mode: str | None = None,
                constants: SolverConstants | None = None,
-               lipschitz_pairs: int = 200,
                record_gaps: bool = False) -> tuple[SolverReport, SolverParams]:
     """Estimate smoothness at x0, derive parameters, and run the solver."""
     stream, seed = as_stream(rng)
     params, est = probe_params(objective, x0, epsilon, delta, budget, stream,
-                               mode=mode, constants=constants,
-                               lipschitz_pairs=lipschitz_pairs)
+                               mode=mode, constants=constants)
     report = prsrg_run(objective, objective.manifold, x0, params, stream,
                        l_hat=est.l_hat, record_gaps=record_gaps)
     report.seed = seed

@@ -45,8 +45,9 @@ def _sym(M):
 
 
 class StiefelTrace:
-    """f_i(X) = -tr(X^T A_i X) on St(n, p); test-local objective used to
-    exercise the generic adjoint path (no closed-form differential)."""
+    """f_i(X) = -tr(X^T A_i X) on St(n, p); test-local objective that
+    exercises the polar retraction's differential through the pullback
+    oracle."""
 
     def __init__(self, n, p, n_comp, rng):
         base = rng.standard_normal((n, n))

@@ -3,6 +3,8 @@ behaviour, shared trace conventions, and the head-to-head query benchmark."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from prsrg import (
     make_rayleigh,
 )
 from prsrg.rng import master_stream
+from prsrg.solver import prsrg_run, probe_params
 
 
 # ------------------------------------------------------------ config
@@ -117,13 +120,20 @@ def test_rsgd_budget_zero_vacuous():
 
 # ----------------------------------------------------- rsrg_unperturbed
 
+def _rsrg_unperturbed(obj, x0, epsilon, delta, budget, seed):
+    # the harness's rsrg_unperturbed path: probed parameters, r forced to 0
+    stream = master_stream(seed)
+    params, est = probe_params(obj, x0, epsilon, delta, budget, stream)
+    return prsrg_run(obj, obj.manifold, x0, replace(params, r=0.0), stream,
+                     l_hat=est.l_hat)
+
+
 def test_rsrg_unperturbed_never_leaves_exact_saddle():
     obj = make_rayleigh(d=8, n=32, spectrum=np.linspace(2.0, 0.3, 8),
                         noise_scale=0.0, seed=None)
     x0 = obj.eigvec(1)
-    config = BaselineConfig(kind="rsrg_unperturbed", eta=0.05)
-    report = baseline_run(obj, obj.manifold, x0, config, epsilon=1e-3,
-                          delta=0.1, budget=3_000, rng=13)
+    report = _rsrg_unperturbed(obj, x0, epsilon=1e-3, delta=0.1,
+                               budget=3_000, seed=13)
     assert report.exit_reason == "budget"
     assert np.array_equal(report.final_point.coords, x0.coords)
 
@@ -133,9 +143,8 @@ def test_rsrg_unperturbed_descends_from_generic_start():
                         noise_scale=0.2, seed=6)
     rng = np.random.default_rng(8)
     x0 = obj.manifold.rand_point(rng)
-    config = BaselineConfig(kind="rsrg_unperturbed", eta=0.05)
-    report = baseline_run(obj, obj.manifold, x0, config, epsilon=1e-2,
-                          delta=0.5, budget=40_000, rng=17)
+    report = _rsrg_unperturbed(obj, x0, epsilon=1e-2, delta=0.5,
+                               budget=40_000, seed=17)
     assert report.best_F < obj.value(x0)
     assert report.queries_used <= 40_000
 
