@@ -4,8 +4,8 @@ The inner loops of every objective reduce to one of two shapes:
 
 * ``paired_rank2_mean`` — mean over a component batch of symmetric rank-2
   perturbation actions ``E_i y`` with ``E_i = p_i q_i^T + q_i p_i^T``;
-* ``rows_rank1_mean`` / ``rows_rank1_mean_idx`` — mean over data rows of
-  ``a_i (a_i . y)`` for sample-covariance objectives.
+* ``rows_rank1_mean`` — mean over data rows of ``a_i (a_i . y)`` for
+  sample-covariance objectives (callers gather index batches as ``A[idx]``).
 
 Determinism: each kernel is a fixed sequence of numpy reductions, so the
 same inputs always produce the same bits.
@@ -26,12 +26,6 @@ def paired_rank2_mean(P: np.ndarray, Q: np.ndarray, idx: np.ndarray,
 
 def rows_rank1_mean(A: np.ndarray, y: np.ndarray) -> np.ndarray:
     return A.T @ (A @ y) / A.shape[0]
-
-
-def rows_rank1_mean_idx(A: np.ndarray, idx: np.ndarray,
-                        y: np.ndarray) -> np.ndarray:
-    Ai = A[idx]
-    return Ai.T @ (Ai @ y) / idx.shape[0]
 
 
 def backend_name() -> str:

@@ -10,11 +10,16 @@
 * ``make_data_rayleigh`` — the same objective backed by a dense data matrix
   (rows are samples), loadable from CSV or the PRSRGMAT binary format.
 
-Finite-sum components are Abar + E_i where the E_i are symmetric rank-2
-perturbations of two-norm exactly ``noise_scale``, generated in +/- pairs so
-the component mean equals Abar to machine precision (a pair's contributions
-cancel exactly in IEEE arithmetic). Exhaustive batches therefore evaluate
-through Abar directly, which is both exact and deterministic.
+The Rayleigh objectives share one value and gradient; rayleigh and
+streaming_rayleigh also share the spectrum check, the rotated mean matrix
+and ``eigvec``; data_rayleigh reuses the finite-sum index sampler.
+
+Paired finite-sum components are Abar + E_i where the E_i are symmetric
+rank-2 perturbations of two-norm exactly ``noise_scale``, generated in +/-
+pairs so the component mean equals Abar to machine precision (a pair's
+contributions cancel exactly in IEEE arithmetic). Exhaustive batches
+therefore evaluate through Abar directly, which is both exact and
+deterministic.
 """
 
 from __future__ import annotations
@@ -44,6 +49,26 @@ def _rotation(d: int, seed: int | None) -> np.ndarray:
     return Q * np.sign(np.diag(R))
 
 
+def _rotated(rotation: np.ndarray, values: np.ndarray,
+             seed: int | None) -> np.ndarray:
+    """R diag(values) R^T for R = _rotation(d, seed); exactly diagonal when
+    seed is None."""
+    if seed is None:
+        return np.diag(values)
+    return rotation @ np.diag(values) @ rotation.T
+
+
+def _check_spectrum(d: int, spectrum) -> np.ndarray:
+    spectrum = np.asarray(spectrum, dtype=np.float64)
+    if spectrum.shape != (d,):
+        raise ParameterError(f"spectrum must have length d = {d}")
+    if not np.all(np.diff(spectrum) <= 0):
+        raise ParameterError("spectrum must be nonincreasing")
+    if not (d > 1 and spectrum[0] > spectrum[1]):
+        raise ParameterError("degenerate spectrum: need lambda_1 > lambda_2")
+    return spectrum
+
+
 def _paired_noise(n: int, d: int, noise_scale: float,
                   rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Pair vectors (P, Q) with E_i = P[i] Q[i]^T + Q[i] P[i]^T, ||E_i||_2 =
@@ -66,8 +91,46 @@ def _paired_noise(n: int, d: int, noise_scale: float,
     return P, Q
 
 
+class _SphereRayleigh:
+    """F(x) = -x^T Abar x on the sphere; a mean component action A y maps
+    to the Riemannian gradient -2 (I - y y^T) A y."""
+
+    def value(self, x: ManifoldPoint) -> float:
+        return -float(x.coords @ (self.Abar @ x.coords))
+
+    def full_riem_grad(self, x: ManifoldPoint) -> TangentVector:
+        return self._grad_from_matvec(x, self.Abar @ x.coords)
+
+    def _grad_from_matvec(self, x: ManifoldPoint, Ay: np.ndarray) -> TangentVector:
+        y = x.coords
+        return TangentVector(x, -2.0 * (Ay - (y @ Ay) * y))
+
+
+class _SpectralRayleigh(_SphereRayleigh):
+    """Sphere Rayleigh with Abar = R diag(spectrum) R^T, where the spectrum
+    is nonincreasing with lambda_1 > lambda_2."""
+
+    def _set_spectrum(self, d: int, spectrum, rotation_seed: int | None):
+        self.d = int(d)
+        self.spectrum = _check_spectrum(d, spectrum)
+        self.rotation = _rotation(d, rotation_seed)
+        self.Abar = _rotated(self.rotation, self.spectrum, rotation_seed)
+
+    def eigvec(self, j: int) -> ManifoldPoint:
+        """j-th eigenvector of Abar (0-based; j = 0 is the minimizer)."""
+        return self.manifold.point(self.rotation[:, j])
+
+    def hess_eigval(self, i: int, j: int) -> float:
+        """Riemannian Hessian eigenvalue at eigvec(j) along eigvec(i)."""
+        return -2.0 * float(self.spectrum[i] - self.spectrum[j])
+
+
 class _PairedComponentObjective(FiniteSumObjective):
-    """Shared finite-sum machinery: mean matrix + paired rank-2 components."""
+    """Index-sampled finite sum with components Abar + E_i (paired rank-2).
+
+    Subclasses map the mean action to a gradient (``_grad_from_matvec``);
+    other components override ``__init__`` and ``_matvec_mean``.
+    """
 
     def __init__(self, manifold, Abar: np.ndarray, P: np.ndarray, Q: np.ndarray,
                  sigma_hint: float | None):
@@ -78,7 +141,6 @@ class _PairedComponentObjective(FiniteSumObjective):
         self.n = P.shape[0]
         self.sigma_hint = sigma_hint
 
-    # subclasses map the mean matrix action to a Riemannian gradient
     def _grad_from_matvec(self, x: ManifoldPoint, Ay: np.ndarray) -> TangentVector:
         raise NotImplementedError
 
@@ -115,46 +177,17 @@ class _PairedComponentObjective(FiniteSumObjective):
         return Batch(size=B, idx=idx)
 
 
-class RayleighInstance(_PairedComponentObjective):
+class RayleighInstance(_SpectralRayleigh, _PairedComponentObjective):
     """F(x) = -x^T Abar x on the sphere, components -x^T A_i x."""
 
     def __init__(self, d: int, n: int, spectrum, noise_scale: float,
-                 rotation_seed: int | None, noise_seed: int = 0):
-        spectrum = np.asarray(spectrum, dtype=np.float64)
-        if spectrum.shape != (d,):
-            raise ParameterError(f"spectrum must have length d = {d}")
-        if not np.all(np.diff(spectrum) <= 0):
-            raise ParameterError("spectrum must be nonincreasing")
-        if not spectrum[0] > spectrum[1]:
-            raise ParameterError("degenerate spectrum: need lambda_1 > lambda_2")
-        self.d = int(d)
-        self.spectrum = spectrum
-        self.rotation = _rotation(d, rotation_seed)
-        Abar = self.rotation @ np.diag(spectrum) @ self.rotation.T
-        if rotation_seed is None:
-            Abar = np.diag(spectrum)  # exact zeros off the diagonal
-        noise_rng = master_stream(noise_seed).child(TAG_PROBLEM, 1).generator()
+                 rotation_seed: int | None):
+        self._set_spectrum(d, spectrum, rotation_seed)
+        noise_rng = master_stream(0).child(TAG_PROBLEM, 1).generator()
         P, Q = _paired_noise(n, d, noise_scale, noise_rng)
         # ||grad f_i - grad F|| = 2 ||(I-xx^T) E_i x|| <= 2 ||E_i||_2
-        super().__init__(Sphere(d), Abar, P, Q,
+        super().__init__(Sphere(d), self.Abar, P, Q,
                          sigma_hint=2.0 * noise_scale if noise_scale > 0 else 0.0)
-        self.noise_scale = float(noise_scale)
-
-    def value(self, x: ManifoldPoint) -> float:
-        return -float(x.coords @ (self.Abar @ x.coords))
-
-    def _grad_from_matvec(self, x, Ay):
-        y = x.coords
-        raw = -2.0 * (Ay - (y @ Ay) * y)
-        return TangentVector(x, raw)
-
-    def eigvec(self, j: int) -> ManifoldPoint:
-        """j-th eigenvector of Abar (0-based; j = 0 is the minimizer)."""
-        return self.manifold.point(self.rotation[:, j])
-
-    def hess_eigval(self, i: int, j: int) -> float:
-        """Riemannian Hessian eigenvalue at eigvec(j) along eigvec(i)."""
-        return -2.0 * float(self.spectrum[i] - self.spectrum[j])
 
 
 class QuadraticSaddleInstance(_PairedComponentObjective):
@@ -167,21 +200,16 @@ class QuadraticSaddleInstance(_PairedComponentObjective):
         if not (math.isfinite(gamma) and L_top > 0):
             raise ParameterError("gamma must be finite, L_top positive")
         self.d = int(d)
-        self.gamma = float(gamma)
         rest = np.linspace(L_top / max(d - 1, 1), L_top, max(d - 1, 1))
         self.spectrum = np.concatenate([[-gamma], rest])
         self.rotation = _rotation(d, rotation_seed)
-        H = self.rotation @ np.diag(self.spectrum) @ self.rotation.T
-        if rotation_seed is None:
-            H = np.diag(self.spectrum)
         noise_rng = master_stream(0).child(TAG_PROBLEM, 2).generator()
         P, Q = _paired_noise(n, d, noise_scale, noise_rng)
         # gap ||H_i y - H y|| <= noise_scale * ||y||; bound quoted for the
         # reference ball ||y|| <= sigma_radius
-        super().__init__(Euclidean(d), H, P, Q,
-                         sigma_hint=noise_scale * sigma_radius)
-        self.noise_scale = float(noise_scale)
-        self.sigma_radius = float(sigma_radius)
+        super().__init__(Euclidean(d),
+                         _rotated(self.rotation, self.spectrum, rotation_seed),
+                         P, Q, sigma_hint=noise_scale * sigma_radius)
 
     @property
     def H(self) -> np.ndarray:
@@ -198,7 +226,7 @@ class QuadraticSaddleInstance(_PairedComponentObjective):
         return np.array(self.rotation[:, 0])
 
 
-class StreamingRayleighInstance(FiniteSumObjective):
+class StreamingRayleighInstance(_SpectralRayleigh, FiniteSumObjective):
     """Online Rayleigh: components a a^T with a ~ N(0, Abar).
 
     The population objective matches the finite-sum target. Gaussian draws
@@ -209,20 +237,11 @@ class StreamingRayleighInstance(FiniteSumObjective):
     n = None
 
     def __init__(self, d: int, spectrum, rotation_seed: int | None):
-        spectrum = np.asarray(spectrum, dtype=np.float64)
-        if spectrum.shape != (d,):
-            raise ParameterError(f"spectrum must have length d = {d}")
-        if not spectrum[0] > spectrum[1]:
-            raise ParameterError("degenerate spectrum: need lambda_1 > lambda_2")
-        if np.any(spectrum < 0):
+        self._set_spectrum(d, spectrum, rotation_seed)
+        if np.any(self.spectrum < 0):
             raise ParameterError("streaming spectrum must be a covariance (>= 0)")
-        self.d = int(d)
-        self.spectrum = spectrum
-        self.rotation = _rotation(d, rotation_seed)
-        self.Abar = self.rotation @ np.diag(spectrum) @ self.rotation.T
-        if rotation_seed is None:
-            self.Abar = np.diag(spectrum)
-        self._chol = self.rotation @ np.diag(np.sqrt(spectrum)) @ self.rotation.T
+        self._chol = _rotated(self.rotation, np.sqrt(self.spectrum),
+                              rotation_seed)
         self.manifold = Sphere(d)
         self.sigma_hint = self._estimate_sigma()
 
@@ -239,18 +258,9 @@ class StreamingRayleighInstance(FiniteSumObjective):
             worst = max(worst, float(gaps.max()))
         return 1.5 * worst
 
-    def value(self, x: ManifoldPoint) -> float:
-        return -float(x.coords @ (self.Abar @ x.coords))
-
-    def full_riem_grad(self, x: ManifoldPoint) -> TangentVector:
-        y = x.coords
-        Ay = self.Abar @ y
-        return TangentVector(x, -2.0 * (Ay - (y @ Ay) * y))
-
     def batch_riem_grad(self, batch: Batch, x: ManifoldPoint) -> TangentVector:
-        y = x.coords
-        mean = _kernels.rows_rank1_mean(batch.data, y)
-        return TangentVector(x, -2.0 * (mean - (y @ mean) * y))
+        return self._grad_from_matvec(
+            x, _kernels.rows_rank1_mean(batch.data, x.coords))
 
     def _draw(self, size: int, rng: np.random.Generator) -> Batch:
         data = rng.standard_normal((size, self.d)) @ self._chol
@@ -267,52 +277,25 @@ class StreamingRayleighInstance(FiniteSumObjective):
         return self._draw(B, rng)
 
 
-class DataRayleighInstance(FiniteSumObjective):
+class DataRayleighInstance(_SphereRayleigh, _PairedComponentObjective):
     """Finite-sum Rayleigh backed by a data matrix: f_i(x) = -(a_i . x)^2."""
 
     def __init__(self, data: np.ndarray):
         data = np.asarray(data, dtype=np.float64)
         if data.ndim != 2 or data.shape[0] < 1:
             raise ParameterError("data must be a nonempty 2-D matrix")
+        if not np.all(np.isfinite(data)):
+            raise ParameterError("data has non-finite entries (nan or inf)")
         self.data = data
         self.n, self.d = data.shape
         self.Abar = data.T @ data / self.n
         self.manifold = Sphere(self.d)
         self.sigma_hint = None
 
-    def value(self, x: ManifoldPoint) -> float:
-        return -float(x.coords @ (self.Abar @ x.coords))
-
-    def full_riem_grad(self, x: ManifoldPoint) -> TangentVector:
-        y = x.coords
-        Ay = self.Abar @ y
-        return TangentVector(x, -2.0 * (Ay - (y @ Ay) * y))
-
-    def batch_riem_grad(self, batch: Batch, x: ManifoldPoint) -> TangentVector:
-        y = x.coords
+    def _matvec_mean(self, batch: Batch, y: np.ndarray) -> np.ndarray:
         if batch.idx is None:
-            mean = self.Abar @ y
-        else:
-            mean = _kernels.rows_rank1_mean_idx(self.data, batch.idx, y)
-        return TangentVector(x, -2.0 * (mean - (y @ mean) * y))
-
-    def component_riem_grad(self, i: int, x: ManifoldPoint) -> TangentVector:
-        return self.batch_riem_grad(
-            Batch(size=1, idx=np.asarray([i], dtype=np.int64)), x)
-
-    def sample_minibatch(self, b: int, rng: np.random.Generator) -> Batch:
-        if not 1 <= b:
-            raise ParameterError("minibatch size must be >= 1")
-        if b == self.n:
-            return Batch(size=self.n, idx=None)
-        return Batch(size=b, idx=rng.integers(0, self.n, size=b, dtype=np.int64))
-
-    def sample_largebatch(self, B: int, rng: np.random.Generator) -> Batch:
-        if not 1 <= B <= self.n:
-            raise ParameterError(f"large batch size {B} out of range")
-        if B == self.n:
-            return Batch(size=self.n, idx=None)
-        return Batch(size=B, idx=rng.choice(self.n, size=B, replace=False).astype(np.int64))
+            return self.Abar @ y
+        return _kernels.rows_rank1_mean(self.data[batch.idx], y)
 
 
 def make_rayleigh(d: int, n: int, spectrum, noise_scale: float,

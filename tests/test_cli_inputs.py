@@ -45,11 +45,13 @@ def _assert_one_error_line(capsys):
     assert "Traceback" not in err
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), err
+    return lines[0]
 
 
 @pytest.mark.parametrize("case", [
     "sweep_n_not_integer", "coords_not_numeric", "eig_not_integer",
-    "eig_out_of_range", "data_csv_not_numeric", "seed_above_64_bits",
+    "eig_out_of_range", "data_csv_not_numeric", "data_csv_non_finite",
+    "seed_above_64_bits",
 ])
 def test_bad_input_exits_2_with_one_line(case, tmp_path, capsys):
     cfg_text = BASE.format(start="random")
@@ -66,12 +68,18 @@ def test_bad_input_exits_2_with_one_line(case, tmp_path, capsys):
         data = tmp_path / "rows.csv"
         data.write_text("a,b,c\n1,2,3\n")
         cfg_text = DATA_RAYLEIGH.format(data=data)
+    elif case == "data_csv_non_finite":
+        data = tmp_path / "rows.csv"
+        data.write_text("1,2,3\ninf,0,1\n")
+        cfg_text = DATA_RAYLEIGH.format(data=data)
     elif case == "seed_above_64_bits":
         extra = ["--seed", "99999999999999999999999"]
     cfg = tmp_path / "bad.ini"
     cfg.write_text(cfg_text)
     assert main(["run", "--config", str(cfg), *extra]) == EXIT_BAD_INPUT
-    _assert_one_error_line(capsys)
+    line = _assert_one_error_line(capsys)
+    if case == "data_csv_non_finite":
+        assert "non-finite" in line
 
 
 def test_numerical_failure_exits_1(tmp_path, capsys, monkeypatch):

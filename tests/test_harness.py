@@ -216,6 +216,14 @@ def test_resolve_start_grammar(tmp_path):
         resolve_start(ExperimentConfig(problem=ProblemSpec(
             kind="quadratic_saddle", start="e1")), qobj, master_stream(0))
 
+    # streaming_rayleigh is a spectrum problem too
+    scfg = ExperimentConfig(problem=ProblemSpec(
+        manifold="sphere:3", kind="streaming_rayleigh", n=None,
+        spectrum="2.0,1.0,0.0", rotation_seed=4, start="e2"))
+    sobj = build_problem(scfg)
+    np.testing.assert_array_equal(
+        resolve_start(scfg, sobj, master_stream(0)).coords, sobj.rotation[:, 1])
+
 
 def test_load_point_formats(tmp_path):
     cfg = parse_config(SMALL_RUN)

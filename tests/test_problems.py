@@ -3,6 +3,8 @@ streaming sampler, data-backed objectives, and matrix IO."""
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -39,15 +41,22 @@ def test_odd_n_last_component_is_noise_free():
     assert np.all(obj.P[-1] == 0.0) and np.all(obj.Q[-1] == 0.0)
 
 
-def test_component_mean_equals_full_gradient():
-    obj = make_rayleigh(d=12, n=30, spectrum=np.linspace(2.0, 0.1, 12),
-                        noise_scale=0.5, seed=7)
+@pytest.mark.parametrize("build", [
+    lambda: make_rayleigh(d=12, n=30, spectrum=np.linspace(2.0, 0.1, 12),
+                          noise_scale=0.5, seed=7),
+    lambda: make_quadratic_saddle(d=6, gamma=1.0, L_top=2.0, n=9, seed=3,
+                                  noise_scale=0.3),
+    lambda: make_data_rayleigh(
+        np.random.default_rng(12).standard_normal((40, 6))),
+], ids=["rayleigh", "quadratic_saddle", "data_rayleigh"])
+def test_component_mean_equals_full_gradient(build):
+    obj = build()
     rng = np.random.default_rng(1)
     for _ in range(3):
         x = obj.manifold.rand_point(rng)
         mean = sum(obj.component_riem_grad(i, x).coords
                    for i in range(obj.n)) / obj.n
-        assert np.allclose(mean, obj.full_riem_grad(x).coords, atol=1e-8)
+        assert np.allclose(mean, obj.full_riem_grad(x).coords, atol=1e-10)
 
 
 def test_zero_noise_components_all_equal_population():
@@ -98,15 +107,19 @@ def test_identical_seed_reproduces_instance():
 
 # -------------------------------------------------------- validation
 
-def test_spectrum_validation():
+@pytest.mark.parametrize("make", [
+    functools.partial(make_rayleigh, n=5, noise_scale=0.1),
+    make_streaming_rayleigh,
+], ids=["make_rayleigh", "make_streaming_rayleigh"])
+def test_spectrum_validation(make):
+    with pytest.raises(ParameterError, match="length"):
+        make(d=3, spectrum=[2.0, 1.0], seed=None)
     with pytest.raises(ParameterError):
-        make_rayleigh(d=3, n=5, spectrum=[2.0, 1.0], noise_scale=0.1, seed=None)
-    with pytest.raises(ParameterError):
-        make_rayleigh(d=3, n=5, spectrum=[1.0, 2.0, 0.0], noise_scale=0.1,
-                      seed=None)  # not nonincreasing
-    with pytest.raises(ParameterError):
-        make_rayleigh(d=3, n=5, spectrum=[2.0, 2.0, 0.0], noise_scale=0.1,
-                      seed=None)  # degenerate top gap
+        make(d=3, spectrum=[1.0, 2.0, 0.0], seed=None)  # not nonincreasing
+    with pytest.raises(ParameterError, match="nonincreasing"):
+        make(d=3, spectrum=[2.0, 1.0, 3.0], seed=None)  # top gap is fine
+    with pytest.raises(ParameterError, match="degenerate"):
+        make(d=3, spectrum=[2.0, 2.0, 0.0], seed=None)
 
 
 def test_quadratic_saddle_shape():
@@ -167,22 +180,13 @@ def test_streaming_rejects_negative_covariance():
 
 # -------------------------------------------------------- data-backed
 
-def test_data_rayleigh_gradient_matches_covariance_form():
-    rng = np.random.default_rng(12)
-    data = rng.standard_normal((40, 6))
-    obj = make_data_rayleigh(data)
-    x = obj.manifold.rand_point(rng)
-    g_full = obj.full_riem_grad(x).coords
-    mean = sum(obj.component_riem_grad(i, x).coords
-               for i in range(obj.n)) / obj.n
-    assert np.allclose(mean, g_full, atol=1e-10)
-
-
 def test_data_rayleigh_rejects_empty():
     with pytest.raises(ParameterError):
         make_data_rayleigh(np.zeros((0, 3)))
     with pytest.raises(ParameterError):
         make_data_rayleigh(np.zeros(3))
+    with pytest.raises(ParameterError, match="non-finite"):
+        make_data_rayleigh(np.array([[1.0, 2.0], [np.nan, 0.0]]))
 
 
 # -------------------------------------------------------- matrix IO

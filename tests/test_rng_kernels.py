@@ -99,7 +99,7 @@ def test_kernels_match_dense_reference():
                        atol=1e-12)
     assert np.allclose(_kernels.rows_rank1_mean(A, y),
                        A.T @ (A @ y) / A.shape[0], atol=1e-12)
-    assert np.allclose(_kernels.rows_rank1_mean_idx(A, idx_a, y),
+    assert np.allclose(_kernels.rows_rank1_mean(A[idx_a], y),
                        A[idx_a].T @ (A[idx_a] @ y) / len(idx_a), atol=1e-12)
 
 
