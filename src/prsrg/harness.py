@@ -1,10 +1,10 @@
 """Experiment configuration, runners, and sweeps.
 
 Configs are INI files (configparser dialect) with sections [experiment],
-[problem], [solver], [constants], [baseline], [couple], [sweep]. Every run
-is a pure function of (config, seed): all randomness descends from the seed
-through position-keyed substreams, so reruns and thread-count changes
-reproduce traces byte for byte.
+[problem], [solver], [constants], [baseline], [couple], [sweep]; any other
+section or key is an error. Every run is a pure function of (config, seed):
+all randomness descends from the seed through position-keyed substreams, so
+reruns and thread-count changes reproduce traces byte for byte.
 
 Spectrum grammar: a comma list of terms, each either a float literal or
 ``linspace:a:b:k`` (k evenly spaced values from a to b inclusive), e.g.
@@ -33,8 +33,8 @@ from .errors import ParameterError, SchemaError
 from .geometry import Manifold, ManifoldPoint
 from .problems import (load_matrix, make_data_rayleigh, make_quadratic_saddle,
                        make_rayleigh, make_streaming_rayleigh)
-from .pullback import PullbackOracle
-from .rng import TAG_DIAG, TAG_INIT, master_stream
+from .pullback import LipschitzEstimate, PullbackOracle
+from .rng import TAG_INIT, master_stream
 from .solver import SolverConstants, SolverParams, probe_params, prsrg_run
 from .trace import write_trace
 
@@ -147,25 +147,8 @@ class ExperimentConfig:
                 raise ParameterError(f"[solver] unknown override {key!r}")
 
 
-def _get(parser, section, key, conv, default):
-    """Read one option; ``none`` or an empty value unsets an optional key
-    (one whose default is None) and is an error anywhere else."""
-    if not parser.has_option(section, key):
-        return default
-    raw = parser.get(section, key).strip()
-    if raw.lower() in ("none", ""):
-        if default is None:
-            return None
-        raise ParameterError(f"[{section}] {key} needs a value")
-    try:
-        if conv is bool:
-            return raw.lower() in ("1", "true", "yes", "on")
-        return conv(raw)
-    except (TypeError, ValueError) as exc:
-        raise ParameterError(f"[{section}] {key} = {raw!r}: {exc}") from exc
-
-
 def parse_config(text: str) -> ExperimentConfig:
+    """Parse INI text; every section and key must be one that is read."""
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str  # solver keys b and B are distinct sizes
     try:
@@ -173,64 +156,93 @@ def parse_config(text: str) -> ExperimentConfig:
     except configparser.Error as exc:
         # configparser errors carry line numbers for syntax problems
         raise ParameterError(f"config parse error: {exc}") from exc
+    read: set[tuple[str, str]] = set()
+
+    def get(section, key, conv, default):
+        """Read one option; ``none`` or an empty value unsets an optional
+        key (one whose default is None) and is an error anywhere else."""
+        read.add((section, key))
+        if not parser.has_option(section, key):
+            return default
+        raw = parser.get(section, key).strip()
+        if raw.lower() in ("none", ""):
+            if default is None:
+                return None
+            raise ParameterError(f"[{section}] {key} needs a value")
+        try:
+            if conv is bool:
+                return raw.lower() in ("1", "true", "yes", "on")
+            return conv(raw)
+        except (TypeError, ValueError) as exc:
+            raise ParameterError(f"[{section}] {key} = {raw!r}: {exc}") from exc
 
     prob = ProblemSpec(
-        manifold=_get(parser, "problem", "manifold", str, "sphere:100"),
-        kind=_get(parser, "problem", "kind", str, "rayleigh"),
-        n=_get(parser, "problem", "n", int, 1000),
-        spectrum=_get(parser, "problem", "spectrum", str,
-                      "2.0,1.0,linspace:0.9:0.1:98"),
-        noise_scale=_get(parser, "problem", "noise_scale", float, 0.5),
-        rotation_seed=_get(parser, "problem", "rotation_seed", int, None),
-        gamma=_get(parser, "problem", "gamma", float, 1.0),
-        L_top=_get(parser, "problem", "L_top", float, 2.0),
-        sigma_radius=_get(parser, "problem", "sigma_radius", float, 2.0),
-        data=_get(parser, "problem", "data", str, None),
-        start=_get(parser, "problem", "start", str, "random"),
+        manifold=get("problem", "manifold", str, "sphere:100"),
+        kind=get("problem", "kind", str, "rayleigh"),
+        n=get("problem", "n", int, 1000),
+        spectrum=get("problem", "spectrum", str,
+                     "2.0,1.0,linspace:0.9:0.1:98"),
+        noise_scale=get("problem", "noise_scale", float, 0.5),
+        rotation_seed=get("problem", "rotation_seed", int, None),
+        gamma=get("problem", "gamma", float, 1.0),
+        L_top=get("problem", "L_top", float, 2.0),
+        sigma_radius=get("problem", "sigma_radius", float, 2.0),
+        data=get("problem", "data", str, None),
+        start=get("problem", "start", str, "random"),
     )
     overrides = []
     for key in _SOLVER_OVERRIDE_KEYS:
-        v = _get(parser, "solver", key, float, None)
+        v = get("solver", key, float, None)
         if v is not None:
             overrides.append((key, float(v)))
     cons = SolverConstants(
-        c_eta=_get(parser, "constants", "c_eta", float, 0.1),
-        c_T=_get(parser, "constants", "c_T", float, 20.0),
-        c_r=_get(parser, "constants", "c_r", float, 1.0),
-        c_m=_get(parser, "constants", "c_m", float, 1.0),
-        c_B=_get(parser, "constants", "c_B", float, 16.0),
+        c_eta=get("constants", "c_eta", float, 0.1),
+        c_T=get("constants", "c_T", float, 20.0),
+        c_r=get("constants", "c_r", float, 1.0),
+        c_m=get("constants", "c_m", float, 1.0),
+        c_B=get("constants", "c_B", float, 16.0),
     )
     couple = CoupleSpec(
-        nu=_get(parser, "couple", "nu", float, 0.1),
-        trials=_get(parser, "couple", "trials", int, 50),
-        c2=_get(parser, "couple", "c2", float, 1.0),
-        c3=_get(parser, "couple", "c3", float, 10.0),
-        rho_hat=_get(parser, "couple", "rho_hat", float, None),
+        nu=get("couple", "nu", float, 0.1),
+        trials=get("couple", "trials", int, 50),
+        c2=get("couple", "c2", float, 1.0),
+        c3=get("couple", "c3", float, 10.0),
+        rho_hat=get("couple", "rho_hat", float, None),
     )
-    n_raw = _get(parser, "sweep", "n", str, None)
+    n_raw = get("sweep", "n", str, None)
     try:
         n_values = tuple(int(s) for s in (n_raw or "").split(",")
                          if s.strip())
     except ValueError as exc:
         raise ParameterError(f"[sweep] n = {n_raw!r}: {exc}") from exc
     sweep = SweepSpec(n_values=n_values,
-                      seeds=_get(parser, "sweep", "seeds", int, 1))
-    return ExperimentConfig(
-        seed=_get(parser, "experiment", "seed", int, 0),
-        budget=_get(parser, "experiment", "budget", int, 1_000_000),
-        out=_get(parser, "experiment", "out", str, None),
-        algo=_get(parser, "experiment", "algo", str, "prsrg"),
-        record_gaps=_get(parser, "experiment", "record_gaps", bool, False),
-        problem=prob, epsilon=_get(parser, "solver", "epsilon", float, 1e-3),
-        delta=_get(parser, "solver", "delta", float, 0.1),
-        mode=_get(parser, "solver", "mode", str, None),
+                      seeds=get("sweep", "seeds", int, 1))
+    cfg = ExperimentConfig(
+        seed=get("experiment", "seed", int, 0),
+        budget=get("experiment", "budget", int, 1_000_000),
+        out=get("experiment", "out", str, None),
+        algo=get("experiment", "algo", str, "prsrg"),
+        record_gaps=get("experiment", "record_gaps", bool, False),
+        problem=prob, epsilon=get("solver", "epsilon", float, 1e-3),
+        delta=get("solver", "delta", float, 0.1),
+        mode=get("solver", "mode", str, None),
         overrides=tuple(overrides), constants=cons, couple=couple,
         sweep=sweep,
-        baseline_eta=_get(parser, "baseline", "eta", float, 0.1),
-        baseline_r=_get(parser, "baseline", "r", float, 0.01),
-        baseline_escape_steps=_get(parser, "baseline", "escape_steps", int, 20),
-        baseline_batch=_get(parser, "baseline", "batch", int, 8),
+        baseline_eta=get("baseline", "eta", float, 0.1),
+        baseline_r=get("baseline", "r", float, 0.01),
+        baseline_escape_steps=get("baseline", "escape_steps", int, 20),
+        baseline_batch=get("baseline", "batch", int, 8),
     )
+    if parser.defaults():
+        raise ParameterError("config section [DEFAULT] is not supported")
+    sections = {s for s, _ in read}
+    for section in parser.sections():
+        if section not in sections:
+            raise ParameterError(f"unknown config section [{section}]")
+        for key in parser.options(section):
+            if (section, key) not in read:
+                raise ParameterError(f"[{section}] unknown key {key!r}")
+    return cfg
 
 
 def load_config(path) -> ExperimentConfig:
@@ -387,15 +399,15 @@ def _apply_overrides(params: SolverParams, overrides) -> SolverParams:
 
 
 def resolve_params(cfg: ExperimentConfig, objective, x0,
-                   stream) -> tuple[SolverParams, float | None, object]:
+                   stream) -> tuple[SolverParams, LipschitzEstimate]:
     """Estimate smoothness, derive run parameters, apply config overrides.
 
-    Returns (params, l_hat, lipschitz_estimate).
+    Returns (params, lipschitz_estimate).
     """
     params, est = probe_params(objective, x0, cfg.epsilon, cfg.delta,
                                cfg.budget, stream, mode=cfg.mode,
                                constants=cfg.constants)
-    return _apply_overrides(params, cfg.overrides), est.l_hat, est
+    return _apply_overrides(params, cfg.overrides), est
 
 
 def run_experiment(cfg: ExperimentConfig, *, out: str | None = None):
@@ -410,10 +422,10 @@ def run_experiment(cfg: ExperimentConfig, *, out: str | None = None):
     x0 = resolve_start(cfg, objective, stream)
     params = None
     if cfg.algo in ("prsrg", "rsrg_unperturbed"):
-        params, l_hat, _ = resolve_params(cfg, objective, x0, stream)
+        params, _ = resolve_params(cfg, objective, x0, stream)
         if cfg.algo == "rsrg_unperturbed":
             params = dataclasses.replace(params, r=0.0)
-        report = prsrg_run(objective, man, x0, params, stream, l_hat=l_hat,
+        report = prsrg_run(objective, man, x0, params, stream,
                            record_gaps=cfg.record_gaps)
     else:
         bcfg = BaselineConfig(kind=cfg.algo, eta=cfg.baseline_eta,
@@ -517,7 +529,7 @@ def run_couple(cfg: ExperimentConfig, *, out: str | None = None) -> dict:
     stream = master_stream(cfg.seed)
     objective = build_problem(cfg)
     x0 = resolve_start(cfg, objective, stream)
-    params, l_hat, est = resolve_params(cfg, objective, x0, stream)
+    params, est = resolve_params(cfg, objective, x0, stream)
     rho = cfg.couple.rho_hat if cfg.couple.rho_hat is not None else est.rho_hat
     if rho <= 0:
         raise ParameterError("[couple] rho_hat must be positive; the "
@@ -525,8 +537,7 @@ def run_couple(cfg: ExperimentConfig, *, out: str | None = None) -> dict:
     oracle = PullbackOracle(objective, x0)
     stats = stuck_region_experiment(
         oracle, params, cfg.couple.nu, cfg.couple.trials,
-        stream, rho_hat=rho, c2=cfg.couple.c2, c3=cfg.couple.c3,
-        l_hat=l_hat)
+        stream, rho_hat=rho, c2=cfg.couple.c2, c3=cfg.couple.c3)
     payload = stats.as_dict()
     payload["params"] = params_dict(params)
     target = out if out is not None else cfg.out
@@ -540,10 +551,7 @@ def run_certify(cfg: ExperimentConfig, point_path, *,
     """Certify a stored point against the configured problem."""
     objective = build_problem(cfg)
     x = load_point(objective.manifold, point_path)
-    oracle = PullbackOracle(objective, x)
-    stream = master_stream(cfg.seed)
-    est = oracle.estimate_lipschitz(stream.child(TAG_DIAG).generator())
-    cert = certify(oracle, x, cfg.epsilon, cfg.delta, l_hat=est.l_hat)
+    cert = certify(PullbackOracle(objective, x), cfg.epsilon, cfg.delta)
     payload = cert.as_dict()
     target = out if out is not None else cfg.out
     if target is not None:

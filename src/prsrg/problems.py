@@ -10,9 +10,10 @@
 * ``make_data_rayleigh`` — the same objective backed by a dense data matrix
   (rows are samples), loadable from CSV or the PRSRGMAT binary format.
 
-The Rayleigh objectives share one value and gradient; rayleigh and
-streaming_rayleigh also share the spectrum check, the rotated mean matrix
-and ``eigvec``; data_rayleigh reuses the finite-sum index sampler.
+The Rayleigh objectives share one value, gradient and Hessian action;
+rayleigh and streaming_rayleigh also share the spectrum check, the rotated
+mean matrix and ``eigvec``; data_rayleigh reuses the finite-sum index
+sampler.
 
 Paired finite-sum components are Abar + E_i where the E_i are symmetric
 rank-2 perturbations of two-norm exactly ``noise_scale``, generated in +/-
@@ -73,6 +74,9 @@ def _paired_noise(n: int, d: int, noise_scale: float,
                   rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Pair vectors (P, Q) with E_i = P[i] Q[i]^T + Q[i] P[i]^T, ||E_i||_2 =
     noise_scale, and E_{2k+1} = -E_{2k} (odd n: the last E is zero)."""
+    if not (noise_scale >= 0.0 and math.isfinite(noise_scale)):
+        raise ParameterError(
+            f"noise_scale must be finite and >= 0, got {noise_scale}")
     P = np.zeros((n, d))
     Q = np.zeros((n, d))
     if noise_scale == 0.0:
@@ -93,7 +97,8 @@ def _paired_noise(n: int, d: int, noise_scale: float,
 
 class _SphereRayleigh:
     """F(x) = -x^T Abar x on the sphere; a mean component action A y maps
-    to the Riemannian gradient -2 (I - y y^T) A y."""
+    to the Riemannian gradient -2 (I - y y^T) A y. Subclasses supply the
+    batch mean action ``_matvec_mean``."""
 
     def value(self, x: ManifoldPoint) -> float:
         return -float(x.coords @ (self.Abar @ x.coords))
@@ -104,6 +109,15 @@ class _SphereRayleigh:
     def _grad_from_matvec(self, x: ManifoldPoint, Ay: np.ndarray) -> TangentVector:
         y = x.coords
         return TangentVector(x, -2.0 * (Ay - (y @ Ay) * y))
+
+    def batch_riem_hvp(self, batch: Batch, x: ManifoldPoint,
+                       v: TangentVector) -> TangentVector:
+        # Hess f(y)[v] = P_y(-2 M v) - <y, -2 M y> v for f = -y^T M y
+        y = x.coords
+        Mv = self._matvec_mean(batch, v.coords)
+        My = self._matvec_mean(batch, y)
+        return TangentVector(
+            x, -2.0 * (Mv - (y @ Mv) * y) + 2.0 * (y @ My) * v.coords)
 
 
 class _SpectralRayleigh(_SphereRayleigh):
@@ -187,7 +201,7 @@ class RayleighInstance(_SpectralRayleigh, _PairedComponentObjective):
         P, Q = _paired_noise(n, d, noise_scale, noise_rng)
         # ||grad f_i - grad F|| = 2 ||(I-xx^T) E_i x|| <= 2 ||E_i||_2
         super().__init__(Sphere(d), self.Abar, P, Q,
-                         sigma_hint=2.0 * noise_scale if noise_scale > 0 else 0.0)
+                         sigma_hint=2.0 * noise_scale)
 
 
 class QuadraticSaddleInstance(_PairedComponentObjective):
@@ -220,6 +234,9 @@ class QuadraticSaddleInstance(_PairedComponentObjective):
 
     def _grad_from_matvec(self, x, Ay):
         return TangentVector(x, np.array(Ay))
+
+    def batch_riem_hvp(self, batch, x, v):
+        return TangentVector(x, self._matvec_mean(batch, v.coords))
 
     def min_curvature_direction(self) -> np.ndarray:
         """Unit eigenvector of H for eigenvalue -gamma."""
@@ -258,9 +275,11 @@ class StreamingRayleighInstance(_SpectralRayleigh, FiniteSumObjective):
             worst = max(worst, float(gaps.max()))
         return 1.5 * worst
 
+    def _matvec_mean(self, batch: Batch, y: np.ndarray) -> np.ndarray:
+        return _kernels.rows_rank1_mean(batch.data, y)
+
     def batch_riem_grad(self, batch: Batch, x: ManifoldPoint) -> TangentVector:
-        return self._grad_from_matvec(
-            x, _kernels.rows_rank1_mean(batch.data, x.coords))
+        return self._grad_from_matvec(x, self._matvec_mean(batch, x.coords))
 
     def _draw(self, size: int, rng: np.random.Generator) -> Batch:
         data = rng.standard_normal((size, self.d)) @ self._chol

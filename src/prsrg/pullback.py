@@ -7,10 +7,15 @@ retraction applied to the Riemannian gradient at the retracted point:
     grad F_hat(u) = T_u* grad F(R_x(u))
 
 so batch pullback gradients are batch means of Riemannian component
-gradients pushed through ``T_u*``. The oracle tracks stochastic-gradient
-query counts (the complexity currency): ``queries`` for optimizer calls,
-``diag_queries`` for finite-difference Hessian-vector products, which only
-diagnostics and certification are allowed to use.
+gradients pushed through ``T_u*``. Every retraction here is second order, so
+at u = 0 the pullback Hessian equals the Riemannian Hessian, which each
+objective gives in closed form (``batch_riem_hvp``).
+
+The oracle tracks stochastic-gradient query counts (the complexity
+currency): ``queries`` for optimizer calls and ``diag_queries`` for Hessian
+actions, which only diagnostics and certification use. One Hessian action
+charges its batch size: n in finite-sum mode, ``HVP_BATCH_SIZE`` on the
+fixed streaming batch. Exact gradients and the Lipschitz probe are free.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from .errors import EmptyBatch, ParameterError
 from .geometry import Manifold, ManifoldPoint, TangentVector
 from .rng import TAG_DIAG, master_stream
 
-# Central FD step for Hessian-vector products of the pullback.
+# Central FD step for the Lipschitz probe's Hessian-vector products.
 HVP_FD_STEP = 1e-4
 
 # Size of the fixed streaming batch behind ``PullbackOracle.hvp``.
@@ -67,6 +72,11 @@ class FiniteSumObjective:
     def batch_riem_grad(self, batch: Batch, x: ManifoldPoint) -> TangentVector:
         raise NotImplementedError
 
+    def batch_riem_hvp(self, batch: Batch, x: ManifoldPoint,
+                       v: TangentVector) -> TangentVector:
+        """Batch-mean Riemannian Hessian at x along the tangent v."""
+        raise NotImplementedError
+
     def component_riem_grad(self, i: int, x: ManifoldPoint) -> TangentVector:
         raise NotImplementedError
 
@@ -91,7 +101,7 @@ class LipschitzEstimate:
 
 
 class PullbackOracle:
-    """Pullback values, batch gradients, and FD Hessian-vector products at one anchor.
+    """Pullback values, batch gradients, and Hessian-vector products at one anchor.
 
     Each gradient retracts u once and pulls the Riemannian gradient at
     R_x(u) back through the manifold's closed-form ``dretract_adjoint_apply``.
@@ -171,40 +181,29 @@ class PullbackOracle:
                 HVP_BATCH_SIZE, rng)
         return self._hvp_batch
 
-    def _diag_grad(self, u: TangentVector) -> TangentVector:
-        """Full-batch pullback gradient charged to ``diag_queries``."""
-        batch = self._full_batch()
-        g = self.objective.batch_riem_grad(batch, self.retract(u))
-        self.diag_queries += batch.size
-        return self.manifold.dretract_adjoint_apply(self.anchor, u, g)
-
-    def _fd_hvp(self, u: TangentVector, v: TangentVector,
-                grad) -> TangentVector:
-        """Central difference of ``grad`` at u along v, step
+    def _fd_hvp(self, u: TangentVector, v: TangentVector) -> TangentVector:
+        """Central difference of ``exact_grad`` at u along v, step
         ``1e-4 * max(1, ||v||)``, projected onto the anchor tangent space."""
         nv = v.norm
         if nv == 0.0:
             return self.zero()
         s = HVP_FD_STEP * max(1.0, nv)
         step = (s / nv) * v.coords
-        gp = grad(TangentVector(self.anchor, u.coords + step))
-        gm = grad(TangentVector(self.anchor, u.coords - step))
+        gp = self.exact_grad(TangentVector(self.anchor, u.coords + step))
+        gm = self.exact_grad(TangentVector(self.anchor, u.coords - step))
         out = (gp.coords - gm.coords) * (nv / (2.0 * s))
         return TangentVector(self.anchor,
                              self.manifold.project_ambient(self.anchor, out))
 
-    def hvp(self, u: TangentVector, v: TangentVector) -> TangentVector:
-        """FD Hessian-vector product of the pullback at u.
-
-        Central differences of the full-batch pullback gradient (a large
-        fixed batch in streaming mode), step ``1e-4 * max(1, ||v||)``.
-        Diagnostics/certification only: tallied on ``diag_queries``, never on
-        the optimizer's ``queries``.
-        """
-        self.manifold._require_base(self.anchor, u)
+    def hvp(self, v: TangentVector) -> TangentVector:
+        """Exact pullback Hessian at u = 0 along v: the closed-form
+        Riemannian Hessian of the full batch (the fixed streaming batch
+        online). Charges the batch size to ``diag_queries``, never to
+        ``queries``."""
         self.manifold._require_base(self.anchor, v)
-        self.manifold._require_in_ball(u)
-        return self._fd_hvp(u, v, self._diag_grad)
+        batch = self._full_batch()
+        self.diag_queries += batch.size
+        return self.objective.batch_riem_hvp(batch, self.anchor, v)
 
     def estimate_lipschitz(self, rng: np.random.Generator,
                            pairs: int = 200) -> LipschitzEstimate:
@@ -237,8 +236,8 @@ class PullbackOracle:
             if nw < 1e-12:
                 continue
             w = TangentVector(x, w.coords / nw)
-            hu = self._fd_hvp(u, w, self.exact_grad)
-            hv = self._fd_hvp(v, w, self.exact_grad)
+            hu = self._fd_hvp(u, w)
+            hv = self._fd_hvp(v, w)
             r_max = max(r_max, float(np.linalg.norm(hu.coords - hv.coords)) / du)
         l_hat = 1.2 * l_max
         rho_hat = 1.2 * r_max

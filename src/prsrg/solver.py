@@ -24,8 +24,6 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
-import numpy as np
-
 from .diagnostics import Certification, certify
 from .errors import ContractViolation, InvariantViolation, ParameterError
 from .geometry import Manifold, ManifoldPoint
@@ -119,8 +117,7 @@ class SolverReport:
 def derive_params(mode: str, n_or_sigma, epsilon: float, delta: float,
                   L_hat: float, rho_hat: float,
                   constants: SolverConstants | None = None, *,
-                  D: float = 0.5, budget: int = 10_000_000,
-                  l_hat: float | None = None) -> SolverParams:
+                  D: float = 0.5, budget: int = 10_000_000) -> SolverParams:
     """Turn problem scale and smoothness estimates into run parameters.
 
     finite_sum: m = b = ceil(sqrt(n)), B = n. online: m = b =
@@ -139,12 +136,11 @@ def derive_params(mode: str, n_or_sigma, epsilon: float, delta: float,
         raise ParameterError(f"rho_hat must be >= 0, got {rho_hat}")
     if D <= 0:
         raise ParameterError(f"ball radius D must be positive, got {D}")
-    ell = l_hat if l_hat is not None else L_hat
-    if delta > ell:
+    if delta > L_hat:
         warnings.warn(
-            f"delta={delta} exceeds the gradient Lipschitz estimate {ell}; "
-            "every small-gradient point already satisfies the Hessian "
-            "clause", stacklevel=2)
+            f"delta={delta} exceeds the gradient Lipschitz estimate "
+            f"L_hat={L_hat}; the Hessian clause is looser than the estimated "
+            "curvature scale (certification still checks it)", stacklevel=2)
     if mode == FINITE_SUM:
         n = n_or_sigma
         if n != int(n) or int(n) < 1:
@@ -174,17 +170,13 @@ def derive_params(mode: str, n_or_sigma, epsilon: float, delta: float,
                         budget=budget, mode=mode)
 
 
-def small_grad_check(oracle: PullbackOracle, x, B_size: int, epsilon: float,
+def small_grad_check(oracle: PullbackOracle, B_size: int, epsilon: float,
                      rng) -> tuple[bool, "TangentVector"]:
-    """Large-batch gradient at the origin of T_x M and its epsilon test."""
+    """Large-batch gradient at the origin of T_x M (x the oracle anchor) and
+    its epsilon test."""
     if epsilon <= 0:
         raise ParameterError("epsilon must be positive")
-    if x is not None:
-        oracle.manifold._require_point(x)
-        if not np.array_equal(x.coords, oracle.anchor.coords):
-            raise ContractViolation("check point differs from oracle anchor")
-    zero = oracle.manifold.zero_tangent(oracle.anchor)
-    g = oracle.grad_largebatch(B_size, zero, rng)
+    g = oracle.grad_largebatch(B_size, oracle.zero(), rng)
     return bool(g.norm <= epsilon), g
 
 
@@ -226,14 +218,14 @@ def _half_rule_large(rows, epsilon: float) -> bool:
 
 
 def prsrg_run(objective, manifold: Manifold, x0: ManifoldPoint,
-              params: SolverParams, rng, *, l_hat: float | None = None,
+              params: SolverParams, rng, *,
               record_gaps: bool = False) -> SolverReport:
     """Run the full solver from x0 under a strict query budget.
 
     ``rng`` is a 64-bit seed or a StreamTree; all randomness descends from
-    it through position-keyed substreams. Certification cost (exact
-    gradients, Hessian products) is tracked separately in diag_queries and
-    never counts against the budget.
+    it through position-keyed substreams. Certification's Hessian actions
+    are tallied separately in diag_queries and never count against the
+    budget.
     """
     if manifold.manifold_id != objective.manifold.manifold_id:
         raise ContractViolation(
@@ -265,7 +257,7 @@ def prsrg_run(objective, manifold: Manifold, x0: ManifoldPoint,
         oracle = PullbackOracle(objective, x)
         ostream = stream.child(TAG_OUTER, outer_t)
         ok_small, g = small_grad_check(
-            oracle, None, B, params.epsilon,
+            oracle, B, params.epsilon,
             ostream.child(TAG_ANCHOR, 0).generator())
         gnorm = g.norm
         if pending is not None:
@@ -281,8 +273,7 @@ def prsrg_run(objective, manifold: Manifold, x0: ManifoldPoint,
                 estimator_gap=None, u_norm=0.0,
                 queries_cum=total_q + oracle.queries, event="grad_check")
             rows_all.append(check_row)
-            cert = certify(oracle, None, params.epsilon, params.delta,
-                           l_hat=l_hat)
+            cert = certify(oracle, params.epsilon, params.delta)
             if cert.passed:
                 check_row.epoch_type = "useful"
                 certified = cert
@@ -381,7 +372,7 @@ def probe_params(objective, x0: ManifoldPoint, epsilon: float,
     est = probe.estimate_lipschitz(stream.child(TAG_DIAG).generator())
     params = derive_params(mode, scale, epsilon, delta, est.L_hat,
                            est.rho_hat, constants, D=objective.manifold.D,
-                           budget=budget, l_hat=est.l_hat)
+                           budget=budget)
     return params, est
 
 
@@ -391,9 +382,9 @@ def auto_solve(objective, x0: ManifoldPoint, epsilon: float, delta: float,
                record_gaps: bool = False) -> tuple[SolverReport, SolverParams]:
     """Estimate smoothness at x0, derive parameters, and run the solver."""
     stream, seed = as_stream(rng)
-    params, est = probe_params(objective, x0, epsilon, delta, budget, stream,
-                               mode=mode, constants=constants)
+    params, _ = probe_params(objective, x0, epsilon, delta, budget, stream,
+                             mode=mode, constants=constants)
     report = prsrg_run(objective, objective.manifold, x0, params, stream,
-                       l_hat=est.l_hat, record_gaps=record_gaps)
+                       record_gaps=record_gaps)
     report.seed = seed
     return report, params

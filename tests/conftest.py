@@ -5,8 +5,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from prsrg import Batch, PullbackOracle, TangentVector, make_rayleigh
+from prsrg import (Batch, PullbackOracle, TangentVector, make_data_rayleigh,
+                   make_quadratic_saddle, make_rayleigh,
+                   make_streaming_rayleigh)
 from prsrg.geometry import Stiefel
+
+# every objective family that has a closed-form Hessian action
+HESSIAN_KINDS = ("rayleigh", "quadratic_saddle", "data_rayleigh",
+                 "streaming_rayleigh")
 
 
 def fd_pullback_grad(oracle, u, h=1e-6):
@@ -21,6 +27,38 @@ def fd_pullback_grad(oracle, u, h=1e-6):
         um = TangentVector(oracle.anchor, u.coords - h * e)
         g[j] = (oracle.value(up) - oracle.value(um)) / (2.0 * h)
     return basis @ g
+
+
+def fd_hvp(oracle, v, h=1e-5):
+    """Central difference along v of the pullback gradient at u = 0 over the
+    oracle's Hessian batch: the exact gradient in finite-sum mode, the fixed
+    streaming batch otherwise."""
+    batch = oracle._full_batch()
+
+    def grad(s):
+        u = TangentVector(oracle.anchor, s * v.coords)
+        return oracle.grad_batch(batch, u).coords
+
+    return (grad(h) - grad(-h)) / (2.0 * h)
+
+
+def kind_oracle(kind, d=30, seed=0):
+    """A d-dimensional instance of one objective family, anchored at a
+    random point."""
+    rng = np.random.default_rng(seed)
+    spec = np.concatenate(([2.0, 1.0], np.linspace(0.9, 0.1, d - 2)))
+    if kind == "rayleigh":
+        obj = make_rayleigh(d=d, n=200, spectrum=spec, noise_scale=0.4,
+                            seed=5)
+    elif kind == "quadratic_saddle":
+        obj = make_quadratic_saddle(d=d, gamma=1.0, L_top=2.0, n=64, seed=3,
+                                    noise_scale=0.3)
+    elif kind == "data_rayleigh":
+        obj = make_data_rayleigh(rng.standard_normal((200, d))
+                                 * np.sqrt(spec))
+    else:
+        obj = make_streaming_rayleigh(d=d, spectrum=spec, seed=5)
+    return PullbackOracle(obj, obj.manifold.rand_point(rng))
 
 
 @pytest.fixture

@@ -123,9 +123,8 @@ def test_rsgd_budget_zero_vacuous():
 def _rsrg_unperturbed(obj, x0, epsilon, delta, budget, seed):
     # the harness's rsrg_unperturbed path: probed parameters, r forced to 0
     stream = master_stream(seed)
-    params, est = probe_params(obj, x0, epsilon, delta, budget, stream)
-    return prsrg_run(obj, obj.manifold, x0, replace(params, r=0.0), stream,
-                     l_hat=est.l_hat)
+    params, _ = probe_params(obj, x0, epsilon, delta, budget, stream)
+    return prsrg_run(obj, obj.manifold, x0, replace(params, r=0.0), stream)
 
 
 def test_rsrg_unperturbed_never_leaves_exact_saddle():

@@ -51,7 +51,8 @@ def _assert_one_error_line(capsys):
 @pytest.mark.parametrize("case", [
     "sweep_n_not_integer", "coords_not_numeric", "eig_not_integer",
     "eig_out_of_range", "data_csv_not_numeric", "data_csv_non_finite",
-    "seed_above_64_bits",
+    "seed_above_64_bits", "noise_scale_negative", "noise_scale_nan",
+    "unknown_key", "misplaced_key", "unknown_section",
 ])
 def test_bad_input_exits_2_with_one_line(case, tmp_path, capsys):
     cfg_text = BASE.format(start="random")
@@ -74,12 +75,27 @@ def test_bad_input_exits_2_with_one_line(case, tmp_path, capsys):
         cfg_text = DATA_RAYLEIGH.format(data=data)
     elif case == "seed_above_64_bits":
         extra = ["--seed", "99999999999999999999999"]
+    elif case.startswith("noise_scale_"):
+        value = "-0.5" if case == "noise_scale_negative" else "nan"
+        cfg_text = cfg_text.replace("noise_scale = 0.2",
+                                    f"noise_scale = {value}")
+    elif case == "unknown_key":
+        cfg_text = cfg_text.replace("budget = 6000", "budget = 6000\nbogus = 3")
+    elif case == "misplaced_key":
+        cfg_text = cfg_text.replace("budget = 6000", "budget = 6000\nstart = e2")
+    elif case == "unknown_section":
+        cfg_text += "\n[solvr]\nepsilon = 0.1\n"
     cfg = tmp_path / "bad.ini"
     cfg.write_text(cfg_text)
     assert main(["run", "--config", str(cfg), *extra]) == EXIT_BAD_INPUT
     line = _assert_one_error_line(capsys)
-    if case == "data_csv_non_finite":
-        assert "non-finite" in line
+    expect = {"data_csv_non_finite": "non-finite",
+              "noise_scale_negative": "noise_scale",
+              "noise_scale_nan": "noise_scale",
+              "unknown_key": "'bogus'",
+              "misplaced_key": "[experiment] unknown key 'start'",
+              "unknown_section": "[solvr]"}
+    assert expect.get(case, "") in line
 
 
 def test_numerical_failure_exits_1(tmp_path, capsys, monkeypatch):

@@ -30,6 +30,8 @@ from prsrg import (
 from prsrg.rng import TAG_OUTER, master_stream
 from prsrg.trace import TraceRow, TraceSegment
 
+from conftest import HESSIAN_KINDS, kind_oracle
+
 
 def _params(**kw):
     base = dict(eta=0.05, m=5, b=5, B_size=50, D=0.5, T_max=50)
@@ -131,21 +133,42 @@ def test_certify_scale_consistency():
         assert got.passed == ref.passed
 
 
-def test_certify_short_circuits_when_delta_dominates(clean_rayleigh):
-    oracle = PullbackOracle(clean_rayleigh, clean_rayleigh.eigvec(1))
-    cert = certify(oracle, epsilon=1e-3, delta=5.0, l_hat=4.0)
-    assert cert.passed
-    assert cert.lanczos_iters == 0
-    assert cert.lambda_min_estimate == -4.0
-    assert oracle.diag_queries == 0  # no Hessian products spent
+@pytest.mark.parametrize("kind", HESSIAN_KINDS)
+def test_lanczos_matches_dense_hessian(kind):
+    # the Hessian clause's eigenvalue against a dense eigh of the same
+    # operator written in the tangent basis
+    oracle = kind_oracle(kind)
+    basis = oracle.manifold.tangent_basis(oracle.anchor)
+    H = np.column_stack([
+        basis.T @ oracle.hvp(TangentVector(oracle.anchor, col)).coords
+        for col in basis.T])
+    assert np.allclose(H, H.T, rtol=0.0, atol=1e-12)
+    dense = float(np.linalg.eigvalsh(0.5 * (H + H.T))[0])
+    cert = certify(oracle, epsilon=1e-3, delta=0.1)
+    assert cert.converged
+    assert abs(cert.lambda_min_estimate - dense) <= 1e-8
+
+
+def test_certify_fails_at_saddle_when_delta_exceeds_lipschitz_probe():
+    # sphere:30, n = 1024, noise 0.4: the probe's sampled l_hat (~1.42) is
+    # below delta = 1.9, but the Hessian at e2 has lambda_min = -2 < -delta
+    spec = np.concatenate(([2.0, 1.0], np.linspace(0.9, 0.1, 28)))
+    obj = make_rayleigh(d=30, n=1024, spectrum=spec, noise_scale=0.4,
+                        seed=None)
+    oracle = PullbackOracle(obj, obj.eigvec(1))
+    cert = certify(oracle, epsilon=1e-3, delta=1.9)
+    assert cert.grad_norm <= 1e-3  # the gradient clause holds
+    assert not cert.passed
+    assert abs(cert.lambda_min_estimate + 2.0) <= 1e-8
+    assert oracle.diag_queries == cert.lanczos_iters * obj.n
 
 
 def test_certify_validation(clean_rayleigh):
     oracle = PullbackOracle(clean_rayleigh, clean_rayleigh.eigvec(0))
     with pytest.raises(ParameterError):
         certify(oracle, epsilon=0.0, delta=0.1)
-    with pytest.raises(ContractViolation):
-        certify(oracle, clean_rayleigh.eigvec(1), 1e-3, 0.1)
+    with pytest.raises(ParameterError):
+        certify(oracle, epsilon=1e-3, delta=-0.1)
 
 
 def test_certification_record_shape(clean_rayleigh):

@@ -49,6 +49,25 @@ epsilon = 0.001
 delta = 0.5
 """
 
+# delta = 1.9 is above the probe's sampled smoothness (l_hat ~1.42), but e2
+# is a strict saddle with lambda_min = -2 < -delta
+SADDLE_ABOVE_PROBE = """\
+[experiment]
+seed = 3
+
+[problem]
+manifold = sphere:30
+kind = rayleigh
+n = 1024
+spectrum = 2.0,1.0,linspace:0.9:0.1:28
+noise_scale = 0.4
+start = e2
+
+[solver]
+epsilon = 0.001
+delta = 1.9
+"""
+
 QUAD_COUPLE = """\
 [experiment]
 seed = 3
@@ -258,13 +277,13 @@ def test_solver_overrides_reach_params():
     obj = build_problem(cfg)
     stream = master_stream(cfg.seed)
     x0 = resolve_start(cfg, obj, stream)
-    params, l_hat, est = resolve_params(cfg, obj, x0, stream)
+    params, est = resolve_params(cfg, obj, x0, stream)
     t = params.tssrg
     assert (t.eta, t.m, t.b, t.B_size, t.T_max, t.D) == (0.05, 4, 4, 16, 9, 0.4)
     assert isinstance(t.m, int) and isinstance(t.B_size, int)
     assert params.r == 0.001
     assert params.budget == cfg.budget
-    assert l_hat == est.l_hat > 0
+    assert est.l_hat > 0
 
 
 # --------------------------------------------------------------- artifacts
@@ -455,6 +474,32 @@ def test_cli_certify(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["passed"] is False
     assert abs(payload["lambda_min_estimate"] + 2.0) < 0.01
+
+
+def test_cli_run_escapes_saddle_when_delta_exceeds_probe(tmp_path, capsys):
+    cfgfile = tmp_path / "saddle.ini"
+    cfgfile.write_text(SADDLE_ABOVE_PROBE)
+    with pytest.warns(UserWarning, match="exceeds the gradient Lipschitz"):
+        rc = main(["run", "--config", str(cfgfile)])
+    assert rc == EXIT_OK
+    line = json.loads(capsys.readouterr().out)
+    assert line["exit_reason"] == "certified" and line["certified"] is True
+    # the top eigenvector, F = -lambda_1 = -2, not the saddle's F = -1
+    assert abs(line["best_F"] + 2.0) <= 1e-3
+
+
+def test_cli_certify_rejects_saddle_when_delta_exceeds_probe(tmp_path,
+                                                              capsys):
+    cfgfile = tmp_path / "saddle.ini"
+    cfgfile.write_text(SADDLE_ABOVE_PROBE)
+    e2 = tmp_path / "e2.csv"
+    obj = build_problem(parse_config(SADDLE_ABOVE_PROBE))
+    np.savetxt(e2, obj.eigvec(1).coords.reshape(1, -1), delimiter=",")
+    assert main(["certify", "--config", str(cfgfile),
+                 "--point", str(e2)]) == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["passed"] is False
+    assert abs(payload["lambda_min_estimate"] + 2.0) <= 1e-8
 
 
 def test_cli_couple_trials_zero(tmp_path, capsys):

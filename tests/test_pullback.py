@@ -1,4 +1,4 @@
-"""Pullback oracle: values, batch gradients, FD Hessian-vector products,
+"""Pullback oracle: values, batch gradients, exact Hessian-vector products,
 query accounting, and the empirical Lipschitz estimator."""
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ from prsrg import (
 )
 from prsrg.rng import StreamTree
 
-from conftest import StiefelTrace, fd_pullback_grad, oracle_at
+from conftest import (HESSIAN_KINDS, StiefelTrace, fd_hvp, fd_pullback_grad,
+                      kind_oracle, oracle_at)
 
 
 # ------------------------------------------------------------ values
@@ -172,19 +173,18 @@ def test_hvp_linear_gradient_is_exact():
     rng = np.random.default_rng(5)
     x = man.point(np.zeros(6))
     oracle = PullbackOracle(obj, x)
-    u = man.tangent(x, rng.standard_normal(6) * 0.1)
     v = man.tangent(x, rng.standard_normal(6))
-    got = oracle.hvp(u, v)
-    assert np.allclose(got.coords, obj.H @ v.coords, atol=1e-8)
+    got = oracle.hvp(v)
+    assert np.allclose(got.coords, obj.H @ v.coords, rtol=0.0, atol=1e-12)
 
 
 def test_hvp_rayleigh_eigen_direction(small_rayleigh):
     x = small_rayleigh.eigvec(1)
     oracle = oracle_at(small_rayleigh, x)
     v = oracle.tangent(np.array([1.0, 0.0, 0.0]))
-    got = oracle.hvp(oracle.zero(), v)
+    got = oracle.hvp(v)
     # Hessian eigenvalue -2(lambda_1 - lambda_2) = -2 along e1
-    assert np.allclose(got.coords, -2.0 * v.coords, atol=1e-6)
+    assert np.allclose(got.coords, -2.0 * v.coords, atol=1e-12)
     assert small_rayleigh.hess_eigval(0, 1) == pytest.approx(-2.0)
 
 
@@ -193,13 +193,12 @@ def test_hvp_symmetry(medium_rayleigh):
     man = medium_rayleigh.manifold
     x = man.rand_point(rng)
     oracle = oracle_at(medium_rayleigh, x)
-    u = man.sample_ball(x, 0.2, rng)
     for _ in range(5):
         v = man.tangent(x, man.project_ambient(x, rng.standard_normal(30)))
         w = man.tangent(x, man.project_ambient(x, rng.standard_normal(30)))
-        lhs = oracle.hvp(u, v).coords @ w.coords
-        rhs = v.coords @ oracle.hvp(u, w).coords
-        assert abs(lhs - rhs) <= 1e-6 * v.norm * w.norm
+        lhs = oracle.hvp(v).coords @ w.coords
+        rhs = v.coords @ oracle.hvp(w).coords
+        assert abs(lhs - rhs) <= 1e-12 * v.norm * w.norm
 
 
 def test_hvp_matches_analytic_hessian_at_zero(small_rayleigh):
@@ -209,15 +208,30 @@ def test_hvp_matches_analytic_hessian_at_zero(small_rayleigh):
     oracle = oracle_at(small_rayleigh, x)
     for i, expect in ((0, -4.0), (1, -2.0)):
         v = oracle.tangent(np.eye(3)[i])
-        got = oracle.hvp(oracle.zero(), v)
-        assert np.allclose(got.coords, expect * v.coords, atol=1e-4)
+        got = oracle.hvp(v)
+        assert np.allclose(got.coords, expect * v.coords, atol=1e-12)
 
 
 def test_hvp_zero_direction(small_rayleigh):
     x = small_rayleigh.eigvec(0)
     oracle = oracle_at(small_rayleigh, x)
-    out = oracle.hvp(oracle.zero(), oracle.zero())
+    out = oracle.hvp(oracle.zero())
     assert np.all(out.coords == 0.0)
+
+
+@pytest.mark.parametrize("kind", HESSIAN_KINDS)
+def test_hvp_matches_fd_of_pullback_gradient(kind):
+    # the closed form against the only finite-difference HVP left: a
+    # central difference of the full-batch pullback gradient at u = 0
+    oracle = kind_oracle(kind)
+    man = oracle.manifold
+    rng = np.random.default_rng(21)
+    for _ in range(3):
+        v = man.sample_ball(oracle.anchor, 1.0, rng)
+        got = oracle.hvp(v).coords
+        ref = fd_hvp(oracle, v)
+        assert np.linalg.norm(got - ref) <= 1e-6 * np.linalg.norm(ref)
+        assert man.tangency_violation(oracle.anchor, got) <= 1e-12
 
 
 # ----------------------------------------------------- query accounting
@@ -243,9 +257,11 @@ def test_diagnostic_calls_never_touch_optimizer_counter(medium_rayleigh):
     u = oracle.zero()
     v = oracle.tangent(medium_rayleigh.manifold.tangent_basis(x)[:, 0])
     oracle.exact_grad(u)
-    oracle.hvp(u, v)
+    oracle.hvp(v)
     assert oracle.queries == 0
-    assert oracle.diag_queries == 2 * medium_rayleigh.n
+    # one Hessian action charges its batch size, n in finite-sum mode;
+    # exact gradients are free
+    assert oracle.diag_queries == medium_rayleigh.n
 
 
 # ---------------------------------------------- stiefel pullback gradient
