@@ -14,13 +14,19 @@ gradients and Hessians agree with their Riemannian counterparts at u = 0.
 
 The differentiated retraction ``T_u = DR_x(u)`` maps T_x M to T_{R_x(u)} M;
 its adjoint ``T_u*`` pulls gradients back to the anchor tangent space. Every
-manifold applies both in closed form; ``dretract_matrix`` expresses T_u in
+manifold applies both in closed form, once, in array-level private methods
+(``_dretract_coords``, ``_dretract_adjoint_coords``) that take plain float64
+coordinates and check nothing. The public ``dretract_apply``,
+``dretract_adjoint_apply`` and ``dretract_matrix`` validate their arguments,
+then call those forms; hot loops that validated once at their own boundary
+call the array-level forms directly. ``dretract_matrix`` expresses T_u in
 deterministic orthonormal tangent bases (QR completion of the constraint
 normal space).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +54,13 @@ class TangentVector:
 
     @property
     def norm(self) -> float:
-        return float(np.linalg.norm(self.coords))
+        return _norm(self.coords)
+
+
+def _norm(a: np.ndarray) -> float:
+    """Euclidean norm of a 1-D float64 array: sqrt of the dot product, which
+    is what np.linalg.norm computes, so the bits agree at less overhead."""
+    return math.sqrt(a @ a)
 
 
 def _freeze(a) -> np.ndarray:
@@ -82,6 +94,7 @@ class Manifold:
                 f"ball_radius_D={ball_radius_D} exceeds 1/(2*c0)={1.0 / (2.0 * c0)}")
         self.ball_radius_D = float(ball_radius_D)
         self.c0 = float(c0)
+        self._ball_basis: tuple[ManifoldPoint, np.ndarray] | None = None
 
     @property
     def D(self) -> float:
@@ -141,6 +154,8 @@ class Manifold:
 
     def _require_base(self, x: ManifoldPoint, u: TangentVector) -> None:
         self._require_point(x)
+        if u.base is x:
+            return
         if u.base.manifold_id != x.manifold_id or not np.array_equal(
                 u.base.coords, x.coords):
             raise ContractViolation("tangent vector is not based at the given point")
@@ -196,23 +211,34 @@ class Manifold:
         Qfull, _ = np.linalg.qr(N, mode="complete")
         return Qfull[:, N.shape[1]:]
 
+    def _dretract_coords(self, x: ManifoldPoint, u: np.ndarray,
+                         v: np.ndarray) -> np.ndarray:
+        """T_u[v] on coordinates; v may stack tangent vectors as rows,
+        shape (..., ambient_dim). No checks."""
+        raise NotImplementedError
+
+    def _dretract_adjoint_coords(self, x: ManifoldPoint, u: np.ndarray,
+                                 w: np.ndarray) -> np.ndarray:
+        """T_u*[w] on coordinates, w of shape (ambient_dim,). No checks."""
+        raise NotImplementedError
+
     def dretract_apply(self, x: ManifoldPoint, u: TangentVector,
                        v: TangentVector) -> TangentVector:
         """T_u[v]: differential of the retraction at u, applied to v."""
-        raise NotImplementedError
+        y = self._dretract_target(x, u, v=v)
+        return TangentVector(y, _freeze(self._dretract_coords(x, u.coords,
+                                                              v.coords)))
 
     def dretract_matrix(self, x: ManifoldPoint, u: TangentVector) -> np.ndarray:
-        """T_u as a (dim x dim) matrix between the tangent bases at x and R_x(u)."""
-        self._require_base(x, u)
-        self._require_in_ball(u)
-        y = self.retract(x, u)
+        """T_u as a (dim x dim) matrix between the tangent bases at x and R_x(u).
+
+        Validates and retracts once, then maps every basis column of T_x M
+        through one stacked application of the differential.
+        """
+        y = self._dretract_target(x, u)
         Bx = self.tangent_basis(x)
         By = self.tangent_basis(y)
-        M = np.empty((self.dim, self.dim))
-        for j in range(self.dim):
-            col = self.dretract_apply(x, u, TangentVector(x, Bx[:, j]))
-            M[:, j] = By.T @ col.coords
-        return M
+        return By.T @ self._dretract_coords(x, u.coords, Bx.T).T
 
     def dretract_adjoint_apply(self, x: ManifoldPoint, u: TangentVector,
                                w: TangentVector) -> TangentVector:
@@ -220,7 +246,9 @@ class Manifold:
 
         Satisfies <T_u v, w> = <v, T_u* w> for all tangent v at x.
         """
-        raise NotImplementedError
+        self._dretract_target(x, u, w=w)
+        return TangentVector(x, _freeze(self._dretract_adjoint_coords(
+            x, u.coords, w.coords)))
 
     def dretract_sigma_min(self, x: ManifoldPoint, u: TangentVector) -> float:
         """Smallest singular value of T_u (basis independent)."""
@@ -238,11 +266,16 @@ class Manifold:
             raise ParameterError("ball radius must be nonnegative")
         if r == 0.0:
             return self.zero_tangent(x)
-        B = self.tangent_basis(x)
+        # draws at the point of the previous draw (the Lipschitz probe makes
+        # hundreds at one anchor) reuse its basis; x is immutable and held
+        # by the memo, so identity cannot be confused
+        memo = self._ball_basis
+        if memo is None or memo[0] is not x:
+            memo = self._ball_basis = (x, self.tangent_basis(x))
         g = rng.standard_normal(self.dim)
         g /= np.linalg.norm(g)
         radius = r * rng.random() ** (1.0 / self.dim)
-        return TangentVector(x, _freeze(B @ (radius * g)))
+        return TangentVector(x, _freeze(memo[1] @ (radius * g)))
 
     def rand_point(self, rng: np.random.Generator) -> ManifoldPoint:
         raise NotImplementedError
@@ -270,24 +303,25 @@ class Sphere(Manifold):
 
     def _retract_coords(self, x, u):
         w = x + u
-        return w / np.linalg.norm(w)
+        return w / _norm(w)
 
     def _normal_frame(self, x):
         return x.coords.reshape(-1, 1)
 
     # T_u[v] = (I - yy^T) v / ||x+u||  with y = R_x(u); adjoint swaps the
     # projector to the anchor side.
-    def dretract_apply(self, x, u, v):
-        y = self._dretract_target(x, u, v=v)
-        s = float(np.linalg.norm(x.coords + u.coords))
-        out = (v.coords - (y.coords @ v.coords) * y.coords) / s
-        return TangentVector(y, _freeze(out))
+    def _dretract_coords(self, x, u, v):
+        w = x.coords + u
+        s = _norm(w)
+        y = w / s
+        return (v - (v @ y)[..., None] * y) / s
 
-    def dretract_adjoint_apply(self, x, u, w):
-        self._dretract_target(x, u, w=w)
-        s = float(np.linalg.norm(x.coords + u.coords))
-        out = (w.coords - (x.coords @ w.coords) * x.coords) / s
-        return TangentVector(x, _freeze(out))
+    def _dretract_adjoint_coords(self, x, u, w):
+        xc = x.coords
+        return (w - (xc @ w) * xc) / _norm(xc + u)
+
+    # bench/launch.py wraps this name through Sphere.__dict__
+    dretract_adjoint_apply = Manifold.dretract_adjoint_apply
 
     def rand_point(self, rng):
         g = rng.standard_normal(self.ambient_dim)
@@ -357,21 +391,19 @@ class Stiefel(Manifold):
 
     # T_u[V] = V K + W dK[U^T V + V^T U]; the adjoint transposes each step,
     # T_u*[Z] = P_X(Z K + U dK[W^T Z + Z^T W]) (dK is self-adjoint).
-    def dretract_apply(self, x, u, v):
-        y = self._dretract_target(x, u, v=v)
-        W, U, K, lam, E = self._polar(x.coords, u.coords)
-        V = self._mat(v.coords)
+    def _dretract_coords(self, x, u, v):
+        W, U, K, lam, E = self._polar(x.coords, u)
+        V = v.reshape(v.shape[:-1] + (self.n, self.p))
         H = U.T @ V
-        out = V @ K + W @ self._dinvsqrt(lam, E, H + H.T)
-        return TangentVector(y, _freeze(out.reshape(-1)))
+        out = V @ K + W @ self._dinvsqrt(lam, E, H + np.swapaxes(H, -1, -2))
+        return out.reshape(v.shape)
 
-    def dretract_adjoint_apply(self, x, u, w):
-        self._dretract_target(x, u, w=w)
-        W, U, K, lam, E = self._polar(x.coords, u.coords)
-        Z = self._mat(w.coords)
+    def _dretract_adjoint_coords(self, x, u, w):
+        W, U, K, lam, E = self._polar(x.coords, u)
+        Z = self._mat(w)
         H = W.T @ Z
         out = (Z @ K + U @ self._dinvsqrt(lam, E, H + H.T)).reshape(-1)
-        return TangentVector(x, _freeze(self.project_ambient(x, out)))
+        return self.project_ambient(x, out)
 
     def _normal_frame(self, x):
         X = self._mat(x.coords)
@@ -420,12 +452,11 @@ class Euclidean(Manifold):
     def _normal_frame(self, x):
         return np.empty((self.ambient_dim, 0))
 
-    def dretract_apply(self, x, u, v):
-        return TangentVector(self._dretract_target(x, u, v=v), v.coords)
+    def _dretract_coords(self, x, u, v):
+        return v
 
-    def dretract_adjoint_apply(self, x, u, w):
-        self._dretract_target(x, u, w=w)
-        return TangentVector(x, w.coords)
+    def _dretract_adjoint_coords(self, x, u, w):
+        return w
 
     def rand_point(self, rng):
         return ManifoldPoint(_freeze(rng.standard_normal(self.ambient_dim)),

@@ -298,18 +298,22 @@ def dump_config(cfg: ExperimentConfig) -> str:
 
 def build_problem(cfg: ExperimentConfig):
     prob = cfg.problem
+    obj = _build_kind(prob)
+    if prob.manifold != obj.manifold.manifold_id:
+        raise ParameterError(
+            f"[problem] manifold {prob.manifold} does not match the "
+            f"{prob.kind} problem's {obj.manifold.manifold_id}")
+    return obj
+
+
+def _build_kind(prob):
     spectrum = parse_spectrum(prob.spectrum)
     if prob.kind == "rayleigh":
         if prob.n is None:
             raise ParameterError("[problem] rayleigh needs n")
-        obj = make_rayleigh(d=spectrum.size, n=prob.n, spectrum=spectrum,
-                            noise_scale=prob.noise_scale,
-                            seed=prob.rotation_seed)
-        if prob.manifold != obj.manifold.manifold_id:
-            raise ParameterError(
-                f"[problem] manifold {prob.manifold} does not match the "
-                f"rayleigh dimension {spectrum.size}")
-        return obj
+        return make_rayleigh(d=spectrum.size, n=prob.n, spectrum=spectrum,
+                             noise_scale=prob.noise_scale,
+                             seed=prob.rotation_seed)
     if prob.kind == "quadratic_saddle":
         if prob.n is None:
             raise ParameterError("[problem] quadratic_saddle needs n")

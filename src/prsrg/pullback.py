@@ -7,7 +7,12 @@ retraction applied to the Riemannian gradient at the retracted point:
     grad F_hat(u) = T_u* grad F(R_x(u))
 
 so batch pullback gradients are batch means of Riemannian component
-gradients pushed through ``T_u*``. Every retraction here is second order, so
+gradients pushed through ``T_u*``. The public methods validate their
+tangent vectors, then compute on coordinates: ``grad_batch`` calls the
+private ``_grad(batch, u)``, which retracts once and pulls back through the
+manifold's array-level adjoint. Callers that validated once at their own
+boundary (the tangent-space loop in ``tssrg``) call ``_grad`` directly on
+plain arrays. Every retraction here is second order, so
 at u = 0 the pullback Hessian equals the Riemannian Hessian, which each
 objective gives in closed form (``batch_riem_hvp``).
 
@@ -25,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyBatch, ParameterError
-from .geometry import Manifold, ManifoldPoint, TangentVector
+from .geometry import Manifold, ManifoldPoint, TangentVector, _freeze
 from .rng import TAG_DIAG, master_stream
 
 # Central FD step for the Lipschitz probe's Hessian-vector products.
@@ -103,8 +108,8 @@ class LipschitzEstimate:
 class PullbackOracle:
     """Pullback values, batch gradients, and Hessian-vector products at one anchor.
 
-    Each gradient retracts u once and pulls the Riemannian gradient at
-    R_x(u) back through the manifold's closed-form ``dretract_adjoint_apply``.
+    Each minibatch gradient retracts u once and pulls the Riemannian
+    gradient at R_x(u) back through the manifold's closed-form adjoint.
     Immutable after construction except for the query tallies and the lazily
     drawn streaming HVP batch (guarded by the interpreter's serialized
     execution; batches are reduced in a fixed order so traces are bit-stable).
@@ -138,15 +143,24 @@ class PullbackOracle:
         self.manifold._require_in_ball(u)
         return self.objective.value(self.retract(u))
 
+    def _grad(self, batch: Batch, u: np.ndarray) -> np.ndarray:
+        """Batch-mean pullback gradient at the coordinates u, which the
+        caller has checked: one retraction, one adjoint, no validation.
+        Counts ``batch.size`` queries."""
+        man = self.manifold
+        y = ManifoldPoint(man._retract_coords(self.anchor.coords, u),
+                          man.manifold_id)
+        g = self.objective.batch_riem_grad(batch, y)
+        self.queries += batch.size
+        return man._dretract_adjoint_coords(self.anchor, u, g.coords)
+
     def grad_batch(self, batch: Batch, u: TangentVector) -> TangentVector:
         """Batch-mean pullback gradient; counts ``batch.size`` queries."""
         if batch.size < 1:
             raise EmptyBatch("gradient requested over an empty batch")
         self.manifold._require_base(self.anchor, u)
         self.manifold._require_in_ball(u)
-        g = self.objective.batch_riem_grad(batch, self.retract(u))
-        self.queries += batch.size
-        return self.manifold.dretract_adjoint_apply(self.anchor, u, g)
+        return TangentVector(self.anchor, _freeze(self._grad(batch, u.coords)))
 
     def grad_minibatch(self, I, u: TangentVector) -> TangentVector:
         """Pullback gradient over an explicit index multiset (or Batch)."""

@@ -20,6 +20,16 @@ with I a minibatch of size ``b`` drawn i.i.d. with replacement. Three exits:
 Randomness is consumed from position-keyed substreams, one per inner index,
 so two runs that share a stream see identical minibatches and break draws at
 every t regardless of where either run exits.
+
+``tssrg_run`` validates its inputs once, at entry: u0 and ``anchor_grad``
+must be based at the oracle's anchor, u0 must lie in the run ball, and the
+run ball must fit in the manifold's chart. After that the loop keeps u, v
+and the step w as plain float64 arrays and computes minibatch gradients
+through ``PullbackOracle._grad``, one retraction each. Norms are
+``sqrt(a @ a)``, which equals ``np.linalg.norm`` bit for bit on 1-D float64.
+Tangent vectors are built only where a public, validating oracle call needs
+one (the trace row's F value, the exact gradient behind ``record_gaps``) and
+for the returned outcome.
 """
 
 from __future__ import annotations
@@ -32,8 +42,8 @@ import warnings
 
 import numpy as np
 
-from .errors import NumericalFailure, OutOfBall, ParameterError
-from .geometry import ManifoldPoint, TangentVector
+from .errors import ContractViolation, NumericalFailure, OutOfBall, ParameterError
+from .geometry import ManifoldPoint, TangentVector, _norm
 from .pullback import PullbackOracle
 from .rng import TAG_ANCHOR, TAG_BATCH, TAG_BREAK, StreamTree
 from .trace import TraceRow, TraceSegment
@@ -111,7 +121,7 @@ def boundary_alpha(u_prev: np.ndarray, w: np.ndarray, D: float) -> float:
 
 
 def _require_finite(arr: np.ndarray, what: str, t: int) -> None:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NumericalFailure(f"non-finite {what} at inner step {t}",
                                iteration=t)
 
@@ -130,65 +140,71 @@ def tssrg_run(oracle: PullbackOracle, u0: TangentVector, params: TssrgParams,
     """
     man = oracle.manifold
     obj = oracle.objective
-    man._require_base(oracle.anchor, u0)
-    nrm = u0.norm
-    if nrm > params.D * (1.0 + 1e-12):
-        raise OutOfBall(f"u0 norm {nrm} exceeds ball radius {params.D}")
-    perturbed = nrm > 0.0
+    x = oracle.anchor
+    D = params.D
+    man._require_base(x, u0)
+    if anchor_grad is not None:
+        man._require_base(x, anchor_grad)
+    if D > man.D * (1.0 + 1e-12):
+        raise ContractViolation(
+            f"run ball radius {D} exceeds the manifold chart radius {man.D}")
+    u_prev = u0.coords
+    u_norm = _norm(u_prev)
+    if u_norm > D * (1.0 + 1e-12):
+        raise OutOfBall(f"u0 norm {u_norm} exceeds ball radius {D}")
+    perturbed = u_norm > 0.0
 
     seg = TraceSegment()
     if record_u:
         seg.u_vecs = []
 
-    def emit(inner_k, u, grad_norm, event, gap=None, du=0.0):
+    def emit(inner_k, u, u_norm, grad_norm, event, gap=None, du=0.0):
         seg.rows.append(TraceRow(
             outer_t=outer_t, inner_k=inner_k, epoch_type="",
-            F_value=oracle.value(u), grad_norm_or_batch=grad_norm,
-            estimator_gap=gap, u_norm=u.norm,
+            F_value=oracle.value(TangentVector(x, u)),
+            grad_norm_or_batch=grad_norm, estimator_gap=gap, u_norm=u_norm,
             queries_cum=query_offset + oracle.queries, event=event))
         seg.du_norms.append(du)
         if seg.u_vecs is not None:
-            seg.u_vecs.append(u.coords.copy())
+            seg.u_vecs.append(u.copy())
 
     def gap_at(u, v):
         if not record_gaps:
             return None
-        return float(np.linalg.norm(v.coords - oracle.exact_grad(u).coords))
+        return _norm(v - oracle.exact_grad(TangentVector(x, u)).coords)
 
-    u_prev = u0
+    def finish(u, exit_reason, t):
+        u_final = TangentVector(x, u)
+        return TssrgOutcome(result=man.retract(x, u_final), u_final=u_final,
+                            exit=exit_reason, iterations=t, segment=seg)
+
     if anchor_grad is not None:
-        man._require_base(oracle.anchor, anchor_grad)
-        v = anchor_grad
+        v = anchor_grad.coords
     else:
         gen = stream.child(TAG_ANCHOR, 0).generator()
-        batch = obj.sample_largebatch(params.B_size, gen)
-        v = oracle.grad_batch(batch, u_prev)
-    _require_finite(v.coords, "anchor gradient", 0)
-    emit(0, u_prev, v.norm, "anchor", gap=gap_at(u_prev, v))
+        v = oracle._grad(obj.sample_largebatch(params.B_size, gen), u_prev)
+    _require_finite(v, "anchor gradient", 0)
+    emit(0, u_prev, u_norm, _norm(v), "anchor", gap=gap_at(u_prev, v))
 
     t = 0
     while True:
         for k in range(1, params.m + 1):
             t += 1
-            w = params.eta * v.coords
-            u_next = TangentVector(oracle.anchor, u_prev.coords - w)
-            _require_finite(u_next.coords, "iterate", t)
-            if u_next.norm >= params.D:
-                alpha = boundary_alpha(u_prev.coords, w, params.D)
-                u_exit = TangentVector(oracle.anchor,
-                                       u_prev.coords - alpha * w)
-                emit(k, u_exit, v.norm, "boundary",
-                     du=alpha * params.eta * v.norm)
-                return TssrgOutcome(result=man.retract(oracle.anchor, u_exit),
-                                    u_final=u_exit, exit=ExitReason.BOUNDARY,
-                                    iterations=t, segment=seg)
+            w = params.eta * v
+            u_next = u_prev - w
+            _require_finite(u_next, "iterate", t)
+            u_next_norm = _norm(u_next)
+            if u_next_norm >= D:
+                alpha = boundary_alpha(u_prev, w, D)
+                u_exit = u_prev - alpha * w
+                v_norm = _norm(v)
+                emit(k, u_exit, _norm(u_exit), v_norm, "boundary",
+                     du=alpha * params.eta * v_norm)
+                return finish(u_exit, ExitReason.BOUNDARY, t)
             gen = stream.child(TAG_BATCH, t).generator()
             batch = obj.sample_minibatch(params.b, gen)
-            g_new = oracle.grad_batch(batch, u_next)
-            g_old = oracle.grad_batch(batch, u_prev)
-            v = TangentVector(oracle.anchor,
-                              g_new.coords - g_old.coords + v.coords)
-            _require_finite(v.coords, "gradient estimate", t)
+            v = oracle._grad(batch, u_next) - oracle._grad(batch, u_prev) + v
+            _require_finite(v, "gradient estimate", t)
             event = "step"
             if t >= params.T_max:
                 event = "max_iter"
@@ -196,23 +212,17 @@ def tssrg_run(oracle: PullbackOracle, u0: TangentVector, params: TssrgParams,
                 p = 1.0 / (params.m - k + 1)
                 if stream.child(TAG_BREAK, t).generator().random() < p:
                     event = "uniform_break"
-            emit(k, u_next, v.norm, event, gap=gap_at(u_next, v),
-                 du=float(np.linalg.norm(w)))
+            emit(k, u_next, u_next_norm, _norm(v), event,
+                 gap=gap_at(u_next, v), du=_norm(w))
             if event == "max_iter":
-                return TssrgOutcome(result=man.retract(oracle.anchor, u_next),
-                                    u_final=u_next, exit=ExitReason.MAX_ITER,
-                                    iterations=t, segment=seg)
+                return finish(u_next, ExitReason.MAX_ITER, t)
             if event == "uniform_break":
-                return TssrgOutcome(result=man.retract(oracle.anchor, u_next),
-                                    u_final=u_next,
-                                    exit=ExitReason.UNIFORM_BREAK,
-                                    iterations=t, segment=seg)
-            u_prev = u_next
+                return finish(u_next, ExitReason.UNIFORM_BREAK, t)
+            u_prev, u_norm = u_next, u_next_norm
         gen = stream.child(TAG_ANCHOR, t // params.m).generator()
-        batch = obj.sample_largebatch(params.B_size, gen)
-        v = oracle.grad_batch(batch, u_prev)
-        _require_finite(v.coords, "anchor gradient", t)
-        emit(0, u_prev, v.norm, "anchor", gap=gap_at(u_prev, v))
+        v = oracle._grad(obj.sample_largebatch(params.B_size, gen), u_prev)
+        _require_finite(v, "anchor gradient", t)
+        emit(0, u_prev, u_norm, _norm(v), "anchor", gap=gap_at(u_prev, v))
 
 
 def tssrg_run_coupled(oracle: PullbackOracle, u0_a: TangentVector,

@@ -53,6 +53,8 @@ def _assert_one_error_line(capsys):
     "eig_out_of_range", "data_csv_not_numeric", "data_csv_non_finite",
     "seed_above_64_bits", "noise_scale_negative", "noise_scale_nan",
     "unknown_key", "misplaced_key", "unknown_section",
+    "manifold_mismatch_streaming", "manifold_mismatch_quadratic",
+    "manifold_mismatch_data",
 ])
 def test_bad_input_exits_2_with_one_line(case, tmp_path, capsys):
     cfg_text = BASE.format(start="random")
@@ -85,6 +87,16 @@ def test_bad_input_exits_2_with_one_line(case, tmp_path, capsys):
         cfg_text = cfg_text.replace("budget = 6000", "budget = 6000\nstart = e2")
     elif case == "unknown_section":
         cfg_text += "\n[solvr]\nepsilon = 0.1\n"
+    elif case == "manifold_mismatch_streaming":
+        cfg_text = cfg_text.replace("sphere:3", "sphere:7").replace(
+            "kind = rayleigh\nn = 30", "kind = streaming_rayleigh")
+    elif case == "manifold_mismatch_quadratic":
+        cfg_text = cfg_text.replace("sphere:3", "euclidean:9").replace(
+            "kind = rayleigh", "kind = quadratic_saddle")
+    elif case == "manifold_mismatch_data":
+        data = tmp_path / "rows.csv"
+        data.write_text("1,2,3,4\n0,1,0,1\n")
+        cfg_text = DATA_RAYLEIGH.format(data=data)
     cfg = tmp_path / "bad.ini"
     cfg.write_text(cfg_text)
     assert main(["run", "--config", str(cfg), *extra]) == EXIT_BAD_INPUT
@@ -94,7 +106,10 @@ def test_bad_input_exits_2_with_one_line(case, tmp_path, capsys):
               "noise_scale_nan": "noise_scale",
               "unknown_key": "'bogus'",
               "misplaced_key": "[experiment] unknown key 'start'",
-              "unknown_section": "[solvr]"}
+              "unknown_section": "[solvr]",
+              "manifold_mismatch_streaming": "sphere:7 does not match",
+              "manifold_mismatch_quadratic": "euclidean:9 does not match",
+              "manifold_mismatch_data": "sphere:3 does not match"}
     assert expect.get(case, "") in line
 
 

@@ -137,6 +137,23 @@ def test_dretract_matches_fd(man):
     assert np.linalg.norm(closed - fd) <= 1e-6 * max(1.0, np.linalg.norm(closed))
 
 
+@pytest.mark.parametrize("man", [Sphere(5), Stiefel(6, 2), Stiefel(5, 3),
+                                 Euclidean(4)])
+def test_dretract_matrix_matches_columnwise_apply(man):
+    # dretract_matrix maps all basis columns through one stacked call of the
+    # differential; each column must agree with the public single apply
+    rng = np.random.default_rng(17)
+    x = man.rand_point(rng)
+    u = man.sample_ball(x, 0.4, rng)
+    Bx = man.tangent_basis(x)
+    By = man.tangent_basis(man.retract(x, u))
+    cols = [By.T @ man.dretract_apply(x, u, TangentVector(x, Bx[:, j])).coords
+            for j in range(man.dim)]
+    M = man.dretract_matrix(x, u)
+    assert M.shape == (man.dim, man.dim)
+    assert np.allclose(M, np.column_stack(cols), rtol=0.0, atol=1e-14)
+
+
 def test_sigma_min_spot_checks():
     man = Sphere(12)
     rng = np.random.default_rng(11)

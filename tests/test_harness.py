@@ -74,6 +74,7 @@ seed = 3
 budget = 10000
 
 [problem]
+manifold = euclidean:6
 kind = quadratic_saddle
 n = 16
 spectrum = linspace:1.0:1.0:6

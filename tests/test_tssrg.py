@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from prsrg import (
+    ContractViolation,
     ExitReason,
     NumericalFailure,
     OutOfBall,
@@ -22,10 +23,13 @@ from prsrg import (
     boundary_alpha,
     make_quadratic_saddle,
     make_rayleigh,
+    make_streaming_rayleigh,
     tssrg_run,
     tssrg_run_coupled,
 )
-from prsrg.rng import TAG_OUTER, master_stream
+from prsrg.rng import TAG_ANCHOR, TAG_BATCH, TAG_BREAK, TAG_OUTER, master_stream
+
+from conftest import StiefelTrace
 
 
 def _params(**kw):
@@ -107,6 +111,27 @@ def test_boundary_alpha_lands_on_sphere(u_list, w_list, D):
         u = u * (0.8 * D / max(nu, 1e-9))
     if np.linalg.norm(u - w) < D or np.linalg.norm(w) < 1e-9:
         return  # precondition: the full step crosses the boundary
+    alpha = boundary_alpha(u, w, D)
+    assert 0.0 < alpha <= 1.0
+    assert np.linalg.norm(u - alpha * w) == pytest.approx(D, rel=1e-10)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 12), st.floats(0.05, 5.0),
+       st.floats(1e-12, 1e-6), st.floats(-1e-6, 1e-6), st.floats(1e-3, 4.0))
+def test_boundary_alpha_near_tangent_step(seed, dim, D, gap, tilt, scale):
+    # u_prev within gap*D of the sphere, w almost orthogonal to it: the
+    # crossing quadratic has c = ||u||^2 - D^2 ~ -2 gap D^2 and uw ~ 0
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal(dim)
+    u_hat = g / np.linalg.norm(g)
+    h = rng.standard_normal(dim)
+    h -= (h @ u_hat) * u_hat
+    t_hat = h / np.linalg.norm(h)
+    u = (D * (1.0 - gap)) * u_hat
+    w = scale * D * (t_hat + tilt * u_hat)
+    if not (np.linalg.norm(u) < D <= np.linalg.norm(u - w)):
+        return  # precondition: inside the ball, and the full step crosses
     alpha = boundary_alpha(u, w, D)
     assert 0.0 < alpha <= 1.0
     assert np.linalg.norm(u - alpha * w) == pytest.approx(D, rel=1e-10)
@@ -342,4 +367,159 @@ def test_boundary_row_costs_nothing():
     out = tssrg_run(oracle, u0, params, master_stream(0).child(TAG_OUTER, 0),
                     anchor_grad=v_fixed)
     assert out.exit is ExitReason.BOUNDARY
+    assert oracle.queries == 0
+
+
+# ------------------------------------------- array loop vs. public calls
+
+def _reference_run(oracle, u0, params, stream, anchor_grad=None,
+                   record_gaps=False):
+    """The tangent-space loop stepped through the public, validating oracle
+    calls on TangentVectors, drawing from the same stream positions as
+    tssrg_run. Returns (rows, du_norms, u_final, exit, iterations)."""
+    x, obj = oracle.anchor, oracle.objective
+    perturbed = np.linalg.norm(u0.coords) > 0.0
+    rows, dus = [], []
+
+    def emit(k, u, v, event, du=0.0):
+        gap = None
+        if record_gaps and event != "boundary":
+            gap = float(np.linalg.norm(v.coords - oracle.exact_grad(u).coords))
+        rows.append((k, oracle.value(u), float(np.linalg.norm(v.coords)), gap,
+                     float(np.linalg.norm(u.coords)), oracle.queries, event))
+        dus.append(du)
+
+    def anchor(u, pos):
+        gen = stream.child(TAG_ANCHOR, pos).generator()
+        return oracle.grad_batch(obj.sample_largebatch(params.B_size, gen), u)
+
+    u_prev = u0
+    v = anchor(u_prev, 0) if anchor_grad is None else anchor_grad
+    emit(0, u_prev, v, "anchor")
+    t = 0
+    while True:
+        for k in range(1, params.m + 1):
+            t += 1
+            w = params.eta * v.coords
+            u_next = TangentVector(x, u_prev.coords - w)
+            if np.linalg.norm(u_next.coords) >= params.D:
+                alpha = boundary_alpha(u_prev.coords, w, params.D)
+                u_exit = TangentVector(x, u_prev.coords - alpha * w)
+                emit(k, u_exit, v, "boundary",
+                     du=alpha * params.eta * float(np.linalg.norm(v.coords)))
+                return rows, dus, u_exit.coords, ExitReason.BOUNDARY, t
+            gen = stream.child(TAG_BATCH, t).generator()
+            batch = obj.sample_minibatch(params.b, gen)
+            g_new = oracle.grad_batch(batch, u_next)
+            g_old = oracle.grad_batch(batch, u_prev)
+            v = TangentVector(x, g_new.coords - g_old.coords + v.coords)
+            event = "step"
+            if t >= params.T_max:
+                event = "max_iter"
+            elif not perturbed:
+                p = 1.0 / (params.m - k + 1)
+                if stream.child(TAG_BREAK, t).generator().random() < p:
+                    event = "uniform_break"
+            emit(k, u_next, v, event, du=float(np.linalg.norm(w)))
+            if event != "step":
+                return rows, dus, u_next.coords, ExitReason(event), t
+            u_prev = u_next
+        v = anchor(u_prev, t // params.m)
+        emit(0, u_prev, v, "anchor")
+
+
+def _bitwise_case(case):
+    """(objective, anchor, u0 radius, params, anchor_grad?, record_gaps,
+    expected exit) for one named case."""
+    rng = np.random.default_rng(21)
+    spec = np.concatenate(([2.0, 1.0], np.linspace(0.9, 0.1, 18)))
+    if case.startswith("rayleigh"):
+        obj = make_rayleigh(d=20, n=100, spectrum=spec, noise_scale=0.4,
+                            seed=5)
+    elif case.startswith("quadratic"):
+        obj = make_quadratic_saddle(d=6, gamma=1.0, L_top=2.0, n=32, seed=3,
+                                    noise_scale=0.3)
+    elif case.startswith("streaming"):
+        obj = make_streaming_rayleigh(d=20, spectrum=spec, seed=5)
+    else:
+        obj = StiefelTrace(6, 2, 12, rng)
+    x = obj.manifold.rand_point(rng)
+    return obj, x, {
+        "rayleigh_max_iter_gaps": (0.05, _params(eta=0.05, m=5, b=8,
+                                                 B_size=40, T_max=12),
+                                   False, True, ExitReason.MAX_ITER),
+        "rayleigh_break": (0.0, _params(eta=0.05, m=6, b=8, B_size=40,
+                                        T_max=50),
+                           False, False, ExitReason.UNIFORM_BREAK),
+        "rayleigh_boundary_anchor_grad": (0.0, _params(eta=0.4, m=10, b=8,
+                                                       B_size=40, D=0.3,
+                                                       T_max=10),
+                                          True, False, ExitReason.BOUNDARY),
+        "quadratic_boundary": (0.05, _params(eta=0.5, m=4, b=8, B_size=16,
+                                             D=0.5, T_max=200),
+                               False, False, ExitReason.BOUNDARY),
+        "streaming_max_iter": (0.02, _params(eta=0.01, m=4, b=8, B_size=64,
+                                             T_max=6),
+                               False, False, ExitReason.MAX_ITER),
+        "streaming_break": (0.0, _params(eta=0.05, m=4, b=8, B_size=64,
+                                         T_max=50),
+                            False, False, ExitReason.UNIFORM_BREAK),
+        "stiefel_max_iter": (0.05, _params(eta=0.02, m=3, b=6, B_size=8,
+                                           T_max=7),
+                             False, False, ExitReason.MAX_ITER),
+        "stiefel_boundary": (0.1, _params(eta=0.3, m=3, b=6, B_size=8,
+                                          D=0.2, T_max=200),
+                             False, False, ExitReason.BOUNDARY),
+    }[case]
+
+
+@pytest.mark.parametrize("case", [
+    "rayleigh_max_iter_gaps", "rayleigh_break",
+    "rayleigh_boundary_anchor_grad", "quadratic_boundary",
+    "streaming_max_iter", "streaming_break", "stiefel_max_iter",
+    "stiefel_boundary",
+])
+def test_array_loop_matches_public_call_reference_bitwise(case):
+    obj, x, (r0, params, with_anchor, gaps, exit_) = _bitwise_case(case)
+    man = obj.manifold
+    u0 = man.sample_ball(x, r0, np.random.default_rng(5))
+    stream = master_stream(13).child(TAG_OUTER, 0)
+    ref_oracle = PullbackOracle(obj, x)
+    run_oracle = PullbackOracle(obj, x)
+    anchor_ref = anchor_run = None
+    if with_anchor:
+        anchor_ref = ref_oracle.grad_largebatch(
+            params.B_size, ref_oracle.zero(), np.random.default_rng(6))
+        anchor_run = run_oracle.grad_largebatch(
+            params.B_size, run_oracle.zero(), np.random.default_rng(6))
+    rows, dus, u_final, ref_exit, iters = _reference_run(
+        ref_oracle, u0, params, stream, anchor_grad=anchor_ref,
+        record_gaps=gaps)
+    out = tssrg_run(run_oracle, u0, params, stream, anchor_grad=anchor_run,
+                    record_gaps=gaps)
+    assert ref_exit is exit_ and out.exit is exit_
+    assert out.iterations == iters
+    got = [(r.inner_k, r.F_value, r.grad_norm_or_batch, r.estimator_gap,
+            r.u_norm, r.queries_cum, r.event) for r in out.segment.rows]
+    assert got == rows
+    assert out.segment.du_norms == dus
+    assert np.array_equal(out.u_final.coords, u_final)
+    assert run_oracle.queries == ref_oracle.queries
+
+
+def test_foreign_base_point_rejected_at_entry(medium_rayleigh):
+    rng = np.random.default_rng(4)
+    man = medium_rayleigh.manifold
+    x, elsewhere = man.rand_point(rng), man.rand_point(rng)
+    oracle = PullbackOracle(medium_rayleigh, x)
+    stream = master_stream(0).child(TAG_OUTER, 0)
+    params = _params(eta=0.01, m=2, b=2, B_size=8, T_max=2)
+    foreign = man.sample_ball(elsewhere, 0.01, rng)
+    with pytest.raises(ContractViolation):
+        tssrg_run(oracle, foreign, params, stream)
+    with pytest.raises(ContractViolation):
+        tssrg_run(oracle, oracle.zero(), params, stream,
+                  anchor_grad=man.zero_tangent(elsewhere))
+    with pytest.raises(ContractViolation, match="chart radius"):
+        tssrg_run(oracle, oracle.zero(), _params(D=2 * man.D), stream)
     assert oracle.queries == 0
