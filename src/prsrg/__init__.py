@@ -5,10 +5,8 @@ The solver minimizes finite-sum or streaming objectives over embedded
 manifolds (sphere, Stiefel, Euclidean) by alternating large-gradient
 descent epochs with perturbed escape episodes, all run in the tangent space
 of a periodically re-anchored pullback. Candidate points are certified for
-(epsilon, delta)-second-order stationarity by Lanczos on finite-difference
-Hessian products.
-
-Environment knob: PRSRG_THREADS caps sweep parallelism.
+(epsilon, delta)-second-order stationarity by Lanczos on the closed-form
+Riemannian Hessian.
 """
 
 from ._kernels import backend_name

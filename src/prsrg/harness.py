@@ -4,7 +4,8 @@ Configs are INI files (configparser dialect) with sections [experiment],
 [problem], [solver], [constants], [baseline], [couple], [sweep]; any other
 section or key is an error. Every run is a pure function of (config, seed):
 all randomness descends from the seed through position-keyed substreams, so
-reruns and thread-count changes reproduce traces byte for byte.
+reruns reproduce traces byte for byte, and a sweep cell writes the same
+bytes as a standalone run of that cell's config.
 
 Spectrum grammar: a comma list of terms, each either a float literal or
 ``linspace:a:b:k`` (k evenly spaced values from a to b inclusive), e.g.
@@ -20,8 +21,6 @@ import configparser
 import dataclasses
 import io
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -110,6 +109,14 @@ class CoupleSpec:
 class SweepSpec:
     n_values: tuple[int, ...] = ()
     seeds: int = 1
+
+    def __post_init__(self):
+        if self.seeds < 1:
+            raise ParameterError("[sweep] seeds must be >= 1")
+        if any(n < 1 for n in self.n_values):
+            raise ParameterError("[sweep] n values must be >= 1")
+        if len(set(self.n_values)) != len(self.n_values):
+            raise ParameterError("[sweep] n values must be distinct")
 
 
 @dataclass(frozen=True)
@@ -398,7 +405,7 @@ def _apply_overrides(params: SolverParams, overrides) -> SolverParams:
         elif key == "r":
             pkw["r"] = float(val)
     if tkw:
-        tss = tss.replaced(**tkw)
+        tss = dataclasses.replace(tss, **tkw)
     return dataclasses.replace(params, tssrg=tss, **pkw)
 
 
@@ -473,59 +480,39 @@ def write_artifacts(prefix, cfg: ExperimentConfig, report, params) -> tuple[Path
     return trace_path, report_path
 
 
-def worker_count() -> int:
-    raw = os.environ.get("PRSRG_THREADS", "1")
-    try:
-        k = int(raw)
-    except ValueError:
-        raise ParameterError(f"PRSRG_THREADS must be an integer, got {raw!r}")
-    return max(k, 1)
-
-
 def run_sweep(cfg: ExperimentConfig, out_dir) -> list[dict]:
     """Run the n x seed grid; one trace/report pair per cell, plus summary.
 
-    Cell (n, i) runs the base config with problem size n and seed
-    base_seed + i, entirely independent of scheduling: results are written
-    per cell and the summary is assembled in sorted order, so any
-    PRSRG_THREADS value produces identical bytes.
+    Cells run one after another in (n, seed) order. Cell (n, i) is
+    ``run_experiment`` of the base config with problem size n and seed
+    base_seed + i, so its files are byte-equal to a standalone run of that
+    config.
     """
     if not cfg.sweep.n_values:
         raise ParameterError("[sweep] n is empty")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    cells = [(n, i) for n in cfg.sweep.n_values
-             for i in range(cfg.sweep.seeds)]
-
-    def run_cell(cell):
-        n, i = cell
-        ccfg = dataclasses.replace(
-            cfg, seed=cfg.seed + i, out=None,
-            problem=dataclasses.replace(cfg.problem, n=n),
-            sweep=SweepSpec())
-        prefix = out_dir / f"n{n}_s{cfg.seed + i}"
-        report, params = run_experiment(ccfg, out=str(prefix))
-        return {"n": n, "seed": cfg.seed + i,
-                "exit_reason": report.exit_reason,
-                "queries_used": report.queries_used,
-                "best_F": report.best_F,
-                "certified": report.certified is not None
-                             and report.certified.passed}
-
-    workers = min(worker_count(), len(cells))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_cell, cells))
-    else:
-        results = [run_cell(c) for c in cells]
-    results.sort(key=lambda row: (row["n"], row["seed"]))
+    rows = []
     lines = ["n,seed,exit_reason,queries_used,best_F,certified"]
-    for row in results:
-        lines.append(f"{row['n']},{row['seed']},{row['exit_reason']},"
-                     f"{row['queries_used']},{row['best_F']!r},"
-                     f"{str(row['certified']).lower()}")
+    for n in sorted(cfg.sweep.n_values):
+        for seed in range(cfg.seed, cfg.seed + cfg.sweep.seeds):
+            ccfg = dataclasses.replace(
+                cfg, seed=seed, out=None,
+                problem=dataclasses.replace(cfg.problem, n=n),
+                sweep=SweepSpec())
+            prefix = out_dir / f"n{n}_s{seed}"
+            report, _ = run_experiment(ccfg, out=str(prefix))
+            certified = (report.certified is not None
+                         and report.certified.passed)
+            rows.append({"n": n, "seed": seed,
+                         "exit_reason": report.exit_reason,
+                         "queries_used": report.queries_used,
+                         "best_F": report.best_F, "certified": certified})
+            lines.append(f"{n},{seed},{report.exit_reason},"
+                         f"{report.queries_used},{report.best_F!r},"
+                         f"{str(certified).lower()}")
     (out_dir / "summary.csv").write_text("\n".join(lines) + "\n")
-    return results
+    return rows
 
 
 def run_couple(cfg: ExperimentConfig, *, out: str | None = None) -> dict:

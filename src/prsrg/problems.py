@@ -77,6 +77,8 @@ def _paired_noise(n: int, d: int, noise_scale: float,
     if not (noise_scale >= 0.0 and math.isfinite(noise_scale)):
         raise ParameterError(
             f"noise_scale must be finite and >= 0, got {noise_scale}")
+    if n < 1:
+        raise ParameterError(f"n must be >= 1, got {n}")
     P = np.zeros((n, d))
     Q = np.zeros((n, d))
     if noise_scale == 0.0:

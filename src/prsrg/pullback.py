@@ -111,8 +111,8 @@ class PullbackOracle:
     Each minibatch gradient retracts u once and pulls the Riemannian
     gradient at R_x(u) back through the manifold's closed-form adjoint.
     Immutable after construction except for the query tallies and the lazily
-    drawn streaming HVP batch (guarded by the interpreter's serialized
-    execution; batches are reduced in a fixed order so traces are bit-stable).
+    drawn streaming HVP batch; batches are reduced in a fixed order so traces
+    are bit-stable. An oracle is not safe to share between threads.
     """
 
     def __init__(self, objective: FiniteSumObjective, anchor: ManifoldPoint):

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .diagnostics import Certification, certify
@@ -293,7 +293,7 @@ def prsrg_run(objective, manifold: Manifold, x0: ManifoldPoint,
             check_row.epoch_type = "escape"
             u0 = manifold.sample_ball(
                 x, radius, ostream.child(TAG_PERTURB).generator())
-            out = tssrg_run(oracle, u0, params.tssrg.replaced(T_max=T_run),
+            out = tssrg_run(oracle, u0, replace(params.tssrg, T_max=T_run),
                             ostream, outer_t=outer_t, record_gaps=record_gaps,
                             query_offset=total_q)
             for row in out.segment.rows:
@@ -304,7 +304,7 @@ def prsrg_run(objective, manifold: Manifold, x0: ManifoldPoint,
             remaining = params.budget - total_q - oracle.queries
             T_run = min(m, _affordable_T(remaining, B, b, m, True))
             out = tssrg_run(oracle, manifold.zero_tangent(x),
-                            params.tssrg.replaced(T_max=T_run), ostream,
+                            replace(params.tssrg, T_max=T_run), ostream,
                             outer_t=outer_t, anchor_grad=g,
                             record_gaps=record_gaps, query_offset=total_q)
             rows_all.extend(out.segment.rows)

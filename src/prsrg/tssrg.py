@@ -80,12 +80,6 @@ class TssrgParams:
                 f"minibatch size b={self.b} below epoch length m={self.m}; "
                 "the variance bound expects b >= m", stacklevel=2)
 
-    def replaced(self, **kw) -> "TssrgParams":
-        d = dict(eta=self.eta, m=self.m, b=self.b, B_size=self.B_size,
-                 D=self.D, T_max=self.T_max)
-        d.update(kw)
-        return TssrgParams(**d)
-
 
 @dataclass
 class TssrgOutcome:

@@ -394,28 +394,37 @@ seeds = 2
 """
 
 
-def test_12_traces_are_byte_identical(tmp_path, monkeypatch):
+def test_12_reruns_and_sweep_cells_are_byte_identical(tmp_path):
     cfg = parse_config(_RUN_INI)
-    monkeypatch.setenv("PRSRG_THREADS", "1")
-    run_experiment(cfg, out=str(tmp_path / "r1"))
-    monkeypatch.setenv("PRSRG_THREADS", "4")
-    run_experiment(cfg, out=str(tmp_path / "r2"))
-    monkeypatch.setenv("PRSRG_THREADS", "1")
-    run_experiment(cfg, out=str(tmp_path / "r3"))
+    for i in (1, 2, 3):
+        run_experiment(cfg, out=str(tmp_path / f"r{i}"))
     traces = [(tmp_path / f"r{i}.trace.csv").read_bytes() for i in (1, 2, 3)]
     reruns_equal = traces[0] == traces[1] == traces[2]
 
     scfg = parse_config(_SWEEP_INI)
-    monkeypatch.setenv("PRSRG_THREADS", "1")
     run_sweep(scfg, tmp_path / "t1")
-    monkeypatch.setenv("PRSRG_THREADS", "4")
-    run_sweep(scfg, tmp_path / "t4")
+    run_sweep(scfg, tmp_path / "t2")
     names = [p.name for p in sorted((tmp_path / "t1").iterdir())]
     sweep_equal = bool(names) and all(
         (tmp_path / "t1" / name).read_bytes()
-        == (tmp_path / "t4" / name).read_bytes() for name in names)
+        == (tmp_path / "t2" / name).read_bytes() for name in names)
 
-    ok = reruns_equal and sweep_equal
-    _verdict(12, "byte-identical traces across reruns and thread counts", ok,
+    # every cell against a standalone run of its config, built from text
+    cells_equal = True
+    base = _SWEEP_INI.split("[sweep]")[0]
+    for n in (64, 128):
+        for seed in (12, 13):
+            text = base.replace("seed = 12", f"seed = {seed}").replace(
+                "n = 256", f"n = {n}")
+            run_experiment(parse_config(text), out=str(tmp_path / "alone"))
+            for suffix in (".trace.csv", ".report.json"):
+                cells_equal &= ((tmp_path / "t1" / f"n{n}_s{seed}{suffix}")
+                                .read_bytes()
+                                == (tmp_path / f"alone{suffix}").read_bytes())
+
+    ok = reruns_equal and sweep_equal and cells_equal
+    _verdict(12, "byte-identical traces across reruns and between sweep "
+             "cells and standalone runs", ok,
              f"3 reruns equal={reruns_equal}, "
-             f"{len(names)} sweep files equal={sweep_equal}")
+             f"{len(names)} sweep files equal={sweep_equal}, "
+             f"4 cells equal standalone={cells_equal}")

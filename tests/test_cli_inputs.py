@@ -54,13 +54,24 @@ def _assert_one_error_line(capsys):
     "seed_above_64_bits", "noise_scale_negative", "noise_scale_nan",
     "unknown_key", "misplaced_key", "unknown_section",
     "manifold_mismatch_streaming", "manifold_mismatch_quadratic",
-    "manifold_mismatch_data",
+    "manifold_mismatch_data", "n_negative", "n_zero", "sweep_seeds_zero",
+    "sweep_n_repeated",
 ])
 def test_bad_input_exits_2_with_one_line(case, tmp_path, capsys):
     cfg_text = BASE.format(start="random")
+    command = "run"
     extra: list[str] = []
     if case == "sweep_n_not_integer":
         cfg_text += "\n[sweep]\nn = abc\n"
+    elif case in ("n_negative", "n_zero"):
+        value = "-5" if case == "n_negative" else "0"
+        cfg_text = cfg_text.replace("n = 30", f"n = {value}")
+    elif case.startswith("sweep_"):
+        command = "sweep"
+        extra = ["--out", str(tmp_path / "sweep")]
+        cfg_text += ("\n[sweep]\nn = 8\nseeds = 0\n"
+                     if case == "sweep_seeds_zero"
+                     else "\n[sweep]\nn = 8,8\nseeds = 1\n")
     elif case == "coords_not_numeric":
         cfg_text = BASE.format(start="coords:a,b,c")
     elif case == "eig_not_integer":
@@ -99,9 +110,13 @@ def test_bad_input_exits_2_with_one_line(case, tmp_path, capsys):
         cfg_text = DATA_RAYLEIGH.format(data=data)
     cfg = tmp_path / "bad.ini"
     cfg.write_text(cfg_text)
-    assert main(["run", "--config", str(cfg), *extra]) == EXIT_BAD_INPUT
+    assert main([command, "--config", str(cfg), *extra]) == EXIT_BAD_INPUT
     line = _assert_one_error_line(capsys)
     expect = {"data_csv_non_finite": "non-finite",
+              "n_negative": "n must be >= 1",
+              "n_zero": "n must be >= 1",
+              "sweep_seeds_zero": "[sweep] seeds",
+              "sweep_n_repeated": "distinct",
               "noise_scale_negative": "noise_scale",
               "noise_scale_nan": "noise_scale",
               "unknown_key": "'bogus'",

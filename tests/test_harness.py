@@ -11,7 +11,7 @@ from prsrg.harness import (CoupleSpec, ExperimentConfig, ProblemSpec,
                            SweepSpec, build_problem, dump_config,
                            format_spectrum, load_point, parse_config,
                            parse_spectrum, resolve_params, resolve_start,
-                           run_experiment, run_sweep, worker_count)
+                           run_experiment, run_sweep)
 from prsrg.rng import master_stream
 from prsrg.solver import SolverConstants
 from prsrg.trace import COLUMNS, TraceRow, read_trace, rows_to_csv, write_trace
@@ -337,46 +337,38 @@ def test_rerun_is_byte_identical(tmp_path):
 
 # ------------------------------------------------------------------- sweep
 
-def test_sweep_grid_and_thread_invariance(tmp_path, monkeypatch):
+def test_sweep_grid_and_cells_match_standalone_runs(tmp_path):
     cfg = parse_config(SWEEP_RUN)
-    d1 = tmp_path / "serial"
-    monkeypatch.setenv("PRSRG_THREADS", "1")
+    d1 = tmp_path / "first"
     rows = run_sweep(cfg, d1)
-    assert len(rows) == 4
-    assert [(r["n"], r["seed"]) for r in rows] == [(8, 11), (8, 12),
-                                                   (12, 11), (12, 12)]
-    for n, s in [(8, 11), (8, 12), (12, 11), (12, 12)]:
-        assert (d1 / f"n{n}_s{s}.trace.csv").exists()
-        assert (d1 / f"n{n}_s{s}.report.json").exists()
+    cells = [(8, 11), (8, 12), (12, 11), (12, 12)]
+    assert [(r["n"], r["seed"]) for r in rows] == cells
     summary = (d1 / "summary.csv").read_text().splitlines()
     assert summary[0] == "n,seed,exit_reason,queries_used,best_F,certified"
     assert len(summary) == 5
     assert [line.split(",")[0] for line in summary[1:]] == ["8", "8", "12", "12"]
 
-    d2 = tmp_path / "threaded"
-    monkeypatch.setenv("PRSRG_THREADS", "4")
+    d2 = tmp_path / "rerun"
     run_sweep(cfg, d2)
-    assert (d1 / "summary.csv").read_bytes() == (d2 / "summary.csv").read_bytes()
-    for n, s in [(8, 11), (8, 12), (12, 11), (12, 12)]:
-        name = f"n{n}_s{s}.trace.csv"
-        assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+    assert sorted(p.name for p in d1.iterdir()) == sorted(
+        p.name for p in d2.iterdir())
+    for path in d1.iterdir():
+        assert path.read_bytes() == (d2 / path.name).read_bytes()
+
+    # each cell is byte-equal to a standalone run of that cell's config
+    base = SWEEP_RUN.split("[sweep]")[0]
+    for n, s in cells:
+        text = base.replace("seed = 11", f"seed = {s}").replace(
+            "n = 30", f"n = {n}")
+        run_experiment(parse_config(text), out=str(tmp_path / "alone"))
+        for suffix in (".trace.csv", ".report.json"):
+            assert ((d1 / f"n{n}_s{s}{suffix}").read_bytes()
+                    == (tmp_path / f"alone{suffix}").read_bytes())
 
 
 def test_sweep_requires_n_values(tmp_path):
     with pytest.raises(ParameterError, match="sweep"):
         run_sweep(parse_config(SMALL_RUN), tmp_path / "x")
-
-
-def test_worker_count(monkeypatch):
-    monkeypatch.delenv("PRSRG_THREADS", raising=False)
-    assert worker_count() == 1
-    monkeypatch.setenv("PRSRG_THREADS", "4")
-    assert worker_count() == 4
-    monkeypatch.setenv("PRSRG_THREADS", "0")
-    assert worker_count() == 1
-    monkeypatch.setenv("PRSRG_THREADS", "many")
-    with pytest.raises(ParameterError):
-        worker_count()
 
 
 # --------------------------------------------------------------- trace CSV

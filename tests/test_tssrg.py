@@ -69,13 +69,6 @@ def test_small_minibatch_warns_not_raises():
         TssrgParams(eta=0.1, m=8, b=2, B_size=8, D=0.5, T_max=10)
 
 
-def test_replaced_copies_with_overrides():
-    p = _params()
-    q = p.replaced(eta=0.05, T_max=7)
-    assert (q.eta, q.T_max) == (0.05, 7)
-    assert (q.m, q.b, q.B_size, q.D) == (p.m, p.b, p.B_size, p.D)
-
-
 # ------------------------------------------------------------ boundary exit
 
 def test_boundary_alpha_worked_example():
