@@ -1,10 +1,10 @@
 """Riemannian optimization with recursive variance reduction and
 tangent-space saddle escape.
 
-The solver minimizes finite-sum or streaming objectives over embedded
-manifolds (sphere, Stiefel, Euclidean) by alternating large-gradient
-descent epochs with perturbed escape episodes, all run in the tangent space
-of a periodically re-anchored pullback. Candidate points are certified for
+The solver minimizes finite-sum or streaming objectives over the sphere or
+Euclidean space by alternating large-gradient descent epochs with perturbed
+escape episodes, all run in the tangent space of a periodically re-anchored
+pullback. Candidate points are certified for
 (epsilon, delta)-second-order stationarity by Lanczos on the closed-form
 Riemannian Hessian.
 """
@@ -17,8 +17,8 @@ from .diagnostics import (Certification, EscapeStats, EscapeThreshold,
                           lanczos_min_eig, stuck_region_experiment)
 from .errors import (ContractViolation, EmptyBatch, InvariantViolation,
                      NumericalFailure, OutOfBall, ParameterError, SchemaError)
-from .geometry import (Euclidean, Manifold, ManifoldPoint, Sphere, Stiefel,
-                       TangentVector, make_manifold)
+from .geometry import (Euclidean, Manifold, ManifoldPoint, Sphere,
+                       TangentVector)
 from .harness import (ExperimentConfig, dump_config, load_config,
                       parse_config, parse_spectrum, run_certify, run_couple,
                       run_experiment, run_sweep)
@@ -45,13 +45,13 @@ __all__ = [
     "NumericalFailure", "OutOfBall", "ParameterError", "PullbackOracle",
     "QuadraticSaddleInstance", "RayleighInstance", "SchemaError",
     "SolverConstants", "SolverParams", "SolverReport",
-    "StreamingRayleighInstance", "StreamTree", "Sphere", "Stiefel",
+    "StreamingRayleighInstance", "StreamTree", "Sphere",
     "TangentVector", "TraceRow", "TraceSegment", "TssrgOutcome",
     "TssrgParams", "auto_solve", "backend_name", "baseline_run",
     "boundary_alpha", "certify", "check_improve_or_localize",
     "check_variance_bound", "derive_params", "dump_config",
     "escape_threshold", "lanczos_min_eig", "load_config", "load_matrix",
-    "make_data_rayleigh", "make_manifold", "make_quadratic_saddle",
+    "make_data_rayleigh", "make_quadratic_saddle",
     "make_rayleigh", "make_streaming_rayleigh", "master_stream",
     "parse_config", "parse_spectrum", "prsrg_run", "read_trace",
     "rows_to_csv", "run_certify", "run_couple",

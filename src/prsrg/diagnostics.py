@@ -78,28 +78,25 @@ class LanczosResult:
     converged: bool
 
 
-def lanczos_min_eig(matvec, dim: int, *, max_iters: int = LANCZOS_MAX_ITERS,
-                    tol_factor: float = LANCZOS_TOL_FACTOR,
-                    restarts: int = LANCZOS_RESTARTS,
-                    stream: StreamTree | None = None) -> LanczosResult:
+def lanczos_min_eig(matvec, dim: int) -> LanczosResult:
     """Smallest eigenvalue of a symmetric operator via Lanczos.
 
-    Full reorthogonalization against all previous basis vectors; converged
-    when the residual bound beta * |s_last| of the smallest Ritz pair drops
-    below tol_factor times the running operator-norm estimate. A run that
-    fails to converge restarts with a fresh random start vector, up to
-    ``restarts`` times; the best (smallest) Ritz value seen is returned
-    either way.
+    Full reorthogonalization against all previous basis vectors, at most
+    LANCZOS_MAX_ITERS iterations per run; converged when the residual bound
+    beta * |s_last| of the smallest Ritz pair drops below LANCZOS_TOL_FACTOR
+    times the running operator-norm estimate. A run that fails to converge
+    restarts with a fresh start vector from the fixed ``_LANCZOS_SEED``
+    stream, up to LANCZOS_RESTARTS times; the best (smallest) Ritz value
+    seen is returned either way.
     """
     if dim < 1:
         raise ParameterError("operator dimension must be >= 1")
-    if stream is None:
-        stream = master_stream(_LANCZOS_SEED).child(TAG_DIAG)
-    k = min(dim, max_iters)
+    stream = master_stream(_LANCZOS_SEED).child(TAG_DIAG)
+    k = min(dim, LANCZOS_MAX_ITERS)
     best_val = math.inf
     best_vec = None
     total_iters = 0
-    for attempt in range(restarts + 1):
+    for attempt in range(LANCZOS_RESTARTS + 1):
         gen = stream.child(attempt).generator()
         q = gen.standard_normal(dim)
         q /= np.linalg.norm(q)
@@ -124,7 +121,7 @@ def lanczos_min_eig(matvec, dim: int, *, max_iters: int = LANCZOS_MAX_ITERS,
                 best_val = float(vals[0])
                 best_vec = Q[:, :nq] @ vecs[:, 0]
             resid = beta * abs(s_last)
-            if resid <= max(tol_factor * hnorm, 1e-30):
+            if resid <= max(LANCZOS_TOL_FACTOR * hnorm, 1e-30):
                 v = best_vec / np.linalg.norm(best_vec)
                 return LanczosResult(best_val, v, total_iters, True)
             if beta <= 1e-14 * max(hnorm, 1.0) or nq >= dim:
@@ -326,11 +323,10 @@ def _coupled_deviations(out_a, out_b) -> np.ndarray:
     return np.array([float(np.linalg.norm(sa[i] - sb[i])) for i in range(n)])
 
 
-def stuck_region_experiment(oracle: PullbackOracle, params, nu: float,
-                            trials: int, stream: StreamTree, *,
-                            rho_hat: float, delta: float | None = None,
-                            r: float | None = None, c2: float = 1.0,
-                            c3: float = 10.0) -> EscapeStats:
+def stuck_region_experiment(oracle: PullbackOracle, params: TssrgParams,
+                            nu: float, trials: int, stream: StreamTree, *,
+                            rho_hat: float, delta: float, r: float,
+                            c2: float = 1.0, c3: float = 10.0) -> EscapeStats:
     """Coupled-perturbation escape statistics at a strict-saddle anchor.
 
     Each trial draws u0 uniformly from the radius-r ball, offsets a twin
@@ -339,20 +335,7 @@ def stuck_region_experiment(oracle: PullbackOracle, params, nu: float,
     both on one randomness tape, and records whether the pair separated past
     delta/(c2*rho_hat) and whether either run decreased F by at least twice
     the escape threshold.
-
-    ``params`` is either a TssrgParams (then delta and r are required
-    keywords) or a solver parameter bundle carrying .tssrg, .delta, .r.
     """
-    if hasattr(params, "tssrg"):
-        tparams: TssrgParams = params.tssrg
-        delta = params.delta if delta is None else delta
-        r = params.r if r is None else r
-    else:
-        tparams = params
-    if not isinstance(tparams, TssrgParams):
-        raise ParameterError("params must be TssrgParams or carry .tssrg")
-    if delta is None or r is None:
-        raise ParameterError("delta and r are required with bare TssrgParams")
     if rho_hat <= 0 or nu <= 0 or r <= 0:
         raise ParameterError("nu, r, rho_hat must be positive")
     if trials < 0:
@@ -383,7 +366,7 @@ def stuck_region_experiment(oracle: PullbackOracle, params, nu: float,
         gen = st.child(TAG_PERTURB).generator()
         u0 = man.sample_ball(oracle.anchor, r, gen)
         u0p = TangentVector(oracle.anchor, u0.coords - r0 * e1)
-        out_a, out_b = tssrg_run_coupled(oracle, u0, u0p, tparams, st,
+        out_a, out_b = tssrg_run_coupled(oracle, u0, u0p, params, st,
                                          record_u=True)
         dev = _coupled_deviations(out_a, out_b)
         devs.append(dev)

@@ -30,8 +30,9 @@ from .baselines import BaselineConfig, baseline_run
 from .diagnostics import certify, stuck_region_experiment
 from .errors import ParameterError, SchemaError
 from .geometry import Manifold, ManifoldPoint
-from .problems import (load_matrix, make_data_rayleigh, make_quadratic_saddle,
-                       make_rayleigh, make_streaming_rayleigh)
+from .problems import (_loadtxt, load_matrix, make_data_rayleigh,
+                       make_quadratic_saddle, make_rayleigh,
+                       make_streaming_rayleigh)
 from .pullback import LipschitzEstimate, PullbackOracle
 from .rng import TAG_INIT, master_stream
 from .solver import SolverConstants, SolverParams, probe_params, prsrg_run
@@ -149,6 +150,10 @@ class ExperimentConfig:
                 f"{self.problem.kind!r}")
         if self.budget < 0:
             raise ParameterError("[experiment] budget must be >= 0")
+        if self.sweep.n_values and self.problem.kind in (
+                "streaming_rayleigh", "data_rayleigh"):
+            raise ParameterError(f"[sweep] n: a {self.problem.kind} problem "
+                                 "has no n to sweep")
         for key, _ in self.overrides:
             if key not in _SOLVER_OVERRIDE_KEYS:
                 raise ParameterError(f"[solver] unknown override {key!r}")
@@ -380,13 +385,15 @@ def load_point(man: Manifold, path) -> ManifoldPoint:
         arr = load_matrix(path)
     else:
         try:
-            arr = np.loadtxt(path, delimiter=",", ndmin=1)
+            arr = _loadtxt(path, ",")
         except ValueError:
             try:
-                arr = np.loadtxt(path, ndmin=1)
+                arr = _loadtxt(path)
             except ValueError as exc:
                 raise SchemaError(f"cannot parse point file {path}: {exc}") from exc
-    return man.point(np.asarray(arr, dtype=np.float64).ravel())
+        if arr.size == 0:
+            raise SchemaError(f"point file {path} holds no coordinates")
+    return man.point(arr.ravel())
 
 
 def _apply_overrides(params: SolverParams, overrides) -> SolverParams:
@@ -527,8 +534,9 @@ def run_couple(cfg: ExperimentConfig, *, out: str | None = None) -> dict:
                              "curvature estimate was zero, set it explicitly")
     oracle = PullbackOracle(objective, x0)
     stats = stuck_region_experiment(
-        oracle, params, cfg.couple.nu, cfg.couple.trials,
-        stream, rho_hat=rho, c2=cfg.couple.c2, c3=cfg.couple.c3)
+        oracle, params.tssrg, cfg.couple.nu, cfg.couple.trials, stream,
+        rho_hat=rho, delta=params.delta, r=params.r, c2=cfg.couple.c2,
+        c3=cfg.couple.c3)
     payload = stats.as_dict()
     payload["params"] = params_dict(params)
     target = out if out is not None else cfg.out

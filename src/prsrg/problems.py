@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -354,14 +355,26 @@ def save_matrix(path, arr: np.ndarray) -> None:
         fh.write(arr.tobytes(order="C"))
 
 
+def _loadtxt(path, delimiter: str | None = None) -> np.ndarray:
+    """``np.loadtxt`` into a 2-D float64 array, without the warning it prints
+    for input with no data row (empty, blank or ``#`` comments only); the
+    callers reject that empty result with their own error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        return np.loadtxt(path, delimiter=delimiter, dtype=np.float64, ndmin=2)
+
+
 def load_matrix(path) -> np.ndarray:
     """Load a dense matrix from a PRSRGMAT binary or a CSV file."""
     path = Path(path)
     if path.suffix.lower() == ".csv":
         try:
-            return np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+            arr = _loadtxt(path, ",")
         except ValueError as exc:
             raise ParameterError(f"{path}: not a numeric CSV: {exc}") from exc
+        if arr.size == 0:
+            raise ParameterError(f"{path}: no data rows")
+        return arr
     with open(path, "rb") as fh:
         head = fh.read(16)
         if len(head) != 16 or head[:8] != MAGIC:

@@ -5,10 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from prsrg import (Batch, PullbackOracle, TangentVector, make_data_rayleigh,
+from prsrg import (PullbackOracle, TangentVector, make_data_rayleigh,
                    make_quadratic_saddle, make_rayleigh,
                    make_streaming_rayleigh)
-from prsrg.geometry import Stiefel
 
 # every objective family that has a closed-form Hessian action
 HESSIAN_KINDS = ("rayleigh", "quadratic_saddle", "data_rayleigh",
@@ -76,55 +75,3 @@ def medium_rayleigh():
 
 def oracle_at(objective, point) -> PullbackOracle:
     return PullbackOracle(objective, point)
-
-
-def _sym(M):
-    return 0.5 * (M + M.T)
-
-
-class StiefelTrace:
-    """f_i(X) = -tr(X^T A_i X) on St(n, p); test-local objective that
-    exercises the polar retraction's differential through the pullback
-    oracle."""
-
-    def __init__(self, n, p, n_comp, rng):
-        base = rng.standard_normal((n, n))
-        self.A = 0.5 * (base + base.T)
-        self.perturb = [0.05 * _sym(rng.standard_normal((n, n)))
-                        for _ in range(n_comp)]
-        self.n = n_comp
-        self.manifold = Stiefel(n, p)
-        self.sigma_hint = None
-        self._shape = (n, p)
-
-    def _mat(self, i):
-        return self.A + self.perturb[i]
-
-    def value(self, x):
-        X = x.coords.reshape(self._shape)
-        return -float(np.trace(X.T @ (self.A @ X)))
-
-    def _grad(self, M, x):
-        X = x.coords.reshape(self._shape)
-        W = -2.0 * (M @ X)
-        sym = 0.5 * (X.T @ W + W.T @ X)
-        return TangentVector(x, (W - X @ sym).ravel())
-
-    def full_riem_grad(self, x):
-        return self._grad(self.A, x)
-
-    def component_riem_grad(self, i, x):
-        return self._grad(self._mat(i), x)
-
-    def batch_riem_grad(self, batch, x):
-        idx = batch.idx if batch.idx is not None else np.arange(self.n)
-        M = sum(self._mat(int(i)) for i in idx) / len(idx)
-        return self._grad(M, x)
-
-    def sample_minibatch(self, b, rng):
-        return Batch(size=b, idx=rng.integers(0, self.n, size=b))
-
-    def sample_largebatch(self, B, rng):
-        if B >= self.n:
-            return Batch(size=self.n, idx=None)
-        return Batch(size=B, idx=rng.permutation(self.n)[:B])

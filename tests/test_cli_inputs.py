@@ -2,17 +2,22 @@
 
 Bad input exits 2 and an internal failure exits 1; either way the user sees
 one ``error:`` line on stderr, never a traceback. The config grammar either
-parses or raises ParameterError, whatever text it is given.
+parses or raises ParameterError, whatever text it is given; the matrix and
+point loaders return float64 data or raise an exit-2 error, whatever bytes
+they read.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prsrg import solver
+from prsrg import Sphere, solver
 from prsrg.cli import EXIT_BAD_INPUT, EXIT_FAIL, main
-from prsrg.errors import NumericalFailure, ParameterError
-from prsrg.harness import parse_config, parse_spectrum
+from prsrg.errors import (ContractViolation, NumericalFailure, ParameterError,
+                          SchemaError)
+from prsrg.harness import load_point, parse_config, parse_spectrum
+from prsrg.problems import load_matrix, save_matrix
 
 BASE = """\
 [experiment]
@@ -55,7 +60,8 @@ def _assert_one_error_line(capsys):
     "unknown_key", "misplaced_key", "unknown_section",
     "manifold_mismatch_streaming", "manifold_mismatch_quadratic",
     "manifold_mismatch_data", "n_negative", "n_zero", "sweep_seeds_zero",
-    "sweep_n_repeated",
+    "sweep_n_repeated", "sweep_n_streaming", "data_csv_empty",
+    "start_file_empty", "coords_norm_overflow",
 ])
 def test_bad_input_exits_2_with_one_line(case, tmp_path, capsys):
     cfg_text = BASE.format(start="random")
@@ -69,11 +75,18 @@ def test_bad_input_exits_2_with_one_line(case, tmp_path, capsys):
     elif case.startswith("sweep_"):
         command = "sweep"
         extra = ["--out", str(tmp_path / "sweep")]
-        cfg_text += ("\n[sweep]\nn = 8\nseeds = 0\n"
-                     if case == "sweep_seeds_zero"
-                     else "\n[sweep]\nn = 8,8\nseeds = 1\n")
+        if case == "sweep_n_streaming":
+            # the stream sizes itself: there is no n to sweep
+            cfg_text = cfg_text.replace("kind = rayleigh\nn = 30",
+                                        "kind = streaming_rayleigh")
+        cfg_text += {"sweep_seeds_zero": "\n[sweep]\nn = 8\nseeds = 0\n",
+                     "sweep_n_repeated": "\n[sweep]\nn = 8,8\nseeds = 1\n",
+                     "sweep_n_streaming": "\n[sweep]\nn = 10,20\nseeds = 1\n",
+                     }[case]
     elif case == "coords_not_numeric":
         cfg_text = BASE.format(start="coords:a,b,c")
+    elif case == "coords_norm_overflow":
+        cfg_text = BASE.format(start="coords:1e200,0,0")
     elif case == "eig_not_integer":
         cfg_text = BASE.format(start="eig:x")
     elif case == "eig_out_of_range":
@@ -86,6 +99,14 @@ def test_bad_input_exits_2_with_one_line(case, tmp_path, capsys):
         data = tmp_path / "rows.csv"
         data.write_text("1,2,3\ninf,0,1\n")
         cfg_text = DATA_RAYLEIGH.format(data=data)
+    elif case == "data_csv_empty":
+        data = tmp_path / "rows.csv"
+        data.write_text("# header only\n\n")
+        cfg_text = DATA_RAYLEIGH.format(data=data)
+    elif case == "start_file_empty":
+        point = tmp_path / "x0.txt"
+        point.write_text("")
+        cfg_text = BASE.format(start=f"file:{point}")
     elif case == "seed_above_64_bits":
         extra = ["--seed", "99999999999999999999999"]
     elif case.startswith("noise_scale_"):
@@ -117,6 +138,10 @@ def test_bad_input_exits_2_with_one_line(case, tmp_path, capsys):
               "n_zero": "n must be >= 1",
               "sweep_seeds_zero": "[sweep] seeds",
               "sweep_n_repeated": "distinct",
+              "sweep_n_streaming": "no n to sweep",
+              "data_csv_empty": "no data rows",
+              "start_file_empty": "no coordinates",
+              "coords_norm_overflow": "violates sphere:3 constraint",
               "noise_scale_negative": "noise_scale",
               "noise_scale_nan": "noise_scale",
               "unknown_key": "'bogus'",
@@ -228,3 +253,54 @@ def test_config_values_that_escaped_as_value_or_type_error(text):
 def test_spectrum_linspace_length_is_bounded():
     with pytest.raises(ParameterError):
         parse_spectrum("linspace:0:1:10000000")
+
+
+# Corrupt loader input. Under the suite's warning filters a numpy warning
+# (e.g. loadtxt's on a file without data rows) fails the test too.
+
+LOADER_INPUTS = ("matrix.mat", "rows.csv", "point.txt", "point.mat")
+
+EDITS = st.lists(st.tuples(st.sampled_from(("truncate", "flip", "insert")),
+                           st.integers(0, 200), st.integers(0, 255)),
+                 min_size=1, max_size=4)
+
+
+def _edit(data: bytes, edits) -> bytes:
+    """Apply truncations, bit flips and byte insertions at wrapped offsets."""
+    buf = bytearray(data)
+    for op, pos, byte in edits:
+        if op == "truncate":
+            del buf[pos % (len(buf) + 1):]
+        elif op == "flip" and buf:
+            buf[pos % len(buf)] ^= 1 << (byte % 8)
+        elif op == "insert":
+            buf.insert(pos % (len(buf) + 1), byte)
+    return bytes(buf)
+
+
+@pytest.fixture(scope="module")
+def loader_inputs(tmp_path_factory):
+    """Valid bytes for each loader input, keyed by file name."""
+    root = tmp_path_factory.mktemp("valid")
+    save_matrix(root / "matrix.mat", np.arange(6.0).reshape(2, 3) / 7.0)
+    save_matrix(root / "point.mat", np.array([[0.6, 0.8, 0.0]]))
+    (root / "rows.csv").write_text("# rows are samples\n1.5,-2,0.25\n"
+                                   "0,1e-3,4\n")
+    (root / "point.txt").write_text("0.6 0.8 0\n")
+    return {name: (root / name).read_bytes() for name in LOADER_INPUTS}
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(LOADER_INPUTS), edits=EDITS)
+def test_corrupt_loader_input_returns_float64_or_input_error(
+        loader_inputs, tmp_path_factory, name, edits):
+    path = tmp_path_factory.getbasetemp() / f"corrupt-{name}"
+    path.write_bytes(_edit(loader_inputs[name], edits))
+    try:
+        if name.startswith("point"):
+            out = load_point(Sphere(3), path).coords
+        else:
+            out = load_matrix(path)
+    except (ParameterError, SchemaError, ContractViolation):
+        return
+    assert isinstance(out, np.ndarray) and out.dtype == np.float64

@@ -382,7 +382,3 @@ def test_stuck_region_parameter_validation(clean_rayleigh):
         stuck_region_experiment(oracle, params, nu=0.1, trials=-1,
                                 stream=master_stream(0), rho_hat=1.0,
                                 delta=0.1, r=0.01)
-    with pytest.raises(ParameterError):
-        # bare TssrgParams needs explicit delta and r
-        stuck_region_experiment(oracle, params, nu=0.1, trials=1,
-                                stream=master_stream(0), rho_hat=1.0)

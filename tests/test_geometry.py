@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prsrg import (ContractViolation, Euclidean, OutOfBall, ParameterError,
-                   Sphere, Stiefel, TangentVector, make_manifold)
+                   Sphere, TangentVector)
 
 RNG = np.random.default_rng(20240901)
 
@@ -19,20 +19,7 @@ def rand_sphere_pair(man, rng, rmax=None):
     return x, u
 
 
-# ---------------------------------------------------------------- parsing
-
-def test_make_manifold_ids():
-    assert make_manifold("sphere:10").manifold_id == "sphere:10"
-    assert make_manifold("stiefel:8x3").manifold_id == "stiefel:8x3"
-    assert make_manifold("euclidean:4").manifold_id == "euclidean:4"
-
-
-@pytest.mark.parametrize("bad", ["sphere", "sphere:0", "stiefel:3", "torus:4",
-                                 "stiefel:3x9", "sphere:-2", ""])
-def test_make_manifold_rejects(bad):
-    with pytest.raises(ParameterError):
-        make_manifold(bad)
-
+# ------------------------------------------------------------ construction
 
 def test_ball_radius_cap():
     # chart radius must respect D <= 1/(2 c0)
@@ -84,26 +71,17 @@ def test_sphere_dretract_worked_example():
     assert np.allclose(Tv.coords, [0.0, 0.0, 1.0 / np.sqrt(2.0)], atol=1e-9)
 
 
-def test_stiefel_retraction_orthonormal():
-    man = Stiefel(8, 3)
-    for _ in range(10):
-        x = man.rand_point(RNG)
-        u = man.sample_ball(x, man.D, RNG)
-        y = man.retract(x, u)
-        Y = y.coords.reshape(8, 3)
-        assert np.allclose(Y.T @ Y, np.eye(3), atol=1e-12)
-
-
 def test_retract_at_zero_is_identity():
-    for man in (Sphere(6), Stiefel(6, 2), Euclidean(4)):
+    for man in (Sphere(6), Euclidean(4)):
         x = man.rand_point(RNG)
         y = man.retract(x, man.zero_tangent(x))
         assert np.allclose(y.coords, x.coords, atol=1e-15)
 
 
 # --------------------------------------------------- differential + adjoint
+# Sphere(2) is the circle: one tangent direction, a one-column basis.
 
-@pytest.mark.parametrize("man", [Sphere(7), Stiefel(6, 2)])
+@pytest.mark.parametrize("man", [Sphere(7), Sphere(2)])
 def test_dretract_adjoint_pairing(man):
     # <T_u[v], w> == <v, T_u*[w]> for tangent v at x, tangent w at R_x(u)
     rng = np.random.default_rng(7)
@@ -118,7 +96,7 @@ def test_dretract_adjoint_pairing(man):
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
 
-@pytest.mark.parametrize("man", [Sphere(5), Stiefel(6, 2)])
+@pytest.mark.parametrize("man", [Sphere(5), Sphere(2)])
 def test_dretract_matches_fd(man):
     # closed form against central differences of the retraction; the
     # closed form lands in the tangent space at R_x(u) without projection
@@ -137,7 +115,7 @@ def test_dretract_matches_fd(man):
     assert np.linalg.norm(closed - fd) <= 1e-6 * max(1.0, np.linalg.norm(closed))
 
 
-@pytest.mark.parametrize("man", [Sphere(5), Stiefel(6, 2), Stiefel(5, 3),
+@pytest.mark.parametrize("man", [Sphere(5), Sphere(2), Euclidean(1),
                                  Euclidean(4)])
 def test_dretract_matrix_matches_columnwise_apply(man):
     # dretract_matrix maps all basis columns through one stacked call of the
@@ -159,7 +137,7 @@ def test_sigma_min_spot_checks():
     rng = np.random.default_rng(11)
     for _ in range(25):
         x, u = rand_sphere_pair(man, rng)
-        s = man.dretract_sigma_min(x, u)
+        s = np.linalg.svd(man.dretract_matrix(x, u), compute_uv=False)[-1]
         assert s >= 1.0 - man.c0 * u.norm - 1e-9
 
 
@@ -204,16 +182,3 @@ def test_tangent_projection_idempotent(seed):
     p2 = man.project_ambient(x, p1)
     assert np.allclose(p1, p2, atol=1e-12)
     assert man.tangency_violation(x, p1) <= 1e-9
-
-
-@given(st.integers(0, 2 ** 32 - 1))
-@settings(max_examples=25, deadline=None)
-def test_stiefel_tangent_basis_orthonormal(seed):
-    man = Stiefel(6, 2)
-    rng = np.random.default_rng(seed)
-    x = man.rand_point(rng)
-    B = man.tangent_basis(x)
-    assert B.shape == (12, man.dim)
-    assert np.allclose(B.T @ B, np.eye(man.dim), atol=1e-10)
-    for j in range(man.dim):
-        assert man.tangency_violation(x, B[:, j]) <= 1e-9

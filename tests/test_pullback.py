@@ -18,8 +18,8 @@ from prsrg import (
 )
 from prsrg.rng import StreamTree
 
-from conftest import (HESSIAN_KINDS, StiefelTrace, fd_hvp, fd_pullback_grad,
-                      kind_oracle, oracle_at)
+from conftest import (HESSIAN_KINDS, fd_hvp, fd_pullback_grad, kind_oracle,
+                      oracle_at)
 
 
 # ------------------------------------------------------------ values
@@ -262,21 +262,6 @@ def test_diagnostic_calls_never_touch_optimizer_counter(medium_rayleigh):
     # one Hessian action charges its batch size, n in finite-sum mode;
     # exact gradients are free
     assert oracle.diag_queries == medium_rayleigh.n
-
-
-# ---------------------------------------------- stiefel pullback gradient
-
-def test_stiefel_pullback_gradient_finite_differences():
-    rng = np.random.default_rng(9)
-    obj = StiefelTrace(6, 2, 4, rng)
-    man = obj.manifold
-    x = man.rand_point(rng)
-    oracle = PullbackOracle(obj, x)
-    u = man.sample_ball(x, 0.25, rng)
-    g = oracle.exact_grad(u)
-    fd = fd_pullback_grad(oracle, u)
-    rel = np.linalg.norm(g.coords - fd) / np.linalg.norm(fd)
-    assert rel <= 1e-5
 
 
 # ------------------------------------------------------ lipschitz probe

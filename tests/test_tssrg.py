@@ -29,8 +29,6 @@ from prsrg import (
 )
 from prsrg.rng import TAG_ANCHOR, TAG_BATCH, TAG_BREAK, TAG_OUTER, master_stream
 
-from conftest import StiefelTrace
-
 
 def _params(**kw):
     base = dict(eta=0.1, m=4, b=4, B_size=8, D=0.5, T_max=100)
@@ -432,10 +430,8 @@ def _bitwise_case(case):
     elif case.startswith("quadratic"):
         obj = make_quadratic_saddle(d=6, gamma=1.0, L_top=2.0, n=32, seed=3,
                                     noise_scale=0.3)
-    elif case.startswith("streaming"):
-        obj = make_streaming_rayleigh(d=20, spectrum=spec, seed=5)
     else:
-        obj = StiefelTrace(6, 2, 12, rng)
+        obj = make_streaming_rayleigh(d=20, spectrum=spec, seed=5)
     x = obj.manifold.rand_point(rng)
     return obj, x, {
         "rayleigh_max_iter_gaps": (0.05, _params(eta=0.05, m=5, b=8,
@@ -457,20 +453,13 @@ def _bitwise_case(case):
         "streaming_break": (0.0, _params(eta=0.05, m=4, b=8, B_size=64,
                                          T_max=50),
                             False, False, ExitReason.UNIFORM_BREAK),
-        "stiefel_max_iter": (0.05, _params(eta=0.02, m=3, b=6, B_size=8,
-                                           T_max=7),
-                             False, False, ExitReason.MAX_ITER),
-        "stiefel_boundary": (0.1, _params(eta=0.3, m=3, b=6, B_size=8,
-                                          D=0.2, T_max=200),
-                             False, False, ExitReason.BOUNDARY),
     }[case]
 
 
 @pytest.mark.parametrize("case", [
     "rayleigh_max_iter_gaps", "rayleigh_break",
     "rayleigh_boundary_anchor_grad", "quadratic_boundary",
-    "streaming_max_iter", "streaming_break", "stiefel_max_iter",
-    "stiefel_boundary",
+    "streaming_max_iter", "streaming_break",
 ])
 def test_array_loop_matches_public_call_reference_bitwise(case):
     obj, x, (r0, params, with_anchor, gaps, exit_) = _bitwise_case(case)
