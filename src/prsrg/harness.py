@@ -428,14 +428,18 @@ def resolve_params(cfg: ExperimentConfig, objective, x0,
     return _apply_overrides(params, cfg.overrides), est
 
 
-def run_experiment(cfg: ExperimentConfig, *, out: str | None = None):
+def run_experiment(cfg: ExperimentConfig, *, out: str | None = None,
+                   objective=None):
     """Execute the configured algorithm; write trace/report when out is set.
 
+    ``objective``, when given, is ``build_problem(cfg)`` built by the
+    caller; objectives are read-only, so one instance can serve many runs.
     Returns (report, params_or_None). Artifacts: <out>.trace.csv and
     <out>.report.json.
     """
     stream = master_stream(cfg.seed)
-    objective = build_problem(cfg)
+    if objective is None:
+        objective = build_problem(cfg)
     man = objective.manifold
     x0 = resolve_start(cfg, objective, stream)
     params = None
@@ -493,7 +497,8 @@ def run_sweep(cfg: ExperimentConfig, out_dir) -> list[dict]:
     Cells run one after another in (n, seed) order. Cell (n, i) is
     ``run_experiment`` of the base config with problem size n and seed
     base_seed + i, so its files are byte-equal to a standalone run of that
-    config.
+    config. The problem depends on n alone, so it is built once per n and
+    shared by that n's cells.
     """
     if not cfg.sweep.n_values:
         raise ParameterError("[sweep] n is empty")
@@ -502,13 +507,16 @@ def run_sweep(cfg: ExperimentConfig, out_dir) -> list[dict]:
     rows = []
     lines = ["n,seed,exit_reason,queries_used,best_F,certified"]
     for n in sorted(cfg.sweep.n_values):
+        ncfg = dataclasses.replace(
+            cfg, out=None, problem=dataclasses.replace(cfg.problem, n=n),
+            sweep=SweepSpec())
+        objective = None  # free the last n's problem before the next build
+        objective = build_problem(ncfg)
         for seed in range(cfg.seed, cfg.seed + cfg.sweep.seeds):
-            ccfg = dataclasses.replace(
-                cfg, seed=seed, out=None,
-                problem=dataclasses.replace(cfg.problem, n=n),
-                sweep=SweepSpec())
+            ccfg = dataclasses.replace(ncfg, seed=seed)
             prefix = out_dir / f"n{n}_s{seed}"
-            report, _ = run_experiment(ccfg, out=str(prefix))
+            report, _ = run_experiment(ccfg, out=str(prefix),
+                                       objective=objective)
             certified = (report.certified is not None
                          and report.certified.passed)
             rows.append({"n": n, "seed": seed,

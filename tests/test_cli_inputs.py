@@ -61,7 +61,7 @@ def _assert_one_error_line(capsys):
     "manifold_mismatch_streaming", "manifold_mismatch_quadratic",
     "manifold_mismatch_data", "n_negative", "n_zero", "sweep_seeds_zero",
     "sweep_n_repeated", "sweep_n_streaming", "data_csv_empty",
-    "start_file_empty", "coords_norm_overflow",
+    "start_file_empty", "coords_norm_overflow", "data_csv_overflow",
 ])
 def test_bad_input_exits_2_with_one_line(case, tmp_path, capsys):
     cfg_text = BASE.format(start="random")
@@ -98,6 +98,10 @@ def test_bad_input_exits_2_with_one_line(case, tmp_path, capsys):
     elif case == "data_csv_non_finite":
         data = tmp_path / "rows.csv"
         data.write_text("1,2,3\ninf,0,1\n")
+        cfg_text = DATA_RAYLEIGH.format(data=data)
+    elif case == "data_csv_overflow":
+        data = tmp_path / "rows.csv"
+        data.write_text("1e200,1,1\n1,2,3\n0,1,0\n")
         cfg_text = DATA_RAYLEIGH.format(data=data)
     elif case == "data_csv_empty":
         data = tmp_path / "rows.csv"
@@ -140,6 +144,7 @@ def test_bad_input_exits_2_with_one_line(case, tmp_path, capsys):
               "sweep_n_repeated": "distinct",
               "sweep_n_streaming": "no n to sweep",
               "data_csv_empty": "no data rows",
+              "data_csv_overflow": "data overflows",
               "start_file_empty": "no coordinates",
               "coords_norm_overflow": "violates sphere:3 constraint",
               "noise_scale_negative": "noise_scale",

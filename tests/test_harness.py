@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from prsrg import harness
 from prsrg.cli import EXIT_BAD_INPUT, EXIT_NOT_SADDLE, EXIT_OK, main
 from prsrg.errors import ContractViolation, ParameterError, SchemaError
 from prsrg.harness import (CoupleSpec, ExperimentConfig, ProblemSpec,
@@ -364,6 +365,18 @@ def test_sweep_grid_and_cells_match_standalone_runs(tmp_path):
         for suffix in (".trace.csv", ".report.json"):
             assert ((d1 / f"n{n}_s{s}{suffix}").read_bytes()
                     == (tmp_path / f"alone{suffix}").read_bytes())
+
+
+def test_sweep_builds_each_problem_once_per_n(tmp_path, monkeypatch):
+    built = []
+
+    def counting_build(cfg):
+        built.append(cfg.problem.n)
+        return build_problem(cfg)
+
+    monkeypatch.setattr(harness, "build_problem", counting_build)
+    run_sweep(parse_config(SWEEP_RUN), tmp_path / "grid")
+    assert built == [8, 12]
 
 
 def test_sweep_requires_n_values(tmp_path):

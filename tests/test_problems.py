@@ -15,7 +15,8 @@ from prsrg import (
     make_rayleigh,
     make_streaming_rayleigh,
 )
-from prsrg.problems import load_matrix, save_matrix
+from prsrg.problems import _paired_noise, load_matrix, save_matrix
+from prsrg.rng import TAG_PROBLEM, master_stream
 
 
 # --------------------------------------------------- paired noise structure
@@ -39,6 +40,40 @@ def test_odd_n_last_component_is_noise_free():
     obj = make_rayleigh(d=5, n=7, spectrum=[2.0, 1.0, 0.8, 0.5, 0.1],
                         noise_scale=0.3, seed=0)
     assert np.all(obj.P[-1] == 0.0) and np.all(obj.Q[-1] == 0.0)
+
+
+def _paired_noise_one_pair_at_a_time(n, d, noise_scale, rng):
+    """Reference for ``_paired_noise``: the pair-by-pair loop it replaced."""
+    P = np.zeros((n, d))
+    Q = np.zeros((n, d))
+    if noise_scale == 0.0:
+        return P, Q
+    for k in range(n // 2):
+        p = rng.standard_normal(d)
+        q = rng.standard_normal(d)
+        p /= np.linalg.norm(p)
+        q /= np.linalg.norm(q)
+        scale = noise_scale / (1.0 + abs(float(p @ q)))
+        P[2 * k] = scale * p
+        Q[2 * k] = q
+        P[2 * k + 1] = -scale * p
+        Q[2 * k + 1] = q
+    return P, Q
+
+
+@pytest.mark.parametrize("child", [1, 2], ids=["rayleigh", "quadratic_saddle"])
+@pytest.mark.parametrize("n, d", [(1, 5), (2, 2), (7, 3), (401, 37),
+                                  (1000, 100)])
+def test_paired_noise_is_byte_equal_to_pairwise_loop(n, d, child):
+    # guards the bitwise contract if numpy or BLAS ever reduces rows
+    # differently from a 1-D dot
+    stream = master_stream(0).child(TAG_PROBLEM, child)
+    for noise_scale in (0.0, 1e-300, 0.5, 1e5):
+        P, Q = _paired_noise(n, d, noise_scale, stream.generator())
+        P0, Q0 = _paired_noise_one_pair_at_a_time(n, d, noise_scale,
+                                                  stream.generator())
+        assert P.tobytes() == P0.tobytes()
+        assert Q.tobytes() == Q0.tobytes()
 
 
 @pytest.mark.parametrize("build", [
