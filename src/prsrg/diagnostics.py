@@ -102,19 +102,17 @@ def lanczos_min_eig(matvec, dim: int) -> LanczosResult:
         q /= np.linalg.norm(q)
         Q = np.empty((dim, k + 1))
         Q[:, 0] = q
-        alphas: list[float] = []
-        betas: list[float] = []
+        T = np.zeros((k + 1, k + 1))
         nq = 1
         for _ in range(k):
             w = np.asarray(matvec(Q[:, nq - 1]), dtype=np.float64)
-            alphas.append(float(Q[:, nq - 1] @ w))
+            T[nq - 1, nq - 1] = Q[:, nq - 1] @ w
             # reorthogonalize twice against the whole basis
             w -= Q[:, :nq] @ (Q[:, :nq].T @ w)
             w -= Q[:, :nq] @ (Q[:, :nq].T @ w)
             beta = float(np.linalg.norm(w))
             total_iters += 1
-            T = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
-            vals, vecs = np.linalg.eigh(T)
+            vals, vecs = np.linalg.eigh(T[:nq, :nq])
             s_last = float(vecs[-1, 0])
             hnorm = max(abs(vals[0]), abs(vals[-1]))
             if vals[0] < best_val:
@@ -127,7 +125,7 @@ def lanczos_min_eig(matvec, dim: int) -> LanczosResult:
             if beta <= 1e-14 * max(hnorm, 1.0) or nq >= dim:
                 break  # invariant subspace exhausted, try a fresh vector
             Q[:, nq] = w / beta
-            betas.append(beta)
+            T[nq - 1, nq] = T[nq, nq - 1] = beta
             nq += 1
     v = best_vec / np.linalg.norm(best_vec)
     return LanczosResult(best_val, v, total_iters, False)

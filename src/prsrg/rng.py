@@ -3,12 +3,12 @@
 All randomness in a run flows from one 64-bit master seed through a tree of
 named streams. A stream is addressed by a path of small integers, e.g.
 
-    master -> (OUTER, t) -> (BATCH, k)
+    master -> (OUTER, t) -> (BATCH, e)
 
 and two consumers that hold the same path always see the same bits, no matter
-in which order (or on which thread) they instantiate their generators. That is
-the property the coupled-sequence experiments rely on: the randomness "tape"
-is addressed by position, not by consumption order.
+in which order they instantiate their generators. That is the property the
+coupled-sequence experiments rely on: the randomness "tape" of epoch e is
+addressed by position, and both runs read it in the same order.
 
 Implementation: ``numpy.random.SeedSequence`` with explicit ``spawn_key``
 paths feeding ``numpy.random.Philox``. SeedSequence spawning is numpy's
@@ -28,8 +28,8 @@ from .errors import ParameterError
 # contract (changing them changes every trace).
 TAG_OUTER = 1      # one child per outer iteration of the solver
 TAG_ANCHOR = 2     # one child per epoch anchor (large-batch draw)
-TAG_BATCH = 3      # one child per inner-step mini-batch draw
-TAG_BREAK = 4      # one child per inner-step uniform-break draw
+TAG_BATCH = 3      # one tape per epoch: stopping index, then its minibatches
+TAG_CHECK = 4      # the outer iteration's gradient-check large batch
 TAG_PERTURB = 5    # perturbation draws u0 ~ Unif(B(r))
 TAG_PROBLEM = 6    # problem-instance construction
 TAG_INIT = 7       # starting-point draws

@@ -28,7 +28,7 @@ from .diagnostics import Certification, certify
 from .errors import ContractViolation, InvariantViolation, ParameterError
 from .geometry import Manifold, ManifoldPoint
 from .pullback import LipschitzEstimate, PullbackOracle
-from .rng import TAG_ANCHOR, TAG_DIAG, TAG_OUTER, TAG_PERTURB, as_stream
+from .rng import TAG_CHECK, TAG_DIAG, TAG_OUTER, TAG_PERTURB, as_stream
 from .trace import _STEP_EVENTS, TraceRow
 from .tssrg import ExitReason, TssrgParams, tssrg_run
 
@@ -257,8 +257,7 @@ def prsrg_run(objective, manifold: Manifold, x0: ManifoldPoint,
         oracle = PullbackOracle(objective, x)
         ostream = stream.child(TAG_OUTER, outer_t)
         ok_small, g = small_grad_check(
-            oracle, B, params.epsilon,
-            ostream.child(TAG_ANCHOR, 0).generator())
+            oracle, B, params.epsilon, ostream.child(TAG_CHECK).generator())
         gnorm = g.norm
         if pending is not None:
             label = "useful" if ok_small else "wasted"

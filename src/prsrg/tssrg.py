@@ -11,15 +11,14 @@ with I a minibatch of size ``b`` drawn i.i.d. with replacement. Three exits:
 
 * Boundary: the step u_{t-1} - eta * v_{t-1} would leave the ball; the run
   stops exactly on the sphere ||u|| = D at the unique alpha in (0, 1].
-* UniformBreak: in unperturbed runs with t < T_max the loop stops after the
-  step with probability 1 / (m - k + 1), which makes the stopping index
-  uniform on the anchor epoch.
-* MaxIter: t reached T_max (this guard wins: the break draw is skipped
-  whenever t >= T_max).
+* UniformBreak: an unperturbed run stops after step K of its first epoch,
+  K uniform on {1, ..., m} (the output iterate of SVRG and SARAH; the same
+  law as breaking after step k with probability 1 / (m - k + 1)).
+* MaxIter: t reached T_max (this guard wins when K = t = T_max).
 
-Randomness is consumed from position-keyed substreams, one per inner index,
-so two runs that share a stream see identical minibatches and break draws at
-every t regardless of where either run exits.
+Epoch e reads one generator, the tape ``stream.child(TAG_BATCH, e)``: first
+K, drawn by every run, then the minibatches in step order. So two runs that
+share a stream see identical minibatches at every t that both reach.
 
 ``tssrg_run`` validates its inputs once, at entry: u0 and ``anchor_grad``
 must be based at the oracle's anchor, u0 must lie in the run ball, and the
@@ -45,7 +44,7 @@ import numpy as np
 from .errors import ContractViolation, NumericalFailure, OutOfBall, ParameterError
 from .geometry import ManifoldPoint, TangentVector, _norm
 from .pullback import PullbackOracle
-from .rng import TAG_ANCHOR, TAG_BATCH, TAG_BREAK, StreamTree
+from .rng import TAG_ANCHOR, TAG_BATCH, StreamTree
 from .trace import TraceRow, TraceSegment
 
 
@@ -182,6 +181,8 @@ def tssrg_run(oracle: PullbackOracle, u0: TangentVector, params: TssrgParams,
 
     t = 0
     while True:
+        tape = stream.child(TAG_BATCH, t // params.m).generator()
+        stop_k = tape.integers(1, params.m + 1)
         for k in range(1, params.m + 1):
             t += 1
             w = params.eta * v
@@ -195,23 +196,18 @@ def tssrg_run(oracle: PullbackOracle, u0: TangentVector, params: TssrgParams,
                 emit(k, u_exit, _norm(u_exit), v_norm, "boundary",
                      du=alpha * params.eta * v_norm)
                 return finish(u_exit, ExitReason.BOUNDARY, t)
-            gen = stream.child(TAG_BATCH, t).generator()
-            batch = obj.sample_minibatch(params.b, gen)
+            batch = obj.sample_minibatch(params.b, tape)
             v = oracle._grad(batch, u_next) - oracle._grad(batch, u_prev) + v
             _require_finite(v, "gradient estimate", t)
             event = "step"
             if t >= params.T_max:
                 event = "max_iter"
-            elif not perturbed:
-                p = 1.0 / (params.m - k + 1)
-                if stream.child(TAG_BREAK, t).generator().random() < p:
-                    event = "uniform_break"
+            elif not perturbed and k == stop_k:
+                event = "uniform_break"
             emit(k, u_next, u_next_norm, _norm(v), event,
                  gap=gap_at(u_next, v), du=_norm(w))
-            if event == "max_iter":
-                return finish(u_next, ExitReason.MAX_ITER, t)
-            if event == "uniform_break":
-                return finish(u_next, ExitReason.UNIFORM_BREAK, t)
+            if event != "step":
+                return finish(u_next, ExitReason(event), t)
             u_prev, u_norm = u_next, u_next_norm
         gen = stream.child(TAG_ANCHOR, t // params.m).generator()
         v = oracle._grad(obj.sample_largebatch(params.B_size, gen), u_prev)
@@ -225,9 +221,9 @@ def tssrg_run_coupled(oracle: PullbackOracle, u0_a: TangentVector,
                       record_gaps: bool = False) -> tuple[TssrgOutcome, TssrgOutcome]:
     """Run two sequences from u0_a and u0_b on one randomness tape.
 
-    Both runs read the same position-keyed substreams, so minibatches and
-    break draws agree at every inner index; only the starting vectors differ.
-    Identical starting vectors therefore give bit-identical outcomes.
+    Both runs read the same per-epoch tapes, so minibatches agree at every
+    inner index both reach, even when one start is zero and that run breaks
+    early. Identical starting vectors therefore give bit-identical outcomes.
     """
     out_a = tssrg_run(oracle, u0_a, params, stream, record_u=record_u,
                       record_gaps=record_gaps)

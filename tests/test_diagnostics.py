@@ -27,6 +27,7 @@ from prsrg import (
     stuck_region_experiment,
     tssrg_run,
 )
+from prsrg.diagnostics import LANCZOS_MAX_ITERS, LANCZOS_RESTARTS
 from prsrg.rng import TAG_OUTER, master_stream
 from prsrg.trace import TraceRow, TraceSegment
 
@@ -71,6 +72,18 @@ def test_lanczos_deterministic():
     a = lanczos_min_eig(lambda v: H @ v, 12)
     b = lanczos_min_eig(lambda v: H @ v, 12)
     assert a.value == b.value and a.iterations == b.iterations
+
+
+def test_lanczos_unconverged_above_iteration_cap():
+    # a dense spectrum in more dimensions than LANCZOS_MAX_ITERS: every
+    # restart runs to the cap and the best Ritz pair comes back unconverged
+    d = np.linspace(0.0, 1.0, 2000)
+    res = lanczos_min_eig(lambda v: d * v, d.size)
+    assert not res.converged
+    assert res.iterations == (LANCZOS_RESTARTS + 1) * LANCZOS_MAX_ITERS
+    assert 0.0 <= res.value <= 1e-3
+    assert res.value == pytest.approx(res.vector @ (d * res.vector),
+                                      rel=1e-9)
 
 
 def test_lanczos_validates_dimension():

@@ -4,6 +4,7 @@ accounting, and fixed-point behaviour at exact saddles."""
 from __future__ import annotations
 
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from prsrg import (
 )
 from prsrg.solver import _affordable_T
 from prsrg.trace import EPOCH_TYPES
-from prsrg.rng import master_stream
+from prsrg.rng import StreamTree, master_stream
 
 
 # -------------------------------------------------------- derive_params
@@ -320,6 +321,79 @@ def test_seed_reproducibility(medium_rayleigh):
     for ra, rb in zip(a.trace, b.trace):
         assert ra.F_value == rb.F_value and ra.event == rb.event
 
+
+# --------------------------------------------------- independent batches
+
+@pytest.fixture
+def generator_origins(monkeypatch):
+    """id(generator) -> (seed, path, generator) for every generator a
+    StreamTree mints during the test; holding each generator keeps its id
+    unique."""
+    origins = {}
+    mint = StreamTree.generator
+
+    def generator(self):
+        gen = mint(self)
+        origins[id(gen)] = (self.seed, self.path, gen)
+        return gen
+
+    monkeypatch.setattr(StreamTree, "generator", generator)
+    return origins
+
+
+class _BatchLedger:
+    """Delegating objective that keys every batch a gradient is taken over
+    by (seed, stream path, draw position on that generator)."""
+
+    def __init__(self, base, origins):
+        self._base = base
+        self._origins = origins
+        self._draws = Counter()
+        self._keys = {}
+        self.charged = {}
+        self.queries = 0
+
+    def __getattr__(self, name):
+        return getattr(self._base, name)
+
+    def _record(self, batch, gen):
+        seed, path, _ = self._origins[id(gen)]
+        self._keys[id(batch)] = (batch, (seed, path, self._draws[id(gen)]))
+        self._draws[id(gen)] += 1
+        return batch
+
+    def sample_minibatch(self, b, gen):
+        return self._record(self._base.sample_minibatch(b, gen), gen)
+
+    def sample_largebatch(self, B, gen):
+        return self._record(self._base.sample_largebatch(B, gen), gen)
+
+    def batch_riem_grad(self, batch, x):
+        self.charged[id(batch)] = self._keys[id(batch)][1]
+        self.queries += batch.size
+        return self._base.batch_riem_grad(batch, x)
+
+
+@pytest.mark.parametrize("mode", ["online", "finite_sum"])
+def test_charged_batches_never_share_samples(mode, generator_origins):
+    # a strict-saddle start: the gradient check passes, certification fails
+    # and escapes follow; B < n, so finite-sum checks and anchors sample too
+    spec = np.linspace(2.0, 0.5, 6)
+    if mode == "online":
+        obj = make_streaming_rayleigh(d=6, spectrum=spec, seed=None)
+    else:
+        obj = make_rayleigh(d=6, n=400, spectrum=spec, noise_scale=0.2,
+                            seed=None)
+    tss = TssrgParams(eta=0.05, m=8, b=8, B_size=200, D=0.5, T_max=40)
+    params = SolverParams(tssrg=tss, r=0.05, epsilon=1.0, delta=0.1,
+                          budget=3000, mode=mode)
+    ledger = _BatchLedger(obj, generator_origins)
+    report = prsrg_run(ledger, obj.manifold, obj.eigvec(1), params,
+                       master_stream(1))
+    assert report.epochs["escape"] >= 1
+    assert ledger.queries == report.queries_used
+    keys = list(ledger.charged.values())
+    assert len(keys) == len(set(keys))
 
 # ------------------------------------------------------------ auto_solve
 

@@ -27,7 +27,7 @@ from prsrg import (
     tssrg_run,
     tssrg_run_coupled,
 )
-from prsrg.rng import TAG_ANCHOR, TAG_BATCH, TAG_BREAK, TAG_OUTER, master_stream
+from prsrg.rng import TAG_ANCHOR, TAG_BATCH, TAG_OUTER, master_stream
 
 
 def _params(**kw):
@@ -265,6 +265,54 @@ def test_coupled_difference_grows_at_exact_rate():
         assert dev == pytest.approx(expect, rel=1e-10)
 
 
+class _MinibatchRecorder:
+    """Delegating objective that keeps every minibatch it samples."""
+
+    def __init__(self, base):
+        self._base = base
+        self.minibatches = []
+
+    def __getattr__(self, name):
+        return getattr(self._base, name)
+
+    def sample_minibatch(self, b, rng):
+        batch = self._base.sample_minibatch(b, rng)
+        self.minibatches.append(batch.data if batch.idx is None else batch.idx)
+        return batch
+
+
+@pytest.mark.parametrize("kind", ["rayleigh", "streaming"])
+@pytest.mark.parametrize("r_a, r_b", [(0.0, 0.01), (0.01, 0.0), (0.2, 1e-3)])
+def test_coupled_runs_share_minibatches_until_either_exits(kind, r_a, r_b):
+    # starts along the escape direction of a strict saddle: a zero start
+    # breaks at its stopping index, the larger start leaves the ball first
+    spec = np.concatenate(([2.0, 1.0], np.linspace(0.9, 0.1, 18)))
+    if kind == "rayleigh":
+        obj = make_rayleigh(d=20, n=100, spectrum=spec, noise_scale=0.4,
+                            seed=5)
+    else:
+        obj = make_streaming_rayleigh(d=20, spectrum=spec, seed=5)
+    recorder = _MinibatchRecorder(obj)
+    oracle = PullbackOracle(recorder, obj.eigvec(1))
+    e0 = obj.eigvec(0).coords
+    params = _params(eta=0.05, m=4, b=8, B_size=40, T_max=40)
+    a, b = tssrg_run_coupled(oracle, oracle.tangent(r_a * e0),
+                             oracle.tangent(r_b * e0), params,
+                             master_stream(3).child(TAG_OUTER, 0))
+    # a boundary exit at step t stops before drawing that step's minibatch
+    drawn_a = a.iterations - (a.exit is ExitReason.BOUNDARY)
+    drawn_b = b.iterations - (b.exit is ExitReason.BOUNDARY)
+    assert drawn_a != drawn_b
+    assert len(recorder.minibatches) == drawn_a + drawn_b
+    shared = min(drawn_a, drawn_b)
+    if r_a > 0 and r_b > 0:
+        assert shared > params.m  # the shared steps span an epoch change
+    batches_a = recorder.minibatches[:drawn_a]
+    batches_b = recorder.minibatches[drawn_a:]
+    for t in range(shared):
+        assert np.array_equal(batches_a[t], batches_b[t])
+
+
 # --------------------------------------------------------- failure paths
 
 class _PoisonAfter:
@@ -366,8 +414,8 @@ def test_boundary_row_costs_nothing():
 def _reference_run(oracle, u0, params, stream, anchor_grad=None,
                    record_gaps=False):
     """The tangent-space loop stepped through the public, validating oracle
-    calls on TangentVectors, drawing from the same stream positions as
-    tssrg_run. Returns (rows, du_norms, u_final, exit, iterations)."""
+    calls on TangentVectors, reading the same per-epoch tapes and anchor
+    streams as tssrg_run. Returns (rows, du_norms, u_final, exit, iterations)."""
     x, obj = oracle.anchor, oracle.objective
     perturbed = np.linalg.norm(u0.coords) > 0.0
     rows, dus = [], []
@@ -389,6 +437,8 @@ def _reference_run(oracle, u0, params, stream, anchor_grad=None,
     emit(0, u_prev, v, "anchor")
     t = 0
     while True:
+        tape = stream.child(TAG_BATCH, t // params.m).generator()
+        stop_k = tape.integers(1, params.m + 1)
         for k in range(1, params.m + 1):
             t += 1
             w = params.eta * v.coords
@@ -399,18 +449,15 @@ def _reference_run(oracle, u0, params, stream, anchor_grad=None,
                 emit(k, u_exit, v, "boundary",
                      du=alpha * params.eta * float(np.linalg.norm(v.coords)))
                 return rows, dus, u_exit.coords, ExitReason.BOUNDARY, t
-            gen = stream.child(TAG_BATCH, t).generator()
-            batch = obj.sample_minibatch(params.b, gen)
+            batch = obj.sample_minibatch(params.b, tape)
             g_new = oracle.grad_batch(batch, u_next)
             g_old = oracle.grad_batch(batch, u_prev)
             v = TangentVector(x, g_new.coords - g_old.coords + v.coords)
             event = "step"
             if t >= params.T_max:
                 event = "max_iter"
-            elif not perturbed:
-                p = 1.0 / (params.m - k + 1)
-                if stream.child(TAG_BREAK, t).generator().random() < p:
-                    event = "uniform_break"
+            elif not perturbed and k == stop_k:
+                event = "uniform_break"
             emit(k, u_next, v, event, du=float(np.linalg.norm(w)))
             if event != "step":
                 return rows, dus, u_next.coords, ExitReason(event), t
