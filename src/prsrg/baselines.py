@@ -41,8 +41,8 @@ class BaselineConfig:
                                  f"got {self.kind!r}")
         if not (self.eta > 0 and math.isfinite(self.eta)):
             raise ParameterError(f"eta must be positive, got {self.eta}")
-        if self.r < 0:
-            raise ParameterError(f"r must be >= 0, got {self.r}")
+        if not 0 <= self.r < math.inf:
+            raise ParameterError(f"r must be finite and >= 0, got {self.r}")
         if self.escape_steps < 1:
             raise ParameterError("escape_steps must be >= 1")
         if self.batch < 1:
@@ -163,8 +163,8 @@ def baseline_run(objective, manifold: Manifold, x0: ManifoldPoint,
                  config: BaselineConfig, epsilon: float, delta: float,
                  budget: int, rng) -> SolverReport:
     """Run one comparator under the same budget discipline as the solver."""
-    if epsilon <= 0 or delta <= 0:
-        raise ParameterError("epsilon and delta must be positive")
+    if not (0 < epsilon < math.inf and 0 < delta < math.inf):
+        raise ParameterError("epsilon and delta must be positive and finite")
     if budget < 0:
         raise ParameterError("budget must be >= 0")
     manifold._require_point(x0)

@@ -158,8 +158,8 @@ def certify(oracle: PullbackOracle, epsilon: float,
     converged. Every Hessian action is charged to the oracle's
     ``diag_queries``, never to the optimizer budget.
     """
-    if epsilon <= 0 or delta <= 0:
-        raise ParameterError("epsilon and delta must be positive")
+    if not (0 < epsilon < math.inf and 0 < delta < math.inf):
+        raise ParameterError("epsilon and delta must be positive and finite")
     gnorm = oracle.exact_grad(oracle.zero()).norm
     res = _hessian_lanczos(oracle)
     tol = LANCZOS_TOL_FACTOR * max(abs(res.value), 1.0)
@@ -334,8 +334,8 @@ def stuck_region_experiment(oracle: PullbackOracle, params: TssrgParams,
     delta/(c2*rho_hat) and whether either run decreased F by at least twice
     the escape threshold.
     """
-    if rho_hat <= 0 or nu <= 0 or r <= 0:
-        raise ParameterError("nu, r, rho_hat must be positive")
+    if not all(0 < v < math.inf for v in (rho_hat, nu, r, c2)):
+        raise ParameterError("nu, r, rho_hat, c2 must be positive and finite")
     if trials < 0:
         raise ParameterError("trials must be >= 0")
 

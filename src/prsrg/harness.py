@@ -1,8 +1,14 @@
 """Experiment configuration, runners, and sweeps.
 
-Configs are INI files (configparser dialect) with sections [experiment],
-[problem], [solver], [constants], [baseline], [couple], [sweep]; any other
-section or key is an error. Every run is a pure function of (config, seed):
+Configs are INI files (configparser dialect). Each section is stated once,
+as a frozen dataclass whose fields are its keys in dump order: a field's
+annotation gives the key's type (int, finite float, str or boolean; ``T |
+None`` may be unset) and its default the key's default. [experiment] is
+ExperimentConfig's scalar fields; its other fields are the sections
+[problem], [solver], [constants], [baseline], [couple] and [sweep].
+parse_config and dump_config walk the fields; the one key they name is
+[sweep] n, held in SweepSpec.n_values. Any other section or key is an
+error. Every run is a pure function of (config, seed):
 all randomness descends from the seed through position-keyed substreams, so
 reruns reproduce traces byte for byte, and a sweep cell writes the same
 bytes as a standalone run of that cell's config.
@@ -21,6 +27,8 @@ import configparser
 import dataclasses
 import io
 import json
+import math
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -36,13 +44,13 @@ from .problems import (_loadtxt, load_matrix, make_data_rayleigh,
 from .pullback import LipschitzEstimate, PullbackOracle
 from .rng import TAG_INIT, master_stream
 from .solver import SolverConstants, SolverParams, probe_params, prsrg_run
+from .tssrg import TssrgParams
 from .trace import write_trace
 
 ALGOS = ("prsrg", "prgd", "rsgd", "rsrg_unperturbed")
 PROBLEM_KINDS = ("rayleigh", "quadratic_saddle", "streaming_rayleigh",
                  "data_rayleigh")
 
-_SOLVER_OVERRIDE_KEYS = ("eta", "m", "b", "B", "T_max", "r", "D")
 # far above any dimension whose dense d x d problem matrices fit in memory
 _MAX_LINSPACE = 1_000_000
 
@@ -86,15 +94,40 @@ def format_spectrum(arr) -> str:
 class ProblemSpec:
     manifold: str = "sphere:100"
     kind: str = "rayleigh"
-    n: int | None = 1000
     spectrum: str = "2.0,1.0,linspace:0.9:0.1:98"
     noise_scale: float = 0.5
-    rotation_seed: int | None = None
     gamma: float = 1.0
     L_top: float = 2.0
     sigma_radius: float = 2.0
-    data: str | None = None
     start: str = "random"
+    n: int | None = 1000
+    rotation_seed: int | None = None
+    data: str | None = None
+
+
+@dataclass(frozen=True)
+class SolverSpec:
+    """(epsilon, delta), the sampling mode, and optional overrides of the
+    derived run parameters (None keeps the derived value)."""
+
+    epsilon: float = 1e-3
+    delta: float = 0.1
+    mode: str | None = None
+    eta: float | None = None
+    m: int | None = None
+    b: int | None = None
+    B: int | None = None
+    T_max: int | None = None
+    r: float | None = None
+    D: float | None = None
+
+
+@dataclass(frozen=True)
+class BaselineSpec:
+    eta: float = 0.1
+    r: float = 0.01
+    escape_steps: int = 20
+    batch: int = 8
 
 
 @dataclass(frozen=True)
@@ -108,7 +141,7 @@ class CoupleSpec:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    n_values: tuple[int, ...] = ()
+    n_values: tuple[int, ...] = ()  # the [sweep] n key
     seeds: int = 1
 
     def __post_init__(self):
@@ -124,19 +157,13 @@ class SweepSpec:
 class ExperimentConfig:
     seed: int = 0
     budget: int = 1_000_000
-    out: str | None = None
     algo: str = "prsrg"
     record_gaps: bool = False
+    out: str | None = None
     problem: ProblemSpec = field(default_factory=ProblemSpec)
-    epsilon: float = 1e-3
-    delta: float = 0.1
-    mode: str | None = None
-    overrides: tuple[tuple[str, float], ...] = ()
+    solver: SolverSpec = field(default_factory=SolverSpec)
     constants: SolverConstants = field(default_factory=SolverConstants)
-    baseline_eta: float = 0.1
-    baseline_r: float = 0.01
-    baseline_escape_steps: int = 20
-    baseline_batch: int = 8
+    baseline: BaselineSpec = field(default_factory=BaselineSpec)
     couple: CoupleSpec = field(default_factory=CoupleSpec)
     sweep: SweepSpec = field(default_factory=SweepSpec)
 
@@ -154,13 +181,51 @@ class ExperimentConfig:
                 "streaming_rayleigh", "data_rayleigh"):
             raise ParameterError(f"[sweep] n: a {self.problem.kind} problem "
                                  "has no n to sweep")
-        for key, _ in self.overrides:
-            if key not in _SOLVER_OVERRIDE_KEYS:
-                raise ParameterError(f"[solver] unknown override {key!r}")
+
+
+def _finite_float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
+
+
+def _strict_bool(raw: str) -> bool:
+    states = configparser.ConfigParser.BOOLEAN_STATES
+    if raw.lower() not in states:
+        raise ValueError(f"not a boolean: use one of {', '.join(states)}")
+    return states[raw.lower()]
+
+
+_CONVERTERS = {int: int, float: _finite_float, str: str, bool: _strict_bool}
+_FORMATTERS = {float: repr, bool: lambda v: str(v).lower()}  # others: str
+
+
+def _fields(cls):
+    """(name, type, default) per field of a section; ``T | None`` reads T."""
+    hints = typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        args = typing.get_args(hints[f.name])
+        kind = args[0] if type(None) in args else hints[f.name]
+        yield f.name, kind, f.default
+
+
+def _convert(section: str, key: str, raw: str, kind, default):
+    """Read one value; ``none`` or an empty value unsets an optional key
+    (one whose default is None) and is an error anywhere else."""
+    raw = raw.strip()
+    if raw.lower() in ("none", ""):
+        if default is None:
+            return None
+        raise ParameterError(f"[{section}] {key} needs a value")
+    try:
+        return _CONVERTERS[kind](raw)
+    except (TypeError, ValueError) as exc:
+        raise ParameterError(f"[{section}] {key} = {raw!r}: {exc}") from exc
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse INI text; every section and key must be one that is read."""
+    """Parse INI text; every section and key must be a dataclass field."""
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str  # solver keys b and B are distinct sizes
     try:
@@ -168,92 +233,33 @@ def parse_config(text: str) -> ExperimentConfig:
     except configparser.Error as exc:
         # configparser errors carry line numbers for syntax problems
         raise ParameterError(f"config parse error: {exc}") from exc
-    read: set[tuple[str, str]] = set()
-
-    def get(section, key, conv, default):
-        """Read one option; ``none`` or an empty value unsets an optional
-        key (one whose default is None) and is an error anywhere else."""
-        read.add((section, key))
-        if not parser.has_option(section, key):
-            return default
-        raw = parser.get(section, key).strip()
-        if raw.lower() in ("none", ""):
-            if default is None:
-                return None
-            raise ParameterError(f"[{section}] {key} needs a value")
-        try:
-            if conv is bool:
-                return raw.lower() in ("1", "true", "yes", "on")
-            return conv(raw)
-        except (TypeError, ValueError) as exc:
-            raise ParameterError(f"[{section}] {key} = {raw!r}: {exc}") from exc
-
-    prob = ProblemSpec(
-        manifold=get("problem", "manifold", str, "sphere:100"),
-        kind=get("problem", "kind", str, "rayleigh"),
-        n=get("problem", "n", int, 1000),
-        spectrum=get("problem", "spectrum", str,
-                     "2.0,1.0,linspace:0.9:0.1:98"),
-        noise_scale=get("problem", "noise_scale", float, 0.5),
-        rotation_seed=get("problem", "rotation_seed", int, None),
-        gamma=get("problem", "gamma", float, 1.0),
-        L_top=get("problem", "L_top", float, 2.0),
-        sigma_radius=get("problem", "sigma_radius", float, 2.0),
-        data=get("problem", "data", str, None),
-        start=get("problem", "start", str, "random"),
-    )
-    overrides = []
-    for key in _SOLVER_OVERRIDE_KEYS:
-        v = get("solver", key, float, None)
-        if v is not None:
-            overrides.append((key, float(v)))
-    cons = SolverConstants(
-        c_eta=get("constants", "c_eta", float, 0.1),
-        c_T=get("constants", "c_T", float, 20.0),
-        c_r=get("constants", "c_r", float, 1.0),
-        c_m=get("constants", "c_m", float, 1.0),
-        c_B=get("constants", "c_B", float, 16.0),
-    )
-    couple = CoupleSpec(
-        nu=get("couple", "nu", float, 0.1),
-        trials=get("couple", "trials", int, 50),
-        c2=get("couple", "c2", float, 1.0),
-        c3=get("couple", "c3", float, 10.0),
-        rho_hat=get("couple", "rho_hat", float, None),
-    )
-    n_raw = get("sweep", "n", str, None)
-    try:
-        n_values = tuple(int(s) for s in (n_raw or "").split(",")
-                         if s.strip())
-    except ValueError as exc:
-        raise ParameterError(f"[sweep] n = {n_raw!r}: {exc}") from exc
-    sweep = SweepSpec(n_values=n_values,
-                      seeds=get("sweep", "seeds", int, 1))
-    cfg = ExperimentConfig(
-        seed=get("experiment", "seed", int, 0),
-        budget=get("experiment", "budget", int, 1_000_000),
-        out=get("experiment", "out", str, None),
-        algo=get("experiment", "algo", str, "prsrg"),
-        record_gaps=get("experiment", "record_gaps", bool, False),
-        problem=prob, epsilon=get("solver", "epsilon", float, 1e-3),
-        delta=get("solver", "delta", float, 0.1),
-        mode=get("solver", "mode", str, None),
-        overrides=tuple(overrides), constants=cons, couple=couple,
-        sweep=sweep,
-        baseline_eta=get("baseline", "eta", float, 0.1),
-        baseline_r=get("baseline", "r", float, 0.01),
-        baseline_escape_steps=get("baseline", "escape_steps", int, 20),
-        baseline_batch=get("baseline", "batch", int, 8),
-    )
     if parser.defaults():
         raise ParameterError("config section [DEFAULT] is not supported")
-    sections = {s for s, _ in read}
-    for section in parser.sections():
-        if section not in sections:
-            raise ParameterError(f"unknown config section [{section}]")
-        for key in parser.options(section):
-            if (section, key) not in read:
-                raise ParameterError(f"[{section}] unknown key {key!r}")
+    unread = {s: dict(parser.items(s)) for s in parser.sections()}
+
+    def read(section: str, cls):
+        values = unread.pop(section, {})
+        kwargs = {}
+        if cls is SweepSpec and "n" in values:
+            n_raw = _convert(section, "n", values.pop("n"), str, None)
+            try:
+                kwargs["n_values"] = tuple(
+                    int(s) for s in (n_raw or "").split(",") if s.strip())
+            except ValueError as exc:
+                raise ParameterError(f"[sweep] n = {n_raw!r}: {exc}") from exc
+        for name, kind, default in _fields(cls):
+            if dataclasses.is_dataclass(kind):
+                kwargs[name] = read(name, kind)
+            elif kind in _CONVERTERS and name in values:
+                kwargs[name] = _convert(section, name, values.pop(name),
+                                        kind, default)
+        for key in values:
+            raise ParameterError(f"[{section}] unknown key {key!r}")
+        return cls(**kwargs)
+
+    cfg = read("experiment", ExperimentConfig)
+    for section in unread:
+        raise ParameterError(f"unknown config section [{section}]")
     return cfg
 
 
@@ -262,47 +268,24 @@ def load_config(path) -> ExperimentConfig:
 
 
 def dump_config(cfg: ExperimentConfig) -> str:
-    """Serialize a config; parse_config(dump_config(c)) == c."""
+    """Serialize a config; parse_config(dump_config(c)) == c. Unset
+    optional keys are left out, and so is [sweep] when it sweeps no n."""
     p = configparser.ConfigParser(interpolation=None)
     p.optionxform = str
-    p["experiment"] = {
-        "seed": str(cfg.seed), "budget": str(cfg.budget),
-        "algo": cfg.algo, "record_gaps": str(cfg.record_gaps).lower(),
-    }
-    if cfg.out is not None:
-        p["experiment"]["out"] = cfg.out
-    prob = cfg.problem
-    p["problem"] = {
-        "manifold": prob.manifold, "kind": prob.kind,
-        "spectrum": prob.spectrum, "noise_scale": repr(prob.noise_scale),
-        "gamma": repr(prob.gamma), "L_top": repr(prob.L_top),
-        "sigma_radius": repr(prob.sigma_radius), "start": prob.start,
-    }
-    if prob.n is not None:
-        p["problem"]["n"] = str(prob.n)
-    if prob.rotation_seed is not None:
-        p["problem"]["rotation_seed"] = str(prob.rotation_seed)
-    if prob.data is not None:
-        p["problem"]["data"] = prob.data
-    p["solver"] = {"epsilon": repr(cfg.epsilon), "delta": repr(cfg.delta)}
-    if cfg.mode is not None:
-        p["solver"]["mode"] = cfg.mode
-    for key, val in cfg.overrides:
-        p["solver"][key] = repr(val)
-    c = cfg.constants
-    p["constants"] = {"c_eta": repr(c.c_eta), "c_T": repr(c.c_T),
-                      "c_r": repr(c.c_r), "c_m": repr(c.c_m),
-                      "c_B": repr(c.c_B)}
-    p["baseline"] = {"eta": repr(cfg.baseline_eta), "r": repr(cfg.baseline_r),
-                     "escape_steps": str(cfg.baseline_escape_steps),
-                     "batch": str(cfg.baseline_batch)}
-    p["couple"] = {"nu": repr(cfg.couple.nu), "trials": str(cfg.couple.trials),
-                   "c2": repr(cfg.couple.c2), "c3": repr(cfg.couple.c3)}
-    if cfg.couple.rho_hat is not None:
-        p["couple"]["rho_hat"] = repr(cfg.couple.rho_hat)
-    if cfg.sweep.n_values:
-        p["sweep"] = {"n": ",".join(str(v) for v in cfg.sweep.n_values),
-                      "seeds": str(cfg.sweep.seeds)}
+
+    def write(section: str, spec) -> None:
+        p[section] = {}
+        for name, kind, _ in _fields(type(spec)):
+            value = getattr(spec, name)
+            if dataclasses.is_dataclass(kind):
+                if kind is not SweepSpec or value.n_values:
+                    write(name, value)
+            elif name == "n_values":
+                p[section]["n"] = ",".join(str(v) for v in value)
+            elif value is not None:
+                p[section][name] = _FORMATTERS.get(kind, str)(value)
+
+    write("experiment", cfg)
     buf = io.StringIO()
     p.write(buf)
     return buf.getvalue()
@@ -396,24 +379,16 @@ def load_point(man: Manifold, path) -> ManifoldPoint:
     return man.point(arr.ravel())
 
 
-def _apply_overrides(params: SolverParams, overrides) -> SolverParams:
-    tss = params.tssrg
-    tkw = {}
-    pkw = {}
-    for key, val in overrides:
-        if key in ("eta", "D"):
-            tkw[key] = float(val)
-        elif key in ("m", "b"):
-            tkw[key] = int(val)
-        elif key == "B":
-            tkw["B_size"] = int(val)
-        elif key == "T_max":
-            tkw["T_max"] = int(val)
-        elif key == "r":
-            pkw["r"] = float(val)
-    if tkw:
-        tss = dataclasses.replace(tss, **tkw)
-    return dataclasses.replace(params, tssrg=tss, **pkw)
+def _apply_overrides(params: SolverParams, spec: SolverSpec) -> SolverParams:
+    """params with each set [solver] override in place of its derived value."""
+    def pick(value, derived):
+        return derived if value is None else value
+
+    t = params.tssrg
+    tss = TssrgParams(eta=pick(spec.eta, t.eta), m=pick(spec.m, t.m),
+                      b=pick(spec.b, t.b), B_size=pick(spec.B, t.B_size),
+                      D=pick(spec.D, t.D), T_max=pick(spec.T_max, t.T_max))
+    return dataclasses.replace(params, tssrg=tss, r=pick(spec.r, params.r))
 
 
 def resolve_params(cfg: ExperimentConfig, objective, x0,
@@ -422,10 +397,11 @@ def resolve_params(cfg: ExperimentConfig, objective, x0,
 
     Returns (params, lipschitz_estimate).
     """
-    params, est = probe_params(objective, x0, cfg.epsilon, cfg.delta,
-                               cfg.budget, stream, mode=cfg.mode,
+    spec = cfg.solver
+    params, est = probe_params(objective, x0, spec.epsilon, spec.delta,
+                               cfg.budget, stream, mode=spec.mode,
                                constants=cfg.constants)
-    return _apply_overrides(params, cfg.overrides), est
+    return _apply_overrides(params, spec), est
 
 
 def run_experiment(cfg: ExperimentConfig, *, out: str | None = None,
@@ -450,12 +426,10 @@ def run_experiment(cfg: ExperimentConfig, *, out: str | None = None,
         report = prsrg_run(objective, man, x0, params, stream,
                            record_gaps=cfg.record_gaps)
     else:
-        bcfg = BaselineConfig(kind=cfg.algo, eta=cfg.baseline_eta,
-                              r=cfg.baseline_r,
-                              escape_steps=cfg.baseline_escape_steps,
-                              batch=cfg.baseline_batch)
-        report = baseline_run(objective, man, x0, bcfg, cfg.epsilon,
-                              cfg.delta, cfg.budget, stream)
+        bcfg = BaselineConfig(kind=cfg.algo,
+                              **dataclasses.asdict(cfg.baseline))
+        report = baseline_run(objective, man, x0, bcfg, cfg.solver.epsilon,
+                              cfg.solver.delta, cfg.budget, stream)
     report.seed = cfg.seed
     target = out if out is not None else cfg.out
     if target is not None:
@@ -558,7 +532,8 @@ def run_certify(cfg: ExperimentConfig, point_path, *,
     """Certify a stored point against the configured problem."""
     objective = build_problem(cfg)
     x = load_point(objective.manifold, point_path)
-    cert = certify(PullbackOracle(objective, x), cfg.epsilon, cfg.delta)
+    cert = certify(PullbackOracle(objective, x), cfg.solver.epsilon,
+                   cfg.solver.delta)
     payload = cert.as_dict()
     target = out if out is not None else cfg.out
     if target is not None:

@@ -71,10 +71,12 @@ class SolverParams:
     mode: str
 
     def __post_init__(self):
-        if self.epsilon <= 0 or self.delta <= 0:
-            raise ParameterError("epsilon and delta must be positive")
-        if self.r < 0:
-            raise ParameterError(f"perturbation radius must be >= 0, got {self.r}")
+        if not (0 < self.epsilon < math.inf and 0 < self.delta < math.inf):
+            raise ParameterError("epsilon and delta must be positive and "
+                                 "finite")
+        if not 0 <= self.r < math.inf:
+            raise ParameterError(f"perturbation radius must be finite and "
+                                 f">= 0, got {self.r}")
         if self.budget < 0:
             raise ParameterError(f"budget must be >= 0, got {self.budget}")
         if self.mode not in (FINITE_SUM, ONLINE):
@@ -128,8 +130,8 @@ def derive_params(mode: str, n_or_sigma, epsilon: float, delta: float,
     quadratic objectives).
     """
     cons = constants if constants is not None else SolverConstants()
-    if epsilon <= 0 or delta <= 0:
-        raise ParameterError("epsilon and delta must be positive")
+    if not (0 < epsilon < math.inf and 0 < delta < math.inf):
+        raise ParameterError("epsilon and delta must be positive and finite")
     if L_hat <= 0 or not math.isfinite(L_hat):
         raise ParameterError(f"L_hat must be positive, got {L_hat}")
     if rho_hat < 0 or not math.isfinite(rho_hat):
@@ -174,7 +176,7 @@ def small_grad_check(oracle: PullbackOracle, B_size: int, epsilon: float,
                      rng) -> tuple[bool, "TangentVector"]:
     """Large-batch gradient at the origin of T_x M (x the oracle anchor) and
     its epsilon test."""
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ParameterError("epsilon must be positive")
     g = oracle.grad_largebatch(B_size, oracle.zero(), rng)
     return bool(g.norm <= epsilon), g
@@ -189,23 +191,14 @@ def _affordable_T(remaining: int, B: int, b: int, m: int,
               + 2 b T                (two minibatch gradients per step).
     """
     a0 = 0 if first_anchor_paid else B
-
-    def cost(T: int) -> int:
-        return a0 + B * ((T - 1) // m) + 2 * b * T
-
-    if remaining < cost(1):
+    b2 = 2 * b
+    # T = 1 + j costs a0 + b2 + B floor(j/m) + b2 j; with k = floor(j/m)
+    # re-anchors, j may run to k m + m - 1 and to (left - B k) / b2
+    left = remaining - a0 - b2
+    if left < 0:
         return 0
-    lo, hi = 1, 2
-    while cost(hi) <= remaining:
-        lo = hi
-        hi *= 2
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        if cost(mid) <= remaining:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    k = left // (B + b2 * m)
+    return min((k + 1) * m, (left + b2 - B * k) // b2)
 
 
 def _half_rule_large(rows, epsilon: float) -> bool:

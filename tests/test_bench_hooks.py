@@ -65,3 +65,19 @@ def test_traced_run_records_every_common_span(tmp_path):
     check = _python(["-c", code, str(spans)], ["bench"])
     assert check.returncode == 0, check.stderr
     assert json.loads(check.stdout) == []
+
+
+def test_bench_setup_runs_on_every_workload(tmp_path):
+    # bench/setup.py reads harness config attributes directly, so a renamed
+    # field fails the benchmark's set-up phase before any run starts
+    code = ("import sys, pathlib, workloads\n"
+            "for name, w in workloads.WORKLOADS.items():\n"
+            "    path = pathlib.Path(sys.argv[1]) / f'{name}.ini'\n"
+            "    path.write_text(w.config.format(seed=1))")
+    out = _python(["-c", code, str(tmp_path)], ["bench"])
+    assert out.returncode == 0, out.stderr
+    configs = sorted(tmp_path.glob("*.ini"))
+    assert configs
+    for cfg in configs:
+        run = _python([str(ROOT / "bench" / "setup.py"), str(cfg)], ["src"])
+        assert run.returncode == 0, (cfg.name, run.stderr)

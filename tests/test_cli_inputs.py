@@ -62,6 +62,8 @@ def _assert_one_error_line(capsys):
     "manifold_mismatch_data", "n_negative", "n_zero", "sweep_seeds_zero",
     "sweep_n_repeated", "sweep_n_streaming", "data_csv_empty",
     "start_file_empty", "coords_norm_overflow", "data_csv_overflow",
+    "epsilon_nan", "delta_nan", "T_max_inf", "m_nan", "m_not_integer",
+    "record_gaps_not_boolean", "couple_nu_nan", "couple_c2_nan",
 ])
 def test_bad_input_exits_2_with_one_line(case, tmp_path, capsys):
     cfg_text = BASE.format(start="random")
@@ -117,6 +119,20 @@ def test_bad_input_exits_2_with_one_line(case, tmp_path, capsys):
         value = "-0.5" if case == "noise_scale_negative" else "nan"
         cfg_text = cfg_text.replace("noise_scale = 0.2",
                                     f"noise_scale = {value}")
+    elif case == "epsilon_nan":
+        cfg_text = cfg_text.replace("epsilon = 0.05", "epsilon = nan")
+    elif case == "delta_nan":
+        cfg_text = cfg_text.replace("delta = 0.5", "delta = nan")
+    elif case in ("T_max_inf", "m_nan", "m_not_integer"):
+        cfg_text += {"T_max_inf": "T_max = inf\n", "m_nan": "m = nan\n",
+                     "m_not_integer": "m = 2.7\n"}[case]
+    elif case == "record_gaps_not_boolean":
+        cfg_text = cfg_text.replace("budget = 6000",
+                                    "budget = 6000\nrecord_gaps = maybe")
+    elif case.startswith("couple_"):
+        command = "couple"
+        key = case[len("couple_"):-len("_nan")]
+        cfg_text += f"\n[couple]\n{key} = nan\n"
     elif case == "unknown_key":
         cfg_text = cfg_text.replace("budget = 6000", "budget = 6000\nbogus = 3")
     elif case == "misplaced_key":
@@ -154,7 +170,15 @@ def test_bad_input_exits_2_with_one_line(case, tmp_path, capsys):
               "unknown_section": "[solvr]",
               "manifold_mismatch_streaming": "sphere:7 does not match",
               "manifold_mismatch_quadratic": "euclidean:9 does not match",
-              "manifold_mismatch_data": "sphere:3 does not match"}
+              "manifold_mismatch_data": "sphere:3 does not match",
+              "epsilon_nan": "[solver] epsilon",
+              "delta_nan": "[solver] delta",
+              "T_max_inf": "[solver] T_max",
+              "m_nan": "[solver] m",
+              "m_not_integer": "[solver] m",
+              "record_gaps_not_boolean": "[experiment] record_gaps",
+              "couple_nu_nan": "[couple] nu",
+              "couple_c2_nan": "[couple] c2"}
     assert expect.get(case, "") in line
 
 

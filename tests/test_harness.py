@@ -1,6 +1,10 @@
 """Config grammar, experiment runners, artifacts, sweeps, and the CLI."""
 
+import importlib.util
 import json
+import re
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,11 +12,11 @@ import pytest
 from prsrg import harness
 from prsrg.cli import EXIT_BAD_INPUT, EXIT_NOT_SADDLE, EXIT_OK, main
 from prsrg.errors import ContractViolation, ParameterError, SchemaError
-from prsrg.harness import (CoupleSpec, ExperimentConfig, ProblemSpec,
-                           SweepSpec, build_problem, dump_config,
-                           format_spectrum, load_point, parse_config,
-                           parse_spectrum, resolve_params, resolve_start,
-                           run_experiment, run_sweep)
+from prsrg.harness import (BaselineSpec, CoupleSpec, ExperimentConfig,
+                           ProblemSpec, SolverSpec, SweepSpec, build_problem,
+                           dump_config, format_spectrum, load_point,
+                           parse_config, parse_spectrum, resolve_params,
+                           resolve_start, run_experiment, run_sweep)
 from prsrg.rng import master_stream
 from prsrg.solver import SolverConstants
 from prsrg.trace import COLUMNS, TraceRow, read_trace, rows_to_csv, write_trace
@@ -155,21 +159,198 @@ def test_config_defaults_and_roundtrip():
     assert parse_config(dump_config(cfg)) == cfg
 
 
+# the [constants], [baseline] and [couple] sections every dump below ends with
+_DEFAULT_TAIL = """\
+[constants]
+c_eta = 0.1
+c_T = 20.0
+c_r = 1.0
+c_m = 1.0
+c_B = 16.0
+
+[baseline]
+eta = 0.1
+r = 0.01
+escape_steps = 20
+batch = 8
+
+[couple]
+nu = 0.1
+trials = 50
+c2 = 1.0
+c3 = 10.0
+
+"""
+
+GOLDEN_DUMPS = {
+    "empty": """\
+[experiment]
+seed = 0
+budget = 1000000
+algo = prsrg
+record_gaps = false
+
+[problem]
+manifold = sphere:100
+kind = rayleigh
+spectrum = 2.0,1.0,linspace:0.9:0.1:98
+noise_scale = 0.5
+gamma = 1.0
+L_top = 2.0
+sigma_radius = 2.0
+start = random
+n = 1000
+
+[solver]
+epsilon = 0.001
+delta = 0.1
+
+""" + _DEFAULT_TAIL,
+    "readme": """\
+[experiment]
+seed = 7
+budget = 6000
+algo = prsrg
+record_gaps = false
+
+[problem]
+manifold = sphere:3
+kind = rayleigh
+spectrum = 2.0,1.0,0.0
+noise_scale = 0.2
+gamma = 1.0
+L_top = 2.0
+sigma_radius = 2.0
+start = random
+n = 30
+
+[solver]
+epsilon = 0.05
+delta = 0.5
+
+""" + _DEFAULT_TAIL,
+    "sweep_escape": """\
+[experiment]
+seed = 1
+budget = 1000000
+algo = prsrg
+record_gaps = false
+
+[problem]
+manifold = sphere:200
+kind = rayleigh
+spectrum = 2.0,1.0,linspace:0.9:0.1:198
+noise_scale = 0.5
+gamma = 1.0
+L_top = 2.0
+sigma_radius = 2.0
+start = e2
+n = 1000
+rotation_seed = 7
+
+[solver]
+epsilon = 0.001
+delta = 0.1
+
+""" + _DEFAULT_TAIL + """\
+[sweep]
+n = 10000,20000
+seeds = 2
+
+""",
+    "saddle_stall": """\
+[experiment]
+seed = 1
+budget = 1000000
+algo = prsrg
+record_gaps = false
+
+[problem]
+manifold = sphere:100
+kind = rayleigh
+spectrum = 2.0,1.0,linspace:0.9:0.1:98
+noise_scale = 0.5
+gamma = 1.0
+L_top = 2.0
+sigma_radius = 2.0
+start = e2
+n = 1000
+
+[solver]
+epsilon = 0.001
+delta = 0.1
+
+""" + _DEFAULT_TAIL,
+    "online_stream": """\
+[experiment]
+seed = 1
+budget = 8000000
+algo = prsrg
+record_gaps = false
+
+[problem]
+manifold = sphere:20
+kind = streaming_rayleigh
+spectrum = 2.0,1.0,linspace:0.6:0.1:18
+noise_scale = 0.5
+gamma = 1.0
+L_top = 2.0
+sigma_radius = 2.0
+start = random
+n = 1000
+rotation_seed = 7
+
+[solver]
+epsilon = 0.2
+delta = 0.5
+
+""" + _DEFAULT_TAIL,
+}
+
+
+def _golden_inputs(monkeypatch) -> dict[str, str]:
+    """Config text for each golden dump: the empty config, the README's ini
+    block and the benchmark workloads rendered with seed 1."""
+    root = Path(__file__).resolve().parents[1]
+    (readme,) = re.findall(r"```ini\n(.*?)```",
+                           (root / "README.md").read_text(), flags=re.DOTALL)
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", root / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    # dataclasses resolve the module's annotations through sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    texts = {"empty": "", "readme": readme}
+    for name, w in workloads.WORKLOADS.items():
+        texts[name] = w.config.format(seed=1)
+    return texts
+
+
+def test_dump_config_golden_bytes(monkeypatch):
+    # report.json embeds the dump, so these bytes are part of every report
+    texts = _golden_inputs(monkeypatch)
+    assert set(texts) == set(GOLDEN_DUMPS)
+    for name, text in texts.items():
+        assert dump_config(parse_config(text)) == GOLDEN_DUMPS[name], name
+
+
 def test_config_roundtrip_every_section():
     cfg = ExperimentConfig(
         seed=11, budget=1234, out="runs/exp", algo="prgd", record_gaps=True,
         problem=ProblemSpec(manifold="sphere:5", kind="rayleigh", n=40,
                             spectrum="2.0,1.0,linspace:0.9:0.5:3",
                             noise_scale=0.3, rotation_seed=4, start="e2"),
-        epsilon=0.01, delta=0.2, mode="finite_sum",
-        overrides=(("eta", 0.05), ("m", 4.0), ("B", 16.0)),
+        solver=SolverSpec(epsilon=0.01, delta=0.2, mode="finite_sum",
+                          eta=0.05, m=4, B=16),
         constants=SolverConstants(c_eta=0.2, c_T=10.0, c_r=0.5, c_m=2.0,
                                   c_B=8.0),
         couple=CoupleSpec(nu=0.2, trials=7, c2=2.0, c3=5.0, rho_hat=1.5),
         sweep=SweepSpec(n_values=(8, 16), seeds=3),
-        baseline_eta=0.2, baseline_r=0.02, baseline_escape_steps=5,
-        baseline_batch=4)
-    assert parse_config(dump_config(cfg)) == cfg
+        baseline=BaselineSpec(eta=0.2, r=0.02, escape_steps=5, batch=4))
+    text = dump_config(cfg)
+    assert parse_config(text) == cfg
+    # integer overrides are written back as integers
+    assert "\nm = 4\nB = 16\n" in text
 
 
 def test_config_validation_errors():
@@ -183,8 +364,8 @@ def test_config_validation_errors():
         parse_config("[experiment]\nseed = abc\n")
     with pytest.raises(ParameterError):
         parse_config("no section header\n")
-    with pytest.raises(ParameterError):
-        ExperimentConfig(overrides=(("zeta", 1.0),))
+    with pytest.raises(ParameterError, match=r"\[solver\] unknown key 'zeta'"):
+        parse_config("[solver]\nzeta = 1.0\n")
 
 
 def test_build_problem_validation():

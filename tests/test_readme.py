@@ -1,10 +1,12 @@
 """The README's examples run as written and print what the README says."""
 
+import dataclasses
 import json
 import re
 from pathlib import Path
 
 from prsrg.cli import EXIT_OK, main
+from prsrg.harness import ExperimentConfig
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
@@ -37,3 +39,21 @@ def test_readme_ini_example_runs_and_certifies(tmp_path, capsys):
     assert summary == documented
     assert (tmp_path / "results" / "run0.trace.csv").is_file()
     assert (tmp_path / "results" / "run0.report.json").is_file()
+
+
+def test_config_reference_names_every_key():
+    reference = README.split("## Config reference", 1)[1].split("\n## ", 1)[0]
+
+    def names(section, spec):
+        out = [f"`[{section}]`"]
+        for f in dataclasses.fields(spec):
+            value = getattr(spec, f.name)
+            if dataclasses.is_dataclass(value):
+                out += names(f.name, value)
+            else:  # SweepSpec.n_values is the [sweep] n key
+                out.append("`n`" if f.name == "n_values" else f"`{f.name}`")
+        return out
+
+    missing = [n for n in names("experiment", ExperimentConfig())
+               if n not in reference]
+    assert missing == []

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from prsrg import (
+    BaselineConfig,
     ContractViolation,
     ParameterError,
     PullbackOracle,
@@ -17,11 +18,14 @@ from prsrg import (
     SolverParams,
     TssrgParams,
     auto_solve,
+    baseline_run,
+    certify,
     derive_params,
     make_rayleigh,
     make_streaming_rayleigh,
     prsrg_run,
     small_grad_check,
+    stuck_region_experiment,
 )
 from prsrg.solver import _affordable_T
 from prsrg.trace import EPOCH_TYPES
@@ -174,6 +178,91 @@ def test_affordable_step_budgeting():
                 assert remaining < cost(1, paid)
             else:
                 assert cost(T, paid) <= remaining < cost(T + 1, paid)
+
+
+def _affordable_T_by_search(remaining, B, b, m, first_anchor_paid):
+    """Reference: doubling then bisection over the monotone cost."""
+    a0 = 0 if first_anchor_paid else B
+
+    def cost(T):
+        return a0 + B * ((T - 1) // m) + 2 * b * T
+
+    if remaining < cost(1):
+        return 0
+    lo, hi = 1, 2
+    while cost(hi) <= remaining:
+        lo = hi
+        hi *= 2
+    while lo + 1 < hi:
+        mid = (lo + hi) // 2
+        if cost(mid) <= remaining:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def test_affordable_T_closed_form_matches_search():
+    rng = np.random.default_rng(0)
+    cases = [(R, B, b, m, paid) for R in range(0, 400, 3)
+             for B in (1, 2, 7, 50) for b in (1, 3, 10) for m in (1, 2, 5, 17)
+             for paid in (False, True)]
+    cases += [(int(rng.integers(0, 10**7)), int(rng.integers(1, 10**5)),
+               int(rng.integers(1, 10**3)), int(rng.integers(1, 10**3)),
+               bool(rng.integers(2))) for _ in range(2000)]
+    for case in cases:
+        assert _affordable_T(*case) == _affordable_T_by_search(*case), case
+
+
+# ---------------------------------------------------- NaN parameters
+
+NAN = float("nan")
+_TSS = TssrgParams(eta=0.1, m=2, b=2, B_size=4, D=0.5, T_max=3)
+_SR = dict(rho_hat=1.0, delta=0.1, r=0.1)
+
+
+def _solver_params(**kw):
+    base = dict(tssrg=_TSS, r=0.1, epsilon=0.1, delta=0.1, budget=10,
+                mode="finite_sum")
+    return SolverParams(**{**base, **kw})
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda o: _solver_params(epsilon=NAN), id="params_epsilon"),
+    pytest.param(lambda o: _solver_params(delta=NAN), id="params_delta"),
+    pytest.param(lambda o: _solver_params(r=NAN), id="params_r"),
+    pytest.param(lambda o: derive_params("finite_sum", 100, NAN, 0.1, 1.0,
+                                         1.0), id="derive_epsilon"),
+    pytest.param(lambda o: derive_params("finite_sum", 100, 0.1, NAN, 1.0,
+                                         1.0), id="derive_delta"),
+    pytest.param(lambda o: small_grad_check(o, 4, NAN, master_stream(0)),
+                 id="grad_check_epsilon"),
+    pytest.param(lambda o: certify(o, NAN, 0.1), id="certify_epsilon"),
+    pytest.param(lambda o: certify(o, 0.1, NAN), id="certify_delta"),
+    pytest.param(lambda o: stuck_region_experiment(
+        o, _TSS, NAN, 1, master_stream(0), **_SR), id="stuck_nu"),
+    pytest.param(lambda o: stuck_region_experiment(
+        o, _TSS, 0.1, 1, master_stream(0), **{**_SR, "rho_hat": NAN}),
+        id="stuck_rho_hat"),
+    pytest.param(lambda o: stuck_region_experiment(
+        o, _TSS, 0.1, 1, master_stream(0), **{**_SR, "r": NAN}),
+        id="stuck_r"),
+    pytest.param(lambda o: stuck_region_experiment(
+        o, _TSS, 0.1, 1, master_stream(0), **_SR, c2=NAN), id="stuck_c2"),
+    pytest.param(lambda o: baseline_run(
+        o.objective, o.manifold, o.anchor, BaselineConfig("prgd", 0.1), NAN,
+        0.1, 10, 0), id="baseline_epsilon"),
+    pytest.param(lambda o: baseline_run(
+        o.objective, o.manifold, o.anchor, BaselineConfig("prgd", 0.1), 0.1,
+        NAN, 10, 0), id="baseline_delta"),
+    pytest.param(lambda o: BaselineConfig("prgd", 0.1, r=NAN),
+                 id="baseline_r"),
+])
+def test_nan_parameters_raise_parameter_error(call, small_rayleigh):
+    # NaN fails every comparison, so a check written as x <= 0 lets it in
+    oracle = PullbackOracle(small_rayleigh, small_rayleigh.eigvec(0))
+    with pytest.raises(ParameterError):
+        call(oracle)
 
 
 # ------------------------------------------------------------ prsrg_run
