@@ -4,7 +4,9 @@
 point from the exact gradient norm and a Lanczos estimate of the smallest
 eigenvalue of the closed-form Riemannian Hessian (``PullbackOracle.hvp``).
 It always runs Lanczos: no smoothness estimate can stand in for it, since
-an estimate is not a bound. The ``check_*`` functions and
+an estimate is not a bound. Lanczos works on ambient tangent vectors at
+the anchor, which the Hessian maps to tangent vectors, in one Krylov run
+of at most LANCZOS_MAX_ITERS Hessian actions. The ``check_*`` functions and
 ``stuck_region_experiment`` replay recorded runs against the quantitative
 bounds the solver's analysis relies on (estimator variance, improve or
 localize, coupled-sequence separation, escape decrease); they fit and report
@@ -19,17 +21,16 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import ContractViolation, ParameterError, SchemaError
-from .geometry import TangentVector
+from .geometry import Manifold, ManifoldPoint, TangentVector
 from .pullback import PullbackOracle
 from .rng import TAG_DIAG, TAG_PERTURB, TAG_TRIAL, StreamTree, master_stream
 from .tssrg import TssrgParams, tssrg_run_coupled
 from .trace import _STEP_EVENTS, TraceSegment
 
-LANCZOS_MAX_ITERS = 50
+LANCZOS_MAX_ITERS = 200
 LANCZOS_TOL_FACTOR = 1e-6
-LANCZOS_RESTARTS = 3
 
-# fixed entropy for Lanczos start vectors: certification must be a pure
+# fixed entropy for the Lanczos start vector: certification must be a pure
 # function of the oracle, not of caller-supplied randomness
 _LANCZOS_SEED = 0x4C414E
 
@@ -78,73 +79,51 @@ class LanczosResult:
     converged: bool
 
 
-def lanczos_min_eig(matvec, dim: int) -> LanczosResult:
-    """Smallest eigenvalue of a symmetric operator via Lanczos.
+def lanczos_min_eig(matvec, man: Manifold, x: ManifoldPoint) -> LanczosResult:
+    """Smallest eigenvalue of a symmetric operator on T_x M via Lanczos.
 
-    Full reorthogonalization against all previous basis vectors, at most
-    LANCZOS_MAX_ITERS iterations per run; converged when the residual bound
-    beta * |s_last| of the smallest Ritz pair drops below LANCZOS_TOL_FACTOR
-    times the running operator-norm estimate. A run that fails to converge
-    restarts with a fresh start vector from the fixed ``_LANCZOS_SEED``
-    stream, up to LANCZOS_RESTARTS times; the best (smallest) Ritz value
-    seen is returned either way.
+    matvec maps ambient tangent coordinates at x to tangent coordinates at
+    x (the exact Riemannian Hessian does), so one start vector projected
+    onto T_x keeps the whole Krylov space tangent and no basis of T_x is
+    needed. One run with full reorthogonalization, at most
+    min(man.dim, LANCZOS_MAX_ITERS) iterations, from a start vector drawn
+    from the fixed ``_LANCZOS_SEED`` stream; converged when the residual
+    bound beta * |s_last| of the smallest Ritz pair drops below
+    LANCZOS_TOL_FACTOR times the running operator-norm estimate. The last
+    smallest Ritz pair is returned either way.
     """
-    if dim < 1:
-        raise ParameterError("operator dimension must be >= 1")
-    stream = master_stream(_LANCZOS_SEED).child(TAG_DIAG)
-    k = min(dim, LANCZOS_MAX_ITERS)
-    best_val = math.inf
-    best_vec = None
-    total_iters = 0
-    for attempt in range(LANCZOS_RESTARTS + 1):
-        gen = stream.child(attempt).generator()
-        q = gen.standard_normal(dim)
-        q /= np.linalg.norm(q)
-        Q = np.empty((dim, k + 1))
-        Q[:, 0] = q
-        T = np.zeros((k + 1, k + 1))
-        nq = 1
-        for _ in range(k):
-            w = np.asarray(matvec(Q[:, nq - 1]), dtype=np.float64)
-            T[nq - 1, nq - 1] = Q[:, nq - 1] @ w
-            # reorthogonalize twice against the whole basis
-            w -= Q[:, :nq] @ (Q[:, :nq].T @ w)
-            w -= Q[:, :nq] @ (Q[:, :nq].T @ w)
-            beta = float(np.linalg.norm(w))
-            total_iters += 1
-            vals, vecs = np.linalg.eigh(T[:nq, :nq])
-            s_last = float(vecs[-1, 0])
-            hnorm = max(abs(vals[0]), abs(vals[-1]))
-            if vals[0] < best_val:
-                best_val = float(vals[0])
-                best_vec = Q[:, :nq] @ vecs[:, 0]
-            resid = beta * abs(s_last)
-            if resid <= max(LANCZOS_TOL_FACTOR * hnorm, 1e-30):
-                v = best_vec / np.linalg.norm(best_vec)
-                return LanczosResult(best_val, v, total_iters, True)
-            if beta <= 1e-14 * max(hnorm, 1.0) or nq >= dim:
-                break  # invariant subspace exhausted, try a fresh vector
-            Q[:, nq] = w / beta
-            T[nq - 1, nq] = T[nq, nq - 1] = beta
-            nq += 1
-    v = best_vec / np.linalg.norm(best_vec)
-    return LanczosResult(best_val, v, total_iters, False)
+    gen = master_stream(_LANCZOS_SEED).child(TAG_DIAG).child(0).generator()
+    q = man.project_ambient(x, gen.standard_normal(man.ambient_dim))
+    k = min(man.dim, LANCZOS_MAX_ITERS)
+    Q = np.empty((man.ambient_dim, k))
+    Q[:, 0] = q / np.linalg.norm(q)
+    T = np.zeros((k, k))
+    for nq in range(1, k + 1):
+        w = np.asarray(matvec(Q[:, nq - 1]), dtype=np.float64)
+        T[nq - 1, nq - 1] = Q[:, nq - 1] @ w
+        # reorthogonalize twice against the whole basis
+        w -= Q[:, :nq] @ (Q[:, :nq].T @ w)
+        w -= Q[:, :nq] @ (Q[:, :nq].T @ w)
+        beta = float(np.linalg.norm(w))
+        vals, vecs = np.linalg.eigh(T[:nq, :nq])
+        hnorm = max(abs(vals[0]), abs(vals[-1]))
+        resid = beta * abs(float(vecs[-1, 0]))
+        converged = bool(resid <= max(LANCZOS_TOL_FACTOR * hnorm, 1e-30))
+        # stop at the cap or once the Krylov space is invariant
+        if converged or nq == k or beta <= 1e-14 * max(hnorm, 1.0):
+            break
+        Q[:, nq] = w / beta
+        T[nq - 1, nq] = T[nq, nq - 1] = beta
+    v = Q[:, :nq] @ vecs[:, 0]
+    return LanczosResult(float(vals[0]), v / np.linalg.norm(v), nq, converged)
 
 
 def _hessian_lanczos(oracle: PullbackOracle) -> LanczosResult:
-    """Lanczos on the exact pullback Hessian at u = 0 in tangent-basis
-    coords."""
-    man = oracle.manifold
-    basis = man.tangent_basis(oracle.anchor)
-
-    def matvec(y):
-        return basis.T @ oracle.hvp(TangentVector(oracle.anchor,
-                                                  basis @ y)).coords
-
-    res = lanczos_min_eig(matvec, man.dim)
-    amb = basis @ res.vector
-    amb /= np.linalg.norm(amb)
-    return LanczosResult(res.value, amb, res.iterations, res.converged)
+    """Lanczos on the exact pullback Hessian at u = 0, on tangent vectors
+    at the anchor."""
+    x = oracle.anchor
+    return lanczos_min_eig(lambda v: oracle.hvp(TangentVector(x, v)).coords,
+                           oracle.manifold, x)
 
 
 def certify(oracle: PullbackOracle, epsilon: float,

@@ -269,7 +269,7 @@ def load_config(path) -> ExperimentConfig:
 
 def dump_config(cfg: ExperimentConfig) -> str:
     """Serialize a config; parse_config(dump_config(c)) == c. Unset
-    optional keys are left out, and so is [sweep] when it sweeps no n."""
+    optional keys are left out, and so is [sweep] when it is the default."""
     p = configparser.ConfigParser(interpolation=None)
     p.optionxform = str
 
@@ -278,7 +278,7 @@ def dump_config(cfg: ExperimentConfig) -> str:
         for name, kind, _ in _fields(type(spec)):
             value = getattr(spec, name)
             if dataclasses.is_dataclass(kind):
-                if kind is not SweepSpec or value.n_values:
+                if kind is not SweepSpec or value != SweepSpec():
                     write(name, value)
             elif name == "n_values":
                 p[section]["n"] = ",".join(str(v) for v in value)
@@ -364,7 +364,7 @@ def load_point(man: Manifold, path) -> ManifoldPoint:
     path = Path(path)
     if not path.exists():
         raise SchemaError(f"point file not found: {path}")
-    if path.suffix == ".mat":
+    if path.suffix.lower() == ".mat":
         arr = load_matrix(path)
     else:
         try:
@@ -447,10 +447,17 @@ def params_dict(params: SolverParams | None) -> dict | None:
             "mode": params.mode}
 
 
+def _artifact_path(prefix, suffix: str) -> Path:
+    """prefix with suffix appended to its whole name, so dots in the name
+    stay: res/run.v1 gives res/run.v1.trace.csv."""
+    path = Path(prefix)
+    return path.with_name(path.name + suffix)
+
+
 def _write_json(prefix, suffix: str, payload: dict) -> Path:
-    """Write payload as sorted, indented JSON to prefix.suffix, creating
+    """Write payload as sorted, indented JSON to prefix + suffix, creating
     the parent directory."""
-    path = Path(prefix).with_suffix(suffix)
+    path = _artifact_path(prefix, suffix)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return path
@@ -460,7 +467,7 @@ def write_artifacts(prefix, cfg: ExperimentConfig, report, params) -> tuple[Path
     payload = {"config": dump_config(cfg), "params": params_dict(params),
                "report": report.as_dict()}
     report_path = _write_json(prefix, ".report.json", payload)
-    trace_path = Path(prefix).with_suffix(".trace.csv")
+    trace_path = _artifact_path(prefix, ".trace.csv")
     write_trace(trace_path, report.trace)
     return trace_path, report_path
 

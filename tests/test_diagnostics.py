@@ -12,6 +12,7 @@ import pytest
 from prsrg import (
     Certification,
     ContractViolation,
+    Euclidean,
     ParameterError,
     PullbackOracle,
     SchemaError,
@@ -27,7 +28,8 @@ from prsrg import (
     stuck_region_experiment,
     tssrg_run,
 )
-from prsrg.diagnostics import LANCZOS_MAX_ITERS, LANCZOS_RESTARTS
+from prsrg.diagnostics import LANCZOS_MAX_ITERS, _hessian_lanczos
+from prsrg.pullback import HVP_BATCH_SIZE
 from prsrg.rng import TAG_OUTER, master_stream
 from prsrg.trace import TraceRow, TraceSegment
 
@@ -44,9 +46,15 @@ def _params(**kw):
 
 # ------------------------------------------------------------ lanczos
 
+def _flat_lanczos(matvec, n):
+    """Lanczos on a plain operator: tangent vectors at the origin of R^n."""
+    man = Euclidean(n)
+    return lanczos_min_eig(matvec, man, man.point(np.zeros(n)))
+
+
 def test_lanczos_known_diagonal():
     d = np.array([2.0, 1.0, -3.0])
-    res = lanczos_min_eig(lambda v: d * v, 3)
+    res = _flat_lanczos(lambda v: d * v, 3)
     assert res.converged
     assert res.value == pytest.approx(-3.0, abs=1e-8)
     assert res.iterations <= 3
@@ -59,7 +67,7 @@ def test_lanczos_large_rotated_operator():
     Q, _ = np.linalg.qr(rng.standard_normal((40, 40)))
     lam = np.linspace(5.0, -2.0, 40)
     H = Q @ np.diag(lam) @ Q.T
-    res = lanczos_min_eig(lambda v: H @ v, 40)
+    res = _flat_lanczos(lambda v: H @ v, 40)
     assert res.converged
     assert res.value == pytest.approx(-2.0, abs=1e-7)
     assert np.linalg.norm(H @ res.vector - res.value * res.vector) <= 1e-5
@@ -69,18 +77,18 @@ def test_lanczos_deterministic():
     rng = np.random.default_rng(1)
     H = rng.standard_normal((12, 12))
     H = 0.5 * (H + H.T)
-    a = lanczos_min_eig(lambda v: H @ v, 12)
-    b = lanczos_min_eig(lambda v: H @ v, 12)
+    a = _flat_lanczos(lambda v: H @ v, 12)
+    b = _flat_lanczos(lambda v: H @ v, 12)
     assert a.value == b.value and a.iterations == b.iterations
 
 
 def test_lanczos_unconverged_above_iteration_cap():
-    # a dense spectrum in more dimensions than LANCZOS_MAX_ITERS: every
-    # restart runs to the cap and the best Ritz pair comes back unconverged
+    # a dense spectrum in more dimensions than LANCZOS_MAX_ITERS: the run
+    # stops at the cap and its smallest Ritz pair comes back unconverged
     d = np.linspace(0.0, 1.0, 2000)
-    res = lanczos_min_eig(lambda v: d * v, d.size)
+    res = _flat_lanczos(lambda v: d * v, d.size)
     assert not res.converged
-    assert res.iterations == (LANCZOS_RESTARTS + 1) * LANCZOS_MAX_ITERS
+    assert res.iterations == LANCZOS_MAX_ITERS
     assert 0.0 <= res.value <= 1e-3
     assert res.value == pytest.approx(res.vector @ (d * res.vector),
                                       rel=1e-9)
@@ -88,7 +96,7 @@ def test_lanczos_unconverged_above_iteration_cap():
 
 def test_lanczos_validates_dimension():
     with pytest.raises(ParameterError):
-        lanczos_min_eig(lambda v: v, 0)
+        _flat_lanczos(lambda v: v, 0)
 
 
 # ------------------------------------------------------------ certify
@@ -160,6 +168,12 @@ def test_lanczos_matches_dense_hessian(kind):
     cert = certify(oracle, epsilon=1e-3, delta=0.1)
     assert cert.converged
     assert abs(cert.lambda_min_estimate - dense) <= 1e-8
+    # the Ritz vector comes back as a unit tangent vector at the anchor
+    res = _hessian_lanczos(oracle)
+    assert res.value == cert.lambda_min_estimate
+    assert abs(np.linalg.norm(res.vector) - 1.0) <= 1e-12
+    assert oracle.manifold.tangency_violation(oracle.anchor,
+                                              res.vector) <= 1e-12
 
 
 def test_certify_fails_at_saddle_when_delta_exceeds_lipschitz_probe():
@@ -174,6 +188,12 @@ def test_certify_fails_at_saddle_when_delta_exceeds_lipschitz_probe():
     assert not cert.passed
     assert abs(cert.lambda_min_estimate + 2.0) <= 1e-8
     assert oracle.diag_queries == cert.lanczos_iters * obj.n
+    # online, every Hessian action charges the fixed streaming batch
+    online = kind_oracle("streaming_rayleigh")
+    before = online.diag_queries
+    cert = certify(online, epsilon=1e-3, delta=0.1)
+    assert online.diag_queries - before == (cert.lanczos_iters
+                                            * HVP_BATCH_SIZE)
 
 
 def test_certify_validation(clean_rayleigh):

@@ -17,6 +17,7 @@ from prsrg.harness import (BaselineSpec, CoupleSpec, ExperimentConfig,
                            dump_config, format_spectrum, load_point,
                            parse_config, parse_spectrum, resolve_params,
                            resolve_start, run_experiment, run_sweep)
+from prsrg.problems import save_matrix
 from prsrg.rng import master_stream
 from prsrg.solver import SolverConstants
 from prsrg.trace import COLUMNS, TraceRow, read_trace, rows_to_csv, write_trace
@@ -157,6 +158,10 @@ def test_config_defaults_and_roundtrip():
     cfg = parse_config("")
     assert cfg == ExperimentConfig()
     assert parse_config(dump_config(cfg)) == cfg
+    # a [sweep] that sets seeds but sweeps no n keeps its seeds
+    seeds_only = parse_config("[sweep]\nseeds = 3\n")
+    assert seeds_only.sweep.seeds == 3
+    assert parse_config(dump_config(seeds_only)) == seeds_only
 
 
 # the [constants], [baseline] and [couple] sections every dump below ends with
@@ -450,6 +455,11 @@ def test_load_point_formats(tmp_path):
     with pytest.raises(ContractViolation):
         load_point(man, off)
 
+    # the PRSRGMAT suffix is matched in any case, as load_matrix does
+    upper = tmp_path / "p.MAT"
+    save_matrix(upper, np.array([[0.0, 1.0, 0.0]]))
+    np.testing.assert_array_equal(load_point(man, upper).coords, [0, 1, 0])
+
 
 # --------------------------------------------------------------- overrides
 
@@ -614,6 +624,28 @@ def test_cli_run_twice_byte_identical(tmp_path, capsys):
     capsys.readouterr()
     assert ((tmp_path / "a.trace.csv").read_bytes()
             == (tmp_path / "b.trace.csv").read_bytes())
+
+
+def test_cli_dotted_out_prefixes(tmp_path, capsys):
+    # each suffix is appended to the whole prefix: run.v1 and run.v2 write
+    # separate files, and cert.final keeps its ".final"
+    cfgfile = tmp_path / "run.ini"
+    cfgfile.write_text(SMALL_RUN)
+    for tag in ("v1", "v2"):
+        assert main(["run", "--config", str(cfgfile),
+                     "--out", str(tmp_path / "res" / f"run.{tag}")]) == EXIT_OK
+    names = sorted(f.name for f in (tmp_path / "res").iterdir())
+    assert names == ["run.v1.report.json", "run.v1.trace.csv",
+                     "run.v2.report.json", "run.v2.trace.csv"]
+
+    certcfg = tmp_path / "cert.ini"
+    certcfg.write_text(CLEAN_CERT)
+    point = tmp_path / "v1.csv"
+    point.write_text("1.0,0.0,0.0\n")
+    assert main(["certify", "--config", str(certcfg), "--point", str(point),
+                 "--out", str(tmp_path / "res" / "cert.final")]) == EXIT_OK
+    assert (tmp_path / "res" / "cert.final.cert.json").exists()
+    capsys.readouterr()
 
 
 def test_cli_exit_codes(tmp_path, capsys):
