@@ -7,6 +7,9 @@
   lambda_min(H) = -gamma < 0: an exact strict saddle at the origin.
 * ``make_streaming_rayleigh`` — online analogue: components A = a a^T with
   a ~ N(0, Abar), so the population objective matches the finite-sum target.
+  A batch of B > d samples is drawn as its second moment (B times it is
+  Wishart_d(B, Abar)) by Bartlett's decomposition: d(d+1)/2 variates
+  instead of B d.
 * ``make_data_rayleigh`` — the same objective backed by a dense data matrix
   (rows are samples), loadable from CSV or the PRSRGMAT binary format.
 
@@ -260,9 +263,13 @@ class QuadraticSaddleInstance(_PairedComponentObjective):
 class StreamingRayleighInstance(_SpectralRayleigh, FiniteSumObjective):
     """Online Rayleigh: components a a^T with a ~ N(0, Abar).
 
-    The population objective matches the finite-sum target. Gaussian draws
-    have no uniform deviation bound, so ``sigma_hint`` is a Monte-Carlo
-    estimate (1.5x the largest deviation over a seeded probe set).
+    The population objective matches the finite-sum target. A batch enters
+    the objective only through its second moment S = (1/B) sum_k a_k a_k^T,
+    so a batch larger than d is drawn as S itself (Bartlett's Wishart
+    factor, see ``_draw``), in O(d^2) time and memory whatever B is.
+    Gaussian draws have no uniform deviation bound, so ``sigma_hint`` is a
+    Monte-Carlo estimate (1.5x the largest deviation over a seeded probe
+    set).
     """
 
     n = None
@@ -271,8 +278,13 @@ class StreamingRayleighInstance(_SpectralRayleigh, FiniteSumObjective):
         self._set_spectrum(d, spectrum, rotation_seed)
         if np.any(self.spectrum < 0):
             raise ParameterError("streaming spectrum must be a covariance (>= 0)")
-        self._chol = _rotated(self.rotation, np.sqrt(self.spectrum),
-                              rotation_seed)
+        # the symmetric square root R diag(sqrt s) R^T, not a Cholesky
+        # factor; the Bartlett draw needs only L L^T = Abar
+        self._sqrt_cov = _rotated(self.rotation, np.sqrt(self.spectrum),
+                                  rotation_seed)
+        self._diag = np.diag_indices(self.d)
+        self._below = np.tril_indices(self.d, -1)
+        self._df_offset = np.arange(self.d)
         self.manifold = Sphere(d)
         self.sigma_hint = self._estimate_sigma()
 
@@ -282,7 +294,7 @@ class StreamingRayleighInstance(_SpectralRayleigh, FiniteSumObjective):
         for _ in range(5):
             x = self.manifold.rand_point(rng)
             g_pop = self.full_riem_grad(x).coords
-            a = rng.standard_normal((400, self.d)) @ self._chol
+            a = rng.standard_normal((400, self.d)) @ self._sqrt_cov
             raw = a * (a @ x.coords)[:, None]
             proj = raw - np.outer(raw @ x.coords, x.coords)
             gaps = np.linalg.norm(-2.0 * proj - g_pop, axis=1)
@@ -296,17 +308,37 @@ class StreamingRayleighInstance(_SpectralRayleigh, FiniteSumObjective):
         return self._grad_from_matvec(x, self._matvec_mean(batch, x.coords))
 
     def _draw(self, size: int, rng: np.random.Generator) -> Batch:
-        data = rng.standard_normal((size, self.d)) @ self._chol
+        """A batch of ``size`` samples a ~ N(0, Abar), as rows whose mean
+        outer product is the batch's second moment S.
+
+        ``size <= d``: the samples themselves, ``standard_normal((size,
+        d)) @ sqrt_cov`` (the Wishart law of size * S is singular there).
+        ``size > d``: d pseudo-rows sqrt(d / size) T^T sqrt_cov, where T is
+        Bartlett's lower-triangular factor of a Wishart_d(size, I) matrix
+        T T^T: T_ii = sqrt(chi^2(size - i)) for i = 0..d-1 and T_ij ~ N(0, 1)
+        for i > j. The generator gives the d chi-squares first, then the
+        below-diagonal normals in row-major order. Then size * S =
+        sqrt_cov T T^T sqrt_cov ~ Wishart_d(size, Abar), exactly the law of
+        the direct draw's sample second moment.
+        """
+        if (isinstance(size, bool) or not isinstance(size, (int, np.integer))
+                or size < 1):
+            raise ParameterError(
+                f"batch size must be an integer >= 1, got {size!r}")
+        size = int(size)
+        if size <= self.d:
+            data = rng.standard_normal((size, self.d)) @ self._sqrt_cov
+        else:
+            T = np.zeros((self.d, self.d))
+            T[self._diag] = np.sqrt(rng.chisquare(size - self._df_offset))
+            T[self._below] = rng.standard_normal(self._below[0].size)
+            data = math.sqrt(self.d / size) * (T.T @ self._sqrt_cov)
         return Batch(size=size, data=data)
 
     def sample_minibatch(self, b: int, rng: np.random.Generator) -> Batch:
-        if b < 1:
-            raise ParameterError("minibatch size must be >= 1")
         return self._draw(b, rng)
 
     def sample_largebatch(self, B: int, rng: np.random.Generator) -> Batch:
-        if B < 1:
-            raise ParameterError("large batch size must be >= 1")
         return self._draw(B, rng)
 
 

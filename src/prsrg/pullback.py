@@ -21,6 +21,9 @@ currency): ``queries`` for optimizer calls and ``diag_queries`` for Hessian
 actions, which only diagnostics and certification use. One Hessian action
 charges its batch size: n in finite-sum mode, ``HVP_BATCH_SIZE`` on the
 fixed streaming batch. Exact gradients and the Lipschitz probe are free.
+A streaming batch is charged its sample count even when the objective
+draws it as a sufficient statistic (see ``Batch``): queries count
+samples, not the rows the code touches.
 """
 
 from __future__ import annotations
@@ -44,9 +47,13 @@ HVP_BATCH_SIZE = 2048
 class Batch:
     """A sampled component batch.
 
-    ``idx`` holds component indices for finite-sum objectives (``None`` means
-    the exhaustive batch, whose mean is evaluated in closed form and is
-    deterministic); ``data`` holds freshly drawn samples in streaming mode.
+    ``size`` is the number of components the batch stands for, which is
+    what a gradient over it charges. ``idx`` holds component indices for
+    finite-sum objectives (``None`` means the exhaustive batch, whose mean
+    is evaluated in closed form and is deterministic). In streaming mode
+    ``data`` holds rows whose mean outer product is the batch's second
+    moment: the drawn samples themselves, or, for a batch larger than the
+    dimension d, d pseudo-rows with the same second moment.
     """
 
     size: int

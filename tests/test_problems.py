@@ -4,6 +4,7 @@ streaming sampler, data-backed objectives, and matrix IO."""
 from __future__ import annotations
 
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from prsrg import (
     make_streaming_rayleigh,
 )
 from prsrg.problems import _paired_noise, load_matrix, save_matrix
+from prsrg.pullback import Batch
 from prsrg.rng import TAG_PROBLEM, master_stream
 
 
@@ -198,14 +200,111 @@ def test_streaming_batch_mean_of_draws():
                                   seed=3)
     rng = np.random.default_rng(8)
     x = obj.manifold.rand_point(rng)
-    batch = obj.sample_minibatch(64, rng)
-    got = obj.batch_riem_grad(batch, x).coords
-    # manual mean over the drawn rows
     y = x.coords
-    raw = batch.data * (batch.data @ y)[:, None]
-    mean = raw.mean(axis=0)
-    expect = -2.0 * (mean - (y @ mean) * y)
-    assert np.allclose(got, expect, atol=1e-12)
+    # one size below d (the samples) and one above (d pseudo-rows)
+    for size, rows in ((3, 3), (64, 5)):
+        batch = obj.sample_minibatch(size, rng)
+        assert batch.size == size and batch.data.shape == (rows, obj.d)
+        got = obj.batch_riem_grad(batch, x).coords
+        # manual mean over the drawn rows
+        raw = batch.data * (batch.data @ y)[:, None]
+        mean = raw.mean(axis=0)
+        expect = -2.0 * (mean - (y @ mean) * y)
+        assert np.allclose(got, expect, atol=1e-12)
+
+
+def _online_stream_instance():
+    spec = np.concatenate([[2.0, 1.0], np.linspace(0.6, 0.1, 18)])
+    return make_streaming_rayleigh(d=20, spectrum=spec, seed=7)
+
+
+@pytest.mark.parametrize("size", [1, 20])
+def test_streaming_small_batch_is_the_direct_draw(size):
+    # up to d the samples themselves are drawn, byte for byte as before
+    obj = _online_stream_instance()
+    batch = obj.sample_largebatch(size, np.random.default_rng(4))
+    direct = (np.random.default_rng(4).standard_normal((size, obj.d))
+              @ obj._sqrt_cov)
+    assert batch.data.tobytes() == direct.tobytes()
+
+
+def test_streaming_huge_batch_costs_d_squared_memory():
+    obj = _online_stream_instance()
+    rng = np.random.default_rng(0)
+    tracemalloc.start()
+    try:
+        batch = obj.sample_largebatch(50_000_000, rng)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert batch.size == 50_000_000
+    assert batch.data.shape == (obj.d, obj.d)
+    assert peak < 1_000_000
+
+
+@pytest.mark.parametrize("size", [125, 21], ids=["b125", "d_plus_1"])
+def test_streaming_bartlett_moments(size):
+    """The Bartlett batch has the law of the direct draw.
+
+    N = 4000 draws of each at one fixed point, d = 20 coordinates; every
+    band below is 5 standard errors, so a correct draw fails it with
+    probability below 5.8e-7 per compared number (z > 5, two-sided).
+
+    Second moment: size * S ~ Wishart_d(size, Abar), so each entry of S has
+    mean Abar_kl and variance (Abar_kl^2 + Abar_kk Abar_ll) / size; the
+    mean of N draws is within 5 sqrt(that / N) of Abar_kl.
+
+    Gradient mean: the batch gradient is linear in S, so its mean is the
+    population gradient exactly. Each coordinate's sample mean is within
+    5 sd_j / sqrt(N) of it (sd_j from the same draws).
+
+    Gradient variance: each coordinate is a batch mean of Gaussian quadratic
+    forms a^T C a, whose excess kurtosis is 12 sum(mu^4) / (sum mu^2)^2 <=
+    12 (mu the eigenvalues of C), so the batch mean's is kappa <= 12 / b.
+    A sample variance over N draws has Var(log s^2) ~ 2 / (N - 1) + kappa /
+    N, so the log ratio of two independent ones has standard deviation at
+    most sqrt(2 (2 + 12 / b) / N): 0.0324 at b = 125 and 0.0359 at b = 21.
+    The Bartlett-to-direct variance ratio of every coordinate lies within
+    5 of those of 1 in log scale.
+    """
+    N = 4000
+    obj = _online_stream_instance()
+    rng = np.random.default_rng(2024)
+    x = obj.manifold.rand_point(rng)
+    bartlett = [obj.sample_minibatch(size, rng) for _ in range(N)]
+    assert all(batch.data.shape == (obj.d, obj.d) for batch in bartlett)
+    direct = [Batch(size=size,
+                    data=rng.standard_normal((size, obj.d)) @ obj._sqrt_cov)
+              for _ in range(N)]
+
+    A = obj.Abar
+    moment = sum(b.data.T @ b.data for b in bartlett) / (obj.d * N)
+    moment_se = np.sqrt((A * A + np.outer(np.diag(A), np.diag(A)))
+                        / (size * N))
+    assert np.all(np.abs(moment - A) <= 5.0 * moment_se)
+
+    g_bart = np.array([obj.batch_riem_grad(b, x).coords for b in bartlett])
+    g_direct = np.array([obj.batch_riem_grad(b, x).coords for b in direct])
+    pop = obj.full_riem_grad(x).coords
+    se = g_bart.std(axis=0, ddof=1) / np.sqrt(N)
+    assert np.all(np.abs(g_bart.mean(axis=0) - pop) <= 5.0 * se)
+
+    log_ratio = np.log(g_bart.var(axis=0, ddof=1)
+                       / g_direct.var(axis=0, ddof=1))
+    band = 5.0 * np.sqrt(2.0 * (2.0 + 12.0 / size) / N)
+    assert np.all(np.abs(log_ratio) <= band)
+
+
+@pytest.mark.parametrize("size", [0, -3, True, 2.0, 64.0, "8", None])
+def test_streaming_rejects_bad_batch_sizes(size):
+    obj = make_streaming_rayleigh(d=3, spectrum=[2.0, 1.0, 0.5], seed=None)
+    rng = np.random.default_rng(0)
+    for sample in (obj.sample_minibatch, obj.sample_largebatch):
+        with pytest.raises(ParameterError, match="integer >= 1"):
+            sample(size, rng)
+    # both samplers stay on the class itself, where tracing wraps them
+    assert {"sample_minibatch", "sample_largebatch"} <= set(
+        type(obj).__dict__)
 
 
 def test_streaming_rejects_negative_covariance():
