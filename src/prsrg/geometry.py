@@ -14,12 +14,15 @@ The differentiated retraction ``T_u = DR_x(u)`` maps T_x M to T_{R_x(u)} M;
 its adjoint ``T_u*`` pulls gradients back to the anchor tangent space. Every
 manifold applies both in closed form, once, in array-level private methods
 (``_dretract_coords``, ``_dretract_adjoint_coords``) that take plain float64
-coordinates and check nothing. The public ``dretract_apply``,
-``dretract_adjoint_apply`` and ``dretract_matrix`` validate their arguments,
-then call those forms; hot loops that validated once at their own boundary
-call the array-level forms directly. ``dretract_matrix`` expresses T_u in
-deterministic orthonormal tangent bases (QR completion of the constraint
-normal space).
+coordinates and check nothing. These, ``_retract_coords`` and
+``project_ambient`` accept vectors stacked as rows, shape (...,
+ambient_dim), and give each row the bits of a one-vector call (row dots go
+through ``np.vecdot``, the same dot as ``a @ b``). The public
+``dretract_apply``, ``dretract_adjoint_apply`` and ``dretract_matrix``
+validate their arguments, then call those forms; hot loops that validated
+once at their own boundary call the array-level forms directly.
+``dretract_matrix`` expresses T_u in deterministic orthonormal tangent bases
+(QR completion of the constraint normal space).
 """
 
 from __future__ import annotations
@@ -57,8 +60,30 @@ class TangentVector:
 
 def _norm(a: np.ndarray) -> float:
     """Euclidean norm of a 1-D float64 array: sqrt of the dot product, which
-    is what np.linalg.norm computes, so the bits agree at less overhead."""
-    return math.sqrt(a @ a)
+    is what np.linalg.norm computes, so the bits agree at less overhead.
+    ``np.vdot`` is the same dot as ``a @ a`` but sets no floating-point
+    flags, so a square that overflows reads inf without a RuntimeWarning."""
+    return math.sqrt(np.vdot(a, a))
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray):
+    """Dot products of the rows of a with b (rows of the same shape, or one
+    vector), shape (..., 1) so that they broadcast against the rows.
+    ``np.vecdot`` reduces each row with the same dot as ``a @ b``, so row k
+    equals ``a[k] @ b[k]`` bit for bit. A 1-D a takes the scalar ``a @ b``:
+    one-vector calls, several per inner-loop step, then pay no gufunc and
+    broadcasting overhead."""
+    if a.ndim == 1:
+        return a @ b
+    return np.vecdot(a, b, keepdims=True)
+
+
+def _row_norms(a: np.ndarray):
+    """Euclidean norms of the rows of a, shape (..., 1), each the bits of
+    ``_norm`` of its row; a 1-D a gives ``_norm(a)``, as ``_row_dots``."""
+    if a.ndim == 1:
+        return _norm(a)
+    return np.sqrt(np.vecdot(a, a, keepdims=True))
 
 
 def _freeze(a) -> np.ndarray:
@@ -107,9 +132,13 @@ class Manifold:
         raise NotImplementedError
 
     def project_ambient(self, x: ManifoldPoint, a: np.ndarray) -> np.ndarray:
+        """Orthogonal projection onto T_x M of each row of a, shape
+        (..., ambient_dim)."""
         raise NotImplementedError
 
     def _retract_coords(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """R_x(u) on coordinates; u may stack tangent vectors as rows,
+        shape (..., ambient_dim), each retracted as if alone. No checks."""
         raise NotImplementedError
 
     def _normal_frame(self, x: ManifoldPoint) -> np.ndarray:
@@ -211,7 +240,8 @@ class Manifold:
 
     def _dretract_adjoint_coords(self, x: ManifoldPoint, u: np.ndarray,
                                  w: np.ndarray) -> np.ndarray:
-        """T_u*[w] on coordinates, w of shape (ambient_dim,). No checks."""
+        """T_u*[w] on coordinates; u and w may stack rows, shape (...,
+        ambient_dim), row k giving T_{u_k}*[w_k]. No checks."""
         raise NotImplementedError
 
     def dretract_apply(self, x: ManifoldPoint, u: TangentVector,
@@ -250,8 +280,9 @@ class Manifold:
         r * U^(1/dim). r = 0 consumes no randomness and returns the zero vector.
         """
         self._require_point(x)
-        if r < 0:
-            raise ParameterError("ball radius must be nonnegative")
+        if not (r >= 0 and math.isfinite(r)):
+            raise ParameterError(
+                f"ball radius must be finite and nonnegative, got {r}")
         if r == 0.0:
             return self.zero_tangent(x)
         # draws at the point of the previous draw (the Lipschitz probe makes
@@ -289,11 +320,12 @@ class Sphere(Manifold):
         return abs(float(x.coords @ coords))
 
     def project_ambient(self, x, a):
-        return a - (x.coords @ a) * x.coords
+        a = np.asarray(a, dtype=np.float64)
+        return a - _row_dots(a, x.coords) * x.coords
 
     def _retract_coords(self, x, u):
         w = x + u
-        return w / _norm(w)
+        return w / _row_norms(w)
 
     def _normal_frame(self, x):
         return x.coords.reshape(-1, 1)
@@ -308,7 +340,7 @@ class Sphere(Manifold):
 
     def _dretract_adjoint_coords(self, x, u, w):
         xc = x.coords
-        return (w - (xc @ w) * xc) / _norm(xc + u)
+        return (w - _row_dots(w, xc) * xc) / _row_norms(xc + u)
 
     # bench/launch.py wraps this name through Sphere.__dict__
     dretract_adjoint_apply = Manifold.dretract_adjoint_apply

@@ -37,7 +37,8 @@ import numpy as np
 
 from . import _kernels
 from .errors import ParameterError
-from .geometry import Euclidean, ManifoldPoint, Sphere, TangentVector
+from .geometry import (Euclidean, ManifoldPoint, Sphere, TangentVector,
+                       _row_dots)
 from .pullback import Batch, FiniteSumObjective
 from .rng import TAG_PROBLEM, master_stream
 
@@ -112,6 +113,12 @@ def _paired_noise(n: int, d: int, noise_scale: float,
     return P, Q
 
 
+def _act(M: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """M y for each row y of Y, shape (..., d): bit-equal to ``M @ y`` one
+    row at a time (``Y @ M.T`` is one matrix product and is not)."""
+    return np.matmul(M, Y[..., None])[..., 0]
+
+
 class _SphereRayleigh:
     """F(x) = -x^T Abar x on the sphere; a mean component action A y maps
     to the Riemannian gradient -2 (I - y y^T) A y. Subclasses supply the
@@ -120,12 +127,16 @@ class _SphereRayleigh:
     def value(self, x: ManifoldPoint) -> float:
         return -float(x.coords @ (self.Abar @ x.coords))
 
-    def full_riem_grad(self, x: ManifoldPoint) -> TangentVector:
-        return self._grad_from_matvec(x, self.Abar @ x.coords)
+    def _full_grad_coords(self, Y: np.ndarray) -> np.ndarray:
+        return self._grad_coords(Y, _act(self.Abar, Y))
+
+    @staticmethod
+    def _grad_coords(Y: np.ndarray, AY: np.ndarray) -> np.ndarray:
+        """-2 (I - y y^T) A y for each row y of Y and its action row A y."""
+        return -2.0 * (AY - _row_dots(Y, AY) * Y)
 
     def _grad_from_matvec(self, x: ManifoldPoint, Ay: np.ndarray) -> TangentVector:
-        y = x.coords
-        return TangentVector(x, -2.0 * (Ay - (y @ Ay) * y))
+        return TangentVector(x, self._grad_coords(x.coords, Ay))
 
     def batch_riem_hvp(self, batch: Batch, x: ManifoldPoint,
                        v: TangentVector) -> TangentVector:
@@ -159,8 +170,9 @@ class _SpectralRayleigh(_SphereRayleigh):
 class _PairedComponentObjective(FiniteSumObjective):
     """Index-sampled finite sum with components Abar + E_i (paired rank-2).
 
-    Subclasses map the mean action to a gradient (``_grad_from_matvec``);
-    other components override ``__init__`` and ``_matvec_mean``.
+    Subclasses map the mean action to a gradient (``_grad_from_matvec``,
+    and ``_full_grad_coords`` on rows of points); other components override
+    ``__init__`` and ``_matvec_mean``.
     """
 
     def __init__(self, manifold, Abar: np.ndarray, P: np.ndarray, Q: np.ndarray,
@@ -187,9 +199,6 @@ class _PairedComponentObjective(FiniteSumObjective):
     def component_riem_grad(self, i: int, x: ManifoldPoint) -> TangentVector:
         idx = np.asarray([i], dtype=np.int64)
         return self.batch_riem_grad(Batch(size=1, idx=idx), x)
-
-    def full_riem_grad(self, x: ManifoldPoint) -> TangentVector:
-        return self._grad_from_matvec(x, self.Abar @ x.coords)
 
     def sample_minibatch(self, b: int, rng: np.random.Generator) -> Batch:
         if not 1 <= b <= 2**31:
@@ -248,6 +257,9 @@ class QuadraticSaddleInstance(_PairedComponentObjective):
 
     def value(self, x: ManifoldPoint) -> float:
         return 0.5 * float(x.coords @ (self.Abar @ x.coords))
+
+    def _full_grad_coords(self, Y):
+        return _act(self.Abar, Y)
 
     def _grad_from_matvec(self, x, Ay):
         return TangentVector(x, np.array(Ay))

@@ -12,9 +12,14 @@ tangent vectors, then compute on coordinates: ``grad_batch`` calls the
 private ``_grad(batch, u)``, which retracts once and pulls back through the
 manifold's array-level adjoint. Callers that validated once at their own
 boundary (the tangent-space loop in ``tssrg``) call ``_grad`` directly on
-plain arrays. Every retraction here is second order, so
-at u = 0 the pullback Hessian equals the Riemannian Hessian, which each
-objective gives in closed form (``batch_riem_hvp``).
+plain arrays. The Lipschitz probe (``estimate_lipschitz``) draws its ball
+pairs one at a time through the public ``Manifold.sample_ball`` and
+evaluates them in blocks through ``_exact_grad_coords``, which takes
+tangent vectors stacked as rows: one retraction, one full gradient and one
+adjoint per block, each row with the bits of a one-vector ``exact_grad``,
+so the estimate is the pair-at-a-time one. Every retraction here is second
+order, so at u = 0 the pullback Hessian equals the Riemannian Hessian,
+which each objective gives in closed form (``batch_riem_hvp``).
 
 The oracle tracks stochastic-gradient query counts (the complexity
 currency): ``queries`` for optimizer calls and ``diag_queries`` for Hessian
@@ -33,11 +38,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyBatch, ParameterError
-from .geometry import Manifold, ManifoldPoint, TangentVector, _freeze
+from .geometry import (Manifold, ManifoldPoint, TangentVector, _freeze, _norm,
+                       _row_norms)
 from .rng import TAG_DIAG, master_stream
 
 # Central FD step for the Lipschitz probe's Hessian-vector products.
 HVP_FD_STEP = 1e-4
+
+# Probe pairs evaluated as one row stack: 16 pairs are at most 96 rows, a
+# working set of ~1.5 MB at d = 200 (all pairs at once costs ~16 MB of
+# peak memory at the default 200 pairs).
+PROBE_BLOCK = 16
 
 # Size of the fixed streaming batch behind ``PullbackOracle.hvp``.
 HVP_BATCH_SIZE = 2048
@@ -66,7 +77,8 @@ class FiniteSumObjective:
 
     Subclasses provide ``n`` (component count, or None for streaming),
     ``manifold``, ``sigma_hint`` (uniform gradient-deviation bound, or None),
-    and the evaluation methods below. The component-gradient mean over the
+    and the evaluation methods below; the exact gradient comes from the
+    array-level ``_full_grad_coords``. The component-gradient mean over the
     exhaustive batch must equal the Riemannian gradient of ``value``.
     """
 
@@ -79,6 +91,12 @@ class FiniteSumObjective:
 
     def full_riem_grad(self, x: ManifoldPoint) -> TangentVector:
         """Exact full (finite-sum) or population (streaming) gradient."""
+        return TangentVector(x, self._full_grad_coords(x.coords))
+
+    def _full_grad_coords(self, Y: np.ndarray) -> np.ndarray:
+        """``full_riem_grad`` on coordinates: Y stacks points as rows, shape
+        (..., ambient_dim), each row giving the bits of a one-point call.
+        No checks."""
         raise NotImplementedError
 
     def batch_riem_grad(self, batch: Batch, x: ManifoldPoint) -> TangentVector:
@@ -202,20 +220,6 @@ class PullbackOracle:
                 HVP_BATCH_SIZE, rng)
         return self._hvp_batch
 
-    def _fd_hvp(self, u: TangentVector, v: TangentVector) -> TangentVector:
-        """Central difference of ``exact_grad`` at u along v, step
-        ``1e-4 * max(1, ||v||)``, projected onto the anchor tangent space."""
-        nv = v.norm
-        if nv == 0.0:
-            return self.zero()
-        s = HVP_FD_STEP * max(1.0, nv)
-        step = (s / nv) * v.coords
-        gp = self.exact_grad(TangentVector(self.anchor, u.coords + step))
-        gm = self.exact_grad(TangentVector(self.anchor, u.coords - step))
-        out = (gp.coords - gm.coords) * (nv / (2.0 * s))
-        return TangentVector(self.anchor,
-                             self.manifold.project_ambient(self.anchor, out))
-
     def hvp(self, v: TangentVector) -> TangentVector:
         """Exact pullback Hessian at u = 0 along v: the closed-form
         Riemannian Hessian of the full batch (the fixed streaming batch
@@ -226,13 +230,33 @@ class PullbackOracle:
         self.diag_queries += batch.size
         return self.objective.batch_riem_hvp(batch, self.anchor, v)
 
+    def _exact_grad_coords(self, U: np.ndarray) -> np.ndarray:
+        """``exact_grad`` on coordinates: U stacks tangent vectors at the
+        anchor as rows, (..., ambient_dim); one retraction, one full
+        gradient and one adjoint for the whole stack, each row with the bits
+        of a one-vector ``exact_grad``. No checks, no counters."""
+        man, x = self.manifold, self.anchor
+        G = self.objective._full_grad_coords(man._retract_coords(x.coords, U))
+        return man._dretract_adjoint_coords(x, U, G)
+
     def estimate_lipschitz(self, rng: np.random.Generator,
                            pairs: int = 200) -> LipschitzEstimate:
         """Empirical gradient/Hessian Lipschitz surrogates inside the ball.
 
         Samples random ball pairs (u, v) and sets l_hat, rho_hat to 1.2x the
         largest observed difference quotient of the exact pullback gradient
-        and of its FD Hessian action. L_hat = l_hat + rho_hat * D.
+        and of its Hessian action along a random unit direction w, taken as
+        a central difference of the exact gradient with step
+        ``HVP_FD_STEP * max(1, ||w||)`` and projected onto the anchor
+        tangent space. L_hat = l_hat + rho_hat * D.
+
+        Pairs are drawn one at a time through ``Manifold.sample_ball`` (u,
+        v, then w; a pair with ||u - v|| < 1e-12 draws no w and is skipped,
+        one whose w is shorter than 1e-12 adds no Hessian quotient) and
+        evaluated ``PROBE_BLOCK`` pairs at a time: the block's u, v and
+        u +- s w, v +- s w go through ``_exact_grad_coords`` as one stack.
+        Every row equals a one-vector evaluation bit for bit, so the
+        estimate is the one a pair-at-a-time loop gives.
         """
         if pairs < 1:
             raise ParameterError("need at least one probe pair")
@@ -241,26 +265,47 @@ class PullbackOracle:
         # probes stay strictly inside so the FD Hessian offsets cannot poke
         # past the chart boundary
         Dp = D * 0.99 - HVP_FD_STEP * (1.0 + D)
+        rw = min(1.0, D)
         l_max = 0.0
         r_max = 0.0
-        for _ in range(pairs):
-            u = man.sample_ball(x, Dp, rng)
-            v = man.sample_ball(x, Dp, rng)
-            du = float(np.linalg.norm(u.coords - v.coords))
-            if du < 1e-12:
+        for start in range(0, pairs, PROBE_BLOCK):
+            us, vs, dus, has_w, steps, scales = [], [], [], [], [], []
+            for _ in range(min(PROBE_BLOCK, pairs - start)):
+                u = man.sample_ball(x, Dp, rng).coords
+                v = man.sample_ball(x, Dp, rng).coords
+                du = _norm(u - v)
+                if du < 1e-12:
+                    continue
+                us.append(u)
+                vs.append(v)
+                dus.append(du)
+                w = man.sample_ball(x, rw, rng)
+                nw = w.norm
+                if nw < 1e-12:
+                    continue
+                w = w.coords / nw
+                nv = _norm(w)
+                s = HVP_FD_STEP * max(1.0, nv)
+                has_w.append(len(us) - 1)
+                steps.append((s / nv) * w)
+                scales.append(nv / (2.0 * s))
+            if not us:
                 continue
-            gu = self.exact_grad(u)
-            gv = self.exact_grad(v)
-            l_max = max(l_max, float(np.linalg.norm(gu.coords - gv.coords)) / du)
-            w = man.sample_ball(x, 1.0, rng) if D >= 1.0 else man.sample_ball(x, D, rng)
-            nw = w.norm
-            if nw < 1e-12:
-                continue
-            w = TangentVector(x, w.coords / nw)
-            hu = self._fd_hvp(u, w)
-            hv = self._fd_hvp(v, w)
-            r_max = max(r_max, float(np.linalg.norm(hu.coords - hv.coords)) / du)
+            U, V, du = np.array(us), np.array(vs), np.array(dus)
+            Uw, Vw = U[has_w], V[has_w]
+            S = np.reshape(steps, Uw.shape)
+            G = self._exact_grad_coords(
+                np.concatenate([U, V, Uw + S, Uw - S, Vw + S, Vw - S]))
+            gu, gv, gup, gum, gvp, gvm = np.split(
+                G, np.cumsum([len(us)] * 2 + [len(has_w)] * 3))
+            # fmax passes over a NaN quotient, as max() over floats does
+            l_max = float(np.fmax.reduce(_row_norms(gu - gv)[:, 0] / du,
+                                         initial=l_max))
+            c = np.array(scales)[:, None]
+            hu = man.project_ambient(x, (gup - gum) * c)
+            hv = man.project_ambient(x, (gvp - gvm) * c)
+            r_max = float(np.fmax.reduce(
+                _row_norms(hu - hv)[:, 0] / du[has_w], initial=r_max))
         l_hat = 1.2 * l_max
         rho_hat = 1.2 * r_max
         return LipschitzEstimate(l_hat, rho_hat, l_hat + rho_hat * D)
-

@@ -25,7 +25,8 @@ must be based at the oracle's anchor, u0 must lie in the run ball, and the
 run ball must fit in the manifold's chart. After that the loop keeps u, v
 and the step w as plain float64 arrays and computes minibatch gradients
 through ``PullbackOracle._grad``, one retraction each. Norms are
-``sqrt(a @ a)``, which equals ``np.linalg.norm`` bit for bit on 1-D float64.
+``_norm``, the square root of the dot product, which equals ``np.linalg.norm``
+bit for bit on 1-D float64.
 Tangent vectors are built only where a public, validating oracle call needs
 one (the trace row's F value, the exact gradient behind ``record_gaps``) and
 for the returned outcome.
@@ -95,9 +96,16 @@ def boundary_alpha(u_prev: np.ndarray, w: np.ndarray, D: float) -> float:
     Requires ||u_prev|| < D and ||u_prev - w|| >= D. The quadratic
     a*alpha^2 - 2*uw*alpha + c = 0 (a = ||w||^2, c = ||u_prev||^2 - D^2 < 0)
     then has exactly one positive root; the branch is chosen so the two
-    summed terms never cancel.
+    summed terms never cancel. When ||w||^2 overflows, the crossing is
+    found along w / max|w|, the same ray, and alpha scaled back.
     """
-    a = float(w @ w)
+    # np.vdot: the dot of w @ w, but an overflow reads inf without a warning
+    a = float(np.vdot(w, w))
+    scale = 1.0
+    if not math.isfinite(a):
+        scale = float(np.max(np.abs(w)))
+        w = w / scale
+        a = float(w @ w)
     if a <= 0.0:
         raise ParameterError("boundary crossing requires a nonzero step")
     uw = float(u_prev @ w)
@@ -110,7 +118,7 @@ def boundary_alpha(u_prev: np.ndarray, w: np.ndarray, D: float) -> float:
         alpha = (uw + s) / a
     else:
         alpha = c / (uw - s)
-    return min(max(alpha, 0.0), 1.0)
+    return min(max(alpha / scale, 0.0), 1.0)
 
 
 def _require_finite(arr: np.ndarray, what: str, t: int) -> None:
@@ -188,6 +196,7 @@ def tssrg_run(oracle: PullbackOracle, u0: TangentVector, params: TssrgParams,
             w = params.eta * v
             u_next = u_prev - w
             _require_finite(u_next, "iterate", t)
+            # a step whose square overflows has norm inf: outside the ball
             u_next_norm = _norm(u_next)
             if u_next_norm >= D:
                 alpha = boundary_alpha(u_prev, w, D)

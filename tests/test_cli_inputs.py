@@ -7,6 +7,8 @@ point loaders return float64 data or raise an exit-2 error, whatever bytes
 they read.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -192,6 +194,22 @@ def test_numerical_failure_exits_1(tmp_path, capsys, monkeypatch):
     cfg.write_text(BASE.format(start="random"))
     assert main(["run", "--config", str(cfg)]) == EXIT_FAIL
     _assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize("eta", ["1e160", "1e300"])
+def test_huge_step_size_runs_to_budget(tmp_path, capsys, eta):
+    # every step is so long that its squared norm overflows; each epoch
+    # exits on the ball boundary instead of turning the iterate into NaN
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(BASE.format(start="random") + f"eta = {eta}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["run", "--config", str(cfg), "--out",
+                     str(tmp_path / "run")])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert captured.err == ""
+    assert '"exit_reason": "budget"' in captured.out
 
 
 def test_budget_invariant_exits_1(tmp_path, capsys, monkeypatch):

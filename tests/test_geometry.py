@@ -169,6 +169,57 @@ def test_sample_ball_zero_radius_draws_nothing():
     assert rng.bit_generator.state == state
 
 
+@pytest.mark.parametrize("r", [float("nan"), float("inf")])
+def test_sample_ball_rejects_non_finite_radius(r):
+    man = Sphere(5)
+    rng = np.random.default_rng(0)
+    x = man.rand_point(rng)
+    state = rng.bit_generator.state
+    with pytest.raises(ParameterError):
+        man.sample_ball(x, r, rng)
+    assert rng.bit_generator.state == state
+
+
+# ---------------------------------------------------- row-stacked calls
+
+def _sphere_closed_forms(xc, u, w):
+    # retraction, adjoint differential and tangent projection, one vector
+    # at a time with np.linalg.norm
+    s = np.linalg.norm(xc + u)
+    return ((xc + u) / s, (w - (xc @ w) * xc) / s, w - (xc @ w) * xc)
+
+
+def _euclidean_closed_forms(xc, u, w):
+    return xc + u, w, w
+
+
+@pytest.mark.parametrize("man, closed_forms", [
+    (Sphere(200), _sphere_closed_forms),
+    (Euclidean(7), _euclidean_closed_forms),
+], ids=["sphere", "euclidean"])
+def test_row_stacked_primitives_equal_one_vector_calls(man, closed_forms):
+    # the Lipschitz probe evaluates stacks of tangent vectors; each row must
+    # carry exactly the bits of its own one-vector call, which are those of
+    # the closed form
+    rng = np.random.default_rng(8)
+    x = man.rand_point(rng)
+    k = 37
+    U = np.array([man.sample_ball(x, 0.4, rng).coords for _ in range(k)])
+    W = rng.standard_normal((k, man.ambient_dim))
+    Y = man._retract_coords(x.coords, U)
+    T = man._dretract_adjoint_coords(x, U, W)
+    P = man.project_ambient(x, W)
+    assert Y.shape == T.shape == P.shape == (k, man.ambient_dim)
+    for i in range(k):
+        assert np.array_equal(Y[i], man._retract_coords(x.coords, U[i]))
+        assert np.array_equal(
+            T[i], man._dretract_adjoint_coords(x, U[i], W[i]))
+        assert np.array_equal(P[i], man.project_ambient(x, W[i]))
+        for got, expect in zip((Y[i], T[i], P[i]),
+                               closed_forms(x.coords, U[i], W[i])):
+            assert np.array_equal(got, expect)
+
+
 # ------------------------------------------------------------- properties
 
 @given(st.integers(0, 2 ** 32 - 1))

@@ -20,6 +20,8 @@ from prsrg.problems import _paired_noise, load_matrix, save_matrix
 from prsrg.pullback import Batch
 from prsrg.rng import TAG_PROBLEM, master_stream
 
+from conftest import HESSIAN_KINDS, kind_oracle
+
 
 # --------------------------------------------------- paired noise structure
 
@@ -94,6 +96,26 @@ def test_component_mean_equals_full_gradient(build):
         mean = sum(obj.component_riem_grad(i, x).coords
                    for i in range(obj.n)) / obj.n
         assert np.allclose(mean, obj.full_riem_grad(x).coords, atol=1e-10)
+
+
+@pytest.mark.parametrize("kind", HESSIAN_KINDS)
+def test_full_gradient_of_row_stack_equals_one_point_calls(kind):
+    # the Lipschitz probe takes exact gradients of stacked points; row k
+    # must carry the bits of full_riem_grad at point k, which are those of
+    # the one-vector formula (Abar @ y, then the tangent projection)
+    obj = kind_oracle(kind, d=200).objective
+    man = obj.manifold
+    rng = np.random.default_rng(4)
+    Y = np.array([man.rand_point(rng).coords for _ in range(23)])
+    G = obj._full_grad_coords(Y)
+    assert G.shape == Y.shape
+    for y, g in zip(Y, G):
+        Ay = obj.Abar @ y
+        expect = Ay
+        if kind != "quadratic_saddle":
+            expect = -2.0 * (Ay - (y @ Ay) * y)
+        assert np.array_equal(g, expect)
+        assert np.array_equal(g, obj.full_riem_grad(man.point(y)).coords)
 
 
 def test_zero_noise_components_all_equal_population():

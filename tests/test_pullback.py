@@ -3,6 +3,8 @@ query accounting, and the empirical Lipschitz estimator."""
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from prsrg import (
     make_rayleigh,
     make_streaming_rayleigh,
 )
+from prsrg.pullback import HVP_FD_STEP
 from prsrg.rng import StreamTree
 
 from conftest import (HESSIAN_KINDS, fd_hvp, fd_pullback_grad, kind_oracle,
@@ -293,3 +296,103 @@ def test_lipschitz_estimate_is_deterministic(medium_rayleigh):
     a = oracle.estimate_lipschitz(StreamTree(4).child(1).generator())
     b = oracle.estimate_lipschitz(StreamTree(4).child(1).generator())
     assert (a.l_hat, a.rho_hat, a.L_hat) == (b.l_hat, b.rho_hat, b.L_hat)
+
+
+def _reference_probe(oracle, rng, pairs):
+    """The Lipschitz probe one pair at a time, through the public oracle:
+    two exact gradients per pair and a central-difference Hessian action at
+    u and at v, four more."""
+    man, x = oracle.manifold, oracle.anchor
+    D = man.ball_radius_D
+
+    def central_hvp(u, w):
+        nv = w.norm
+        s = HVP_FD_STEP * max(1.0, nv)
+        step = (s / nv) * w.coords
+        gp = oracle.exact_grad(TangentVector(x, u.coords + step))
+        gm = oracle.exact_grad(TangentVector(x, u.coords - step))
+        return man.project_ambient(
+            x, (gp.coords - gm.coords) * (nv / (2.0 * s)))
+
+    Dp = D * 0.99 - HVP_FD_STEP * (1.0 + D)
+    l_max = r_max = 0.0
+    for _ in range(pairs):
+        u = man.sample_ball(x, Dp, rng)
+        v = man.sample_ball(x, Dp, rng)
+        du = float(np.linalg.norm(u.coords - v.coords))
+        if du < 1e-12:
+            continue
+        gu = oracle.exact_grad(u)
+        gv = oracle.exact_grad(v)
+        l_max = max(l_max, float(np.linalg.norm(gu.coords - gv.coords)) / du)
+        w = man.sample_ball(x, 1.0 if D >= 1.0 else D, rng)
+        nw = w.norm
+        if nw < 1e-12:
+            continue
+        w = TangentVector(x, w.coords / nw)
+        hu, hv = central_hvp(u, w), central_hvp(v, w)
+        r_max = max(r_max, float(np.linalg.norm(hu - hv)) / du)
+    return 1.2 * l_max, 1.2 * r_max, 1.2 * l_max + 1.2 * r_max * D
+
+
+def _probe_oracle(kind):
+    if kind == "rotated_sphere200":
+        spec = np.concatenate(([2.0, 1.0], np.linspace(0.9, 0.1, 198)))
+        obj = make_rayleigh(d=200, n=400, spectrum=spec, noise_scale=0.4,
+                            seed=11)
+        return PullbackOracle(obj, obj.eigvec(1))
+    if kind == "streaming_rayleigh":
+        obj = make_streaming_rayleigh(d=20, spectrum=np.linspace(2.0, 0.1, 20),
+                                      seed=3)
+        return PullbackOracle(obj, obj.eigvec(1))
+    obj = make_quadratic_saddle(d=10, gamma=1.0, L_top=2.0, n=30, seed=3,
+                                noise_scale=0.1)
+    rng = np.random.default_rng(2)
+    return PullbackOracle(obj, obj.manifold.rand_point(rng))
+
+
+def _plain(state):
+    """A bit-generator state with its arrays as lists, comparable by ==."""
+    return {k: _plain(v) if isinstance(v, dict) else np.asarray(v).tolist()
+            for k, v in state.items()}
+
+
+def _with_skipped_pairs(monkeypatch, man):
+    """Make every fifth pair draw v equal to u (no w is drawn and the pair
+    adds nothing) and every third w zero (the pair adds no Hessian
+    quotient). The generator still advances as without the patch."""
+    draw = type(man).sample_ball
+    pair_draws, w_draws = itertools.count(), itertools.count()
+    last = []
+
+    def sample_ball(x, r, rng):
+        out = draw(man, x, r, rng)
+        if r == min(1.0, man.ball_radius_D):
+            return man.zero_tangent(x) if next(w_draws) % 3 == 1 else out
+        i = next(pair_draws)
+        if i % 10 == 1:
+            out = last[0]
+        last[:] = [out]
+        return out
+
+    monkeypatch.setattr(man, "sample_ball", sample_ball)
+
+
+@pytest.mark.parametrize("pairs", [1, 37, 200])
+@pytest.mark.parametrize("kind", ["rotated_sphere200", "streaming_rayleigh",
+                                  "quadratic_saddle", "skipped_pairs"])
+def test_blocked_probe_equals_pair_at_a_time_reference(kind, pairs,
+                                                       monkeypatch):
+    oracle = _probe_oracle("rotated_sphere200" if kind == "skipped_pairs"
+                           else kind)
+    runs = []
+    for probe in (lambda rng: _reference_probe(oracle, rng, pairs),
+                  lambda rng: oracle.estimate_lipschitz(rng, pairs=pairs)):
+        if kind == "skipped_pairs":
+            _with_skipped_pairs(monkeypatch, oracle.manifold)
+        rng = StreamTree(19).child(pairs).generator()
+        runs.append((probe(rng), _plain(rng.bit_generator.state)))
+    (ref, ref_state), (est, est_state) = runs
+    assert (est.l_hat, est.rho_hat, est.L_hat) == ref
+    assert est_state == ref_state
+    assert oracle.queries == 0 and oracle.diag_queries == 0

@@ -75,6 +75,16 @@ def test_boundary_alpha_worked_example():
     assert alpha == pytest.approx(0.2, abs=1e-15)
 
 
+def test_boundary_alpha_step_whose_square_overflows():
+    # ||w||^2 = 5e600 is inf in float64; the crossing must still be found
+    w = np.full(5, 1e300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        alpha = boundary_alpha(np.zeros(5), w, 0.5)
+    assert 0.0 < alpha <= 1.0
+    assert np.linalg.norm(alpha * w) == pytest.approx(0.5, abs=1e-12)
+
+
 def test_boundary_exit_outcome():
     obj, oracle = _quadratic_oracle(d=2)
     x = oracle.anchor
