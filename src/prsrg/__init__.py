@@ -16,7 +16,8 @@ from .diagnostics import (Certification, EscapeStats, EscapeThreshold,
                           check_variance_bound, escape_threshold,
                           lanczos_min_eig, stuck_region_experiment)
 from .errors import (ContractViolation, EmptyBatch, InvariantViolation,
-                     NumericalFailure, OutOfBall, ParameterError, SchemaError)
+                     NotASaddle, NumericalFailure, OutOfBall, ParameterError,
+                     SchemaError)
 from .geometry import (Euclidean, Manifold, ManifoldPoint, Sphere,
                        TangentVector)
 from .harness import (ExperimentConfig, dump_config, load_config,
@@ -42,9 +43,9 @@ __all__ = [
     "DataRayleighInstance", "EmptyBatch", "EscapeStats", "EscapeThreshold",
     "Euclidean", "ExitReason", "ExperimentConfig", "FiniteSumObjective",
     "InvariantViolation", "LipschitzEstimate", "Manifold", "ManifoldPoint",
-    "NumericalFailure", "OutOfBall", "ParameterError", "PullbackOracle",
-    "QuadraticSaddleInstance", "RayleighInstance", "SchemaError",
-    "SolverConstants", "SolverParams", "SolverReport",
+    "NotASaddle", "NumericalFailure", "OutOfBall", "ParameterError",
+    "PullbackOracle", "QuadraticSaddleInstance", "RayleighInstance",
+    "SchemaError", "SolverConstants", "SolverParams", "SolverReport",
     "StreamingRayleighInstance", "StreamTree", "Sphere",
     "TangentVector", "TraceRow", "TraceSegment", "TssrgOutcome",
     "TssrgParams", "auto_solve", "backend_name", "baseline_run",

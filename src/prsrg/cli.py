@@ -14,8 +14,8 @@ import dataclasses
 import json
 import sys
 
-from .errors import (ContractViolation, InvariantViolation, NumericalFailure,
-                     ParameterError, SchemaError)
+from .errors import (ContractViolation, InvariantViolation, NotASaddle,
+                     NumericalFailure, ParameterError, SchemaError)
 from .harness import (ALGOS, dump_config, load_config, run_certify, run_couple,
                       run_experiment, run_sweep)
 
@@ -97,11 +97,7 @@ def main(argv=None) -> int:
             return EXIT_OK
         if args.command == "couple":
             cfg = _load(args)
-            try:
-                payload = run_couple(cfg, out=args.out)
-            except ContractViolation as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return EXIT_NOT_SADDLE
+            payload = run_couple(cfg, out=args.out)
             print(json.dumps(payload, sort_keys=True))
             return EXIT_OK
         if args.command == "sweep":
@@ -116,6 +112,9 @@ def main(argv=None) -> int:
             print(dump_config(cfg), end="")
             return EXIT_OK
         raise AssertionError(f"unhandled command {args.command}")
+    except NotASaddle as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NOT_SADDLE
     except (ParameterError, SchemaError, ContractViolation, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

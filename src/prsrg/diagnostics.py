@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import ContractViolation, ParameterError, SchemaError
+from .errors import NotASaddle, ParameterError, SchemaError
 from .geometry import Manifold, ManifoldPoint, TangentVector
 from .pullback import PullbackOracle
 from .rng import TAG_DIAG, TAG_PERTURB, TAG_TRIAL, StreamTree, master_stream
@@ -321,7 +321,7 @@ def stuck_region_experiment(oracle: PullbackOracle, params: TssrgParams,
     man = oracle.manifold
     lan = _hessian_lanczos(oracle)
     if not (lan.value <= -delta):
-        raise ContractViolation(
+        raise NotASaddle(
             f"anchor is not a certified saddle: lambda_min estimate "
             f"{lan.value:.6g} > -delta = {-delta:.6g}")
     e1 = lan.vector.copy()

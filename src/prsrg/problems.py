@@ -138,12 +138,12 @@ class _SphereRayleigh:
     def _grad_from_matvec(self, x: ManifoldPoint, Ay: np.ndarray) -> TangentVector:
         return TangentVector(x, self._grad_coords(x.coords, Ay))
 
-    def batch_riem_hvp(self, batch: Batch, x: ManifoldPoint,
-                       v: TangentVector) -> TangentVector:
+    def full_riem_hvp(self, x: ManifoldPoint,
+                      v: TangentVector) -> TangentVector:
         # Hess f(y)[v] = P_y(-2 M v) - <y, -2 M y> v for f = -y^T M y
         y = x.coords
-        Mv = self._matvec_mean(batch, v.coords)
-        My = self._matvec_mean(batch, y)
+        Mv = self.Abar @ v.coords
+        My = self.Abar @ y
         return TangentVector(
             x, -2.0 * (Mv - (y @ Mv) * y) + 2.0 * (y @ My) * v.coords)
 
@@ -264,8 +264,8 @@ class QuadraticSaddleInstance(_PairedComponentObjective):
     def _grad_from_matvec(self, x, Ay):
         return TangentVector(x, np.array(Ay))
 
-    def batch_riem_hvp(self, batch, x, v):
-        return TangentVector(x, self._matvec_mean(batch, v.coords))
+    def full_riem_hvp(self, x, v):
+        return TangentVector(x, self.Abar @ v.coords)
 
     def min_curvature_direction(self) -> np.ndarray:
         """Unit eigenvector of H for eigenvalue -gamma."""

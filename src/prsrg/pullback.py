@@ -19,13 +19,16 @@ tangent vectors stacked as rows: one retraction, one full gradient and one
 adjoint per block, each row with the bits of a one-vector ``exact_grad``,
 so the estimate is the pair-at-a-time one. Every retraction here is second
 order, so at u = 0 the pullback Hessian equals the Riemannian Hessian,
-which each objective gives in closed form (``batch_riem_hvp``).
+which each objective gives in closed form from its mean matrix
+(``full_riem_hvp``, the pair to ``full_riem_grad``).
 
 The oracle tracks stochastic-gradient query counts (the complexity
 currency): ``queries`` for optimizer calls and ``diag_queries`` for Hessian
 actions, which only diagnostics and certification use. One Hessian action
-charges its batch size: n in finite-sum mode, ``HVP_BATCH_SIZE`` on the
-fixed streaming batch. Exact gradients and the Lipschitz probe are free.
+charges n in finite-sum mode, the cost of the exhaustive batch it stands
+for. Population quantities are exact and free in streaming mode, so there
+a Hessian action, like an exact gradient, charges nothing. The Lipschitz
+probe is free.
 A streaming batch is charged its sample count even when the objective
 draws it as a sufficient statistic (see ``Batch``): queries count
 samples, not the rows the code touches.
@@ -40,7 +43,6 @@ import numpy as np
 from .errors import EmptyBatch, ParameterError
 from .geometry import (Manifold, ManifoldPoint, TangentVector, _freeze, _norm,
                        _row_norms)
-from .rng import TAG_DIAG, master_stream
 
 # Central FD step for the Lipschitz probe's Hessian-vector products.
 HVP_FD_STEP = 1e-4
@@ -49,9 +51,6 @@ HVP_FD_STEP = 1e-4
 # working set of ~1.5 MB at d = 200 (all pairs at once costs ~16 MB of
 # peak memory at the default 200 pairs).
 PROBE_BLOCK = 16
-
-# Size of the fixed streaming batch behind ``PullbackOracle.hvp``.
-HVP_BATCH_SIZE = 2048
 
 
 @dataclass(frozen=True)
@@ -79,7 +78,9 @@ class FiniteSumObjective:
     ``manifold``, ``sigma_hint`` (uniform gradient-deviation bound, or None),
     and the evaluation methods below; the exact gradient comes from the
     array-level ``_full_grad_coords``. The component-gradient mean over the
-    exhaustive batch must equal the Riemannian gradient of ``value``.
+    exhaustive batch must equal the Riemannian gradient of ``value``, and
+    ``full_riem_hvp`` must be its Riemannian Hessian: the full (finite-sum)
+    or population (streaming) objective.
     """
 
     n: int | None
@@ -102,9 +103,10 @@ class FiniteSumObjective:
     def batch_riem_grad(self, batch: Batch, x: ManifoldPoint) -> TangentVector:
         raise NotImplementedError
 
-    def batch_riem_hvp(self, batch: Batch, x: ManifoldPoint,
-                       v: TangentVector) -> TangentVector:
-        """Batch-mean Riemannian Hessian at x along the tangent v."""
+    def full_riem_hvp(self, x: ManifoldPoint,
+                      v: TangentVector) -> TangentVector:
+        """Exact full (finite-sum) or population (streaming) Riemannian
+        Hessian at x along the tangent v."""
         raise NotImplementedError
 
     def component_riem_grad(self, i: int, x: ManifoldPoint) -> TangentVector:
@@ -135,9 +137,9 @@ class PullbackOracle:
 
     Each minibatch gradient retracts u once and pulls the Riemannian
     gradient at R_x(u) back through the manifold's closed-form adjoint.
-    Immutable after construction except for the query tallies and the lazily
-    drawn streaming HVP batch; batches are reduced in a fixed order so traces
-    are bit-stable. An oracle is not safe to share between threads.
+    Immutable after construction except for the query tallies; batches are
+    reduced in a fixed order so traces are bit-stable. An oracle is not safe
+    to share between threads.
     """
 
     def __init__(self, objective: FiniteSumObjective, anchor: ManifoldPoint):
@@ -147,7 +149,6 @@ class PullbackOracle:
         self.anchor = anchor
         self.queries = 0
         self.diag_queries = 0
-        self._hvp_batch: Batch | None = None
 
     # -- helpers -------------------------------------------------------------
 
@@ -211,24 +212,14 @@ class PullbackOracle:
         g = self.objective.full_riem_grad(self.retract(u))
         return self.manifold.dretract_adjoint_apply(self.anchor, u, g)
 
-    def _full_batch(self) -> Batch:
-        if self.objective.n is not None:
-            return Batch(size=int(self.objective.n), idx=None)
-        if self._hvp_batch is None:
-            rng = master_stream(0xC0FFEE).child(TAG_DIAG).generator()
-            self._hvp_batch = self.objective.sample_largebatch(
-                HVP_BATCH_SIZE, rng)
-        return self._hvp_batch
-
     def hvp(self, v: TangentVector) -> TangentVector:
-        """Exact pullback Hessian at u = 0 along v: the closed-form
-        Riemannian Hessian of the full batch (the fixed streaming batch
-        online). Charges the batch size to ``diag_queries``, never to
-        ``queries``."""
+        """Exact pullback Hessian at u = 0 along v: the closed-form full
+        (finite-sum) or population (streaming) Riemannian Hessian. Charges
+        n to ``diag_queries`` in finite-sum mode and nothing in streaming
+        mode; never touches ``queries``."""
         self.manifold._require_base(self.anchor, v)
-        batch = self._full_batch()
-        self.diag_queries += batch.size
-        return self.objective.batch_riem_hvp(batch, self.anchor, v)
+        self.diag_queries += self.objective.n or 0
+        return self.objective.full_riem_hvp(self.anchor, v)
 
     def _exact_grad_coords(self, U: np.ndarray) -> np.ndarray:
         """``exact_grad`` on coordinates: U stacks tangent vectors at the

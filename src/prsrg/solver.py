@@ -26,7 +26,7 @@ from typing import Optional
 
 from .diagnostics import Certification, certify
 from .errors import ContractViolation, InvariantViolation, ParameterError
-from .geometry import Manifold, ManifoldPoint
+from .geometry import Manifold, ManifoldPoint, TangentVector
 from .pullback import LipschitzEstimate, PullbackOracle
 from .rng import TAG_CHECK, TAG_DIAG, TAG_OUTER, TAG_PERTURB, as_stream
 from .trace import _STEP_EVENTS, TraceRow
@@ -173,7 +173,7 @@ def derive_params(mode: str, n_or_sigma, epsilon: float, delta: float,
 
 
 def small_grad_check(oracle: PullbackOracle, B_size: int, epsilon: float,
-                     rng) -> tuple[bool, "TangentVector"]:
+                     rng) -> tuple[bool, TangentVector]:
     """Large-batch gradient at the origin of T_x M (x the oracle anchor) and
     its epsilon test."""
     if not epsilon > 0:

@@ -29,14 +29,12 @@ def fd_pullback_grad(oracle, u, h=1e-6):
 
 
 def fd_hvp(oracle, v, h=1e-5):
-    """Central difference along v of the pullback gradient at u = 0 over the
-    oracle's Hessian batch: the exact gradient in finite-sum mode, the fixed
-    streaming batch otherwise."""
-    batch = oracle._full_batch()
+    """Central difference along v of the exact (full or population) pullback
+    gradient at u = 0."""
 
     def grad(s):
-        u = TangentVector(oracle.anchor, s * v.coords)
-        return oracle.grad_batch(batch, u).coords
+        return oracle.exact_grad(TangentVector(oracle.anchor,
+                                               s * v.coords)).coords
 
     return (grad(h) - grad(-h)) / (2.0 * h)
 

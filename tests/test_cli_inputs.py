@@ -66,6 +66,7 @@ def _assert_one_error_line(capsys):
     "start_file_empty", "coords_norm_overflow", "data_csv_overflow",
     "epsilon_nan", "delta_nan", "T_max_inf", "m_nan", "m_not_integer",
     "record_gaps_not_boolean", "couple_nu_nan", "couple_c2_nan",
+    "couple_off_sphere",
 ])
 def test_bad_input_exits_2_with_one_line(case, tmp_path, capsys):
     cfg_text = BASE.format(start="random")
@@ -131,6 +132,10 @@ def test_bad_input_exits_2_with_one_line(case, tmp_path, capsys):
     elif case == "record_gaps_not_boolean":
         cfg_text = cfg_text.replace("budget = 6000",
                                     "budget = 6000\nrecord_gaps = maybe")
+    elif case == "couple_off_sphere":
+        # bad input, not a failed saddle precondition
+        command = "couple"
+        cfg_text = BASE.format(start="coords:1,1,1")
     elif case.startswith("couple_"):
         command = "couple"
         key = case[len("couple_"):-len("_nan")]
@@ -165,6 +170,7 @@ def test_bad_input_exits_2_with_one_line(case, tmp_path, capsys):
               "data_csv_overflow": "data overflows",
               "start_file_empty": "no coordinates",
               "coords_norm_overflow": "violates sphere:3 constraint",
+              "couple_off_sphere": "violates sphere:3 constraint",
               "noise_scale_negative": "noise_scale",
               "noise_scale_nan": "noise_scale",
               "unknown_key": "'bogus'",

@@ -11,8 +11,8 @@ import pytest
 
 from prsrg import (
     Certification,
-    ContractViolation,
     Euclidean,
+    NotASaddle,
     ParameterError,
     PullbackOracle,
     SchemaError,
@@ -25,11 +25,11 @@ from prsrg import (
     lanczos_min_eig,
     make_quadratic_saddle,
     make_rayleigh,
+    make_streaming_rayleigh,
     stuck_region_experiment,
     tssrg_run,
 )
 from prsrg.diagnostics import LANCZOS_MAX_ITERS, _hessian_lanczos
-from prsrg.pullback import HVP_BATCH_SIZE
 from prsrg.rng import TAG_OUTER, master_stream
 from prsrg.trace import TraceRow, TraceSegment
 
@@ -188,12 +188,24 @@ def test_certify_fails_at_saddle_when_delta_exceeds_lipschitz_probe():
     assert not cert.passed
     assert abs(cert.lambda_min_estimate + 2.0) <= 1e-8
     assert oracle.diag_queries == cert.lanczos_iters * obj.n
-    # online, every Hessian action charges the fixed streaming batch
+    # online, Hessian actions are population quantities: exact and free
     online = kind_oracle("streaming_rayleigh")
-    before = online.diag_queries
     cert = certify(online, epsilon=1e-3, delta=0.1)
-    assert online.diag_queries - before == (cert.lanczos_iters
-                                            * HVP_BATCH_SIZE)
+    assert cert.lanczos_iters > 0 and online.diag_queries == 0
+
+
+@pytest.mark.parametrize("j", [0, 1])
+def test_streaming_certify_uses_population_hessian(j):
+    # the Hessian clause tests the population objective, as the gradient
+    # clause does: at eigvec(j) the tangent Hessian eigenvalues are
+    # -2(lambda_i - lambda_j) for i != j
+    spec = np.concatenate(([2.0, 1.0], np.linspace(0.9, 0.1, 18)))
+    obj = make_streaming_rayleigh(20, spec, seed=5)
+    oracle = PullbackOracle(obj, obj.eigvec(j))
+    cert = certify(oracle, epsilon=1e-3, delta=0.1)
+    expect = min(obj.hess_eigval(i, j) for i in range(20) if i != j)
+    assert abs(cert.lambda_min_estimate - expect) <= 1e-8
+    assert oracle.diag_queries == 0
 
 
 def test_certify_validation(clean_rayleigh):
@@ -340,7 +352,7 @@ def test_escape_threshold_formula():
 def test_stuck_region_rejects_non_saddle(clean_rayleigh):
     oracle = PullbackOracle(clean_rayleigh, clean_rayleigh.eigvec(0))
     params = _params(B_size=clean_rayleigh.n)
-    with pytest.raises(ContractViolation, match="not a certified saddle"):
+    with pytest.raises(NotASaddle, match="not a certified saddle"):
         stuck_region_experiment(oracle, params, nu=0.1, trials=1,
                                 stream=master_stream(0), rho_hat=1.0,
                                 delta=0.1, r=0.01)

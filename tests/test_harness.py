@@ -98,6 +98,25 @@ trials = 0
 rho_hat = 1.0
 """
 
+# e2 of the population objective is a strict saddle with lambda_min = -2
+STREAM_COUPLE = """\
+[experiment]
+seed = 7
+
+[problem]
+manifold = sphere:3
+kind = streaming_rayleigh
+spectrum = 2.0,1.0,0.0
+start = e2
+
+[solver]
+epsilon = 0.2
+delta = 0.5
+
+[couple]
+trials = 2
+"""
+
 SWEEP_RUN = """\
 [experiment]
 seed = 11
@@ -733,6 +752,21 @@ def test_cli_couple_trials_zero(tmp_path, capsys):
     assert abs(payload["lambda_min"] + 1.0) < 1e-4
     assert payload["params"]["mode"] == "finite_sum"
     assert (tmp_path / "c.couple.json").exists()
+
+
+def test_cli_couple_streaming_trials(tmp_path, capsys):
+    cfgfile = tmp_path / "couple.ini"
+    cfgfile.write_text(STREAM_COUPLE)
+    rc = main(["couple", "--config", str(cfgfile),
+               "--out", str(tmp_path / "c")])
+    assert rc == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert payload == json.loads((tmp_path / "c.couple.json").read_text())
+    assert payload["trials"] == 2
+    assert len(payload["deviation_times"]) == 2
+    assert payload["params"]["mode"] == "online"
+    # certified on the population Hessian, not a sample of it
+    assert abs(payload["lambda_min"] + 2.0) <= 1e-8
 
 
 def test_cli_sweep(tmp_path, capsys):
