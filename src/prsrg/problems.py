@@ -21,9 +21,11 @@ sampler.
 Paired finite-sum components are Abar + E_i where the E_i are symmetric
 rank-2 perturbations of two-norm exactly ``noise_scale``, generated in +/-
 pairs so the component mean equals Abar to machine precision (a pair's
-contributions cancel exactly in IEEE arithmetic). Exhaustive batches
-therefore evaluate through Abar directly, which is both exact and
-deterministic.
+contributions cancel exactly in IEEE arithmetic). Each pair is stored once:
+row k of the pair store (p, q) gives E_{2k} = p_k q_k^T + q_k p_k^T and
+E_{2k+1} = -E_{2k}, so component i reads row i >> 1 with the sign
+1 - 2 (i & 1). Exhaustive batches evaluate through Abar directly, which is
+both exact and deterministic.
 """
 
 from __future__ import annotations
@@ -75,14 +77,22 @@ def _check_spectrum(d: int, spectrum) -> np.ndarray:
     return spectrum
 
 
+# pairs per draw: drawing all n/2 pairs at once would hold a second copy
+# of the store (32 MB at n = 20000, d = 200)
+PAIR_BLOCK = 1024
+
+
 def _paired_noise(n: int, d: int, noise_scale: float,
                   rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Pair vectors (P, Q) with E_i = P[i] Q[i]^T + Q[i] P[i]^T, ||E_i||_2 =
-    noise_scale, and E_{2k+1} = -E_{2k} (odd n: the last E is zero).
+    """Pair store (p, q) of shape (ceil(n/2), d) for n paired components.
 
+    Component i is s_i (p_k q_k^T + q_k p_k^T) with k = i >> 1 and
+    s_i = 1 - 2 (i & 1), so E_{2k+1} = -E_{2k} and ||E_i||_2 =
+    noise_scale; for odd n the last row is zero, so the last E is zero.
     Pair k draws p_k then q_k, each a standard normal d-vector normalised
-    by sqrt(p . p); P[2k] = s_k p_k, P[2k+1] = -s_k p_k and
-    Q[2k] = Q[2k+1] = q_k with s_k = noise_scale / (1 + |p_k . q_k|).
+    by sqrt(p . p); then p_k is scaled by noise_scale / (1 + |p_k . q_k|).
+    Pairs are drawn in blocks of at most ``PAIR_BLOCK`` into one reused
+    buffer; the generator gives the same values as one whole draw.
     The output is byte-equal to doing this one pair at a time with
     ``np.linalg.norm``: ``np.vecdot`` reduces each row with the same dot.
     A row-batched ``einsum`` does not, so keep ``vecdot`` here.
@@ -92,25 +102,22 @@ def _paired_noise(n: int, d: int, noise_scale: float,
             f"noise_scale must be finite and >= 0, got {noise_scale}")
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
-    P = np.zeros((n, d))
-    Q = np.zeros((n, d))
+    p = np.zeros(((n + 1) // 2, d))
+    q = np.zeros(((n + 1) // 2, d))
     if noise_scale == 0.0:
-        return P, Q
+        return p, q
     k = n // 2
-    # draw straight into P, p_k in row 2k and q_k in row 2k+1, and work in
-    # place: a (k, 2, d) temporary would add 16 MB at n = 20000, d = 200
-    drawn = P[:2 * k]
-    rng.standard_normal(out=drawn.reshape(k, 2, d))
-    drawn /= np.sqrt(np.vecdot(drawn, drawn))[:, None]
-    p, q = drawn[0::2], drawn[1::2]
-    Q[0:2 * k:2] = q
-    Q[1:2 * k:2] = q
-    # eigenvalues of pq^T + qp^T on span{p,q} are <p,q> +/- 1
-    p *= (noise_scale / (1.0 + np.abs(np.vecdot(p, q))))[:, None]
-    # a ufunc writing through out= does not copy its overlapping input, as
-    # an assignment between two views of P would
-    np.negative(p, out=q)
-    return P, Q
+    buf = np.empty((min(k, PAIR_BLOCK), 2, d))
+    for lo in range(0, k, PAIR_BLOCK):
+        block = buf[:min(PAIR_BLOCK, k - lo)]
+        rng.standard_normal(out=block)
+        block /= np.sqrt(np.vecdot(block, block))[..., None]
+        pb, qb = block[:, 0], block[:, 1]
+        # eigenvalues of pq^T + qp^T on span{p,q} are <p,q> +/- 1
+        pb *= (noise_scale / (1.0 + np.abs(np.vecdot(pb, qb))))[:, None]
+        p[lo:lo + len(block)] = pb
+        q[lo:lo + len(block)] = qb
+    return p, q
 
 
 def _act(M: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -168,20 +175,22 @@ class _SpectralRayleigh(_SphereRayleigh):
 
 
 class _PairedComponentObjective(FiniteSumObjective):
-    """Index-sampled finite sum with components Abar + E_i (paired rank-2).
+    """Index-sampled finite sum of n components Abar + E_i (paired rank-2).
 
+    The pair store (p, q) from ``_paired_noise`` holds ceil(n/2) rows;
+    component i reads row i >> 1 with the sign 1 - 2 (i & 1).
     Subclasses map the mean action to a gradient (``_grad_from_matvec``,
     and ``_full_grad_coords`` on rows of points); other components override
     ``__init__`` and ``_matvec_mean``.
     """
 
-    def __init__(self, manifold, Abar: np.ndarray, P: np.ndarray, Q: np.ndarray,
-                 sigma_hint: float | None):
+    def __init__(self, manifold, Abar: np.ndarray, n: int, p: np.ndarray,
+                 q: np.ndarray, sigma_hint: float | None):
         self.manifold = manifold
         self.Abar = Abar
-        self.P = P
-        self.Q = Q
-        self.n = P.shape[0]
+        self.n = int(n)
+        self.p = p
+        self.q = q
         self.sigma_hint = sigma_hint
 
     def _grad_from_matvec(self, x: ManifoldPoint, Ay: np.ndarray) -> TangentVector:
@@ -191,7 +200,7 @@ class _PairedComponentObjective(FiniteSumObjective):
         if batch.idx is None:
             return self.Abar @ y
         return self.Abar @ y + _kernels.paired_rank2_mean(
-            self.P, self.Q, batch.idx, y)
+            self.p, self.q, batch.idx, y)
 
     def batch_riem_grad(self, batch: Batch, x: ManifoldPoint) -> TangentVector:
         return self._grad_from_matvec(x, self._matvec_mean(batch, x.coords))
@@ -224,9 +233,9 @@ class RayleighInstance(_SpectralRayleigh, _PairedComponentObjective):
                  rotation_seed: int | None):
         self._set_spectrum(d, spectrum, rotation_seed)
         noise_rng = master_stream(0).child(TAG_PROBLEM, 1).generator()
-        P, Q = _paired_noise(n, d, noise_scale, noise_rng)
+        p, q = _paired_noise(n, d, noise_scale, noise_rng)
         # ||grad f_i - grad F|| = 2 ||(I-xx^T) E_i x|| <= 2 ||E_i||_2
-        super().__init__(Sphere(d), self.Abar, P, Q,
+        super().__init__(Sphere(d), self.Abar, n, p, q,
                          sigma_hint=2.0 * noise_scale)
 
 
@@ -239,17 +248,21 @@ class QuadraticSaddleInstance(_PairedComponentObjective):
         # gamma > 0 makes a strict saddle at 0; gamma <= 0 a convex instance
         if not (math.isfinite(gamma) and L_top > 0):
             raise ParameterError("gamma must be finite, L_top positive")
+        if d < 2:
+            raise ParameterError(
+                f"quadratic_saddle needs d >= 2 (a spectrum of at least 2 "
+                f"entries), got d = {d}")
         self.d = int(d)
-        rest = np.linspace(L_top / max(d - 1, 1), L_top, max(d - 1, 1))
+        rest = np.linspace(L_top / (d - 1), L_top, d - 1)
         self.spectrum = np.concatenate([[-gamma], rest])
         self.rotation = _rotation(d, rotation_seed)
         noise_rng = master_stream(0).child(TAG_PROBLEM, 2).generator()
-        P, Q = _paired_noise(n, d, noise_scale, noise_rng)
+        p, q = _paired_noise(n, d, noise_scale, noise_rng)
         # gap ||H_i y - H y|| <= noise_scale * ||y||; bound quoted for the
         # reference ball ||y|| <= sigma_radius
         super().__init__(Euclidean(d),
                          _rotated(self.rotation, self.spectrum, rotation_seed),
-                         P, Q, sigma_hint=noise_scale * sigma_radius)
+                         n, p, q, sigma_hint=noise_scale * sigma_radius)
 
     @property
     def H(self) -> np.ndarray:

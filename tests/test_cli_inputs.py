@@ -66,7 +66,7 @@ def _assert_one_error_line(capsys):
     "start_file_empty", "coords_norm_overflow", "data_csv_overflow",
     "epsilon_nan", "delta_nan", "T_max_inf", "m_nan", "m_not_integer",
     "record_gaps_not_boolean", "couple_nu_nan", "couple_c2_nan",
-    "couple_off_sphere",
+    "couple_off_sphere", "quadratic_one_entry_spectrum",
 ])
 def test_bad_input_exits_2_with_one_line(case, tmp_path, capsys):
     cfg_text = BASE.format(start="random")
@@ -152,6 +152,11 @@ def test_bad_input_exits_2_with_one_line(case, tmp_path, capsys):
     elif case == "manifold_mismatch_quadratic":
         cfg_text = cfg_text.replace("sphere:3", "euclidean:9").replace(
             "kind = rayleigh", "kind = quadratic_saddle")
+    elif case == "quadratic_one_entry_spectrum":
+        cfg_text = (BASE.format(start="zero")
+                    .replace("sphere:3", "euclidean:1")
+                    .replace("kind = rayleigh", "kind = quadratic_saddle")
+                    .replace("spectrum = 2.0,1.0,0.0", "spectrum = 1.0"))
     elif case == "manifold_mismatch_data":
         data = tmp_path / "rows.csv"
         data.write_text("1,2,3,4\n0,1,0,1\n")
@@ -186,7 +191,8 @@ def test_bad_input_exits_2_with_one_line(case, tmp_path, capsys):
               "m_not_integer": "[solver] m",
               "record_gaps_not_boolean": "[experiment] record_gaps",
               "couple_nu_nan": "[couple] nu",
-              "couple_c2_nan": "[couple] c2"}
+              "couple_c2_nan": "[couple] c2",
+              "quadratic_one_entry_spectrum": "at least 2 entries"}
     assert expect.get(case, "") in line
 
 

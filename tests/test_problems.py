@@ -16,7 +16,8 @@ from prsrg import (
     make_rayleigh,
     make_streaming_rayleigh,
 )
-from prsrg.problems import _paired_noise, load_matrix, save_matrix
+from prsrg import _kernels
+from prsrg.problems import PAIR_BLOCK, _paired_noise, load_matrix, save_matrix
 from prsrg.pullback import Batch
 from prsrg.rng import TAG_PROBLEM, master_stream
 
@@ -25,8 +26,17 @@ from conftest import HESSIAN_KINDS, kind_oracle
 
 # --------------------------------------------------- paired noise structure
 
+def _expand_pairs(p, q, n):
+    """Per-component rows (P, Q) that the pair store stands for: E_i =
+    P[i] Q[i]^T + Q[i] P[i]^T with P[i] = s_i p[i >> 1], Q[i] = q[i >> 1]."""
+    i = np.arange(n)
+    sign = (1.0 - 2.0 * (i & 1))[:, None]
+    return sign * p[i >> 1], q[i >> 1]
+
+
 def _component_matrix(obj, i):
-    return np.outer(obj.P[i], obj.Q[i]) + np.outer(obj.Q[i], obj.P[i])
+    P, Q = _expand_pairs(obj.p, obj.q, obj.n)
+    return np.outer(P[i], Q[i]) + np.outer(Q[i], P[i])
 
 
 def test_noise_pairs_cancel_and_have_exact_norm():
@@ -43,7 +53,14 @@ def test_noise_pairs_cancel_and_have_exact_norm():
 def test_odd_n_last_component_is_noise_free():
     obj = make_rayleigh(d=5, n=7, spectrum=[2.0, 1.0, 0.8, 0.5, 0.1],
                         noise_scale=0.3, seed=0)
-    assert np.all(obj.P[-1] == 0.0) and np.all(obj.Q[-1] == 0.0)
+    assert obj.p.shape == obj.q.shape == (4, 5)
+    assert np.all(obj.p[-1] == 0.0) and np.all(obj.q[-1] == 0.0)
+    P, Q = _expand_pairs(obj.p, obj.q, obj.n)
+    assert np.all(P[-1] == 0.0) and np.all(Q[-1] == 0.0)
+    assert np.all(_component_matrix(obj, obj.n - 1) == 0.0)
+    x = obj.manifold.rand_point(np.random.default_rng(0))
+    assert np.array_equal(obj.component_riem_grad(obj.n - 1, x).coords,
+                          obj.full_riem_grad(x).coords)
 
 
 def _paired_noise_one_pair_at_a_time(n, d, noise_scale, rng):
@@ -67,17 +84,64 @@ def _paired_noise_one_pair_at_a_time(n, d, noise_scale, rng):
 
 @pytest.mark.parametrize("child", [1, 2], ids=["rayleigh", "quadratic_saddle"])
 @pytest.mark.parametrize("n, d", [(1, 5), (2, 2), (7, 3), (401, 37),
-                                  (1000, 100)])
+                                  (1000, 100), (2 * PAIR_BLOCK + 3, 3)])
 def test_paired_noise_is_byte_equal_to_pairwise_loop(n, d, child):
     # guards the bitwise contract if numpy or BLAS ever reduces rows
-    # differently from a 1-D dot
+    # differently from a 1-D dot; the last (n, d) spans several draw blocks
     stream = master_stream(0).child(TAG_PROBLEM, child)
     for noise_scale in (0.0, 1e-300, 0.5, 1e5):
-        P, Q = _paired_noise(n, d, noise_scale, stream.generator())
+        p, q = _paired_noise(n, d, noise_scale, stream.generator())
         P0, Q0 = _paired_noise_one_pair_at_a_time(n, d, noise_scale,
                                                   stream.generator())
-        assert P.tobytes() == P0.tobytes()
+        assert p.shape == q.shape == ((n + 1) // 2, d)
+        assert p.tobytes() == P0[0::2].tobytes()
+        assert q.tobytes() == Q0[0::2].tobytes()
+        P, Q = _expand_pairs(p, q, n)
         assert Q.tobytes() == Q0.tobytes()
+        if noise_scale > 0.0:
+            assert P.tobytes() == P0.tobytes()
+        else:
+            # a zero pair's odd component reads -0.0 where the loop left
+            # +0.0; the values are equal
+            assert np.array_equal(P, P0)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: make_rayleigh(d=40, n=301, spectrum=np.linspace(2.0, 0.1, 40),
+                          noise_scale=0.5, seed=7),
+    lambda: make_quadratic_saddle(d=30, gamma=1.0, L_top=2.0, n=200, seed=3,
+                                  noise_scale=0.3),
+], ids=["rayleigh_odd_n", "quadratic_saddle"])
+def test_pair_store_kernel_is_bitwise_the_per_component_formula(build):
+    # the sign rides on the two length-b products; negation is exact, so
+    # the result must carry the bits of the formula on per-component rows
+    obj = build()
+    P, Q = _expand_pairs(obj.p, obj.q, obj.n)
+    rng = np.random.default_rng(8)
+    for _ in range(300):
+        idx = rng.integers(0, obj.n, size=int(rng.integers(1, 65)))
+        # index n - 1 and both components of one pair
+        even = 2 * int(rng.integers(0, obj.n // 2))
+        idx = np.concatenate([idx, [obj.n - 1, even, even + 1]])
+        y = rng.standard_normal(obj.d)
+        Pi, Qi = P[idx], Q[idx]
+        expect = (Pi.T @ (Qi @ y) + Qi.T @ (Pi @ y)) / idx.shape[0]
+        got = _kernels.paired_rank2_mean(obj.p, obj.q, idx, y)
+        assert np.array_equal(got, expect)
+
+
+def test_pair_store_memory_is_one_row_per_pair():
+    # two (n/2, d) float64 arrays hold the whole store: 32,000,000 bytes
+    # here; an n-row store would need twice that
+    tracemalloc.start()
+    try:
+        obj = make_rayleigh(d=200, n=20000, spectrum=np.linspace(2.0, 0.1, 200),
+                            noise_scale=0.5, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert obj.p.nbytes + obj.q.nbytes == 32_000_000
+    assert peak <= 1.25 * 32_000_000
 
 
 @pytest.mark.parametrize("build", [
@@ -161,7 +225,8 @@ def test_identical_seed_reproduces_instance():
     b = make_rayleigh(d=6, n=8, spectrum=np.linspace(2.0, 0.5, 6),
                       noise_scale=0.4, seed=9)
     assert np.array_equal(a.Abar, b.Abar)
-    assert np.array_equal(a.P, b.P)
+    assert np.array_equal(a.p, b.p)
+    assert np.array_equal(a.q, b.q)
 
 
 # -------------------------------------------------------- validation

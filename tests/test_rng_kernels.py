@@ -77,26 +77,37 @@ def test_as_stream_accepts_seed_or_tree_only():
 
 # ------------------------------------------------------------ kernels
 
-def _cases(rng):
-    P = rng.standard_normal((50, 12))
-    Q = rng.standard_normal((50, 12))
+def _cases(rng, n=50):
+    # a pair store for n components: ceil(n/2) rows, the last one zero
+    # for odd n (its component is noise-free)
+    p = rng.standard_normal(((n + 1) // 2, 12))
+    q = rng.standard_normal(((n + 1) // 2, 12))
+    if n % 2:
+        p[-1] = q[-1] = 0.0
     A = rng.standard_normal((80, 12))
-    idx = rng.integers(0, 50, size=33).astype(np.int64)
+    idx = rng.integers(0, n, size=33).astype(np.int64)
     idx_a = rng.integers(0, 80, size=21).astype(np.int64)
     y = rng.standard_normal(12)
-    return P, Q, A, idx, idx_a, y
+    return p, q, A, idx, idx_a, y
 
 
 def test_kernels_match_dense_reference():
     rng = np.random.default_rng(4)
-    P, Q, A, idx, idx_a, y = _cases(rng)
-    ref = np.zeros(12)
-    for i in idx:
-        E = np.outer(P[i], Q[i]) + np.outer(Q[i], P[i])
-        ref += E @ y
-    ref /= len(idx)
-    assert np.allclose(_kernels.paired_rank2_mean(P, Q, idx, y), ref,
-                       atol=1e-12)
+    for n in (50, 51):
+        p, q, A, idx, idx_a, y = _cases(rng, n)
+        # index n - 1 and both components of pair 3
+        idx = np.concatenate([idx, [n - 1, 6, 7]])
+        ref = np.zeros(12)
+        for i in idx:
+            k, s = i >> 1, 1.0 - 2.0 * (i & 1)
+            E = s * (np.outer(p[k], q[k]) + np.outer(q[k], p[k]))
+            ref += E @ y
+        ref /= len(idx)
+        assert np.allclose(_kernels.paired_rank2_mean(p, q, idx, y), ref,
+                           atol=1e-12)
+        pair = np.array([6, 7])
+        assert np.allclose(_kernels.paired_rank2_mean(p, q, pair, y), 0.0,
+                           atol=1e-12)
     assert np.allclose(_kernels.rows_rank1_mean(A, y),
                        A.T @ (A @ y) / A.shape[0], atol=1e-12)
     assert np.allclose(_kernels.rows_rank1_mean(A[idx_a], y),
@@ -105,9 +116,9 @@ def test_kernels_match_dense_reference():
 
 def test_kernels_bitwise_repeatable():
     rng = np.random.default_rng(6)
-    P, Q, A, idx, _, y = _cases(rng)
-    a = _kernels.paired_rank2_mean(P, Q, idx, y)
-    b = _kernels.paired_rank2_mean(P, Q, idx, y)
+    p, q, A, idx, _, y = _cases(rng)
+    a = _kernels.paired_rank2_mean(p, q, idx, y)
+    b = _kernels.paired_rank2_mean(p, q, idx, y)
     assert np.array_equal(a, b)
 
 
