@@ -9,6 +9,8 @@ Two embedded manifolds are provided, named by their ``manifold_id``:
 
 All retractions are second order (zero initial acceleration), so pullback
 gradients and Hessians agree with their Riemannian counterparts at u = 0.
+Objectives give Euclidean derivatives; ``_project_coords`` and
+``_hess_coords`` (Absil, Mahony & Trumpf 2013) make them Riemannian.
 
 The differentiated retraction ``T_u = DR_x(u)`` maps T_x M to T_{R_x(u)} M;
 its adjoint ``T_u*`` pulls gradients back to the anchor tangent space. Every
@@ -78,6 +80,12 @@ def _row_dots(a: np.ndarray, b: np.ndarray):
     return np.vecdot(a, b, keepdims=True)
 
 
+def _act(M: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """M y for each row y of Y, shape (..., d): bit-equal to ``M @ y`` one
+    row at a time (``Y @ M.T`` is one matrix product and is not)."""
+    return np.matmul(M, Y[..., None])[..., 0]
+
+
 def _row_norms(a: np.ndarray):
     """Euclidean norms of the rows of a, shape (..., 1), each the bits of
     ``_norm`` of its row; a 1-D a gives ``_norm(a)``, as ``_row_dots``."""
@@ -134,6 +142,16 @@ class Manifold:
     def project_ambient(self, x: ManifoldPoint, a: np.ndarray) -> np.ndarray:
         """Orthogonal projection onto T_x M of each row of a, shape
         (..., ambient_dim)."""
+        return self._project_coords(x.coords, np.array(a, dtype=np.float64))
+
+    def _project_coords(self, y: np.ndarray, a: np.ndarray) -> np.ndarray:
+        """``project_ambient`` at y, one point or one per row of a; makes a
+        Euclidean gradient Riemannian. No checks."""
+        raise NotImplementedError
+
+    def _hess_coords(self, y, egrad, ehess_v, v) -> np.ndarray:
+        """Riemannian Hessian at y along v from the Euclidean gradient at y
+        and Euclidean Hessian action along v. No checks."""
         raise NotImplementedError
 
     def _retract_coords(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -319,9 +337,11 @@ class Sphere(Manifold):
     def tangency_violation(self, x, coords):
         return abs(float(x.coords @ coords))
 
-    def project_ambient(self, x, a):
-        a = np.asarray(a, dtype=np.float64)
-        return a - _row_dots(a, x.coords) * x.coords
+    def _project_coords(self, y, a):
+        return a - _row_dots(a, y) * y
+
+    def _hess_coords(self, y, egrad, ehess_v, v):
+        return self._project_coords(y, ehess_v) - _row_dots(y, egrad) * v
 
     def _retract_coords(self, x, u):
         w = x + u
@@ -367,8 +387,11 @@ class Euclidean(Manifold):
     def tangency_violation(self, x, coords):
         return 0.0
 
-    def project_ambient(self, x, a):
-        return np.array(a, dtype=np.float64)
+    def _project_coords(self, y, a):
+        return a
+
+    def _hess_coords(self, y, egrad, ehess_v, v):
+        return ehess_v
 
     def _retract_coords(self, x, u):
         return x + u

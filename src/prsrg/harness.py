@@ -74,13 +74,17 @@ def parse_spectrum(text: str) -> np.ndarray:
             if not 1 <= k <= _MAX_LINSPACE:
                 raise ParameterError(f"spectrum term {term!r}: k must be in "
                                      f"[1, {_MAX_LINSPACE}]")
-            vals.extend(np.linspace(a, b, k).tolist())
+            with np.errstate(over="ignore", invalid="ignore"):
+                block = np.linspace(a, b, k)  # b - a may overflow
         else:
             try:
-                vals.append(float(term))
+                block = np.array([float(term)])
             except ValueError as exc:
                 raise ParameterError(
                     f"spectrum term {term!r} is not a number") from exc
+        if not np.all(np.isfinite(block)):
+            raise ParameterError(f"spectrum term {term!r} is non-finite")
+        vals.extend(block.tolist())
     if not vals:
         raise ParameterError("spectrum is empty")
     return np.asarray(vals, dtype=np.float64)

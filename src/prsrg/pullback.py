@@ -18,9 +18,10 @@ evaluates them in blocks through ``_exact_grad_coords``, which takes
 tangent vectors stacked as rows: one retraction, one full gradient and one
 adjoint per block, each row with the bits of a one-vector ``exact_grad``,
 so the estimate is the pair-at-a-time one. Every retraction here is second
-order, so at u = 0 the pullback Hessian equals the Riemannian Hessian,
-which each objective gives in closed form from its mean matrix
-(``full_riem_hvp``, the pair to ``full_riem_grad``).
+order, so at u = 0 the pullback Hessian equals the Riemannian Hessian
+(``full_riem_hvp``, the pair to ``full_riem_grad``). ``FiniteSumObjective``
+implements both, and the value, once for every objective: it gives the
+Euclidean derivatives and the manifold makes them Riemannian.
 
 The oracle tracks stochastic-gradient query counts (the complexity
 currency): ``queries`` for optimizer calls and ``diag_queries`` for Hessian
@@ -41,8 +42,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyBatch, ParameterError
-from .geometry import (Manifold, ManifoldPoint, TangentVector, _freeze, _norm,
-                       _row_norms)
+from .geometry import (Manifold, ManifoldPoint, TangentVector, _act, _freeze,
+                       _norm, _row_norms)
 
 # Central FD step for the Lipschitz probe's Hessian-vector products.
 HVP_FD_STEP = 1e-4
@@ -72,23 +73,26 @@ class Batch:
 
 
 class FiniteSumObjective:
-    """Interface for finite-sum / streaming objectives on a manifold.
+    """Finite-sum / streaming objective F(y) = scale * y^T Abar y.
 
     Subclasses provide ``n`` (component count, or None for streaming),
     ``manifold``, ``sigma_hint`` (uniform gradient-deviation bound, or None),
-    and the evaluation methods below; the exact gradient comes from the
-    array-level ``_full_grad_coords``. The component-gradient mean over the
-    exhaustive batch must equal the Riemannian gradient of ``value``, and
-    ``full_riem_hvp`` must be its Riemannian Hessian: the full (finite-sum)
-    or population (streaming) objective.
+    ``Abar`` (the mean component matrix), the class constant ``scale``,
+    ``_matvec_mean`` and the samplers. The Euclidean gradient 2 scale M y
+    (M a batch's mean matrix) and Hessian action 2 scale Abar v are made
+    Riemannian by the manifold, so the exhaustive batch gives the full
+    (finite-sum) or population (streaming) gradient and Hessian.
     """
 
     n: int | None
     manifold: Manifold
     sigma_hint: float | None
+    Abar: np.ndarray
+    scale: float
 
     def value(self, x: ManifoldPoint) -> float:
-        raise NotImplementedError
+        y = x.coords
+        return self.scale * float(y @ (self.Abar @ y))
 
     def full_riem_grad(self, x: ManifoldPoint) -> TangentVector:
         """Exact full (finite-sum) or population (streaming) gradient."""
@@ -98,16 +102,25 @@ class FiniteSumObjective:
         """``full_riem_grad`` on coordinates: Y stacks points as rows, shape
         (..., ambient_dim), each row giving the bits of a one-point call.
         No checks."""
+        return self.manifold._project_coords(
+            Y, 2.0 * self.scale * _act(self.Abar, Y))
+
+    def _matvec_mean(self, batch: Batch, y: np.ndarray) -> np.ndarray:
+        """M y for the batch's mean component matrix M."""
         raise NotImplementedError
 
     def batch_riem_grad(self, batch: Batch, x: ManifoldPoint) -> TangentVector:
-        raise NotImplementedError
+        y = x.coords
+        return TangentVector(x, self.manifold._project_coords(
+            y, 2.0 * self.scale * self._matvec_mean(batch, y)))
 
     def full_riem_hvp(self, x: ManifoldPoint,
                       v: TangentVector) -> TangentVector:
         """Exact full (finite-sum) or population (streaming) Riemannian
         Hessian at x along the tangent v."""
-        raise NotImplementedError
+        y, c = x.coords, 2.0 * self.scale
+        return TangentVector(x, self.manifold._hess_coords(
+            y, c * (self.Abar @ y), c * (self.Abar @ v.coords), v.coords))
 
     def component_riem_grad(self, i: int, x: ManifoldPoint) -> TangentVector:
         raise NotImplementedError

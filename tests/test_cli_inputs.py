@@ -66,7 +66,10 @@ def _assert_one_error_line(capsys):
     "start_file_empty", "coords_norm_overflow", "data_csv_overflow",
     "epsilon_nan", "delta_nan", "T_max_inf", "m_nan", "m_not_integer",
     "record_gaps_not_boolean", "couple_nu_nan", "couple_c2_nan",
-    "couple_off_sphere", "quadratic_one_entry_spectrum",
+    "couple_off_sphere", "quadratic_one_entry_spectrum", "spectrum_inf",
+    "spectrum_minus_inf", "spectrum_overflow", "spectrum_nan",
+    "spectrum_linspace_inf", "spectrum_streaming_inf",
+    "spectrum_quadratic_nan",
 ])
 def test_bad_input_exits_2_with_one_line(case, tmp_path, capsys):
     cfg_text = BASE.format(start="random")
@@ -157,6 +160,25 @@ def test_bad_input_exits_2_with_one_line(case, tmp_path, capsys):
                     .replace("sphere:3", "euclidean:1")
                     .replace("kind = rayleigh", "kind = quadratic_saddle")
                     .replace("spectrum = 2.0,1.0,0.0", "spectrum = 1.0"))
+    elif case.startswith("spectrum_"):
+        spectrum = {"spectrum_inf": "inf,1.0,0.0",
+                    "spectrum_minus_inf": "2,1,-inf",
+                    "spectrum_overflow": "1e400,1.0,0.0",
+                    "spectrum_nan": "2.0,1.0,nan",
+                    "spectrum_linspace_inf": "linspace:inf:0:3",
+                    "spectrum_streaming_inf": "inf,1.0,0.0",
+                    "spectrum_quadratic_nan": "1,inf,nan"}[case]
+        cfg_text = cfg_text.replace("spectrum = 2.0,1.0,0.0",
+                                    f"spectrum = {spectrum}")
+        if case == "spectrum_streaming_inf":
+            cfg_text = cfg_text.replace("kind = rayleigh\nn = 30",
+                                        "kind = streaming_rayleigh")
+        elif case == "spectrum_quadratic_nan":
+            # quadratic_saddle reads only the length, but bad entries are
+            # still bad input
+            cfg_text = (cfg_text.replace("sphere:3", "euclidean:3")
+                        .replace("kind = rayleigh", "kind = quadratic_saddle")
+                        .replace("start = random", "start = zero"))
     elif case == "manifold_mismatch_data":
         data = tmp_path / "rows.csv"
         data.write_text("1,2,3,4\n0,1,0,1\n")
@@ -192,7 +214,15 @@ def test_bad_input_exits_2_with_one_line(case, tmp_path, capsys):
               "record_gaps_not_boolean": "[experiment] record_gaps",
               "couple_nu_nan": "[couple] nu",
               "couple_c2_nan": "[couple] c2",
-              "quadratic_one_entry_spectrum": "at least 2 entries"}
+              "quadratic_one_entry_spectrum": "at least 2 entries",
+              "spectrum_inf": "spectrum term 'inf' is non-finite",
+              "spectrum_minus_inf": "spectrum term '-inf' is non-finite",
+              "spectrum_overflow": "spectrum term '1e400' is non-finite",
+              "spectrum_nan": "spectrum term 'nan' is non-finite",
+              "spectrum_linspace_inf":
+                  "spectrum term 'linspace:inf:0:3' is non-finite",
+              "spectrum_streaming_inf": "spectrum term 'inf' is non-finite",
+              "spectrum_quadratic_nan": "spectrum term 'inf' is non-finite"}
     assert expect.get(case, "") in line
 
 

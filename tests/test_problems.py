@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import functools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -244,6 +245,9 @@ def test_spectrum_validation(make):
         make(d=3, spectrum=[2.0, 1.0, 3.0], seed=None)  # top gap is fine
     with pytest.raises(ParameterError, match="degenerate"):
         make(d=3, spectrum=[2.0, 2.0, 0.0], seed=None)
+    for bad in ([np.inf, 1.0, 0.0], [2.0, 1.0, -np.inf], [2.0, 1.0, np.nan]):
+        with pytest.raises(ParameterError, match="non-finite"):
+            make(d=3, spectrum=bad, seed=None)
 
 
 def test_quadratic_saddle_shape():
@@ -265,6 +269,15 @@ def test_quadratic_convex_instance_allowed():
     assert np.min(np.linalg.eigvalsh(obj.H)) == pytest.approx(0.5)
     with pytest.raises(ParameterError):
         make_quadratic_saddle(d=3, gamma=1.0, L_top=0.0, n=4, seed=None)
+
+
+@pytest.mark.parametrize("L_top", [np.inf, np.nan])
+def test_quadratic_saddle_rejects_non_finite_L_top(L_top):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match="0 < L_top < inf"):
+            make_quadratic_saddle(d=3, gamma=1.0, L_top=L_top, n=30,
+                                  seed=None)
 
 
 # -------------------------------------------------------- streaming
