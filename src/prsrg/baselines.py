@@ -83,7 +83,7 @@ def _prgd_run(objective, man: Manifold, x0, config, epsilon, delta, budget,
         rows.append(TraceRow(outer, 0, "baseline", float(objective.value(x)),
                              gnorm, None, 0.0, total_here, "grad_check"))
         if gnorm <= epsilon:
-            cert = certify(oracle, epsilon, delta)
+            cert = certify(oracle, epsilon, delta, stop_at_verdict=True)
             diag_q += oracle.diag_queries
             if cert.passed:
                 certified, cert_point = cert, x

@@ -6,11 +6,15 @@ eigenvalue of the closed-form Riemannian Hessian (``PullbackOracle.hvp``).
 It always runs Lanczos: no smoothness estimate can stand in for it, since
 an estimate is not a bound. Lanczos works on ambient tangent vectors at
 the anchor, which the Hessian maps to tangent vectors, in one Krylov run
-of at most LANCZOS_MAX_ITERS Hessian actions. The ``check_*`` functions and
-``stuck_region_experiment`` replay recorded runs against the quantitative
-bounds the solver's analysis relies on (estimator variance, improve or
-localize, coupled-sequence separation, escape decrease); they fit and report
-constants rather than assert theoretical values.
+of at most LANCZOS_MAX_ITERS Hessian actions. The solver and the ``prgd``
+baseline stop a failing run at the first Ritz value that disproves the
+Hessian clause; ``certify`` on its own (``prsrg certify``), the coupled
+experiment and every passing certification run Lanczos to convergence.
+The ``check_*`` functions and ``stuck_region_experiment`` replay recorded
+runs against the quantitative bounds the solver's analysis relies on
+(estimator variance, improve or localize, coupled-sequence separation,
+escape decrease); they fit and report constants rather than assert
+theoretical values.
 """
 
 from __future__ import annotations
@@ -79,7 +83,8 @@ class LanczosResult:
     converged: bool
 
 
-def lanczos_min_eig(matvec, man: Manifold, x: ManifoldPoint) -> LanczosResult:
+def lanczos_min_eig(matvec, man: Manifold, x: ManifoldPoint, *,
+                    stop_below: float | None = None) -> LanczosResult:
     """Smallest eigenvalue of a symmetric operator on T_x M via Lanczos.
 
     matvec maps ambient tangent coordinates at x to tangent coordinates at
@@ -91,6 +96,14 @@ def lanczos_min_eig(matvec, man: Manifold, x: ManifoldPoint) -> LanczosResult:
     bound beta * |s_last| of the smallest Ritz pair drops below
     LANCZOS_TOL_FACTOR times the running operator-norm estimate. The last
     smallest Ritz pair is returned either way.
+
+    With ``stop_below`` set, the run also stops at the first smallest Ritz
+    value theta < stop_below - LANCZOS_TOL_FACTOR * max(|theta|, 1). Ritz
+    values bound lambda_min from above and do not rise as the Krylov space
+    grows (Cauchy interlacing), so the converged value would be below that
+    threshold too. A run stopped this way before its residual test passes
+    returns ``converged=False`` and a value that is an upper bound on
+    lambda_min; a run that never meets the threshold is the run without it.
     """
     gen = master_stream(_LANCZOS_SEED).child(TAG_DIAG).child(0).generator()
     q = man.project_ambient(x, gen.standard_normal(man.ambient_dim))
@@ -109,8 +122,11 @@ def lanczos_min_eig(matvec, man: Manifold, x: ManifoldPoint) -> LanczosResult:
         hnorm = max(abs(vals[0]), abs(vals[-1]))
         resid = beta * abs(float(vecs[-1, 0]))
         converged = bool(resid <= max(LANCZOS_TOL_FACTOR * hnorm, 1e-30))
-        # stop at the cap or once the Krylov space is invariant
-        if converged or nq == k or beta <= 1e-14 * max(hnorm, 1.0):
+        below = stop_below is not None and vals[0] < stop_below - (
+            LANCZOS_TOL_FACTOR * max(abs(vals[0]), 1.0))
+        # stop at the cap, once the Krylov space is invariant, or once the
+        # smallest Ritz value is under the stop threshold
+        if converged or below or nq == k or beta <= 1e-14 * max(hnorm, 1.0):
             break
         Q[:, nq] = w / beta
         T[nq - 1, nq] = T[nq, nq - 1] = beta
@@ -118,16 +134,20 @@ def lanczos_min_eig(matvec, man: Manifold, x: ManifoldPoint) -> LanczosResult:
     return LanczosResult(float(vals[0]), v / np.linalg.norm(v), nq, converged)
 
 
-def _hessian_lanczos(oracle: PullbackOracle) -> LanczosResult:
+def _hessian_lanczos(oracle: PullbackOracle, *,
+                     stop_below: float | None = None) -> LanczosResult:
     """Lanczos on the exact pullback Hessian at u = 0, on tangent vectors
-    at the anchor."""
+    at the anchor. The anchor's Euclidean gradient is formed once per run
+    and handed to every Hessian action."""
     x = oracle.anchor
-    return lanczos_min_eig(lambda v: oracle.hvp(TangentVector(x, v)).coords,
-                           oracle.manifold, x)
+    egrad = oracle.objective.full_egrad(x)
+    return lanczos_min_eig(
+        lambda v: oracle.hvp(TangentVector(x, v), egrad=egrad).coords,
+        oracle.manifold, x, stop_below=stop_below)
 
 
-def certify(oracle: PullbackOracle, epsilon: float,
-            delta: float) -> Certification:
+def certify(oracle: PullbackOracle, epsilon: float, delta: float, *,
+            stop_at_verdict: bool = False) -> Certification:
     """Check (epsilon, delta)-second-order stationarity at the oracle anchor.
 
     Gradient clause: the exact full (finite-sum) or population (streaming)
@@ -136,11 +156,19 @@ def certify(oracle: PullbackOracle, epsilon: float,
     must be >= -delta minus the Lanczos tolerance, and Lanczos must have
     converged. Every Hessian action is charged to the oracle's
     ``diag_queries``, never to the optimizer budget.
+
+    ``stop_at_verdict`` stops Lanczos at the first Ritz value that fails
+    the Hessian clause (``lanczos_min_eig``'s ``stop_below = -delta``). The
+    verdict is the one a converged run gives: a stopped certification fails
+    with ``converged=False``, an upper bound on lambda_min as its estimate
+    and fewer ``lanczos_iters``, and a passing one is unchanged field for
+    field. The solver loops, which discard failing certifications, set it.
     """
     if not (0 < epsilon < math.inf and 0 < delta < math.inf):
         raise ParameterError("epsilon and delta must be positive and finite")
     gnorm = oracle.exact_grad(oracle.zero()).norm
-    res = _hessian_lanczos(oracle)
+    res = _hessian_lanczos(oracle,
+                           stop_below=-delta if stop_at_verdict else None)
     tol = LANCZOS_TOL_FACTOR * max(abs(res.value), 1.0)
     passed = bool(res.converged and gnorm <= epsilon
                   and res.value >= -delta - tol)

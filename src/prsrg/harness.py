@@ -316,11 +316,15 @@ def _build_kind(prob):
     if prob.kind == "quadratic_saddle":
         if prob.n is None:
             raise ParameterError("[problem] quadratic_saddle needs n")
-        return make_quadratic_saddle(d=spectrum.size, gamma=prob.gamma,
-                                     L_top=prob.L_top, n=prob.n,
-                                     seed=prob.rotation_seed,
-                                     noise_scale=prob.noise_scale,
-                                     sigma_radius=prob.sigma_radius)
+        try:
+            return make_quadratic_saddle(d=spectrum.size, gamma=prob.gamma,
+                                         L_top=prob.L_top, n=prob.n,
+                                         seed=prob.rotation_seed,
+                                         noise_scale=prob.noise_scale,
+                                         sigma_radius=prob.sigma_radius)
+        except ParameterError as exc:
+            # its checks name the [problem] keys they read
+            raise ParameterError(f"[problem] {exc}") from exc
     if prob.kind == "streaming_rayleigh":
         return make_streaming_rayleigh(d=spectrum.size, spectrum=spectrum,
                                        seed=prob.rotation_seed)

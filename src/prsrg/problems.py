@@ -215,6 +215,9 @@ class QuadraticSaddleInstance(_PairedComponentObjective):
         # gamma > 0 makes a strict saddle at 0; gamma <= 0 a convex instance
         if not (math.isfinite(gamma) and 0 < L_top < math.inf):
             raise ParameterError("need finite gamma and 0 < L_top < inf")
+        if not 0 < sigma_radius < math.inf:
+            raise ParameterError(
+                f"sigma_radius must be finite and > 0, got {sigma_radius}")
         if d < 2:
             raise ParameterError(
                 f"quadratic_saddle needs d >= 2 (a spectrum of at least 2 "

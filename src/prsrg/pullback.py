@@ -114,13 +114,21 @@ class FiniteSumObjective:
         return TangentVector(x, self.manifold._project_coords(
             y, 2.0 * self.scale * self._matvec_mean(batch, y)))
 
-    def full_riem_hvp(self, x: ManifoldPoint,
-                      v: TangentVector) -> TangentVector:
+    def full_egrad(self, x: ManifoldPoint) -> np.ndarray:
+        """Euclidean gradient 2 scale Abar y of the exhaustive batch at x."""
+        return 2.0 * self.scale * (self.Abar @ x.coords)
+
+    def full_riem_hvp(self, x: ManifoldPoint, v: TangentVector,
+                      egrad: np.ndarray | None = None) -> TangentVector:
         """Exact full (finite-sum) or population (streaming) Riemannian
-        Hessian at x along the tangent v."""
-        y, c = x.coords, 2.0 * self.scale
+        Hessian at x along the tangent v. ``egrad``, when given, is
+        ``full_egrad(x)``, formed once by a caller that applies the Hessian
+        at x many times."""
+        if egrad is None:
+            egrad = self.full_egrad(x)
         return TangentVector(x, self.manifold._hess_coords(
-            y, c * (self.Abar @ y), c * (self.Abar @ v.coords), v.coords))
+            x.coords, egrad, 2.0 * self.scale * (self.Abar @ v.coords),
+            v.coords))
 
     def component_riem_grad(self, i: int, x: ManifoldPoint) -> TangentVector:
         raise NotImplementedError
@@ -225,14 +233,17 @@ class PullbackOracle:
         g = self.objective.full_riem_grad(self.retract(u))
         return self.manifold.dretract_adjoint_apply(self.anchor, u, g)
 
-    def hvp(self, v: TangentVector) -> TangentVector:
+    def hvp(self, v: TangentVector,
+            egrad: np.ndarray | None = None) -> TangentVector:
         """Exact pullback Hessian at u = 0 along v: the closed-form full
         (finite-sum) or population (streaming) Riemannian Hessian. Charges
         n to ``diag_queries`` in finite-sum mode and nothing in streaming
-        mode; never touches ``queries``."""
+        mode; never touches ``queries``. ``egrad``, when given, is the
+        anchor's ``objective.full_egrad``, which a Lanczos run forms once
+        instead of once per action (the charge is the same)."""
         self.manifold._require_base(self.anchor, v)
         self.diag_queries += self.objective.n or 0
-        return self.objective.full_riem_hvp(self.anchor, v)
+        return self.objective.full_riem_hvp(self.anchor, v, egrad)
 
     def _exact_grad_coords(self, U: np.ndarray) -> np.ndarray:
         """``exact_grad`` on coordinates: U stacks tangent vectors at the

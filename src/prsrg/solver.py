@@ -265,7 +265,8 @@ def prsrg_run(objective, manifold: Manifold, x0: ManifoldPoint,
                 estimator_gap=None, u_norm=0.0,
                 queries_cum=total_q + oracle.queries, event="grad_check")
             rows_all.append(check_row)
-            cert = certify(oracle, params.epsilon, params.delta)
+            cert = certify(oracle, params.epsilon, params.delta,
+                           stop_at_verdict=True)
             if cert.passed:
                 check_row.epoch_type = "useful"
                 certified = cert

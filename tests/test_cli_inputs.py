@@ -69,7 +69,8 @@ def _assert_one_error_line(capsys):
     "couple_off_sphere", "quadratic_one_entry_spectrum", "spectrum_inf",
     "spectrum_minus_inf", "spectrum_overflow", "spectrum_nan",
     "spectrum_linspace_inf", "spectrum_streaming_inf",
-    "spectrum_quadratic_nan",
+    "spectrum_quadratic_nan", "sigma_radius_negative", "sigma_radius_zero",
+    "sigma_radius_nan",
 ])
 def test_bad_input_exits_2_with_one_line(case, tmp_path, capsys):
     cfg_text = BASE.format(start="random")
@@ -179,6 +180,14 @@ def test_bad_input_exits_2_with_one_line(case, tmp_path, capsys):
             cfg_text = (cfg_text.replace("sphere:3", "euclidean:3")
                         .replace("kind = rayleigh", "kind = quadratic_saddle")
                         .replace("start = random", "start = zero"))
+    elif case.startswith("sigma_radius_"):
+        value = {"sigma_radius_negative": "-1", "sigma_radius_zero": "0",
+                 "sigma_radius_nan": "nan"}[case]
+        cfg_text = (BASE.format(start="zero")
+                    .replace("sphere:3", "euclidean:3")
+                    .replace("kind = rayleigh", "kind = quadratic_saddle")
+                    .replace("noise_scale = 0.2",
+                             f"noise_scale = 0.2\nsigma_radius = {value}"))
     elif case == "manifold_mismatch_data":
         data = tmp_path / "rows.csv"
         data.write_text("1,2,3,4\n0,1,0,1\n")
@@ -222,7 +231,10 @@ def test_bad_input_exits_2_with_one_line(case, tmp_path, capsys):
               "spectrum_linspace_inf":
                   "spectrum term 'linspace:inf:0:3' is non-finite",
               "spectrum_streaming_inf": "spectrum term 'inf' is non-finite",
-              "spectrum_quadratic_nan": "spectrum term 'inf' is non-finite"}
+              "spectrum_quadratic_nan": "spectrum term 'inf' is non-finite",
+              "sigma_radius_negative": "[problem] sigma_radius",
+              "sigma_radius_zero": "[problem] sigma_radius",
+              "sigma_radius_nan": "[problem] sigma_radius"}
     assert expect.get(case, "") in line
 
 

@@ -99,6 +99,80 @@ def test_lanczos_validates_dimension():
         _flat_lanczos(lambda v: v, 0)
 
 
+def _random_operators():
+    """Seeded symmetric operators, diagonal and rotated, with spectra that
+    straddle and clear several -delta thresholds."""
+    for seed in range(4):
+        for d in (6, 25, 80):
+            rng = np.random.default_rng([seed, d])
+            lam = rng.uniform(-1.0, 3.0, d)
+            if seed % 2:
+                lam -= lam.min() - rng.uniform(-0.3, 0.3)  # lambda_min near 0
+            Q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+            yield lam, lam[:, None] * np.eye(d)
+            yield lam, Q @ (lam[:, None] * Q.T)
+
+
+def _hessian_clause(res, delta):
+    """certify's Hessian clause on a Lanczos result."""
+    tol = 1e-6 * max(abs(res.value), 1.0)
+    return bool(res.converged and res.value >= -delta - tol)
+
+
+def test_lanczos_stop_keeps_the_verdict():
+    verdicts = set()
+    for lam, H in _random_operators():
+        full = _flat_lanczos(lambda v: H @ v, lam.size)
+        hnorm = float(np.abs(lam).max())
+        for delta in (0.05, 0.3, 1.0):
+            man = Euclidean(lam.size)
+            stopped = lanczos_min_eig(lambda v: H @ v, man,
+                                      man.point(np.zeros(lam.size)),
+                                      stop_below=-delta)
+            verdict = _hessian_clause(full, delta)
+            assert _hessian_clause(stopped, delta) == verdict
+            verdicts.add(verdict)
+            # a Ritz value bounds lambda_min, and the converged one, above
+            assert stopped.value >= full.value - 1e-12 * hnorm
+            assert stopped.iterations <= full.iterations
+            if stopped.iterations < full.iterations:
+                assert not stopped.converged and not verdict
+    assert verdicts == {True, False}
+
+
+def test_lanczos_stop_ends_at_first_disproving_ritz_value():
+    # lambda_min = -3 against -delta = -0.5: the run stops well before the
+    # residual test passes, unconverged, at an upper bound below -delta
+    rng = np.random.default_rng(9)
+    Q, _ = np.linalg.qr(rng.standard_normal((60, 60)))
+    lam = np.concatenate(([-3.0], np.linspace(0.1, 2.0, 59)))
+    H = Q @ (lam[:, None] * Q.T)
+    man = Euclidean(60)
+    full = _flat_lanczos(lambda v: H @ v, 60)
+    stopped = lanczos_min_eig(lambda v: H @ v, man, man.point(np.zeros(60)),
+                              stop_below=-0.5)
+    assert full.converged and not stopped.converged
+    assert stopped.iterations < full.iterations
+    assert -3.0 - 1e-9 <= stopped.value < -0.5
+    assert abs(np.linalg.norm(stopped.vector) - 1.0) <= 1e-12
+
+
+def test_lanczos_stop_never_met_is_bit_identical():
+    # a threshold below every Ritz value leaves the run as it was, to the
+    # bit: same value, vector, iteration count and convergence flag
+    for lam, H in _random_operators():
+        d = lam.size
+        man = Euclidean(d)
+        x = man.point(np.zeros(d))
+        full = lanczos_min_eig(lambda v: H @ v, man, x)
+        kept = lanczos_min_eig(lambda v: H @ v, man, x,
+                               stop_below=float(lam.min()) - 1.0)
+        assert kept.value == full.value
+        assert np.array_equal(kept.vector, full.vector)
+        assert (kept.iterations, kept.converged) == (full.iterations,
+                                                     full.converged)
+
+
 # ------------------------------------------------------------ certify
 
 @pytest.fixture
@@ -206,6 +280,39 @@ def test_streaming_certify_uses_population_hessian(j):
     expect = min(obj.hess_eigval(i, j) for i in range(20) if i != j)
     assert abs(cert.lambda_min_estimate - expect) <= 1e-8
     assert oracle.diag_queries == 0
+
+
+@pytest.mark.parametrize("kind", HESSIAN_KINDS)
+def test_hessian_lanczos_shares_one_anchor_gradient(kind):
+    # the anchor's Euclidean gradient, formed once per run, gives every
+    # Hessian action the bits of one that forms it itself
+    oracle = kind_oracle(kind)
+    x = oracle.anchor
+    ref = lanczos_min_eig(lambda v: oracle.hvp(TangentVector(x, v)).coords,
+                          oracle.manifold, x)
+    charged = oracle.diag_queries
+    res = _hessian_lanczos(oracle)
+    assert res.value == ref.value
+    assert np.array_equal(res.vector, ref.vector)
+    assert res.iterations == ref.iterations
+    assert oracle.diag_queries == 2 * charged
+
+
+def test_certify_stop_at_verdict(clean_rayleigh):
+    # a passing certification is unchanged field for field; a failing one
+    # keeps its verdict and stops no later
+    for j, delta in ((0, 0.5), (1, 0.5), (2, 0.5), (1, 3.0)):
+        x = clean_rayleigh.eigvec(j)
+        full = certify(PullbackOracle(clean_rayleigh, x), 1e-3, delta)
+        oracle = PullbackOracle(clean_rayleigh, x)
+        fast = certify(oracle, 1e-3, delta, stop_at_verdict=True)
+        assert fast.passed == full.passed
+        if full.passed:
+            assert fast == full
+        else:
+            assert fast.lanczos_iters <= full.lanczos_iters
+            assert fast.lambda_min_estimate >= full.lambda_min_estimate - 1e-12
+        assert oracle.diag_queries == fast.lanczos_iters * clean_rayleigh.n
 
 
 def test_certify_validation(clean_rayleigh):

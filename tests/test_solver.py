@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import warnings
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from prsrg import (
     make_streaming_rayleigh,
     prsrg_run,
     small_grad_check,
+    solver,
     stuck_region_experiment,
 )
 from prsrg.solver import _affordable_T
@@ -326,6 +328,41 @@ def test_exact_saddle_with_zero_radius_never_moves():
     assert np.array_equal(report.final_point.coords, x0.coords)
     v1 = obj.eigvec(0).coords
     assert abs(report.final_point.coords @ v1) <= 1e-6
+
+
+def _stuck_run(monkeypatch, obj, certify_with):
+    """rsrg_unperturbed (r = 0) at the saddle eigvec(1), with the solver's
+    certify replaced by ``certify_with``; returns the report and the
+    certifications it made."""
+    certs = []
+
+    def recorded(*args, **kwargs):
+        certs.append(certify_with(*args, **kwargs))
+        return certs[-1]
+
+    monkeypatch.setattr(solver, "certify", recorded)
+    params = replace(_tiny_params(obj.n, budget=30_000), r=0.0)
+    report = prsrg_run(obj, obj.manifold, obj.eigvec(1), params,
+                       master_stream(11))
+    return report, certs
+
+
+def test_stuck_certifications_stop_at_the_verdict(monkeypatch,
+                                                  medium_rayleigh):
+    obj = medium_rayleigh
+    fast, fast_certs = _stuck_run(monkeypatch, obj, certify)
+    full, full_certs = _stuck_run(
+        monkeypatch, obj, lambda o, e, d, **_: certify(o, e, d))
+    assert fast.exit_reason == full.exit_reason == "budget"
+    assert len(fast_certs) == len(full_certs) >= 2
+    assert not any(c.passed for c in fast_certs + full_certs)
+    # the same run, row for row, for fewer Hessian actions
+    assert fast.trace == full.trace
+    assert fast.queries_used == full.queries_used
+    assert fast.diag_queries < full.diag_queries
+    for certs, report in ((fast_certs, fast), (full_certs, full)):
+        assert report.diag_queries == obj.n * sum(c.lanczos_iters
+                                                  for c in certs)
 
 
 def test_first_epoch_descends_from_large_gradient():
