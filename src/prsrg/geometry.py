@@ -12,19 +12,20 @@ gradients and Hessians agree with their Riemannian counterparts at u = 0.
 Objectives give Euclidean derivatives; ``_project_coords`` and
 ``_hess_coords`` (Absil, Mahony & Trumpf 2013) make them Riemannian.
 
-The differentiated retraction ``T_u = DR_x(u)`` maps T_x M to T_{R_x(u)} M;
-its adjoint ``T_u*`` pulls gradients back to the anchor tangent space. Every
-manifold applies both in closed form, once, in array-level private methods
-(``_dretract_coords``, ``_dretract_adjoint_coords``) that take plain float64
-coordinates and check nothing. These, ``_retract_coords`` and
-``project_ambient`` accept vectors stacked as rows, shape (...,
-ambient_dim), and give each row the bits of a one-vector call (row dots go
-through ``np.vecdot``, the same dot as ``a @ b``). The public
-``dretract_apply``, ``dretract_adjoint_apply`` and ``dretract_matrix``
-validate their arguments, then call those forms; hot loops that validated
-once at their own boundary call the array-level forms directly.
-``dretract_matrix`` expresses T_u in deterministic orthonormal tangent bases
-(QR completion of the constraint normal space).
+Both retractions are R_x(u) = w/s, w = x + u, with one retraction scale s =
+``_retract_scale(w)``: ``||w||`` on the sphere, 1 on Euclidean space. A
+manifold states only P = ``_project_coords``, ``_hess_coords``, its normal
+frame N_x, s and ``rand_point``; ``Manifold`` derives the rest once: the
+checks |s(c) - 1| and ||N_x^T c||, the differential T_u[v] = P_y(v)/s at
+y = R_x(u) and its adjoint T_u*[w] = P_x(w)/s, which takes the s that the
+retraction returned, so no caller forms x + u twice. The array-level forms
+(``_retract_coords``, ``_dretract_coords``, ``_dretract_adjoint_coords``)
+take float64 coordinates, check nothing and, like ``project_ambient``,
+accept vectors stacked as rows, shape (..., ambient_dim), giving each row
+the bits of a one-vector call (row dots go through ``np.vecdot``, the same
+dot as ``a @ b``). The public ``dretract_apply``, ``dretract_adjoint_apply``
+and ``dretract_matrix`` validate, then call those forms; ``dretract_matrix``
+expresses T_u in orthonormal tangent bases (QR completion of N_x).
 """
 
 from __future__ import annotations
@@ -104,9 +105,10 @@ class Manifold:
     """Base class: shared validation, tangent bases, and sampling.
 
     Subclasses set ``dim`` (intrinsic), ``ambient_dim``, and override the
-    constraint/tangency/retraction primitives and the closed-form
-    differentiated retraction and its adjoint. All operations are pure
-    functions of their inputs; random sources are caller-owned.
+    projection, Hessian, normal frame, retraction scale and ``rand_point``;
+    the checks, retraction, differential and adjoint derive from those. All
+    operations are pure functions of their inputs; random sources are
+    caller-owned.
     """
 
     manifold_id: str
@@ -131,13 +133,7 @@ class Manifold:
     def D(self) -> float:
         return self.ball_radius_D
 
-    # -- constraint primitives, overridden per manifold --------------------
-
-    def constraint_violation(self, coords: np.ndarray) -> float:
-        raise NotImplementedError
-
-    def tangency_violation(self, x: ManifoldPoint, coords: np.ndarray) -> float:
-        raise NotImplementedError
+    # -- primitives, overridden per manifold --------------------------------
 
     def project_ambient(self, x: ManifoldPoint, a: np.ndarray) -> np.ndarray:
         """Orthogonal projection onto T_x M of each row of a, shape
@@ -154,14 +150,40 @@ class Manifold:
         and Euclidean Hessian action along v. No checks."""
         raise NotImplementedError
 
-    def _retract_coords(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """R_x(u) on coordinates; u may stack tangent vectors as rows,
-        shape (..., ambient_dim), each retracted as if alone. No checks."""
+    def _retract_scale(self, w: np.ndarray):
+        """The s of R_x(u) = w/s for w = x + u, one per row of w (shape
+        (..., 1)) or a float for one vector; s(c) = 1 on the manifold."""
         raise NotImplementedError
 
     def _normal_frame(self, x: ManifoldPoint) -> np.ndarray:
         """Orthonormal basis of the normal space, shape (ambient, codim)."""
         raise NotImplementedError
+
+    # -- derived primitives ----------------------------------------------------
+
+    def constraint_violation(self, coords: np.ndarray) -> float:
+        return abs(self._retract_scale(coords) - 1.0)
+
+    def tangency_violation(self, x: ManifoldPoint, coords: np.ndarray) -> float:
+        return _norm(np.vecdot(self._normal_frame(x).T, coords))
+
+    def _retract_coords(self, x: np.ndarray, u: np.ndarray):
+        """(R_x(u), s) on coordinates; u may stack tangent vectors as rows,
+        shape (..., ambient_dim), each retracted as if alone. No checks."""
+        w = x + u
+        s = self._retract_scale(w)
+        return w / s, s
+
+    def _dretract_coords(self, y: np.ndarray, s, v: np.ndarray) -> np.ndarray:
+        """T_u[v] = P_y(v)/s from y = R_x(u) and its scale s; v (and y, s
+        with it) may stack rows, shape (..., ambient_dim). No checks."""
+        return self._project_coords(y, v) / s
+
+    def _dretract_adjoint_coords(self, x: ManifoldPoint, s,
+                                 w: np.ndarray) -> np.ndarray:
+        """T_u*[w] = P_x(w)/s from the scale s of R_x(u); s and w may stack
+        rows, shape (..., 1) and (..., ambient_dim). No checks."""
+        return self._project_coords(x.coords, w) / s
 
     # -- construction and validation ---------------------------------------
 
@@ -170,6 +192,9 @@ class Manifold:
         if c.shape[0] != self.ambient_dim:
             raise ContractViolation(
                 f"expected ambient dimension {self.ambient_dim}, got {c.shape[0]}")
+        if not np.isfinite(c).all():
+            raise ContractViolation(
+                f"{self.manifold_id} point has non-finite coordinates")
         err = self.constraint_violation(c)
         if not err <= TOL:
             raise ContractViolation(
@@ -213,8 +238,8 @@ class Manifold:
 
     def _dretract_target(self, x: ManifoldPoint, u: TangentVector,
                          v: TangentVector | None = None,
-                         w: TangentVector | None = None) -> ManifoldPoint:
-        """Check a differential query and return y = R_x(u).
+                         w: TangentVector | None = None):
+        """Check a differential query and return y = R_x(u) and its scale.
 
         u (and v, when given) must be based at x with u inside the ball; w,
         when given, must be based at y.
@@ -223,19 +248,20 @@ class Manifold:
         if v is not None:
             self._require_base(x, v)
         self._require_in_ball(u)
-        y = self.retract(x, u)
+        y, s = self._retract_coords(x.coords, u.coords)
         if w is not None and (w.base.manifold_id != self.manifold_id
-                              or not np.array_equal(w.base.coords, y.coords)):
+                              or not np.array_equal(w.base.coords, y)):
             raise ContractViolation("w must be tangent at R_x(u)")
-        return y
+        return ManifoldPoint(_freeze(y), self.manifold_id), s
 
     # -- core operations -----------------------------------------------------
 
     def retract(self, x: ManifoldPoint, u: TangentVector) -> ManifoldPoint:
         """R_x(u): map a tangent vector onto the manifold."""
         self._require_base(x, u)
-        return ManifoldPoint(_freeze(self._retract_coords(x.coords, u.coords)),
-                             self.manifold_id)
+        return ManifoldPoint(
+            _freeze(self._retract_coords(x.coords, u.coords)[0]),
+            self.manifold_id)
 
     def tangent_basis(self, x: ManifoldPoint) -> np.ndarray:
         """Deterministic orthonormal basis of T_x M, shape (ambient, dim).
@@ -250,23 +276,11 @@ class Manifold:
         Qfull, _ = np.linalg.qr(N, mode="complete")
         return Qfull[:, N.shape[1]:]
 
-    def _dretract_coords(self, x: ManifoldPoint, u: np.ndarray,
-                         v: np.ndarray) -> np.ndarray:
-        """T_u[v] on coordinates; v may stack tangent vectors as rows,
-        shape (..., ambient_dim). No checks."""
-        raise NotImplementedError
-
-    def _dretract_adjoint_coords(self, x: ManifoldPoint, u: np.ndarray,
-                                 w: np.ndarray) -> np.ndarray:
-        """T_u*[w] on coordinates; u and w may stack rows, shape (...,
-        ambient_dim), row k giving T_{u_k}*[w_k]. No checks."""
-        raise NotImplementedError
-
     def dretract_apply(self, x: ManifoldPoint, u: TangentVector,
                        v: TangentVector) -> TangentVector:
         """T_u[v]: differential of the retraction at u, applied to v."""
-        y = self._dretract_target(x, u, v=v)
-        return TangentVector(y, _freeze(self._dretract_coords(x, u.coords,
+        y, s = self._dretract_target(x, u, v=v)
+        return TangentVector(y, _freeze(self._dretract_coords(y.coords, s,
                                                               v.coords)))
 
     def dretract_matrix(self, x: ManifoldPoint, u: TangentVector) -> np.ndarray:
@@ -275,10 +289,10 @@ class Manifold:
         Validates and retracts once, then maps every basis column of T_x M
         through one stacked application of the differential.
         """
-        y = self._dretract_target(x, u)
+        y, s = self._dretract_target(x, u)
         Bx = self.tangent_basis(x)
         By = self.tangent_basis(y)
-        return By.T @ self._dretract_coords(x, u.coords, Bx.T).T
+        return By.T @ self._dretract_coords(y.coords, s, Bx.T).T
 
     def dretract_adjoint_apply(self, x: ManifoldPoint, u: TangentVector,
                                w: TangentVector) -> TangentVector:
@@ -286,9 +300,9 @@ class Manifold:
 
         Satisfies <T_u v, w> = <v, T_u* w> for all tangent v at x.
         """
-        self._dretract_target(x, u, w=w)
+        _, s = self._dretract_target(x, u, w=w)
         return TangentVector(x, _freeze(self._dretract_adjoint_coords(
-            x, u.coords, w.coords)))
+            x, s, w.coords)))
 
     def sample_ball(self, x: ManifoldPoint, r: float,
                     rng: np.random.Generator) -> TangentVector:
@@ -329,38 +343,17 @@ class Sphere(Manifold):
         self.dim = int(n) - 1
         super().__init__(ball_radius_D, c0)
 
-    def constraint_violation(self, coords):
-        # a norm that overflows to inf is a violation, not a warning
-        with np.errstate(over="ignore"):
-            return abs(float(np.linalg.norm(coords)) - 1.0)
-
-    def tangency_violation(self, x, coords):
-        return abs(float(x.coords @ coords))
-
     def _project_coords(self, y, a):
         return a - _row_dots(a, y) * y
 
     def _hess_coords(self, y, egrad, ehess_v, v):
         return self._project_coords(y, ehess_v) - _row_dots(y, egrad) * v
 
-    def _retract_coords(self, x, u):
-        w = x + u
-        return w / _row_norms(w)
+    def _retract_scale(self, w):
+        return _row_norms(w)
 
     def _normal_frame(self, x):
         return x.coords.reshape(-1, 1)
-
-    # T_u[v] = (I - yy^T) v / ||x+u||  with y = R_x(u); adjoint swaps the
-    # projector to the anchor side.
-    def _dretract_coords(self, x, u, v):
-        w = x.coords + u
-        s = _norm(w)
-        y = w / s
-        return (v - (v @ y)[..., None] * y) / s
-
-    def _dretract_adjoint_coords(self, x, u, w):
-        xc = x.coords
-        return (w - _row_dots(w, xc) * xc) / _row_norms(xc + u)
 
     # bench/launch.py wraps this name through Sphere.__dict__
     dretract_adjoint_apply = Manifold.dretract_adjoint_apply
@@ -381,29 +374,17 @@ class Euclidean(Manifold):
         self.dim = int(n)
         super().__init__(ball_radius_D, c0)
 
-    def constraint_violation(self, coords):
-        return 0.0
-
-    def tangency_violation(self, x, coords):
-        return 0.0
-
     def _project_coords(self, y, a):
         return a
 
     def _hess_coords(self, y, egrad, ehess_v, v):
         return ehess_v
 
-    def _retract_coords(self, x, u):
-        return x + u
+    def _retract_scale(self, w):
+        return 1.0
 
     def _normal_frame(self, x):
         return np.empty((self.ambient_dim, 0))
-
-    def _dretract_coords(self, x, u, v):
-        return v
-
-    def _dretract_adjoint_coords(self, x, u, w):
-        return w
 
     def rand_point(self, rng):
         return ManifoldPoint(_freeze(rng.standard_normal(self.ambient_dim)),

@@ -340,10 +340,10 @@ def resolve_start(cfg: ExperimentConfig, objective, stream) -> ManifoldPoint:
     man = objective.manifold
     name = cfg.problem.start.strip()
     if name == "random":
-        return man.rand_point(stream.child(TAG_INIT).generator())
-    if name == "zero":
-        return man.point(np.zeros(man.ambient_dim))
-    if name.startswith("eig:") or (name.startswith("e") and name[1:].isdigit()):
+        x0 = man.rand_point(stream.child(TAG_INIT).generator())
+    elif name == "zero":
+        x0 = man.point(np.zeros(man.ambient_dim))
+    elif name.startswith("eig:") or (name.startswith("e") and name[1:].isdigit()):
         if not hasattr(objective, "eigvec"):
             raise ParameterError(f"[problem] start {name!r} needs a spectrum "
                                  "problem")
@@ -355,16 +355,21 @@ def resolve_start(cfg: ExperimentConfig, objective, stream) -> ManifoldPoint:
             raise ParameterError(f"[problem] start {name!r}: eigenvector "
                                  f"index out of range for dimension "
                                  f"{man.ambient_dim}")
-        return objective.eigvec(j)
-    if name.startswith("coords:"):
+        x0 = objective.eigvec(j)
+    elif name.startswith("coords:"):
         try:
             vals = np.array([float(s) for s in name[7:].split(",")])
         except ValueError as exc:
             raise ParameterError(f"[problem] start {name!r}: {exc}") from exc
-        return man.point(vals)
-    if name.startswith("file:"):
-        return load_point(man, name[5:])
-    raise ParameterError(f"[problem] unknown start {name!r}")
+        x0 = man.point(vals)
+    elif name.startswith("file:"):
+        x0 = load_point(man, name[5:])
+    else:
+        raise ParameterError(f"[problem] unknown start {name!r}")
+    with np.errstate(all="ignore"):  # far out on euclidean:n, F overflows
+        if not math.isfinite(objective.value(x0)):
+            raise ParameterError(f"[problem] start {name!r}: F is not finite")
+    return x0
 
 
 def load_point(man: Manifold, path) -> ManifoldPoint:

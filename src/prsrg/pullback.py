@@ -9,11 +9,11 @@ retraction applied to the Riemannian gradient at the retracted point:
 so batch pullback gradients are batch means of Riemannian component
 gradients pushed through ``T_u*``. The public methods validate their
 tangent vectors, then compute on coordinates: ``grad_batch`` calls the
-private ``_grad(batch, u)``, which retracts once and pulls back through the
-manifold's array-level adjoint. Callers that validated once at their own
-boundary (the tangent-space loop in ``tssrg``) call ``_grad`` directly on
-plain arrays. The Lipschitz probe (``estimate_lipschitz``) draws its ball
-pairs one at a time through the public ``Manifold.sample_ball`` and
+private ``_grad(batch, u)``, which retracts once and hands the retraction's
+scale to the manifold's array-level adjoint. Callers that validated once at
+their own boundary (the tangent-space loop in ``tssrg``) call ``_grad``
+directly on plain arrays. The Lipschitz probe (``estimate_lipschitz``) draws
+its ball pairs one at a time through the public ``Manifold.sample_ball`` and
 evaluates them in blocks through ``_exact_grad_coords``, which takes
 tangent vectors stacked as rows: one retraction, one full gradient and one
 adjoint per block, each row with the bits of a one-vector ``exact_grad``,
@@ -195,11 +195,11 @@ class PullbackOracle:
         caller has checked: one retraction, one adjoint, no validation.
         Counts ``batch.size`` queries."""
         man = self.manifold
-        y = ManifoldPoint(man._retract_coords(self.anchor.coords, u),
-                          man.manifold_id)
-        g = self.objective.batch_riem_grad(batch, y)
+        y, s = man._retract_coords(self.anchor.coords, u)
+        g = self.objective.batch_riem_grad(batch,
+                                           ManifoldPoint(y, man.manifold_id))
         self.queries += batch.size
-        return man._dretract_adjoint_coords(self.anchor, u, g.coords)
+        return man._dretract_adjoint_coords(self.anchor, s, g.coords)
 
     def grad_batch(self, batch: Batch, u: TangentVector) -> TangentVector:
         """Batch-mean pullback gradient; counts ``batch.size`` queries."""
@@ -251,8 +251,9 @@ class PullbackOracle:
         gradient and one adjoint for the whole stack, each row with the bits
         of a one-vector ``exact_grad``. No checks, no counters."""
         man, x = self.manifold, self.anchor
-        G = self.objective._full_grad_coords(man._retract_coords(x.coords, U))
-        return man._dretract_adjoint_coords(x, U, G)
+        Y, S = man._retract_coords(x.coords, U)
+        return man._dretract_adjoint_coords(
+            x, S, self.objective._full_grad_coords(Y))
 
     def estimate_lipschitz(self, rng: np.random.Generator,
                            pairs: int = 200) -> LipschitzEstimate:

@@ -155,8 +155,12 @@ def derive_params(mode: str, n_or_sigma, epsilon: float, delta: float,
         sigma = float(n_or_sigma)
         if not (sigma > 0 and math.isfinite(sigma)):
             raise ParameterError(f"online needs sigma > 0, got {n_or_sigma!r}")
-        m = b = math.ceil(cons.c_m * sigma / epsilon)
-        B = math.ceil(cons.c_B * sigma * sigma / (epsilon * epsilon))
+        try:  # ceil of inf or nan, or epsilon^2 underflowing to 0, raises
+            m = b = math.ceil(cons.c_m * sigma / epsilon)
+            B = math.ceil(cons.c_B * sigma * sigma / (epsilon * epsilon))
+        except (ArithmeticError, ValueError) as exc:
+            raise ParameterError(f"online batch sizes overflow at sigma="
+                                 f"{sigma}, epsilon={epsilon}") from exc
     else:
         raise ParameterError(f"mode must be finite_sum or online, got {mode!r}")
     eta = cons.c_eta / L_hat

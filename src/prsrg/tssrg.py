@@ -71,8 +71,9 @@ class TssrgParams:
             raise ParameterError(f"eta must be positive, got {self.eta}")
         for name in ("m", "b", "B_size", "T_max"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, np.integer)) and v >= 1):
-                raise ParameterError(f"{name} must be an integer >= 1, got {v!r}")
+            if not (isinstance(v, (int, np.integer)) and 1 <= v < 2 ** 63):
+                raise ParameterError(
+                    f"{name} must be an integer in [1, 2**63), got {v!r}")
         if not (self.D > 0 and math.isfinite(self.D)):
             raise ParameterError(f"D must be positive, got {self.D}")
         if self.b < self.m:

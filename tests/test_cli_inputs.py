@@ -70,7 +70,9 @@ def _assert_one_error_line(capsys):
     "spectrum_minus_inf", "spectrum_overflow", "spectrum_nan",
     "spectrum_linspace_inf", "spectrum_streaming_inf",
     "spectrum_quadratic_nan", "sigma_radius_negative", "sigma_radius_zero",
-    "sigma_radius_nan",
+    "sigma_radius_nan", "euclidean_start_overflow", "euclidean_start_nan",
+    "euclidean_start_inf", "certify_point_nan", "m_above_int64",
+    "online_epsilon_overflow", "online_epsilon_underflow",
 ])
 def test_bad_input_exits_2_with_one_line(case, tmp_path, capsys):
     cfg_text = BASE.format(start="random")
@@ -188,13 +190,35 @@ def test_bad_input_exits_2_with_one_line(case, tmp_path, capsys):
                     .replace("kind = rayleigh", "kind = quadratic_saddle")
                     .replace("noise_scale = 0.2",
                              f"noise_scale = 0.2\nsigma_radius = {value}"))
+    elif case.startswith("euclidean_start_") or case == "certify_point_nan":
+        start = {"euclidean_start_overflow": "coords:1e200,0,0",
+                 "euclidean_start_nan": "coords:nan,0,0",
+                 "euclidean_start_inf": "coords:inf,0,0"}.get(case, "zero")
+        cfg_text = (BASE.format(start=start)
+                    .replace("sphere:3", "euclidean:3")
+                    .replace("kind = rayleigh", "kind = quadratic_saddle"))
+        if case == "certify_point_nan":
+            command = "certify"
+            point = tmp_path / "x.txt"
+            point.write_text("nan\n0\n0\n")
+            extra = ["--point", str(point)]
+    elif case == "m_above_int64":
+        cfg_text += f"m = {2 ** 63}\n"
+    elif case.startswith("online_epsilon_"):
+        # 1e-160 / 1e-200: B's quotient overflows, or epsilon^2 underflows
+        value = "1e-160" if case == "online_epsilon_overflow" else "1e-200"
+        cfg_text = (cfg_text.replace("kind = rayleigh\nn = 30",
+                                     "kind = streaming_rayleigh")
+                    .replace("epsilon = 0.05", f"epsilon = {value}"))
     elif case == "manifold_mismatch_data":
         data = tmp_path / "rows.csv"
         data.write_text("1,2,3,4\n0,1,0,1\n")
         cfg_text = DATA_RAYLEIGH.format(data=data)
     cfg = tmp_path / "bad.ini"
     cfg.write_text(cfg_text)
-    assert main([command, "--config", str(cfg), *extra]) == EXIT_BAD_INPUT
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main([command, "--config", str(cfg), *extra]) == EXIT_BAD_INPUT
     line = _assert_one_error_line(capsys)
     expect = {"data_csv_non_finite": "non-finite",
               "n_negative": "n must be >= 1",
@@ -234,7 +258,14 @@ def test_bad_input_exits_2_with_one_line(case, tmp_path, capsys):
               "spectrum_quadratic_nan": "spectrum term 'inf' is non-finite",
               "sigma_radius_negative": "[problem] sigma_radius",
               "sigma_radius_zero": "[problem] sigma_radius",
-              "sigma_radius_nan": "[problem] sigma_radius"}
+              "sigma_radius_nan": "[problem] sigma_radius",
+              "euclidean_start_overflow": "[problem] start",
+              "euclidean_start_nan": "non-finite coordinates",
+              "euclidean_start_inf": "non-finite coordinates",
+              "certify_point_nan": "non-finite coordinates",
+              "m_above_int64": "m must be an integer in [1, 2**63)",
+              "online_epsilon_overflow": "online batch sizes overflow",
+              "online_epsilon_underflow": "online batch sizes overflow"}
     assert expect.get(case, "") in line
 
 

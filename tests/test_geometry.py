@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -183,14 +185,17 @@ def test_sample_ball_rejects_non_finite_radius(r):
 # ---------------------------------------------------- row-stacked calls
 
 def _sphere_closed_forms(xc, u, w):
-    # retraction, adjoint differential and tangent projection, one vector
-    # at a time with np.linalg.norm
+    # retraction, adjoint differential, tangent projection, differential
+    # T_u[w] = (w - (w.y) y)/||x+u||, and the point and tangency checks
+    # |(||x+u|| - 1)| and |x.w|, one vector at a time with np.linalg.norm
     s = np.linalg.norm(xc + u)
-    return ((xc + u) / s, (w - (xc @ w) * xc) / s, w - (xc @ w) * xc)
+    y = (xc + u) / s
+    return (y, (w - (xc @ w) * xc) / s, w - (xc @ w) * xc,
+            (w - (w @ y) * y) / s, abs(s - 1.0), abs(xc @ w))
 
 
 def _euclidean_closed_forms(xc, u, w):
-    return xc + u, w, w
+    return xc + u, w, w, w, 0.0, 0.0
 
 
 @pytest.mark.parametrize("man, closed_forms", [
@@ -206,18 +211,44 @@ def test_row_stacked_primitives_equal_one_vector_calls(man, closed_forms):
     k = 37
     U = np.array([man.sample_ball(x, 0.4, rng).coords for _ in range(k)])
     W = rng.standard_normal((k, man.ambient_dim))
-    Y = man._retract_coords(x.coords, U)
-    T = man._dretract_adjoint_coords(x, U, W)
+    Y, S = man._retract_coords(x.coords, U)
+    T = man._dretract_adjoint_coords(x, S, W)
     P = man.project_ambient(x, W)
-    assert Y.shape == T.shape == P.shape == (k, man.ambient_dim)
+    V = man._dretract_coords(Y, S, W)
+    assert Y.shape == T.shape == P.shape == V.shape == (k, man.ambient_dim)
     for i in range(k):
-        assert np.array_equal(Y[i], man._retract_coords(x.coords, U[i]))
-        assert np.array_equal(
-            T[i], man._dretract_adjoint_coords(x, U[i], W[i]))
+        y, s = man._retract_coords(x.coords, U[i])
+        assert np.array_equal(Y[i], y)
+        assert np.array_equal(T[i], man._dretract_adjoint_coords(x, s, W[i]))
         assert np.array_equal(P[i], man.project_ambient(x, W[i]))
-        for got, expect in zip((Y[i], T[i], P[i]),
+        assert np.array_equal(V[i], man._dretract_coords(y, s, W[i]))
+        checks = (man.constraint_violation(x.coords + U[i]),
+                  man.tangency_violation(x, W[i]))
+        for got, expect in zip((Y[i], T[i], P[i], V[i], *checks),
                                closed_forms(x.coords, U[i], W[i])):
             assert np.array_equal(got, expect)
+
+
+def test_sphere_point_whose_norm_overflows_is_rejected_quietly():
+    # ||c|| overflows to inf: the old check value |(||c|| - 1)| is inf and
+    # the point is off the sphere, reported without a RuntimeWarning
+    man = Sphere(3)
+    c = np.array([1e200, 0.0, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert man.constraint_violation(c) == np.inf
+        with pytest.raises(ContractViolation):
+            man.point(c)
+
+
+@pytest.mark.parametrize("man", [Sphere(3), Euclidean(3)],
+                         ids=["sphere", "euclidean"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_point_rejects_non_finite_coords(man, bad):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ContractViolation, match="non-finite"):
+            man.point([bad, 0.0, 0.0])
 
 
 # ------------------------------------------------------------- properties

@@ -10,6 +10,8 @@ import pytest
 
 from prsrg import (
     EmptyBatch,
+    Euclidean,
+    ManifoldPoint,
     OutOfBall,
     ParameterError,
     PullbackOracle,
@@ -57,6 +59,41 @@ def test_value_out_of_ball(small_rayleigh):
 
 
 # ------------------------------------------------------------ gradients
+
+def _reference_grad(oracle, batch, u):
+    """A pullback gradient as retract-then-adjoint: R_x(u), the batch's
+    Riemannian gradient there, then T_u*, which forms x + u and its norm
+    once more (Euclidean space: x + u and the identity)."""
+    man, xc = oracle.manifold, oracle.anchor.coords
+    if isinstance(man, Euclidean):
+        y = ManifoldPoint(xc + u, man.manifold_id)
+        return oracle.objective.batch_riem_grad(batch, y).coords
+    y = ManifoldPoint((xc + u) / np.linalg.norm(xc + u), man.manifold_id)
+    g = oracle.objective.batch_riem_grad(batch, y).coords
+    return (g - (g @ xc) * xc) / np.linalg.norm(xc + u)
+
+
+@pytest.mark.parametrize("kind", ["rayleigh", "streaming_rayleigh",
+                                  "quadratic_saddle"])
+def test_grad_equals_retract_then_adjoint_reference_bitwise(kind):
+    # _grad hands the retraction's scale to the adjoint instead of forming
+    # x + u again; every gradient keeps its bits, at the ball's edge too
+    oracle = kind_oracle(kind)
+    man, x = oracle.manifold, oracle.anchor
+    rng = np.random.default_rng(6)
+    edge = man.sample_ball(x, man.D, rng).coords
+    us = [np.zeros(man.ambient_dim), edge * ((1.0 - 1e-12) * man.D
+                                             / np.linalg.norm(edge))]
+    us += [man.sample_ball(x, man.D, rng).coords for _ in range(20)]
+    for u in us:
+        for b in (1, 7, 64):
+            batch = oracle.objective.sample_minibatch(b, rng)
+            before = oracle.queries
+            got = oracle._grad(batch, u)
+            assert oracle.queries == before + b
+            assert np.array_equal(got, _reference_grad(oracle, batch, u))
+
+
 
 def test_full_gradient_at_zero_matches_riemannian(medium_rayleigh):
     rng = np.random.default_rng(3)
