@@ -81,12 +81,6 @@ def _row_dots(a: np.ndarray, b: np.ndarray):
     return np.vecdot(a, b, keepdims=True)
 
 
-def _act(M: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """M y for each row y of Y, shape (..., d): bit-equal to ``M @ y`` one
-    row at a time (``Y @ M.T`` is one matrix product and is not)."""
-    return np.matmul(M, Y[..., None])[..., 0]
-
-
 def _row_norms(a: np.ndarray):
     """Euclidean norms of the rows of a, shape (..., 1), each the bits of
     ``_norm`` of its row; a 1-D a gives ``_norm(a)``, as ``_row_dots``."""

@@ -161,11 +161,12 @@ class _PairedComponentObjective(FiniteSumObjective):
         self.q = q
         self.sigma_hint = sigma_hint
 
-    def _matvec_mean(self, batch: Batch, y: np.ndarray) -> np.ndarray:
+    def _matvec_mean(self, batch: Batch, Y: np.ndarray):
+        AY = _kernels._act(self.Abar, Y)
         if batch.idx is None:
-            return self.Abar @ y
-        return self.Abar @ y + _kernels.paired_rank2_mean(
-            self.p, self.q, batch.idx, y)
+            return AY, AY
+        return AY + _kernels.paired_rank2_mean(self.p, self.q, batch.idx,
+                                               Y), AY
 
     # bench/launch.py wraps this name through this class's __dict__
     batch_riem_grad = FiniteSumObjective.batch_riem_grad
@@ -286,8 +287,8 @@ class StreamingRayleighInstance(_SpectralRayleigh, FiniteSumObjective):
             worst = max(worst, float(gaps.max()))
         return 1.5 * worst
 
-    def _matvec_mean(self, batch: Batch, y: np.ndarray) -> np.ndarray:
-        return _kernels.rows_rank1_mean(batch.data, y)
+    def _matvec_mean(self, batch: Batch, Y: np.ndarray):
+        return _kernels.rows_rank1_mean(batch.data, Y), None
 
     # bench/launch.py wraps this name through this class's __dict__
     batch_riem_grad = FiniteSumObjective.batch_riem_grad
@@ -348,10 +349,10 @@ class DataRayleighInstance(_PairedComponentObjective):
         self.manifold = Sphere(self.d)
         self.sigma_hint = None
 
-    def _matvec_mean(self, batch: Batch, y: np.ndarray) -> np.ndarray:
+    def _matvec_mean(self, batch: Batch, Y: np.ndarray):
         if batch.idx is None:
-            return self.Abar @ y
-        return _kernels.rows_rank1_mean(self.data[batch.idx], y)
+            return super()._matvec_mean(batch, Y)
+        return _kernels.rows_rank1_mean(self.data[batch.idx], Y), None
 
 
 def make_rayleigh(d: int, n: int, spectrum, noise_scale: float,

@@ -7,21 +7,18 @@ retraction applied to the Riemannian gradient at the retracted point:
     grad F_hat(u) = T_u* grad F(R_x(u))
 
 so batch pullback gradients are batch means of Riemannian component
-gradients pushed through ``T_u*``. The public methods validate their
-tangent vectors, then compute on coordinates: ``grad_batch`` calls the
-private ``_grad(batch, u)``, which retracts once and hands the retraction's
-scale to the manifold's array-level adjoint. Callers that validated once at
-their own boundary (the tangent-space loop in ``tssrg``) call ``_grad``
-directly on plain arrays. The Lipschitz probe (``estimate_lipschitz``) draws
-its ball pairs one at a time through the public ``Manifold.sample_ball`` and
-evaluates them in blocks through ``_exact_grad_coords``, which takes
-tangent vectors stacked as rows: one retraction, one full gradient and one
-adjoint per block, each row with the bits of a one-vector ``exact_grad``,
-so the estimate is the pair-at-a-time one. Every retraction here is second
-order, so at u = 0 the pullback Hessian equals the Riemannian Hessian
-(``full_riem_hvp``, the pair to ``full_riem_grad``). ``FiniteSumObjective``
-implements both, and the value, once for every objective: it gives the
-Euclidean derivatives and the manifold makes them Riemannian.
+gradients pushed through ``T_u*``. ``FiniteSumObjective`` gives the value,
+gradients and Hessian action once for every objective, as Euclidean
+derivatives that the manifold makes Riemannian. The public methods validate,
+then compute on coordinates through private forms that the tangent-space
+loop in ``tssrg`` calls directly: ``_grad`` (one retraction, whose scale the
+adjoint takes) and, per inner step, ``_grad_pair``, which evaluates the row
+stack [u_next, u_prev] with one retraction, gather, batch action and
+adjoint and reads F_hat(u_next) from the same Abar product. The Lipschitz
+probe evaluates its ball pairs in row-stacked blocks
+(``_exact_grad_coords``). Every row of a stack keeps the bits of its
+one-vector call. All retractions are second order, so at u = 0 the pullback
+Hessian is the Riemannian Hessian (``full_riem_hvp``).
 
 The oracle tracks stochastic-gradient query counts (the complexity
 currency): ``queries`` for optimizer calls and ``diag_queries`` for Hessian
@@ -41,9 +38,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import _act
 from .errors import EmptyBatch, ParameterError
-from .geometry import (Manifold, ManifoldPoint, TangentVector, _act, _freeze,
-                       _norm, _row_norms)
+from .geometry import (Manifold, ManifoldPoint, TangentVector, _freeze, _norm,
+                       _row_norms)
 
 # Central FD step for the Lipschitz probe's Hessian-vector products.
 HVP_FD_STEP = 1e-4
@@ -91,8 +89,11 @@ class FiniteSumObjective:
     scale: float
 
     def value(self, x: ManifoldPoint) -> float:
-        y = x.coords
-        return self.scale * float(y @ (self.Abar @ y))
+        return self._value_coords(x.coords)
+
+    def _value_coords(self, y: np.ndarray, Ay=None) -> float:
+        """``value`` at coordinates y; ``Ay`` is Abar y if already formed."""
+        return self.scale * float(y @ (self.Abar @ y if Ay is None else Ay))
 
     def full_riem_grad(self, x: ManifoldPoint) -> TangentVector:
         """Exact full (finite-sum) or population (streaming) gradient."""
@@ -105,14 +106,21 @@ class FiniteSumObjective:
         return self.manifold._project_coords(
             Y, 2.0 * self.scale * _act(self.Abar, Y))
 
-    def _matvec_mean(self, batch: Batch, y: np.ndarray) -> np.ndarray:
-        """M y for the batch's mean component matrix M."""
+    def _matvec_mean(self, batch: Batch, Y: np.ndarray):
+        """(M Y, Abar Y) for the batch's mean component matrix M: Y stacks
+        points as rows, shape (..., ambient_dim), each row with the bits of
+        a one-point call. Abar Y is None when the action does not form it."""
         raise NotImplementedError
 
+    def _batch_grad_coords(self, batch: Batch, Y: np.ndarray):
+        """``batch_riem_grad`` on coordinates, one batch at every row of Y,
+        shape (..., ambient_dim), each row the bits of a one-point call;
+        returns the gradients and ``_matvec_mean``'s Abar Y. No checks."""
+        MY, AY = self._matvec_mean(batch, Y)
+        return self.manifold._project_coords(Y, 2.0 * self.scale * MY), AY
+
     def batch_riem_grad(self, batch: Batch, x: ManifoldPoint) -> TangentVector:
-        y = x.coords
-        return TangentVector(x, self.manifold._project_coords(
-            y, 2.0 * self.scale * self._matvec_mean(batch, y)))
+        return TangentVector(x, self._batch_grad_coords(batch, x.coords)[0])
 
     def full_egrad(self, x: ManifoldPoint) -> np.ndarray:
         """Euclidean gradient 2 scale Abar y of the exhaustive batch at x."""
@@ -193,13 +201,28 @@ class PullbackOracle:
     def _grad(self, batch: Batch, u: np.ndarray) -> np.ndarray:
         """Batch-mean pullback gradient at the coordinates u, which the
         caller has checked: one retraction, one adjoint, no validation.
-        Counts ``batch.size`` queries."""
+        Counts ``batch.size`` queries. It calls the public
+        ``batch_riem_grad``, which ``bench/launch.py`` traces as a layer."""
         man = self.manifold
         y, s = man._retract_coords(self.anchor.coords, u)
         g = self.objective.batch_riem_grad(batch,
                                            ManifoldPoint(y, man.manifold_id))
         self.queries += batch.size
         return man._dretract_adjoint_coords(self.anchor, s, g.coords)
+
+    def _grad_pair(self, batch: Batch, u_next: np.ndarray,
+                   u_prev: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+        """``_grad`` at u_next and at u_prev over one batch, and F_hat(u_next)
+        from the batch action's Abar y where it formed one, all from one
+        retraction, action and adjoint on [u_next, u_prev], with the bits of
+        ``_grad`` and ``value``. No checks; counts ``batch.size`` per point."""
+        man, obj, x = self.manifold, self.objective, self.anchor
+        Y, S = man._retract_coords(x.coords, np.array((u_next, u_prev)))
+        G, AY = obj._batch_grad_coords(batch, Y)
+        self.queries += 2 * batch.size
+        G = man._dretract_adjoint_coords(x, S, G)
+        F = obj._value_coords(Y[0], None if AY is None else AY[0])
+        return G[0], G[1], F
 
     def grad_batch(self, batch: Batch, u: TangentVector) -> TangentVector:
         """Batch-mean pullback gradient; counts ``batch.size`` queries."""

@@ -155,9 +155,12 @@ def derive_params(mode: str, n_or_sigma, epsilon: float, delta: float,
         sigma = float(n_or_sigma)
         if not (sigma > 0 and math.isfinite(sigma)):
             raise ParameterError(f"online needs sigma > 0, got {n_or_sigma!r}")
-        try:  # ceil of inf or nan, or epsilon^2 underflowing to 0, raises
+        try:  # ceil of inf or nan, or epsilon^2 underflowing to 0, raises;
+            # a size past TssrgParams' 2**63 bound is the same failure
             m = b = math.ceil(cons.c_m * sigma / epsilon)
             B = math.ceil(cons.c_B * sigma * sigma / (epsilon * epsilon))
+            if max(m, B) >= 2 ** 63:
+                raise OverflowError
         except (ArithmeticError, ValueError) as exc:
             raise ParameterError(f"online batch sizes overflow at sigma="
                                  f"{sigma}, epsilon={epsilon}") from exc

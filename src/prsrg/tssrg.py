@@ -23,13 +23,14 @@ share a stream see identical minibatches at every t that both reach.
 ``tssrg_run`` validates its inputs once, at entry: u0 and ``anchor_grad``
 must be based at the oracle's anchor, u0 must lie in the run ball, and the
 run ball must fit in the manifold's chart. After that the loop keeps u, v
-and the step w as plain float64 arrays and computes minibatch gradients
-through ``PullbackOracle._grad``, one retraction each. Norms are
-``_norm``, the square root of the dot product, which equals ``np.linalg.norm``
-bit for bit on 1-D float64.
+and the step w as plain float64 arrays. A step makes one oracle call,
+``PullbackOracle._grad_pair``, for both minibatch gradients and its row's F;
+an anchor gradient is one ``_grad`` and its row reuses the last step's F,
+taken at the same u. Norms are ``_norm``, the square root of the dot
+product, which equals ``np.linalg.norm`` bit for bit on 1-D float64.
 Tangent vectors are built only where a public, validating oracle call needs
-one (the trace row's F value, the exact gradient behind ``record_gaps``) and
-for the returned outcome.
+one (F at u0 and at a boundary exit, the exact gradient behind
+``record_gaps``) and for the returned outcome.
 """
 
 from __future__ import annotations
@@ -122,10 +123,15 @@ def boundary_alpha(u_prev: np.ndarray, w: np.ndarray, D: float) -> float:
     return min(max(alpha / scale, 0.0), 1.0)
 
 
-def _require_finite(arr: np.ndarray, what: str, t: int) -> None:
-    if not np.isfinite(arr).all():
+def _finite_norm(arr: np.ndarray, what: str, t: int) -> float:
+    """``_norm(arr)``; raises NumericalFailure if an entry is not finite. A
+    finite norm proves every entry finite, so the entries are checked only
+    when the norm is inf or nan."""
+    norm = _norm(arr)
+    if not math.isfinite(norm) and not np.isfinite(arr).all():
         raise NumericalFailure(f"non-finite {what} at inner step {t}",
                                iteration=t)
+    return norm
 
 
 def tssrg_run(oracle: PullbackOracle, u0: TangentVector, params: TssrgParams,
@@ -160,10 +166,9 @@ def tssrg_run(oracle: PullbackOracle, u0: TangentVector, params: TssrgParams,
     if record_u:
         seg.u_vecs = []
 
-    def emit(inner_k, u, u_norm, grad_norm, event, gap=None, du=0.0):
+    def emit(inner_k, u, F, u_norm, grad_norm, event, gap=None, du=0.0):
         seg.rows.append(TraceRow(
-            outer_t=outer_t, inner_k=inner_k, epoch_type="",
-            F_value=oracle.value(TangentVector(x, u)),
+            outer_t=outer_t, inner_k=inner_k, epoch_type="", F_value=F,
             grad_norm_or_batch=grad_norm, estimator_gap=gap, u_norm=u_norm,
             queries_cum=query_offset + oracle.queries, event=event))
         seg.du_norms.append(du)
@@ -185,8 +190,9 @@ def tssrg_run(oracle: PullbackOracle, u0: TangentVector, params: TssrgParams,
     else:
         gen = stream.child(TAG_ANCHOR, 0).generator()
         v = oracle._grad(obj.sample_largebatch(params.B_size, gen), u_prev)
-    _require_finite(v, "anchor gradient", 0)
-    emit(0, u_prev, u_norm, _norm(v), "anchor", gap=gap_at(u_prev, v))
+    v_norm = _finite_norm(v, "anchor gradient", 0)
+    F = oracle.value(u0)
+    emit(0, u_prev, F, u_norm, v_norm, "anchor", gap=gap_at(u_prev, v))
 
     t = 0
     while True:
@@ -196,33 +202,34 @@ def tssrg_run(oracle: PullbackOracle, u0: TangentVector, params: TssrgParams,
             t += 1
             w = params.eta * v
             u_next = u_prev - w
-            _require_finite(u_next, "iterate", t)
             # a step whose square overflows has norm inf: outside the ball
-            u_next_norm = _norm(u_next)
+            u_next_norm = _finite_norm(u_next, "iterate", t)
             if u_next_norm >= D:
                 alpha = boundary_alpha(u_prev, w, D)
                 u_exit = u_prev - alpha * w
-                v_norm = _norm(v)
-                emit(k, u_exit, _norm(u_exit), v_norm, "boundary",
+                emit(k, u_exit, oracle.value(TangentVector(x, u_exit)),
+                     _norm(u_exit), v_norm, "boundary",
                      du=alpha * params.eta * v_norm)
                 return finish(u_exit, ExitReason.BOUNDARY, t)
             batch = obj.sample_minibatch(params.b, tape)
-            v = oracle._grad(batch, u_next) - oracle._grad(batch, u_prev) + v
-            _require_finite(v, "gradient estimate", t)
+            g_next, g_prev, F = oracle._grad_pair(batch, u_next, u_prev)
+            v = g_next - g_prev + v
+            v_norm = _finite_norm(v, "gradient estimate", t)
             event = "step"
             if t >= params.T_max:
                 event = "max_iter"
             elif not perturbed and k == stop_k:
                 event = "uniform_break"
-            emit(k, u_next, u_next_norm, _norm(v), event,
+            emit(k, u_next, F, u_next_norm, v_norm, event,
                  gap=gap_at(u_next, v), du=_norm(w))
             if event != "step":
                 return finish(u_next, ExitReason(event), t)
             u_prev, u_norm = u_next, u_next_norm
         gen = stream.child(TAG_ANCHOR, t // params.m).generator()
         v = oracle._grad(obj.sample_largebatch(params.B_size, gen), u_prev)
-        _require_finite(v, "anchor gradient", t)
-        emit(0, u_prev, u_norm, _norm(v), "anchor", gap=gap_at(u_prev, v))
+        v_norm = _finite_norm(v, "anchor gradient", t)
+        # the last step's F: that step ended at u_prev
+        emit(0, u_prev, F, u_norm, v_norm, "anchor", gap=gap_at(u_prev, v))
 
 
 def tssrg_run_coupled(oracle: PullbackOracle, u0_a: TangentVector,

@@ -73,6 +73,7 @@ def _assert_one_error_line(capsys):
     "sigma_radius_nan", "euclidean_start_overflow", "euclidean_start_nan",
     "euclidean_start_inf", "certify_point_nan", "m_above_int64",
     "online_epsilon_overflow", "online_epsilon_underflow",
+    "online_epsilon_m_above_int64", "online_epsilon_B_above_int64",
 ])
 def test_bad_input_exits_2_with_one_line(case, tmp_path, capsys):
     cfg_text = BASE.format(start="random")
@@ -205,8 +206,12 @@ def test_bad_input_exits_2_with_one_line(case, tmp_path, capsys):
     elif case == "m_above_int64":
         cfg_text += f"m = {2 ** 63}\n"
     elif case.startswith("online_epsilon_"):
-        # 1e-160 / 1e-200: B's quotient overflows, or epsilon^2 underflows
-        value = "1e-160" if case == "online_epsilon_overflow" else "1e-200"
+        # B's quotient overflows, epsilon^2 underflows, or a finite m (and
+        # B) or B alone reaches 2**63
+        value = {"online_epsilon_overflow": "1e-160",
+                 "online_epsilon_underflow": "1e-200",
+                 "online_epsilon_m_above_int64": "1e-20",
+                 "online_epsilon_B_above_int64": "1e-9"}[case]
         cfg_text = (cfg_text.replace("kind = rayleigh\nn = 30",
                                      "kind = streaming_rayleigh")
                     .replace("epsilon = 0.05", f"epsilon = {value}"))
@@ -265,8 +270,12 @@ def test_bad_input_exits_2_with_one_line(case, tmp_path, capsys):
               "certify_point_nan": "non-finite coordinates",
               "m_above_int64": "m must be an integer in [1, 2**63)",
               "online_epsilon_overflow": "online batch sizes overflow",
-              "online_epsilon_underflow": "online batch sizes overflow"}
+              "online_epsilon_underflow": "online batch sizes overflow",
+              "online_epsilon_m_above_int64": "online batch sizes overflow",
+              "online_epsilon_B_above_int64": "online batch sizes overflow"}
     assert expect.get(case, "") in line
+    if case.startswith("online_epsilon_"):
+        assert f"epsilon={float(value)}" in line
 
 
 def test_numerical_failure_exits_1(tmp_path, capsys, monkeypatch):

@@ -13,7 +13,8 @@ zeros occur.
     Euclidean gradient  A y,  Hessian  Abar v
     values              -y . Abar y  and  1/2 y . Abar y
 
-Here A y is a batch's mean action (``_matvec_mean``) or Abar y.
+Here A y is a batch's mean action (the first return of ``_matvec_mean``)
+or Abar y.
 """
 
 from __future__ import annotations
@@ -103,7 +104,7 @@ def test_batch_gradient_is_the_reference_formula(kind):
     for batch in _batches(obj):
         for x in _points(obj):
             y = x.coords
-            ref = _ref_grad(obj, y, obj._matvec_mean(batch, y))
+            ref = _ref_grad(obj, y, obj._matvec_mean(batch, y)[0])
             assert np.array_equal(obj.batch_riem_grad(batch, x).coords, ref)
 
 

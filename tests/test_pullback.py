@@ -74,25 +74,34 @@ def _reference_grad(oracle, batch, u):
 
 
 @pytest.mark.parametrize("kind", ["rayleigh", "streaming_rayleigh",
-                                  "quadratic_saddle"])
+                                  "quadratic_saddle", "data_rayleigh"])
 def test_grad_equals_retract_then_adjoint_reference_bitwise(kind):
     # _grad hands the retraction's scale to the adjoint instead of forming
-    # x + u again; every gradient keeps its bits, at the ball's edge too
+    # x + u again; every gradient keeps its bits, at the ball's edge too.
+    # An inner step's one stacked call, _grad_pair at u and the previous u,
+    # gives both gradients the same bits and F those of value(); streaming
+    # b = 64 > d draws pseudo-rows, and b = n is the exhaustive batch
     oracle = kind_oracle(kind)
-    man, x = oracle.manifold, oracle.anchor
+    man, x, n = oracle.manifold, oracle.anchor, oracle.objective.n
     rng = np.random.default_rng(6)
     edge = man.sample_ball(x, man.D, rng).coords
     us = [np.zeros(man.ambient_dim), edge * ((1.0 - 1e-12) * man.D
                                              / np.linalg.norm(edge))]
     us += [man.sample_ball(x, man.D, rng).coords for _ in range(20)]
-    for u in us:
-        for b in (1, 7, 64):
+    for u, u_prev in zip(us, us[-1:] + us[:-1]):
+        # the exhaustive batch, b = n, draws nothing from rng
+        for b in (1, 7, 64) if n is None else (1, 7, 64, n):
             batch = oracle.objective.sample_minibatch(b, rng)
             before = oracle.queries
             got = oracle._grad(batch, u)
             assert oracle.queries == before + b
             assert np.array_equal(got, _reference_grad(oracle, batch, u))
-
+            g_next, g_prev, F = oracle._grad_pair(batch, u, u_prev)
+            assert oracle.queries == before + 3 * b
+            assert np.array_equal(g_next, got)
+            assert np.array_equal(g_prev,
+                                  _reference_grad(oracle, batch, u_prev))
+            assert F == oracle.value(TangentVector(x, u))
 
 
 def test_full_gradient_at_zero_matches_riemannian(medium_rayleigh):

@@ -114,6 +114,35 @@ def test_kernels_match_dense_reference():
                        A[idx_a].T @ (A[idx_a] @ y) / len(idx_a), atol=1e-12)
 
 
+def _one_vector_kernels(p, q, idx, A, y):
+    """The kernels' one-vector formulas in plain ``@``."""
+    pair, sign = idx >> 1, 1.0 - 2.0 * (idx & 1)
+    Pi, Qi = p[pair], q[pair]
+    paired = (Pi.T @ (sign * (Qi @ y)) + Qi.T @ (sign * (Pi @ y))) / len(idx)
+    return paired, A.T @ (A @ y) / A.shape[0]
+
+
+def test_kernel_row_stacks_equal_one_vector_calls_bitwise():
+    # the inner step passes a (2, d) stack [u_next, u_prev]: each row must
+    # keep the bits of its one-vector call, for batches of one row too
+    rng = np.random.default_rng(9)
+    for n in (50, 51):
+        p, q, A, idx, idx_a, _ = _cases(rng, n)
+        Y = rng.standard_normal((2, 12))
+        for ix, rows in ((idx, A[idx_a]), (idx[:1], A[:1]), (idx, A)):
+            paired = _kernels.paired_rank2_mean(p, q, ix, Y)
+            rank1 = _kernels.rows_rank1_mean(rows, Y)
+            assert paired.shape == rank1.shape == Y.shape
+            for k, y in enumerate(Y):
+                ref_paired, ref_rank1 = _one_vector_kernels(p, q, ix, rows, y)
+                assert np.array_equal(paired[k], ref_paired)
+                assert np.array_equal(rank1[k], ref_rank1)
+                assert np.array_equal(
+                    _kernels.paired_rank2_mean(p, q, ix, y), ref_paired)
+                assert np.array_equal(_kernels.rows_rank1_mean(rows, y),
+                                      ref_rank1)
+
+
 def test_kernels_bitwise_repeatable():
     rng = np.random.default_rng(6)
     p, q, A, idx, _, y = _cases(rng)

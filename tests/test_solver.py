@@ -469,7 +469,9 @@ def generator_origins(monkeypatch):
 
 class _BatchLedger:
     """Delegating objective that keys every batch a gradient is taken over
-    by (seed, stream path, draw position on that generator)."""
+    by (seed, stream path, draw position on that generator). Gradients come
+    one point at a time (``batch_riem_grad``) or, in the inner steps, at a
+    stack of points (``_batch_grad_coords``), charged per point."""
 
     def __init__(self, base, origins):
         self._base = base
@@ -494,10 +496,17 @@ class _BatchLedger:
     def sample_largebatch(self, B, gen):
         return self._record(self._base.sample_largebatch(B, gen), gen)
 
-    def batch_riem_grad(self, batch, x):
+    def _charge(self, batch, points):
         self.charged[id(batch)] = self._keys[id(batch)][1]
-        self.queries += batch.size
+        self.queries += batch.size * points
+
+    def batch_riem_grad(self, batch, x):
+        self._charge(batch, 1)
         return self._base.batch_riem_grad(batch, x)
+
+    def _batch_grad_coords(self, batch, Y):
+        self._charge(batch, len(Y))
+        return self._base._batch_grad_coords(batch, Y)
 
 
 @pytest.mark.parametrize("mode", ["online", "finite_sum"])

@@ -327,7 +327,8 @@ def test_coupled_runs_share_minibatches_until_either_exits(kind, r_a, r_b):
 
 class _PoisonAfter:
     """Delegate objective that emits NaN gradients after a fixed number of
-    batch calls."""
+    batch gradients, counted per point: a stacked call at k points
+    (``_batch_grad_coords``, the inner steps) counts k."""
 
     def __init__(self, base, calls):
         self._base = base
@@ -339,15 +340,23 @@ class _PoisonAfter:
     def value(self, x):
         return self._base.value(x)
 
+    def _value_coords(self, y, Ay=None):
+        return self._base._value_coords(y, Ay)
+
     def full_riem_grad(self, x):
         return self._base.full_riem_grad(x)
 
+    def _poison(self, points, g):
+        self._left -= points
+        return g + np.nan if self._left < 0 else g
+
     def batch_riem_grad(self, batch, x):
         g = self._base.batch_riem_grad(batch, x)
-        self._left -= 1
-        if self._left < 0:
-            return TangentVector(x, g.coords + np.nan)
-        return g
+        return TangentVector(x, self._poison(1, g.coords))
+
+    def _batch_grad_coords(self, batch, Y):
+        G, AY = self._base._batch_grad_coords(batch, Y)
+        return self._poison(len(Y), G), AY
 
     def component_riem_grad(self, i, x):
         return self._base.component_riem_grad(i, x)
@@ -367,7 +376,7 @@ def test_non_finite_estimator_aborts_with_iteration_index(small_rayleigh):
     params = _params(m=8, b=8, B_size=small_rayleigh.n, T_max=8)
     with pytest.raises(NumericalFailure) as exc:
         tssrg_run(oracle, u0, params, master_stream(0).child(TAG_OUTER, 0))
-    assert exc.value.iteration == 2  # anchor + two steps of two calls each
+    assert exc.value.iteration == 2  # anchor + two steps of two points each
 
 
 def test_u0_outside_ball_rejected(small_rayleigh):
@@ -513,6 +522,16 @@ def _bitwise_case(case):
     }[case]
 
 
+class _ValueCounter(PullbackOracle):
+    """An oracle that counts its public ``value`` calls."""
+
+    value_calls = 0
+
+    def value(self, u):
+        self.value_calls += 1
+        return super().value(u)
+
+
 @pytest.mark.parametrize("case", [
     "rayleigh_max_iter_gaps", "rayleigh_break",
     "rayleigh_boundary_anchor_grad", "quadratic_boundary",
@@ -524,7 +543,7 @@ def test_array_loop_matches_public_call_reference_bitwise(case):
     u0 = man.sample_ball(x, r0, np.random.default_rng(5))
     stream = master_stream(13).child(TAG_OUTER, 0)
     ref_oracle = PullbackOracle(obj, x)
-    run_oracle = PullbackOracle(obj, x)
+    run_oracle = _ValueCounter(obj, x)
     anchor_ref = anchor_run = None
     if with_anchor:
         anchor_ref = ref_oracle.grad_largebatch(
@@ -544,6 +563,11 @@ def test_array_loop_matches_public_call_reference_bitwise(case):
     assert out.segment.du_norms == dus
     assert np.array_equal(out.u_final.coords, u_final)
     assert run_oracle.queries == ref_oracle.queries
+    # a step's F comes with its two gradients from one stacked call, and an
+    # epoch's anchor row (the max_iter cases re-anchor) reuses its last
+    # step's F; only u0's row and a boundary row call the validating value()
+    boundary = sum(r.event == "boundary" for r in out.segment.rows)
+    assert run_oracle.value_calls == 1 + boundary
 
 
 def test_foreign_base_point_rejected_at_entry(medium_rayleigh):
