@@ -185,6 +185,11 @@ class ExperimentConfig:
                 "streaming_rayleigh", "data_rayleigh"):
             raise ParameterError(f"[sweep] n: a {self.problem.kind} problem "
                                  "has no n to sweep")
+        last = self.seed + self.sweep.seeds - 1
+        if self.seed < 2**64 <= last:
+            raise ParameterError(
+                f"[sweep] seeds = {self.sweep.seeds}: seeds {self.seed} to "
+                f"{last} pass the largest 64-bit seed, 2**64 - 1")
 
 
 def _finite_float(raw: str) -> float:
@@ -307,23 +312,22 @@ def build_problem(cfg: ExperimentConfig):
 
 def _build_kind(prob):
     spectrum = parse_spectrum(prob.spectrum)
-    if prob.kind == "rayleigh":
+    if prob.kind in ("rayleigh", "quadratic_saddle"):
         if prob.n is None:
-            raise ParameterError("[problem] rayleigh needs n")
-        return make_rayleigh(d=spectrum.size, n=prob.n, spectrum=spectrum,
-                             noise_scale=prob.noise_scale,
-                             seed=prob.rotation_seed)
-    if prob.kind == "quadratic_saddle":
-        if prob.n is None:
-            raise ParameterError("[problem] quadratic_saddle needs n")
+            raise ParameterError(f"[problem] {prob.kind} needs n")
         try:
+            if prob.kind == "rayleigh":
+                return make_rayleigh(d=spectrum.size, n=prob.n,
+                                     spectrum=spectrum,
+                                     noise_scale=prob.noise_scale,
+                                     seed=prob.rotation_seed)
             return make_quadratic_saddle(d=spectrum.size, gamma=prob.gamma,
                                          L_top=prob.L_top, n=prob.n,
                                          seed=prob.rotation_seed,
                                          noise_scale=prob.noise_scale,
                                          sigma_radius=prob.sigma_radius)
         except ParameterError as exc:
-            # its checks name the [problem] keys they read
+            # their checks name the [problem] keys they read
             raise ParameterError(f"[problem] {exc}") from exc
     if prob.kind == "streaming_rayleigh":
         return make_streaming_rayleigh(d=spectrum.size, spectrum=spectrum,
@@ -404,27 +408,31 @@ def _apply_overrides(params: SolverParams, spec: SolverSpec) -> SolverParams:
     return dataclasses.replace(params, tssrg=tss, r=pick(spec.r, params.r))
 
 
-def resolve_params(cfg: ExperimentConfig, objective, x0,
-                   stream) -> tuple[SolverParams, LipschitzEstimate]:
-    """Estimate smoothness, derive run parameters, apply config overrides.
+def resolve_params(cfg: ExperimentConfig, objective, x0, stream,
+                   estimate: LipschitzEstimate | None = None
+                   ) -> tuple[SolverParams, LipschitzEstimate]:
+    """Estimate smoothness (unless ``estimate`` is given), derive run
+    parameters, apply config overrides.
 
     Returns (params, lipschitz_estimate).
     """
     spec = cfg.solver
     params, est = probe_params(objective, x0, spec.epsilon, spec.delta,
                                cfg.budget, stream, mode=spec.mode,
-                               constants=cfg.constants)
+                               constants=cfg.constants, estimate=estimate)
     return _apply_overrides(params, spec), est
 
 
 def run_experiment(cfg: ExperimentConfig, *, out: str | None = None,
-                   objective=None):
+                   objective=None, estimate: LipschitzEstimate | None = None):
     """Execute the configured algorithm; write trace/report when out is set.
 
     ``objective``, when given, is ``build_problem(cfg)`` built by the
     caller; objectives are read-only, so one instance can serve many runs.
-    Returns (report, params_or_None). Artifacts: <out>.trace.csv and
-    <out>.report.json.
+    ``estimate``, when given, is the smoothness probe this config's seed
+    and start give (``report.lipschitz`` of an earlier run); the run uses
+    it instead of probing. Returns (report, params_or_None). Artifacts:
+    <out>.trace.csv and <out>.report.json.
     """
     stream = master_stream(cfg.seed)
     if objective is None:
@@ -433,11 +441,12 @@ def run_experiment(cfg: ExperimentConfig, *, out: str | None = None,
     x0 = resolve_start(cfg, objective, stream)
     params = None
     if cfg.algo in ("prsrg", "rsrg_unperturbed"):
-        params, _ = resolve_params(cfg, objective, x0, stream)
+        params, est = resolve_params(cfg, objective, x0, stream, estimate)
         if cfg.algo == "rsrg_unperturbed":
             params = dataclasses.replace(params, r=0.0)
         report = prsrg_run(objective, man, x0, params, stream,
                            record_gaps=cfg.record_gaps)
+        report.lipschitz = est
     else:
         bcfg = BaselineConfig(kind=cfg.algo,
                               **dataclasses.asdict(cfg.baseline))
@@ -491,26 +500,35 @@ def run_sweep(cfg: ExperimentConfig, out_dir) -> list[dict]:
     Cells run one after another in (n, seed) order. Cell (n, i) is
     ``run_experiment`` of the base config with problem size n and seed
     base_seed + i, so its files are byte-equal to a standalone run of that
-    config. The problem depends on n alone, so it is built once per n and
-    shared by that n's cells.
+    config. The problem is built once, at the largest n, before any file is
+    written; every smaller n is its ``prefix(n)``, equal to a build at n
+    (pair stores are prefix-closed in n). The smoothness probe reads only
+    Abar, the start point and the seed, so each seed probes once, in the
+    first n's cell, and its other cells reuse that estimate.
     """
     if not cfg.sweep.n_values:
         raise ParameterError("[sweep] n is empty")
+    sizes = sorted(cfg.sweep.n_values)
+    base = dataclasses.replace(cfg, out=None, sweep=SweepSpec())
+    largest = build_problem(dataclasses.replace(
+        base, problem=dataclasses.replace(cfg.problem, n=sizes[-1])))
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    estimates: dict[int, LipschitzEstimate | None] = {}
     rows = []
     lines = ["n,seed,exit_reason,queries_used,best_F,certified"]
-    for n in sorted(cfg.sweep.n_values):
+    for n in sizes:
         ncfg = dataclasses.replace(
-            cfg, out=None, problem=dataclasses.replace(cfg.problem, n=n),
-            sweep=SweepSpec())
-        objective = None  # free the last n's problem before the next build
-        objective = build_problem(ncfg)
+            base, problem=dataclasses.replace(cfg.problem, n=n))
+        objective = None  # free an odd n's copied store before the next
+        objective = largest.prefix(n)
         for seed in range(cfg.seed, cfg.seed + cfg.sweep.seeds):
             ccfg = dataclasses.replace(ncfg, seed=seed)
             prefix = out_dir / f"n{n}_s{seed}"
             report, _ = run_experiment(ccfg, out=str(prefix),
-                                       objective=objective)
+                                       objective=objective,
+                                       estimate=estimates.get(seed))
+            estimates.setdefault(seed, report.lipschitz)
             certified = (report.certified is not None
                          and report.certified.passed)
             rows.append({"n": n, "seed": seed,

@@ -27,10 +27,16 @@ row k of the pair store (p, q) gives E_{2k} = p_k q_k^T + q_k p_k^T and
 E_{2k+1} = -E_{2k}, so component i reads row i >> 1 with the sign
 1 - 2 (i & 1). Exhaustive batches evaluate through Abar directly, which is
 both exact and deterministic.
+
+Pair stores are prefix-closed in n: pairs are drawn in order from one fixed
+stream, so the store for n is the first n // 2 rows of the store for any
+larger n, bit for bit, plus one zero row when n is odd. ``prefix(n)``
+serves a smaller n from a built instance that way.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 import struct
 import warnings
@@ -104,8 +110,14 @@ def _paired_noise(n: int, d: int, noise_scale: float,
             f"noise_scale must be finite and >= 0, got {noise_scale}")
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
-    p = np.zeros(((n + 1) // 2, d))
-    q = np.zeros(((n + 1) // 2, d))
+    rows = (n + 1) // 2
+    try:
+        p = np.zeros((rows, d))
+        q = np.zeros((rows, d))
+    except (MemoryError, ValueError) as exc:  # ValueError: past the int64 size
+        raise ParameterError(
+            f"n = {n} needs a pair store of {2 * rows * d * 8} bytes, which "
+            f"cannot be allocated") from exc
     if noise_scale == 0.0:
         return p, q
     k = n // 2
@@ -170,6 +182,24 @@ class _PairedComponentObjective(FiniteSumObjective):
 
     # bench/launch.py wraps this name through this class's __dict__
     batch_riem_grad = FiniteSumObjective.batch_riem_grad
+
+    def prefix(self, n: int) -> "_PairedComponentObjective":
+        """This instance cut to its first n components, equal field for
+        field to a fresh build at n: the pair store is a view of the first
+        n // 2 rows for even n, a copy of them plus a zero row for odd n;
+        every other field is shared. Pair-store components only."""
+        if not 1 <= n <= self.n:
+            raise ParameterError(
+                f"prefix size {n} out of range for n = {self.n}")
+        if n == self.n:
+            return self
+        out = copy.copy(self)
+        out.n, k = int(n), n // 2
+        out.p, out.q = self.p[:k], self.q[:k]
+        if n % 2:
+            zero = np.zeros((1, self.p.shape[1]))
+            out.p, out.q = np.vstack([out.p, zero]), np.vstack([out.q, zero])
+        return out
 
     def component_riem_grad(self, i: int, x: ManifoldPoint) -> TangentVector:
         idx = np.asarray([i], dtype=np.int64)

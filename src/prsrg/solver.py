@@ -98,6 +98,8 @@ class SolverReport:
     exit_reason: str  # certified | budget
     outer_iterations: int
     seed: Optional[int] = None
+    # the smoothness estimate the run's parameters came from; not in as_dict
+    lipschitz: Optional[LipschitzEstimate] = None
 
     def as_dict(self) -> dict:
         return {
@@ -350,13 +352,15 @@ def prsrg_run(objective, manifold: Manifold, x0: ManifoldPoint,
 def probe_params(objective, x0: ManifoldPoint, epsilon: float,
                  delta: float, budget: int, stream, *,
                  mode: str | None = None,
-                 constants: SolverConstants | None = None
+                 constants: SolverConstants | None = None,
+                 estimate: LipschitzEstimate | None = None
                  ) -> tuple[SolverParams, LipschitzEstimate]:
     """Probe smoothness at x0 and derive run parameters from it.
 
     The mode defaults to finite_sum when the objective is a finite sum and
     to online otherwise; online mode scales by the objective's sigma_hint.
-    The probe draws from ``stream.child(TAG_DIAG)``.
+    The probe draws from ``stream.child(TAG_DIAG)``; a given ``estimate``
+    (an earlier probe at the same Abar, x0 and stream) replaces it.
     """
     if mode is None:
         mode = FINITE_SUM if objective.n is not None else ONLINE
@@ -368,8 +372,10 @@ def probe_params(objective, x0: ManifoldPoint, epsilon: float,
         if objective.sigma_hint is None:
             raise ParameterError("online mode needs a sigma estimate")
         scale = objective.sigma_hint
-    probe = PullbackOracle(objective, x0)
-    est = probe.estimate_lipschitz(stream.child(TAG_DIAG).generator())
+    est = estimate
+    if est is None:
+        est = PullbackOracle(objective, x0).estimate_lipschitz(
+            stream.child(TAG_DIAG).generator())
     params = derive_params(mode, scale, epsilon, delta, est.L_hat,
                            est.rho_hat, constants, D=objective.manifold.D,
                            budget=budget)

@@ -47,6 +47,18 @@ data = {data}
 """
 
 
+def _at_d5(cfg_text: str) -> str:
+    """The config at d = 5, where n = 2**52 asks for an 80 PiB pair store
+    that no address space can map, so a test never allocates it."""
+    return (cfg_text.replace("sphere:3", "sphere:5")
+            .replace("2.0,1.0,0.0", "2.0,1.0,0.5,0.2,0.0"))
+
+
+def _store_error(n: int) -> str:
+    # n even at d = 5: n / 2 rows of p and of q, 5 float64 each
+    return f"[problem] n = {n} needs a pair store of {n * 5 * 8} bytes"
+
+
 def _assert_one_error_line(capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
@@ -74,6 +86,8 @@ def _assert_one_error_line(capsys):
     "euclidean_start_inf", "certify_point_nan", "m_above_int64",
     "online_epsilon_overflow", "online_epsilon_underflow",
     "online_epsilon_m_above_int64", "online_epsilon_B_above_int64",
+    "sweep_seeds_past_64_bits", "n_pair_store_80_PiB",
+    "n_pair_store_past_int64", "sweep_n_pair_store_80_PiB",
 ])
 def test_bad_input_exits_2_with_one_line(case, tmp_path, capsys):
     cfg_text = BASE.format(start="random")
@@ -87,6 +101,12 @@ def test_bad_input_exits_2_with_one_line(case, tmp_path, capsys):
     elif case.startswith("sweep_"):
         command = "sweep"
         extra = ["--out", str(tmp_path / "sweep")]
+        if case == "sweep_seeds_past_64_bits":
+            # seeds 2**64 - 1 and 2**64: the second is no 64-bit seed
+            cfg_text = cfg_text.replace("seed = 7", f"seed = {2**64 - 1}")
+        elif case == "sweep_n_pair_store_80_PiB":
+            # the largest n is built first, so the n = 8 cell writes nothing
+            cfg_text = _at_d5(cfg_text)
         if case == "sweep_n_streaming":
             # the stream sizes itself: there is no n to sweep
             cfg_text = cfg_text.replace("kind = rayleigh\nn = 30",
@@ -94,7 +114,14 @@ def test_bad_input_exits_2_with_one_line(case, tmp_path, capsys):
         cfg_text += {"sweep_seeds_zero": "\n[sweep]\nn = 8\nseeds = 0\n",
                      "sweep_n_repeated": "\n[sweep]\nn = 8,8\nseeds = 1\n",
                      "sweep_n_streaming": "\n[sweep]\nn = 10,20\nseeds = 1\n",
+                     "sweep_seeds_past_64_bits": "\n[sweep]\nn = 8\nseeds = 2\n",
+                     "sweep_n_pair_store_80_PiB":
+                         f"\n[sweep]\nn = 8,{2**52}\nseeds = 1\n",
                      }[case]
+    elif case.startswith("n_pair_store_"):
+        # 2**62: past the int64 byte count numpy can even ask for
+        n = 2**52 if case == "n_pair_store_80_PiB" else 2**62
+        cfg_text = _at_d5(cfg_text).replace("n = 30", f"n = {n}")
     elif case == "coords_not_numeric":
         cfg_text = BASE.format(start="coords:a,b,c")
     elif case == "coords_norm_overflow":
@@ -272,8 +299,15 @@ def test_bad_input_exits_2_with_one_line(case, tmp_path, capsys):
               "online_epsilon_overflow": "online batch sizes overflow",
               "online_epsilon_underflow": "online batch sizes overflow",
               "online_epsilon_m_above_int64": "online batch sizes overflow",
-              "online_epsilon_B_above_int64": "online batch sizes overflow"}
+              "online_epsilon_B_above_int64": "online batch sizes overflow",
+              "sweep_seeds_past_64_bits": "[sweep] seeds",
+              "n_pair_store_80_PiB": _store_error(2**52),
+              "sweep_n_pair_store_80_PiB": _store_error(2**52),
+              "n_pair_store_past_int64": _store_error(2**62)}
     assert expect.get(case, "") in line
+    if command == "sweep":
+        # bad input is found before the first cell writes anything
+        assert not any((tmp_path / "sweep").glob("*"))
     if case.startswith("online_epsilon_"):
         assert f"epsilon={float(value)}" in line
 

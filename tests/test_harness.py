@@ -1,5 +1,6 @@
 """Config grammar, experiment runners, artifacts, sweeps, and the CLI."""
 
+import dataclasses
 import importlib.util
 import json
 import re
@@ -17,7 +18,8 @@ from prsrg.harness import (BaselineSpec, CoupleSpec, ExperimentConfig,
                            dump_config, format_spectrum, load_point,
                            parse_config, parse_spectrum, resolve_params,
                            resolve_start, run_experiment, run_sweep)
-from prsrg.problems import save_matrix
+from prsrg.problems import PAIR_BLOCK, save_matrix
+from prsrg.pullback import PullbackOracle
 from prsrg.rng import master_stream
 from prsrg.solver import SolverConstants
 from prsrg.trace import COLUMNS, TraceRow, read_trace, rows_to_csv, write_trace
@@ -539,7 +541,6 @@ def test_rerun_is_byte_identical(tmp_path):
     assert ((tmp_path / "a.report.json").read_bytes()
             == (tmp_path / "b.report.json").read_bytes())
 
-    import dataclasses
     other = dataclasses.replace(cfg, seed=8)
     run_experiment(other, out=str(tmp_path / "c"))
     assert ((tmp_path / "a.trace.csv").read_bytes()
@@ -549,15 +550,18 @@ def test_rerun_is_byte_identical(tmp_path):
 # ------------------------------------------------------------------- sweep
 
 def test_sweep_grid_and_cells_match_standalone_runs(tmp_path):
-    cfg = parse_config(SWEEP_RUN)
+    # the odd n is served as a copied prefix of the n = 12 store, with a
+    # zero last row; the even n as a view of its first rows
+    cfg = parse_config(SWEEP_RUN.replace("n = 8,12", "n = 12,7,8"))
     d1 = tmp_path / "first"
     rows = run_sweep(cfg, d1)
-    cells = [(8, 11), (8, 12), (12, 11), (12, 12)]
+    cells = [(7, 11), (7, 12), (8, 11), (8, 12), (12, 11), (12, 12)]
     assert [(r["n"], r["seed"]) for r in rows] == cells
     summary = (d1 / "summary.csv").read_text().splitlines()
     assert summary[0] == "n,seed,exit_reason,queries_used,best_F,certified"
-    assert len(summary) == 5
-    assert [line.split(",")[0] for line in summary[1:]] == ["8", "8", "12", "12"]
+    assert len(summary) == 7
+    assert [line.split(",")[0] for line in summary[1:]] == [
+        "7", "7", "8", "8", "12", "12"]
 
     d2 = tmp_path / "rerun"
     run_sweep(cfg, d2)
@@ -578,6 +582,7 @@ def test_sweep_grid_and_cells_match_standalone_runs(tmp_path):
 
 
 def test_sweep_builds_each_problem_once_per_n(tmp_path, monkeypatch):
+    # one build, at the largest n; the smaller n are prefixes of it
     built = []
 
     def counting_build(cfg):
@@ -585,8 +590,63 @@ def test_sweep_builds_each_problem_once_per_n(tmp_path, monkeypatch):
         return build_problem(cfg)
 
     monkeypatch.setattr(harness, "build_problem", counting_build)
-    run_sweep(parse_config(SWEEP_RUN), tmp_path / "grid")
-    assert built == [8, 12]
+    run_sweep(parse_config(SWEEP_RUN.replace("n = 8,12", "n = 12,7,8")),
+              tmp_path / "grid")
+    assert built == [12]
+
+
+@pytest.mark.parametrize("algo, probes", [("prsrg", 2), ("prgd", 0)])
+def test_sweep_probes_smoothness_once_per_seed(tmp_path, monkeypatch, algo,
+                                                probes):
+    # the probe reads Abar, the start point and the seed, never n, so a
+    # seed's first cell probes and its other cells reuse the estimate;
+    # baselines derive no parameters and never probe
+    seen = []
+    real = PullbackOracle.estimate_lipschitz
+
+    def counting_probe(self, rng, *args, **kwargs):
+        seen.append(self.objective.n)
+        return real(self, rng, *args, **kwargs)
+
+    monkeypatch.setattr(PullbackOracle, "estimate_lipschitz", counting_probe)
+    text = SWEEP_RUN.replace("n = 8,12", "n = 12,7,8").replace(
+        "seed = 11", f"seed = 11\nalgo = {algo}")
+    rows = run_sweep(parse_config(text), tmp_path / "grid")
+    assert len(rows) == 6
+    assert seen == [7] * probes
+
+
+@pytest.mark.parametrize("kind", ["rayleigh", "quadratic_saddle"])
+@pytest.mark.parametrize("noise_scale", [0.5, 0.0])
+def test_prefix_equals_fresh_build_bitwise(kind, noise_scale):
+    # the largest n is odd and its store spans several draw blocks; every
+    # smaller n, even or odd, must read the bits a build at that n draws
+    largest = 2 * PAIR_BLOCK + 5
+    text = SMALL_RUN.replace("noise_scale = 0.2",
+                             f"noise_scale = {noise_scale}")
+    if kind == "quadratic_saddle":
+        text = (text.replace("sphere:3", "euclidean:3")
+                .replace("kind = rayleigh", "kind = quadratic_saddle"))
+    base = parse_config(text)
+
+    def build(n):
+        return build_problem(dataclasses.replace(
+            base, problem=dataclasses.replace(base.problem, n=n)))
+
+    big = build(largest)
+    for n in (1, 2, 7, 8, 2 * PAIR_BLOCK + 2, largest):
+        sub, fresh = big.prefix(n), build(n)
+        assert type(sub) is type(fresh)
+        for name in ("p", "q", "Abar"):
+            a, b = getattr(sub, name), getattr(fresh, name)
+            assert np.array_equal(a, b) and a.tobytes() == b.tobytes(), name
+        assert sub.n == fresh.n == n
+        assert sub.sigma_hint == fresh.sigma_hint
+        assert sub.manifold.manifold_id == fresh.manifold.manifold_id
+        if n % 2 == 0:
+            assert np.shares_memory(sub.p, big.p)
+    with pytest.raises(ParameterError, match="prefix size"):
+        big.prefix(largest + 1)
 
 
 def test_sweep_requires_n_values(tmp_path):
