@@ -91,8 +91,8 @@ def _prgd_run(objective, man: Manifold, x0, config, epsilon, delta, budget,
                 total = total_here
                 break
             # perturb in the tangent space, then descend the pullback there
-            gen = stream.child(TAG_OUTER, outer).child(TAG_PERTURB).generator()
-            u = man.sample_ball(x, min(config.r, D), gen)
+            node = stream.child(TAG_OUTER, outer).child(TAG_PERTURB)
+            u = man.sample_ball(x, min(config.r, D), node)
             for k in range(1, config.escape_steps + 1):
                 if total + oracle.queries + n > budget:
                     break
@@ -140,8 +140,8 @@ def _rsgd_run(objective, man: Manifold, x0, config, epsilon, delta, budget,
     D = man.D
     while total + b <= budget:
         oracle = PullbackOracle(objective, x)
-        gen = stream.child(TAG_OUTER, t).child(TAG_BATCH).generator()
-        batch = objective.sample_minibatch(b, gen)
+        batch = objective.sample_minibatch(
+            b, stream.child(TAG_OUTER, t).child(TAG_BATCH))
         g = oracle.grad_batch(batch, man.zero_tangent(x))
         step = TangentVector(x, -config.eta * g.coords)
         nrm = step.norm

@@ -19,13 +19,14 @@ theoretical values.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .errors import NotASaddle, ParameterError, SchemaError
-from .geometry import Manifold, ManifoldPoint, TangentVector
+from .geometry import Manifold, ManifoldPoint, TangentVector, _norm
 from .pullback import PullbackOracle
 from .rng import TAG_DIAG, TAG_PERTURB, TAG_TRIAL, StreamTree, master_stream
 from .tssrg import TssrgParams, tssrg_run_coupled
@@ -75,6 +76,17 @@ def escape_threshold(delta: float, rho_hat: float,
     return EscapeThreshold(F_script=delta ** 3 / (2.0 * c3 * rho_hat ** 2))
 
 
+@functools.lru_cache(maxsize=None)
+def _lanczos_start(ambient_dim: int) -> np.ndarray:
+    """The Lanczos start vector, a standard normal draw from the fixed
+    ``_LANCZOS_SEED`` stream: drawn once per ambient dimension per process
+    and read-only, since every certification starts from it."""
+    gen = master_stream(_LANCZOS_SEED).child(TAG_DIAG).child(0).generator()
+    g = gen.standard_normal(ambient_dim)
+    g.setflags(write=False)
+    return g
+
+
 @dataclass
 class LanczosResult:
     value: float
@@ -91,11 +103,12 @@ def lanczos_min_eig(matvec, man: Manifold, x: ManifoldPoint, *,
     x (the exact Riemannian Hessian does), so one start vector projected
     onto T_x keeps the whole Krylov space tangent and no basis of T_x is
     needed. One run with full reorthogonalization, at most
-    min(man.dim, LANCZOS_MAX_ITERS) iterations, from a start vector drawn
-    from the fixed ``_LANCZOS_SEED`` stream; converged when the residual
-    bound beta * |s_last| of the smallest Ritz pair drops below
-    LANCZOS_TOL_FACTOR times the running operator-norm estimate. The last
-    smallest Ritz pair is returned either way.
+    min(man.dim, LANCZOS_MAX_ITERS) iterations, from the start vector drawn
+    once from the fixed ``_LANCZOS_SEED`` stream (``_lanczos_start``);
+    converged when the residual bound beta * |s_last| of the smallest Ritz
+    pair drops below LANCZOS_TOL_FACTOR times the running operator-norm
+    estimate. The last smallest Ritz pair is returned either way. Norms are
+    ``_norm``, bit-equal to ``np.linalg.norm`` on these 1-D float64 arrays.
 
     With ``stop_below`` set, the run also stops at the first smallest Ritz
     value theta < stop_below - LANCZOS_TOL_FACTOR * max(|theta|, 1). Ritz
@@ -105,11 +118,10 @@ def lanczos_min_eig(matvec, man: Manifold, x: ManifoldPoint, *,
     returns ``converged=False`` and a value that is an upper bound on
     lambda_min; a run that never meets the threshold is the run without it.
     """
-    gen = master_stream(_LANCZOS_SEED).child(TAG_DIAG).child(0).generator()
-    q = man.project_ambient(x, gen.standard_normal(man.ambient_dim))
+    q = man.project_ambient(x, _lanczos_start(man.ambient_dim))
     k = min(man.dim, LANCZOS_MAX_ITERS)
     Q = np.empty((man.ambient_dim, k))
-    Q[:, 0] = q / np.linalg.norm(q)
+    Q[:, 0] = q / _norm(q)
     T = np.zeros((k, k))
     for nq in range(1, k + 1):
         w = np.asarray(matvec(Q[:, nq - 1]), dtype=np.float64)
@@ -117,7 +129,7 @@ def lanczos_min_eig(matvec, man: Manifold, x: ManifoldPoint, *,
         # reorthogonalize twice against the whole basis
         w -= Q[:, :nq] @ (Q[:, :nq].T @ w)
         w -= Q[:, :nq] @ (Q[:, :nq].T @ w)
-        beta = float(np.linalg.norm(w))
+        beta = _norm(w)
         vals, vecs = np.linalg.eigh(T[:nq, :nq])
         hnorm = max(abs(vals[0]), abs(vals[-1]))
         resid = beta * abs(float(vecs[-1, 0]))
@@ -131,7 +143,7 @@ def lanczos_min_eig(matvec, man: Manifold, x: ManifoldPoint, *,
         Q[:, nq] = w / beta
         T[nq - 1, nq] = T[nq, nq - 1] = beta
     v = Q[:, :nq] @ vecs[:, 0]
-    return LanczosResult(float(vals[0]), v / np.linalg.norm(v), nq, converged)
+    return LanczosResult(float(vals[0]), v / _norm(v), nq, converged)
 
 
 def _hessian_lanczos(oracle: PullbackOracle, *,
@@ -368,8 +380,7 @@ def stuck_region_experiment(oracle: PullbackOracle, params: TssrgParams,
     devs: list[np.ndarray] = []
     for i in range(trials):
         st = stream.child(TAG_TRIAL, i)
-        gen = st.child(TAG_PERTURB).generator()
-        u0 = man.sample_ball(oracle.anchor, r, gen)
+        u0 = man.sample_ball(oracle.anchor, r, st.child(TAG_PERTURB))
         u0p = TangentVector(oracle.anchor, u0.coords - r0 * e1)
         out_a, out_b = tssrg_run_coupled(oracle, u0, u0p, params, st,
                                          record_u=True)

@@ -36,6 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation, OutOfBall, ParameterError
+from .rng import StreamTree, as_generator
 
 # On-manifold / tangency tolerance for validation.
 TOL = 1e-10
@@ -299,11 +300,13 @@ class Manifold:
             x, s, w.coords)))
 
     def sample_ball(self, x: ManifoldPoint, r: float,
-                    rng: np.random.Generator) -> TangentVector:
+                    rng: np.random.Generator | StreamTree) -> TangentVector:
         """Uniform draw from {u in T_x M : ||u|| <= r}.
 
         Gaussian direction in the orthonormal tangent basis, scaled by
-        r * U^(1/dim). r = 0 consumes no randomness and returns the zero vector.
+        r * U^(1/dim). ``rng`` is a Generator or a StreamTree node; r = 0
+        consumes no randomness, mints no generator and returns the zero
+        vector.
         """
         self._require_point(x)
         if not (r >= 0 and math.isfinite(r)):
@@ -317,6 +320,7 @@ class Manifold:
         memo = self._ball_basis
         if memo is None or memo[0] is not x:
             memo = self._ball_basis = (x, self.tangent_basis(x))
+        rng = as_generator(rng)
         g = rng.standard_normal(self.dim)
         g /= np.linalg.norm(g)
         radius = r * rng.random() ** (1.0 / self.dim)

@@ -17,7 +17,9 @@ Each objective gives only ``Abar``, ``scale`` (F = scale * y^T Abar y) and
 its batch mean action; ``FiniteSumObjective`` forms the Euclidean
 derivatives and the manifold makes them Riemannian. rayleigh and
 streaming_rayleigh also share the spectrum check, the rotated mean matrix
-and ``eigvec``; data_rayleigh reuses the finite-sum index sampler.
+and ``eigvec``; data_rayleigh reuses the finite-sum index sampler, which
+draws an epoch's minibatch indices in one call (``sample_epoch``). The
+streaming sampler draws one batch per step.
 
 Paired finite-sum components are Abar + E_i where the E_i are symmetric
 rank-2 perturbations of two-norm exactly ``noise_scale``, generated in +/-
@@ -41,6 +43,7 @@ import math
 import struct
 import warnings
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -48,7 +51,7 @@ from . import _kernels
 from .errors import ParameterError
 from .geometry import Euclidean, ManifoldPoint, Sphere, TangentVector
 from .pullback import Batch, FiniteSumObjective
-from .rng import TAG_PROBLEM, master_stream
+from .rng import TAG_PROBLEM, StreamTree, as_generator, master_stream
 
 MAGIC = b"PRSRGMAT"
 
@@ -88,6 +91,10 @@ def _check_spectrum(d: int, spectrum) -> np.ndarray:
 # pairs per draw: drawing all n/2 pairs at once would hold a second copy
 # of the store (32 MB at n = 20000, d = 200)
 PAIR_BLOCK = 1024
+
+# minibatch indices per epoch draw: m = b = ceil(sqrt(n)) needs about n,
+# one draw up to n = 65536; [solver] overrides of m and b may ask for more
+EPOCH_BLOCK = 2**16
 
 
 def _paired_noise(n: int, d: int, noise_scale: float,
@@ -205,20 +212,46 @@ class _PairedComponentObjective(FiniteSumObjective):
         idx = np.asarray([i], dtype=np.int64)
         return self.batch_riem_grad(Batch(size=1, idx=idx), x)
 
-    def sample_minibatch(self, b: int, rng: np.random.Generator) -> Batch:
+    def sample_minibatch(self, b: int,
+                         rng: np.random.Generator | StreamTree) -> Batch:
         if not 1 <= b <= 2**31:
             raise ParameterError(f"bad minibatch size {b}")
         if b == self.n:
             return Batch(size=self.n, idx=None)
-        return Batch(size=b, idx=rng.integers(0, self.n, size=b, dtype=np.int64))
+        idx = as_generator(rng).integers(0, self.n, size=b, dtype=np.int64)
+        return Batch(size=b, idx=idx)
 
-    def sample_largebatch(self, B: int, rng: np.random.Generator) -> Batch:
+    def sample_epoch(self, b: int, count: int,
+                     rng: np.random.Generator) -> Iterator[Batch]:
+        """``sample_minibatch`` for ``count`` steps as one (count, b)
+        ``integers`` draw, row k the batch of step k + 1 (blocks of at most
+        ``EPOCH_BLOCK`` indices when count * b is larger). The bits are the
+        per-step draws': indices below 2**32 come from the bit generator's
+        32-bit outputs, whose buffer persists across calls. b = n gives the
+        exhaustive batch and draws nothing."""
+        if not 1 <= b <= 2**31:
+            raise ParameterError(f"bad minibatch size {b}")
+        if b == self.n:
+            batch = Batch(size=self.n, idx=None)
+            for _ in range(count):
+                yield batch
+            return
+        rows = max(1, EPOCH_BLOCK // b)
+        for lo in range(0, count, rows):
+            idx = rng.integers(0, self.n, size=(min(rows, count - lo), b),
+                               dtype=np.int64)
+            for row in idx:
+                yield Batch(size=b, idx=row)
+
+    def sample_largebatch(self, B: int,
+                          rng: np.random.Generator | StreamTree) -> Batch:
         if not 1 <= B <= self.n:
             raise ParameterError(
                 f"large batch size {B} out of range for n = {self.n}")
         if B == self.n:
             return Batch(size=self.n, idx=None)
-        idx = rng.choice(self.n, size=B, replace=False).astype(np.int64)
+        idx = as_generator(rng).choice(self.n, size=B,
+                                       replace=False).astype(np.int64)
         return Batch(size=B, idx=idx)
 
 
@@ -323,7 +356,8 @@ class StreamingRayleighInstance(_SpectralRayleigh, FiniteSumObjective):
     # bench/launch.py wraps this name through this class's __dict__
     batch_riem_grad = FiniteSumObjective.batch_riem_grad
 
-    def _draw(self, size: int, rng: np.random.Generator) -> Batch:
+    def _draw(self, size: int,
+              rng: np.random.Generator | StreamTree) -> Batch:
         """A batch of ``size`` samples a ~ N(0, Abar), as rows whose mean
         outer product is the batch's second moment S.
 
@@ -342,6 +376,7 @@ class StreamingRayleighInstance(_SpectralRayleigh, FiniteSumObjective):
             raise ParameterError(
                 f"batch size must be an integer >= 1, got {size!r}")
         size = int(size)
+        rng = as_generator(rng)
         if size <= self.d:
             data = rng.standard_normal((size, self.d)) @ self._sqrt_cov
         else:
@@ -351,10 +386,12 @@ class StreamingRayleighInstance(_SpectralRayleigh, FiniteSumObjective):
             data = math.sqrt(self.d / size) * (T.T @ self._sqrt_cov)
         return Batch(size=size, data=data)
 
-    def sample_minibatch(self, b: int, rng: np.random.Generator) -> Batch:
+    def sample_minibatch(self, b: int,
+                         rng: np.random.Generator | StreamTree) -> Batch:
         return self._draw(b, rng)
 
-    def sample_largebatch(self, B: int, rng: np.random.Generator) -> Batch:
+    def sample_largebatch(self, B: int,
+                          rng: np.random.Generator | StreamTree) -> Batch:
         return self._draw(B, rng)
 
 

@@ -35,6 +35,7 @@ samples, not the rows the code touches.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -42,6 +43,7 @@ from ._kernels import _act
 from .errors import EmptyBatch, ParameterError
 from .geometry import (Manifold, ManifoldPoint, TangentVector, _freeze, _norm,
                        _row_norms)
+from .rng import StreamTree
 
 # Central FD step for the Lipschitz probe's Hessian-vector products.
 HVP_FD_STEP = 1e-4
@@ -141,12 +143,27 @@ class FiniteSumObjective:
     def component_riem_grad(self, i: int, x: ManifoldPoint) -> TangentVector:
         raise NotImplementedError
 
-    def sample_minibatch(self, b: int, rng: np.random.Generator) -> Batch:
+    def sample_minibatch(self, b: int,
+                         rng: np.random.Generator | StreamTree) -> Batch:
         """b components i.i.d. with replacement (b = n short-circuits to
-        the exhaustive batch in finite-sum mode)."""
+        the exhaustive batch in finite-sum mode). ``rng``, like every
+        sampler's, is a Generator or a StreamTree node whose generator is
+        minted only if the draw needs one (``rng.as_generator``)."""
         raise NotImplementedError
 
-    def sample_largebatch(self, B: int, rng: np.random.Generator) -> Batch:
+    def sample_epoch(self, b: int, count: int,
+                     rng: np.random.Generator) -> Iterator[Batch]:
+        """The minibatches of an epoch's first ``count`` steps, in step
+        order, from the epoch tape ``rng`` (a Generator, read on from its
+        stopping index). Each equals ``sample_minibatch(b, rng)`` at its
+        step, bit for bit, and nothing is drawn before the first batch is
+        taken. This form draws one batch per step; index samplers override
+        it with one draw."""
+        for _ in range(count):
+            yield self.sample_minibatch(b, rng)
+
+    def sample_largebatch(self, B: int,
+                          rng: np.random.Generator | StreamTree) -> Batch:
         """B components without replacement (finite-sum; B = n exhaustive)
         or B fresh draws (streaming)."""
         raise NotImplementedError
@@ -242,9 +259,11 @@ class PullbackOracle:
         return self.grad_batch(Batch(size=int(idx.size), idx=idx), u)
 
     def grad_largebatch(self, B_size: int, u: TangentVector,
-                        rng: np.random.Generator) -> TangentVector:
+                        rng: np.random.Generator | StreamTree
+                        ) -> TangentVector:
         """Pullback gradient over B_size components drawn without replacement
-        (exact full gradient when B_size = n in finite-sum mode)."""
+        (exact full gradient when B_size = n in finite-sum mode); ``rng`` is
+        a Generator or a StreamTree node, as for the samplers."""
         batch = self.objective.sample_largebatch(B_size, rng)
         return self.grad_batch(batch, u)
 

@@ -13,7 +13,11 @@ addressed by position, and both runs read it in the same order.
 Implementation: ``numpy.random.SeedSequence`` with explicit ``spawn_key``
 paths feeding ``numpy.random.Philox``. SeedSequence spawning is numpy's
 documented splitting construction and Philox is counter-based, so streams are
-cheap to mint and independent of scheduling.
+independent of scheduling. Minting a generator still costs a SeedSequence
+hash and a Philox key schedule (~20 us), so a stream is minted only where it
+is drawn from: samplers take either a Generator or a StreamTree node
+(``as_generator``) and mint the node's generator only on the path that
+draws. An exhaustive finite-sum batch or a zero-radius ball draw mints none.
 """
 
 from __future__ import annotations
@@ -72,3 +76,10 @@ def as_stream(rng) -> tuple[StreamTree, int | None]:
     if not isinstance(rng, StreamTree):
         raise ParameterError("rng must be a 64-bit seed or a StreamTree")
     return rng, None
+
+
+def as_generator(rng) -> np.random.Generator:
+    """A sampler's ``rng`` argument, a Generator or a StreamTree node, as a
+    Generator: a node mints its generator here, so a sampler that calls this
+    only on the path that draws mints nothing on the paths that do not."""
+    return rng.generator() if isinstance(rng, StreamTree) else rng

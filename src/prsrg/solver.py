@@ -184,7 +184,8 @@ def derive_params(mode: str, n_or_sigma, epsilon: float, delta: float,
 def small_grad_check(oracle: PullbackOracle, B_size: int, epsilon: float,
                      rng) -> tuple[bool, TangentVector]:
     """Large-batch gradient at the origin of T_x M (x the oracle anchor) and
-    its epsilon test."""
+    its epsilon test; ``rng`` is a Generator or a StreamTree node, minted
+    only if the batch is not exhaustive."""
     if not epsilon > 0:
         raise ParameterError("epsilon must be positive")
     g = oracle.grad_largebatch(B_size, oracle.zero(), rng)
@@ -258,8 +259,8 @@ def prsrg_run(objective, manifold: Manifold, x0: ManifoldPoint,
     while total_q + B + 2 * b <= params.budget:
         oracle = PullbackOracle(objective, x)
         ostream = stream.child(TAG_OUTER, outer_t)
-        ok_small, g = small_grad_check(
-            oracle, B, params.epsilon, ostream.child(TAG_CHECK).generator())
+        ok_small, g = small_grad_check(oracle, B, params.epsilon,
+                                       ostream.child(TAG_CHECK))
         gnorm = g.norm
         if pending is not None:
             label = "useful" if ok_small else "wasted"
@@ -293,8 +294,7 @@ def prsrg_run(objective, manifold: Manifold, x0: ManifoldPoint,
                 diag_q += oracle.diag_queries
                 break
             check_row.epoch_type = "escape"
-            u0 = manifold.sample_ball(
-                x, radius, ostream.child(TAG_PERTURB).generator())
+            u0 = manifold.sample_ball(x, radius, ostream.child(TAG_PERTURB))
             out = tssrg_run(oracle, u0, replace(params.tssrg, T_max=T_run),
                             ostream, outer_t=outer_t, record_gaps=record_gaps,
                             query_offset=total_q)

@@ -28,7 +28,6 @@ Schema:
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,6 +74,10 @@ class TraceSegment:
 
 
 def _fmt(x) -> str:
+    """A float column's field: "" for None, ``str`` of an integer and the
+    shortest round-trip ``repr`` of anything else as a float."""
+    if type(x) is float:  # the common case, first
+        return repr(x)
     if x is None:
         return ""
     if isinstance(x, (int, np.integer)):
@@ -83,16 +86,13 @@ def _fmt(x) -> str:
 
 
 def rows_to_csv(rows) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(COLUMNS)
-    for r in rows:
-        w.writerow([
-            str(r.outer_t), str(r.inner_k), r.epoch_type, _fmt(r.F_value),
-            _fmt(r.grad_norm_or_batch), _fmt(r.estimator_gap), _fmt(r.u_norm),
-            str(r.queries_cum), r.event,
-        ])
-    return buf.getvalue()
+    """The trace as CSV text, one f-string per row. No field needs quoting
+    (the string columns hold fixed words, the others numbers), so the text
+    is what ``csv.writer`` writes with ``lineterminator="\\n"``."""
+    return "".join([",".join(COLUMNS) + "\n"] + [
+        f"{r.outer_t},{r.inner_k},{r.epoch_type},{_fmt(r.F_value)},"
+        f"{_fmt(r.grad_norm_or_batch)},{_fmt(r.estimator_gap)},"
+        f"{_fmt(r.u_norm)},{r.queries_cum},{r.event}\n" for r in rows])
 
 
 def write_trace(path, rows) -> None:

@@ -17,8 +17,14 @@ with I a minibatch of size ``b`` drawn i.i.d. with replacement. Three exits:
 * MaxIter: t reached T_max (this guard wins when K = t = T_max).
 
 Epoch e reads one generator, the tape ``stream.child(TAG_BATCH, e)``: first
-K, drawn by every run, then the minibatches in step order. So two runs that
-share a stream see identical minibatches at every t that both reach.
+K, drawn by every run, then the minibatches in step order. The objective's
+``sample_epoch`` gives them for all the steps the epoch can reach (K for an
+unperturbed run, m for a perturbed one, at most T_max - t): a finite sum in
+one index draw, a streaming objective one draw per step, with the bits of
+one draw per step either way. So two runs that share a stream see
+identical minibatches at every t that both reach. An anchor's
+large batch reads the node ``stream.child(TAG_ANCHOR, e)``, which the
+sampler mints a generator for only when the batch is not exhaustive.
 
 ``tssrg_run`` validates its inputs once, at entry: u0 and ``anchor_grad``
 must be based at the oracle's anchor, u0 must lie in the run ball, and the
@@ -188,8 +194,8 @@ def tssrg_run(oracle: PullbackOracle, u0: TangentVector, params: TssrgParams,
     if anchor_grad is not None:
         v = anchor_grad.coords
     else:
-        gen = stream.child(TAG_ANCHOR, 0).generator()
-        v = oracle._grad(obj.sample_largebatch(params.B_size, gen), u_prev)
+        v = oracle._grad(obj.sample_largebatch(
+            params.B_size, stream.child(TAG_ANCHOR, 0)), u_prev)
     v_norm = _finite_norm(v, "anchor gradient", 0)
     F = oracle.value(u0)
     emit(0, u_prev, F, u_norm, v_norm, "anchor", gap=gap_at(u_prev, v))
@@ -198,6 +204,10 @@ def tssrg_run(oracle: PullbackOracle, u0: TangentVector, params: TssrgParams,
     while True:
         tape = stream.child(TAG_BATCH, t // params.m).generator()
         stop_k = tape.integers(1, params.m + 1)
+        # the steps this epoch can reach; drawn on the first step's take
+        reach = params.m if perturbed else stop_k
+        batches = obj.sample_epoch(params.b, min(reach, params.T_max - t),
+                                   tape)
         for k in range(1, params.m + 1):
             t += 1
             w = params.eta * v
@@ -211,8 +221,8 @@ def tssrg_run(oracle: PullbackOracle, u0: TangentVector, params: TssrgParams,
                      _norm(u_exit), v_norm, "boundary",
                      du=alpha * params.eta * v_norm)
                 return finish(u_exit, ExitReason.BOUNDARY, t)
-            batch = obj.sample_minibatch(params.b, tape)
-            g_next, g_prev, F = oracle._grad_pair(batch, u_next, u_prev)
+            g_next, g_prev, F = oracle._grad_pair(next(batches), u_next,
+                                                  u_prev)
             v = g_next - g_prev + v
             v_norm = _finite_norm(v, "gradient estimate", t)
             event = "step"
@@ -225,8 +235,8 @@ def tssrg_run(oracle: PullbackOracle, u0: TangentVector, params: TssrgParams,
             if event != "step":
                 return finish(u_next, ExitReason(event), t)
             u_prev, u_norm = u_next, u_next_norm
-        gen = stream.child(TAG_ANCHOR, t // params.m).generator()
-        v = oracle._grad(obj.sample_largebatch(params.B_size, gen), u_prev)
+        v = oracle._grad(obj.sample_largebatch(
+            params.B_size, stream.child(TAG_ANCHOR, t // params.m)), u_prev)
         v_norm = _finite_norm(v, "anchor gradient", t)
         # the last step's F: that step ended at u_prev
         emit(0, u_prev, F, u_norm, v_norm, "anchor", gap=gap_at(u_prev, v))

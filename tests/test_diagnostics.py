@@ -29,8 +29,9 @@ from prsrg import (
     stuck_region_experiment,
     tssrg_run,
 )
-from prsrg.diagnostics import LANCZOS_MAX_ITERS, _hessian_lanczos
-from prsrg.rng import TAG_OUTER, master_stream
+from prsrg.diagnostics import (_LANCZOS_SEED, LANCZOS_MAX_ITERS,
+                               _hessian_lanczos, _lanczos_start)
+from prsrg.rng import TAG_DIAG, TAG_OUTER, master_stream
 from prsrg.trace import TraceRow, TraceSegment
 
 from conftest import HESSIAN_KINDS, kind_oracle
@@ -80,6 +81,26 @@ def test_lanczos_deterministic():
     a = _flat_lanczos(lambda v: H @ v, 12)
     b = _flat_lanczos(lambda v: H @ v, 12)
     assert a.value == b.value and a.iterations == b.iterations
+
+
+def test_lanczos_start_is_drawn_once_and_repeated_calls_agree_bitwise():
+    rng = np.random.default_rng(3)
+    H = rng.standard_normal((17, 17))
+    H = 0.5 * (H + H.T)
+    _lanczos_start.cache_clear()
+    cold = _flat_lanczos(lambda v: H @ v, 17)
+    start = _lanczos_start(17)
+    # the memoised start is the fixed-seed draw, read-only, one per process
+    fresh = (master_stream(_LANCZOS_SEED).child(TAG_DIAG).child(0)
+             .generator().standard_normal(17))
+    assert start.tobytes() == fresh.tobytes()
+    assert _lanczos_start(17) is start and not start.flags.writeable
+    for _ in range(2):
+        warm = _flat_lanczos(lambda v: H @ v, 17)
+        assert warm.value == cold.value
+        assert warm.iterations == cold.iterations
+        assert warm.vector.tobytes() == cold.vector.tobytes()
+    assert _lanczos_start(17).tobytes() == fresh.tobytes()
 
 
 def test_lanczos_unconverged_above_iteration_cap():

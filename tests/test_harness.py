@@ -1,7 +1,9 @@
 """Config grammar, experiment runners, artifacts, sweeps, and the CLI."""
 
+import csv
 import dataclasses
 import importlib.util
+import io
 import json
 import re
 import sys
@@ -672,6 +674,44 @@ def test_trace_csv_roundtrip(tmp_path):
     bad.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(SchemaError, match="header"):
         read_trace(bad)
+
+
+def _csv_writer_trace(rows):
+    """The trace through ``csv.writer``, the form ``rows_to_csv`` replaced:
+    "" for None, ``str`` of integers, ``repr(float(x))`` of other numbers."""
+    def fmt(x):
+        if x is None:
+            return ""
+        if isinstance(x, (int, np.integer)):
+            return str(int(x))
+        return repr(float(x))
+
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(COLUMNS)
+    for r in rows:
+        w.writerow([str(r.outer_t), str(r.inner_k), r.epoch_type,
+                    fmt(r.F_value), fmt(r.grad_norm_or_batch),
+                    fmt(r.estimator_gap), fmt(r.u_norm), str(r.queries_cum),
+                    r.event])
+    return buf.getvalue()
+
+
+def test_rows_to_csv_equals_csv_writer_bytes():
+    nan, inf = float("nan"), float("inf")
+    rows = [
+        TraceRow(0, 0, "", 1 / 3, 0.1, None, 0.0, 30, "anchor"),
+        TraceRow(1, 2, "escape", nan, inf, -inf, -0.0, 64, "step"),
+        TraceRow(np.int64(3), np.int32(4), "useful", 5e-324, -5e-324, 1e308,
+                 np.float64(0.1), np.int64(2**62), "max_iter"),
+        TraceRow(5, 6, "wasted", np.int64(-7), 8, np.float32(0.1),
+                 np.float64(-0.0), 9, "uniform_break"),
+        TraceRow(7, 0, "baseline", True, np.uint8(3), np.float64(nan), 1e-17,
+                 0, "grad_check"),
+    ]
+    text = rows_to_csv(rows)
+    assert text == _csv_writer_trace(rows)
+    assert rows_to_csv([]) == _csv_writer_trace([]) == ",".join(COLUMNS) + "\n"
 
 
 # --------------------------------------------------------------------- CLI

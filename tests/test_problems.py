@@ -3,6 +3,7 @@ streaming sampler, data-backed objectives, and matrix IO."""
 
 from __future__ import annotations
 
+import copy
 import functools
 import tracemalloc
 import warnings
@@ -17,10 +18,10 @@ from prsrg import (
     make_rayleigh,
     make_streaming_rayleigh,
 )
-from prsrg import _kernels
+from prsrg import _kernels, problems
 from prsrg.problems import PAIR_BLOCK, _paired_noise, load_matrix, save_matrix
 from prsrg.pullback import Batch
-from prsrg.rng import TAG_PROBLEM, master_stream
+from prsrg.rng import TAG_BATCH, TAG_PROBLEM, master_stream
 
 from conftest import HESSIAN_KINDS, kind_oracle
 
@@ -410,6 +411,69 @@ def test_streaming_rejects_bad_batch_sizes(size):
 def test_streaming_rejects_negative_covariance():
     with pytest.raises(ParameterError):
         make_streaming_rayleigh(d=3, spectrum=[2.0, 1.0, -0.1], seed=None)
+
+
+# --------------------------------------------------------- epoch draws
+
+def _index_sampler(kind, n):
+    """A finite-sum index sampler whose n is set to ``n``: the samplers read
+    only n, so a small instance stands in for n = 2**31 components."""
+    if kind == "rayleigh":
+        obj = make_rayleigh(d=4, n=8, spectrum=[2.0, 1.0, 0.5, 0.1],
+                            noise_scale=0.2, seed=None)
+    else:
+        obj = make_data_rayleigh(np.arange(24.0).reshape(8, 3))
+    obj = copy.copy(obj)
+    obj.n = n
+    return obj
+
+
+def _state(gen):
+    """The bit generator's whole state (counter, key, buffers) as a string."""
+    return repr(gen.bit_generator.state)
+
+
+@pytest.mark.parametrize("kind", ["rayleigh", "data_rayleigh"])
+@pytest.mark.parametrize("n, b, count", [
+    (1000, 32, 32), (1000, 31, 17), (100, 1, 9), (7, 3, 4), (3, 33, 2),
+    (2**31, 17, 5), (100, 100, 6)],
+    ids=["even_b", "odd_b", "b1", "small_n", "b_above_n", "n_2_31", "b_n"])
+@pytest.mark.parametrize("block", [problems.EPOCH_BLOCK, 7],
+                         ids=["one_draw", "blocks"])
+def test_epoch_draw_equals_per_step_draws_bitwise(kind, n, b, count, block,
+                                                  monkeypatch):
+    # after the stopping index, an epoch's one (count, b) draw gives every
+    # step the batch its own sample_minibatch call gives, and leaves the tape
+    # where the per-step draws leave it; b = n draws nothing
+    monkeypatch.setattr(problems, "EPOCH_BLOCK", block)
+    obj = _index_sampler(kind, n)
+    for seed in range(5):
+        tape = master_stream(seed).child(TAG_BATCH, 0).generator()
+        ref = master_stream(seed).child(TAG_BATCH, 0).generator()
+        assert tape.integers(1, count + 1) == ref.integers(1, count + 1)
+        state = _state(tape)
+        epoch = obj.sample_epoch(b, count, tape)
+        assert _state(tape) == state  # nothing drawn yet
+        epoch = list(epoch)
+        steps = [obj.sample_minibatch(b, ref) for _ in range(count)]
+        assert len(epoch) == count
+        for got, want in zip(epoch, steps):
+            assert got.size == want.size == b
+            if b == n:
+                assert got.idx is None and want.idx is None
+            else:
+                assert got.idx.dtype == np.int64 and got.idx.shape == (b,)
+                assert got.idx.tobytes() == want.idx.tobytes()
+        assert _state(tape) == _state(ref)
+        if b == n:
+            assert _state(tape) == state
+
+
+def test_epoch_draw_rejects_bad_minibatch_size_on_first_take():
+    obj = _index_sampler("rayleigh", 100)
+    epoch = obj.sample_epoch(2**31 + 1, 3, np.random.default_rng(0))
+    with pytest.raises(ParameterError, match="bad minibatch size"):
+        next(epoch)
 
 
 # -------------------------------------------------------- data-backed

@@ -31,7 +31,9 @@ from prsrg import (
 )
 from prsrg.solver import _affordable_T
 from prsrg.trace import EPOCH_TYPES
-from prsrg.rng import StreamTree, master_stream
+from prsrg.diagnostics import _lanczos_start
+from prsrg.rng import (TAG_ANCHOR, TAG_BATCH, TAG_CHECK, TAG_OUTER,
+                       TAG_PERTURB, StreamTree, master_stream)
 
 
 # -------------------------------------------------------- derive_params
@@ -469,9 +471,12 @@ def generator_origins(monkeypatch):
 
 class _BatchLedger:
     """Delegating objective that keys every batch a gradient is taken over
-    by (seed, stream path, draw position on that generator). Gradients come
-    one point at a time (``batch_riem_grad``) or, in the inner steps, at a
-    stack of points (``_batch_grad_coords``), charged per point."""
+    by (seed, stream path, draw position on that generator). A sampler given
+    a StreamTree node mints the node's generator afresh, so such a batch is
+    draw 0 of the node's path; each batch of an epoch draw is one draw
+    position on the tape. Gradients come one point at a time
+    (``batch_riem_grad``) or, in the inner steps, at a stack of points
+    (``_batch_grad_coords``), charged per point."""
 
     def __init__(self, base, origins):
         self._base = base
@@ -484,17 +489,22 @@ class _BatchLedger:
     def __getattr__(self, name):
         return getattr(self._base, name)
 
-    def _record(self, batch, gen):
-        seed, path, _ = self._origins[id(gen)]
-        self._keys[id(batch)] = (batch, (seed, path, self._draws[id(gen)]))
-        self._draws[id(gen)] += 1
+    def _record(self, batch, rng):
+        if isinstance(rng, StreamTree):
+            key = (rng.seed, rng.path, 0)
+        else:
+            seed, path, _ = self._origins[id(rng)]
+            key = (seed, path, self._draws[id(rng)])
+            self._draws[id(rng)] += 1
+        self._keys[id(batch)] = (batch, key)
         return batch
 
-    def sample_minibatch(self, b, gen):
-        return self._record(self._base.sample_minibatch(b, gen), gen)
+    def sample_epoch(self, b, count, gen):
+        for batch in self._base.sample_epoch(b, count, gen):
+            yield self._record(batch, gen)
 
-    def sample_largebatch(self, B, gen):
-        return self._record(self._base.sample_largebatch(B, gen), gen)
+    def sample_largebatch(self, B, rng):
+        return self._record(self._base.sample_largebatch(B, rng), rng)
 
     def _charge(self, batch, points):
         self.charged[id(batch)] = self._keys[id(batch)][1]
@@ -529,6 +539,66 @@ def test_charged_batches_never_share_samples(mode, generator_origins):
     assert ledger.queries == report.queries_used
     keys = list(ledger.charged.values())
     assert len(keys) == len(set(keys))
+
+
+def _escape_mints(mode, origins):
+    """A saddle-start run, B = n in finite-sum mode and r = 0 there, and the
+    paths of the generators it mints, grouped by tag. The Lanczos start is
+    drawn once per process, so it is drawn before the count starts."""
+    spec = np.linspace(2.0, 0.5, 6)
+    if mode == "online":
+        obj = make_streaming_rayleigh(d=6, spectrum=spec, seed=None)
+        tss = TssrgParams(eta=0.05, m=8, b=8, B_size=200, D=0.5, T_max=40)
+        r = 0.05
+    else:
+        obj = make_rayleigh(d=6, n=64, spectrum=spec, noise_scale=0.2,
+                            seed=None)
+        tss = TssrgParams(eta=0.05, m=8, b=8, B_size=64, D=0.5, T_max=40)
+        r = 0.0
+    params = SolverParams(tssrg=tss, r=r, epsilon=1.0, delta=0.1,
+                          budget=4000, mode=mode)
+    _lanczos_start(obj.manifold.ambient_dim)
+    origins.clear()
+    report = prsrg_run(obj, obj.manifold, obj.eigvec(1), params,
+                       master_stream(1))
+    by_tag = {}
+    for seed, path, _ in origins.values():
+        assert seed == 1 and path[0] == TAG_OUTER
+        by_tag.setdefault(path[2], []).append(path)
+    return report, by_tag
+
+
+def test_finite_sum_exhaustive_run_mints_only_epoch_tapes(generator_origins):
+    # B = n checks and anchors and r = 0 perturbations draw nothing, so the
+    # only generators are the epoch tapes, one per epoch run (each tssrg
+    # call here is one unperturbed epoch, which starts at an anchor row)
+    report, by_tag = _escape_mints("finite_sum", generator_origins)
+    assert report.epochs["escape"] >= 2
+    assert set(by_tag) == {TAG_BATCH}
+    tapes = [(TAG_OUTER, row.outer_t, TAG_BATCH, 0)
+             for row in report.trace if row.event == "anchor"]
+    assert sorted(by_tag[TAG_BATCH]) == tapes
+
+
+def test_online_run_mints_check_and_anchor_generators(generator_origins):
+    report, by_tag = _escape_mints("online", generator_origins)
+    assert report.epochs["escape"] >= 1
+    # one check per outer iteration begun; the last may end at its
+    # certification, before the iteration count moves
+    checks = sorted(by_tag[TAG_CHECK])
+    assert checks == [(TAG_OUTER, t, TAG_CHECK) for t in range(len(checks))]
+    assert len(checks) - report.outer_iterations in (0, 1)
+    # every anchor row draws its batch except an unperturbed epoch's first,
+    # which reuses the gradient check's
+    drawn, seen = 0, set()
+    for row in report.trace:
+        if row.event == "anchor":
+            drawn += row.outer_t in seen or row.epoch_type == "escape"
+            seen.add(row.outer_t)
+    anchors = by_tag[TAG_ANCHOR]
+    assert len(anchors) == len(set(anchors)) == drawn > 0
+    assert len(by_tag[TAG_PERTURB]) == report.epochs["escape"]
+
 
 # ------------------------------------------------------------ auto_solve
 

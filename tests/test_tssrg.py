@@ -276,7 +276,8 @@ def test_coupled_difference_grows_at_exact_rate():
 
 
 class _MinibatchRecorder:
-    """Delegating objective that keeps every minibatch it samples."""
+    """Delegating objective that keeps every minibatch it samples: the
+    inner steps take theirs from the epoch draw, one batch per step taken."""
 
     def __init__(self, base):
         self._base = base
@@ -285,10 +286,11 @@ class _MinibatchRecorder:
     def __getattr__(self, name):
         return getattr(self._base, name)
 
-    def sample_minibatch(self, b, rng):
-        batch = self._base.sample_minibatch(b, rng)
-        self.minibatches.append(batch.data if batch.idx is None else batch.idx)
-        return batch
+    def sample_epoch(self, b, count, rng):
+        for batch in self._base.sample_epoch(b, count, rng):
+            self.minibatches.append(
+                batch.data if batch.idx is None else batch.idx)
+            yield batch
 
 
 @pytest.mark.parametrize("kind", ["rayleigh", "streaming"])
@@ -321,6 +323,42 @@ def test_coupled_runs_share_minibatches_until_either_exits(kind, r_a, r_b):
     batches_b = recorder.minibatches[drawn_a:]
     for t in range(shared):
         assert np.array_equal(batches_a[t], batches_b[t])
+
+
+class _EpochCounts:
+    """Delegating objective that records the step count of each epoch draw."""
+
+    def __init__(self, base):
+        self._base = base
+        self.counts = []
+
+    def __getattr__(self, name):
+        return getattr(self._base, name)
+
+    def sample_epoch(self, b, count, rng):
+        self.counts.append(count)
+        return self._base.sample_epoch(b, count, rng)
+
+
+@pytest.mark.parametrize("radius, m, T_max", [
+    (0.01, 4, 10), (0.0, 6, 50), (0.0, 6, 1)],
+    ids=["perturbed", "unperturbed", "unperturbed_T_max"])
+def test_epoch_draw_covers_the_steps_the_epoch_can_reach(medium_rayleigh,
+                                                         radius, m, T_max):
+    # m steps for a perturbed epoch, the stopping index K for an
+    # unperturbed one, never past T_max
+    recorder = _EpochCounts(medium_rayleigh)
+    oracle = PullbackOracle(recorder, medium_rayleigh.eigvec(0))
+    u0 = oracle.tangent(radius * medium_rayleigh.eigvec(1).coords)
+    stream = master_stream(4).child(TAG_OUTER, 0)
+    params = _params(eta=0.01, m=m, b=8, B_size=40, T_max=T_max)
+    out = tssrg_run(oracle, u0, params, stream)
+    assert out.exit is not ExitReason.BOUNDARY
+    if radius > 0:
+        assert recorder.counts == [4, 4, 2]
+    else:
+        K = stream.child(TAG_BATCH, 0).generator().integers(1, m + 1)
+        assert recorder.counts == [min(K, T_max)] == [out.iterations]
 
 
 # --------------------------------------------------------- failure paths
@@ -363,6 +401,9 @@ class _PoisonAfter:
 
     def sample_minibatch(self, b, rng):
         return self._base.sample_minibatch(b, rng)
+
+    def sample_epoch(self, b, count, rng):
+        return self._base.sample_epoch(b, count, rng)
 
     def sample_largebatch(self, B, rng):
         return self._base.sample_largebatch(B, rng)
