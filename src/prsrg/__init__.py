@@ -7,56 +7,54 @@ escape episodes, all run in the tangent space of a periodically re-anchored
 pullback. Candidate points are certified for
 (epsilon, delta)-second-order stationarity by Lanczos on the closed-form
 Riemannian Hessian.
+
+Public names load lazily (PEP 562): ``import prsrg`` loads no submodule,
+and ``prsrg.<name>`` imports the module that defines the name.
 """
 
-from ._kernels import backend_name
-from .baselines import BaselineConfig, baseline_run
-from .diagnostics import (Certification, EscapeStats, EscapeThreshold,
-                          certify, check_improve_or_localize,
-                          check_variance_bound, escape_threshold,
-                          lanczos_min_eig, stuck_region_experiment)
-from .errors import (ContractViolation, EmptyBatch, InvariantViolation,
-                     NotASaddle, NumericalFailure, OutOfBall, ParameterError,
-                     SchemaError)
-from .geometry import (Euclidean, Manifold, ManifoldPoint, Sphere,
-                       TangentVector)
-from .harness import (ExperimentConfig, dump_config, load_config,
-                      parse_config, parse_spectrum, run_certify, run_couple,
-                      run_experiment, run_sweep)
-from .problems import (DataRayleighInstance, QuadraticSaddleInstance,
-                       RayleighInstance, StreamingRayleighInstance,
-                       load_matrix, make_data_rayleigh,
-                       make_quadratic_saddle, make_rayleigh,
-                       make_streaming_rayleigh, save_matrix)
-from .pullback import Batch, FiniteSumObjective, LipschitzEstimate, PullbackOracle
-from .rng import StreamTree, master_stream
-from .solver import (SolverConstants, SolverParams, SolverReport, auto_solve,
-                     derive_params, prsrg_run, small_grad_check)
-from .trace import TraceRow, TraceSegment, read_trace, rows_to_csv, write_trace
-from .tssrg import (ExitReason, TssrgOutcome, TssrgParams, boundary_alpha,
-                    tssrg_run, tssrg_run_coupled)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BaselineConfig", "Batch", "Certification", "ContractViolation",
-    "DataRayleighInstance", "EmptyBatch", "EscapeStats", "EscapeThreshold",
-    "Euclidean", "ExitReason", "ExperimentConfig", "FiniteSumObjective",
-    "InvariantViolation", "LipschitzEstimate", "Manifold", "ManifoldPoint",
-    "NotASaddle", "NumericalFailure", "OutOfBall", "ParameterError",
-    "PullbackOracle", "QuadraticSaddleInstance", "RayleighInstance",
-    "SchemaError", "SolverConstants", "SolverParams", "SolverReport",
-    "StreamingRayleighInstance", "StreamTree", "Sphere",
-    "TangentVector", "TraceRow", "TraceSegment", "TssrgOutcome",
-    "TssrgParams", "auto_solve", "backend_name", "baseline_run",
-    "boundary_alpha", "certify", "check_improve_or_localize",
-    "check_variance_bound", "derive_params", "dump_config",
-    "escape_threshold", "lanczos_min_eig", "load_config", "load_matrix",
-    "make_data_rayleigh", "make_quadratic_saddle",
-    "make_rayleigh", "make_streaming_rayleigh", "master_stream",
-    "parse_config", "parse_spectrum", "prsrg_run", "read_trace",
-    "rows_to_csv", "run_certify", "run_couple",
-    "run_experiment", "run_sweep", "save_matrix", "small_grad_check",
-    "stuck_region_experiment", "tssrg_run", "tssrg_run_coupled",
-    "write_trace",
-]
+# module -> the public names it defines
+_EXPORTS = {
+    "_kernels": "backend_name",
+    "baselines": "BaselineConfig baseline_run",
+    "diagnostics": "Certification certify lanczos_min_eig",
+    "errors": "ContractViolation EmptyBatch InvariantViolation NotASaddle "
+              "NumericalFailure OutOfBall ParameterError SchemaError",
+    "geometry": "Euclidean Manifold ManifoldPoint Sphere TangentVector",
+    "harness": "ExperimentConfig dump_config load_config parse_config "
+               "parse_spectrum run_certify run_couple run_experiment "
+               "run_sweep",
+    "problems": "DataRayleighInstance QuadraticSaddleInstance "
+                "RayleighInstance StreamingRayleighInstance load_matrix "
+                "make_data_rayleigh make_quadratic_saddle make_rayleigh "
+                "make_streaming_rayleigh save_matrix",
+    "pullback": "Batch FiniteSumObjective LipschitzEstimate PullbackOracle",
+    "replay": "EscapeStats EscapeThreshold check_improve_or_localize "
+              "check_variance_bound escape_threshold stuck_region_experiment",
+    "rng": "StreamTree master_stream",
+    "solver": "SolverConstants SolverParams SolverReport auto_solve "
+              "derive_params prsrg_run small_grad_check",
+    "trace": "TraceRow TraceSegment rows_to_csv write_trace",
+    "tssrg": "ExitReason TssrgOutcome TssrgParams boundary_alpha tssrg_run "
+             "tssrg_run_coupled",
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items()
+              for name in names.split()}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

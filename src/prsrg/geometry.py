@@ -31,7 +31,6 @@ expresses T_u in orthonormal tangent bases (QR completion of N_x).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,20 +41,23 @@ from .rng import StreamTree, as_generator
 TOL = 1e-10
 
 
-@dataclass(frozen=True)
 class ManifoldPoint:
-    """A point on a manifold in ambient embedding coordinates."""
+    """A point on a manifold in ambient embedding coordinates (a read-only
+    array; the package never rebinds a point's fields)."""
 
-    coords: np.ndarray
-    manifold_id: str
+    __slots__ = ("coords", "manifold_id")
+
+    def __init__(self, coords: np.ndarray, manifold_id: str):
+        self.coords, self.manifold_id = coords, manifold_id
 
 
-@dataclass(frozen=True)
 class TangentVector:
     """An ambient-coordinate tangent vector attached to its base point."""
 
-    base: ManifoldPoint
-    coords: np.ndarray
+    __slots__ = ("base", "coords")
+
+    def __init__(self, base: ManifoldPoint, coords: np.ndarray):
+        self.base, self.coords = base, coords
 
     @property
     def norm(self) -> float:
@@ -315,14 +317,15 @@ class Manifold:
         if r == 0.0:
             return self.zero_tangent(x)
         # draws at the point of the previous draw (the Lipschitz probe makes
-        # hundreds at one anchor) reuse its basis; x is immutable and held
-        # by the memo, so identity cannot be confused
+        # hundreds at one anchor) reuse its basis; x is never rebound, its
+        # coordinates are read-only and the memo holds x, so identity
+        # cannot be confused
         memo = self._ball_basis
         if memo is None or memo[0] is not x:
             memo = self._ball_basis = (x, self.tangent_basis(x))
         rng = as_generator(rng)
         g = rng.standard_normal(self.dim)
-        g /= np.linalg.norm(g)
+        g /= _norm(g)
         radius = r * rng.random() ** (1.0 / self.dim)
         return TangentVector(x, _freeze(memo[1] @ (radius * g)))
 
@@ -358,7 +361,7 @@ class Sphere(Manifold):
 
     def rand_point(self, rng):
         g = rng.standard_normal(self.ambient_dim)
-        return ManifoldPoint(_freeze(g / np.linalg.norm(g)), self.manifold_id)
+        return ManifoldPoint(_freeze(g / _norm(g)), self.manifold_id)
 
 
 class Euclidean(Manifold):

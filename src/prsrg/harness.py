@@ -34,8 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import BaselineConfig, baseline_run
-from .diagnostics import certify, stuck_region_experiment
+from .diagnostics import certify
 from .errors import ParameterError, SchemaError
 from .geometry import Manifold, ManifoldPoint
 from .problems import (_loadtxt, load_matrix, make_data_rayleigh,
@@ -273,7 +272,10 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    return parse_config(Path(path).read_text())
+    try:
+        return parse_config(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ParameterError(f"config {path} is not UTF-8: {exc}") from exc
 
 
 def dump_config(cfg: ExperimentConfig) -> str:
@@ -448,6 +450,7 @@ def run_experiment(cfg: ExperimentConfig, *, out: str | None = None,
                            record_gaps=cfg.record_gaps)
         report.lipschitz = est
     else:
+        from .baselines import BaselineConfig, baseline_run  # on first use
         bcfg = BaselineConfig(kind=cfg.algo,
                               **dataclasses.asdict(cfg.baseline))
         report = baseline_run(objective, man, x0, bcfg, cfg.solver.epsilon,
@@ -544,6 +547,7 @@ def run_sweep(cfg: ExperimentConfig, out_dir) -> list[dict]:
 
 def run_couple(cfg: ExperimentConfig, *, out: str | None = None) -> dict:
     """Stuck-region experiment at the configured anchor point."""
+    from .replay import stuck_region_experiment  # loaded by couple only
     stream = master_stream(cfg.seed)
     objective = build_problem(cfg)
     x0 = resolve_start(cfg, objective, stream)

@@ -34,7 +34,6 @@ samples, not the rows the code touches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -54,7 +53,6 @@ HVP_FD_STEP = 1e-4
 PROBE_BLOCK = 16
 
 
-@dataclass(frozen=True)
 class Batch:
     """A sampled component batch.
 
@@ -67,9 +65,11 @@ class Batch:
     dimension d, d pseudo-rows with the same second moment.
     """
 
-    size: int
-    idx: np.ndarray | None = None
-    data: np.ndarray | None = None
+    __slots__ = ("size", "idx", "data")
+
+    def __init__(self, size: int, idx: np.ndarray | None = None,
+                 data: np.ndarray | None = None):
+        self.size, self.idx, self.data = size, idx, data
 
 
 class FiniteSumObjective:
@@ -169,13 +169,13 @@ class FiniteSumObjective:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
 class LipschitzEstimate:
     """Empirical smoothness surrogates: L_hat = l_hat + rho_hat * D."""
 
-    l_hat: float
-    rho_hat: float
-    L_hat: float
+    __slots__ = ("l_hat", "rho_hat", "L_hat")
+
+    def __init__(self, l_hat: float, rho_hat: float, L_hat: float):
+        self.l_hat, self.rho_hat, self.L_hat = l_hat, rho_hat, L_hat
 
 
 class PullbackOracle:

@@ -84,22 +84,33 @@ class SolverParams:
                                  f"{self.mode!r}")
 
 
-@dataclass
 class SolverReport:
-    best_point: ManifoldPoint
-    best_F: float
-    certified: Optional[Certification]
-    certified_point: Optional[ManifoldPoint]
-    final_point: ManifoldPoint
-    queries_used: int
-    diag_queries: int
-    epochs: dict[str, int]
-    trace: list[TraceRow]
-    exit_reason: str  # certified | budget
-    outer_iterations: int
-    seed: Optional[int] = None
-    # the smoothness estimate the run's parameters came from; not in as_dict
-    lipschitz: Optional[LipschitzEstimate] = None
+    __slots__ = ("best_point", "best_F", "certified", "certified_point",
+                 "final_point", "queries_used", "diag_queries", "epochs",
+                 "trace", "exit_reason", "outer_iterations", "seed",
+                 "lipschitz")
+
+    def __init__(self, best_point: ManifoldPoint, best_F: float,
+                 certified: Optional[Certification],
+                 certified_point: Optional[ManifoldPoint],
+                 final_point: ManifoldPoint, queries_used: int,
+                 diag_queries: int, epochs: dict[str, int],
+                 trace: list[TraceRow], exit_reason: str,
+                 outer_iterations: int, seed: Optional[int] = None,
+                 lipschitz: Optional[LipschitzEstimate] = None):
+        self.best_point = best_point
+        self.best_F = best_F
+        self.certified = certified
+        self.certified_point = certified_point
+        self.final_point = final_point
+        self.queries_used = queries_used
+        self.diag_queries = diag_queries
+        self.epochs = epochs
+        self.trace = trace
+        self.exit_reason = exit_reason  # certified | budget
+        self.outer_iterations = outer_iterations
+        self.seed = seed
+        self.lipschitz = lipschitz  # the run's estimate; not in as_dict
 
     def as_dict(self) -> dict:
         return {

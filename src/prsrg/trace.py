@@ -27,12 +27,7 @@ Schema:
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field
-
 import numpy as np
-
-from .errors import SchemaError
 
 EPOCH_TYPES = ("type1_descent", "type2_descent", "useful", "wasted",
                "escape", "baseline")
@@ -45,20 +40,32 @@ COLUMNS = ("outer_t", "inner_k", "epoch_type", "F_value",
 _STEP_EVENTS = ("step", "uniform_break", "max_iter")
 
 
-@dataclass
 class TraceRow:
-    outer_t: int
-    inner_k: int
-    epoch_type: str
-    F_value: float
-    grad_norm_or_batch: float
-    estimator_gap: float | None
-    u_norm: float
-    queries_cum: int
-    event: str
+    """One trace line; rows compare equal field by field."""
+
+    __slots__ = COLUMNS
+
+    def __init__(self, outer_t: int, inner_k: int, epoch_type: str,
+                 F_value: float, grad_norm_or_batch: float,
+                 estimator_gap: float | None, u_norm: float,
+                 queries_cum: int, event: str):
+        self.outer_t = outer_t
+        self.inner_k = inner_k
+        self.epoch_type = epoch_type
+        self.F_value = F_value
+        self.grad_norm_or_batch = grad_norm_or_batch
+        self.estimator_gap = estimator_gap
+        self.u_norm = u_norm
+        self.queries_cum = queries_cum
+        self.event = event
+
+    def __eq__(self, other):
+        if type(other) is not TraceRow:
+            return NotImplemented
+        return ([getattr(self, c) for c in COLUMNS]
+                == [getattr(other, c) for c in COLUMNS])
 
 
-@dataclass
 class TraceSegment:
     """Rows of one TSSRG call plus aligned diagnostic side channels.
 
@@ -68,9 +75,14 @@ class TraceSegment:
     only; the side channels feed the diagnostic checkers.
     """
 
-    rows: list[TraceRow] = field(default_factory=list)
-    du_norms: list[float] = field(default_factory=list)
-    u_vecs: list[np.ndarray] | None = None
+    __slots__ = ("rows", "du_norms", "u_vecs")
+
+    def __init__(self, rows: list[TraceRow] | None = None,
+                 du_norms: list[float] | None = None,
+                 u_vecs: list[np.ndarray] | None = None):
+        self.rows = [] if rows is None else rows
+        self.du_norms = [] if du_norms is None else du_norms
+        self.u_vecs = u_vecs
 
 
 def _fmt(x) -> str:
@@ -98,19 +110,3 @@ def rows_to_csv(rows) -> str:
 def write_trace(path, rows) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(rows_to_csv(rows))
-
-
-def read_trace(path) -> list[TraceRow]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if tuple(header) != COLUMNS:
-            raise SchemaError(f"unexpected trace header: {header}")
-        rows = []
-        for rec in reader:
-            rows.append(TraceRow(
-                outer_t=int(rec[0]), inner_k=int(rec[1]), epoch_type=rec[2],
-                F_value=float(rec[3]), grad_norm_or_batch=float(rec[4]),
-                estimator_gap=float(rec[5]) if rec[5] else None,
-                u_norm=float(rec[6]), queries_cum=int(rec[7]), event=rec[8]))
-    return rows

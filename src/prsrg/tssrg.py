@@ -89,13 +89,16 @@ class TssrgParams:
                 "the variance bound expects b >= m", stacklevel=2)
 
 
-@dataclass
 class TssrgOutcome:
-    result: ManifoldPoint
-    u_final: TangentVector
-    exit: ExitReason
-    iterations: int
-    segment: TraceSegment
+    __slots__ = ("result", "u_final", "exit", "iterations", "segment")
+
+    def __init__(self, result: ManifoldPoint, u_final: TangentVector,
+                 exit: ExitReason, iterations: int, segment: TraceSegment):
+        self.result = result
+        self.u_final = u_final
+        self.exit = exit
+        self.iterations = iterations
+        self.segment = segment
 
 
 def boundary_alpha(u_prev: np.ndarray, w: np.ndarray, D: float) -> float:

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import csv
+
 import numpy as np
 import pytest
 
-from prsrg import (PullbackOracle, TangentVector, make_data_rayleigh,
-                   make_quadratic_saddle, make_rayleigh,
+from prsrg import (PullbackOracle, SchemaError, TangentVector, TraceRow,
+                   make_data_rayleigh, make_quadratic_saddle, make_rayleigh,
                    make_streaming_rayleigh)
+from prsrg.trace import COLUMNS
 
 # every objective family that has a closed-form Hessian action
 HESSIAN_KINDS = ("rayleigh", "quadratic_saddle", "data_rayleigh",
@@ -73,3 +76,20 @@ def medium_rayleigh():
 
 def oracle_at(objective, point) -> PullbackOracle:
     return PullbackOracle(objective, point)
+
+
+def read_trace(path) -> list[TraceRow]:
+    """The rows of a trace CSV that ``write_trace`` wrote."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        if tuple(header) != COLUMNS:
+            raise SchemaError(f"unexpected trace header: {header}")
+        rows = []
+        for rec in reader:
+            rows.append(TraceRow(
+                outer_t=int(rec[0]), inner_k=int(rec[1]), epoch_type=rec[2],
+                F_value=float(rec[3]), grad_norm_or_batch=float(rec[4]),
+                estimator_gap=float(rec[5]) if rec[5] else None,
+                u_norm=float(rec[6]), queries_cum=int(rec[7]), event=rec[8]))
+    return rows

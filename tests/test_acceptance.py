@@ -24,9 +24,10 @@ from prsrg import (
     make_quadratic_saddle,
     make_rayleigh,
 )
-from prsrg.diagnostics import certify, check_variance_bound, escape_threshold
+from prsrg.diagnostics import certify
 from prsrg.geometry import Sphere
 from prsrg.harness import parse_config, run_experiment, run_sweep
+from prsrg.replay import check_variance_bound, escape_threshold
 from prsrg.rng import TAG_DIAG, TAG_INIT, master_stream
 from prsrg.solver import FINITE_SUM, SolverConstants, derive_params, prsrg_run
 from prsrg.tssrg import TssrgParams, tssrg_run, tssrg_run_coupled

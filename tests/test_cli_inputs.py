@@ -88,6 +88,7 @@ def _assert_one_error_line(capsys):
     "online_epsilon_m_above_int64", "online_epsilon_B_above_int64",
     "sweep_seeds_past_64_bits", "n_pair_store_80_PiB",
     "n_pair_store_past_int64", "sweep_n_pair_store_80_PiB",
+    "config_not_utf8", "print_config_not_utf8",
 ])
 def test_bad_input_exits_2_with_one_line(case, tmp_path, capsys):
     cfg_text = BASE.format(start="random")
@@ -246,8 +247,13 @@ def test_bad_input_exits_2_with_one_line(case, tmp_path, capsys):
         data = tmp_path / "rows.csv"
         data.write_text("1,2,3,4\n0,1,0,1\n")
         cfg_text = DATA_RAYLEIGH.format(data=data)
+    elif case == "print_config_not_utf8":
+        command = "print-config"
     cfg = tmp_path / "bad.ini"
     cfg.write_text(cfg_text)
+    if case.endswith("config_not_utf8"):
+        # a UTF-16 byte-order mark: no UTF-8 text starts with 0xff
+        cfg.write_bytes(b"\xff\xfe" + cfg_text.encode())
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         assert main([command, "--config", str(cfg), *extra]) == EXIT_BAD_INPUT
@@ -260,6 +266,8 @@ def test_bad_input_exits_2_with_one_line(case, tmp_path, capsys):
               "sweep_n_streaming": "no n to sweep",
               "data_csv_empty": "no data rows",
               "data_csv_overflow": "data overflows",
+              "config_not_utf8": "is not UTF-8",
+              "print_config_not_utf8": "is not UTF-8",
               "start_file_empty": "no coordinates",
               "coords_norm_overflow": "violates sphere:3 constraint",
               "couple_off_sphere": "violates sphere:3 constraint",

@@ -24,7 +24,9 @@ from prsrg.problems import PAIR_BLOCK, save_matrix
 from prsrg.pullback import PullbackOracle
 from prsrg.rng import master_stream
 from prsrg.solver import SolverConstants
-from prsrg.trace import COLUMNS, TraceRow, read_trace, rows_to_csv, write_trace
+from prsrg.trace import COLUMNS, TraceRow, rows_to_csv, write_trace
+
+from conftest import read_trace
 
 SMALL_RUN = """\
 [experiment]
