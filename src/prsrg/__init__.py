@@ -38,8 +38,7 @@ _EXPORTS = {
     "solver": "SolverConstants SolverParams SolverReport auto_solve "
               "derive_params prsrg_run small_grad_check",
     "trace": "TraceRow TraceSegment rows_to_csv write_trace",
-    "tssrg": "ExitReason TssrgOutcome TssrgParams boundary_alpha tssrg_run "
-             "tssrg_run_coupled",
+    "tssrg": "ExitReason TssrgOutcome TssrgParams boundary_alpha tssrg_run",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()
               for name in names.split()}

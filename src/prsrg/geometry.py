@@ -1,5 +1,5 @@
 """Manifold geometry: points, tangent vectors, second-order retractions,
-differentiated retractions and their adjoints, and tangent-ball sampling.
+the adjoints of their differentials, and tangent-ball sampling.
 
 Two embedded manifolds are provided, named by their ``manifold_id``:
 
@@ -15,17 +15,14 @@ Objectives give Euclidean derivatives; ``_project_coords`` and
 Both retractions are R_x(u) = w/s, w = x + u, with one retraction scale s =
 ``_retract_scale(w)``: ``||w||`` on the sphere, 1 on Euclidean space. A
 manifold states only P = ``_project_coords``, ``_hess_coords``, its normal
-frame N_x, s and ``rand_point``; ``Manifold`` derives the rest once: the
-checks |s(c) - 1| and ||N_x^T c||, the differential T_u[v] = P_y(v)/s at
-y = R_x(u) and its adjoint T_u*[w] = P_x(w)/s, which takes the s that the
-retraction returned, so no caller forms x + u twice. The array-level forms
-(``_retract_coords``, ``_dretract_coords``, ``_dretract_adjoint_coords``)
-take float64 coordinates, check nothing and, like ``project_ambient``,
-accept vectors stacked as rows, shape (..., ambient_dim), giving each row
-the bits of a one-vector call (row dots go through ``np.vecdot``, the same
-dot as ``a @ b``). The public ``dretract_apply``, ``dretract_adjoint_apply``
-and ``dretract_matrix`` validate, then call those forms; ``dretract_matrix``
-expresses T_u in orthonormal tangent bases (QR completion of N_x).
+frame N_x, s and ``rand_point``; ``Manifold`` derives the checks
+|s(c) - 1| and ||N_x^T c|| and the adjoint T_u*[w] = P_x(w)/s of the
+retraction's differential, the one form of it that the tangent-space
+solver needs. ``_retract_coords`` returns s for ``_dretract_adjoint_coords``,
+so no caller forms x + u twice; these array-level forms check nothing and,
+like ``project_ambient``, take rows stacked as (..., ambient_dim), each
+with the bits of a one-vector call (``np.vecdot`` is the dot of ``a @ b``).
+The public ``dretract_adjoint_apply`` validates, then calls them.
 """
 
 from __future__ import annotations
@@ -103,7 +100,7 @@ class Manifold:
 
     Subclasses set ``dim`` (intrinsic), ``ambient_dim``, and override the
     projection, Hessian, normal frame, retraction scale and ``rand_point``;
-    the checks, retraction, differential and adjoint derive from those. All
+    the checks, retraction and adjoint differential derive from those. All
     operations are pure functions of their inputs; random sources are
     caller-owned.
     """
@@ -171,11 +168,6 @@ class Manifold:
         s = self._retract_scale(w)
         return w / s, s
 
-    def _dretract_coords(self, y: np.ndarray, s, v: np.ndarray) -> np.ndarray:
-        """T_u[v] = P_y(v)/s from y = R_x(u) and its scale s; v (and y, s
-        with it) may stack rows, shape (..., ambient_dim). No checks."""
-        return self._project_coords(y, v) / s
-
     def _dretract_adjoint_coords(self, x: ManifoldPoint, s,
                                  w: np.ndarray) -> np.ndarray:
         """T_u*[w] = P_x(w)/s from the scale s of R_x(u); s and w may stack
@@ -233,24 +225,6 @@ class Manifold:
             raise OutOfBall(
                 f"||u|| = {n:.6e} exceeds ball radius D = {self.ball_radius_D}")
 
-    def _dretract_target(self, x: ManifoldPoint, u: TangentVector,
-                         v: TangentVector | None = None,
-                         w: TangentVector | None = None):
-        """Check a differential query and return y = R_x(u) and its scale.
-
-        u (and v, when given) must be based at x with u inside the ball; w,
-        when given, must be based at y.
-        """
-        self._require_base(x, u)
-        if v is not None:
-            self._require_base(x, v)
-        self._require_in_ball(u)
-        y, s = self._retract_coords(x.coords, u.coords)
-        if w is not None and (w.base.manifold_id != self.manifold_id
-                              or not np.array_equal(w.base.coords, y)):
-            raise ContractViolation("w must be tangent at R_x(u)")
-        return ManifoldPoint(_freeze(y), self.manifold_id), s
-
     # -- core operations -----------------------------------------------------
 
     def retract(self, x: ManifoldPoint, u: TangentVector) -> ManifoldPoint:
@@ -273,31 +247,17 @@ class Manifold:
         Qfull, _ = np.linalg.qr(N, mode="complete")
         return Qfull[:, N.shape[1]:]
 
-    def dretract_apply(self, x: ManifoldPoint, u: TangentVector,
-                       v: TangentVector) -> TangentVector:
-        """T_u[v]: differential of the retraction at u, applied to v."""
-        y, s = self._dretract_target(x, u, v=v)
-        return TangentVector(y, _freeze(self._dretract_coords(y.coords, s,
-                                                              v.coords)))
-
-    def dretract_matrix(self, x: ManifoldPoint, u: TangentVector) -> np.ndarray:
-        """T_u as a (dim x dim) matrix between the tangent bases at x and R_x(u).
-
-        Validates and retracts once, then maps every basis column of T_x M
-        through one stacked application of the differential.
-        """
-        y, s = self._dretract_target(x, u)
-        Bx = self.tangent_basis(x)
-        By = self.tangent_basis(y)
-        return By.T @ self._dretract_coords(y.coords, s, Bx.T).T
-
     def dretract_adjoint_apply(self, x: ManifoldPoint, u: TangentVector,
                                w: TangentVector) -> TangentVector:
         """T_u*[w]: adjoint of T_u, pulling w in T_{R_x(u)} M back to T_x M.
 
-        Satisfies <T_u v, w> = <v, T_u* w> for all tangent v at x.
+        Satisfies <T_u v, w> = <v, T_u* w> for all tangent v at x; u is
+        based at x inside the ball, w at R_x(u).
         """
-        _, s = self._dretract_target(x, u, w=w)
+        self._require_base(x, u)
+        self._require_in_ball(u)
+        y, s = self._retract_coords(x.coords, u.coords)
+        self._require_base(ManifoldPoint(y, self.manifold_id), w)
         return TangentVector(x, _freeze(self._dretract_adjoint_coords(
             x, s, w.coords)))
 

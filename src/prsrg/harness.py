@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -87,10 +88,6 @@ def parse_spectrum(text: str) -> np.ndarray:
     if not vals:
         raise ParameterError("spectrum is empty")
     return np.asarray(vals, dtype=np.float64)
-
-
-def format_spectrum(arr) -> str:
-    return ",".join(repr(float(v)) for v in np.asarray(arr))
 
 
 @dataclass(frozen=True)
@@ -209,13 +206,16 @@ _CONVERTERS = {int: int, float: _finite_float, str: str, bool: _strict_bool}
 _FORMATTERS = {float: repr, bool: lambda v: str(v).lower()}  # others: str
 
 
-def _fields(cls):
+@functools.cache
+def _fields(cls) -> tuple:
     """(name, type, default) per field of a section; ``T | None`` reads T."""
     hints = typing.get_type_hints(cls)
+    out = []
     for f in dataclasses.fields(cls):
         args = typing.get_args(hints[f.name])
         kind = args[0] if type(None) in args else hints[f.name]
-        yield f.name, kind, f.default
+        out.append((f.name, kind, f.default))
+    return tuple(out)
 
 
 def _convert(section: str, key: str, raw: str, kind, default):
@@ -414,7 +414,7 @@ def resolve_params(cfg: ExperimentConfig, objective, x0, stream,
                    estimate: LipschitzEstimate | None = None
                    ) -> tuple[SolverParams, LipschitzEstimate]:
     """Estimate smoothness (unless ``estimate`` is given), derive run
-    parameters, apply config overrides.
+    parameters, apply config overrides and check a finite sum's B <= n.
 
     Returns (params, lipschitz_estimate).
     """
@@ -422,7 +422,12 @@ def resolve_params(cfg: ExperimentConfig, objective, x0, stream,
     params, est = probe_params(objective, x0, spec.epsilon, spec.delta,
                                cfg.budget, stream, mode=spec.mode,
                                constants=cfg.constants, estimate=estimate)
-    return _apply_overrides(params, spec), est
+    params = _apply_overrides(params, spec)
+    if objective.n is not None and params.tssrg.B_size > objective.n:
+        key = "B" if spec.B is not None else f"mode = {params.mode} derives B"
+        raise ParameterError(f"[solver] {key} = {params.tssrg.B_size}, above "
+                             f"the finite sum's n = {objective.n}")
+    return params, est
 
 
 def run_experiment(cfg: ExperimentConfig, *, out: str | None = None,

@@ -49,7 +49,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import ParameterError
-from .geometry import Euclidean, ManifoldPoint, Sphere, TangentVector
+from .geometry import Euclidean, ManifoldPoint, Sphere
 from .pullback import Batch, FiniteSumObjective
 from .rng import TAG_PROBLEM, StreamTree, as_generator, master_stream
 
@@ -157,10 +157,6 @@ class _SpectralRayleigh:
         """j-th eigenvector of Abar (0-based; j = 0 is the minimizer)."""
         return self.manifold.point(self.rotation[:, j])
 
-    def hess_eigval(self, i: int, j: int) -> float:
-        """Riemannian Hessian eigenvalue at eigvec(j) along eigvec(i)."""
-        return -2.0 * float(self.spectrum[i] - self.spectrum[j])
-
 
 class _PairedComponentObjective(FiniteSumObjective):
     """Index-sampled finite sum of n components Abar + E_i (paired rank-2).
@@ -207,10 +203,6 @@ class _PairedComponentObjective(FiniteSumObjective):
             zero = np.zeros((1, self.p.shape[1]))
             out.p, out.q = np.vstack([out.p, zero]), np.vstack([out.q, zero])
         return out
-
-    def component_riem_grad(self, i: int, x: ManifoldPoint) -> TangentVector:
-        idx = np.asarray([i], dtype=np.int64)
-        return self.batch_riem_grad(Batch(size=1, idx=idx), x)
 
     def sample_minibatch(self, b: int,
                          rng: np.random.Generator | StreamTree) -> Batch:
@@ -297,14 +289,6 @@ class QuadraticSaddleInstance(_PairedComponentObjective):
         super().__init__(Euclidean(d),
                          _rotated(self.rotation, self.spectrum, rotation_seed),
                          n, p, q, sigma_hint=noise_scale * sigma_radius)
-
-    @property
-    def H(self) -> np.ndarray:
-        return self.Abar
-
-    def min_curvature_direction(self) -> np.ndarray:
-        """Unit eigenvector of H for eigenvalue -gamma."""
-        return np.array(self.rotation[:, 0])
 
 
 class StreamingRayleighInstance(_SpectralRayleigh, FiniteSumObjective):

@@ -140,9 +140,6 @@ class FiniteSumObjective:
             x.coords, egrad, 2.0 * self.scale * (self.Abar @ v.coords),
             v.coords))
 
-    def component_riem_grad(self, i: int, x: ManifoldPoint) -> TangentVector:
-        raise NotImplementedError
-
     def sample_minibatch(self, b: int,
                          rng: np.random.Generator | StreamTree) -> Batch:
         """b components i.i.d. with replacement (b = n short-circuits to
@@ -198,14 +195,8 @@ class PullbackOracle:
 
     # -- helpers -------------------------------------------------------------
 
-    def tangent(self, coords) -> TangentVector:
-        return self.manifold.tangent(self.anchor, coords)
-
     def zero(self) -> TangentVector:
         return self.manifold.zero_tangent(self.anchor)
-
-    def retract(self, u: TangentVector) -> ManifoldPoint:
-        return self.manifold.retract(self.anchor, u)
 
     # -- oracle operations -----------------------------------------------------
 
@@ -213,7 +204,7 @@ class PullbackOracle:
         """F_hat(u) = F(R_x(u)). Not a gradient query."""
         self.manifold._require_base(self.anchor, u)
         self.manifold._require_in_ball(u)
-        return self.objective.value(self.retract(u))
+        return self.objective.value(self.manifold.retract(self.anchor, u))
 
     def _grad(self, batch: Batch, u: np.ndarray) -> np.ndarray:
         """Batch-mean pullback gradient at the coordinates u, which the
@@ -249,15 +240,6 @@ class PullbackOracle:
         self.manifold._require_in_ball(u)
         return TangentVector(self.anchor, _freeze(self._grad(batch, u.coords)))
 
-    def grad_minibatch(self, I, u: TangentVector) -> TangentVector:
-        """Pullback gradient over an explicit index multiset (or Batch)."""
-        if isinstance(I, Batch):
-            return self.grad_batch(I, u)
-        idx = np.asarray(I, dtype=np.int64).reshape(-1)
-        if idx.size == 0:
-            raise EmptyBatch("gradient requested over an empty batch")
-        return self.grad_batch(Batch(size=int(idx.size), idx=idx), u)
-
     def grad_largebatch(self, B_size: int, u: TangentVector,
                         rng: np.random.Generator | StreamTree
                         ) -> TangentVector:
@@ -272,8 +254,9 @@ class PullbackOracle:
         not touch the query counters."""
         self.manifold._require_base(self.anchor, u)
         self.manifold._require_in_ball(u)
-        g = self.objective.full_riem_grad(self.retract(u))
-        return self.manifold.dretract_adjoint_apply(self.anchor, u, g)
+        man, x = self.manifold, self.anchor
+        g = self.objective.full_riem_grad(man.retract(x, u))
+        return man.dretract_adjoint_apply(x, u, g)
 
     def hvp(self, v: TangentVector,
             egrad: np.ndarray | None = None) -> TangentVector:

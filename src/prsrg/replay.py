@@ -20,7 +20,7 @@ from .geometry import TangentVector
 from .pullback import PullbackOracle
 from .rng import TAG_PERTURB, TAG_TRIAL, StreamTree
 from .trace import _STEP_EVENTS, TraceSegment
-from .tssrg import TssrgParams, tssrg_run_coupled
+from .tssrg import TssrgParams, tssrg_run
 
 
 @dataclass(frozen=True)
@@ -227,8 +227,9 @@ def stuck_region_experiment(oracle: PullbackOracle, params: TssrgParams,
         st = stream.child(TAG_TRIAL, i)
         u0 = man.sample_ball(oracle.anchor, r, st.child(TAG_PERTURB))
         u0p = TangentVector(oracle.anchor, u0.coords - r0 * e1)
-        out_a, out_b = tssrg_run_coupled(oracle, u0, u0p, params, st,
-                                         record_u=True)
+        # one stream for both runs: the same minibatches at every shared t
+        out_a = tssrg_run(oracle, u0, params, st, record_u=True)
+        out_b = tssrg_run(oracle, u0p, params, st, record_u=True)
         dev = _coupled_deviations(out_a, out_b)
         devs.append(dev)
         over = np.nonzero(dev >= dev_threshold)[0]

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from .diagnostics import Certification, certify
@@ -306,7 +306,7 @@ def prsrg_run(objective, manifold: Manifold, x0: ManifoldPoint,
                 break
             check_row.epoch_type = "escape"
             u0 = manifold.sample_ball(x, radius, ostream.child(TAG_PERTURB))
-            out = tssrg_run(oracle, u0, replace(params.tssrg, T_max=T_run),
+            out = tssrg_run(oracle, u0, params.tssrg._capped(T_run),
                             ostream, outer_t=outer_t, record_gaps=record_gaps,
                             query_offset=total_q)
             for row in out.segment.rows:
@@ -317,7 +317,7 @@ def prsrg_run(objective, manifold: Manifold, x0: ManifoldPoint,
             remaining = params.budget - total_q - oracle.queries
             T_run = min(m, _affordable_T(remaining, B, b, m, True))
             out = tssrg_run(oracle, manifold.zero_tangent(x),
-                            replace(params.tssrg, T_max=T_run), ostream,
+                            params.tssrg._capped(T_run), ostream,
                             outer_t=outer_t, anchor_grad=g,
                             record_gaps=record_gaps, query_offset=total_q)
             rows_all.extend(out.segment.rows)

@@ -21,10 +21,10 @@ K, drawn by every run, then the minibatches in step order. The objective's
 ``sample_epoch`` gives them for all the steps the epoch can reach (K for an
 unperturbed run, m for a perturbed one, at most T_max - t): a finite sum in
 one index draw, a streaming objective one draw per step, with the bits of
-one draw per step either way. So two runs that share a stream see
-identical minibatches at every t that both reach. An anchor's
-large batch reads the node ``stream.child(TAG_ANCHOR, e)``, which the
-sampler mints a generator for only when the batch is not exhaustive.
+one draw per step either way. So two runs on one stream (the coupled
+sequences of the escape analysis) see identical minibatches at every t
+both reach; equal starts give bit-identical outcomes. An anchor's large
+batch reads ``stream.child(TAG_ANCHOR, e)``, minted only if not exhaustive.
 
 ``tssrg_run`` validates its inputs once, at entry: u0 and ``anchor_grad``
 must be based at the oracle's anchor, u0 must lie in the run ball, and the
@@ -41,6 +41,7 @@ one (F at u0 and at a boundary exit, the exact gradient behind
 
 from __future__ import annotations
 
+import copy
 import enum
 import math
 from dataclasses import dataclass
@@ -84,9 +85,17 @@ class TssrgParams:
         if not (self.D > 0 and math.isfinite(self.D)):
             raise ParameterError(f"D must be positive, got {self.D}")
         if self.b < self.m:
+            # level 3 skips the generated __init__ to the constructor's caller
             warnings.warn(
                 f"minibatch size b={self.b} below epoch length m={self.m}; "
-                "the variance bound expects b >= m", stacklevel=2)
+                "the variance bound expects b >= m", stacklevel=3)
+
+    def _capped(self, T_max: int) -> "TssrgParams":
+        """This with the cap T_max, an int the caller keeps in [1, 2**63);
+        unchecked, so the b < m warning is not repeated."""
+        out = copy.copy(self)
+        object.__setattr__(out, "T_max", T_max)
+        return out
 
 
 class TssrgOutcome:
@@ -244,19 +253,3 @@ def tssrg_run(oracle: PullbackOracle, u0: TangentVector, params: TssrgParams,
         # the last step's F: that step ended at u_prev
         emit(0, u_prev, F, u_norm, v_norm, "anchor", gap=gap_at(u_prev, v))
 
-
-def tssrg_run_coupled(oracle: PullbackOracle, u0_a: TangentVector,
-                      u0_b: TangentVector, params: TssrgParams,
-                      stream: StreamTree, *, record_u: bool = True,
-                      record_gaps: bool = False) -> tuple[TssrgOutcome, TssrgOutcome]:
-    """Run two sequences from u0_a and u0_b on one randomness tape.
-
-    Both runs read the same per-epoch tapes, so minibatches agree at every
-    inner index both reach, even when one start is zero and that run breaks
-    early. Identical starting vectors therefore give bit-identical outcomes.
-    """
-    out_a = tssrg_run(oracle, u0_a, params, stream, record_u=record_u,
-                      record_gaps=record_gaps)
-    out_b = tssrg_run(oracle, u0_b, params, stream, record_u=record_u,
-                      record_gaps=record_gaps)
-    return out_a, out_b

@@ -7,9 +7,9 @@ import csv
 import numpy as np
 import pytest
 
-from prsrg import (PullbackOracle, SchemaError, TangentVector, TraceRow,
-                   make_data_rayleigh, make_quadratic_saddle, make_rayleigh,
-                   make_streaming_rayleigh)
+from prsrg import (ManifoldPoint, PullbackOracle, SchemaError, TangentVector,
+                   TraceRow, make_data_rayleigh, make_quadratic_saddle,
+                   make_rayleigh, make_streaming_rayleigh)
 from prsrg.trace import COLUMNS
 
 # every objective family that has a closed-form Hessian action
@@ -29,6 +29,27 @@ def fd_pullback_grad(oracle, u, h=1e-6):
         um = TangentVector(oracle.anchor, u.coords - h * e)
         g[j] = (oracle.value(up) - oracle.value(um)) / (2.0 * h)
     return basis @ g
+
+
+def dretract_apply(man, x, u, v):
+    """Reference differential of the retraction: T_u[v] = P_y(v)/s at
+    y = R_x(u) = (x + u)/s, from the package's retraction and projection.
+    The package needs only the adjoint T_u*; test_geometry checks this
+    form against finite differences of ``retract`` and the adjoint against
+    it. No checks."""
+    y, s = man._retract_coords(x.coords, u.coords)
+    return TangentVector(ManifoldPoint(y, man.manifold_id),
+                         man._project_coords(y, v.coords) / s)
+
+
+def dretract_matrix(man, x, u):
+    """T_u as a (dim x dim) matrix between the orthonormal tangent bases
+    at x and R_x(u): every basis column at x through one row-stacked
+    projection. No checks."""
+    y, s = man._retract_coords(x.coords, u.coords)
+    Bx = man.tangent_basis(x)
+    By = man.tangent_basis(ManifoldPoint(y, man.manifold_id))
+    return By.T @ (man._project_coords(y, Bx.T) / s).T
 
 
 def fd_hvp(oracle, v, h=1e-5):

@@ -30,9 +30,9 @@ from prsrg.harness import parse_config, run_experiment, run_sweep
 from prsrg.replay import check_variance_bound, escape_threshold
 from prsrg.rng import TAG_DIAG, TAG_INIT, master_stream
 from prsrg.solver import FINITE_SUM, SolverConstants, derive_params, prsrg_run
-from prsrg.tssrg import TssrgParams, tssrg_run, tssrg_run_coupled
+from prsrg.tssrg import TssrgParams, tssrg_run
 
-from conftest import fd_pullback_grad
+from conftest import dretract_matrix, fd_pullback_grad
 
 
 def _verdict(num: int, label: str, ok: bool, detail: str = "") -> None:
@@ -107,7 +107,7 @@ def test_03_dretract_smallest_singular_value_bound():
     for _ in range(1000):
         x = man.rand_point(rng)
         u = man.sample_ball(x, man.D, rng)
-        M = man.dretract_matrix(x, u)
+        M = dretract_matrix(man, x, u)
         worst = min(worst, np.linalg.svd(M, compute_uv=False)[-1])
     _verdict(3, "differential of retraction sigma_min over 1000 draws",
              worst >= 0.5, f"min sigma {worst:.4f}")
@@ -194,11 +194,13 @@ def _coupled_runs(obj, eta, r0, m, b, T, stream):
     man = obj.manifold
     x0 = man.point(np.zeros(man.ambient_dim))
     oracle = PullbackOracle(obj, x0)
-    emin = obj.min_curvature_direction()
+    emin = obj.rotation[:, 0]
     p = _quiet_params(eta=eta, m=m, b=b, B_size=obj.n, D=man.D, T_max=T)
     ua = TangentVector(x0, +0.5 * r0 * emin)
     ub = TangentVector(x0, -0.5 * r0 * emin)
-    return tssrg_run_coupled(oracle, ua, ub, p, stream)
+    # one stream for both runs: the same minibatches at every shared step
+    return (tssrg_run(oracle, ua, p, stream, record_u=True),
+            tssrg_run(oracle, ub, p, stream, record_u=True))
 
 
 def _deviations(out_a, out_b) -> np.ndarray:

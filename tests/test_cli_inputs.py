@@ -88,7 +88,8 @@ def _assert_one_error_line(capsys):
     "online_epsilon_m_above_int64", "online_epsilon_B_above_int64",
     "sweep_seeds_past_64_bits", "n_pair_store_80_PiB",
     "n_pair_store_past_int64", "sweep_n_pair_store_80_PiB",
-    "config_not_utf8", "print_config_not_utf8",
+    "config_not_utf8", "print_config_not_utf8", "B_above_n",
+    "online_B_above_n",
 ])
 def test_bad_input_exits_2_with_one_line(case, tmp_path, capsys):
     cfg_text = BASE.format(start="random")
@@ -233,6 +234,11 @@ def test_bad_input_exits_2_with_one_line(case, tmp_path, capsys):
             extra = ["--point", str(point)]
     elif case == "m_above_int64":
         cfg_text += f"m = {2 ** 63}\n"
+    elif case == "B_above_n":
+        cfg_text += "B = 100\n"
+    elif case == "online_B_above_n":
+        # online sizing of a finite sum derives B = 1024 for n = 30
+        cfg_text += "mode = online\n"
     elif case.startswith("online_epsilon_"):
         # B's quotient overflows, epsilon^2 underflows, or a finite m (and
         # B) or B alone reaches 2**63
@@ -311,7 +317,11 @@ def test_bad_input_exits_2_with_one_line(case, tmp_path, capsys):
               "sweep_seeds_past_64_bits": "[sweep] seeds",
               "n_pair_store_80_PiB": _store_error(2**52),
               "sweep_n_pair_store_80_PiB": _store_error(2**52),
-              "n_pair_store_past_int64": _store_error(2**62)}
+              "n_pair_store_past_int64": _store_error(2**62),
+              "B_above_n": "[solver] B = 100, above the finite sum's n = 30",
+              "online_B_above_n":
+                  "[solver] mode = online derives B = 1024, above the "
+                  "finite sum's n = 30"}
     assert expect.get(case, "") in line
     if command == "sweep":
         # bad input is found before the first cell writes anything

@@ -1,5 +1,6 @@
 """Config grammar, experiment runners, artifacts, sweeps, and the CLI."""
 
+import collections
 import csv
 import dataclasses
 import importlib.util
@@ -7,6 +8,8 @@ import io
 import json
 import re
 import sys
+import typing
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +20,7 @@ from prsrg.cli import EXIT_BAD_INPUT, EXIT_NOT_SADDLE, EXIT_OK, main
 from prsrg.errors import ContractViolation, ParameterError, SchemaError
 from prsrg.harness import (BaselineSpec, CoupleSpec, ExperimentConfig,
                            ProblemSpec, SolverSpec, SweepSpec, build_problem,
-                           dump_config, format_spectrum, load_point,
+                           dump_config, load_point,
                            parse_config, parse_spectrum, resolve_params,
                            resolve_start, run_experiment, run_sweep)
 from prsrg.problems import PAIR_BLOCK, save_matrix
@@ -174,7 +177,8 @@ def test_parse_spectrum_errors():
 
 def test_format_spectrum_roundtrip():
     arr = np.array([2.0, 1.0, 1 / 3, 1e-17, 0.1])
-    np.testing.assert_array_equal(parse_spectrum(format_spectrum(arr)), arr)
+    text = ",".join(repr(float(v)) for v in arr)
+    np.testing.assert_array_equal(parse_spectrum(text), arr)
 
 
 # ------------------------------------------------------------------ config
@@ -487,6 +491,40 @@ def test_load_point_formats(tmp_path):
 
 
 # --------------------------------------------------------------- overrides
+
+def test_small_minibatch_warns_once_per_run_from_a_source_line():
+    # the overrides build the run's TssrgParams once; each outer
+    # iteration's capped copy must not warn again, and the warning must
+    # name the constructor's caller, not the generated __init__
+    cfg = parse_config(SMALL_RUN + "m = 1000000\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        report, params = run_experiment(cfg)
+    assert report.outer_iterations > 1
+    below = [w for w in caught if "below epoch length" in str(w.message)]
+    assert len(below) == 1, [str(w.message) for w in below]
+    assert below[0].filename != "<string>"
+    assert Path(below[0].filename).is_file()
+
+
+def test_config_sections_resolve_type_hints_once(monkeypatch):
+    calls = collections.Counter()
+    resolve = typing.get_type_hints
+
+    def counted(cls, *args, **kwargs):
+        calls[cls] += 1
+        return resolve(cls, *args, **kwargs)
+
+    monkeypatch.setattr(typing, "get_type_hints", counted)
+    harness._fields.cache_clear()
+    cfg = parse_config(SMALL_RUN)
+    parse_config(SMALL_RUN + "m = 4\n")
+    dump_config(cfg)
+    sections = {ExperimentConfig, ProblemSpec, SolverSpec, SolverConstants,
+                BaselineSpec, CoupleSpec, SweepSpec}
+    assert set(calls) <= sections
+    assert max(calls.values()) == 1
+
 
 def test_solver_overrides_reach_params():
     text = SMALL_RUN + ("eta = 0.05\nm = 4\nb = 4\nB = 16\nT_max = 9\n"

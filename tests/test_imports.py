@@ -133,6 +133,40 @@ def test_unknown_name_raises_attribute_error():
                                                  "prsrg._kernels")
 
 
+# names that only tests called, and the retraction's differential, which
+# the solver never needs (it pulls gradients back through the adjoint);
+# the tests' reference differential is in conftest
+REMOVED = {
+    "geometry.Manifold": ("dretract_apply", "dretract_matrix",
+                          "_dretract_coords", "_dretract_target"),
+    "geometry.Sphere": ("dretract_apply", "dretract_matrix"),
+    "geometry.Euclidean": ("dretract_apply", "dretract_matrix"),
+    "pullback.PullbackOracle": ("grad_minibatch",),
+    "pullback.FiniteSumObjective": ("component_riem_grad",),
+    "problems._PairedComponentObjective": ("component_riem_grad",),
+    "problems.RayleighInstance": ("component_riem_grad", "hess_eigval"),
+    "problems.StreamingRayleighInstance": ("hess_eigval",),
+    "problems.QuadraticSaddleInstance": ("H", "min_curvature_direction"),
+    "harness": ("format_spectrum",),
+    "tssrg": ("tssrg_run_coupled",),
+}
+
+
+@pytest.mark.parametrize("owner", sorted(REMOVED))
+def test_removed_names_are_gone(owner):
+    module, _, cls = owner.partition(".")
+    obj = importlib.import_module(f"prsrg.{module}")
+    if cls:
+        obj = getattr(obj, cls)
+    assert [n for n in REMOVED[owner] if hasattr(obj, n)] == []
+
+
+def test_coupled_run_is_not_exported():
+    assert "tssrg_run_coupled" not in prsrg.__all__
+    with pytest.raises(AttributeError, match="tssrg_run_coupled"):
+        prsrg.tssrg_run_coupled
+
+
 def test_trace_rows_compare_field_by_field():
     fields = (0, 1, "escape", 0.5, 0.25, None, 0.125, 42, "step")
     row = TraceRow(*fields)

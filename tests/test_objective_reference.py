@@ -56,7 +56,7 @@ def _points(obj):
     if hasattr(obj, "eigvec"):
         pts += [obj.eigvec(j).coords for j in range(D)]
     if obj.manifold.manifold_id.startswith("euclidean"):
-        pts += [np.zeros(D), obj.min_curvature_direction()]
+        pts += [np.zeros(D), obj.rotation[:, 0]]
     return [obj.manifold.point(y) for y in pts]
 
 

@@ -26,6 +26,11 @@ from prsrg.rng import TAG_BATCH, TAG_PROBLEM, master_stream
 from conftest import HESSIAN_KINDS, kind_oracle
 
 
+def _component_grad(obj, i, x):
+    """Riemannian gradient of component i alone: a one-index batch."""
+    return obj.batch_riem_grad(Batch(size=1, idx=np.array([i])), x)
+
+
 # --------------------------------------------------- paired noise structure
 
 def _expand_pairs(p, q, n):
@@ -61,7 +66,7 @@ def test_odd_n_last_component_is_noise_free():
     assert np.all(P[-1] == 0.0) and np.all(Q[-1] == 0.0)
     assert np.all(_component_matrix(obj, obj.n - 1) == 0.0)
     x = obj.manifold.rand_point(np.random.default_rng(0))
-    assert np.array_equal(obj.component_riem_grad(obj.n - 1, x).coords,
+    assert np.array_equal(_component_grad(obj, obj.n - 1, x).coords,
                           obj.full_riem_grad(x).coords)
 
 
@@ -159,7 +164,7 @@ def test_component_mean_equals_full_gradient(build):
     rng = np.random.default_rng(1)
     for _ in range(3):
         x = obj.manifold.rand_point(rng)
-        mean = sum(obj.component_riem_grad(i, x).coords
+        mean = sum(_component_grad(obj, i, x).coords
                    for i in range(obj.n)) / obj.n
         assert np.allclose(mean, obj.full_riem_grad(x).coords, atol=1e-10)
 
@@ -191,7 +196,7 @@ def test_zero_noise_components_all_equal_population():
     x = obj.manifold.rand_point(rng)
     g = obj.full_riem_grad(x).coords
     for i in range(obj.n):
-        assert np.array_equal(obj.component_riem_grad(i, x).coords, g)
+        assert np.array_equal(_component_grad(obj, i, x).coords, g)
 
 
 # --------------------------------------------------------- eigen oracles
@@ -205,9 +210,11 @@ def test_eigvec_and_hess_eigval_axis_aligned():
     for j in range(4):
         g = obj.full_riem_grad(obj.eigvec(j))
         assert np.linalg.norm(g.coords) < 1e-12
-    # at eigvec(1) the tangent direction eigvec(0) has curvature -2(3-2)
-    assert obj.hess_eigval(0, 1) == pytest.approx(-2.0)
-    assert obj.hess_eigval(2, 1) == pytest.approx(2.0)
+    # at eigvec(j) the tangent direction eigvec(i) has curvature
+    # -2(lambda_i - lambda_j): -2(3-2) along eigvec(0) at eigvec(1)
+    s = obj.spectrum
+    assert -2.0 * (s[0] - s[1]) == pytest.approx(-2.0)
+    assert -2.0 * (s[2] - s[1]) == pytest.approx(2.0)
 
 
 def test_rotation_is_orthogonal_and_rotates_eigvecs():
@@ -254,11 +261,11 @@ def test_spectrum_validation(make):
 def test_quadratic_saddle_shape():
     obj = make_quadratic_saddle(d=5, gamma=1.5, L_top=3.0, n=6, seed=4,
                                 noise_scale=0.2)
-    evals = np.sort(np.linalg.eigvalsh(obj.H))
+    evals = np.sort(np.linalg.eigvalsh(obj.Abar))
     assert evals[0] == pytest.approx(-1.5, abs=1e-12)
     assert evals[-1] == pytest.approx(3.0, abs=1e-12)
-    v = obj.min_curvature_direction()
-    assert np.allclose(obj.H @ v, -1.5 * v, atol=1e-10)
+    v = obj.rotation[:, 0]
+    assert np.allclose(obj.Abar @ v, -1.5 * v, atol=1e-10)
     # the saddle itself is a critical point
     x0 = obj.manifold.point(np.zeros(5))
     assert np.all(obj.full_riem_grad(x0).coords == 0.0)
@@ -267,7 +274,7 @@ def test_quadratic_saddle_shape():
 def test_quadratic_convex_instance_allowed():
     obj = make_quadratic_saddle(d=3, gamma=-0.5, L_top=2.0, n=4, seed=None,
                                 noise_scale=0.0)
-    assert np.min(np.linalg.eigvalsh(obj.H)) == pytest.approx(0.5)
+    assert np.min(np.linalg.eigvalsh(obj.Abar)) == pytest.approx(0.5)
     with pytest.raises(ParameterError):
         make_quadratic_saddle(d=3, gamma=1.0, L_top=0.0, n=4, seed=None)
 

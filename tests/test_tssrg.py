@@ -25,7 +25,6 @@ from prsrg import (
     make_rayleigh,
     make_streaming_rayleigh,
     tssrg_run,
-    tssrg_run_coupled,
 )
 from prsrg.rng import TAG_ANCHOR, TAG_BATCH, TAG_OUTER, master_stream
 
@@ -88,8 +87,8 @@ def test_boundary_alpha_step_whose_square_overflows():
 def test_boundary_exit_outcome():
     obj, oracle = _quadratic_oracle(d=2)
     x = oracle.anchor
-    u0 = oracle.tangent(np.array([0.9, 0.0]))
-    v_fixed = oracle.tangent(np.array([-1.0, 0.0]))
+    u0 = oracle.manifold.tangent(oracle.anchor, np.array([0.9, 0.0]))
+    v_fixed = oracle.manifold.tangent(oracle.anchor, np.array([-1.0, 0.0]))
     params = _params(eta=0.5, D=1.0, b=obj.n, B_size=obj.n)
     out = tssrg_run(oracle, u0, params, master_stream(0).child(TAG_OUTER, 0),
                     anchor_grad=v_fixed)
@@ -141,7 +140,7 @@ def test_boundary_alpha_near_tangent_step(seed, dim, D, gap, tilt, scale):
 def test_iterates_stay_in_ball():
     obj, oracle = _quadratic_oracle(d=3, gamma=2.0, noise=0.3)
     rng = np.random.default_rng(3)
-    u0 = oracle.tangent(0.05 * rng.standard_normal(3))
+    u0 = oracle.manifold.tangent(oracle.anchor, 0.05 * rng.standard_normal(3))
     params = _params(eta=0.3, m=6, b=8, B_size=obj.n, D=0.4, T_max=200)
     out = tssrg_run(oracle, u0, params, master_stream(1).child(TAG_OUTER, 0))
     for row in out.segment.rows:
@@ -179,12 +178,12 @@ def test_linear_recursion_closed_form():
     obj, oracle = _quadratic_oracle(d=5, gamma=1.0)
     rng = np.random.default_rng(7)
     u0_vec = 1e-3 * rng.standard_normal(5)
-    u0 = oracle.tangent(u0_vec)
+    u0 = oracle.manifold.tangent(oracle.anchor, u0_vec)
     eta, T = 0.1, 30
     params = _params(eta=eta, m=T, b=obj.n, B_size=obj.n, D=10.0, T_max=T)
     out = tssrg_run(oracle, u0, params, master_stream(4).child(TAG_OUTER, 0),
                     record_u=True)
-    M = np.eye(5) - eta * obj.H
+    M = np.eye(5) - eta * obj.Abar
     expect = u0_vec.copy()
     for t in range(1, T + 1):
         expect = M @ expect
@@ -214,7 +213,7 @@ def test_max_iter_takes_precedence_over_break(small_rayleigh):
 
 def test_perturbed_run_never_breaks_early():
     obj, oracle = _quadratic_oracle(d=3, gamma=0.5)
-    u0 = oracle.tangent(np.array([1e-4, 0.0, 0.0]))
+    u0 = oracle.manifold.tangent(oracle.anchor, np.array([1e-4, 0.0, 0.0]))
     params = _params(eta=0.01, m=4, b=obj.n, B_size=obj.n, T_max=20, D=5.0)
     out = tssrg_run(oracle, u0, params, master_stream(5).child(TAG_OUTER, 0))
     assert out.exit is ExitReason.MAX_ITER
@@ -247,8 +246,9 @@ def test_coupled_equal_starts_identical(medium_rayleigh):
     u0 = medium_rayleigh.manifold.sample_ball(x, 0.02, rng)
     params = _params(eta=0.02, m=4, b=4, B_size=32, T_max=12)
     oracle = PullbackOracle(medium_rayleigh, x)
-    a, b = tssrg_run_coupled(oracle, u0, u0, params,
-                             master_stream(9).child(TAG_OUTER, 0))
+    stream = master_stream(9).child(TAG_OUTER, 0)
+    a = tssrg_run(oracle, u0, params, stream, record_u=True)
+    b = tssrg_run(oracle, u0, params, stream, record_u=True)
     assert a.exit == b.exit and a.iterations == b.iterations
     assert np.array_equal(a.u_final.coords, b.u_final.coords)
     for ua, ub in zip(a.segment.u_vecs, b.segment.u_vecs):
@@ -260,14 +260,15 @@ def test_coupled_difference_grows_at_exact_rate():
     # so along the -gamma eigenvector its norm is (1 + eta*gamma)^t * r0
     gamma, eta, T = 1.0, 0.05, 40
     obj, oracle = _quadratic_oracle(d=6, gamma=gamma)
-    e1 = obj.min_curvature_direction()
+    e1 = obj.rotation[:, 0]
     r0 = 1e-8
     # both starts perturbed so neither sequence breaks before T
-    u0a = oracle.tangent(-0.5 * r0 * e1)
-    u0b = oracle.tangent(0.5 * r0 * e1)
+    u0a = oracle.manifold.tangent(oracle.anchor, -0.5 * r0 * e1)
+    u0b = oracle.manifold.tangent(oracle.anchor, 0.5 * r0 * e1)
     params = _params(eta=eta, m=T, b=obj.n, B_size=obj.n, D=10.0, T_max=T)
-    a, b = tssrg_run_coupled(oracle, u0a, u0b, params,
-                             master_stream(11).child(TAG_OUTER, 0))
+    stream = master_stream(11).child(TAG_OUTER, 0)
+    a = tssrg_run(oracle, u0a, params, stream, record_u=True)
+    b = tssrg_run(oracle, u0b, params, stream, record_u=True)
     assert a.exit is ExitReason.MAX_ITER and b.exit is ExitReason.MAX_ITER
     for t in range(T + 1):
         dev = np.linalg.norm(a.segment.u_vecs[t] - b.segment.u_vecs[t])
@@ -308,9 +309,12 @@ def test_coupled_runs_share_minibatches_until_either_exits(kind, r_a, r_b):
     oracle = PullbackOracle(recorder, obj.eigvec(1))
     e0 = obj.eigvec(0).coords
     params = _params(eta=0.05, m=4, b=8, B_size=40, T_max=40)
-    a, b = tssrg_run_coupled(oracle, oracle.tangent(r_a * e0),
-                             oracle.tangent(r_b * e0), params,
-                             master_stream(3).child(TAG_OUTER, 0))
+    stream = master_stream(3).child(TAG_OUTER, 0)
+    x = oracle.anchor
+    a = tssrg_run(oracle, obj.manifold.tangent(x, r_a * e0), params, stream,
+                  record_u=True)
+    b = tssrg_run(oracle, obj.manifold.tangent(x, r_b * e0), params, stream,
+                  record_u=True)
     # a boundary exit at step t stops before drawing that step's minibatch
     drawn_a = a.iterations - (a.exit is ExitReason.BOUNDARY)
     drawn_b = b.iterations - (b.exit is ExitReason.BOUNDARY)
@@ -349,7 +353,8 @@ def test_epoch_draw_covers_the_steps_the_epoch_can_reach(medium_rayleigh,
     # unperturbed one, never past T_max
     recorder = _EpochCounts(medium_rayleigh)
     oracle = PullbackOracle(recorder, medium_rayleigh.eigvec(0))
-    u0 = oracle.tangent(radius * medium_rayleigh.eigvec(1).coords)
+    u0 = oracle.manifold.tangent(oracle.anchor,
+                                 radius * medium_rayleigh.eigvec(1).coords)
     stream = master_stream(4).child(TAG_OUTER, 0)
     params = _params(eta=0.01, m=m, b=8, B_size=40, T_max=T_max)
     out = tssrg_run(oracle, u0, params, stream)
@@ -396,9 +401,6 @@ class _PoisonAfter:
         G, AY = self._base._batch_grad_coords(batch, Y)
         return self._poison(len(Y), G), AY
 
-    def component_riem_grad(self, i, x):
-        return self._base.component_riem_grad(i, x)
-
     def sample_minibatch(self, b, rng):
         return self._base.sample_minibatch(b, rng)
 
@@ -413,7 +415,7 @@ def test_non_finite_estimator_aborts_with_iteration_index(small_rayleigh):
     x = small_rayleigh.eigvec(0)
     poisoned = _PoisonAfter(small_rayleigh, calls=3)
     oracle = PullbackOracle(poisoned, x)
-    u0 = oracle.tangent(np.array([0.0, 0.01, 0.0]))
+    u0 = oracle.manifold.tangent(oracle.anchor, np.array([0.0, 0.01, 0.0]))
     params = _params(m=8, b=8, B_size=small_rayleigh.n, T_max=8)
     with pytest.raises(NumericalFailure) as exc:
         tssrg_run(oracle, u0, params, master_stream(0).child(TAG_OUTER, 0))
@@ -460,8 +462,8 @@ def test_anchor_grad_reuse_skips_first_charge(medium_rayleigh):
 
 def test_boundary_row_costs_nothing():
     obj, oracle = _quadratic_oracle(d=2)
-    u0 = oracle.tangent(np.array([0.9, 0.0]))
-    v_fixed = oracle.tangent(np.array([-1.0, 0.0]))
+    u0 = oracle.manifold.tangent(oracle.anchor, np.array([0.9, 0.0]))
+    v_fixed = oracle.manifold.tangent(oracle.anchor, np.array([-1.0, 0.0]))
     params = _params(eta=0.5, D=1.0, b=obj.n, B_size=obj.n)
     out = tssrg_run(oracle, u0, params, master_stream(0).child(TAG_OUTER, 0),
                     anchor_grad=v_fixed)
