@@ -159,14 +159,15 @@ def _rsgd_run(objective, man: Manifold, x0, config, epsilon, delta, budget,
                    t, seed)
 
 
-def baseline_run(objective, manifold: Manifold, x0: ManifoldPoint,
-                 config: BaselineConfig, epsilon: float, delta: float,
-                 budget: int, rng) -> SolverReport:
+def baseline_run(objective, x0: ManifoldPoint, config: BaselineConfig,
+                 epsilon: float, delta: float, budget: int,
+                 rng) -> SolverReport:
     """Run one comparator under the same budget discipline as the solver."""
     if not (0 < epsilon < math.inf and 0 < delta < math.inf):
         raise ParameterError("epsilon and delta must be positive and finite")
     if budget < 0:
         raise ParameterError("budget must be >= 0")
+    manifold = objective.manifold
     manifold._require_point(x0)
     stream, seed = as_stream(rng)
 

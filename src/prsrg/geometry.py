@@ -108,7 +108,7 @@ class Manifold:
     manifold_id: str
     dim: int
     ambient_dim: int
-    ball_radius_D: float
+    D: float  # the chart's ball radius
     c0: float
 
     def __init__(self, ball_radius_D: float, c0: float):
@@ -119,13 +119,9 @@ class Manifold:
         if c0 > 0 and ball_radius_D > 1.0 / (2.0 * c0) + TOL:
             raise ParameterError(
                 f"ball_radius_D={ball_radius_D} exceeds 1/(2*c0)={1.0 / (2.0 * c0)}")
-        self.ball_radius_D = float(ball_radius_D)
+        self.D = float(ball_radius_D)
         self.c0 = float(c0)
         self._ball_basis: tuple[ManifoldPoint, np.ndarray] | None = None
-
-    @property
-    def D(self) -> float:
-        return self.ball_radius_D
 
     # -- primitives, overridden per manifold --------------------------------
 
@@ -221,9 +217,9 @@ class Manifold:
 
     def _require_in_ball(self, u: TangentVector) -> None:
         n = u.norm
-        if n > self.ball_radius_D * (1.0 + 1e-12):
+        if n > self.D * (1.0 + 1e-12):
             raise OutOfBall(
-                f"||u|| = {n:.6e} exceeds ball radius D = {self.ball_radius_D}")
+                f"||u|| = {n:.6e} exceeds ball radius D = {self.D}")
 
     # -- core operations -----------------------------------------------------
 

@@ -43,8 +43,8 @@ from .problems import (_loadtxt, load_matrix, make_data_rayleigh,
                        make_streaming_rayleigh)
 from .pullback import LipschitzEstimate, PullbackOracle
 from .rng import TAG_INIT, master_stream
-from .solver import SolverConstants, SolverParams, probe_params, prsrg_run
-from .tssrg import TssrgParams
+from .solver import (SolverConstants, SolverParams, _batch_sizes,
+                     _mode_scale, probe_params, prsrg_run)
 from .trace import write_trace
 
 ALGOS = ("prsrg", "prgd", "rsgd", "rsrg_unperturbed")
@@ -177,6 +177,8 @@ class ExperimentConfig:
                 f"{self.problem.kind!r}")
         if self.budget < 0:
             raise ParameterError("[experiment] budget must be >= 0")
+        if not (self.solver.epsilon > 0 and self.solver.delta > 0):
+            raise ParameterError("[solver] epsilon and delta must be positive")
         if self.sweep.n_values and self.problem.kind in (
                 "streaming_rayleigh", "data_rayleigh"):
             raise ParameterError(f"[sweep] n: a {self.problem.kind} problem "
@@ -399,35 +401,36 @@ def load_point(man: Manifold, path) -> ManifoldPoint:
 
 
 def _apply_overrides(params: SolverParams, spec: SolverSpec) -> SolverParams:
-    """params with each set [solver] override in place of its derived value."""
-    def pick(value, derived):
-        return derived if value is None else value
-
-    t = params.tssrg
-    tss = TssrgParams(eta=pick(spec.eta, t.eta), m=pick(spec.m, t.m),
-                      b=pick(spec.b, t.b), B_size=pick(spec.B, t.B_size),
-                      D=pick(spec.D, t.D), T_max=pick(spec.T_max, t.T_max))
-    return dataclasses.replace(params, tssrg=tss, r=pick(spec.r, params.r))
+    """params with each set [solver] key in place of its derived value; the
+    keys are SolverParams fields, so a bad value's error names its key."""
+    keys = {k: v for k, v in dataclasses.asdict(spec).items() if v is not None}
+    try:
+        return SolverParams(**{**dataclasses.asdict(params), **keys})
+    except ParameterError as exc:
+        raise ParameterError(f"[solver] {exc}") from exc
 
 
 def resolve_params(cfg: ExperimentConfig, objective, x0, stream,
                    estimate: LipschitzEstimate | None = None
                    ) -> tuple[SolverParams, LipschitzEstimate]:
-    """Estimate smoothness (unless ``estimate`` is given), derive run
-    parameters, apply config overrides and check a finite sum's B <= n.
+    """Check a finite sum's B <= n, probe smoothness (unless ``estimate``
+    is given), derive run parameters and apply the [solver] overrides.
 
     Returns (params, lipschitz_estimate).
     """
     spec = cfg.solver
+    mode, scale = _mode_scale(objective, spec.mode)
+    if objective.n is not None:
+        B = (spec.B if spec.B is not None
+             else _batch_sizes(mode, scale, spec.epsilon, cfg.constants)[1])
+        if B > objective.n:
+            key = "B" if spec.B is not None else f"mode = {mode} derives B"
+            raise ParameterError(f"[solver] {key} = {B}, above the finite "
+                                 f"sum's n = {objective.n}")
     params, est = probe_params(objective, x0, spec.epsilon, spec.delta,
-                               cfg.budget, stream, mode=spec.mode,
+                               cfg.budget, stream, mode=mode,
                                constants=cfg.constants, estimate=estimate)
-    params = _apply_overrides(params, spec)
-    if objective.n is not None and params.tssrg.B_size > objective.n:
-        key = "B" if spec.B is not None else f"mode = {params.mode} derives B"
-        raise ParameterError(f"[solver] {key} = {params.tssrg.B_size}, above "
-                             f"the finite sum's n = {objective.n}")
-    return params, est
+    return _apply_overrides(params, spec), est
 
 
 def run_experiment(cfg: ExperimentConfig, *, out: str | None = None,
@@ -444,37 +447,28 @@ def run_experiment(cfg: ExperimentConfig, *, out: str | None = None,
     stream = master_stream(cfg.seed)
     if objective is None:
         objective = build_problem(cfg)
-    man = objective.manifold
     x0 = resolve_start(cfg, objective, stream)
     params = None
     if cfg.algo in ("prsrg", "rsrg_unperturbed"):
-        params, est = resolve_params(cfg, objective, x0, stream, estimate)
-        if cfg.algo == "rsrg_unperturbed":
-            params = dataclasses.replace(params, r=0.0)
-        report = prsrg_run(objective, man, x0, params, stream,
+        run_cfg = cfg
+        if cfg.algo == "rsrg_unperturbed":  # r = 0 as one more override
+            run_cfg = dataclasses.replace(cfg, solver=dataclasses.replace(
+                cfg.solver, r=0.0))
+        params, est = resolve_params(run_cfg, objective, x0, stream, estimate)
+        report = prsrg_run(objective, x0, params, stream,
                            record_gaps=cfg.record_gaps)
         report.lipschitz = est
     else:
         from .baselines import BaselineConfig, baseline_run  # on first use
         bcfg = BaselineConfig(kind=cfg.algo,
                               **dataclasses.asdict(cfg.baseline))
-        report = baseline_run(objective, man, x0, bcfg, cfg.solver.epsilon,
+        report = baseline_run(objective, x0, bcfg, cfg.solver.epsilon,
                               cfg.solver.delta, cfg.budget, stream)
     report.seed = cfg.seed
     target = out if out is not None else cfg.out
     if target is not None:
         write_artifacts(target, cfg, report, params)
     return report, params
-
-
-def params_dict(params: SolverParams | None) -> dict | None:
-    if params is None:
-        return None
-    t = params.tssrg
-    return {"eta": t.eta, "m": t.m, "b": t.b, "B": t.B_size, "D": t.D,
-            "T_max": t.T_max, "r": params.r, "epsilon": params.epsilon,
-            "delta": params.delta, "budget": params.budget,
-            "mode": params.mode}
 
 
 def _artifact_path(prefix, suffix: str) -> Path:
@@ -494,8 +488,8 @@ def _write_json(prefix, suffix: str, payload: dict) -> Path:
 
 
 def write_artifacts(prefix, cfg: ExperimentConfig, report, params) -> tuple[Path, Path]:
-    payload = {"config": dump_config(cfg), "params": params_dict(params),
-               "report": report.as_dict()}
+    payload = {"config": dump_config(cfg), "report": report.as_dict(),
+               "params": dataclasses.asdict(params) if params else None}
     report_path = _write_json(prefix, ".report.json", payload)
     trace_path = _artifact_path(prefix, ".trace.csv")
     write_trace(trace_path, report.trace)
@@ -563,11 +557,11 @@ def run_couple(cfg: ExperimentConfig, *, out: str | None = None) -> dict:
                              "curvature estimate was zero, set it explicitly")
     oracle = PullbackOracle(objective, x0)
     stats = stuck_region_experiment(
-        oracle, params.tssrg, cfg.couple.nu, cfg.couple.trials, stream,
+        oracle, params, cfg.couple.nu, cfg.couple.trials, stream,
         rho_hat=rho, delta=params.delta, r=params.r, c2=cfg.couple.c2,
         c3=cfg.couple.c3)
     payload = stats.as_dict()
-    payload["params"] = params_dict(params)
+    payload["params"] = dataclasses.asdict(params)
     target = out if out is not None else cfg.out
     if target is not None:
         _write_json(target, ".couple.json", payload)

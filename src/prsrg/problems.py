@@ -400,6 +400,10 @@ class DataRayleighInstance(_PairedComponentObjective):
         self.manifold = Sphere(self.d)
         self.sigma_hint = None
 
+    def prefix(self, n: int):
+        raise ParameterError("a data objective has no prefix: its n is the "
+                             "data matrix's row count")
+
     def _matvec_mean(self, batch: Batch, Y: np.ndarray):
         if batch.idx is None:
             return super()._matvec_mean(batch, Y)

@@ -302,7 +302,7 @@ class PullbackOracle:
         if pairs < 1:
             raise ParameterError("need at least one probe pair")
         man, x = self.manifold, self.anchor
-        D = man.ball_radius_D
+        D = man.D
         # probes stay strictly inside so the FD Hessian offsets cannot poke
         # past the chart boundary
         Dp = D * 0.99 - HVP_FD_STEP * (1.0 + D)

@@ -26,7 +26,7 @@ from typing import Optional
 
 from .diagnostics import Certification, certify
 from .errors import ContractViolation, InvariantViolation, ParameterError
-from .geometry import Manifold, ManifoldPoint, TangentVector
+from .geometry import ManifoldPoint, TangentVector
 from .pullback import LipschitzEstimate, PullbackOracle
 from .rng import TAG_CHECK, TAG_DIAG, TAG_OUTER, TAG_PERTURB, as_stream
 from .trace import _STEP_EVENTS, TraceRow
@@ -62,21 +62,23 @@ class SolverConstants:
 
 
 @dataclass(frozen=True)
-class SolverParams:
-    tssrg: TssrgParams
+class SolverParams(TssrgParams):
+    """The inner loop's parameters, the perturbation radius r, (epsilon,
+    delta), the budget and the mode: report.json's params, by field name."""
+
     r: float
     epsilon: float
     delta: float
     budget: int
     mode: str
 
-    def __post_init__(self):
+    def _check(self):
+        super()._check()
         if not (0 < self.epsilon < math.inf and 0 < self.delta < math.inf):
             raise ParameterError("epsilon and delta must be positive and "
                                  "finite")
         if not 0 <= self.r < math.inf:
-            raise ParameterError(f"perturbation radius must be finite and "
-                                 f">= 0, got {self.r}")
+            raise ParameterError(f"r must be finite and >= 0, got {self.r}")
         if self.budget < 0:
             raise ParameterError(f"budget must be >= 0, got {self.budget}")
         if self.mode not in (FINITE_SUM, ONLINE):
@@ -149,36 +151,12 @@ def derive_params(mode: str, n_or_sigma, epsilon: float, delta: float,
         raise ParameterError(f"L_hat must be positive, got {L_hat}")
     if rho_hat < 0 or not math.isfinite(rho_hat):
         raise ParameterError(f"rho_hat must be >= 0, got {rho_hat}")
-    if D <= 0:
-        raise ParameterError(f"ball radius D must be positive, got {D}")
     if delta > L_hat:
         warnings.warn(
             f"delta={delta} exceeds the gradient Lipschitz estimate "
             f"L_hat={L_hat}; the Hessian clause is looser than the estimated "
             "curvature scale (certification still checks it)", stacklevel=2)
-    if mode == FINITE_SUM:
-        n = n_or_sigma
-        if n != int(n) or int(n) < 1:
-            raise ParameterError(f"finite_sum needs a positive integer n, "
-                                 f"got {n_or_sigma!r}")
-        n = int(n)
-        m = b = math.ceil(math.sqrt(n))
-        B = n
-    elif mode == ONLINE:
-        sigma = float(n_or_sigma)
-        if not (sigma > 0 and math.isfinite(sigma)):
-            raise ParameterError(f"online needs sigma > 0, got {n_or_sigma!r}")
-        try:  # ceil of inf or nan, or epsilon^2 underflowing to 0, raises;
-            # a size past TssrgParams' 2**63 bound is the same failure
-            m = b = math.ceil(cons.c_m * sigma / epsilon)
-            B = math.ceil(cons.c_B * sigma * sigma / (epsilon * epsilon))
-            if max(m, B) >= 2 ** 63:
-                raise OverflowError
-        except (ArithmeticError, ValueError) as exc:
-            raise ParameterError(f"online batch sizes overflow at sigma="
-                                 f"{sigma}, epsilon={epsilon}") from exc
-    else:
-        raise ParameterError(f"mode must be finite_sum or online, got {mode!r}")
+    m, B = _batch_sizes(mode, n_or_sigma, epsilon, cons)
     eta = cons.c_eta / L_hat
     T_max = math.ceil(cons.c_T / delta)
     if rho_hat > 0:
@@ -187,9 +165,35 @@ def derive_params(mode: str, n_or_sigma, epsilon: float, delta: float,
         r = min(r, D)
     else:
         r = D
-    tss = TssrgParams(eta=eta, m=m, b=b, B_size=B, D=D, T_max=T_max)
-    return SolverParams(tssrg=tss, r=r, epsilon=epsilon, delta=delta,
-                        budget=budget, mode=mode)
+    return SolverParams(eta=eta, m=m, b=m, B=B, D=D, T_max=T_max, r=r,
+                        epsilon=epsilon, delta=delta, budget=budget,
+                        mode=mode)
+
+
+def _batch_sizes(mode: str, n_or_sigma, epsilon: float,
+                 cons: SolverConstants) -> tuple[int, int]:
+    """(m = b, B) for the mode: see ``derive_params``."""
+    if mode == FINITE_SUM:
+        if n_or_sigma != int(n_or_sigma) or int(n_or_sigma) < 1:
+            raise ParameterError(f"finite_sum needs a positive integer n, "
+                                 f"got {n_or_sigma!r}")
+        n = int(n_or_sigma)
+        return math.ceil(math.sqrt(n)), n
+    if mode == ONLINE:
+        sigma = float(n_or_sigma)
+        if not (sigma > 0 and math.isfinite(sigma)):
+            raise ParameterError(f"online needs sigma > 0, got {n_or_sigma!r}")
+        try:  # ceil of inf or nan, or epsilon^2 underflowing to 0, raises;
+            # a size past TssrgParams' 2**63 bound is the same failure
+            m = math.ceil(cons.c_m * sigma / epsilon)
+            B = math.ceil(cons.c_B * sigma * sigma / (epsilon * epsilon))
+            if max(m, B) >= 2 ** 63:
+                raise OverflowError
+        except (ArithmeticError, ValueError) as exc:
+            raise ParameterError(f"online batch sizes overflow at sigma="
+                                 f"{sigma}, epsilon={epsilon}") from exc
+        return m, B
+    raise ParameterError(f"mode must be finite_sum or online, got {mode!r}")
 
 
 def small_grad_check(oracle: PullbackOracle, B_size: int, epsilon: float,
@@ -231,8 +235,7 @@ def _half_rule_large(rows, epsilon: float) -> bool:
     return 2 * large >= len(norms)
 
 
-def prsrg_run(objective, manifold: Manifold, x0: ManifoldPoint,
-              params: SolverParams, rng, *,
+def prsrg_run(objective, x0: ManifoldPoint, params: SolverParams, rng, *,
               record_gaps: bool = False) -> SolverReport:
     """Run the full solver from x0 under a strict query budget.
 
@@ -241,20 +244,15 @@ def prsrg_run(objective, manifold: Manifold, x0: ManifoldPoint,
     are tallied separately in diag_queries and never count against the
     budget.
     """
-    if manifold.manifold_id != objective.manifold.manifold_id:
-        raise ContractViolation(
-            f"manifold {manifold.manifold_id} does not match objective's "
-            f"{objective.manifold.manifold_id}")
+    manifold = objective.manifold
     manifold._require_point(x0)
-    if params.tssrg.D > manifold.D * (1.0 + 1e-12):
+    if params.D > manifold.D * (1.0 + 1e-12):
         raise ContractViolation(
-            f"run ball radius {params.tssrg.D} exceeds the manifold chart "
+            f"run ball radius {params.D} exceeds the manifold chart "
             f"radius {manifold.D}")
     stream, seed = as_stream(rng)
 
-    B = params.tssrg.B_size
-    b = params.tssrg.b
-    m = params.tssrg.m
+    B, b, m = params.B, params.b, params.m
     rows_all: list[TraceRow] = []
     counts = dict.fromkeys(EPOCH_KEYS, 0)
     total_q = 0
@@ -296,9 +294,9 @@ def prsrg_run(objective, manifold: Manifold, x0: ManifoldPoint,
                 total_q += oracle.queries
                 diag_q += oracle.diag_queries
                 break
-            radius = min(params.r, params.tssrg.D)
+            radius = min(params.r, params.D)
             remaining = params.budget - total_q - oracle.queries
-            T_run = min(params.tssrg.T_max,
+            T_run = min(params.T_max,
                         _affordable_T(remaining, B, b, m, False))
             if T_run < 1:
                 total_q += oracle.queries
@@ -306,7 +304,7 @@ def prsrg_run(objective, manifold: Manifold, x0: ManifoldPoint,
                 break
             check_row.epoch_type = "escape"
             u0 = manifold.sample_ball(x, radius, ostream.child(TAG_PERTURB))
-            out = tssrg_run(oracle, u0, params.tssrg._capped(T_run),
+            out = tssrg_run(oracle, u0, params._capped(T_run),
                             ostream, outer_t=outer_t, record_gaps=record_gaps,
                             query_offset=total_q)
             for row in out.segment.rows:
@@ -317,7 +315,7 @@ def prsrg_run(objective, manifold: Manifold, x0: ManifoldPoint,
             remaining = params.budget - total_q - oracle.queries
             T_run = min(m, _affordable_T(remaining, B, b, m, True))
             out = tssrg_run(oracle, manifold.zero_tangent(x),
-                            params.tssrg._capped(T_run), ostream,
+                            params._capped(T_run), ostream,
                             outer_t=outer_t, anchor_grad=g,
                             record_gaps=record_gaps, query_offset=total_q)
             rows_all.extend(out.segment.rows)
@@ -366,23 +364,11 @@ def probe_params(objective, x0: ManifoldPoint, epsilon: float,
                  constants: SolverConstants | None = None,
                  estimate: LipschitzEstimate | None = None
                  ) -> tuple[SolverParams, LipschitzEstimate]:
-    """Probe smoothness at x0 and derive run parameters from it.
-
-    The mode defaults to finite_sum when the objective is a finite sum and
-    to online otherwise; online mode scales by the objective's sigma_hint.
-    The probe draws from ``stream.child(TAG_DIAG)``; a given ``estimate``
+    """Probe smoothness at x0 and derive run parameters from it, at the
+    mode and scale that ``_mode_scale`` gives. The probe draws from ``stream.child(TAG_DIAG)``; a given ``estimate``
     (an earlier probe at the same Abar, x0 and stream) replaces it.
     """
-    if mode is None:
-        mode = FINITE_SUM if objective.n is not None else ONLINE
-    if mode == FINITE_SUM:
-        if objective.n is None:
-            raise ParameterError("finite_sum mode needs a finite sum")
-        scale = objective.n
-    else:
-        if objective.sigma_hint is None:
-            raise ParameterError("online mode needs a sigma estimate")
-        scale = objective.sigma_hint
+    mode, scale = _mode_scale(objective, mode)
     est = estimate
     if est is None:
         est = PullbackOracle(objective, x0).estimate_lipschitz(
@@ -393,6 +379,19 @@ def probe_params(objective, x0: ManifoldPoint, epsilon: float,
     return params, est
 
 
+def _mode_scale(objective, mode: str | None) -> tuple[str, object]:
+    """(mode, n or sigma_hint); a finite sum defaults to finite_sum."""
+    if mode is None:
+        mode = FINITE_SUM if objective.n is not None else ONLINE
+    if mode == FINITE_SUM:
+        if objective.n is None:
+            raise ParameterError("finite_sum mode needs a finite sum")
+        return mode, objective.n
+    if objective.sigma_hint is None:
+        raise ParameterError("online mode needs a sigma estimate")
+    return mode, objective.sigma_hint
+
+
 def auto_solve(objective, x0: ManifoldPoint, epsilon: float, delta: float,
                budget: int, rng, *, mode: str | None = None,
                constants: SolverConstants | None = None,
@@ -401,7 +400,7 @@ def auto_solve(objective, x0: ManifoldPoint, epsilon: float, delta: float,
     stream, seed = as_stream(rng)
     params, _ = probe_params(objective, x0, epsilon, delta, budget, stream,
                              mode=mode, constants=constants)
-    report = prsrg_run(objective, objective.manifold, x0, params, stream,
+    report = prsrg_run(objective, x0, params, stream,
                        record_gaps=record_gaps)
     report.seed = seed
     return report, params

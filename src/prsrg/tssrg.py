@@ -2,7 +2,7 @@
 
 The loop descends a pullback objective F_hat = f(R_x(u)) over the ball
 B(0, D) in T_x M using a recursively corrected stochastic gradient: every
-``m`` steps an anchor gradient is taken on a batch of size ``B_size`` and in
+``m`` steps an anchor gradient is taken on a batch of size ``B`` and in
 between the estimator is updated as
 
     v_t = grad F_hat_I(u_t) - grad F_hat_I(u_{t-1}) + v_{t-1}
@@ -70,25 +70,29 @@ class TssrgParams:
     eta: float
     m: int
     b: int
-    B_size: int
+    B: int
     D: float
     T_max: int
 
     def __post_init__(self):
+        self._check()
+        if self.b < self.m:
+            # level 3 skips the generated __init__ to the constructor's caller
+            warnings.warn(
+                f"minibatch size b={self.b} below epoch length m={self.m}; "
+                "the variance bound expects b >= m", stacklevel=3)
+
+    def _check(self):
+        """Raise ParameterError on a bad field; subclasses extend this."""
         if not (self.eta > 0 and math.isfinite(self.eta)):
             raise ParameterError(f"eta must be positive, got {self.eta}")
-        for name in ("m", "b", "B_size", "T_max"):
+        for name in ("m", "b", "B", "T_max"):
             v = getattr(self, name)
             if not (isinstance(v, (int, np.integer)) and 1 <= v < 2 ** 63):
                 raise ParameterError(
                     f"{name} must be an integer in [1, 2**63), got {v!r}")
         if not (self.D > 0 and math.isfinite(self.D)):
             raise ParameterError(f"D must be positive, got {self.D}")
-        if self.b < self.m:
-            # level 3 skips the generated __init__ to the constructor's caller
-            warnings.warn(
-                f"minibatch size b={self.b} below epoch length m={self.m}; "
-                "the variance bound expects b >= m", stacklevel=3)
 
     def _capped(self, T_max: int) -> "TssrgParams":
         """This with the cap T_max, an int the caller keeps in [1, 2**63);
@@ -207,7 +211,7 @@ def tssrg_run(oracle: PullbackOracle, u0: TangentVector, params: TssrgParams,
         v = anchor_grad.coords
     else:
         v = oracle._grad(obj.sample_largebatch(
-            params.B_size, stream.child(TAG_ANCHOR, 0)), u_prev)
+            params.B, stream.child(TAG_ANCHOR, 0)), u_prev)
     v_norm = _finite_norm(v, "anchor gradient", 0)
     F = oracle.value(u0)
     emit(0, u_prev, F, u_norm, v_norm, "anchor", gap=gap_at(u_prev, v))
@@ -248,7 +252,7 @@ def tssrg_run(oracle: PullbackOracle, u0: TangentVector, params: TssrgParams,
                 return finish(u_next, ExitReason(event), t)
             u_prev, u_norm = u_next, u_next_norm
         v = oracle._grad(obj.sample_largebatch(
-            params.B_size, stream.child(TAG_ANCHOR, t // params.m)), u_prev)
+            params.B, stream.child(TAG_ANCHOR, t // params.m)), u_prev)
         v_norm = _finite_norm(v, "anchor gradient", t)
         # the last step's F: that step ended at u_prev
         emit(0, u_prev, F, u_norm, v_norm, "anchor", gap=gap_at(u_prev, v))

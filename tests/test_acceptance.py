@@ -122,7 +122,7 @@ def test_04_full_batch_estimator_is_exact():
     stream = master_stream(404)
     x = man.rand_point(stream.child(TAG_INIT).generator())
     oracle = PullbackOracle(obj, x)
-    p = _quiet_params(eta=0.01, m=64, b=64, B_size=64, D=man.D, T_max=64)
+    p = _quiet_params(eta=0.01, m=64, b=64, B=64, D=man.D, T_max=64)
     out = tssrg_run(oracle, man.zero_tangent(x), p, stream, record_gaps=True)
     gaps = [r.estimator_gap for r in out.segment.rows
             if r.estimator_gap is not None]
@@ -148,7 +148,7 @@ def test_05_variance_ratio_flat_across_minibatch_sizes():
             stream = master_stream(5000 + s)
             x = man.rand_point(stream.child(TAG_INIT).generator())
             oracle = PullbackOracle(obj, x)
-            p = _quiet_params(eta=eta, m=16, b=b, B_size=256, D=man.D,
+            p = _quiet_params(eta=eta, m=16, b=b, B=256, D=man.D,
                               T_max=16)
             out = tssrg_run(oracle, man.zero_tangent(x), p, stream,
                             record_gaps=True)
@@ -181,7 +181,7 @@ def test_06_large_gradient_epochs_do_not_increase_objective():
         oracle = PullbackOracle(obj, x)
         # random starts on this instance always sit above the threshold
         assert oracle.exact_grad(oracle.zero()).norm >= eps
-        p = _quiet_params(eta=eta, m=32, b=32, B_size=1000, D=man.D, T_max=32)
+        p = _quiet_params(eta=eta, m=32, b=32, B=1000, D=man.D, T_max=32)
         out = tssrg_run(oracle, man.zero_tangent(x), p, stream)
         good += obj.value(out.result) <= obj.value(x)
     _verdict(6, "objective non-increase from large-gradient starts",
@@ -195,7 +195,7 @@ def _coupled_runs(obj, eta, r0, m, b, T, stream):
     x0 = man.point(np.zeros(man.ambient_dim))
     oracle = PullbackOracle(obj, x0)
     emin = obj.rotation[:, 0]
-    p = _quiet_params(eta=eta, m=m, b=b, B_size=obj.n, D=man.D, T_max=T)
+    p = _quiet_params(eta=eta, m=m, b=b, B=obj.n, D=man.D, T_max=T)
     ua = TangentVector(x0, +0.5 * r0 * emin)
     ub = TangentVector(x0, -0.5 * r0 * emin)
     # one stream for both runs: the same minibatches at every shared step
@@ -265,7 +265,7 @@ def _escape_runs():
         est = probe.estimate_lipschitz(stream.child(TAG_DIAG).generator())
         params = derive_params(FINITE_SUM, 1000, 1e-3, 0.1, est.L_hat,
                                est.rho_hat, D=man.D, budget=5_000_000)
-        rep = prsrg_run(obj, man, x0, params, stream)
+        rep = prsrg_run(obj, x0, params, stream)
         runs.append((rep, est))
     return obj, runs, time.perf_counter() - t0
 
@@ -291,7 +291,7 @@ def test_08_saddle_escape_end_to_end():
     params = derive_params(FINITE_SUM, 1000, 1e-3, 0.1, est.L_hat,
                            est.rho_hat, D=man.D, budget=5_000_000)
     params = dataclasses.replace(params, r=0.0)
-    rep0 = prsrg_run(obj, man, x0, params, stream)
+    rep0 = prsrg_run(obj, x0, params, stream)
     move = float(np.linalg.norm(rep0.final_point.coords - x0.coords))
     elapsed = t_main + time.perf_counter() - t1
 
@@ -355,7 +355,7 @@ def test_11_queries_to_certification_scale_like_sqrt_n():
             params = derive_params(FINITE_SUM, n, 0.05, 0.5, est.L_hat,
                                    est.rho_hat, cons, D=man.D,
                                    budget=10_000_000)
-            rep = prsrg_run(obj, man, x0, params, stream)
+            rep = prsrg_run(obj, x0, params, stream)
             assert rep.exit_reason == "certified"
             queries.append(rep.queries_used)
         medians.append(float(np.median(queries)))

@@ -48,7 +48,7 @@ def test_prgd_converges_on_convex_quadratic():
     x0 = obj.manifold.point(0.3 * rng.standard_normal(8))
     eps = 1e-6
     config = BaselineConfig(kind="prgd", eta=1.0 / L, r=1e-3)
-    report = baseline_run(obj, obj.manifold, x0, config, epsilon=eps,
+    report = baseline_run(obj, x0, config, epsilon=eps,
                           delta=0.5, budget=10_000_000, rng=1)
     assert report.exit_reason == "certified"
     assert report.certified.grad_norm <= eps
@@ -66,7 +66,7 @@ def test_prgd_escapes_rayleigh_saddle():
         ([2.0, 1.0], np.linspace(0.9, 0.1, 10))), noise_scale=0.0, seed=None)
     x0 = obj.eigvec(1)
     config = BaselineConfig(kind="prgd", eta=0.05, r=1e-3, escape_steps=40)
-    report = baseline_run(obj, obj.manifold, x0, config, epsilon=1e-4,
+    report = baseline_run(obj, x0, config, epsilon=1e-4,
                           delta=0.5, budget=2_000_000, rng=5)
     assert report.exit_reason == "certified"
     align = abs(report.certified_point.coords @ obj.eigvec(0).coords)
@@ -79,7 +79,7 @@ def test_prgd_rows_labeled_baseline():
     rng = np.random.default_rng(3)
     x0 = obj.manifold.rand_point(rng)
     config = BaselineConfig(kind="prgd", eta=0.05, r=1e-3)
-    report = baseline_run(obj, obj.manifold, x0, config, epsilon=1e-3,
+    report = baseline_run(obj, x0, config, epsilon=1e-3,
                           delta=0.5, budget=5_000, rng=7)
     assert report.trace
     assert all(r.epoch_type == "baseline" for r in report.trace)
@@ -96,7 +96,7 @@ def test_rsgd_decreases_objective():
     rng = np.random.default_rng(4)
     x0 = obj.manifold.rand_point(rng)
     config = BaselineConfig(kind="rsgd", eta=0.02, batch=4)
-    report = baseline_run(obj, obj.manifold, x0, config, epsilon=1e-3,
+    report = baseline_run(obj, x0, config, epsilon=1e-3,
                           delta=0.5, budget=8_000, rng=11)
     assert report.certified is None  # rsgd never certifies
     assert report.best_F < obj.value(x0)
@@ -111,7 +111,7 @@ def test_rsgd_budget_zero_vacuous():
                         noise_scale=0.1, seed=0)
     x0 = obj.eigvec(0)
     config = BaselineConfig(kind="rsgd", eta=0.1, batch=2)
-    report = baseline_run(obj, obj.manifold, x0, config, epsilon=1e-3,
+    report = baseline_run(obj, x0, config, epsilon=1e-3,
                           delta=0.5, budget=0, rng=0)
     assert report.queries_used == 0
     assert report.trace == []
@@ -124,7 +124,7 @@ def _rsrg_unperturbed(obj, x0, epsilon, delta, budget, seed):
     # the harness's rsrg_unperturbed path: probed parameters, r forced to 0
     stream = master_stream(seed)
     params, _ = probe_params(obj, x0, epsilon, delta, budget, stream)
-    return prsrg_run(obj, obj.manifold, x0, replace(params, r=0.0), stream)
+    return prsrg_run(obj, x0, replace(params, r=0.0), stream)
 
 
 def test_rsrg_unperturbed_never_leaves_exact_saddle():
@@ -156,13 +156,13 @@ def test_baseline_validation():
     x0 = obj.eigvec(0)
     config = BaselineConfig(kind="rsgd", eta=0.1)
     with pytest.raises(ParameterError):
-        baseline_run(obj, obj.manifold, x0, config, epsilon=0.0, delta=0.5,
+        baseline_run(obj, x0, config, epsilon=0.0, delta=0.5,
                      budget=100, rng=0)
     with pytest.raises(ParameterError):
-        baseline_run(obj, obj.manifold, x0, config, epsilon=0.1, delta=0.5,
+        baseline_run(obj, x0, config, epsilon=0.1, delta=0.5,
                      budget=-1, rng=0)
     with pytest.raises(ParameterError):
-        baseline_run(obj, obj.manifold, x0, config, epsilon=0.1, delta=0.5,
+        baseline_run(obj, x0, config, epsilon=0.1, delta=0.5,
                      budget=100, rng="not-a-seed")
 
 
@@ -180,7 +180,7 @@ def test_prgd_spends_more_queries_than_prsrg_head_to_head():
                                       budget=3_000_000, rng=seed)
         config = BaselineConfig(kind="prgd", eta=0.05, r=1e-3,
                                 escape_steps=30)
-        base_report = baseline_run(obj, obj.manifold, x0, config,
+        base_report = baseline_run(obj, x0, config,
                                    epsilon=0.05, delta=0.5,
                                    budget=3_000_000, rng=seed)
         solver_q = (solver_report.queries_used

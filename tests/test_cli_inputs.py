@@ -67,6 +67,13 @@ def _assert_one_error_line(capsys):
     return lines[0]
 
 
+# an override out of its range; the overrides build the run's parameters,
+# and the error names the [solver] key
+SOLVER_OVERRIDES = {"B_zero": "B = 0", "m_zero": "m = 0",
+                    "T_max_zero": "T_max = 0", "eta_negative": "eta = -1",
+                    "r_negative": "r = -1", "D_negative": "D = -1"}
+
+
 @pytest.mark.parametrize("case", [
     "sweep_n_not_integer", "coords_not_numeric", "eig_not_integer",
     "eig_out_of_range", "data_csv_not_numeric", "data_csv_non_finite",
@@ -89,7 +96,7 @@ def _assert_one_error_line(capsys):
     "sweep_seeds_past_64_bits", "n_pair_store_80_PiB",
     "n_pair_store_past_int64", "sweep_n_pair_store_80_PiB",
     "config_not_utf8", "print_config_not_utf8", "B_above_n",
-    "online_B_above_n",
+    "online_B_above_n", *SOLVER_OVERRIDES,
 ])
 def test_bad_input_exits_2_with_one_line(case, tmp_path, capsys):
     cfg_text = BASE.format(start="random")
@@ -236,6 +243,8 @@ def test_bad_input_exits_2_with_one_line(case, tmp_path, capsys):
         cfg_text += f"m = {2 ** 63}\n"
     elif case == "B_above_n":
         cfg_text += "B = 100\n"
+    elif case in SOLVER_OVERRIDES:
+        cfg_text += SOLVER_OVERRIDES[case] + "\n"
     elif case == "online_B_above_n":
         # online sizing of a finite sum derives B = 1024 for n = 30
         cfg_text += "mode = online\n"
@@ -323,6 +332,9 @@ def test_bad_input_exits_2_with_one_line(case, tmp_path, capsys):
                   "[solver] mode = online derives B = 1024, above the "
                   "finite sum's n = 30"}
     assert expect.get(case, "") in line
+    if case in SOLVER_OVERRIDES:
+        key = SOLVER_OVERRIDES[case].split()[0]
+        assert line.startswith(f"error: [solver] {key} must be"), line
     if command == "sweep":
         # bad input is found before the first cell writes anything
         assert not any((tmp_path / "sweep").glob("*"))

@@ -38,7 +38,7 @@ from conftest import HESSIAN_KINDS, kind_oracle
 
 
 def _params(**kw):
-    base = dict(eta=0.05, m=5, b=5, B_size=50, D=0.5, T_max=50)
+    base = dict(eta=0.05, m=5, b=5, B=50, D=0.5, T_max=50)
     base.update(kw)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -362,7 +362,7 @@ def test_variance_ratio_zero_for_exact_estimator(medium_rayleigh):
     oracle = PullbackOracle(medium_rayleigh, x)
     u0 = medium_rayleigh.manifold.sample_ball(x, 0.05, rng)
     n = medium_rayleigh.n
-    params = _params(eta=0.01, m=6, b=n, B_size=n, T_max=6)
+    params = _params(eta=0.01, m=6, b=n, B=n, T_max=6)
     out = tssrg_run(oracle, u0, params, master_stream(1).child(TAG_OUTER, 0),
                     record_gaps=True)
     rep = check_variance_bound(out.segment, L_hat=6.0, b=n, B_size=n)
@@ -374,7 +374,7 @@ def test_variance_ratio_finite_for_stochastic_run(medium_rayleigh):
     x = medium_rayleigh.manifold.rand_point(rng)
     oracle = PullbackOracle(medium_rayleigh, x)
     u0 = medium_rayleigh.manifold.sample_ball(x, 0.05, rng)
-    params = _params(eta=0.01, m=8, b=8, B_size=medium_rayleigh.n, T_max=16)
+    params = _params(eta=0.01, m=8, b=8, B=medium_rayleigh.n, T_max=16)
     out = tssrg_run(oracle, u0, params, master_stream(2).child(TAG_OUTER, 0),
                     record_gaps=True)
     rep = check_variance_bound(out.segment, L_hat=6.0, b=8,
@@ -403,7 +403,7 @@ def test_variance_requires_gap_recording(medium_rayleigh):
     x = medium_rayleigh.manifold.rand_point(rng)
     oracle = PullbackOracle(medium_rayleigh, x)
     u0 = medium_rayleigh.manifold.sample_ball(x, 0.05, rng)
-    params = _params(eta=0.01, m=4, b=4, B_size=medium_rayleigh.n, T_max=4)
+    params = _params(eta=0.01, m=4, b=4, B=medium_rayleigh.n, T_max=4)
     out = tssrg_run(oracle, u0, params, master_stream(3).child(TAG_OUTER, 0))
     with pytest.raises(SchemaError):
         check_variance_bound(out.segment, L_hat=6.0, b=4,
@@ -419,7 +419,7 @@ def test_variance_validates_inputs():
 
 def test_localize_stationary_run_holds(clean_rayleigh):
     oracle = PullbackOracle(clean_rayleigh, clean_rayleigh.eigvec(1))
-    params = _params(m=4, b=4, B_size=clean_rayleigh.n, T_max=4)
+    params = _params(m=4, b=4, B=clean_rayleigh.n, T_max=4)
     out = tssrg_run(oracle, oracle.zero(), params,
                     master_stream(4).child(TAG_OUTER, 0), record_u=True)
     rep = check_improve_or_localize(out.segment, L_hat=6.0)
@@ -433,7 +433,7 @@ def test_localize_descent_run(medium_rayleigh):
     x = medium_rayleigh.manifold.rand_point(rng)
     oracle = PullbackOracle(medium_rayleigh, x)
     n = medium_rayleigh.n
-    params = _params(eta=0.02, m=10, b=n, B_size=n, T_max=10)
+    params = _params(eta=0.02, m=10, b=n, B=n, T_max=10)
     u0 = medium_rayleigh.manifold.sample_ball(x, 0.01, rng)
     out = tssrg_run(oracle, u0, params, master_stream(5).child(TAG_OUTER, 0),
                     record_u=True)
@@ -458,7 +458,7 @@ def test_localize_flags_increasing_objective():
 
 def test_localize_requires_iterate_recording(clean_rayleigh):
     oracle = PullbackOracle(clean_rayleigh, clean_rayleigh.eigvec(1))
-    params = _params(m=2, b=2, B_size=clean_rayleigh.n, T_max=2)
+    params = _params(m=2, b=2, B=clean_rayleigh.n, T_max=2)
     out = tssrg_run(oracle, oracle.zero(), params,
                     master_stream(6).child(TAG_OUTER, 0))
     with pytest.raises(SchemaError):
@@ -480,7 +480,7 @@ def test_escape_threshold_formula():
 
 def test_stuck_region_rejects_non_saddle(clean_rayleigh):
     oracle = PullbackOracle(clean_rayleigh, clean_rayleigh.eigvec(0))
-    params = _params(B_size=clean_rayleigh.n)
+    params = _params(B=clean_rayleigh.n)
     with pytest.raises(NotASaddle, match="not a certified saddle"):
         stuck_region_experiment(oracle, params, nu=0.1, trials=1,
                                 stream=master_stream(0), rho_hat=1.0,
@@ -491,7 +491,7 @@ def test_stuck_region_zero_trials_and_r0_arithmetic():
     obj = make_quadratic_saddle(d=100, gamma=1.0, L_top=2.0, n=4, seed=None,
                                 noise_scale=0.0)
     oracle = PullbackOracle(obj, obj.manifold.point(np.zeros(100)))
-    params = _params(eta=0.05, m=4, b=4, B_size=4, D=1.0, T_max=4)
+    params = _params(eta=0.05, m=4, b=4, B=4, D=1.0, T_max=4)
     stats = stuck_region_experiment(oracle, params, nu=0.1, trials=0,
                                     stream=master_stream(1), rho_hat=1.0,
                                     delta=0.5, r=0.01)
@@ -509,7 +509,7 @@ def test_stuck_region_deviation_time_closed_form():
                                 noise_scale=0.0)
     oracle = PullbackOracle(obj, obj.manifold.point(np.zeros(16)))
     nu, r, rho, delta, c2 = 0.1, 0.04, 1.0, 0.02, 1.0
-    params = _params(eta=eta, m=200, b=obj.n, B_size=obj.n, D=5.0, T_max=200)
+    params = _params(eta=eta, m=200, b=obj.n, B=obj.n, D=5.0, T_max=200)
     stats = stuck_region_experiment(oracle, params, nu=nu, trials=3,
                                     stream=master_stream(2), rho_hat=rho,
                                     delta=delta, r=r, c2=c2)
@@ -531,7 +531,7 @@ def test_stuck_region_rayleigh_saddle_escapes():
     x = obj.eigvec(1)
     oracle = PullbackOracle(obj, x)
     est = oracle.estimate_lipschitz(master_stream(0).child(8).generator())
-    params = _params(eta=0.1 / est.L_hat, m=7, b=7, B_size=obj.n, T_max=300)
+    params = _params(eta=0.1 / est.L_hat, m=7, b=7, B=obj.n, T_max=300)
     # c2 sized so the threshold nu*D/sqrt(dim) is reachable inside the ball
     stats = stuck_region_experiment(oracle, params, nu=0.1, trials=20,
                                     stream=master_stream(3),
@@ -547,7 +547,7 @@ def test_stuck_region_rayleigh_saddle_escapes():
 
 def test_stuck_region_parameter_validation(clean_rayleigh):
     oracle = PullbackOracle(clean_rayleigh, clean_rayleigh.eigvec(1))
-    params = _params(B_size=clean_rayleigh.n)
+    params = _params(B=clean_rayleigh.n)
     with pytest.raises(ParameterError):
         stuck_region_experiment(oracle, params, nu=0.0, trials=1,
                                 stream=master_stream(0), rho_hat=1.0,

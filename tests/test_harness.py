@@ -26,7 +26,7 @@ from prsrg.harness import (BaselineSpec, CoupleSpec, ExperimentConfig,
 from prsrg.problems import PAIR_BLOCK, save_matrix
 from prsrg.pullback import PullbackOracle
 from prsrg.rng import master_stream
-from prsrg.solver import SolverConstants
+from prsrg.solver import SolverConstants, SolverParams
 from prsrg.trace import COLUMNS, TraceRow, rows_to_csv, write_trace
 
 from conftest import read_trace
@@ -533,12 +533,11 @@ def test_solver_overrides_reach_params():
     obj = build_problem(cfg)
     stream = master_stream(cfg.seed)
     x0 = resolve_start(cfg, obj, stream)
-    params, est = resolve_params(cfg, obj, x0, stream)
-    t = params.tssrg
-    assert (t.eta, t.m, t.b, t.B_size, t.T_max, t.D) == (0.05, 4, 4, 16, 9, 0.4)
-    assert isinstance(t.m, int) and isinstance(t.B_size, int)
-    assert params.r == 0.001
-    assert params.budget == cfg.budget
+    p, est = resolve_params(cfg, obj, x0, stream)
+    assert (p.eta, p.m, p.b, p.B, p.T_max, p.D) == (0.05, 4, 4, 16, 9, 0.4)
+    assert isinstance(p.m, int) and isinstance(p.B, int)
+    assert p.r == 0.001
+    assert p.budget == cfg.budget
     assert est.l_hat > 0
 
 
@@ -557,12 +556,25 @@ def test_run_experiment_writes_artifacts(tmp_path):
     payload = json.loads(report_path.read_text())
     assert set(payload) == {"config", "params", "report"}
     assert parse_config(payload["config"]) == cfg
-    t = params.tssrg
-    assert payload["params"]["m"] == t.m
-    assert payload["params"]["B"] == t.B_size
+    assert payload["params"]["m"] == params.m
+    assert payload["params"]["B"] == params.B
     assert payload["report"] == report.as_dict()
     assert payload["report"]["queries_used"] <= cfg.budget
     assert payload["report"]["seed"] == 7
+
+
+def test_report_params_are_the_solver_params_fields(tmp_path):
+    # one naming from [solver] to report.json: the record's fields are the
+    # [solver] override keys plus epsilon, delta, mode and budget
+    cfg = parse_config(SMALL_RUN + "B = 16\nr = 0.001\n")
+    prefix = tmp_path / "exp"
+    _, params = run_experiment(cfg, out=str(prefix))
+    payload = json.loads(prefix.with_suffix(".report.json").read_text())
+    fields = {f.name for f in dataclasses.fields(SolverParams)}
+    run_keys = {"epsilon", "delta", "mode", "budget"}
+    overrides = {f.name for f in dataclasses.fields(SolverSpec)} - run_keys
+    assert set(payload["params"]) == fields == overrides | run_keys
+    assert SolverParams(**payload["params"]) == params
 
 
 def test_run_experiment_budget_zero_vacuous():
@@ -656,6 +668,28 @@ def test_sweep_probes_smoothness_once_per_seed(tmp_path, monkeypatch, algo,
     rows = run_sweep(parse_config(text), tmp_path / "grid")
     assert len(rows) == 6
     assert seen == [7] * probes
+
+
+@pytest.mark.parametrize("solver_keys, key", [
+    ("B = 100\n", "[solver] B = 100"),
+    ("mode = online\n", "[solver] mode = online derives B = 1024"),
+])
+def test_batch_above_n_is_rejected_before_the_probe(monkeypatch, solver_keys,
+                                                     key):
+    # B depends only on n, the mode, sigma_hint and the overrides, so a B
+    # above n exits before the smoothness probe runs
+    seen = []
+    real = PullbackOracle.estimate_lipschitz
+
+    def counting_probe(self, rng, *args, **kwargs):
+        seen.append(self.objective.n)
+        return real(self, rng, *args, **kwargs)
+
+    monkeypatch.setattr(PullbackOracle, "estimate_lipschitz", counting_probe)
+    with pytest.raises(ParameterError, match=re.escape(
+            f"{key}, above the finite sum's n = 30")):
+        run_experiment(parse_config(SMALL_RUN + solver_keys))
+    assert seen == []
 
 
 @pytest.mark.parametrize("kind", ["rayleigh", "quadratic_saddle"])

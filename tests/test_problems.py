@@ -485,6 +485,14 @@ def test_epoch_draw_rejects_bad_minibatch_size_on_first_take():
 
 # -------------------------------------------------------- data-backed
 
+@pytest.mark.parametrize("n", [1, 4, 8])
+def test_data_rayleigh_has_no_prefix(n):
+    # its n is the data's row count, which no sweep can shorten
+    obj = make_data_rayleigh(np.arange(24.0).reshape(8, 3))
+    with pytest.raises(ParameterError, match="data objective has no prefix"):
+        obj.prefix(n)
+
+
 def test_data_rayleigh_rejects_empty():
     with pytest.raises(ParameterError):
         make_data_rayleigh(np.zeros((0, 3)))

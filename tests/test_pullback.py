@@ -359,7 +359,7 @@ def _reference_probe(oracle, rng, pairs):
     two exact gradients per pair and a central-difference Hessian action at
     u and at v, four more."""
     man, x = oracle.manifold, oracle.anchor
-    D = man.ball_radius_D
+    D = man.D
 
     def central_hvp(u, w):
         nv = w.norm
@@ -423,7 +423,7 @@ def _with_skipped_pairs(monkeypatch, man):
 
     def sample_ball(x, r, rng):
         out = draw(man, x, r, rng)
-        if r == min(1.0, man.ball_radius_D):
+        if r == min(1.0, man.D):
             return man.zero_tangent(x) if next(w_draws) % 3 == 1 else out
         i = next(pair_draws)
         if i % 10 == 1:

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import warnings
 from collections import Counter
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -41,10 +41,10 @@ from prsrg.rng import (TAG_ANCHOR, TAG_BATCH, TAG_CHECK, TAG_OUTER,
 def test_finite_sum_parameter_formulas():
     p = derive_params("finite_sum", 10_000, epsilon=0.01, delta=0.1,
                       L_hat=4.0, rho_hat=1.0)
-    assert p.tssrg.m == 100 and p.tssrg.b == 100
-    assert p.tssrg.B_size == 10_000
-    assert p.tssrg.eta == pytest.approx(0.1 / 4.0)
-    assert p.tssrg.T_max == 200  # ceil(20 / 0.1)
+    assert p.m == 100 and p.b == 100
+    assert p.B == 10_000
+    assert p.eta == pytest.approx(0.1 / 4.0)
+    assert p.T_max == 200  # ceil(20 / 0.1)
     assert p.mode == "finite_sum"
 
 
@@ -53,8 +53,8 @@ def test_online_parameter_formulas():
         warnings.simplefilter("ignore")
         p = derive_params("online", 1.0, epsilon=0.01, delta=0.1,
                           L_hat=2.0, rho_hat=1.0)
-    assert p.tssrg.m == 100 and p.tssrg.b == 100
-    assert p.tssrg.B_size == 160_000
+    assert p.m == 100 and p.b == 100
+    assert p.B == 160_000
     assert p.mode == "online"
 
 
@@ -112,17 +112,17 @@ def test_solver_constants_validation():
 
 
 def test_solver_params_validation():
-    tss = TssrgParams(eta=0.1, m=2, b=2, B_size=4, D=0.5, T_max=10)
-    SolverParams(tssrg=tss, r=0.0, epsilon=0.1, delta=0.1, budget=0,
+    tss = dict(eta=0.1, m=2, b=2, B=4, D=0.5, T_max=10)
+    SolverParams(**tss, r=0.0, epsilon=0.1, delta=0.1, budget=0,
                  mode="finite_sum")
     with pytest.raises(ParameterError):
-        SolverParams(tssrg=tss, r=-0.1, epsilon=0.1, delta=0.1, budget=10,
+        SolverParams(**tss, r=-0.1, epsilon=0.1, delta=0.1, budget=10,
                      mode="finite_sum")
     with pytest.raises(ParameterError):
-        SolverParams(tssrg=tss, r=0.1, epsilon=0.1, delta=0.1, budget=-1,
+        SolverParams(**tss, r=0.1, epsilon=0.1, delta=0.1, budget=-1,
                      mode="finite_sum")
     with pytest.raises(ParameterError):
-        SolverParams(tssrg=tss, r=0.1, epsilon=0.1, delta=0.1, budget=10,
+        SolverParams(**tss, r=0.1, epsilon=0.1, delta=0.1, budget=10,
                      mode="batch")
 
 
@@ -221,12 +221,12 @@ def test_affordable_T_closed_form_matches_search():
 # ---------------------------------------------------- NaN parameters
 
 NAN = float("nan")
-_TSS = TssrgParams(eta=0.1, m=2, b=2, B_size=4, D=0.5, T_max=3)
+_TSS = TssrgParams(eta=0.1, m=2, b=2, B=4, D=0.5, T_max=3)
 _SR = dict(rho_hat=1.0, delta=0.1, r=0.1)
 
 
 def _solver_params(**kw):
-    base = dict(tssrg=_TSS, r=0.1, epsilon=0.1, delta=0.1, budget=10,
+    base = dict(asdict(_TSS), r=0.1, epsilon=0.1, delta=0.1, budget=10,
                 mode="finite_sum")
     return SolverParams(**{**base, **kw})
 
@@ -254,11 +254,11 @@ def _solver_params(**kw):
     pytest.param(lambda o: stuck_region_experiment(
         o, _TSS, 0.1, 1, master_stream(0), **_SR, c2=NAN), id="stuck_c2"),
     pytest.param(lambda o: baseline_run(
-        o.objective, o.manifold, o.anchor, BaselineConfig("prgd", 0.1), NAN,
-        0.1, 10, 0), id="baseline_epsilon"),
+        o.objective, o.anchor, BaselineConfig("prgd", 0.1), NAN, 0.1, 10,
+        0), id="baseline_epsilon"),
     pytest.param(lambda o: baseline_run(
-        o.objective, o.manifold, o.anchor, BaselineConfig("prgd", 0.1), 0.1,
-        NAN, 10, 0), id="baseline_delta"),
+        o.objective, o.anchor, BaselineConfig("prgd", 0.1), 0.1, NAN, 10,
+        0), id="baseline_delta"),
     pytest.param(lambda o: BaselineConfig("prgd", 0.1, r=NAN),
                  id="baseline_r"),
 ])
@@ -280,8 +280,7 @@ def _tiny_params(n, *, budget, epsilon=1e-3, delta=0.1, L_hat=4.0,
 def test_zero_budget_is_vacuous(small_rayleigh):
     x0 = small_rayleigh.eigvec(2)
     params = _tiny_params(small_rayleigh.n, budget=0)
-    report = prsrg_run(small_rayleigh, small_rayleigh.manifold, x0, params,
-                       master_stream(0))
+    report = prsrg_run(small_rayleigh, x0, params, master_stream(0))
     assert report.queries_used == 0
     assert report.outer_iterations == 0
     assert report.exit_reason == "budget"
@@ -290,25 +289,17 @@ def test_zero_budget_is_vacuous(small_rayleigh):
     assert np.array_equal(report.best_point.coords, x0.coords)
 
 
-def test_manifold_mismatch_rejected(small_rayleigh, medium_rayleigh):
-    params = _tiny_params(small_rayleigh.n, budget=1000)
-    with pytest.raises(ContractViolation):
-        prsrg_run(small_rayleigh, medium_rayleigh.manifold,
-                  medium_rayleigh.eigvec(0), params, master_stream(0))
-
-
 def test_run_ball_must_fit_chart(small_rayleigh):
     params = _tiny_params(small_rayleigh.n, budget=1000, D=0.75)
     with pytest.raises(ContractViolation):
-        prsrg_run(small_rayleigh, small_rayleigh.manifold,
-                  small_rayleigh.eigvec(0), params, master_stream(0))
+        prsrg_run(small_rayleigh, small_rayleigh.eigvec(0), params,
+                  master_stream(0))
 
 
 def test_certifies_at_minimizer(small_rayleigh):
     x0 = small_rayleigh.eigvec(0)
     params = _tiny_params(small_rayleigh.n, budget=100_000)
-    report = prsrg_run(small_rayleigh, small_rayleigh.manifold, x0, params,
-                       master_stream(3))
+    report = prsrg_run(small_rayleigh, x0, params, master_stream(3))
     assert report.exit_reason == "certified"
     assert report.certified is not None and report.certified.passed
     assert np.array_equal(report.certified_point.coords, x0.coords)
@@ -322,10 +313,8 @@ def test_exact_saddle_with_zero_radius_never_moves():
                         noise_scale=0.0, seed=None)
     x0 = obj.eigvec(1)
     base = _tiny_params(obj.n, budget=4000)
-    params = SolverParams(tssrg=base.tssrg, r=0.0, epsilon=base.epsilon,
-                          delta=base.delta, budget=base.budget,
-                          mode=base.mode)
-    report = prsrg_run(obj, obj.manifold, x0, params, master_stream(7))
+    params = replace(base, r=0.0)
+    report = prsrg_run(obj, x0, params, master_stream(7))
     assert report.exit_reason == "budget"
     assert np.array_equal(report.final_point.coords, x0.coords)
     v1 = obj.eigvec(0).coords
@@ -344,8 +333,7 @@ def _stuck_run(monkeypatch, obj, certify_with):
 
     monkeypatch.setattr(solver, "certify", recorded)
     params = replace(_tiny_params(obj.n, budget=30_000), r=0.0)
-    report = prsrg_run(obj, obj.manifold, obj.eigvec(1), params,
-                       master_stream(11))
+    report = prsrg_run(obj, obj.eigvec(1), params, master_stream(11))
     return report, certs
 
 
@@ -373,7 +361,7 @@ def test_first_epoch_descends_from_large_gradient():
     rng = np.random.default_rng(2)
     x0 = obj.manifold.rand_point(rng)
     params = _tiny_params(obj.n, budget=50_000)
-    report = prsrg_run(obj, obj.manifold, x0, params, master_stream(5))
+    report = prsrg_run(obj, x0, params, master_stream(5))
     first = [r for r in report.trace if r.outer_t == 0]
     assert first[0].grad_norm_or_batch > params.epsilon  # genuinely large
     assert first[-1].F_value <= first[0].F_value + 1e-12
@@ -383,10 +371,9 @@ def test_epoch_labels_and_query_identity(medium_rayleigh):
     rng = np.random.default_rng(0)
     x0 = medium_rayleigh.manifold.rand_point(rng)
     params = _tiny_params(medium_rayleigh.n, budget=30_000)
-    report = prsrg_run(medium_rayleigh, medium_rayleigh.manifold, x0, params,
-                       master_stream(11))
+    report = prsrg_run(medium_rayleigh, x0, params, master_stream(11))
     assert report.trace, "run must emit rows"
-    B, b = params.tssrg.B_size, params.tssrg.b
+    B, b = params.B, params.b
     per_event = {"anchor": B, "grad_check": B, "step": 2 * b,
                  "uniform_break": 2 * b, "max_iter": 2 * b, "boundary": 0}
     assert report.queries_used == sum(per_event[r.event] for r in report.trace)
@@ -405,8 +392,7 @@ def test_escape_episodes_never_break_uniformly(medium_rayleigh):
     x0 = medium_rayleigh.eigvec(1)
     params = _tiny_params(medium_rayleigh.n, budget=20_000)
     assert params.r > 0
-    report = prsrg_run(medium_rayleigh, medium_rayleigh.manifold, x0, params,
-                       master_stream(13))
+    report = prsrg_run(medium_rayleigh, x0, params, master_stream(13))
     escape_rows = [r for r in report.trace if r.epoch_type == "escape"]
     assert escape_rows, "a small-gradient start must trigger an escape"
     assert all(r.event != "uniform_break" for r in escape_rows)
@@ -416,8 +402,7 @@ def test_monotone_best(medium_rayleigh):
     rng = np.random.default_rng(6)
     x0 = medium_rayleigh.manifold.rand_point(rng)
     params = _tiny_params(medium_rayleigh.n, budget=25_000)
-    report = prsrg_run(medium_rayleigh, medium_rayleigh.manifold, x0, params,
-                       master_stream(17))
+    report = prsrg_run(medium_rayleigh, x0, params, master_stream(17))
     assert report.best_F == pytest.approx(
         medium_rayleigh.value(report.best_point), abs=1e-12)
     assert report.best_F <= medium_rayleigh.value(x0) + 1e-12
@@ -429,8 +414,7 @@ def test_trailing_quiet_epoch_resolved(small_rayleigh):
     # the label must still be settled, never left empty
     x0 = small_rayleigh.eigvec(1)
     params = _tiny_params(small_rayleigh.n, budget=200)
-    report = prsrg_run(small_rayleigh, small_rayleigh.manifold, x0, params,
-                       master_stream(19))
+    report = prsrg_run(small_rayleigh, x0, params, master_stream(19))
     for row in report.trace:
         assert row.epoch_type in EPOCH_TYPES
 
@@ -439,10 +423,8 @@ def test_seed_reproducibility(medium_rayleigh):
     rng = np.random.default_rng(9)
     x0 = medium_rayleigh.manifold.rand_point(rng)
     params = _tiny_params(medium_rayleigh.n, budget=15_000)
-    a = prsrg_run(medium_rayleigh, medium_rayleigh.manifold, x0, params,
-                  master_stream(23))
-    b = prsrg_run(medium_rayleigh, medium_rayleigh.manifold, x0, params,
-                  master_stream(23))
+    a = prsrg_run(medium_rayleigh, x0, params, master_stream(23))
+    b = prsrg_run(medium_rayleigh, x0, params, master_stream(23))
     assert a.queries_used == b.queries_used
     assert np.array_equal(a.final_point.coords, b.final_point.coords)
     assert len(a.trace) == len(b.trace)
@@ -529,12 +511,11 @@ def test_charged_batches_never_share_samples(mode, generator_origins):
     else:
         obj = make_rayleigh(d=6, n=400, spectrum=spec, noise_scale=0.2,
                             seed=None)
-    tss = TssrgParams(eta=0.05, m=8, b=8, B_size=200, D=0.5, T_max=40)
-    params = SolverParams(tssrg=tss, r=0.05, epsilon=1.0, delta=0.1,
-                          budget=3000, mode=mode)
+    params = SolverParams(eta=0.05, m=8, b=8, B=200, D=0.5, T_max=40,
+                          r=0.05, epsilon=1.0, delta=0.1, budget=3000,
+                          mode=mode)
     ledger = _BatchLedger(obj, generator_origins)
-    report = prsrg_run(ledger, obj.manifold, obj.eigvec(1), params,
-                       master_stream(1))
+    report = prsrg_run(ledger, obj.eigvec(1), params, master_stream(1))
     assert report.epochs["escape"] >= 1
     assert ledger.queries == report.queries_used
     keys = list(ledger.charged.values())
@@ -548,19 +529,16 @@ def _escape_mints(mode, origins):
     spec = np.linspace(2.0, 0.5, 6)
     if mode == "online":
         obj = make_streaming_rayleigh(d=6, spectrum=spec, seed=None)
-        tss = TssrgParams(eta=0.05, m=8, b=8, B_size=200, D=0.5, T_max=40)
-        r = 0.05
+        B, r = 200, 0.05
     else:
         obj = make_rayleigh(d=6, n=64, spectrum=spec, noise_scale=0.2,
                             seed=None)
-        tss = TssrgParams(eta=0.05, m=8, b=8, B_size=64, D=0.5, T_max=40)
-        r = 0.0
-    params = SolverParams(tssrg=tss, r=r, epsilon=1.0, delta=0.1,
-                          budget=4000, mode=mode)
+        B, r = 64, 0.0
+    params = SolverParams(eta=0.05, m=8, b=8, B=B, D=0.5, T_max=40, r=r,
+                          epsilon=1.0, delta=0.1, budget=4000, mode=mode)
     _lanczos_start(obj.manifold.ambient_dim)
     origins.clear()
-    report = prsrg_run(obj, obj.manifold, obj.eigvec(1), params,
-                       master_stream(1))
+    report = prsrg_run(obj, obj.eigvec(1), params, master_stream(1))
     by_tag = {}
     for seed, path, _ in origins.values():
         assert seed == 1 and path[0] == TAG_OUTER
@@ -607,8 +585,8 @@ def test_auto_solve_selects_finite_sum(small_rayleigh):
                                 epsilon=1e-3, delta=0.5, budget=50_000,
                                 rng=31)
     assert params.mode == "finite_sum"
-    assert params.tssrg.m == int(np.ceil(np.sqrt(small_rayleigh.n)))
-    assert params.tssrg.B_size == small_rayleigh.n
+    assert params.m == int(np.ceil(np.sqrt(small_rayleigh.n)))
+    assert params.B == small_rayleigh.n
     assert report.exit_reason == "certified"
     assert report.seed == 31
 

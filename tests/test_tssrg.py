@@ -30,7 +30,7 @@ from prsrg.rng import TAG_ANCHOR, TAG_BATCH, TAG_OUTER, master_stream
 
 
 def _params(**kw):
-    base = dict(eta=0.1, m=4, b=4, B_size=8, D=0.5, T_max=100)
+    base = dict(eta=0.1, m=4, b=4, B=8, D=0.5, T_max=100)
     base.update(kw)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -63,7 +63,7 @@ def test_params_validation():
 
 def test_small_minibatch_warns_not_raises():
     with pytest.warns(UserWarning, match="b=2 below epoch length m=8"):
-        TssrgParams(eta=0.1, m=8, b=2, B_size=8, D=0.5, T_max=10)
+        TssrgParams(eta=0.1, m=8, b=2, B=8, D=0.5, T_max=10)
 
 
 # ------------------------------------------------------------ boundary exit
@@ -89,7 +89,7 @@ def test_boundary_exit_outcome():
     x = oracle.anchor
     u0 = oracle.manifold.tangent(oracle.anchor, np.array([0.9, 0.0]))
     v_fixed = oracle.manifold.tangent(oracle.anchor, np.array([-1.0, 0.0]))
-    params = _params(eta=0.5, D=1.0, b=obj.n, B_size=obj.n)
+    params = _params(eta=0.5, D=1.0, b=obj.n, B=obj.n)
     out = tssrg_run(oracle, u0, params, master_stream(0).child(TAG_OUTER, 0),
                     anchor_grad=v_fixed)
     assert out.exit is ExitReason.BOUNDARY
@@ -141,7 +141,7 @@ def test_iterates_stay_in_ball():
     obj, oracle = _quadratic_oracle(d=3, gamma=2.0, noise=0.3)
     rng = np.random.default_rng(3)
     u0 = oracle.manifold.tangent(oracle.anchor, 0.05 * rng.standard_normal(3))
-    params = _params(eta=0.3, m=6, b=8, B_size=obj.n, D=0.4, T_max=200)
+    params = _params(eta=0.3, m=6, b=8, B=obj.n, D=0.4, T_max=200)
     out = tssrg_run(oracle, u0, params, master_stream(1).child(TAG_OUTER, 0))
     for row in out.segment.rows:
         assert row.u_norm <= params.D * (1.0 + 1e-12)
@@ -155,7 +155,7 @@ def test_full_batch_recursion_telescopes(medium_rayleigh):
     oracle = PullbackOracle(medium_rayleigh, x)
     u0 = medium_rayleigh.manifold.sample_ball(x, 0.05, rng)
     n = medium_rayleigh.n
-    params = _params(eta=0.01, m=8, b=n, B_size=n, T_max=8)
+    params = _params(eta=0.01, m=8, b=n, B=n, T_max=8)
     out = tssrg_run(oracle, u0, params, master_stream(2).child(TAG_OUTER, 0),
                     record_gaps=True)
     assert out.exit is ExitReason.MAX_ITER
@@ -166,7 +166,7 @@ def test_full_batch_recursion_telescopes(medium_rayleigh):
 def test_forced_break_when_m_is_one(small_rayleigh):
     x = small_rayleigh.eigvec(1)
     oracle = PullbackOracle(small_rayleigh, x)
-    params = _params(m=1, b=1, B_size=small_rayleigh.n, T_max=50)
+    params = _params(m=1, b=1, B=small_rayleigh.n, T_max=50)
     out = tssrg_run(oracle, oracle.zero(), params,
                     master_stream(3).child(TAG_OUTER, 0))
     # k=1 break probability 1/(m-k+1) = 1
@@ -180,7 +180,7 @@ def test_linear_recursion_closed_form():
     u0_vec = 1e-3 * rng.standard_normal(5)
     u0 = oracle.manifold.tangent(oracle.anchor, u0_vec)
     eta, T = 0.1, 30
-    params = _params(eta=eta, m=T, b=obj.n, B_size=obj.n, D=10.0, T_max=T)
+    params = _params(eta=eta, m=T, b=obj.n, B=obj.n, D=10.0, T_max=T)
     out = tssrg_run(oracle, u0, params, master_stream(4).child(TAG_OUTER, 0),
                     record_u=True)
     M = np.eye(5) - eta * obj.Abar
@@ -197,7 +197,7 @@ def test_linear_recursion_closed_form():
 def test_max_iter_takes_precedence_over_break(small_rayleigh):
     x = small_rayleigh.eigvec(1)
     oracle = PullbackOracle(small_rayleigh, x)
-    params = _params(m=5, b=5, B_size=small_rayleigh.n, T_max=5)
+    params = _params(m=5, b=5, B=small_rayleigh.n, T_max=5)
     # unperturbed run from a critical point: only break events can end it;
     # at t = T_max the cap fires even though k = m would force a break too
     for seed in range(10):
@@ -214,7 +214,7 @@ def test_max_iter_takes_precedence_over_break(small_rayleigh):
 def test_perturbed_run_never_breaks_early():
     obj, oracle = _quadratic_oracle(d=3, gamma=0.5)
     u0 = oracle.manifold.tangent(oracle.anchor, np.array([1e-4, 0.0, 0.0]))
-    params = _params(eta=0.01, m=4, b=obj.n, B_size=obj.n, T_max=20, D=5.0)
+    params = _params(eta=0.01, m=4, b=obj.n, B=obj.n, T_max=20, D=5.0)
     out = tssrg_run(oracle, u0, params, master_stream(5).child(TAG_OUTER, 0))
     assert out.exit is ExitReason.MAX_ITER
     assert out.iterations == 20
@@ -224,7 +224,7 @@ def test_stopping_index_uniform_chi_square(small_rayleigh):
     # unperturbed runs stop at an index uniform on {1..m}; the k = m mass
     # arrives via the iteration cap when T_max = m
     m = 4
-    params = _params(m=m, b=4, B_size=small_rayleigh.n, T_max=m)
+    params = _params(m=m, b=4, B=small_rayleigh.n, T_max=m)
     x = small_rayleigh.eigvec(1)
     N = 10_000
     counts = np.zeros(m, dtype=int)
@@ -244,7 +244,7 @@ def test_coupled_equal_starts_identical(medium_rayleigh):
     rng = np.random.default_rng(1)
     x = medium_rayleigh.manifold.rand_point(rng)
     u0 = medium_rayleigh.manifold.sample_ball(x, 0.02, rng)
-    params = _params(eta=0.02, m=4, b=4, B_size=32, T_max=12)
+    params = _params(eta=0.02, m=4, b=4, B=32, T_max=12)
     oracle = PullbackOracle(medium_rayleigh, x)
     stream = master_stream(9).child(TAG_OUTER, 0)
     a = tssrg_run(oracle, u0, params, stream, record_u=True)
@@ -265,7 +265,7 @@ def test_coupled_difference_grows_at_exact_rate():
     # both starts perturbed so neither sequence breaks before T
     u0a = oracle.manifold.tangent(oracle.anchor, -0.5 * r0 * e1)
     u0b = oracle.manifold.tangent(oracle.anchor, 0.5 * r0 * e1)
-    params = _params(eta=eta, m=T, b=obj.n, B_size=obj.n, D=10.0, T_max=T)
+    params = _params(eta=eta, m=T, b=obj.n, B=obj.n, D=10.0, T_max=T)
     stream = master_stream(11).child(TAG_OUTER, 0)
     a = tssrg_run(oracle, u0a, params, stream, record_u=True)
     b = tssrg_run(oracle, u0b, params, stream, record_u=True)
@@ -308,7 +308,7 @@ def test_coupled_runs_share_minibatches_until_either_exits(kind, r_a, r_b):
     recorder = _MinibatchRecorder(obj)
     oracle = PullbackOracle(recorder, obj.eigvec(1))
     e0 = obj.eigvec(0).coords
-    params = _params(eta=0.05, m=4, b=8, B_size=40, T_max=40)
+    params = _params(eta=0.05, m=4, b=8, B=40, T_max=40)
     stream = master_stream(3).child(TAG_OUTER, 0)
     x = oracle.anchor
     a = tssrg_run(oracle, obj.manifold.tangent(x, r_a * e0), params, stream,
@@ -356,7 +356,7 @@ def test_epoch_draw_covers_the_steps_the_epoch_can_reach(medium_rayleigh,
     u0 = oracle.manifold.tangent(oracle.anchor,
                                  radius * medium_rayleigh.eigvec(1).coords)
     stream = master_stream(4).child(TAG_OUTER, 0)
-    params = _params(eta=0.01, m=m, b=8, B_size=40, T_max=T_max)
+    params = _params(eta=0.01, m=m, b=8, B=40, T_max=T_max)
     out = tssrg_run(oracle, u0, params, stream)
     assert out.exit is not ExitReason.BOUNDARY
     if radius > 0:
@@ -416,7 +416,7 @@ def test_non_finite_estimator_aborts_with_iteration_index(small_rayleigh):
     poisoned = _PoisonAfter(small_rayleigh, calls=3)
     oracle = PullbackOracle(poisoned, x)
     u0 = oracle.manifold.tangent(oracle.anchor, np.array([0.0, 0.01, 0.0]))
-    params = _params(m=8, b=8, B_size=small_rayleigh.n, T_max=8)
+    params = _params(m=8, b=8, B=small_rayleigh.n, T_max=8)
     with pytest.raises(NumericalFailure) as exc:
         tssrg_run(oracle, u0, params, master_stream(0).child(TAG_OUTER, 0))
     assert exc.value.iteration == 2  # anchor + two steps of two points each
@@ -439,7 +439,7 @@ def test_query_accounting_identity(medium_rayleigh):
     oracle = PullbackOracle(medium_rayleigh, x)
     u0 = medium_rayleigh.manifold.sample_ball(x, 0.01, rng)
     m, b, B, T = 3, 2, 40, 7
-    params = _params(eta=0.01, m=m, b=b, B_size=B, T_max=T)
+    params = _params(eta=0.01, m=m, b=b, B=B, T_max=T)
     out = tssrg_run(oracle, u0, params, master_stream(6).child(TAG_OUTER, 0))
     assert out.exit is ExitReason.MAX_ITER
     per_event = {"anchor": B, "grad_check": B, "step": 2 * b,
@@ -453,7 +453,7 @@ def test_anchor_grad_reuse_skips_first_charge(medium_rayleigh):
     x = medium_rayleigh.eigvec(0)
     oracle = PullbackOracle(medium_rayleigh, x)
     v0 = oracle.exact_grad(oracle.zero())
-    params = _params(eta=0.01, m=4, b=2, B_size=50, T_max=2)
+    params = _params(eta=0.01, m=4, b=2, B=50, T_max=2)
     out = tssrg_run(oracle, oracle.zero(), params,
                     master_stream(7).child(TAG_OUTER, 0), anchor_grad=v0)
     # no anchor batch was drawn: only the 2*b per-step charges accrue
@@ -464,7 +464,7 @@ def test_boundary_row_costs_nothing():
     obj, oracle = _quadratic_oracle(d=2)
     u0 = oracle.manifold.tangent(oracle.anchor, np.array([0.9, 0.0]))
     v_fixed = oracle.manifold.tangent(oracle.anchor, np.array([-1.0, 0.0]))
-    params = _params(eta=0.5, D=1.0, b=obj.n, B_size=obj.n)
+    params = _params(eta=0.5, D=1.0, b=obj.n, B=obj.n)
     out = tssrg_run(oracle, u0, params, master_stream(0).child(TAG_OUTER, 0),
                     anchor_grad=v_fixed)
     assert out.exit is ExitReason.BOUNDARY
@@ -492,7 +492,7 @@ def _reference_run(oracle, u0, params, stream, anchor_grad=None,
 
     def anchor(u, pos):
         gen = stream.child(TAG_ANCHOR, pos).generator()
-        return oracle.grad_batch(obj.sample_largebatch(params.B_size, gen), u)
+        return oracle.grad_batch(obj.sample_largebatch(params.B, gen), u)
 
     u_prev = u0
     v = anchor(u_prev, 0) if anchor_grad is None else anchor_grad
@@ -544,22 +544,22 @@ def _bitwise_case(case):
     x = obj.manifold.rand_point(rng)
     return obj, x, {
         "rayleigh_max_iter_gaps": (0.05, _params(eta=0.05, m=5, b=8,
-                                                 B_size=40, T_max=12),
+                                                 B=40, T_max=12),
                                    False, True, ExitReason.MAX_ITER),
-        "rayleigh_break": (0.0, _params(eta=0.05, m=6, b=8, B_size=40,
+        "rayleigh_break": (0.0, _params(eta=0.05, m=6, b=8, B=40,
                                         T_max=50),
                            False, False, ExitReason.UNIFORM_BREAK),
         "rayleigh_boundary_anchor_grad": (0.0, _params(eta=0.4, m=10, b=8,
-                                                       B_size=40, D=0.3,
+                                                       B=40, D=0.3,
                                                        T_max=10),
                                           True, False, ExitReason.BOUNDARY),
-        "quadratic_boundary": (0.05, _params(eta=0.5, m=4, b=8, B_size=16,
+        "quadratic_boundary": (0.05, _params(eta=0.5, m=4, b=8, B=16,
                                              D=0.5, T_max=200),
                                False, False, ExitReason.BOUNDARY),
-        "streaming_max_iter": (0.02, _params(eta=0.01, m=4, b=8, B_size=64,
+        "streaming_max_iter": (0.02, _params(eta=0.01, m=4, b=8, B=64,
                                              T_max=6),
                                False, False, ExitReason.MAX_ITER),
-        "streaming_break": (0.0, _params(eta=0.05, m=4, b=8, B_size=64,
+        "streaming_break": (0.0, _params(eta=0.05, m=4, b=8, B=64,
                                          T_max=50),
                             False, False, ExitReason.UNIFORM_BREAK),
     }[case]
@@ -590,9 +590,9 @@ def test_array_loop_matches_public_call_reference_bitwise(case):
     anchor_ref = anchor_run = None
     if with_anchor:
         anchor_ref = ref_oracle.grad_largebatch(
-            params.B_size, ref_oracle.zero(), np.random.default_rng(6))
+            params.B, ref_oracle.zero(), np.random.default_rng(6))
         anchor_run = run_oracle.grad_largebatch(
-            params.B_size, run_oracle.zero(), np.random.default_rng(6))
+            params.B, run_oracle.zero(), np.random.default_rng(6))
     rows, dus, u_final, ref_exit, iters = _reference_run(
         ref_oracle, u0, params, stream, anchor_grad=anchor_ref,
         record_gaps=gaps)
@@ -619,7 +619,7 @@ def test_foreign_base_point_rejected_at_entry(medium_rayleigh):
     x, elsewhere = man.rand_point(rng), man.rand_point(rng)
     oracle = PullbackOracle(medium_rayleigh, x)
     stream = master_stream(0).child(TAG_OUTER, 0)
-    params = _params(eta=0.01, m=2, b=2, B_size=8, T_max=2)
+    params = _params(eta=0.01, m=2, b=2, B=8, T_max=2)
     foreign = man.sample_ball(elsewhere, 0.01, rng)
     with pytest.raises(ContractViolation):
         tssrg_run(oracle, foreign, params, stream)
