@@ -32,8 +32,8 @@ _EXPORTS = {
                 "make_data_rayleigh make_quadratic_saddle make_rayleigh "
                 "make_streaming_rayleigh save_matrix",
     "pullback": "Batch FiniteSumObjective LipschitzEstimate PullbackOracle",
-    "replay": "EscapeStats EscapeThreshold check_improve_or_localize "
-              "check_variance_bound escape_threshold stuck_region_experiment",
+    "replay": "EscapeStats check_improve_or_localize check_variance_bound "
+              "escape_threshold stuck_region_experiment",
     "rng": "StreamTree master_stream",
     "solver": "SolverConstants SolverParams SolverReport auto_solve "
               "derive_params prsrg_run small_grad_check",

@@ -43,8 +43,7 @@ from .problems import (_loadtxt, load_matrix, make_data_rayleigh,
                        make_streaming_rayleigh)
 from .pullback import LipschitzEstimate, PullbackOracle
 from .rng import TAG_INIT, master_stream
-from .solver import (SolverConstants, SolverParams, _batch_sizes,
-                     _mode_scale, probe_params, prsrg_run)
+from .solver import SolverConstants, SolverParams, probe_params, prsrg_run
 from .trace import write_trace
 
 ALGOS = ("prsrg", "prgd", "rsgd", "rsrg_unperturbed")
@@ -400,37 +399,22 @@ def load_point(man: Manifold, path) -> ManifoldPoint:
     return man.point(arr.ravel())
 
 
-def _apply_overrides(params: SolverParams, spec: SolverSpec) -> SolverParams:
-    """params with each set [solver] key in place of its derived value; the
-    keys are SolverParams fields, so a bad value's error names its key."""
-    keys = {k: v for k, v in dataclasses.asdict(spec).items() if v is not None}
-    try:
-        return SolverParams(**{**dataclasses.asdict(params), **keys})
-    except ParameterError as exc:
-        raise ParameterError(f"[solver] {exc}") from exc
-
-
 def resolve_params(cfg: ExperimentConfig, objective, x0, stream,
                    estimate: LipschitzEstimate | None = None
                    ) -> tuple[SolverParams, LipschitzEstimate]:
-    """Check a finite sum's B <= n, probe smoothness (unless ``estimate``
-    is given), derive run parameters and apply the [solver] overrides.
-
-    Returns (params, lipschitz_estimate).
+    """``probe_params`` at the config's [solver] epsilon, delta and mode,
+    with its other set keys as the overrides; an error is prefixed with
+    ``[solver] ``. Returns (params, lipschitz_estimate).
     """
-    spec = cfg.solver
-    mode, scale = _mode_scale(objective, spec.mode)
-    if objective.n is not None:
-        B = (spec.B if spec.B is not None
-             else _batch_sizes(mode, scale, spec.epsilon, cfg.constants)[1])
-        if B > objective.n:
-            key = "B" if spec.B is not None else f"mode = {mode} derives B"
-            raise ParameterError(f"[solver] {key} = {B}, above the finite "
-                                 f"sum's n = {objective.n}")
-    params, est = probe_params(objective, x0, spec.epsilon, spec.delta,
-                               cfg.budget, stream, mode=mode,
-                               constants=cfg.constants, estimate=estimate)
-    return _apply_overrides(params, spec), est
+    keys = dataclasses.asdict(cfg.solver)
+    epsilon, delta, mode = (keys.pop(k) for k in ("epsilon", "delta", "mode"))
+    try:
+        return probe_params(
+            objective, x0, epsilon, delta, cfg.budget, stream, mode=mode,
+            constants=cfg.constants, estimate=estimate,
+            overrides={k: v for k, v in keys.items() if v is not None})
+    except ParameterError as exc:
+        raise ParameterError(f"[solver] {exc}") from exc
 
 
 def run_experiment(cfg: ExperimentConfig, *, out: str | None = None,
@@ -460,8 +444,11 @@ def run_experiment(cfg: ExperimentConfig, *, out: str | None = None,
         report.lipschitz = est
     else:
         from .baselines import BaselineConfig, baseline_run  # on first use
-        bcfg = BaselineConfig(kind=cfg.algo,
-                              **dataclasses.asdict(cfg.baseline))
+        try:
+            bcfg = BaselineConfig(kind=cfg.algo,
+                                  **dataclasses.asdict(cfg.baseline))
+        except ParameterError as exc:  # its checks name [baseline] keys
+            raise ParameterError(f"[baseline] {exc}") from exc
         report = baseline_run(objective, x0, bcfg, cfg.solver.epsilon,
                               cfg.solver.delta, cfg.budget, stream)
     report.seed = cfg.seed

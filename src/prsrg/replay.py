@@ -23,23 +23,16 @@ from .trace import _STEP_EVENTS, TraceSegment
 from .tssrg import TssrgParams, tssrg_run
 
 
-@dataclass(frozen=True)
-class EscapeThreshold:
-    """Required per-episode decrease F_script = delta^3 / (2 c3 rho_hat^2)."""
-
-    F_script: float
-
-    def __post_init__(self):
-        if not (self.F_script > 0 and math.isfinite(self.F_script)):
-            raise ParameterError(
-                f"escape threshold must be positive, got {self.F_script}")
-
-
 def escape_threshold(delta: float, rho_hat: float,
-                     c3: float = 10.0) -> EscapeThreshold:
+                     c3: float = 10.0) -> float:
+    """Required per-episode decrease F_script = delta^3 / (2 c3 rho_hat^2)."""
     if delta <= 0 or rho_hat <= 0 or c3 <= 0:
         raise ParameterError("delta, rho_hat, c3 must all be positive")
-    return EscapeThreshold(F_script=delta ** 3 / (2.0 * c3 * rho_hat ** 2))
+    F_script = delta ** 3 / (2.0 * c3 * rho_hat ** 2)
+    if not (F_script > 0 and math.isfinite(F_script)):
+        raise ParameterError(
+            f"escape threshold must be positive, got {F_script}")
+    return F_script
 
 
 @dataclass
@@ -216,8 +209,7 @@ def stuck_region_experiment(oracle: PullbackOracle, params: TssrgParams,
 
     r0 = nu * r / math.sqrt(man.dim)
     dev_threshold = delta / (c2 * rho_hat)
-    f_script = escape_threshold(delta, rho_hat, c3).F_script
-    dec_threshold = 2.0 * f_script
+    dec_threshold = 2.0 * escape_threshold(delta, rho_hat, c3)
 
     dev_hits = 0
     dec_hits = 0

@@ -15,13 +15,18 @@ epsilon/2), useful (quiet epoch whose endpoint passed the next gradient
 check), wasted (quiet epoch that did not), escape (perturbed episode).
 Quiet epochs are labeled only when the next check arrives; a trailing one
 is resolved against the exact full gradient on the diagnostic side.
+
+Run parameters take one path, ``probe_params`` (``auto_solve`` and the
+harness both call it): the mode and its scale, B <= n on a finite sum and
+an overridden D within the chart radius before the Lipschitz probe, then
+``derive_params`` and the overrides.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 from .diagnostics import Certification, certify
@@ -174,15 +179,17 @@ def _batch_sizes(mode: str, n_or_sigma, epsilon: float,
                  cons: SolverConstants) -> tuple[int, int]:
     """(m = b, B) for the mode: see ``derive_params``."""
     if mode == FINITE_SUM:
-        if n_or_sigma != int(n_or_sigma) or int(n_or_sigma) < 1:
+        if not (1 <= n_or_sigma < math.inf
+                and n_or_sigma == int(n_or_sigma)):
             raise ParameterError(f"finite_sum needs a positive integer n, "
                                  f"got {n_or_sigma!r}")
         n = int(n_or_sigma)
         return math.ceil(math.sqrt(n)), n
     if mode == ONLINE:
         sigma = float(n_or_sigma)
-        if not (sigma > 0 and math.isfinite(sigma)):
-            raise ParameterError(f"online needs sigma > 0, got {n_or_sigma!r}")
+        if not (0 < sigma < math.inf and 0 < epsilon < math.inf):
+            raise ParameterError(f"online needs sigma > 0 and epsilon > 0, "
+                                 f"got {n_or_sigma!r} and {epsilon!r}")
         try:  # ceil of inf or nan, or epsilon^2 underflowing to 0, raises;
             # a size past TssrgParams' 2**63 bound is the same failure
             m = math.ceil(cons.c_m * sigma / epsilon)
@@ -362,34 +369,47 @@ def probe_params(objective, x0: ManifoldPoint, epsilon: float,
                  delta: float, budget: int, stream, *,
                  mode: str | None = None,
                  constants: SolverConstants | None = None,
-                 estimate: LipschitzEstimate | None = None
+                 estimate: LipschitzEstimate | None = None,
+                 overrides: dict | None = None
                  ) -> tuple[SolverParams, LipschitzEstimate]:
-    """Probe smoothness at x0 and derive run parameters from it, at the
-    mode and scale that ``_mode_scale`` gives. The probe draws from ``stream.child(TAG_DIAG)``; a given ``estimate``
-    (an earlier probe at the same Abar, x0 and stream) replaces it.
+    """(params, estimate) for objective and x0 by the one parameter path
+    (module docstring); each error names its field. The probe draws from
+    ``stream.child(TAG_DIAG)``; a given ``estimate`` (an earlier probe at
+    the same Abar, x0 and stream) replaces it. ``overrides`` maps derived
+    fields (eta, m, b, B, T_max, r, D) to their values; r is capped at the
+    chart radius before they apply.
     """
-    mode, scale = _mode_scale(objective, mode)
+    overrides = overrides or {}
+    n, chart = objective.n, objective.manifold.D
+    if mode is None:
+        mode = FINITE_SUM if n is not None else ONLINE
+    scale = n if mode == FINITE_SUM else objective.sigma_hint
+    if scale is None:
+        raise ParameterError("finite_sum mode needs a finite sum"
+                             if mode == FINITE_SUM else
+                             "online mode needs a sigma estimate")
+    if n is not None:
+        B, key = overrides.get("B"), "B"
+        if B is None:
+            cons = constants if constants is not None else SolverConstants()
+            B = _batch_sizes(mode, scale, epsilon, cons)[1]
+            key = f"mode = {mode} derives B"
+        if B > n:
+            raise ParameterError(f"{key} = {B}, above the finite sum's "
+                                 f"n = {n}")
+    D = overrides.get("D")
+    if D is not None and D > chart * (1.0 + 1e-12):
+        raise ParameterError(f"D = {D} exceeds the manifold chart radius "
+                             f"{chart}")
     est = estimate
     if est is None:
         est = PullbackOracle(objective, x0).estimate_lipschitz(
             stream.child(TAG_DIAG).generator())
     params = derive_params(mode, scale, epsilon, delta, est.L_hat,
-                           est.rho_hat, constants, D=objective.manifold.D,
-                           budget=budget)
+                           est.rho_hat, constants, D=chart, budget=budget)
+    if overrides:
+        params = SolverParams(**{**asdict(params), **overrides})
     return params, est
-
-
-def _mode_scale(objective, mode: str | None) -> tuple[str, object]:
-    """(mode, n or sigma_hint); a finite sum defaults to finite_sum."""
-    if mode is None:
-        mode = FINITE_SUM if objective.n is not None else ONLINE
-    if mode == FINITE_SUM:
-        if objective.n is None:
-            raise ParameterError("finite_sum mode needs a finite sum")
-        return mode, objective.n
-    if objective.sigma_hint is None:
-        raise ParameterError("online mode needs a sigma estimate")
-    return mode, objective.sigma_hint
 
 
 def auto_solve(objective, x0: ManifoldPoint, epsilon: float, delta: float,

@@ -304,7 +304,7 @@ def test_09_escape_episodes_decrease_objective_enough():
     _, runs, _ = _escape_runs()
     total = good = 0
     for rep, est in runs:
-        thresh = escape_threshold(0.1, est.rho_hat).F_script
+        thresh = escape_threshold(0.1, est.rho_hat)
         rows = rep.trace
         i = 0
         while i < len(rows):

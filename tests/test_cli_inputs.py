@@ -96,7 +96,8 @@ SOLVER_OVERRIDES = {"B_zero": "B = 0", "m_zero": "m = 0",
     "sweep_seeds_past_64_bits", "n_pair_store_80_PiB",
     "n_pair_store_past_int64", "sweep_n_pair_store_80_PiB",
     "config_not_utf8", "print_config_not_utf8", "B_above_n",
-    "online_B_above_n", *SOLVER_OVERRIDES,
+    "online_B_above_n", "D_above_chart", "baseline_eta_negative",
+    *SOLVER_OVERRIDES,
 ])
 def test_bad_input_exits_2_with_one_line(case, tmp_path, capsys):
     cfg_text = BASE.format(start="random")
@@ -243,6 +244,11 @@ def test_bad_input_exits_2_with_one_line(case, tmp_path, capsys):
         cfg_text += f"m = {2 ** 63}\n"
     elif case == "B_above_n":
         cfg_text += "B = 100\n"
+    elif case == "D_above_chart":
+        cfg_text += "D = 0.75\n"  # the sphere's chart radius is 0.5
+    elif case == "baseline_eta_negative":
+        cfg_text += "\n[baseline]\neta = -1\n"
+        extra = ["--algo", "prgd"]
     elif case in SOLVER_OVERRIDES:
         cfg_text += SOLVER_OVERRIDES[case] + "\n"
     elif case == "online_B_above_n":
@@ -330,8 +336,14 @@ def test_bad_input_exits_2_with_one_line(case, tmp_path, capsys):
               "B_above_n": "[solver] B = 100, above the finite sum's n = 30",
               "online_B_above_n":
                   "[solver] mode = online derives B = 1024, above the "
-                  "finite sum's n = 30"}
+                  "finite sum's n = 30",
+              "D_above_chart":
+                  "[solver] D = 0.75 exceeds the manifold chart radius 0.5",
+              "baseline_eta_negative":
+                  "[baseline] eta must be positive, got -1.0"}
     assert expect.get(case, "") in line
+    if case in ("D_above_chart", "baseline_eta_negative"):
+        assert line.startswith("error: " + expect[case]), line
     if case in SOLVER_OVERRIDES:
         key = SOLVER_OVERRIDES[case].split()[0]
         assert line.startswith(f"error: [solver] {key} must be"), line

@@ -469,11 +469,16 @@ def test_localize_requires_iterate_recording(clean_rayleigh):
 
 def test_escape_threshold_formula():
     th = escape_threshold(delta=0.1, rho_hat=2.0, c3=10.0)
-    assert th.F_script == pytest.approx(0.1 ** 3 / (2 * 10.0 * 4.0))
+    assert type(th) is float
+    assert th == pytest.approx(0.1 ** 3 / (2 * 10.0 * 4.0))
     with pytest.raises(ParameterError):
         escape_threshold(delta=0.0, rho_hat=1.0)
     with pytest.raises(ParameterError):
         escape_threshold(delta=0.1, rho_hat=-1.0)
+    # delta^3 underflows to 0: the threshold must still be positive
+    with pytest.raises(ParameterError, match="escape threshold must be "
+                       "positive"):
+        escape_threshold(delta=1e-200, rho_hat=1.0)
 
 
 # ------------------------------------------------- stuck-region experiment

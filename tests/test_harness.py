@@ -26,7 +26,7 @@ from prsrg.harness import (BaselineSpec, CoupleSpec, ExperimentConfig,
 from prsrg.problems import PAIR_BLOCK, save_matrix
 from prsrg.pullback import PullbackOracle
 from prsrg.rng import master_stream
-from prsrg.solver import SolverConstants, SolverParams
+from prsrg.solver import SolverConstants, SolverParams, auto_solve
 from prsrg.trace import COLUMNS, TraceRow, rows_to_csv, write_trace
 
 from conftest import read_trace
@@ -673,11 +673,14 @@ def test_sweep_probes_smoothness_once_per_seed(tmp_path, monkeypatch, algo,
 @pytest.mark.parametrize("solver_keys, key", [
     ("B = 100\n", "[solver] B = 100"),
     ("mode = online\n", "[solver] mode = online derives B = 1024"),
+    ("D = 0.75\n", "[solver] D = 0.75"),
+    (None, "mode = online derives B = 1024"),  # auto_solve, mode="online"
 ])
 def test_batch_above_n_is_rejected_before_the_probe(monkeypatch, solver_keys,
                                                      key):
-    # B depends only on n, the mode, sigma_hint and the overrides, so a B
-    # above n exits before the smoothness probe runs
+    # B depends only on n, the mode, sigma_hint and the overrides, and the
+    # chart radius only on the manifold, so a B above n or a D past the
+    # chart exits before the smoothness probe runs, for auto_solve too
     seen = []
     real = PullbackOracle.estimate_lipschitz
 
@@ -686,9 +689,15 @@ def test_batch_above_n_is_rejected_before_the_probe(monkeypatch, solver_keys,
         return real(self, rng, *args, **kwargs)
 
     monkeypatch.setattr(PullbackOracle, "estimate_lipschitz", counting_probe)
-    with pytest.raises(ParameterError, match=re.escape(
-            f"{key}, above the finite sum's n = 30")):
-        run_experiment(parse_config(SMALL_RUN + solver_keys))
+    bound = (" exceeds the manifold chart radius 0.5" if "D =" in key
+             else ", above the finite sum's n = 30")
+    with pytest.raises(ParameterError, match=re.escape(key + bound)):
+        if solver_keys is None:
+            obj = build_problem(parse_config(SMALL_RUN))
+            auto_solve(obj, obj.eigvec(1), epsilon=0.05, delta=0.5,
+                       budget=6000, rng=7, mode="online")
+        else:
+            run_experiment(parse_config(SMALL_RUN + solver_keys))
     assert seen == []
 
 

@@ -1,7 +1,8 @@
 """What ``import prsrg`` and ``prsrg run`` load.
 
 The package exports its public names lazily, so importing it loads no
-submodule, and a run loads neither the baselines nor the replay checks.
+submodule, a run or a sweep loads neither the baselines nor the replay
+checks, and no command loads scipy or hypothesis.
 Each load check runs in a fresh interpreter, since by then the test run
 has imported every module.
 """
@@ -23,22 +24,36 @@ SRC = str(Path(prsrg.__file__).resolve().parents[1])
 CONFIG = """\
 [experiment]
 seed = 7
-budget = 20000
+budget = {budget}
 
 [problem]
-manifold = sphere:3
-kind = rayleigh
-n = 30
-start = e2
-spectrum = 2.0,1.0,0.0
+manifold = {manifold}
+kind = {kind}
+{problem}spectrum = 2.0,1.0,0.0
 
 [solver]
-epsilon = 0.05
+epsilon = {epsilon}
 delta = 0.5
 
 [couple]
 trials = 2
 """
+
+# (manifold, [problem] keys, epsilon, budget) per kind: a finite-sum run, an
+# online run, whose anchor batches (B > d) go through the Wishart draw, and
+# a Euclidean run
+PROBLEMS = {
+    "rayleigh": ("sphere:3", "n = 30\nstart = e2\n", 0.05, 20000),
+    "streaming_rayleigh": ("sphere:3", "start = e2\n", 0.2, 2000000),
+    "quadratic_saddle": ("euclidean:3", "n = 30\nstart = zero\n", 0.05,
+                         20000),
+}
+
+# the modules a command may load, in load order; no command loads csv,
+# scipy or hypothesis
+WATCHED = ("prsrg.baselines", "prsrg.replay", "csv", "scipy", "hypothesis")
+LOADED = {"run": [], "sweep": [], "prgd": ["prsrg.baselines"],
+          "couple": ["prsrg.baselines", "prsrg.replay"]}
 
 # the dataclasses ``import prsrg.cli`` defines: config sections and
 # constants (fields, replace, ==), validated parameters (__post_init__,
@@ -68,34 +83,53 @@ def test_import_prsrg_loads_no_submodule():
 
 
 def test_run_loads_neither_baselines_nor_replay(tmp_path):
-    cfg = tmp_path / "tiny.ini"
-    cfg.write_text(CONFIG)
+    # every run and sweep first, then prgd, then couple on the sphere
+    # problems, all in one interpreter; the sweeps' odd-n ladder serves 7
+    # and 12 as prefixes of the n = 31 store, 7 a copy with a zero last row
+    # and 12 a view
+    steps = []
+    for kind, (manifold, problem, epsilon, budget) in PROBLEMS.items():
+        text = CONFIG.format(budget=budget, manifold=manifold, kind=kind,
+                             problem=problem, epsilon=epsilon)
+        cfg = tmp_path / f"{kind}.ini"
+        cfg.write_text(text)
+        steps.append(("run", kind, ["run", "--config", str(cfg)]))
+        if kind != "streaming_rayleigh":
+            grid = tmp_path / f"{kind}.sweep.ini"
+            grid.write_text(text + "[sweep]\nn = 7,12,31\nseeds = 2\n")
+            steps.append(("sweep", kind, ["sweep", "--config", str(grid),
+                                          "--out", str(tmp_path / kind)]))
+    steps.append(("prgd", "rayleigh", ["run", "--config",
+                                       str(tmp_path / "rayleigh.ini"),
+                                       "--algo", "prgd"]))
+    for kind in ("rayleigh", "streaming_rayleigh"):
+        steps.append(("couple", kind, ["couple", "--config",
+                                       str(tmp_path / f"{kind}.ini")]))
     code = """\
 import contextlib, io, json, sys
 from prsrg.cli import main
 
-def call(*argv):
+def call(argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = main(list(argv))
-    return code, json.loads(out.getvalue())
+        code = main(argv)
+    return code, json.loads(out.getvalue()), [
+        m for m in json.loads(sys.argv[2]) if m in sys.modules]
 
-def absent():
-    return [m for m in ("prsrg.baselines", "prsrg.replay", "csv")
-            if m not in sys.modules]
-
-run = call("run", "--config", sys.argv[1])
-after_run = absent()
-prgd = call("run", "--config", sys.argv[1], "--algo", "prgd")
-couple = call("couple", "--config", sys.argv[1])
-print(json.dumps([run, after_run, prgd, couple, absent()]))
+print(json.dumps([call(argv) for argv in json.loads(sys.argv[1])]))
 """
-    run, after_run, prgd, couple, after_all = _child(code, str(cfg))
-    assert run[0] == 0 and run[1]["queries_used"] > 0
-    assert after_run == ["prsrg.baselines", "prsrg.replay", "csv"]
-    assert prgd[0] == 0 and prgd[1]["queries_used"] > 0
-    assert couple[0] == 0 and couple[1]["trials"] == 2
-    assert after_all == ["csv"]
+    results = _child(code, json.dumps([argv for *_, argv in steps]),
+                     json.dumps(WATCHED))
+    assert len(results) == len(steps) == 8
+    for (command, kind, _), (exit_code, out, loaded) in zip(steps, results):
+        assert exit_code == 0, (command, kind, out)
+        assert loaded == LOADED[command], (command, kind, loaded)
+        if command in ("run", "prgd"):
+            assert out["queries_used"] > 0, (command, kind, out)
+        elif command == "sweep":
+            assert out["cells"] == 6, (kind, out)
+        else:
+            assert out["trials"] == 2, (kind, out)
 
 
 def test_import_cli_defines_only_the_kept_dataclasses():
@@ -135,7 +169,9 @@ def test_unknown_name_raises_attribute_error():
 
 # names that only tests called, and the retraction's differential, which
 # the solver never needs (it pulls gradients back through the adjoint);
-# the tests' reference differential is in conftest
+# the tests' reference differential is in conftest; the second path to the
+# run parameters (probe_params is the one path now); and the one-field
+# EscapeThreshold record (escape_threshold returns the float)
 REMOVED = {
     "geometry.Manifold": ("dretract_apply", "dretract_matrix",
                           "_dretract_coords", "_dretract_target"),
@@ -147,8 +183,10 @@ REMOVED = {
     "problems.RayleighInstance": ("component_riem_grad", "hess_eigval"),
     "problems.StreamingRayleighInstance": ("hess_eigval",),
     "problems.QuadraticSaddleInstance": ("H", "min_curvature_direction"),
-    "harness": ("format_spectrum",),
+    "harness": ("format_spectrum", "_apply_overrides"),
     "tssrg": ("tssrg_run_coupled",),
+    "solver": ("_mode_scale",),
+    "replay": ("EscapeThreshold",),
 }
 
 

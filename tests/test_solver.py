@@ -86,9 +86,10 @@ def test_derive_params_validation():
     with pytest.raises(ParameterError):
         derive_params("finite_sum", 100, epsilon=0.1, delta=0.1,
                       L_hat=1.0, rho_hat=-0.5)
-    with pytest.raises(ParameterError):
-        derive_params("finite_sum", 99.5, epsilon=0.1, delta=0.1,
-                      L_hat=1.0, rho_hat=1.0)
+    for n in (99.5, float("nan"), float("inf")):
+        with pytest.raises(ParameterError, match="positive integer n"):
+            derive_params("finite_sum", n, epsilon=0.1, delta=0.1,
+                          L_hat=1.0, rho_hat=1.0)
     with pytest.raises(ParameterError):
         derive_params("online", 0.0, epsilon=0.1, delta=0.1,
                       L_hat=1.0, rho_hat=1.0)
@@ -613,3 +614,9 @@ def test_auto_solve_validates_rng_and_mode(small_rayleigh):
     with pytest.raises(ParameterError):
         auto_solve(obj, obj.manifold.point(np.eye(6)[0]), epsilon=0.5,
                    delta=1.0, budget=1000, rng=1, mode="finite_sum")
+    # online sizing of a finite sum checks B <= n before the probe, and a
+    # bad epsilon is named as such, not as an overflow of the sizes
+    for epsilon in (0.0, float("nan")):
+        with pytest.raises(ParameterError, match="epsilon > 0, got"):
+            auto_solve(small_rayleigh, x0, epsilon=epsilon, delta=0.5,
+                       budget=1000, rng=1, mode="online")
