@@ -37,8 +37,14 @@ class NumericalFailure(RuntimeError):
     """Non-finite values appeared mid-run.
 
     Carries the iteration index at which the estimator or iterate went bad.
+    It pickles from its raw message and iteration, so it can cross a
+    process boundary.
     """
 
     def __init__(self, message: str, iteration: int):
         super().__init__(f"{message} (iteration {iteration})")
+        self.message = message
         self.iteration = iteration
+
+    def __reduce__(self):
+        return type(self), (self.message, self.iteration), self.__dict__

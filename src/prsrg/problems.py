@@ -33,7 +33,10 @@ both exact and deterministic.
 Pair stores are prefix-closed in n: pairs are drawn in order from one fixed
 stream, so the store for n is the first n // 2 rows of the store for any
 larger n, bit for bit, plus one zero row when n is odd. ``prefix(n)``
-serves a smaller n from a built instance that way.
+serves a smaller n from a built instance that way. A store of more than
+one ``PAIR_BLOCK`` is double-buffered: a helper thread draws each block
+while the calling thread normalises the one before. Only the helper reads
+the generator, in block order, so the bits are those of one whole draw.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from __future__ import annotations
 import copy
 import math
 import struct
+import threading
 import warnings
 from pathlib import Path
 from typing import Iterator
@@ -88,13 +92,27 @@ def _check_spectrum(d: int, spectrum) -> np.ndarray:
     return spectrum
 
 
-# pairs per draw: drawing all n/2 pairs at once would hold a second copy
-# of the store (32 MB at n = 20000, d = 200)
-PAIR_BLOCK = 1024
+# pairs per draw block; the helper fills one of two block buffers while the
+# caller normalises the other, so the scratch is 2 * PAIR_BLOCK pairs:
+# drawing all n/2 pairs at once would hold a second copy of the store
+# (32 MB at n = 20000, d = 200)
+PAIR_BLOCK = 512
 
 # minibatch indices per epoch draw: m = b = ceil(sqrt(n)) needs about n,
 # one draw up to n = 65536; [solver] overrides of m and b may ask for more
 EPOCH_BLOCK = 2**16
+
+
+def _store_pairs(block: np.ndarray, noise_scale: float, p: np.ndarray,
+                 q: np.ndarray, lo: int) -> None:
+    """Normalise and scale the drawn pairs ``block`` (rows, 2, d) in place,
+    then copy them into rows lo, lo + 1, ... of p and q."""
+    block /= np.sqrt(np.vecdot(block, block))[..., None]
+    pb, qb = block[:, 0], block[:, 1]
+    # eigenvalues of pq^T + qp^T on span{p,q} are <p,q> +/- 1
+    pb *= (noise_scale / (1.0 + np.abs(np.vecdot(pb, qb))))[:, None]
+    p[lo:lo + len(block)] = pb
+    q[lo:lo + len(block)] = qb
 
 
 def _paired_noise(n: int, d: int, noise_scale: float,
@@ -106,8 +124,16 @@ def _paired_noise(n: int, d: int, noise_scale: float,
     noise_scale; for odd n the last row is zero, so the last E is zero.
     Pair k draws p_k then q_k, each a standard normal d-vector normalised
     by sqrt(p . p); then p_k is scaled by noise_scale / (1 + |p_k . q_k|).
-    Pairs are drawn in blocks of at most ``PAIR_BLOCK`` into one reused
-    buffer; the generator gives the same values as one whole draw.
+
+    Pairs are drawn in blocks of at most ``PAIR_BLOCK``; the generator
+    gives the same values as one whole draw. A single block is drawn
+    inline. More are double-buffered: a helper thread draws them in order
+    into two alternating buffers (the draw releases the GIL) while this
+    thread normalises the block before (``_store_pairs``). Only the helper
+    reads ``rng``, so the bits do not depend on the thread timing. An
+    exception on either thread leaves this call, and the helper is
+    released and joined on every exit path.
+
     The output is byte-equal to doing this one pair at a time with
     ``np.linalg.norm``: ``np.vecdot`` reduces each row with the same dot.
     A row-batched ``einsum`` does not, so keep ``vecdot`` here.
@@ -128,16 +154,42 @@ def _paired_noise(n: int, d: int, noise_scale: float,
     if noise_scale == 0.0:
         return p, q
     k = n // 2
-    buf = np.empty((min(k, PAIR_BLOCK), 2, d))
-    for lo in range(0, k, PAIR_BLOCK):
-        block = buf[:min(PAIR_BLOCK, k - lo)]
-        rng.standard_normal(out=block)
-        block /= np.sqrt(np.vecdot(block, block))[..., None]
-        pb, qb = block[:, 0], block[:, 1]
-        # eigenvalues of pq^T + qp^T on span{p,q} are <p,q> +/- 1
-        pb *= (noise_scale / (1.0 + np.abs(np.vecdot(pb, qb))))[:, None]
-        p[lo:lo + len(block)] = pb
-        q[lo:lo + len(block)] = qb
+    if k <= PAIR_BLOCK:
+        _store_pairs(rng.standard_normal((k, 2, d)), noise_scale, p, q, 0)
+        return p, q
+    bufs = np.empty((2, PAIR_BLOCK, 2, d))
+    blocks = [(lo, bufs[j % 2, :min(PAIR_BLOCK, k - lo)])
+              for j, lo in enumerate(range(0, k, PAIR_BLOCK))]
+    free, ready = threading.Semaphore(2), threading.Semaphore(0)
+    halt = threading.Event()
+    failed = []
+
+    def draw():
+        try:
+            for _, block in blocks:
+                free.acquire()
+                if halt.is_set():
+                    return
+                rng.standard_normal(out=block)
+                ready.release()
+        except BaseException as exc:  # the calling thread raises it
+            failed.append(exc)
+            ready.release()
+
+    helper = threading.Thread(target=draw, name="prsrg-pair-draw",
+                              daemon=True)
+    helper.start()
+    try:
+        for lo, block in blocks:
+            ready.acquire()
+            if failed:
+                raise failed[0]
+            _store_pairs(block, noise_scale, p, q, lo)
+            free.release()
+    finally:
+        halt.set()
+        free.release()  # wakes a helper that waits for a buffer
+        helper.join()
     return p, q
 
 

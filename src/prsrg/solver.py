@@ -17,9 +17,10 @@ Quiet epochs are labeled only when the next check arrives; a trailing one
 is resolved against the exact full gradient on the diagnostic side.
 
 Run parameters take one path, ``probe_params`` (``auto_solve`` and the
-harness both call it): the mode and its scale, B <= n on a finite sum and
-an overridden D within the chart radius before the Lipschitz probe, then
-``derive_params`` and the overrides.
+harness both call it): the mode and its scale, B <= n on a finite sum, an
+overridden D within the chart radius and a positive, finite epsilon and
+delta before the Lipschitz probe, then ``derive_params`` and the
+overrides.
 """
 
 from __future__ import annotations
@@ -136,6 +137,11 @@ class SolverReport:
         }
 
 
+def _check_tolerances(epsilon: float, delta: float) -> None:
+    if not (0 < epsilon < math.inf and 0 < delta < math.inf):
+        raise ParameterError("epsilon and delta must be positive and finite")
+
+
 def derive_params(mode: str, n_or_sigma, epsilon: float, delta: float,
                   L_hat: float, rho_hat: float,
                   constants: SolverConstants | None = None, *,
@@ -150,8 +156,7 @@ def derive_params(mode: str, n_or_sigma, epsilon: float, delta: float,
     quadratic objectives).
     """
     cons = constants if constants is not None else SolverConstants()
-    if not (0 < epsilon < math.inf and 0 < delta < math.inf):
-        raise ParameterError("epsilon and delta must be positive and finite")
+    _check_tolerances(epsilon, delta)
     if L_hat <= 0 or not math.isfinite(L_hat):
         raise ParameterError(f"L_hat must be positive, got {L_hat}")
     if rho_hat < 0 or not math.isfinite(rho_hat):
@@ -401,6 +406,7 @@ def probe_params(objective, x0: ManifoldPoint, epsilon: float,
     if D is not None and D > chart * (1.0 + 1e-12):
         raise ParameterError(f"D = {D} exceeds the manifold chart radius "
                              f"{chart}")
+    _check_tolerances(epsilon, delta)
     est = estimate
     if est is None:
         est = PullbackOracle(objective, x0).estimate_lipschitz(

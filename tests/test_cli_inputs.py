@@ -7,6 +7,7 @@ point loaders return float64 data or raise an exit-2 error, whatever bytes
 they read.
 """
 
+import pickle
 import warnings
 
 import numpy as np
@@ -364,6 +365,14 @@ def test_numerical_failure_exits_1(tmp_path, capsys, monkeypatch):
     cfg.write_text(BASE.format(start="random"))
     assert main(["run", "--config", str(cfg)]) == EXIT_FAIL
     _assert_one_error_line(capsys)
+
+
+def test_numerical_failure_survives_pickling():
+    # a pool that runs prsrg jobs sends a worker's error back pickled
+    exc = pickle.loads(pickle.dumps(NumericalFailure("bad", iteration=3)))
+    assert type(exc) is NumericalFailure
+    assert str(exc) == "bad (iteration 3)"
+    assert exc.iteration == 3
 
 
 @pytest.mark.parametrize("eta", ["1e160", "1e300"])

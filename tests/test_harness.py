@@ -675,12 +675,14 @@ def test_sweep_probes_smoothness_once_per_seed(tmp_path, monkeypatch, algo,
     ("mode = online\n", "[solver] mode = online derives B = 1024"),
     ("D = 0.75\n", "[solver] D = 0.75"),
     (None, "mode = online derives B = 1024"),  # auto_solve, mode="online"
+    (None, "epsilon and delta"),  # auto_solve, delta = 0
 ])
 def test_batch_above_n_is_rejected_before_the_probe(monkeypatch, solver_keys,
                                                      key):
     # B depends only on n, the mode, sigma_hint and the overrides, and the
-    # chart radius only on the manifold, so a B above n or a D past the
-    # chart exits before the smoothness probe runs, for auto_solve too
+    # chart radius only on the manifold, so a B above n, a D past the
+    # chart or a zero delta exits before the smoothness probe runs, for
+    # auto_solve too
     seen = []
     real = PullbackOracle.estimate_lipschitz
 
@@ -689,13 +691,18 @@ def test_batch_above_n_is_rejected_before_the_probe(monkeypatch, solver_keys,
         return real(self, rng, *args, **kwargs)
 
     monkeypatch.setattr(PullbackOracle, "estimate_lipschitz", counting_probe)
-    bound = (" exceeds the manifold chart radius 0.5" if "D =" in key
-             else ", above the finite sum's n = 30")
+    options = {"delta": 0.5, "mode": "online"}
+    if key == "epsilon and delta":
+        bound, options = " must be positive and finite", {"delta": 0.0}
+    elif "D =" in key:
+        bound = " exceeds the manifold chart radius 0.5"
+    else:
+        bound = ", above the finite sum's n = 30"
     with pytest.raises(ParameterError, match=re.escape(key + bound)):
         if solver_keys is None:
             obj = build_problem(parse_config(SMALL_RUN))
-            auto_solve(obj, obj.eigvec(1), epsilon=0.05, delta=0.5,
-                       budget=6000, rng=7, mode="online")
+            auto_solve(obj, obj.eigvec(1), epsilon=0.05, budget=6000, rng=7,
+                       **options)
         else:
             run_experiment(parse_config(SMALL_RUN + solver_keys))
     assert seen == []

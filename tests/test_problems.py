@@ -5,6 +5,9 @@ from __future__ import annotations
 
 import copy
 import functools
+import sys
+import threading
+import time
 import tracemalloc
 import warnings
 
@@ -91,10 +94,16 @@ def _paired_noise_one_pair_at_a_time(n, d, noise_scale, rng):
 
 @pytest.mark.parametrize("child", [1, 2], ids=["rayleigh", "quadratic_saddle"])
 @pytest.mark.parametrize("n, d", [(1, 5), (2, 2), (7, 3), (401, 37),
-                                  (1000, 100), (2 * PAIR_BLOCK + 3, 3)])
+                                  (1000, 100), (2 * PAIR_BLOCK, 4),
+                                  (4 * PAIR_BLOCK - 1, 3), (4 * PAIR_BLOCK, 3),
+                                  (4 * PAIR_BLOCK + 1, 3),
+                                  (4 * PAIR_BLOCK + 2, 3),
+                                  (4 * PAIR_BLOCK + 3, 3)])
 def test_paired_noise_is_byte_equal_to_pairwise_loop(n, d, child):
     # guards the bitwise contract if numpy or BLAS ever reduces rows
-    # differently from a 1-D dot; the last (n, d) spans several draw blocks
+    # differently from a 1-D dot; n = 2 PAIR_BLOCK is the largest store
+    # drawn inline, and the n near 4 PAIR_BLOCK end the double-buffered
+    # draw on a full block, a short one, or one pair into a third block
     stream = master_stream(0).child(TAG_PROBLEM, child)
     for noise_scale in (0.0, 1e-300, 0.5, 1e5):
         p, q = _paired_noise(n, d, noise_scale, stream.generator())
@@ -111,6 +120,99 @@ def test_paired_noise_is_byte_equal_to_pairwise_loop(n, d, child):
             # a zero pair's odd component reads -0.0 where the loop left
             # +0.0; the values are equal
             assert np.array_equal(P, P0)
+
+
+class _FailingDraws:
+    """Generator stand-in whose ``standard_normal`` raises on one call."""
+
+    def __init__(self, fail_at, exc_type):
+        self.rng = np.random.default_rng(0)
+        self.calls, self.fail_at, self.exc_type = 0, fail_at, exc_type
+
+    def standard_normal(self, *args, **kwargs):
+        self.calls += 1
+        if self.calls == self.fail_at:
+            raise self.exc_type("draw failed")
+        return self.rng.standard_normal(*args, **kwargs)
+
+
+def _on_watched_thread(fn, timeout=60.0):
+    """Run fn() on a daemon thread; return what it raised, or None. A call
+    still running after ``timeout`` seconds fails the test as a deadlock."""
+    raised = []
+
+    def run():
+        try:
+            fn()
+        except BaseException as exc:  # handed to the test, which checks it
+            raised.append(exc)
+
+    runner = threading.Thread(target=run, daemon=True)
+    runner.start()
+    runner.join(timeout)
+    assert not runner.is_alive(), "_paired_noise did not return: deadlock"
+    return raised[0] if raised else None
+
+
+@pytest.mark.parametrize("exc_type", [RuntimeError, KeyboardInterrupt])
+@pytest.mark.parametrize("fail_at", [1, 3])
+@pytest.mark.parametrize("side", ["draw", "normalise"])
+def test_paired_noise_failure_on_either_thread_propagates_and_joins(
+        monkeypatch, side, fail_at, exc_type):
+    # six blocks: the helper's draw (its fail_at-th block) or the calling
+    # thread's normalising pass (its fail_at-th) fails while the other
+    # thread waits for it or works ahead; the error must leave
+    # _paired_noise and the helper must be joined, not left waiting
+    rng = np.random.default_rng(0)
+    if side == "draw":
+        rng = _FailingDraws(fail_at, exc_type)
+    else:
+        real, calls = problems._store_pairs, []
+
+        def failing_pass(*args):
+            calls.append(args)
+            if len(calls) == fail_at:
+                time.sleep(0.05)  # the helper draws ahead and waits
+                raise exc_type("normalise failed")
+            real(*args)
+
+        monkeypatch.setattr(problems, "_store_pairs", failing_pass)
+    before = threading.active_count()
+    exc = _on_watched_thread(
+        lambda: _paired_noise(12 * PAIR_BLOCK, 3, 0.5, rng))
+    assert type(exc) is exc_type
+    assert str(exc) == ("draw failed" if side == "draw"
+                        else "normalise failed")
+    assert threading.active_count() == before
+
+
+def test_concurrent_paired_noise_builds_are_byte_equal_to_pairwise_loop():
+    # three builds at once (six threads on any core count), with thread
+    # switches forced every microsecond: each store must still carry the
+    # bits of one in-order draw, whatever the interleaving
+    n, d = 12 * PAIR_BLOCK + 1, 3
+    stream = master_stream(0).child(TAG_PROBLEM, 1)
+    P0, Q0 = _paired_noise_one_pair_at_a_time(n, d, 0.5, stream.generator())
+    out = [None] * 3
+
+    def build(i, rng):
+        out[i] = _paired_noise(n, d, 0.5, rng)
+
+    builders = [threading.Thread(target=build, args=(i, stream.generator()),
+                                 daemon=True) for i in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in builders:
+            t.start()
+        for t in builders:
+            t.join(60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in builders)
+    for p, q in out:
+        assert p.tobytes() == P0[0::2].tobytes()
+        assert q.tobytes() == Q0[0::2].tobytes()
 
 
 @pytest.mark.parametrize("build", [
