@@ -182,8 +182,14 @@ class ExperimentConfig:
                 "streaming_rayleigh", "data_rayleigh"):
             raise ParameterError(f"[sweep] n: a {self.problem.kind} problem "
                                  "has no n to sweep")
+        seeds = {"[experiment] seed": self.seed,
+                 "[problem] rotation_seed": self.problem.rotation_seed}
+        for key, seed in seeds.items():
+            if seed is not None and not 0 <= seed < 2**64:
+                raise ParameterError(
+                    f"{key} must be a 64-bit unsigned integer, got {seed}")
         last = self.seed + self.sweep.seeds - 1
-        if self.seed < 2**64 <= last:
+        if last >= 2**64:
             raise ParameterError(
                 f"[sweep] seeds = {self.sweep.seeds}: seeds {self.seed} to "
                 f"{last} pass the largest 64-bit seed, 2**64 - 1")

@@ -30,19 +30,20 @@ E_{2k+1} = -E_{2k}, so component i reads row i >> 1 with the sign
 1 - 2 (i & 1). Exhaustive batches evaluate through Abar directly, which is
 both exact and deterministic.
 
-Pair stores are prefix-closed in n: pairs are drawn in order from one fixed
-stream, so the store for n is the first n // 2 rows of the store for any
-larger n, bit for bit, plus one zero row when n is odd. ``prefix(n)``
-serves a smaller n from a built instance that way. A store of more than
-one ``PAIR_BLOCK`` is double-buffered: a helper thread draws each block
-while the calling thread normalises the one before. Only the helper reads
-the generator, in block order, so the bits are those of one whole draw.
+Pair stores are prefix-closed in n: block j of ``PAIR_BLOCK`` pairs is
+drawn in order from its own fixed stream, which depends only on j, so the
+store for n is the first n // 2 rows of the store for any larger n, bit for
+bit, plus one zero row when n is odd. ``prefix(n)`` serves a smaller n from
+a built instance that way. The blocks are drawn and normalised on up to
+``PAIR_WORKERS`` threads, each with one block buffer and its own rows of
+the store, so the bits do not depend on the worker count.
 """
 
 from __future__ import annotations
 
 import copy
 import math
+import os
 import struct
 import threading
 import warnings
@@ -92,11 +93,12 @@ def _check_spectrum(d: int, spectrum) -> np.ndarray:
     return spectrum
 
 
-# pairs per draw block; the helper fills one of two block buffers while the
-# caller normalises the other, so the scratch is 2 * PAIR_BLOCK pairs:
+# pairs per draw block; block j reads its own stream, so this size is part
+# of the reproducibility contract. Each of at most PAIR_WORKERS workers
+# holds one block buffer (0.2x the store at n = 20000, d = 200, in all);
 # drawing all n/2 pairs at once would hold a second copy of the store
-# (32 MB at n = 20000, d = 200)
 PAIR_BLOCK = 512
+PAIR_WORKERS = 4
 
 # minibatch indices per epoch draw: m = b = ceil(sqrt(n)) needs about n,
 # one draw up to n = 65536; [solver] overrides of m and b may ask for more
@@ -115,8 +117,15 @@ def _store_pairs(block: np.ndarray, noise_scale: float, p: np.ndarray,
     q[lo:lo + len(block)] = qb
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):  # not on macOS or Windows
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _paired_noise(n: int, d: int, noise_scale: float,
-                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+                  node: StreamTree) -> tuple[np.ndarray, np.ndarray]:
     """Pair store (p, q) of shape (ceil(n/2), d) for n paired components.
 
     Component i is s_i (p_k q_k^T + q_k p_k^T) with k = i >> 1 and
@@ -125,14 +134,14 @@ def _paired_noise(n: int, d: int, noise_scale: float,
     Pair k draws p_k then q_k, each a standard normal d-vector normalised
     by sqrt(p . p); then p_k is scaled by noise_scale / (1 + |p_k . q_k|).
 
-    Pairs are drawn in blocks of at most ``PAIR_BLOCK``; the generator
-    gives the same values as one whole draw. A single block is drawn
-    inline. More are double-buffered: a helper thread draws them in order
-    into two alternating buffers (the draw releases the GIL) while this
-    thread normalises the block before (``_store_pairs``). Only the helper
-    reads ``rng``, so the bits do not depend on the thread timing. An
-    exception on either thread leaves this call, and the helper is
-    released and joined on every exit path.
+    Block j of ``PAIR_BLOCK`` pairs is drawn in order from its own stream,
+    ``node`` for j = 0 and ``node.child(j)`` after. min(usable CPUs,
+    blocks, ``PAIR_WORKERS``) workers, the calling thread first, each take
+    blocks w, w + workers, ... into one buffer and normalise them into
+    their own rows (``_store_pairs``); a store of one block is drawn
+    inline. An exception on any worker (a ``KeyboardInterrupt`` in the
+    caller too) stops the others after their current block; all are
+    joined, and the first exception leaves this call.
 
     The output is byte-equal to doing this one pair at a time with
     ``np.linalg.norm``: ``np.vecdot`` reduces each row with the same dot.
@@ -151,45 +160,42 @@ def _paired_noise(n: int, d: int, noise_scale: float,
         raise ParameterError(
             f"n = {n} needs a pair store of {2 * rows * d * 8} bytes, which "
             f"cannot be allocated") from exc
-    if noise_scale == 0.0:
-        return p, q
     k = n // 2
-    if k <= PAIR_BLOCK:
-        _store_pairs(rng.standard_normal((k, 2, d)), noise_scale, p, q, 0)
+    if noise_scale == 0.0 or k == 0:
         return p, q
-    bufs = np.empty((2, PAIR_BLOCK, 2, d))
-    blocks = [(lo, bufs[j % 2, :min(PAIR_BLOCK, k - lo)])
-              for j, lo in enumerate(range(0, k, PAIR_BLOCK))]
-    free, ready = threading.Semaphore(2), threading.Semaphore(0)
+    starts = range(0, k, PAIR_BLOCK)
+    workers = min(_usable_cpus(), len(starts), PAIR_WORKERS)
     halt = threading.Event()
     failed = []
 
-    def draw():
+    def work(first: int) -> None:
         try:
-            for _, block in blocks:
-                free.acquire()
+            buf = np.empty((min(PAIR_BLOCK, k), 2, d))
+            for j in range(first, len(starts), workers):
                 if halt.is_set():
                     return
-                rng.standard_normal(out=block)
-                ready.release()
+                block = buf[:min(PAIR_BLOCK, k - starts[j])]
+                stream = node.child(j) if j else node
+                stream.generator().standard_normal(out=block)
+                _store_pairs(block, noise_scale, p, q, starts[j])
         except BaseException as exc:  # the calling thread raises it
             failed.append(exc)
-            ready.release()
+            halt.set()
 
-    helper = threading.Thread(target=draw, name="prsrg-pair-draw",
-                              daemon=True)
-    helper.start()
+    helpers = [threading.Thread(target=work, args=(w,), daemon=True)
+               for w in range(1, workers)]
+    for t in helpers:
+        t.start()
     try:
-        for lo, block in blocks:
-            ready.acquire()
-            if failed:
-                raise failed[0]
-            _store_pairs(block, noise_scale, p, q, lo)
-            free.release()
+        work(0)
+        for t in helpers:
+            t.join()
     finally:
-        halt.set()
-        free.release()  # wakes a helper that waits for a buffer
-        helper.join()
+        halt.set()  # early only on an interrupt while joining
+        for t in helpers:
+            t.join()
+    if failed:
+        raise failed[0]
     return p, q
 
 
@@ -305,8 +311,8 @@ class RayleighInstance(_SpectralRayleigh, _PairedComponentObjective):
     def __init__(self, d: int, n: int, spectrum, noise_scale: float,
                  rotation_seed: int | None):
         self._set_spectrum(d, spectrum, rotation_seed)
-        noise_rng = master_stream(0).child(TAG_PROBLEM, 1).generator()
-        p, q = _paired_noise(n, d, noise_scale, noise_rng)
+        p, q = _paired_noise(n, d, noise_scale,
+                             master_stream(0).child(TAG_PROBLEM, 1))
         # ||grad f_i - grad F|| = 2 ||(I-xx^T) E_i x|| <= 2 ||E_i||_2
         super().__init__(Sphere(d), self.Abar, n, p, q,
                          sigma_hint=2.0 * noise_scale)
@@ -334,8 +340,8 @@ class QuadraticSaddleInstance(_PairedComponentObjective):
         rest = np.linspace(L_top / (d - 1), L_top, d - 1)
         self.spectrum = np.concatenate([[-gamma], rest])
         self.rotation = _rotation(d, rotation_seed)
-        noise_rng = master_stream(0).child(TAG_PROBLEM, 2).generator()
-        p, q = _paired_noise(n, d, noise_scale, noise_rng)
+        p, q = _paired_noise(n, d, noise_scale,
+                             master_stream(0).child(TAG_PROBLEM, 2))
         # gap ||H_i y - H y|| <= noise_scale * ||y||; bound quoted for the
         # reference ball ||y|| <= sigma_radius
         super().__init__(Euclidean(d),

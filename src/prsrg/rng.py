@@ -10,6 +10,10 @@ in which order they instantiate their generators. That is the property the
 coupled-sequence experiments rely on: the randomness "tape" of epoch e is
 addressed by position, and both runs read it in the same order.
 
+A finite sum's pair store reads master(0) -> (PROBLEM, c) for its first
+``problems.PAIR_BLOCK`` pairs and (PROBLEM, c, j) for block j >= 1 (c = 1
+rayleigh, 2 quadratic_saddle), so any number of threads draw its bits.
+
 Implementation: ``numpy.random.SeedSequence`` with explicit ``spawn_key``
 paths feeding ``numpy.random.Philox``. SeedSequence spawning is numpy's
 documented splitting construction and Philox is counter-based, so streams are

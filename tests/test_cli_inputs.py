@@ -68,6 +68,15 @@ def _assert_one_error_line(capsys):
     return lines[0]
 
 
+# a seed out of the 64-bit range, in the config or on the command line;
+# the error names the key at fault
+SEED_RANGE = {"seed_negative": "[experiment] seed",
+              "seed_flag_negative": "[experiment] seed",
+              "rotation_seed_negative_rayleigh": "[problem] rotation_seed",
+              "rotation_seed_negative_quadratic": "[problem] rotation_seed",
+              "rotation_seed_negative_streaming": "[problem] rotation_seed",
+              "rotation_seed_above_64_bits": "[problem] rotation_seed"}
+
 # an override out of its range; the overrides build the run's parameters,
 # and the error names the [solver] key
 SOLVER_OVERRIDES = {"B_zero": "B = 0", "m_zero": "m = 0",
@@ -98,7 +107,7 @@ SOLVER_OVERRIDES = {"B_zero": "B = 0", "m_zero": "m = 0",
     "n_pair_store_past_int64", "sweep_n_pair_store_80_PiB",
     "config_not_utf8", "print_config_not_utf8", "B_above_n",
     "online_B_above_n", "D_above_chart", "baseline_eta_negative",
-    *SOLVER_OVERRIDES,
+    *SOLVER_OVERRIDES, *SEED_RANGE,
 ])
 def test_bad_input_exits_2_with_one_line(case, tmp_path, capsys):
     cfg_text = BASE.format(start="random")
@@ -163,6 +172,21 @@ def test_bad_input_exits_2_with_one_line(case, tmp_path, capsys):
         cfg_text = BASE.format(start=f"file:{point}")
     elif case == "seed_above_64_bits":
         extra = ["--seed", "99999999999999999999999"]
+    elif case == "seed_negative":
+        cfg_text = cfg_text.replace("seed = 7", "seed = -3")
+    elif case == "seed_flag_negative":
+        extra = ["--seed", "-3"]
+    elif case.startswith("rotation_seed_"):
+        value = 2**64 if case.endswith("64_bits") else -1
+        cfg_text = cfg_text.replace("n = 30",
+                                    f"n = 30\nrotation_seed = {value}")
+        if case.endswith("quadratic"):
+            cfg_text = (cfg_text.replace("sphere:3", "euclidean:3")
+                        .replace("kind = rayleigh", "kind = quadratic_saddle")
+                        .replace("start = random", "start = zero"))
+        elif case.endswith("streaming"):
+            cfg_text = cfg_text.replace("kind = rayleigh\nn = 30",
+                                        "kind = streaming_rayleigh")
     elif case.startswith("noise_scale_"):
         value = "-0.5" if case == "noise_scale_negative" else "nan"
         cfg_text = cfg_text.replace("noise_scale = 0.2",
@@ -345,6 +369,11 @@ def test_bad_input_exits_2_with_one_line(case, tmp_path, capsys):
     assert expect.get(case, "") in line
     if case in ("D_above_chart", "baseline_eta_negative"):
         assert line.startswith("error: " + expect[case]), line
+    if case in SEED_RANGE:
+        value = {"seed_negative": -3, "seed_flag_negative": -3,
+                 "rotation_seed_above_64_bits": 2**64}.get(case, -1)
+        assert line == (f"error: {SEED_RANGE[case]} must be a 64-bit "
+                        f"unsigned integer, got {value}"), line
     if case in SOLVER_OVERRIDES:
         key = SOLVER_OVERRIDES[case].split()[0]
         assert line.startswith(f"error: [solver] {key} must be"), line

@@ -73,13 +73,17 @@ def test_odd_n_last_component_is_noise_free():
                           obj.full_riem_grad(x).coords)
 
 
-def _paired_noise_one_pair_at_a_time(n, d, noise_scale, rng):
-    """Reference for ``_paired_noise``: the pair-by-pair loop it replaced."""
+def _paired_noise_one_pair_at_a_time(n, d, noise_scale, node):
+    """Reference for ``_paired_noise``: a pair-by-pair loop that opens block
+    j's stream (``node``, then ``node.child(j)``) at its first pair."""
     P = np.zeros((n, d))
     Q = np.zeros((n, d))
     if noise_scale == 0.0:
         return P, Q
     for k in range(n // 2):
+        j, first = divmod(k, PAIR_BLOCK)
+        if first == 0:
+            rng = (node.child(j) if j else node).generator()
         p = rng.standard_normal(d)
         q = rng.standard_normal(d)
         p /= np.linalg.norm(p)
@@ -102,13 +106,13 @@ def _paired_noise_one_pair_at_a_time(n, d, noise_scale, rng):
 def test_paired_noise_is_byte_equal_to_pairwise_loop(n, d, child):
     # guards the bitwise contract if numpy or BLAS ever reduces rows
     # differently from a 1-D dot; n = 2 PAIR_BLOCK is the largest store
-    # drawn inline, and the n near 4 PAIR_BLOCK end the double-buffered
-    # draw on a full block, a short one, or one pair into a third block
+    # drawn inline from one stream, and the n near 4 PAIR_BLOCK end the
+    # block-parallel draw on a full block, a short one, or one pair into a
+    # third block
     stream = master_stream(0).child(TAG_PROBLEM, child)
     for noise_scale in (0.0, 1e-300, 0.5, 1e5):
-        p, q = _paired_noise(n, d, noise_scale, stream.generator())
-        P0, Q0 = _paired_noise_one_pair_at_a_time(n, d, noise_scale,
-                                                  stream.generator())
+        p, q = _paired_noise(n, d, noise_scale, stream)
+        P0, Q0 = _paired_noise_one_pair_at_a_time(n, d, noise_scale, stream)
         assert p.shape == q.shape == ((n + 1) // 2, d)
         assert p.tobytes() == P0[0::2].tobytes()
         assert q.tobytes() == Q0[0::2].tobytes()
@@ -122,18 +126,23 @@ def test_paired_noise_is_byte_equal_to_pairwise_loop(n, d, child):
             assert np.array_equal(P, P0)
 
 
-class _FailingDraws:
-    """Generator stand-in whose ``standard_normal`` raises on one call."""
+class _FailingStream:
+    """StreamTree stand-in whose block ``fail_at`` (counting from 1) fails
+    to draw; every other block draws from a real stream."""
 
-    def __init__(self, fail_at, exc_type):
-        self.rng = np.random.default_rng(0)
-        self.calls, self.fail_at, self.exc_type = 0, fail_at, exc_type
+    def __init__(self, fail_at, exc_type, path=()):
+        self.fail_at, self.exc_type, self.path = fail_at, exc_type, path
+
+    def child(self, j):
+        return _FailingStream(self.fail_at, self.exc_type, (j,))
+
+    def generator(self):
+        if (self.path or (0,))[0] == self.fail_at - 1:
+            return self
+        return master_stream(0).child(TAG_PROBLEM, 1, *self.path).generator()
 
     def standard_normal(self, *args, **kwargs):
-        self.calls += 1
-        if self.calls == self.fail_at:
-            raise self.exc_type("draw failed")
-        return self.rng.standard_normal(*args, **kwargs)
+        raise self.exc_type("draw failed")
 
 
 def _on_watched_thread(fn, timeout=60.0):
@@ -159,47 +168,75 @@ def _on_watched_thread(fn, timeout=60.0):
 @pytest.mark.parametrize("side", ["draw", "normalise"])
 def test_paired_noise_failure_on_either_thread_propagates_and_joins(
         monkeypatch, side, fail_at, exc_type):
-    # six blocks: the helper's draw (its fail_at-th block) or the calling
-    # thread's normalising pass (its fail_at-th) fails while the other
-    # thread waits for it or works ahead; the error must leave
-    # _paired_noise and the helper must be joined, not left waiting
-    rng = np.random.default_rng(0)
+    # six blocks on four workers, on any core count: block fail_at's draw
+    # (on the caller for block 1, a helper for block 3) or the fail_at-th
+    # normalising pass fails while the other workers draw; the error must
+    # leave _paired_noise and every worker must be joined, not left running
+    monkeypatch.setattr(problems, "_usable_cpus", lambda: 4)
+    node = master_stream(0).child(TAG_PROBLEM, 1)
     if side == "draw":
-        rng = _FailingDraws(fail_at, exc_type)
+        node = _FailingStream(fail_at, exc_type)
     else:
         real, calls = problems._store_pairs, []
 
         def failing_pass(*args):
             calls.append(args)
             if len(calls) == fail_at:
-                time.sleep(0.05)  # the helper draws ahead and waits
+                time.sleep(0.05)  # the other workers draw on meanwhile
                 raise exc_type("normalise failed")
             real(*args)
 
         monkeypatch.setattr(problems, "_store_pairs", failing_pass)
     before = threading.active_count()
     exc = _on_watched_thread(
-        lambda: _paired_noise(12 * PAIR_BLOCK, 3, 0.5, rng))
+        lambda: _paired_noise(12 * PAIR_BLOCK, 3, 0.5, node))
     assert type(exc) is exc_type
     assert str(exc) == ("draw failed" if side == "draw"
                         else "normalise failed")
     assert threading.active_count() == before
 
 
-def test_concurrent_paired_noise_builds_are_byte_equal_to_pairwise_loop():
-    # three builds at once (six threads on any core count), with thread
+def test_paired_noise_is_byte_equal_across_worker_counts(monkeypatch):
+    # six blocks, the last one short: 1, 2 and 3 workers, and 5 usable CPUs
+    # (capped at PAIR_WORKERS), stripe them differently; each store must
+    # carry the reference's bits, and the blocks must run on that many
+    # threads
+    n, d = 11 * PAIR_BLOCK + 3, 4
+    stream = master_stream(0).child(TAG_PROBLEM, 2)
+    P0, Q0 = _paired_noise_one_pair_at_a_time(n, d, 0.5, stream)
+    real, seen = problems._store_pairs, []
+
+    def spy(*args):
+        seen.append(threading.current_thread())
+        real(*args)
+
+    monkeypatch.setattr(problems, "_store_pairs", spy)
+    for cpus in (1, 2, 3, 5):
+        monkeypatch.setattr(problems, "_usable_cpus", lambda: cpus)
+        seen.clear()
+        p, q = _paired_noise(n, d, 0.5, stream)
+        assert p.tobytes() == P0[0::2].tobytes()
+        assert q.tobytes() == Q0[0::2].tobytes()
+        assert len(seen) == 6
+        assert len(set(seen)) == min(cpus, problems.PAIR_WORKERS)
+
+
+def test_concurrent_paired_noise_builds_are_byte_equal_to_pairwise_loop(
+        monkeypatch):
+    # three builds at once (twelve threads on any core count), with thread
     # switches forced every microsecond: each store must still carry the
-    # bits of one in-order draw, whatever the interleaving
+    # bits of the per-block streams, whatever the interleaving
+    monkeypatch.setattr(problems, "_usable_cpus", lambda: 4)
     n, d = 12 * PAIR_BLOCK + 1, 3
     stream = master_stream(0).child(TAG_PROBLEM, 1)
-    P0, Q0 = _paired_noise_one_pair_at_a_time(n, d, 0.5, stream.generator())
+    P0, Q0 = _paired_noise_one_pair_at_a_time(n, d, 0.5, stream)
     out = [None] * 3
 
-    def build(i, rng):
-        out[i] = _paired_noise(n, d, 0.5, rng)
+    def build(i):
+        out[i] = _paired_noise(n, d, 0.5, stream)
 
-    builders = [threading.Thread(target=build, args=(i, stream.generator()),
-                                 daemon=True) for i in range(3)]
+    builders = [threading.Thread(target=build, args=(i,), daemon=True)
+                for i in range(3)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
