@@ -11,7 +11,9 @@ parse_config and dump_config walk the fields; the one key they name is
 error. Every run is a pure function of (config, seed):
 all randomness descends from the seed through position-keyed substreams, so
 reruns reproduce traces byte for byte, and a sweep cell writes the same
-bytes as a standalone run of that cell's config.
+bytes as a standalone run of that cell's config. A sweep runs its seeds
+in parallel, on the calling process and forked children (``run_sweep``);
+no byte depends on how many.
 
 Spectrum grammar: a comma list of terms, each either a float literal or
 ``linspace:a:b:k`` (k evenly spaced values from a to b inclusive), e.g.
@@ -29,6 +31,9 @@ import functools
 import io
 import json
 import math
+import os
+import pickle
+import sys
 import typing
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -36,11 +41,11 @@ from pathlib import Path
 import numpy as np
 
 from .diagnostics import certify
-from .errors import ParameterError, SchemaError
+from .errors import InvariantViolation, ParameterError, SchemaError
 from .geometry import Manifold, ManifoldPoint
-from .problems import (_loadtxt, load_matrix, make_data_rayleigh,
-                       make_quadratic_saddle, make_rayleigh,
-                       make_streaming_rayleigh)
+from .problems import (_loadtxt, _usable_cpus, load_matrix,
+                       make_data_rayleigh, make_quadratic_saddle,
+                       make_rayleigh, make_streaming_rayleigh)
 from .pullback import LipschitzEstimate, PullbackOracle
 from .rng import TAG_INIT, master_stream
 from .solver import SolverConstants, SolverParams, probe_params, prsrg_run
@@ -324,23 +329,25 @@ def _build_kind(prob):
     if prob.kind in ("rayleigh", "quadratic_saddle"):
         if prob.n is None:
             raise ParameterError(f"[problem] {prob.kind} needs n")
-        try:
-            if prob.kind == "rayleigh":
-                return make_rayleigh(d=spectrum.size, n=prob.n,
-                                     spectrum=spectrum,
-                                     noise_scale=prob.noise_scale,
-                                     seed=prob.rotation_seed)
+    try:
+        if prob.kind == "rayleigh":
+            return make_rayleigh(d=spectrum.size, n=prob.n,
+                                 spectrum=spectrum,
+                                 noise_scale=prob.noise_scale,
+                                 seed=prob.rotation_seed)
+        if prob.kind == "quadratic_saddle":
             return make_quadratic_saddle(d=spectrum.size, gamma=prob.gamma,
                                          L_top=prob.L_top, n=prob.n,
                                          seed=prob.rotation_seed,
                                          noise_scale=prob.noise_scale,
                                          sigma_radius=prob.sigma_radius)
-        except ParameterError as exc:
-            # their checks name the [problem] keys they read
-            raise ParameterError(f"[problem] {exc}") from exc
-    if prob.kind == "streaming_rayleigh":
-        return make_streaming_rayleigh(d=spectrum.size, spectrum=spectrum,
-                                       seed=prob.rotation_seed)
+        if prob.kind == "streaming_rayleigh":
+            return make_streaming_rayleigh(d=spectrum.size,
+                                           spectrum=spectrum,
+                                           seed=prob.rotation_seed)
+    except ParameterError as exc:
+        # their checks name the [problem] keys they read
+        raise ParameterError(f"[problem] {exc}") from exc
     if prob.kind == "data_rayleigh":
         if prob.data is None:
             raise ParameterError("[problem] data_rayleigh needs data = <path>")
@@ -492,49 +499,169 @@ def write_artifacts(prefix, cfg: ExperimentConfig, report, params) -> tuple[Path
 def run_sweep(cfg: ExperimentConfig, out_dir) -> list[dict]:
     """Run the n x seed grid; one trace/report pair per cell, plus summary.
 
-    Cells run one after another in (n, seed) order. Cell (n, i) is
-    ``run_experiment`` of the base config with problem size n and seed
-    base_seed + i, so its files are byte-equal to a standalone run of that
+    Cell (n, s) is ``run_experiment`` of the base config with problem size
+    n and seed s, so its files are byte-equal to a standalone run of that
     config. The problem is built once, at the largest n, before any file is
     written; every smaller n is its ``prefix(n)``, equal to a build at n
-    (pair stores are prefix-closed in n). The smoothness probe reads only
-    Abar, the start point and the seed, so each seed probes once, in the
-    first n's cell, and its other cells reuse that estimate.
+    (pair stores are prefix-closed in n).
+
+    The seeds are striped over min(usable CPUs, seeds) workers: worker w
+    takes seeds w, w + workers, ... of the range and runs each of them at
+    every n, in increasing n. The calling process is worker 0; workers 1...
+    are ``os.fork`` children, forked after the build has joined its
+    pair-store threads, which share the built store copy-on-write and send
+    back their summary rows, or their error, pickled through a pipe. With
+    one worker, or where ``os.fork`` does not exist, the caller runs every
+    cell. The smoothness probe reads only Abar, the start point and the
+    seed, so each seed probes once, in its smallest-n cell, on the worker
+    that owns it, and its other cells reuse that estimate. A warning raised
+    in a cell is printed by the worker that runs it, so a warning that
+    every cell raises appears once per worker.
+
+    Every file, summary.csv (in (n, seed) order) included, is byte-equal
+    whatever the worker count. When cells fail, the error of the first
+    failed cell in (n, seed) order is raised; a child that ends without a
+    result raises ``InvariantViolation``. A failure in the caller's own
+    cells, or an interrupt, kills the children at once, so then the error
+    is the first among the cells that had run. Which other cells wrote
+    their files before a failure depends on the worker count. Every child
+    is reaped before this returns or raises; a caller killed outright
+    (SIGKILL, or SIGTERM without a handler) runs no cleanup, so each child
+    then stops before its next cell.
     """
     if not cfg.sweep.n_values:
         raise ParameterError("[sweep] n is empty")
     sizes = sorted(cfg.sweep.n_values)
+    seeds = range(cfg.seed, cfg.seed + cfg.sweep.seeds)
     base = dataclasses.replace(cfg, out=None, sweep=SweepSpec())
     largest = build_problem(dataclasses.replace(
         base, problem=dataclasses.replace(cfg.problem, n=sizes[-1])))
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    estimates: dict[int, LipschitzEstimate | None] = {}
-    rows = []
-    lines = ["n,seed,exit_reason,queries_used,best_F,certified"]
-    for n in sizes:
-        ncfg = dataclasses.replace(
-            base, problem=dataclasses.replace(cfg.problem, n=n))
-        objective = None  # free an odd n's copied store before the next
-        objective = largest.prefix(n)
-        for seed in range(cfg.seed, cfg.seed + cfg.sweep.seeds):
-            ccfg = dataclasses.replace(ncfg, seed=seed)
+    workers = min(_usable_cpus(), len(seeds)) if hasattr(os, "fork") else 1
+    cells = [[(n, s) for n in sizes for s in seeds[w::workers]]
+             for w in range(workers)]
+    caller = os.getpid()
+
+    def run_cells(w: int, rows: list) -> None:
+        """Worker w's cells in order, one summary row appended per cell."""
+        estimates: dict[int, LipschitzEstimate] = {}
+        objective = None
+        for n, seed in cells[w]:
+            if w and os.getppid() != caller:  # killed without a finally
+                raise InvariantViolation("the sweep's calling process died")
+            if objective is None or objective.n != n:
+                objective = None  # free an odd n's copied store first
+                objective = largest.prefix(n)
+            ccfg = dataclasses.replace(
+                base, seed=seed, problem=dataclasses.replace(cfg.problem, n=n))
             prefix = out_dir / f"n{n}_s{seed}"
             report, _ = run_experiment(ccfg, out=str(prefix),
                                        objective=objective,
                                        estimate=estimates.get(seed))
             estimates.setdefault(seed, report.lipschitz)
-            certified = (report.certified is not None
-                         and report.certified.passed)
             rows.append({"n": n, "seed": seed,
                          "exit_reason": report.exit_reason,
                          "queries_used": report.queries_used,
-                         "best_F": report.best_F, "certified": certified})
-            lines.append(f"{n},{seed},{report.exit_reason},"
-                         f"{report.queries_used},{report.best_F!r},"
-                         f"{str(certified).lower()}")
+                         "best_F": report.best_F,
+                         "certified": (report.certified is not None
+                                       and report.certified.passed)})
+
+    rows: list[list] = [[] for _ in range(workers)]
+    errors: dict[int, Exception] = {}
+    children: dict[int, tuple] = {}  # worker -> (pid, read end of its pipe)
+    _flush_stdio()  # a child starts with empty stdio buffers
+    try:
+        for w in range(1, workers):
+            r, wfd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(wfd)
+                raise
+            if pid == 0:
+                _sweep_child(run_cells, w, wfd)
+            os.close(wfd)
+            children[w] = (pid, open(r, "rb"))
+        try:
+            run_cells(0, rows[0])
+        except Exception as exc:
+            errors[0] = exc
+            _kill(children)
+        for w in list(children):
+            with children[w][1] as pipe:
+                data = pipe.read()  # to EOF: the child closes it as it exits
+            pid, _ = children.pop(w)
+            _, status = os.waitpid(pid, 0)
+            try:
+                rows[w], error = pickle.loads(data)
+            except (EOFError, pickle.UnpicklingError):
+                error = None if 0 in errors else InvariantViolation(
+                    f"sweep worker {w} (seeds {list(seeds[w::workers])}) "
+                    f"ended without a result, exit code "
+                    f"{os.waitstatus_to_exitcode(status)}")
+            if error is not None:
+                errors[w] = error
+    except BaseException:
+        _kill(children)
+        raise
+    finally:
+        for pid, pipe in children.values():
+            pipe.close()
+            os.waitpid(pid, 0)
+    if errors:
+        raise errors[min(errors, key=lambda w: cells[w][len(rows[w])])]
+    done = sorted((row for part in rows for row in part),
+                  key=lambda row: (row["n"], row["seed"]))
+    lines = ["n,seed,exit_reason,queries_used,best_F,certified"]
+    lines += [f"{r['n']},{r['seed']},{r['exit_reason']},{r['queries_used']},"
+              f"{r['best_F']!r},{str(r['certified']).lower()}" for r in done]
     (out_dir / "summary.csv").write_text("\n".join(lines) + "\n")
-    return rows
+    return done
+
+
+def _flush_stdio() -> None:
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:
+            stream.flush()
+
+
+def _kill(children: dict) -> None:
+    """SIGKILL every child still listed; the caller reaps them."""
+    from signal import SIGKILL  # loaded only when a sweep stops early
+    for pid, _ in children.values():
+        os.kill(pid, SIGKILL)
+
+
+def _sweep_child(run_cells, w: int, fd: int) -> typing.NoReturn:
+    """A forked sweep worker: run worker w's cells and send (rows, error)
+    pickled through the pipe's write end fd. It leaves by ``os._exit``, so
+    it never returns into the caller's stack; the caller flushed stdio
+    before the fork, so the buffers flushed here hold only this worker's
+    own output."""
+    code = 1
+    try:
+        rows: list = []
+        error = None
+        try:
+            run_cells(w, rows)
+        except Exception as exc:  # the caller raises it
+            error = exc
+        try:
+            payload = pickle.dumps((rows, error))
+            pickle.loads(payload)  # the caller must be able to read it
+        except Exception:  # an error that does not round-trip: its text
+            payload = pickle.dumps((rows, InvariantViolation(
+                f"sweep worker {w}: {error!r}")))
+        with open(fd, "wb") as pipe:
+            pipe.write(payload)
+        code = 0
+    finally:
+        try:
+            _flush_stdio()
+        finally:
+            os._exit(code)
 
 
 def run_couple(cfg: ExperimentConfig, *, out: str | None = None) -> dict:

@@ -61,23 +61,35 @@ from .rng import TAG_PROBLEM, StreamTree, as_generator, master_stream
 MAGIC = b"PRSRGMAT"
 
 
+def _too_large(d: int) -> ParameterError:
+    return ParameterError(
+        f"spectrum of length d = {d} needs d x d matrices of {8 * d * d} "
+        f"bytes each, which cannot be allocated")
+
+
 def _rotation(d: int, seed: int | None) -> np.ndarray:
     """Deterministic orthogonal matrix; identity when seed is None."""
-    if seed is None:
-        return np.eye(d)
-    rng = master_stream(seed).child(TAG_PROBLEM).generator()
-    G = rng.standard_normal((d, d))
-    Q, R = np.linalg.qr(G)
-    return Q * np.sign(np.diag(R))
+    try:
+        if seed is None:
+            return np.eye(d)
+        rng = master_stream(seed).child(TAG_PROBLEM).generator()
+        G = rng.standard_normal((d, d))
+        Q, R = np.linalg.qr(G)
+        return Q * np.sign(np.diag(R))
+    except MemoryError as exc:
+        raise _too_large(d) from exc
 
 
 def _rotated(rotation: np.ndarray, values: np.ndarray,
              seed: int | None) -> np.ndarray:
     """R diag(values) R^T for R = _rotation(d, seed); exactly diagonal when
     seed is None."""
-    if seed is None:
-        return np.diag(values)
-    return rotation @ np.diag(values) @ rotation.T
+    try:
+        if seed is None:
+            return np.diag(values)
+        return rotation @ np.diag(values) @ rotation.T
+    except MemoryError as exc:
+        raise _too_large(values.size) from exc
 
 
 def _check_spectrum(d: int, spectrum) -> np.ndarray:

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prsrg import Sphere, solver
+from prsrg import Sphere, harness, solver
 from prsrg.cli import EXIT_BAD_INPUT, EXIT_FAIL, main
 from prsrg.errors import (ContractViolation, NumericalFailure, ParameterError,
                           SchemaError)
@@ -382,6 +382,31 @@ def test_bad_input_exits_2_with_one_line(case, tmp_path, capsys):
         assert not any((tmp_path / "sweep").glob("*"))
     if case.startswith("online_epsilon_"):
         assert f"epsilon={float(value)}" in line
+
+
+@pytest.mark.parametrize("kind", ["rayleigh", "quadratic_saddle",
+                                  "streaming_rayleigh"])
+def test_oversized_spectrum_exits_2_with_one_line(kind, tmp_path, capsys,
+                                                   monkeypatch):
+    # d = 5,000,000: its d x d matrices (182 TiB) exceed any address
+    # space. The parsed spectrum is handed over as an array, since parsing
+    # it from text would build a list of 5M Python floats
+    d = 5_000_000
+    monkeypatch.setattr(harness, "parse_spectrum",
+                        lambda text: np.linspace(2.0, 0.0, d))
+    manifold = "euclidean" if kind == "quadratic_saddle" else "sphere"
+    cfg_text = BASE.format(start="random").replace(
+        "sphere:3", f"{manifold}:{d}").replace("kind = rayleigh",
+                                               f"kind = {kind}")
+    if kind == "streaming_rayleigh":
+        cfg_text = cfg_text.replace("n = 30\n", "")
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(cfg_text)
+    assert main(["run", "--config", str(cfg)]) == EXIT_BAD_INPUT
+    line = _assert_one_error_line(capsys)
+    assert line == (f"error: [problem] spectrum of length d = {d} needs d x "
+                    f"d matrices of {8 * d * d} bytes each, which cannot be "
+                    f"allocated")
 
 
 def test_numerical_failure_exits_1(tmp_path, capsys, monkeypatch):

@@ -3,11 +3,16 @@
 import collections
 import csv
 import dataclasses
+import functools
 import importlib.util
 import io
 import json
+import os
 import re
+import signal
+import subprocess
 import sys
+import time
 import typing
 import warnings
 from pathlib import Path
@@ -16,8 +21,10 @@ import numpy as np
 import pytest
 
 from prsrg import harness
-from prsrg.cli import EXIT_BAD_INPUT, EXIT_NOT_SADDLE, EXIT_OK, main
-from prsrg.errors import ContractViolation, ParameterError, SchemaError
+from prsrg.cli import (EXIT_BAD_INPUT, EXIT_FAIL, EXIT_NOT_SADDLE, EXIT_OK,
+                       main)
+from prsrg.errors import (ContractViolation, InvariantViolation,
+                          NumericalFailure, ParameterError, SchemaError)
 from prsrg.harness import (BaselineSpec, CoupleSpec, ExperimentConfig,
                            ProblemSpec, SolverSpec, SweepSpec, build_problem,
                            dump_config, load_point,
@@ -654,12 +661,16 @@ def test_sweep_probes_smoothness_once_per_seed(tmp_path, monkeypatch, algo,
                                                 probes):
     # the probe reads Abar, the start point and the seed, never n, so a
     # seed's first cell probes and its other cells reuse the estimate;
-    # baselines derive no parameters and never probe
-    seen = []
+    # baselines derive no parameters and never probe. A seed's cells may
+    # run in a forked worker, so each probe appends a line to a file that
+    # every process writes to
+    log = tmp_path / "probes.log"
+    log.touch()
     real = PullbackOracle.estimate_lipschitz
 
     def counting_probe(self, rng, *args, **kwargs):
-        seen.append(self.objective.n)
+        with open(log, "a") as fh:
+            fh.write(f"{self.objective.n}\n")
         return real(self, rng, *args, **kwargs)
 
     monkeypatch.setattr(PullbackOracle, "estimate_lipschitz", counting_probe)
@@ -667,7 +678,225 @@ def test_sweep_probes_smoothness_once_per_seed(tmp_path, monkeypatch, algo,
         "seed = 11", f"seed = 11\nalgo = {algo}")
     rows = run_sweep(parse_config(text), tmp_path / "grid")
     assert len(rows) == 6
+    seen = [int(line) for line in log.read_text().split()]
     assert seen == [7] * probes
+
+
+# ----------------------------------------------------------- sweep workers
+
+SWEEP_3_SEEDS = SWEEP_RUN.replace("n = 8,12", "n = 12,7,8").replace(
+    "seeds = 2", "seeds = 3")
+
+
+@pytest.fixture
+def no_child_left():
+    """After the test, this process has no child, running or unreaped."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _set_workers(monkeypatch, workers: int) -> None:
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: workers)
+
+
+def _fail_cells(monkeypatch, failures: dict) -> None:
+    """Cell (n, seed) in ``failures`` calls its value instead of running."""
+    real = harness.run_experiment
+
+    def cell(cfg, **kwargs):
+        action = failures.get((cfg.problem.n, cfg.seed))
+        if action is not None:
+            action()
+        return real(cfg, **kwargs)
+
+    monkeypatch.setattr(harness, "run_experiment", cell)
+
+
+def test_sweep_files_are_byte_equal_across_worker_counts(tmp_path,
+                                                         monkeypatch,
+                                                         no_child_left):
+    # striped seeds: 2 workers run seeds {11, 13} and {12}, 3 workers one
+    # seed each; every cell logs the process that ran it
+    log = tmp_path / "pids.log"
+    log.touch()
+    real = harness.run_experiment
+
+    def logged(cfg, **kwargs):
+        with open(log, "a") as fh:
+            fh.write(f"{cfg.seed} {os.getpid()}\n")
+        return real(cfg, **kwargs)
+
+    monkeypatch.setattr(harness, "run_experiment", logged)
+    cfg = parse_config(SWEEP_3_SEEDS)
+    cells = [(n, s) for n in (7, 8, 12) for s in (11, 12, 13)]
+    files, rows = {}, {}
+    for workers in (1, 2, 3):
+        _set_workers(monkeypatch, workers)
+        log.write_text("")
+        out = tmp_path / f"w{workers}"
+        rows[workers] = run_sweep(cfg, out)
+        assert [(r["n"], r["seed"]) for r in rows[workers]] == cells
+        files[workers] = {p.name: p.read_bytes() for p in out.iterdir()}
+        pids = {}
+        for line in log.read_text().splitlines():
+            seed, pid = map(int, line.split())
+            pids.setdefault(seed, set()).add(pid)
+        assert all(len(v) == 1 for v in pids.values())  # one owner per seed
+        owners = [pids[s].pop() for s in (11, 12, 13)]
+        assert owners[0] == os.getpid()  # the caller takes the first stripe
+        assert len(set(owners)) == workers
+    assert len(files[1]) == 2 * len(cells) + 1
+    assert files[1] == files[2] == files[3]
+    assert rows[1] == rows[2] == rows[3]
+
+
+ORPHANED_SWEEP = """\
+import os, signal, sys, time
+from prsrg import harness
+log, out, text = sys.argv[1:]
+real = harness.run_experiment
+
+def cell(cfg, **kwargs):
+    with open(log, "a") as fh:
+        fh.write(f"{cfg.problem.n} {cfg.seed}\\n")
+    if cfg.seed == 11:  # the caller dies once the child has started
+        while "7 12" not in open(log).read():
+            time.sleep(0.01)
+        os.kill(os.getpid(), signal.SIGKILL)
+    time.sleep(0.5)
+    return real(cfg, **kwargs)
+
+harness.run_experiment = cell
+harness._usable_cpus = lambda: 2
+harness.run_sweep(harness.parse_config(text), out)
+"""
+
+
+def test_sweep_child_stops_when_its_caller_is_killed(tmp_path):
+    # SIGKILL runs no finally, so no one kills the child; it must stop
+    # before its next cell. The orphan keeps the captured output pipes
+    # open, so subprocess.run returns only once it has exited
+    log = tmp_path / "cells.log"
+    log.touch()
+    text = SWEEP_RUN.replace("n = 8,12", "n = 12,7,8")
+    env = dict(os.environ, PYTHONPATH=str(Path(harness.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", ORPHANED_SWEEP, str(log),
+         str(tmp_path / "grid"), text],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == -signal.SIGKILL, proc.stderr
+    assert log.read_text().split("\n") == ["7 11", "7 12", ""]
+    assert sorted(p.name for p in (tmp_path / "grid").iterdir()) == [
+        "n7_s12.report.json", "n7_s12.trace.csv"]
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_sweep_raises_a_childs_cell_failure(tmp_path, monkeypatch, capsys,
+                                            no_child_left, workers):
+    caller = os.getpid()
+
+    def blow_up():
+        assert os.getpid() != caller  # seed 12 runs in a child
+        raise NumericalFailure("non-finite estimator at inner step 3",
+                               iteration=3)
+
+    _set_workers(monkeypatch, workers)
+    _fail_cells(monkeypatch, {(n, 12): blow_up for n in (7, 8, 12)})
+    with pytest.raises(NumericalFailure) as info:
+        run_sweep(parse_config(SWEEP_3_SEEDS), tmp_path / "grid")
+    assert type(info.value) is NumericalFailure
+    assert str(info.value) == ("non-finite estimator at inner step 3 "
+                               "(iteration 3)")
+    assert info.value.iteration == 3
+
+    cfgfile = tmp_path / "sweep.ini"
+    cfgfile.write_text(SWEEP_3_SEEDS)
+    assert main(["sweep", "--config", str(cfgfile), "--out",
+                 str(tmp_path / "cli")]) == EXIT_FAIL
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: non-finite estimator at inner step 3 "
+                   "(iteration 3)"]
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_sweep_raises_the_first_failed_cell_in_n_seed_order(
+        tmp_path, monkeypatch, no_child_left, workers):
+    # seed 13 fails at n = 7, before seed 12 fails at n = 8; with 3
+    # workers both are children, with 2 seed 13 is the caller's
+    def fail(text):
+        def action():
+            raise NumericalFailure(text, iteration=1)
+        return action
+
+    _set_workers(monkeypatch, workers)
+    _fail_cells(monkeypatch, {(8, 12): fail("second"), (7, 13): fail("first")})
+    with pytest.raises(NumericalFailure, match="^first"):
+        run_sweep(parse_config(SWEEP_3_SEEDS), tmp_path / "grid")
+
+
+def test_sweep_child_without_a_result_is_an_invariant_violation(
+        tmp_path, monkeypatch, capsys, no_child_left):
+    caller = os.getpid()
+
+    def vanish():
+        if os.getpid() == caller:
+            raise AssertionError("seed 12 ran in the calling process")
+        os._exit(3)
+
+    _set_workers(monkeypatch, 3)
+    _fail_cells(monkeypatch, {(7, 12): vanish})
+    with pytest.raises(InvariantViolation,
+                       match=r"sweep worker 1 .* ended without a result, "
+                             r"exit code 3"):
+        run_sweep(parse_config(SWEEP_3_SEEDS), tmp_path / "grid")
+
+    cfgfile = tmp_path / "sweep.ini"
+    cfgfile.write_text(SWEEP_3_SEEDS)
+    assert main(["sweep", "--config", str(cfgfile), "--out",
+                 str(tmp_path / "cli")]) == EXIT_FAIL
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: sweep worker 1 ")
+
+
+class _Unpicklable(RuntimeError):
+    """Pickles, but cannot be rebuilt from its args."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a} and {b}")
+
+
+def test_sweep_child_error_that_does_not_unpickle_keeps_its_text(
+        tmp_path, monkeypatch, no_child_left):
+    def raise_error():
+        raise _Unpicklable("left", "right")
+
+    _set_workers(monkeypatch, 3)
+    _fail_cells(monkeypatch, {(7, 12): raise_error})
+    with pytest.raises(InvariantViolation, match=re.escape(
+            "sweep worker 1: _Unpicklable('left and right')")):
+        run_sweep(parse_config(SWEEP_3_SEEDS), tmp_path / "grid")
+
+
+@pytest.mark.parametrize("error", [
+    NumericalFailure("caller cell", iteration=2), KeyboardInterrupt()],
+    ids=["cell_failure", "interrupt"])
+def test_sweep_caller_failure_kills_and_reaps_children(
+        tmp_path, monkeypatch, no_child_left, error):
+    # the children's cells would sleep for a minute; the caller's first
+    # cell fails at once, so the sweep ends only if it kills them
+    def raise_error():
+        raise error
+
+    _set_workers(monkeypatch, 3)
+    failures = {(n, s): functools.partial(time.sleep, 60)
+                for n in (7, 8, 12) for s in (12, 13)}
+    failures[(7, 11)] = raise_error
+    _fail_cells(monkeypatch, failures)
+    start = time.monotonic()
+    with pytest.raises(type(error)):
+        run_sweep(parse_config(SWEEP_3_SEEDS), tmp_path / "grid")
+    assert time.monotonic() - start < 30
 
 
 @pytest.mark.parametrize("solver_keys, key", [

@@ -427,6 +427,30 @@ def test_quadratic_saddle_rejects_non_finite_L_top(L_top):
                                   seed=None)
 
 
+# d x d float64 at d = 5,000,000 is 182 TiB, past the 128 TiB address
+# space, so the first dense allocation fails at once under any overcommit
+# policy. Near d = 1e6 it can succeed under overcommit and touch gigabytes
+HUGE_D = 5_000_000
+
+
+@pytest.mark.parametrize("kind, seed", [
+    ("rayleigh", None), ("rayleigh", 7), ("streaming_rayleigh", None),
+    ("quadratic_saddle", 7)])
+def test_oversized_spectrum_is_a_parameter_error(kind, seed):
+    d = HUGE_D
+    with pytest.raises(ParameterError) as info:
+        if kind == "quadratic_saddle":
+            make_quadratic_saddle(d, gamma=1.0, L_top=2.0, n=2, seed=seed)
+        elif kind == "rayleigh":
+            make_rayleigh(d, 2, np.linspace(2.0, 0.0, d), 0.1, seed)
+        else:
+            make_streaming_rayleigh(d, np.linspace(2.0, 0.0, d), seed)
+    assert str(info.value) == (
+        f"spectrum of length d = {d} needs d x d matrices of {8 * d * d} "
+        f"bytes each, which cannot be allocated")
+    assert isinstance(info.value.__cause__, MemoryError)
+
+
 # -------------------------------------------------------- streaming
 
 def test_streaming_matches_population_objective():
