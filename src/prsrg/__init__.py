@@ -21,19 +21,16 @@ _EXPORTS = {
     "_kernels": "backend_name",
     "baselines": "BaselineConfig baseline_run",
     "diagnostics": "Certification certify lanczos_min_eig",
-    "errors": "ContractViolation EmptyBatch InvariantViolation NotASaddle "
+    "errors": "ContractViolation EmptyBatch InvariantViolation "
               "NumericalFailure OutOfBall ParameterError SchemaError",
     "geometry": "Euclidean Manifold ManifoldPoint Sphere TangentVector",
     "harness": "ExperimentConfig dump_config load_config parse_config "
-               "parse_spectrum run_certify run_couple run_experiment "
-               "run_sweep",
+               "parse_spectrum run_certify run_experiment run_sweep",
     "problems": "DataRayleighInstance QuadraticSaddleInstance "
                 "RayleighInstance StreamingRayleighInstance load_matrix "
                 "make_data_rayleigh make_quadratic_saddle make_rayleigh "
                 "make_streaming_rayleigh save_matrix",
     "pullback": "Batch FiniteSumObjective LipschitzEstimate PullbackOracle",
-    "replay": "EscapeStats check_improve_or_localize check_variance_bound "
-              "escape_threshold stuck_region_experiment",
     "rng": "StreamTree master_stream",
     "solver": "SolverConstants SolverParams SolverReport auto_solve "
               "derive_params prsrg_run small_grad_check",

@@ -1,10 +1,10 @@
 """Command-line entry points.
 
 Subcommands: run (optimize per config), certify (check a stored point),
-couple (stuck-region experiment), sweep (n x seed grid), print-config.
+sweep (n x seed grid), print-config.
 Exit codes: 0 success, 1 internal failure (non-finite values mid-run or a
-broken accounting invariant), 2 config/point validation error, 3 couple
-anchor is not a saddle. Failures print one ``error:`` line on stderr.
+broken accounting invariant), 2 config/point validation error. Failures
+print one ``error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -14,15 +14,14 @@ import dataclasses
 import json
 import sys
 
-from .errors import (ContractViolation, InvariantViolation, NotASaddle,
-                     NumericalFailure, ParameterError, SchemaError)
-from .harness import (ALGOS, dump_config, load_config, run_certify, run_couple,
+from .errors import (ContractViolation, InvariantViolation, NumericalFailure,
+                     ParameterError, SchemaError)
+from .harness import (ALGOS, dump_config, load_config, run_certify,
                       run_experiment, run_sweep)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_BAD_INPUT = 2
-EXIT_NOT_SADDLE = 3
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -52,10 +51,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cert.add_argument("--point", required=True,
                         help="point coordinates (.mat, .csv, or whitespace "
                              "text)")
-
-    p_couple = sub.add_parser("couple",
-                              help="coupled-perturbation saddle experiment")
-    common(p_couple)
 
     p_sweep = sub.add_parser("sweep", help="run the [sweep] grid")
     common(p_sweep)
@@ -95,11 +90,6 @@ def main(argv=None) -> int:
             payload = run_certify(cfg, args.point, out=args.out)
             print(json.dumps(payload, sort_keys=True))
             return EXIT_OK
-        if args.command == "couple":
-            cfg = _load(args)
-            payload = run_couple(cfg, out=args.out)
-            print(json.dumps(payload, sort_keys=True))
-            return EXIT_OK
         if args.command == "sweep":
             cfg = _load(args)
             out_dir = args.out if args.out is not None else (cfg.out or "sweep")
@@ -112,9 +102,6 @@ def main(argv=None) -> int:
             print(dump_config(cfg), end="")
             return EXIT_OK
         raise AssertionError(f"unhandled command {args.command}")
-    except NotASaddle as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_SADDLE
     except (ParameterError, SchemaError, ContractViolation, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

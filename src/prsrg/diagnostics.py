@@ -8,10 +8,8 @@ an estimate is not a bound. Lanczos works on ambient tangent vectors at
 the anchor, which the Hessian maps to tangent vectors, in one Krylov run
 of at most LANCZOS_MAX_ITERS Hessian actions. The solver and the ``prgd``
 baseline stop a failing run at the first Ritz value that disproves the
-Hessian clause; ``certify`` on its own (``prsrg certify``), the coupled
-experiment and every passing certification run Lanczos to convergence.
-The checks that replay recorded runs against the analysis' bounds, and
-the coupled experiment, are in ``replay``.
+Hessian clause; ``certify`` on its own (``prsrg certify``) and every
+passing certification run Lanczos to convergence.
 """
 
 from __future__ import annotations

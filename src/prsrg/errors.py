@@ -9,10 +9,6 @@ class ContractViolation(ValueError):
     """An argument broke a structural precondition (base-point mismatch, off-manifold point)."""
 
 
-class NotASaddle(ContractViolation):
-    """The coupled experiment's anchor is not a certified strict saddle."""
-
-
 class OutOfBall(ValueError):
     """A tangent vector left the constraint ball of radius D."""
 

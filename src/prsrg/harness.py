@@ -5,7 +5,7 @@ as a frozen dataclass whose fields are its keys in dump order: a field's
 annotation gives the key's type (int, finite float, str or boolean; ``T |
 None`` may be unset) and its default the key's default. [experiment] is
 ExperimentConfig's scalar fields; its other fields are the sections
-[problem], [solver], [constants], [baseline], [couple] and [sweep].
+[problem], [solver], [constants], [baseline] and [sweep].
 parse_config and dump_config walk the fields; the one key they name is
 [sweep] n, held in SweepSpec.n_values. Any other section or key is an
 error. Every run is a pure function of (config, seed):
@@ -51,7 +51,7 @@ from .rng import TAG_INIT, master_stream
 from .solver import SolverConstants, SolverParams, probe_params, prsrg_run
 from .trace import write_trace
 
-ALGOS = ("prsrg", "prgd", "rsgd", "rsrg_unperturbed")
+ALGOS = ("prsrg", "prgd", "rsrg_unperturbed")
 PROBLEM_KINDS = ("rayleigh", "quadratic_saddle", "streaming_rayleigh",
                  "data_rayleigh")
 
@@ -131,16 +131,6 @@ class BaselineSpec:
     eta: float = 0.1
     r: float = 0.01
     escape_steps: int = 20
-    batch: int = 8
-
-
-@dataclass(frozen=True)
-class CoupleSpec:
-    nu: float = 0.1
-    trials: int = 50
-    c2: float = 1.0
-    c3: float = 10.0
-    rho_hat: float | None = None
 
 
 @dataclass(frozen=True)
@@ -168,7 +158,6 @@ class ExperimentConfig:
     solver: SolverSpec = field(default_factory=SolverSpec)
     constants: SolverConstants = field(default_factory=SolverConstants)
     baseline: BaselineSpec = field(default_factory=BaselineSpec)
-    couple: CoupleSpec = field(default_factory=CoupleSpec)
     sweep: SweepSpec = field(default_factory=SweepSpec)
 
     def __post_init__(self):
@@ -458,8 +447,7 @@ def run_experiment(cfg: ExperimentConfig, *, out: str | None = None,
     else:
         from .baselines import BaselineConfig, baseline_run  # on first use
         try:
-            bcfg = BaselineConfig(kind=cfg.algo,
-                                  **dataclasses.asdict(cfg.baseline))
+            bcfg = BaselineConfig(**dataclasses.asdict(cfg.baseline))
         except ParameterError as exc:  # its checks name [baseline] keys
             raise ParameterError(f"[baseline] {exc}") from exc
         report = baseline_run(objective, x0, bcfg, cfg.solver.epsilon,
@@ -662,30 +650,6 @@ def _sweep_child(run_cells, w: int, fd: int) -> typing.NoReturn:
             _flush_stdio()
         finally:
             os._exit(code)
-
-
-def run_couple(cfg: ExperimentConfig, *, out: str | None = None) -> dict:
-    """Stuck-region experiment at the configured anchor point."""
-    from .replay import stuck_region_experiment  # loaded by couple only
-    stream = master_stream(cfg.seed)
-    objective = build_problem(cfg)
-    x0 = resolve_start(cfg, objective, stream)
-    params, est = resolve_params(cfg, objective, x0, stream)
-    rho = cfg.couple.rho_hat if cfg.couple.rho_hat is not None else est.rho_hat
-    if rho <= 0:
-        raise ParameterError("[couple] rho_hat must be positive; the "
-                             "curvature estimate was zero, set it explicitly")
-    oracle = PullbackOracle(objective, x0)
-    stats = stuck_region_experiment(
-        oracle, params, cfg.couple.nu, cfg.couple.trials, stream,
-        rho_hat=rho, delta=params.delta, r=params.r, c2=cfg.couple.c2,
-        c3=cfg.couple.c3)
-    payload = stats.as_dict()
-    payload["params"] = dataclasses.asdict(params)
-    target = out if out is not None else cfg.out
-    if target is not None:
-        _write_json(target, ".couple.json", payload)
-    return payload
 
 
 def run_certify(cfg: ExperimentConfig, point_path, *,

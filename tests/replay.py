@@ -1,26 +1,35 @@
-"""Replay checks and the coupled stuck-region experiment.
+"""Test helper: replay checks and the coupled stuck-region experiment.
 
-The ``check_*`` functions replay recorded runs against the bounds the
-solver's analysis relies on (estimator variance, improve or localize), and
+No run path calls these, so they live with the tests, which import them
+the way they import ``conftest`` (``from replay import ...``); pytest
+collects only ``test_*.py``, so this module is never collected itself.
+
+The ``check_*`` functions replay recorded runs (``tssrg_run`` with
+``record_gaps`` or ``record_u``) against the bounds the solver's analysis
+relies on (estimator variance, improve or localize), and
 ``stuck_region_experiment`` measures coupled-sequence separation and escape
 decrease at a saddle; they fit and report constants rather than assert
-theoretical values. ``prsrg couple`` and the tests load this module.
+theoretical values.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diagnostics import _hessian_lanczos
-from .errors import NotASaddle, ParameterError, SchemaError
-from .geometry import TangentVector
-from .pullback import PullbackOracle
-from .rng import TAG_PERTURB, TAG_TRIAL, StreamTree
-from .trace import _STEP_EVENTS, TraceSegment
-from .tssrg import TssrgParams, tssrg_run
+from prsrg.diagnostics import _hessian_lanczos
+from prsrg.errors import ContractViolation, ParameterError, SchemaError
+from prsrg.geometry import TangentVector
+from prsrg.pullback import PullbackOracle
+from prsrg.rng import TAG_PERTURB, TAG_TRIAL, StreamTree
+from prsrg.trace import _STEP_EVENTS, TraceSegment
+from prsrg.tssrg import TssrgParams, tssrg_run
+
+
+class NotASaddle(ContractViolation):
+    """The coupled experiment's anchor is not a certified strict saddle."""
 
 
 def escape_threshold(delta: float, rho_hat: float,
@@ -153,11 +162,6 @@ class EscapeStats:
     lambda_min: float
     deviation_times: list[int] = field(default_factory=list)
     deviations: list[np.ndarray] = field(default_factory=list)
-
-    def as_dict(self) -> dict:
-        """Every field but the per-trial deviation arrays."""
-        return {f.name: getattr(self, f.name) for f in fields(self)
-                if f.name != "deviations"}
 
 
 def _coupled_deviations(out_a, out_b) -> np.ndarray:

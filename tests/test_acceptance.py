@@ -27,12 +27,12 @@ from prsrg import (
 from prsrg.diagnostics import certify
 from prsrg.geometry import Sphere
 from prsrg.harness import parse_config, run_experiment, run_sweep
-from prsrg.replay import check_variance_bound, escape_threshold
 from prsrg.rng import TAG_DIAG, TAG_INIT, master_stream
 from prsrg.solver import FINITE_SUM, SolverConstants, derive_params, prsrg_run
 from prsrg.tssrg import TssrgParams, tssrg_run
 
 from conftest import dretract_matrix, fd_pullback_grad
+from replay import check_variance_bound, escape_threshold
 
 
 def _verdict(num: int, label: str, ok: bool, detail: str = "") -> None:

@@ -23,17 +23,13 @@ from prsrg.solver import prsrg_run, probe_params
 # ------------------------------------------------------------ config
 
 def test_config_validation():
-    BaselineConfig(kind="prgd", eta=0.1, r=0.01)
+    BaselineConfig(eta=0.1, r=0.01)
     with pytest.raises(ParameterError):
-        BaselineConfig(kind="sgd", eta=0.1)
+        BaselineConfig(eta=0.0)
     with pytest.raises(ParameterError):
-        BaselineConfig(kind="prgd", eta=0.0)
+        BaselineConfig(eta=0.1, r=-0.1)
     with pytest.raises(ParameterError):
-        BaselineConfig(kind="prgd", eta=0.1, r=-0.1)
-    with pytest.raises(ParameterError):
-        BaselineConfig(kind="prgd", eta=0.1, escape_steps=0)
-    with pytest.raises(ParameterError):
-        BaselineConfig(kind="rsgd", eta=0.1, batch=0)
+        BaselineConfig(eta=0.1, escape_steps=0)
 
 
 # ------------------------------------------------------------ prgd
@@ -47,7 +43,7 @@ def test_prgd_converges_on_convex_quadratic():
     rng = np.random.default_rng(0)
     x0 = obj.manifold.point(0.3 * rng.standard_normal(8))
     eps = 1e-6
-    config = BaselineConfig(kind="prgd", eta=1.0 / L, r=1e-3)
+    config = BaselineConfig(eta=1.0 / L, r=1e-3)
     report = baseline_run(obj, x0, config, epsilon=eps,
                           delta=0.5, budget=10_000_000, rng=1)
     assert report.exit_reason == "certified"
@@ -65,7 +61,7 @@ def test_prgd_escapes_rayleigh_saddle():
     obj = make_rayleigh(d=12, n=48, spectrum=np.concatenate(
         ([2.0, 1.0], np.linspace(0.9, 0.1, 10))), noise_scale=0.0, seed=None)
     x0 = obj.eigvec(1)
-    config = BaselineConfig(kind="prgd", eta=0.05, r=1e-3, escape_steps=40)
+    config = BaselineConfig(eta=0.05, r=1e-3, escape_steps=40)
     report = baseline_run(obj, x0, config, epsilon=1e-4,
                           delta=0.5, budget=2_000_000, rng=5)
     assert report.exit_reason == "certified"
@@ -78,7 +74,7 @@ def test_prgd_rows_labeled_baseline():
                         noise_scale=0.1, seed=2)
     rng = np.random.default_rng(3)
     x0 = obj.manifold.rand_point(rng)
-    config = BaselineConfig(kind="prgd", eta=0.05, r=1e-3)
+    config = BaselineConfig(eta=0.05, r=1e-3)
     report = baseline_run(obj, x0, config, epsilon=1e-3,
                           delta=0.5, budget=5_000, rng=7)
     assert report.trace
@@ -86,36 +82,6 @@ def test_prgd_rows_labeled_baseline():
     assert report.queries_used <= 5_000
     # full-batch checks cost n queries each
     assert report.trace[0].queries_cum == obj.n
-
-
-# ------------------------------------------------------------ rsgd
-
-def test_rsgd_decreases_objective():
-    obj = make_rayleigh(d=10, n=100, spectrum=np.linspace(2.0, 0.1, 10),
-                        noise_scale=0.3, seed=1)
-    rng = np.random.default_rng(4)
-    x0 = obj.manifold.rand_point(rng)
-    config = BaselineConfig(kind="rsgd", eta=0.02, batch=4)
-    report = baseline_run(obj, x0, config, epsilon=1e-3,
-                          delta=0.5, budget=8_000, rng=11)
-    assert report.certified is None  # rsgd never certifies
-    assert report.best_F < obj.value(x0)
-    assert report.queries_used == 8_000  # b divides the budget exactly
-    assert all(r.epoch_type == "baseline" for r in report.trace)
-    # reaches the basin of the minimizer on this easy instance
-    assert report.best_F <= obj.value(obj.eigvec(1)) + 0.05
-
-
-def test_rsgd_budget_zero_vacuous():
-    obj = make_rayleigh(d=4, n=8, spectrum=[2.0, 1.0, 0.5, 0.1],
-                        noise_scale=0.1, seed=0)
-    x0 = obj.eigvec(0)
-    config = BaselineConfig(kind="rsgd", eta=0.1, batch=2)
-    report = baseline_run(obj, x0, config, epsilon=1e-3,
-                          delta=0.5, budget=0, rng=0)
-    assert report.queries_used == 0
-    assert report.trace == []
-    assert np.array_equal(report.final_point.coords, x0.coords)
 
 
 # ----------------------------------------------------- rsrg_unperturbed
@@ -154,7 +120,7 @@ def test_baseline_validation():
     obj = make_rayleigh(d=4, n=8, spectrum=[2.0, 1.0, 0.5, 0.1],
                         noise_scale=0.1, seed=0)
     x0 = obj.eigvec(0)
-    config = BaselineConfig(kind="rsgd", eta=0.1)
+    config = BaselineConfig(eta=0.1)
     with pytest.raises(ParameterError):
         baseline_run(obj, x0, config, epsilon=0.0, delta=0.5,
                      budget=100, rng=0)
@@ -178,7 +144,7 @@ def test_prgd_spends_more_queries_than_prsrg_head_to_head():
         x0 = obj.manifold.rand_point(rng)
         solver_report, _ = auto_solve(obj, x0, epsilon=0.05, delta=0.5,
                                       budget=3_000_000, rng=seed)
-        config = BaselineConfig(kind="prgd", eta=0.05, r=1e-3,
+        config = BaselineConfig(eta=0.05, r=1e-3,
                                 escape_steps=30)
         base_report = baseline_run(obj, x0, config,
                                    epsilon=0.05, delta=0.5,

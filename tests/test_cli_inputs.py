@@ -94,8 +94,8 @@ SOLVER_OVERRIDES = {"B_zero": "B = 0", "m_zero": "m = 0",
     "sweep_n_repeated", "sweep_n_streaming", "data_csv_empty",
     "start_file_empty", "coords_norm_overflow", "data_csv_overflow",
     "epsilon_nan", "delta_nan", "T_max_inf", "m_nan", "m_not_integer",
-    "record_gaps_not_boolean", "couple_nu_nan", "couple_c2_nan",
-    "couple_off_sphere", "quadratic_one_entry_spectrum", "spectrum_inf",
+    "record_gaps_not_boolean", "couple_section", "baseline_batch",
+    "start_off_sphere", "quadratic_one_entry_spectrum", "spectrum_inf",
     "spectrum_minus_inf", "spectrum_overflow", "spectrum_nan",
     "spectrum_linspace_inf", "spectrum_streaming_inf",
     "spectrum_quadratic_nan", "sigma_radius_negative", "sigma_radius_zero",
@@ -201,14 +201,15 @@ def test_bad_input_exits_2_with_one_line(case, tmp_path, capsys):
     elif case == "record_gaps_not_boolean":
         cfg_text = cfg_text.replace("budget = 6000",
                                     "budget = 6000\nrecord_gaps = maybe")
-    elif case == "couple_off_sphere":
-        # bad input, not a failed saddle precondition
-        command = "couple"
+    elif case == "start_off_sphere":
         cfg_text = BASE.format(start="coords:1,1,1")
-    elif case.startswith("couple_"):
-        command = "couple"
-        key = case[len("couple_"):-len("_nan")]
-        cfg_text += f"\n[couple]\n{key} = nan\n"
+    elif case == "couple_section":
+        # the section of the removed couple command
+        cfg_text += "\n[couple]\ntrials = 2\n"
+    elif case == "baseline_batch":
+        # the minibatch size of the removed rsgd baseline
+        cfg_text += "\n[baseline]\nbatch = 8\n"
+        extra = ["--algo", "prgd"]
     elif case == "unknown_key":
         cfg_text = cfg_text.replace("budget = 6000", "budget = 6000\nbogus = 3")
     elif case == "misplaced_key":
@@ -316,7 +317,7 @@ def test_bad_input_exits_2_with_one_line(case, tmp_path, capsys):
               "print_config_not_utf8": "is not UTF-8",
               "start_file_empty": "no coordinates",
               "coords_norm_overflow": "violates sphere:3 constraint",
-              "couple_off_sphere": "violates sphere:3 constraint",
+              "start_off_sphere": "violates sphere:3 constraint",
               "noise_scale_negative": "noise_scale",
               "noise_scale_nan": "noise_scale",
               "unknown_key": "'bogus'",
@@ -331,8 +332,8 @@ def test_bad_input_exits_2_with_one_line(case, tmp_path, capsys):
               "m_nan": "[solver] m",
               "m_not_integer": "[solver] m",
               "record_gaps_not_boolean": "[experiment] record_gaps",
-              "couple_nu_nan": "[couple] nu",
-              "couple_c2_nan": "[couple] c2",
+              "couple_section": "unknown config section [couple]",
+              "baseline_batch": "[baseline] unknown key 'batch'",
               "quadratic_one_entry_spectrum": "at least 2 entries",
               "spectrum_inf": "spectrum term 'inf' is non-finite",
               "spectrum_minus_inf": "spectrum term '-inf' is non-finite",
@@ -382,6 +383,21 @@ def test_bad_input_exits_2_with_one_line(case, tmp_path, capsys):
         assert not any((tmp_path / "sweep").glob("*"))
     if case.startswith("online_epsilon_"):
         assert f"epsilon={float(value)}" in line
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["run", "--algo", "rsgd"], id="algo_rsgd"),
+    pytest.param(["couple"], id="couple_command"),
+])
+def test_removed_cli_choices_are_rejected_by_argparse(argv, capsys):
+    # the rsgd baseline and the couple command are gone: argparse rejects
+    # them before the config is read, so the file need not exist
+    with pytest.raises(SystemExit) as info:
+        main([*argv, "--config", "never-read.ini"])
+    assert info.value.code == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"invalid choice: '{argv[-1]}'" in err
 
 
 @pytest.mark.parametrize("kind", ["rayleigh", "quadratic_saddle",
@@ -474,8 +490,7 @@ CONFIG_KEYS = {
     "solver": ("epsilon", "delta", "mode", "eta", "m", "b", "B", "T_max",
                "r", "D"),
     "constants": ("c_eta", "c_T", "c_r", "c_m", "c_B"),
-    "baseline": ("eta", "r", "escape_steps", "batch"),
-    "couple": ("nu", "trials", "c2", "c3", "rho_hat"),
+    "baseline": ("eta", "r", "escape_steps"),
     "sweep": ("n", "seeds"),
 }
 

@@ -12,21 +12,16 @@ import pytest
 from prsrg import (
     Certification,
     Euclidean,
-    NotASaddle,
     ParameterError,
     PullbackOracle,
     SchemaError,
     TangentVector,
     TssrgParams,
     certify,
-    check_improve_or_localize,
-    check_variance_bound,
-    escape_threshold,
     lanczos_min_eig,
     make_quadratic_saddle,
     make_rayleigh,
     make_streaming_rayleigh,
-    stuck_region_experiment,
     tssrg_run,
 )
 from prsrg.diagnostics import (_LANCZOS_SEED, LANCZOS_MAX_ITERS,
@@ -35,6 +30,9 @@ from prsrg.rng import TAG_DIAG, TAG_OUTER, master_stream
 from prsrg.trace import TraceRow, TraceSegment
 
 from conftest import HESSIAN_KINDS, kind_oracle
+from replay import (NotASaddle, check_improve_or_localize,
+                    check_variance_bound, escape_threshold,
+                    stuck_region_experiment)
 
 
 def _params(**kw):

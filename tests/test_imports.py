@@ -1,8 +1,9 @@
 """What ``import prsrg`` and ``prsrg run`` load.
 
 The package exports its public names lazily, so importing it loads no
-submodule, a run or a sweep loads neither the baselines nor the replay
-checks, and no command loads scipy or hypothesis.
+submodule, a run or a sweep does not load the baselines, and no command
+loads scipy or hypothesis. The replay checks are a test helper
+(``tests/replay.py``), not part of the package.
 Each load check runs in a fresh interpreter, since by then the test run
 has imported every module.
 """
@@ -34,9 +35,6 @@ kind = {kind}
 [solver]
 epsilon = {epsilon}
 delta = 0.5
-
-[couple]
-trials = 2
 """
 
 # (manifold, [problem] keys, epsilon, budget) per kind: a finite-sum run, an
@@ -50,19 +48,18 @@ PROBLEMS = {
 }
 
 # the modules a command may load, in load order; no command loads csv,
-# scipy or hypothesis
+# scipy or hypothesis, and none finds a prsrg.replay to load
 WATCHED = ("prsrg.baselines", "prsrg.replay", "csv", "scipy", "hypothesis")
-LOADED = {"run": [], "sweep": [], "prgd": ["prsrg.baselines"],
-          "couple": ["prsrg.baselines", "prsrg.replay"]}
+LOADED = {"run": [], "sweep": [], "prgd": ["prsrg.baselines"]}
 
 # the dataclasses ``import prsrg.cli`` defines: config sections and
 # constants (fields, replace, ==), validated parameters (__post_init__,
 # replace), Certification (asdict) and StreamTree
 KEPT_DATACLASSES = {
     "prsrg.diagnostics.Certification", "prsrg.harness.BaselineSpec",
-    "prsrg.harness.CoupleSpec", "prsrg.harness.ExperimentConfig",
-    "prsrg.harness.ProblemSpec", "prsrg.harness.SolverSpec",
-    "prsrg.harness.SweepSpec", "prsrg.rng.StreamTree",
+    "prsrg.harness.ExperimentConfig", "prsrg.harness.ProblemSpec",
+    "prsrg.harness.SolverSpec", "prsrg.harness.SweepSpec",
+    "prsrg.rng.StreamTree",
     "prsrg.solver.SolverConstants", "prsrg.solver.SolverParams",
     "prsrg.tssrg.TssrgParams",
 }
@@ -83,10 +80,9 @@ def test_import_prsrg_loads_no_submodule():
 
 
 def test_run_loads_neither_baselines_nor_replay(tmp_path):
-    # every run and sweep first, then prgd, then couple on the sphere
-    # problems, all in one interpreter; the sweeps' odd-n ladder serves 7
-    # and 12 as prefixes of the n = 31 store, 7 a copy with a zero last row
-    # and 12 a view
+    # every run and sweep first, then prgd, all in one interpreter; the
+    # sweeps' odd-n ladder serves 7 and 12 as prefixes of the n = 31 store,
+    # 7 a copy with a zero last row and 12 a view
     steps = []
     for kind, (manifold, problem, epsilon, budget) in PROBLEMS.items():
         text = CONFIG.format(budget=budget, manifold=manifold, kind=kind,
@@ -102,9 +98,6 @@ def test_run_loads_neither_baselines_nor_replay(tmp_path):
     steps.append(("prgd", "rayleigh", ["run", "--config",
                                        str(tmp_path / "rayleigh.ini"),
                                        "--algo", "prgd"]))
-    for kind in ("rayleigh", "streaming_rayleigh"):
-        steps.append(("couple", kind, ["couple", "--config",
-                                       str(tmp_path / f"{kind}.ini")]))
     code = """\
 import contextlib, io, json, sys
 from prsrg.cli import main
@@ -120,16 +113,14 @@ print(json.dumps([call(argv) for argv in json.loads(sys.argv[1])]))
 """
     results = _child(code, json.dumps([argv for *_, argv in steps]),
                      json.dumps(WATCHED))
-    assert len(results) == len(steps) == 8
+    assert len(results) == len(steps) == 6
     for (command, kind, _), (exit_code, out, loaded) in zip(steps, results):
         assert exit_code == 0, (command, kind, out)
         assert loaded == LOADED[command], (command, kind, loaded)
         if command in ("run", "prgd"):
             assert out["queries_used"] > 0, (command, kind, out)
-        elif command == "sweep":
-            assert out["cells"] == 6, (kind, out)
         else:
-            assert out["trials"] == 2, (kind, out)
+            assert out["cells"] == 6, (kind, out)
 
 
 def test_import_cli_defines_only_the_kept_dataclasses():
@@ -153,7 +144,6 @@ def test_every_export_resolves_to_its_defining_module():
         obj = getattr(prsrg, name)
         assert obj.__module__.startswith("prsrg."), name
         assert getattr(importlib.import_module(obj.__module__), name) is obj
-    assert prsrg.stuck_region_experiment.__module__ == "prsrg.replay"
     assert prsrg.certify.__module__ == "prsrg.diagnostics"
 
 
@@ -170,8 +160,7 @@ def test_unknown_name_raises_attribute_error():
 # names that only tests called, and the retraction's differential, which
 # the solver never needs (it pulls gradients back through the adjoint);
 # the tests' reference differential is in conftest; the second path to the
-# run parameters (probe_params is the one path now); and the one-field
-# EscapeThreshold record (escape_threshold returns the float)
+# run parameters (probe_params is the one path now)
 REMOVED = {
     "geometry.Manifold": ("dretract_apply", "dretract_matrix",
                           "_dretract_coords", "_dretract_target"),
@@ -186,7 +175,6 @@ REMOVED = {
     "harness": ("format_spectrum", "_apply_overrides"),
     "tssrg": ("tssrg_run_coupled",),
     "solver": ("_mode_scale",),
-    "replay": ("EscapeThreshold",),
 }
 
 
@@ -197,6 +185,19 @@ def test_removed_names_are_gone(owner):
     if cls:
         obj = getattr(obj, cls)
     assert [n for n in REMOVED[owner] if hasattr(obj, n)] == []
+
+
+# the replay checks and the coupled experiment, which no run path calls;
+# they are the test helper tests/replay.py now
+REPLAY_NAMES = ("EscapeStats", "LocalizeReport", "VarianceReport",
+                "check_improve_or_localize", "check_variance_bound",
+                "escape_threshold", "stuck_region_experiment")
+
+
+def test_replay_module_is_gone():
+    with pytest.raises(ModuleNotFoundError, match="prsrg.replay"):
+        importlib.import_module("prsrg.replay")
+    assert [n for n in REPLAY_NAMES if n in prsrg.__all__] == []
 
 
 def test_coupled_run_is_not_exported():

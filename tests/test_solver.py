@@ -27,13 +27,14 @@ from prsrg import (
     prsrg_run,
     small_grad_check,
     solver,
-    stuck_region_experiment,
 )
 from prsrg.solver import _affordable_T
 from prsrg.trace import EPOCH_TYPES
 from prsrg.diagnostics import _lanczos_start
 from prsrg.rng import (TAG_ANCHOR, TAG_BATCH, TAG_CHECK, TAG_OUTER,
                        TAG_PERTURB, StreamTree, master_stream)
+
+from replay import stuck_region_experiment
 
 
 # -------------------------------------------------------- derive_params
@@ -255,12 +256,12 @@ def _solver_params(**kw):
     pytest.param(lambda o: stuck_region_experiment(
         o, _TSS, 0.1, 1, master_stream(0), **_SR, c2=NAN), id="stuck_c2"),
     pytest.param(lambda o: baseline_run(
-        o.objective, o.anchor, BaselineConfig("prgd", 0.1), NAN, 0.1, 10,
+        o.objective, o.anchor, BaselineConfig(0.1), NAN, 0.1, 10,
         0), id="baseline_epsilon"),
     pytest.param(lambda o: baseline_run(
-        o.objective, o.anchor, BaselineConfig("prgd", 0.1), 0.1, NAN, 10,
+        o.objective, o.anchor, BaselineConfig(0.1), 0.1, NAN, 10,
         0), id="baseline_delta"),
-    pytest.param(lambda o: BaselineConfig("prgd", 0.1, r=NAN),
+    pytest.param(lambda o: BaselineConfig(0.1, r=NAN),
                  id="baseline_r"),
 ])
 def test_nan_parameters_raise_parameter_error(call, small_rayleigh):
