@@ -28,8 +28,7 @@ _EXPORTS = {
                "parse_spectrum run_certify run_experiment run_sweep",
     "problems": "DataRayleighInstance QuadraticSaddleInstance "
                 "RayleighInstance StreamingRayleighInstance load_matrix "
-                "make_data_rayleigh make_quadratic_saddle make_rayleigh "
-                "make_streaming_rayleigh save_matrix",
+                "save_matrix",
     "pullback": "Batch FiniteSumObjective LipschitzEstimate PullbackOracle",
     "rng": "StreamTree master_stream",
     "solver": "SolverConstants SolverParams SolverReport auto_solve "

@@ -23,6 +23,10 @@ so no caller forms x + u twice; these array-level forms check nothing and,
 like ``project_ambient``, take rows stacked as (..., ambient_dim), each
 with the bits of a one-vector call (``np.vecdot`` is the dot of ``a @ b``).
 The public ``dretract_adjoint_apply`` validates, then calls them.
+
+A manifold's chart is two class constants, D <= 1/(2 c0): the ball radius
+D the solver works in and the c0 of sigma_min(T_u) >= 1 - c0 ||u||, 0.5
+and 1.0 on the sphere, 1e9 (in effect unbounded) and 0.0 on Euclidean space.
 """
 
 from __future__ import annotations
@@ -98,11 +102,11 @@ def _freeze(a) -> np.ndarray:
 class Manifold:
     """Base class: shared validation, tangent bases, and sampling.
 
-    Subclasses set ``dim`` (intrinsic), ``ambient_dim``, and override the
-    projection, Hessian, normal frame, retraction scale and ``rand_point``;
-    the checks, retraction and adjoint differential derive from those. All
-    operations are pure functions of their inputs; random sources are
-    caller-owned.
+    Subclasses set ``dim`` (intrinsic), ``ambient_dim``, the class constants
+    ``D`` and ``c0``, and override the projection, Hessian, normal frame,
+    retraction scale and ``rand_point``; the checks, retraction and adjoint
+    differential derive from those. All operations are pure functions of
+    their inputs; random sources are caller-owned.
     """
 
     manifold_id: str
@@ -110,18 +114,7 @@ class Manifold:
     ambient_dim: int
     D: float  # the chart's ball radius
     c0: float
-
-    def __init__(self, ball_radius_D: float, c0: float):
-        if ball_radius_D <= 0:
-            raise ParameterError("ball_radius_D must be positive")
-        if c0 < 0:
-            raise ParameterError("c0 must be nonnegative")
-        if c0 > 0 and ball_radius_D > 1.0 / (2.0 * c0) + TOL:
-            raise ParameterError(
-                f"ball_radius_D={ball_radius_D} exceeds 1/(2*c0)={1.0 / (2.0 * c0)}")
-        self.D = float(ball_radius_D)
-        self.c0 = float(c0)
-        self._ball_basis: tuple[ManifoldPoint, np.ndarray] | None = None
+    _ball_basis: tuple[ManifoldPoint, np.ndarray] | None = None
 
     # -- primitives, overridden per manifold --------------------------------
 
@@ -292,13 +285,14 @@ class Manifold:
 class Sphere(Manifold):
     """Unit sphere S^{n-1} embedded in R^n."""
 
-    def __init__(self, n: int, ball_radius_D: float = 0.5, c0: float = 1.0):
+    D, c0 = 0.5, 1.0
+
+    def __init__(self, n: int):
         if n < 2:
             raise ParameterError("sphere needs ambient dimension >= 2")
         self.manifold_id = f"sphere:{n}"
         self.ambient_dim = int(n)
         self.dim = int(n) - 1
-        super().__init__(ball_radius_D, c0)
 
     def _project_coords(self, y, a):
         return a - _row_dots(a, y) * y
@@ -323,13 +317,14 @@ class Sphere(Manifold):
 class Euclidean(Manifold):
     """Flat R^n; retraction is addition and T_u is the identity."""
 
-    def __init__(self, n: int, ball_radius_D: float = 1e9, c0: float = 0.0):
+    D, c0 = 1e9, 0.0
+
+    def __init__(self, n: int):
         if n < 1:
             raise ParameterError("euclidean needs dimension >= 1")
         self.manifold_id = f"euclidean:{n}"
         self.ambient_dim = int(n)
         self.dim = int(n)
-        super().__init__(ball_radius_D, c0)
 
     def _project_coords(self, y, a):
         return a

@@ -43,9 +43,9 @@ import numpy as np
 from .diagnostics import certify
 from .errors import InvariantViolation, ParameterError, SchemaError
 from .geometry import Manifold, ManifoldPoint
-from .problems import (_loadtxt, _usable_cpus, load_matrix,
-                       make_data_rayleigh, make_quadratic_saddle,
-                       make_rayleigh, make_streaming_rayleigh)
+from .problems import (DataRayleighInstance, QuadraticSaddleInstance,
+                       RayleighInstance, StreamingRayleighInstance,
+                       _loadtxt, _usable_cpus, load_matrix)
 from .pullback import LipschitzEstimate, PullbackOracle
 from .rng import TAG_INIT, master_stream
 from .solver import SolverConstants, SolverParams, probe_params, prsrg_run
@@ -102,7 +102,6 @@ class ProblemSpec:
     noise_scale: float = 0.5
     gamma: float = 1.0
     L_top: float = 2.0
-    sigma_radius: float = 2.0
     start: str = "random"
     n: int | None = 1000
     rotation_seed: int | None = None
@@ -111,12 +110,11 @@ class ProblemSpec:
 
 @dataclass(frozen=True)
 class SolverSpec:
-    """(epsilon, delta), the sampling mode, and optional overrides of the
-    derived run parameters (None keeps the derived value)."""
+    """(epsilon, delta) and optional overrides of the derived run
+    parameters (None keeps the derived value)."""
 
     epsilon: float = 1e-3
     delta: float = 0.1
-    mode: str | None = None
     eta: float | None = None
     m: int | None = None
     b: int | None = None
@@ -320,27 +318,22 @@ def _build_kind(prob):
             raise ParameterError(f"[problem] {prob.kind} needs n")
     try:
         if prob.kind == "rayleigh":
-            return make_rayleigh(d=spectrum.size, n=prob.n,
-                                 spectrum=spectrum,
-                                 noise_scale=prob.noise_scale,
-                                 seed=prob.rotation_seed)
+            return RayleighInstance(spectrum.size, prob.n, spectrum,
+                                    prob.noise_scale, prob.rotation_seed)
         if prob.kind == "quadratic_saddle":
-            return make_quadratic_saddle(d=spectrum.size, gamma=prob.gamma,
-                                         L_top=prob.L_top, n=prob.n,
-                                         seed=prob.rotation_seed,
-                                         noise_scale=prob.noise_scale,
-                                         sigma_radius=prob.sigma_radius)
+            return QuadraticSaddleInstance(
+                spectrum.size, prob.gamma, prob.L_top, prob.n,
+                prob.rotation_seed, prob.noise_scale)
         if prob.kind == "streaming_rayleigh":
-            return make_streaming_rayleigh(d=spectrum.size,
-                                           spectrum=spectrum,
-                                           seed=prob.rotation_seed)
+            return StreamingRayleighInstance(spectrum.size, spectrum,
+                                             prob.rotation_seed)
     except ParameterError as exc:
         # their checks name the [problem] keys they read
         raise ParameterError(f"[problem] {exc}") from exc
     if prob.kind == "data_rayleigh":
         if prob.data is None:
             raise ParameterError("[problem] data_rayleigh needs data = <path>")
-        return make_data_rayleigh(load_matrix(prob.data))
+        return DataRayleighInstance(load_matrix(prob.data))
     raise ParameterError(f"[problem] unknown kind {prob.kind!r}")
 
 
@@ -404,15 +397,15 @@ def load_point(man: Manifold, path) -> ManifoldPoint:
 def resolve_params(cfg: ExperimentConfig, objective, x0, stream,
                    estimate: LipschitzEstimate | None = None
                    ) -> tuple[SolverParams, LipschitzEstimate]:
-    """``probe_params`` at the config's [solver] epsilon, delta and mode,
-    with its other set keys as the overrides; an error is prefixed with
+    """``probe_params`` at the config's [solver] epsilon and delta, with
+    its other set keys as the overrides; an error is prefixed with
     ``[solver] ``. Returns (params, lipschitz_estimate).
     """
     keys = dataclasses.asdict(cfg.solver)
-    epsilon, delta, mode = (keys.pop(k) for k in ("epsilon", "delta", "mode"))
+    epsilon, delta = keys.pop("epsilon"), keys.pop("delta")
     try:
         return probe_params(
-            objective, x0, epsilon, delta, cfg.budget, stream, mode=mode,
+            objective, x0, epsilon, delta, cfg.budget, stream,
             constants=cfg.constants, estimate=estimate,
             overrides={k: v for k, v in keys.items() if v is not None})
     except ParameterError as exc:

@@ -1,17 +1,18 @@
 """Test objectives with known critical-point structure.
 
-* ``make_rayleigh`` — finite-sum Rayleigh quotient F(x) = -x^T Abar x on the
-  sphere. Saddles sit at non-leading eigenvectors; the Riemannian Hessian at
-  eigenvector v_j has eigenvalues -2(lambda_i - lambda_j) along v_i.
-* ``make_quadratic_saddle`` — Euclidean F(u) = 1/2 u^T H u with
+* ``RayleighInstance`` — finite-sum Rayleigh quotient F(x) = -x^T Abar x on
+  the sphere. Saddles sit at non-leading eigenvectors; the Riemannian
+  Hessian at eigenvector v_j has eigenvalues -2(lambda_i - lambda_j) along
+  v_i.
+* ``QuadraticSaddleInstance`` — Euclidean F(u) = 1/2 u^T H u with
   lambda_min(H) = -gamma < 0: an exact strict saddle at the origin.
-* ``make_streaming_rayleigh`` — online analogue: components A = a a^T with
-  a ~ N(0, Abar), so the population objective matches the finite-sum target.
-  A batch of B > d samples is drawn as its second moment (B times it is
-  Wishart_d(B, Abar)) by Bartlett's decomposition: d(d+1)/2 variates
-  instead of B d.
-* ``make_data_rayleigh`` — the same objective backed by a dense data matrix
-  (rows are samples), loadable from CSV or the PRSRGMAT binary format.
+* ``StreamingRayleighInstance`` — online analogue: components A = a a^T
+  with a ~ N(0, Abar), so the population objective matches the finite-sum
+  target. A batch of B > d samples is drawn as its second moment (B times
+  it is Wishart_d(B, Abar)) by Bartlett's decomposition: d(d+1)/2 variates
+  instead of B d. Only it has a ``sigma_hint``, which sizes an online run.
+* ``DataRayleighInstance`` — the same objective backed by a dense data
+  matrix (rows are samples), read from CSV or the PRSRGMAT binary format.
 
 Each objective gives only ``Abar``, ``scale`` (F = scale * y^T Abar y) and
 its batch mean action; ``FiniteSumObjective`` forms the Euclidean
@@ -238,13 +239,12 @@ class _PairedComponentObjective(FiniteSumObjective):
     """
 
     def __init__(self, manifold, Abar: np.ndarray, n: int, p: np.ndarray,
-                 q: np.ndarray, sigma_hint: float | None):
+                 q: np.ndarray):
         self.manifold = manifold
         self.Abar = Abar
         self.n = int(n)
         self.p = p
         self.q = q
-        self.sigma_hint = sigma_hint
 
     def _matvec_mean(self, batch: Batch, Y: np.ndarray):
         AY = _kernels._act(self.Abar, Y)
@@ -325,9 +325,7 @@ class RayleighInstance(_SpectralRayleigh, _PairedComponentObjective):
         self._set_spectrum(d, spectrum, rotation_seed)
         p, q = _paired_noise(n, d, noise_scale,
                              master_stream(0).child(TAG_PROBLEM, 1))
-        # ||grad f_i - grad F|| = 2 ||(I-xx^T) E_i x|| <= 2 ||E_i||_2
-        super().__init__(Sphere(d), self.Abar, n, p, q,
-                         sigma_hint=2.0 * noise_scale)
+        super().__init__(Sphere(d), self.Abar, n, p, q)
 
 
 class QuadraticSaddleInstance(_PairedComponentObjective):
@@ -336,14 +334,10 @@ class QuadraticSaddleInstance(_PairedComponentObjective):
     scale = 0.5
 
     def __init__(self, d: int, gamma: float, L_top: float, n: int,
-                 rotation_seed: int | None, noise_scale: float,
-                 sigma_radius: float = 2.0):
+                 rotation_seed: int | None, noise_scale: float):
         # gamma > 0 makes a strict saddle at 0; gamma <= 0 a convex instance
         if not (math.isfinite(gamma) and 0 < L_top < math.inf):
             raise ParameterError("need finite gamma and 0 < L_top < inf")
-        if not 0 < sigma_radius < math.inf:
-            raise ParameterError(
-                f"sigma_radius must be finite and > 0, got {sigma_radius}")
         if d < 2:
             raise ParameterError(
                 f"quadratic_saddle needs d >= 2 (a spectrum of at least 2 "
@@ -354,11 +348,9 @@ class QuadraticSaddleInstance(_PairedComponentObjective):
         self.rotation = _rotation(d, rotation_seed)
         p, q = _paired_noise(n, d, noise_scale,
                              master_stream(0).child(TAG_PROBLEM, 2))
-        # gap ||H_i y - H y|| <= noise_scale * ||y||; bound quoted for the
-        # reference ball ||y|| <= sigma_radius
         super().__init__(Euclidean(d),
                          _rotated(self.rotation, self.spectrum, rotation_seed),
-                         n, p, q, sigma_hint=noise_scale * sigma_radius)
+                         n, p, q)
 
 
 class StreamingRayleighInstance(_SpectralRayleigh, FiniteSumObjective):
@@ -468,7 +460,6 @@ class DataRayleighInstance(_PairedComponentObjective):
             raise ParameterError(
                 "data overflows: its mean second-moment matrix is not finite")
         self.manifold = Sphere(self.d)
-        self.sigma_hint = None
 
     def prefix(self, n: int):
         raise ParameterError("a data objective has no prefix: its n is the "
@@ -478,29 +469,6 @@ class DataRayleighInstance(_PairedComponentObjective):
         if batch.idx is None:
             return super()._matvec_mean(batch, Y)
         return _kernels.rows_rank1_mean(self.data[batch.idx], Y), None
-
-
-def make_rayleigh(d: int, n: int, spectrum, noise_scale: float,
-                  seed: int | None) -> RayleighInstance:
-    """Finite-sum Rayleigh instance; ``seed`` rotates the eigenbasis (None
-    keeps it axis-aligned, making eigenvectors exact basis vectors)."""
-    return RayleighInstance(d, n, spectrum, noise_scale, seed)
-
-
-def make_quadratic_saddle(d: int, gamma: float, L_top: float, n: int,
-                          seed: int | None, noise_scale: float = 0.1,
-                          sigma_radius: float = 2.0) -> QuadraticSaddleInstance:
-    return QuadraticSaddleInstance(d, gamma, L_top, n, seed, noise_scale,
-                                   sigma_radius)
-
-
-def make_streaming_rayleigh(d: int, spectrum,
-                            seed: int | None) -> StreamingRayleighInstance:
-    return StreamingRayleighInstance(d, spectrum, seed)
-
-
-def make_data_rayleigh(data: np.ndarray) -> DataRayleighInstance:
-    return DataRayleighInstance(data)
 
 
 def save_matrix(path, arr: np.ndarray) -> None:

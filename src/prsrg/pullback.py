@@ -76,17 +76,18 @@ class FiniteSumObjective:
     """Finite-sum / streaming objective F(y) = scale * y^T Abar y.
 
     Subclasses provide ``n`` (component count, or None for streaming),
-    ``manifold``, ``sigma_hint`` (uniform gradient-deviation bound, or None),
-    ``Abar`` (the mean component matrix), the class constant ``scale``,
-    ``_matvec_mean`` and the samplers. The Euclidean gradient 2 scale M y
-    (M a batch's mean matrix) and Hessian action 2 scale Abar v are made
-    Riemannian by the manifold, so the exhaustive batch gives the full
-    (finite-sum) or population (streaming) gradient and Hessian.
+    ``manifold``, on streams only ``sigma_hint`` (the gradient-deviation
+    bound that sizes an online run), ``Abar`` (the mean component matrix),
+    the class constant ``scale``, ``_matvec_mean`` and the samplers. The
+    Euclidean gradient 2 scale M y (M a batch's mean matrix) and Hessian
+    action 2 scale Abar v are made Riemannian by the manifold, so the
+    exhaustive batch gives the full (finite-sum) or population (streaming)
+    gradient and Hessian.
     """
 
     n: int | None
     manifold: Manifold
-    sigma_hint: float | None
+    sigma_hint: float  # streams (n = None) only
     Abar: np.ndarray
     scale: float
 

@@ -42,7 +42,8 @@ TAG_PERTURB = 5    # perturbation draws u0 ~ Unif(B(r))
 TAG_PROBLEM = 6    # problem-instance construction
 TAG_INIT = 7       # starting-point draws
 TAG_DIAG = 8       # diagnostics (Lanczos seed vectors, probe pairs)
-TAG_TRIAL = 9      # one child per experiment trial / sweep cell
+TAG_TRIAL = 9      # reserved for the trial loop in tests/replay.py; nothing
+                   # under src/ reads it; allocated here so no tag collides
 
 
 @dataclass(frozen=True)

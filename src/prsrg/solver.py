@@ -17,10 +17,11 @@ Quiet epochs are labeled only when the next check arrives; a trailing one
 is resolved against the exact full gradient on the diagnostic side.
 
 Run parameters take one path, ``probe_params`` (``auto_solve`` and the
-harness both call it): the mode and its scale, B <= n on a finite sum, an
-overridden D within the chart radius and a positive, finite epsilon and
-delta before the Lipschitz probe, then ``derive_params`` and the
-overrides.
+harness both call it). The objective decides the mode: finite_sum at its
+n, or online at its ``sigma_hint`` when n is None. epsilon, delta, each
+override's range, an overridden B <= n and D within the chart radius are
+checked before the Lipschitz probe, then ``derive_params`` and the
+overrides apply.
 """
 
 from __future__ import annotations
@@ -78,18 +79,19 @@ class SolverParams(TssrgParams):
     budget: int
     mode: str
 
-    def _check(self):
-        super()._check()
-        if not (0 < self.epsilon < math.inf and 0 < self.delta < math.inf):
+    @staticmethod
+    def _check_field(name: str, v) -> None:
+        TssrgParams._check_field(name, v)
+        if name in ("epsilon", "delta") and not 0 < v < math.inf:
             raise ParameterError("epsilon and delta must be positive and "
                                  "finite")
-        if not 0 <= self.r < math.inf:
-            raise ParameterError(f"r must be finite and >= 0, got {self.r}")
-        if self.budget < 0:
-            raise ParameterError(f"budget must be >= 0, got {self.budget}")
-        if self.mode not in (FINITE_SUM, ONLINE):
+        if name == "r" and not 0 <= v < math.inf:
+            raise ParameterError(f"r must be finite and >= 0, got {v}")
+        if name == "budget" and v < 0:
+            raise ParameterError(f"budget must be >= 0, got {v}")
+        if name == "mode" and v not in (FINITE_SUM, ONLINE):
             raise ParameterError(f"mode must be finite_sum or online, got "
-                                 f"{self.mode!r}")
+                                 f"{v!r}")
 
 
 class SolverReport:
@@ -137,11 +139,6 @@ class SolverReport:
         }
 
 
-def _check_tolerances(epsilon: float, delta: float) -> None:
-    if not (0 < epsilon < math.inf and 0 < delta < math.inf):
-        raise ParameterError("epsilon and delta must be positive and finite")
-
-
 def derive_params(mode: str, n_or_sigma, epsilon: float, delta: float,
                   L_hat: float, rho_hat: float,
                   constants: SolverConstants | None = None, *,
@@ -156,7 +153,8 @@ def derive_params(mode: str, n_or_sigma, epsilon: float, delta: float,
     quadratic objectives).
     """
     cons = constants if constants is not None else SolverConstants()
-    _check_tolerances(epsilon, delta)
+    for name, value in (("epsilon", epsilon), ("delta", delta)):
+        SolverParams._check_field(name, value)
     if L_hat <= 0 or not math.isfinite(L_hat):
         raise ParameterError(f"L_hat must be positive, got {L_hat}")
     if rho_hat < 0 or not math.isfinite(rho_hat):
@@ -192,9 +190,8 @@ def _batch_sizes(mode: str, n_or_sigma, epsilon: float,
         return math.ceil(math.sqrt(n)), n
     if mode == ONLINE:
         sigma = float(n_or_sigma)
-        if not (0 < sigma < math.inf and 0 < epsilon < math.inf):
-            raise ParameterError(f"online needs sigma > 0 and epsilon > 0, "
-                                 f"got {n_or_sigma!r} and {epsilon!r}")
+        if not 0 < sigma < math.inf:
+            raise ParameterError(f"online needs sigma > 0, got {n_or_sigma!r}")
         try:  # ceil of inf or nan, or epsilon^2 underflowing to 0, raises;
             # a size past TssrgParams' 2**63 bound is the same failure
             m = math.ceil(cons.c_m * sigma / epsilon)
@@ -372,7 +369,6 @@ def prsrg_run(objective, x0: ManifoldPoint, params: SolverParams, rng, *,
 
 def probe_params(objective, x0: ManifoldPoint, epsilon: float,
                  delta: float, budget: int, stream, *,
-                 mode: str | None = None,
                  constants: SolverConstants | None = None,
                  estimate: LipschitzEstimate | None = None,
                  overrides: dict | None = None
@@ -386,27 +382,21 @@ def probe_params(objective, x0: ManifoldPoint, epsilon: float,
     """
     overrides = overrides or {}
     n, chart = objective.n, objective.manifold.D
-    if mode is None:
-        mode = FINITE_SUM if n is not None else ONLINE
-    scale = n if mode == FINITE_SUM else objective.sigma_hint
-    if scale is None:
-        raise ParameterError("finite_sum mode needs a finite sum"
-                             if mode == FINITE_SUM else
-                             "online mode needs a sigma estimate")
-    if n is not None:
-        B, key = overrides.get("B"), "B"
-        if B is None:
-            cons = constants if constants is not None else SolverConstants()
-            B = _batch_sizes(mode, scale, epsilon, cons)[1]
-            key = f"mode = {mode} derives B"
-        if B > n:
-            raise ParameterError(f"{key} = {B}, above the finite sum's "
-                                 f"n = {n}")
+    for key, value in {"epsilon": epsilon, "delta": delta,
+                       **overrides}.items():
+        SolverParams._check_field(key, value)
+    mode, scale = FINITE_SUM, n
+    if n is None:
+        mode, scale = ONLINE, getattr(objective, "sigma_hint", None)
+        if scale is None:
+            raise ParameterError("an online objective needs a sigma_hint")
+    elif overrides.get("B", n) > n:
+        raise ParameterError(f"B = {overrides['B']}, above the finite "
+                             f"sum's n = {n}")
     D = overrides.get("D")
     if D is not None and D > chart * (1.0 + 1e-12):
         raise ParameterError(f"D = {D} exceeds the manifold chart radius "
                              f"{chart}")
-    _check_tolerances(epsilon, delta)
     est = estimate
     if est is None:
         est = PullbackOracle(objective, x0).estimate_lipschitz(
@@ -419,13 +409,13 @@ def probe_params(objective, x0: ManifoldPoint, epsilon: float,
 
 
 def auto_solve(objective, x0: ManifoldPoint, epsilon: float, delta: float,
-               budget: int, rng, *, mode: str | None = None,
+               budget: int, rng, *,
                constants: SolverConstants | None = None,
                record_gaps: bool = False) -> tuple[SolverReport, SolverParams]:
     """Estimate smoothness at x0, derive parameters, and run the solver."""
     stream, seed = as_stream(rng)
     params, _ = probe_params(objective, x0, epsilon, delta, budget, stream,
-                             mode=mode, constants=constants)
+                             constants=constants)
     report = prsrg_run(objective, x0, params, stream,
                        record_gaps=record_gaps)
     report.seed = seed

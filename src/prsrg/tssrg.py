@@ -44,7 +44,7 @@ from __future__ import annotations
 import copy
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 import warnings
 
@@ -83,16 +83,19 @@ class TssrgParams:
                 "the variance bound expects b >= m", stacklevel=3)
 
     def _check(self):
-        """Raise ParameterError on a bad field; subclasses extend this."""
-        if not (self.eta > 0 and math.isfinite(self.eta)):
-            raise ParameterError(f"eta must be positive, got {self.eta}")
-        for name in ("m", "b", "B", "T_max"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, np.integer)) and 1 <= v < 2 ** 63):
-                raise ParameterError(
-                    f"{name} must be an integer in [1, 2**63), got {v!r}")
-        if not (self.D > 0 and math.isfinite(self.D)):
-            raise ParameterError(f"D must be positive, got {self.D}")
+        """Raise ParameterError on the first bad field, in field order."""
+        for f in fields(self):
+            self._check_field(f.name, getattr(self, f.name))
+
+    @staticmethod
+    def _check_field(name: str, v) -> None:
+        """Raise ParameterError if v is out of range for field ``name``."""
+        if name in ("eta", "D") and not (v > 0 and math.isfinite(v)):
+            raise ParameterError(f"{name} must be positive, got {v}")
+        if name in ("m", "b", "B", "T_max") and not (
+                isinstance(v, (int, np.integer)) and 1 <= v < 2 ** 63):
+            raise ParameterError(
+                f"{name} must be an integer in [1, 2**63), got {v!r}")
 
     def _capped(self, T_max: int) -> "TssrgParams":
         """This with the cap T_max, an int the caller keeps in [1, 2**63);

@@ -7,9 +7,9 @@ import csv
 import numpy as np
 import pytest
 
-from prsrg import (ManifoldPoint, PullbackOracle, SchemaError, TangentVector,
-                   TraceRow, make_data_rayleigh, make_quadratic_saddle,
-                   make_rayleigh, make_streaming_rayleigh)
+from prsrg import (DataRayleighInstance, ManifoldPoint, PullbackOracle,
+                   QuadraticSaddleInstance, RayleighInstance, SchemaError,
+                   StreamingRayleighInstance, TangentVector, TraceRow)
 from prsrg.trace import COLUMNS
 
 # every objective family that has a closed-form Hessian action
@@ -69,30 +69,31 @@ def kind_oracle(kind, d=30, seed=0):
     rng = np.random.default_rng(seed)
     spec = np.concatenate(([2.0, 1.0], np.linspace(0.9, 0.1, d - 2)))
     if kind == "rayleigh":
-        obj = make_rayleigh(d=d, n=200, spectrum=spec, noise_scale=0.4,
-                            seed=5)
+        obj = RayleighInstance(d=d, n=200, spectrum=spec, noise_scale=0.4,
+                               rotation_seed=5)
     elif kind == "quadratic_saddle":
-        obj = make_quadratic_saddle(d=d, gamma=1.0, L_top=2.0, n=64, seed=3,
-                                    noise_scale=0.3)
+        obj = QuadraticSaddleInstance(d=d, gamma=1.0, L_top=2.0, n=64,
+                                      rotation_seed=3, noise_scale=0.3)
     elif kind == "data_rayleigh":
-        obj = make_data_rayleigh(rng.standard_normal((200, d))
-                                 * np.sqrt(spec))
+        obj = DataRayleighInstance(rng.standard_normal((200, d))
+                                   * np.sqrt(spec))
     else:
-        obj = make_streaming_rayleigh(d=d, spectrum=spec, seed=5)
+        obj = StreamingRayleighInstance(d=d, spectrum=spec, rotation_seed=5)
     return PullbackOracle(obj, obj.manifold.rand_point(rng))
 
 
 @pytest.fixture
 def small_rayleigh():
     """Axis-aligned 3-d instance with spectrum (2, 1, 0): exact eigenvectors."""
-    return make_rayleigh(d=3, n=50, spectrum=[2.0, 1.0, 0.0],
-                         noise_scale=0.2, seed=None)
+    return RayleighInstance(d=3, n=50, spectrum=[2.0, 1.0, 0.0],
+                            noise_scale=0.2, rotation_seed=None)
 
 
 @pytest.fixture
 def medium_rayleigh():
     spec = np.concatenate(([2.0, 1.0], np.linspace(0.9, 0.1, 28)))
-    return make_rayleigh(d=30, n=200, spectrum=spec, noise_scale=0.4, seed=5)
+    return RayleighInstance(d=30, n=200, spectrum=spec, noise_scale=0.4,
+                            rotation_seed=5)
 
 
 def oracle_at(objective, point) -> PullbackOracle:

@@ -20,9 +20,9 @@ import numpy as np
 
 from prsrg import (
     PullbackOracle,
+    QuadraticSaddleInstance,
+    RayleighInstance,
     TangentVector,
-    make_quadratic_saddle,
-    make_rayleigh,
 )
 from prsrg.diagnostics import certify
 from prsrg.geometry import Sphere
@@ -56,7 +56,8 @@ def test_01_pullback_gradient_matches_finite_differences():
     t0 = time.perf_counter()
     rng = np.random.default_rng(101)
     spec = np.concatenate(([2.0, 1.0], np.linspace(0.9, 0.1, 48)))
-    obj = make_rayleigh(d=50, n=40, spectrum=spec, noise_scale=0.3, seed=4)
+    obj = RayleighInstance(d=50, n=40, spectrum=spec, noise_scale=0.3,
+                           rotation_seed=4)
     man = obj.manifold
     worst = 0.0
     for _ in range(20):
@@ -76,7 +77,8 @@ def test_01_pullback_gradient_matches_finite_differences():
 
 def test_02_hvp_matches_analytic_riemannian_hessian():
     spec = np.concatenate(([2.0, 1.0], np.linspace(0.9, 0.1, 28)))
-    obj = make_rayleigh(d=30, n=50, spectrum=spec, noise_scale=0.4, seed=6)
+    obj = RayleighInstance(d=30, n=50, spectrum=spec, noise_scale=0.4,
+                           rotation_seed=6)
     man = obj.manifold
     rng = np.random.default_rng(202)
     x = man.rand_point(rng)
@@ -117,7 +119,8 @@ def test_03_dretract_smallest_singular_value_bound():
 
 def test_04_full_batch_estimator_is_exact():
     spec = np.concatenate(([2.0, 1.0], np.linspace(0.9, 0.1, 8)))
-    obj = make_rayleigh(d=10, n=64, spectrum=spec, noise_scale=0.3, seed=9)
+    obj = RayleighInstance(d=10, n=64, spectrum=spec, noise_scale=0.3,
+                           rotation_seed=9)
     man = obj.manifold
     stream = master_stream(404)
     x = man.rand_point(stream.child(TAG_INIT).generator())
@@ -136,7 +139,8 @@ def test_04_full_batch_estimator_is_exact():
 def test_05_variance_ratio_flat_across_minibatch_sizes():
     t0 = time.perf_counter()
     spec = np.concatenate(([2.0, 1.0], np.linspace(0.9, 0.1, 18)))
-    obj = make_rayleigh(d=20, n=256, spectrum=spec, noise_scale=0.5, seed=3)
+    obj = RayleighInstance(d=20, n=256, spectrum=spec, noise_scale=0.5,
+                           rotation_seed=3)
     man = obj.manifold
     probe = PullbackOracle(obj, man.rand_point(np.random.default_rng(0)))
     est = probe.estimate_lipschitz(np.random.default_rng(1))
@@ -168,7 +172,8 @@ def test_05_variance_ratio_flat_across_minibatch_sizes():
 
 def test_06_large_gradient_epochs_do_not_increase_objective():
     spec = np.concatenate(([2.0, 1.0], np.linspace(0.9, 0.1, 18)))
-    obj = make_rayleigh(d=20, n=1000, spectrum=spec, noise_scale=0.4, seed=7)
+    obj = RayleighInstance(d=20, n=1000, spectrum=spec, noise_scale=0.4,
+                           rotation_seed=7)
     man = obj.manifold
     probe = PullbackOracle(obj, man.rand_point(np.random.default_rng(0)))
     est = probe.estimate_lipschitz(np.random.default_rng(1))
@@ -219,8 +224,8 @@ def test_07_coupled_sequences_grow_at_curvature_rate():
     growth = 1.0 + eta * gamma
 
     # full batches: the separation recursion is exactly linear
-    clean = make_quadratic_saddle(d=16, gamma=gamma, L_top=2.0, n=16,
-                                  seed=None, noise_scale=0.0)
+    clean = QuadraticSaddleInstance(d=16, gamma=gamma, L_top=2.0, n=16,
+                                    rotation_seed=None, noise_scale=0.0)
     r0 = 1e-8
     out_a, out_b = _coupled_runs(clean, eta, r0, m=64, b=16, T=50,
                                  stream=master_stream(700))
@@ -229,8 +234,8 @@ def test_07_coupled_sequences_grow_at_curvature_rate():
     exact_err = float(np.max(np.abs(dev - expected) / expected))
 
     # stochastic b=8: the fitted per-step rate stays near 1 + eta*gamma
-    noisy = make_quadratic_saddle(d=16, gamma=gamma, L_top=2.0, n=64,
-                                  seed=None, noise_scale=0.2)
+    noisy = QuadraticSaddleInstance(d=16, gamma=gamma, L_top=2.0, n=64,
+                                    rotation_seed=None, noise_scale=0.2)
     rates = []
     for s in range(20):
         out_a, out_b = _coupled_runs(noisy, eta, 1e-6, m=8, b=8, T=30,
@@ -253,8 +258,8 @@ def test_07_coupled_sequences_grow_at_curvature_rate():
 def _escape_runs():
     """Ten seeded solver runs started at the second eigenvector on S^99."""
     spec = np.concatenate(([2.0, 1.0], np.linspace(0.9, 0.1, 98)))
-    obj = make_rayleigh(d=100, n=1000, spectrum=spec, noise_scale=0.5,
-                        seed=None)
+    obj = RayleighInstance(d=100, n=1000, spectrum=spec, noise_scale=0.5,
+                           rotation_seed=None)
     man = obj.manifold
     x0 = obj.eigvec(1)
     t0 = time.perf_counter()
@@ -343,8 +348,8 @@ def test_11_queries_to_certification_scale_like_sqrt_n():
     cons = SolverConstants(c_eta=0.02)  # deep in the multi-epoch regime
     medians = []
     for n in (256, 1024, 4096):
-        obj = make_rayleigh(d=30, n=n, spectrum=spec, noise_scale=0.4,
-                            seed=11)
+        obj = RayleighInstance(d=30, n=n, spectrum=spec, noise_scale=0.4,
+                               rotation_seed=11)
         man = obj.manifold
         queries = []
         for s in range(10):

@@ -11,10 +11,10 @@ import pytest
 from prsrg import (
     BaselineConfig,
     ParameterError,
+    QuadraticSaddleInstance,
+    RayleighInstance,
     auto_solve,
     baseline_run,
-    make_quadratic_saddle,
-    make_rayleigh,
 )
 from prsrg.rng import master_stream
 from prsrg.solver import prsrg_run, probe_params
@@ -38,8 +38,8 @@ def test_prgd_converges_on_convex_quadratic():
     # gradient descent on a kappa-conditioned strongly convex quadratic
     # reaches ||grad|| <= 1e-6 within 10 * kappa * log(1/eps) iterations
     L, mu = 2.0, 0.25
-    obj = make_quadratic_saddle(d=8, gamma=-mu, L_top=L, n=6, seed=3,
-                                noise_scale=0.0)
+    obj = QuadraticSaddleInstance(d=8, gamma=-mu, L_top=L, n=6,
+                                  rotation_seed=3, noise_scale=0.0)
     rng = np.random.default_rng(0)
     x0 = obj.manifold.point(0.3 * rng.standard_normal(8))
     eps = 1e-6
@@ -58,8 +58,9 @@ def test_prgd_converges_on_convex_quadratic():
 
 
 def test_prgd_escapes_rayleigh_saddle():
-    obj = make_rayleigh(d=12, n=48, spectrum=np.concatenate(
-        ([2.0, 1.0], np.linspace(0.9, 0.1, 10))), noise_scale=0.0, seed=None)
+    obj = RayleighInstance(d=12, n=48, spectrum=np.concatenate(
+        ([2.0, 1.0], np.linspace(0.9, 0.1, 10))), noise_scale=0.0,
+        rotation_seed=None)
     x0 = obj.eigvec(1)
     config = BaselineConfig(eta=0.05, r=1e-3, escape_steps=40)
     report = baseline_run(obj, x0, config, epsilon=1e-4,
@@ -70,8 +71,8 @@ def test_prgd_escapes_rayleigh_saddle():
 
 
 def test_prgd_rows_labeled_baseline():
-    obj = make_rayleigh(d=6, n=12, spectrum=np.linspace(2.0, 0.5, 6),
-                        noise_scale=0.1, seed=2)
+    obj = RayleighInstance(d=6, n=12, spectrum=np.linspace(2.0, 0.5, 6),
+                           noise_scale=0.1, rotation_seed=2)
     rng = np.random.default_rng(3)
     x0 = obj.manifold.rand_point(rng)
     config = BaselineConfig(eta=0.05, r=1e-3)
@@ -94,8 +95,8 @@ def _rsrg_unperturbed(obj, x0, epsilon, delta, budget, seed):
 
 
 def test_rsrg_unperturbed_never_leaves_exact_saddle():
-    obj = make_rayleigh(d=8, n=32, spectrum=np.linspace(2.0, 0.3, 8),
-                        noise_scale=0.0, seed=None)
+    obj = RayleighInstance(d=8, n=32, spectrum=np.linspace(2.0, 0.3, 8),
+                           noise_scale=0.0, rotation_seed=None)
     x0 = obj.eigvec(1)
     report = _rsrg_unperturbed(obj, x0, epsilon=1e-3, delta=0.1,
                                budget=3_000, seed=13)
@@ -104,8 +105,8 @@ def test_rsrg_unperturbed_never_leaves_exact_saddle():
 
 
 def test_rsrg_unperturbed_descends_from_generic_start():
-    obj = make_rayleigh(d=10, n=64, spectrum=np.linspace(2.0, 0.1, 10),
-                        noise_scale=0.2, seed=6)
+    obj = RayleighInstance(d=10, n=64, spectrum=np.linspace(2.0, 0.1, 10),
+                           noise_scale=0.2, rotation_seed=6)
     rng = np.random.default_rng(8)
     x0 = obj.manifold.rand_point(rng)
     report = _rsrg_unperturbed(obj, x0, epsilon=1e-2, delta=0.5,
@@ -117,8 +118,8 @@ def test_rsrg_unperturbed_descends_from_generic_start():
 # -------------------------------------------------------- shared rules
 
 def test_baseline_validation():
-    obj = make_rayleigh(d=4, n=8, spectrum=[2.0, 1.0, 0.5, 0.1],
-                        noise_scale=0.1, seed=0)
+    obj = RayleighInstance(d=4, n=8, spectrum=[2.0, 1.0, 0.5, 0.1],
+                           noise_scale=0.1, rotation_seed=0)
     x0 = obj.eigvec(0)
     config = BaselineConfig(eta=0.1)
     with pytest.raises(ParameterError):
@@ -137,7 +138,8 @@ def test_prgd_spends_more_queries_than_prsrg_head_to_head():
     # the full-gradient baseline pays more queries to its first
     # certification in at least 8 of 10 seeds
     spec = np.concatenate(([2.0, 1.0], np.linspace(0.9, 0.1, 30)))
-    obj = make_rayleigh(d=32, n=4096, spectrum=spec, noise_scale=0.4, seed=9)
+    obj = RayleighInstance(d=32, n=4096, spectrum=spec, noise_scale=0.4,
+                           rotation_seed=9)
     wins = 0
     for seed in range(10):
         rng = np.random.default_rng(100 + seed)

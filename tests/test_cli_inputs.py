@@ -98,15 +98,15 @@ SOLVER_OVERRIDES = {"B_zero": "B = 0", "m_zero": "m = 0",
     "start_off_sphere", "quadratic_one_entry_spectrum", "spectrum_inf",
     "spectrum_minus_inf", "spectrum_overflow", "spectrum_nan",
     "spectrum_linspace_inf", "spectrum_streaming_inf",
-    "spectrum_quadratic_nan", "sigma_radius_negative", "sigma_radius_zero",
-    "sigma_radius_nan", "euclidean_start_overflow", "euclidean_start_nan",
+    "spectrum_quadratic_nan", "problem_sigma_radius", "solver_mode",
+    "euclidean_start_overflow", "euclidean_start_nan",
     "euclidean_start_inf", "certify_point_nan", "m_above_int64",
     "online_epsilon_overflow", "online_epsilon_underflow",
     "online_epsilon_m_above_int64", "online_epsilon_B_above_int64",
     "sweep_seeds_past_64_bits", "n_pair_store_80_PiB",
     "n_pair_store_past_int64", "sweep_n_pair_store_80_PiB",
     "config_not_utf8", "print_config_not_utf8", "B_above_n",
-    "online_B_above_n", "D_above_chart", "baseline_eta_negative",
+    "D_above_chart", "baseline_eta_negative",
     *SOLVER_OVERRIDES, *SEED_RANGE,
 ])
 def test_bad_input_exits_2_with_one_line(case, tmp_path, capsys):
@@ -210,6 +210,16 @@ def test_bad_input_exits_2_with_one_line(case, tmp_path, capsys):
         # the minibatch size of the removed rsgd baseline
         cfg_text += "\n[baseline]\nbatch = 8\n"
         extra = ["--algo", "prgd"]
+    elif case == "problem_sigma_radius":
+        # the removed sigma bound's radius for a finite quadratic_saddle
+        cfg_text = (BASE.format(start="zero")
+                    .replace("sphere:3", "euclidean:3")
+                    .replace("kind = rayleigh", "kind = quadratic_saddle")
+                    .replace("noise_scale = 0.2",
+                             "noise_scale = 0.2\nsigma_radius = 2.0"))
+    elif case == "solver_mode":
+        # the removed mode selector: the objective decides the mode
+        cfg_text += "mode = online\n"
     elif case == "unknown_key":
         cfg_text = cfg_text.replace("budget = 6000", "budget = 6000\nbogus = 3")
     elif case == "misplaced_key":
@@ -246,14 +256,6 @@ def test_bad_input_exits_2_with_one_line(case, tmp_path, capsys):
             cfg_text = (cfg_text.replace("sphere:3", "euclidean:3")
                         .replace("kind = rayleigh", "kind = quadratic_saddle")
                         .replace("start = random", "start = zero"))
-    elif case.startswith("sigma_radius_"):
-        value = {"sigma_radius_negative": "-1", "sigma_radius_zero": "0",
-                 "sigma_radius_nan": "nan"}[case]
-        cfg_text = (BASE.format(start="zero")
-                    .replace("sphere:3", "euclidean:3")
-                    .replace("kind = rayleigh", "kind = quadratic_saddle")
-                    .replace("noise_scale = 0.2",
-                             f"noise_scale = 0.2\nsigma_radius = {value}"))
     elif case.startswith("euclidean_start_") or case == "certify_point_nan":
         start = {"euclidean_start_overflow": "coords:1e200,0,0",
                  "euclidean_start_nan": "coords:nan,0,0",
@@ -277,9 +279,6 @@ def test_bad_input_exits_2_with_one_line(case, tmp_path, capsys):
         extra = ["--algo", "prgd"]
     elif case in SOLVER_OVERRIDES:
         cfg_text += SOLVER_OVERRIDES[case] + "\n"
-    elif case == "online_B_above_n":
-        # online sizing of a finite sum derives B = 1024 for n = 30
-        cfg_text += "mode = online\n"
     elif case.startswith("online_epsilon_"):
         # B's quotient overflows, epsilon^2 underflows, or a finite m (and
         # B) or B alone reaches 2**63
@@ -334,6 +333,8 @@ def test_bad_input_exits_2_with_one_line(case, tmp_path, capsys):
               "record_gaps_not_boolean": "[experiment] record_gaps",
               "couple_section": "unknown config section [couple]",
               "baseline_batch": "[baseline] unknown key 'batch'",
+              "problem_sigma_radius": "[problem] unknown key 'sigma_radius'",
+              "solver_mode": "[solver] unknown key 'mode'",
               "quadratic_one_entry_spectrum": "at least 2 entries",
               "spectrum_inf": "spectrum term 'inf' is non-finite",
               "spectrum_minus_inf": "spectrum term '-inf' is non-finite",
@@ -343,9 +344,6 @@ def test_bad_input_exits_2_with_one_line(case, tmp_path, capsys):
                   "spectrum term 'linspace:inf:0:3' is non-finite",
               "spectrum_streaming_inf": "spectrum term 'inf' is non-finite",
               "spectrum_quadratic_nan": "spectrum term 'inf' is non-finite",
-              "sigma_radius_negative": "[problem] sigma_radius",
-              "sigma_radius_zero": "[problem] sigma_radius",
-              "sigma_radius_nan": "[problem] sigma_radius",
               "euclidean_start_overflow": "[problem] start",
               "euclidean_start_nan": "non-finite coordinates",
               "euclidean_start_inf": "non-finite coordinates",
@@ -360,9 +358,6 @@ def test_bad_input_exits_2_with_one_line(case, tmp_path, capsys):
               "sweep_n_pair_store_80_PiB": _store_error(2**52),
               "n_pair_store_past_int64": _store_error(2**62),
               "B_above_n": "[solver] B = 100, above the finite sum's n = 30",
-              "online_B_above_n":
-                  "[solver] mode = online derives B = 1024, above the "
-                  "finite sum's n = 30",
               "D_above_chart":
                   "[solver] D = 0.75 exceeds the manifold chart radius 0.5",
               "baseline_eta_negative":
@@ -485,10 +480,9 @@ SPECTRUM_TEXT = st.text(alphabet="0123456789.,:-+e linspacif", max_size=40)
 CONFIG_KEYS = {
     "experiment": ("seed", "budget", "out", "algo", "record_gaps"),
     "problem": ("manifold", "kind", "n", "spectrum", "noise_scale",
-                "rotation_seed", "gamma", "L_top", "sigma_radius", "data",
-                "start"),
-    "solver": ("epsilon", "delta", "mode", "eta", "m", "b", "B", "T_max",
-               "r", "D"),
+                "rotation_seed", "gamma", "L_top", "data", "start"),
+    "solver": ("epsilon", "delta", "eta", "m", "b", "B", "T_max", "r",
+               "D"),
     "constants": ("c_eta", "c_T", "c_r", "c_m", "c_B"),
     "baseline": ("eta", "r", "escape_steps"),
     "sweep": ("n", "seeds"),

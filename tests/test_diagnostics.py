@@ -14,14 +14,14 @@ from prsrg import (
     Euclidean,
     ParameterError,
     PullbackOracle,
+    QuadraticSaddleInstance,
+    RayleighInstance,
     SchemaError,
+    StreamingRayleighInstance,
     TangentVector,
     TssrgParams,
     certify,
     lanczos_min_eig,
-    make_quadratic_saddle,
-    make_rayleigh,
-    make_streaming_rayleigh,
     tssrg_run,
 )
 from prsrg.diagnostics import (_LANCZOS_SEED, LANCZOS_MAX_ITERS,
@@ -196,8 +196,8 @@ def test_lanczos_stop_never_met_is_bit_identical():
 
 @pytest.fixture
 def clean_rayleigh():
-    return make_rayleigh(d=3, n=10, spectrum=[2.0, 1.0, 0.0],
-                         noise_scale=0.0, seed=None)
+    return RayleighInstance(d=3, n=10, spectrum=[2.0, 1.0, 0.0],
+                            noise_scale=0.0, rotation_seed=None)
 
 
 def test_certify_passes_at_minimizer(clean_rayleigh):
@@ -218,8 +218,9 @@ def test_certify_fails_at_saddle(clean_rayleigh):
 
 
 def test_certify_euclidean_psd_quadratic():
-    obj = make_quadratic_saddle(d=6, gamma=-0.2, L_top=2.0, n=4, seed=2,
-                                noise_scale=0.0)  # gamma < 0: PSD spectrum
+    obj = QuadraticSaddleInstance(d=6, gamma=-0.2, L_top=2.0, n=4,
+                                  rotation_seed=2,
+                                  noise_scale=0.0)  # gamma < 0: PSD spectrum
     oracle = PullbackOracle(obj, obj.manifold.point(np.zeros(6)))
     cert = certify(oracle, epsilon=1e-6, delta=0.1)
     assert cert.passed
@@ -231,13 +232,13 @@ def test_certify_scale_consistency():
     rng = np.random.default_rng(4)
     x_coords = rng.standard_normal(4)
     x_coords /= np.linalg.norm(x_coords)
-    plain = make_rayleigh(d=4, n=12, spectrum=base_spec, noise_scale=0.2,
-                          seed=None)
+    plain = RayleighInstance(d=4, n=12, spectrum=base_spec, noise_scale=0.2,
+                             rotation_seed=None)
     ref = certify(PullbackOracle(plain, plain.manifold.point(x_coords)),
                   epsilon=1e-3, delta=0.5)
     for kappa in (0.5, 2.0):
-        scaled = make_rayleigh(d=4, n=12, spectrum=kappa * base_spec,
-                               noise_scale=kappa * 0.2, seed=None)
+        scaled = RayleighInstance(d=4, n=12, spectrum=kappa * base_spec,
+                                  noise_scale=kappa * 0.2, rotation_seed=None)
         got = certify(PullbackOracle(scaled, scaled.manifold.point(x_coords)),
                       epsilon=kappa * 1e-3, delta=kappa * 0.5)
         assert got.grad_norm == pytest.approx(kappa * ref.grad_norm,
@@ -273,8 +274,8 @@ def test_certify_fails_at_saddle_when_delta_exceeds_lipschitz_probe():
     # sphere:30, n = 1024, noise 0.4: the probe's sampled l_hat (~1.42) is
     # below delta = 1.9, but the Hessian at e2 has lambda_min = -2 < -delta
     spec = np.concatenate(([2.0, 1.0], np.linspace(0.9, 0.1, 28)))
-    obj = make_rayleigh(d=30, n=1024, spectrum=spec, noise_scale=0.4,
-                        seed=None)
+    obj = RayleighInstance(d=30, n=1024, spectrum=spec, noise_scale=0.4,
+                           rotation_seed=None)
     oracle = PullbackOracle(obj, obj.eigvec(1))
     cert = certify(oracle, epsilon=1e-3, delta=1.9)
     assert cert.grad_norm <= 1e-3  # the gradient clause holds
@@ -293,7 +294,7 @@ def test_streaming_certify_uses_population_hessian(j):
     # clause does: at eigvec(j) the tangent Hessian eigenvalues are
     # -2(lambda_i - lambda_j) for i != j
     spec = np.concatenate(([2.0, 1.0], np.linspace(0.9, 0.1, 18)))
-    obj = make_streaming_rayleigh(20, spec, seed=5)
+    obj = StreamingRayleighInstance(20, spec, rotation_seed=5)
     oracle = PullbackOracle(obj, obj.eigvec(j))
     cert = certify(oracle, epsilon=1e-3, delta=0.1)
     expect = min(-2.0 * (obj.spectrum[i] - obj.spectrum[j])
@@ -491,8 +492,8 @@ def test_stuck_region_rejects_non_saddle(clean_rayleigh):
 
 
 def test_stuck_region_zero_trials_and_r0_arithmetic():
-    obj = make_quadratic_saddle(d=100, gamma=1.0, L_top=2.0, n=4, seed=None,
-                                noise_scale=0.0)
+    obj = QuadraticSaddleInstance(d=100, gamma=1.0, L_top=2.0, n=4,
+                                  rotation_seed=None, noise_scale=0.0)
     oracle = PullbackOracle(obj, obj.manifold.point(np.zeros(100)))
     params = _params(eta=0.05, m=4, b=4, B=4, D=1.0, T_max=4)
     stats = stuck_region_experiment(oracle, params, nu=0.1, trials=0,
@@ -508,8 +509,8 @@ def test_stuck_region_deviation_time_closed_form():
     # exact quadratic, full batch: the pair separates at (1+eta*gamma)^t r0,
     # so the first crossing time is known in closed form
     gamma, eta = 1.0, 0.1
-    obj = make_quadratic_saddle(d=16, gamma=gamma, L_top=2.0, n=8, seed=None,
-                                noise_scale=0.0)
+    obj = QuadraticSaddleInstance(d=16, gamma=gamma, L_top=2.0, n=8,
+                                  rotation_seed=None, noise_scale=0.0)
     oracle = PullbackOracle(obj, obj.manifold.point(np.zeros(16)))
     nu, r, rho, delta, c2 = 0.1, 0.04, 1.0, 0.02, 1.0
     params = _params(eta=eta, m=200, b=obj.n, B=obj.n, D=5.0, T_max=200)
@@ -529,8 +530,9 @@ def test_stuck_region_deviation_time_closed_form():
 
 
 def test_stuck_region_rayleigh_saddle_escapes():
-    obj = make_rayleigh(d=10, n=40, spectrum=np.concatenate(
-        ([2.0, 1.0], np.linspace(0.9, 0.1, 8))), noise_scale=0.2, seed=None)
+    obj = RayleighInstance(d=10, n=40, spectrum=np.concatenate(
+        ([2.0, 1.0], np.linspace(0.9, 0.1, 8))), noise_scale=0.2,
+        rotation_seed=None)
     x = obj.eigvec(1)
     oracle = PullbackOracle(obj, x)
     est = oracle.estimate_lipschitz(master_stream(0).child(8).generator())

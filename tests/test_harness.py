@@ -207,7 +207,6 @@ spectrum = 2.0,1.0,linspace:0.9:0.1:98
 noise_scale = 0.5
 gamma = 1.0
 L_top = 2.0
-sigma_radius = 2.0
 start = random
 n = 1000
 
@@ -230,7 +229,6 @@ spectrum = 2.0,1.0,0.0
 noise_scale = 0.2
 gamma = 1.0
 L_top = 2.0
-sigma_radius = 2.0
 start = random
 n = 30
 
@@ -253,7 +251,6 @@ spectrum = 2.0,1.0,linspace:0.9:0.1:198
 noise_scale = 0.5
 gamma = 1.0
 L_top = 2.0
-sigma_radius = 2.0
 start = e2
 n = 1000
 rotation_seed = 7
@@ -282,7 +279,6 @@ spectrum = 2.0,1.0,linspace:0.9:0.1:98
 noise_scale = 0.5
 gamma = 1.0
 L_top = 2.0
-sigma_radius = 2.0
 start = e2
 n = 1000
 
@@ -305,7 +301,6 @@ spectrum = 2.0,1.0,linspace:0.6:0.1:18
 noise_scale = 0.5
 gamma = 1.0
 L_top = 2.0
-sigma_radius = 2.0
 start = random
 n = 1000
 rotation_seed = 7
@@ -350,8 +345,7 @@ def test_config_roundtrip_every_section():
         problem=ProblemSpec(manifold="sphere:5", kind="rayleigh", n=40,
                             spectrum="2.0,1.0,linspace:0.9:0.5:3",
                             noise_scale=0.3, rotation_seed=4, start="e2"),
-        solver=SolverSpec(epsilon=0.01, delta=0.2, mode="finite_sum",
-                          eta=0.05, m=4, B=16),
+        solver=SolverSpec(epsilon=0.01, delta=0.2, eta=0.05, m=4, B=16),
         constants=SolverConstants(c_eta=0.2, c_T=10.0, c_r=0.5, c_m=2.0,
                                   c_B=8.0),
         sweep=SweepSpec(n_values=(8, 16), seeds=3),
@@ -869,19 +863,30 @@ def test_sweep_caller_failure_kills_and_reaps_children(
     assert time.monotonic() - start < 30
 
 
+# each [solver] override out of its field's range: the full message
+OUT_OF_RANGE = {
+    "m = 0": "[solver] m must be an integer in [1, 2**63), got 0",
+    "b = 0": "[solver] b must be an integer in [1, 2**63), got 0",
+    "B = 0": "[solver] B must be an integer in [1, 2**63), got 0",
+    "T_max = 0": "[solver] T_max must be an integer in [1, 2**63), got 0",
+    "eta = -1": "[solver] eta must be positive, got -1.0",
+    "r = -1": "[solver] r must be finite and >= 0, got -1.0",
+    "D = 0": "[solver] D must be positive, got 0.0",
+}
+
+
 @pytest.mark.parametrize("solver_keys, key", [
     ("B = 100\n", "[solver] B = 100"),
-    ("mode = online\n", "[solver] mode = online derives B = 1024"),
     ("D = 0.75\n", "[solver] D = 0.75"),
-    (None, "mode = online derives B = 1024"),  # auto_solve, mode="online"
     (None, "epsilon and delta"),  # auto_solve, delta = 0
+    *((f"{keys}\n", message) for keys, message in OUT_OF_RANGE.items()),
 ])
 def test_batch_above_n_is_rejected_before_the_probe(monkeypatch, solver_keys,
                                                      key):
-    # B depends only on n, the mode, sigma_hint and the overrides, and the
-    # chart radius only on the manifold, so a B above n, a D past the
-    # chart or a zero delta exits before the smoothness probe runs, for
-    # auto_solve too
+    # every override is checked by its field's rule, B against n and D
+    # against the chart radius, which depend on nothing the probe
+    # measures, so a bad override or a zero delta exits before the
+    # smoothness probe runs, for auto_solve too
     seen = []
     real = PullbackOracle.estimate_lipschitz
 
@@ -890,18 +895,19 @@ def test_batch_above_n_is_rejected_before_the_probe(monkeypatch, solver_keys,
         return real(self, rng, *args, **kwargs)
 
     monkeypatch.setattr(PullbackOracle, "estimate_lipschitz", counting_probe)
-    options = {"delta": 0.5, "mode": "online"}
     if key == "epsilon and delta":
-        bound, options = " must be positive and finite", {"delta": 0.0}
-    elif "D =" in key:
+        bound = " must be positive and finite"
+    elif "D = 0.75" in key:
         bound = " exceeds the manifold chart radius 0.5"
-    else:
+    elif "B = 100" in key:
         bound = ", above the finite sum's n = 30"
+    else:
+        bound = ""
     with pytest.raises(ParameterError, match=re.escape(key + bound)):
         if solver_keys is None:
             obj = build_problem(parse_config(SMALL_RUN))
-            auto_solve(obj, obj.eigvec(1), epsilon=0.05, budget=6000, rng=7,
-                       **options)
+            auto_solve(obj, obj.eigvec(1), epsilon=0.05, delta=0.0,
+                       budget=6000, rng=7)
         else:
             run_experiment(parse_config(SMALL_RUN + solver_keys))
     assert seen == []
@@ -932,7 +938,6 @@ def test_prefix_equals_fresh_build_bitwise(kind, noise_scale):
             a, b = getattr(sub, name), getattr(fresh, name)
             assert np.array_equal(a, b) and a.tobytes() == b.tobytes(), name
         assert sub.n == fresh.n == n
-        assert sub.sigma_hint == fresh.sigma_hint
         assert sub.manifold.manifold_id == fresh.manifold.manifold_id
         if n % 2 == 0:
             assert np.shares_memory(sub.p, big.p)

@@ -160,7 +160,8 @@ def test_unknown_name_raises_attribute_error():
 # names that only tests called, and the retraction's differential, which
 # the solver never needs (it pulls gradients back through the adjoint);
 # the tests' reference differential is in conftest; the second path to the
-# run parameters (probe_params is the one path now)
+# run parameters (probe_params is the one path now); the problem factories,
+# which only passed their arguments to the classes
 REMOVED = {
     "geometry.Manifold": ("dretract_apply", "dretract_matrix",
                           "_dretract_coords", "_dretract_target"),
@@ -173,6 +174,8 @@ REMOVED = {
     "problems.StreamingRayleighInstance": ("hess_eigval",),
     "problems.QuadraticSaddleInstance": ("H", "min_curvature_direction"),
     "harness": ("format_spectrum", "_apply_overrides"),
+    "problems": ("make_rayleigh", "make_quadratic_saddle",
+                 "make_streaming_rayleigh", "make_data_rayleigh"),
     "tssrg": ("tssrg_run_coupled",),
     "solver": ("_mode_scale",),
 }

@@ -22,8 +22,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from prsrg import (make_data_rayleigh, make_quadratic_saddle, make_rayleigh,
-                   make_streaming_rayleigh)
+from prsrg import (DataRayleighInstance, QuadraticSaddleInstance,
+                   RayleighInstance, StreamingRayleighInstance)
 
 D = 7
 SPEC = np.linspace(2.0, 0.1, D)
@@ -33,17 +33,19 @@ KINDS = ("rayleigh_rotated", "rayleigh_axis_aligned", "data_rayleigh",
 
 def _build(kind):
     if kind == "rayleigh_rotated":
-        return make_rayleigh(d=D, n=40, spectrum=SPEC, noise_scale=0.3, seed=5)
+        return RayleighInstance(d=D, n=40, spectrum=SPEC, noise_scale=0.3,
+                                rotation_seed=5)
     if kind == "rayleigh_axis_aligned":
-        return make_rayleigh(d=D, n=40, spectrum=SPEC, noise_scale=0.3,
-                             seed=None)
+        return RayleighInstance(d=D, n=40, spectrum=SPEC, noise_scale=0.3,
+                                rotation_seed=None)
     if kind == "data_rayleigh":
         rng = np.random.default_rng(8)
-        return make_data_rayleigh(rng.standard_normal((40, D)) * np.sqrt(SPEC))
+        return DataRayleighInstance(
+            rng.standard_normal((40, D)) * np.sqrt(SPEC))
     if kind == "streaming_rayleigh":
-        return make_streaming_rayleigh(d=D, spectrum=SPEC, seed=5)
-    return make_quadratic_saddle(d=D, gamma=1.0, L_top=2.0, n=40, seed=3,
-                                 noise_scale=0.3)
+        return StreamingRayleighInstance(d=D, spectrum=SPEC, rotation_seed=5)
+    return QuadraticSaddleInstance(d=D, gamma=1.0, L_top=2.0, n=40,
+                                   rotation_seed=3, noise_scale=0.3)
 
 
 def _points(obj):

@@ -15,11 +15,11 @@ import numpy as np
 import pytest
 
 from prsrg import (
+    DataRayleighInstance,
     ParameterError,
-    make_data_rayleigh,
-    make_quadratic_saddle,
-    make_rayleigh,
-    make_streaming_rayleigh,
+    QuadraticSaddleInstance,
+    RayleighInstance,
+    StreamingRayleighInstance,
 )
 from prsrg import _kernels, problems
 from prsrg.problems import PAIR_BLOCK, _paired_noise, load_matrix, save_matrix
@@ -50,8 +50,8 @@ def _component_matrix(obj, i):
 
 
 def test_noise_pairs_cancel_and_have_exact_norm():
-    obj = make_rayleigh(d=8, n=20, spectrum=np.linspace(3.0, 0.5, 8),
-                        noise_scale=0.7, seed=2)
+    obj = RayleighInstance(d=8, n=20, spectrum=np.linspace(3.0, 0.5, 8),
+                           noise_scale=0.7, rotation_seed=2)
     for k in range(obj.n // 2):
         E0 = _component_matrix(obj, 2 * k)
         E1 = _component_matrix(obj, 2 * k + 1)
@@ -61,8 +61,8 @@ def test_noise_pairs_cancel_and_have_exact_norm():
 
 
 def test_odd_n_last_component_is_noise_free():
-    obj = make_rayleigh(d=5, n=7, spectrum=[2.0, 1.0, 0.8, 0.5, 0.1],
-                        noise_scale=0.3, seed=0)
+    obj = RayleighInstance(d=5, n=7, spectrum=[2.0, 1.0, 0.8, 0.5, 0.1],
+                           noise_scale=0.3, rotation_seed=0)
     assert obj.p.shape == obj.q.shape == (4, 5)
     assert np.all(obj.p[-1] == 0.0) and np.all(obj.q[-1] == 0.0)
     P, Q = _expand_pairs(obj.p, obj.q, obj.n)
@@ -253,10 +253,10 @@ def test_concurrent_paired_noise_builds_are_byte_equal_to_pairwise_loop(
 
 
 @pytest.mark.parametrize("build", [
-    lambda: make_rayleigh(d=40, n=301, spectrum=np.linspace(2.0, 0.1, 40),
-                          noise_scale=0.5, seed=7),
-    lambda: make_quadratic_saddle(d=30, gamma=1.0, L_top=2.0, n=200, seed=3,
-                                  noise_scale=0.3),
+    lambda: RayleighInstance(d=40, n=301, spectrum=np.linspace(2.0, 0.1, 40),
+                             noise_scale=0.5, rotation_seed=7),
+    lambda: QuadraticSaddleInstance(d=30, gamma=1.0, L_top=2.0, n=200,
+                                    rotation_seed=3, noise_scale=0.3),
 ], ids=["rayleigh_odd_n", "quadratic_saddle"])
 def test_pair_store_kernel_is_bitwise_the_per_component_formula(build):
     # the sign rides on the two length-b products; negation is exact, so
@@ -281,8 +281,9 @@ def test_pair_store_memory_is_one_row_per_pair():
     # here; an n-row store would need twice that
     tracemalloc.start()
     try:
-        obj = make_rayleigh(d=200, n=20000, spectrum=np.linspace(2.0, 0.1, 200),
-                            noise_scale=0.5, seed=1)
+        obj = RayleighInstance(d=200, n=20000,
+                               spectrum=np.linspace(2.0, 0.1, 200),
+                               noise_scale=0.5, rotation_seed=1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -291,11 +292,11 @@ def test_pair_store_memory_is_one_row_per_pair():
 
 
 @pytest.mark.parametrize("build", [
-    lambda: make_rayleigh(d=12, n=30, spectrum=np.linspace(2.0, 0.1, 12),
-                          noise_scale=0.5, seed=7),
-    lambda: make_quadratic_saddle(d=6, gamma=1.0, L_top=2.0, n=9, seed=3,
-                                  noise_scale=0.3),
-    lambda: make_data_rayleigh(
+    lambda: RayleighInstance(d=12, n=30, spectrum=np.linspace(2.0, 0.1, 12),
+                             noise_scale=0.5, rotation_seed=7),
+    lambda: QuadraticSaddleInstance(d=6, gamma=1.0, L_top=2.0, n=9,
+                                    rotation_seed=3, noise_scale=0.3),
+    lambda: DataRayleighInstance(
         np.random.default_rng(12).standard_normal((40, 6))),
 ], ids=["rayleigh", "quadratic_saddle", "data_rayleigh"])
 def test_component_mean_equals_full_gradient(build):
@@ -329,8 +330,8 @@ def test_full_gradient_of_row_stack_equals_one_point_calls(kind):
 
 
 def test_zero_noise_components_all_equal_population():
-    obj = make_rayleigh(d=4, n=6, spectrum=[2.0, 1.0, 0.5, 0.2],
-                        noise_scale=0.0, seed=None)
+    obj = RayleighInstance(d=4, n=6, spectrum=[2.0, 1.0, 0.5, 0.2],
+                           noise_scale=0.0, rotation_seed=None)
     rng = np.random.default_rng(3)
     x = obj.manifold.rand_point(rng)
     g = obj.full_riem_grad(x).coords
@@ -341,8 +342,8 @@ def test_zero_noise_components_all_equal_population():
 # --------------------------------------------------------- eigen oracles
 
 def test_eigvec_and_hess_eigval_axis_aligned():
-    obj = make_rayleigh(d=4, n=10, spectrum=[3.0, 2.0, 1.0, 0.5],
-                        noise_scale=0.1, seed=None)
+    obj = RayleighInstance(d=4, n=10, spectrum=[3.0, 2.0, 1.0, 0.5],
+                           noise_scale=0.1, rotation_seed=None)
     v1 = obj.eigvec(0)
     assert np.array_equal(v1.coords, np.eye(4)[0])
     # gradient vanishes at every eigenvector
@@ -357,8 +358,8 @@ def test_eigvec_and_hess_eigval_axis_aligned():
 
 
 def test_rotation_is_orthogonal_and_rotates_eigvecs():
-    obj = make_rayleigh(d=9, n=12, spectrum=np.linspace(2.0, 0.2, 9),
-                        noise_scale=0.0, seed=11)
+    obj = RayleighInstance(d=9, n=12, spectrum=np.linspace(2.0, 0.2, 9),
+                           noise_scale=0.0, rotation_seed=11)
     R = obj.rotation
     assert np.allclose(R.T @ R, np.eye(9), atol=1e-12)
     for j in (0, 4, 8):
@@ -368,10 +369,10 @@ def test_rotation_is_orthogonal_and_rotates_eigvecs():
 
 
 def test_identical_seed_reproduces_instance():
-    a = make_rayleigh(d=6, n=8, spectrum=np.linspace(2.0, 0.5, 6),
-                      noise_scale=0.4, seed=9)
-    b = make_rayleigh(d=6, n=8, spectrum=np.linspace(2.0, 0.5, 6),
-                      noise_scale=0.4, seed=9)
+    a = RayleighInstance(d=6, n=8, spectrum=np.linspace(2.0, 0.5, 6),
+                         noise_scale=0.4, rotation_seed=9)
+    b = RayleighInstance(d=6, n=8, spectrum=np.linspace(2.0, 0.5, 6),
+                         noise_scale=0.4, rotation_seed=9)
     assert np.array_equal(a.Abar, b.Abar)
     assert np.array_equal(a.p, b.p)
     assert np.array_equal(a.q, b.q)
@@ -380,26 +381,28 @@ def test_identical_seed_reproduces_instance():
 # -------------------------------------------------------- validation
 
 @pytest.mark.parametrize("make", [
-    functools.partial(make_rayleigh, n=5, noise_scale=0.1),
-    make_streaming_rayleigh,
+    functools.partial(RayleighInstance, n=5, noise_scale=0.1),
+    StreamingRayleighInstance,
 ], ids=["make_rayleigh", "make_streaming_rayleigh"])
 def test_spectrum_validation(make):
     with pytest.raises(ParameterError, match="length"):
-        make(d=3, spectrum=[2.0, 1.0], seed=None)
+        make(d=3, spectrum=[2.0, 1.0], rotation_seed=None)
     with pytest.raises(ParameterError):
-        make(d=3, spectrum=[1.0, 2.0, 0.0], seed=None)  # not nonincreasing
+        # not nonincreasing
+        make(d=3, spectrum=[1.0, 2.0, 0.0], rotation_seed=None)
     with pytest.raises(ParameterError, match="nonincreasing"):
-        make(d=3, spectrum=[2.0, 1.0, 3.0], seed=None)  # top gap is fine
+        # the top gap is fine
+        make(d=3, spectrum=[2.0, 1.0, 3.0], rotation_seed=None)
     with pytest.raises(ParameterError, match="degenerate"):
-        make(d=3, spectrum=[2.0, 2.0, 0.0], seed=None)
+        make(d=3, spectrum=[2.0, 2.0, 0.0], rotation_seed=None)
     for bad in ([np.inf, 1.0, 0.0], [2.0, 1.0, -np.inf], [2.0, 1.0, np.nan]):
         with pytest.raises(ParameterError, match="non-finite"):
-            make(d=3, spectrum=bad, seed=None)
+            make(d=3, spectrum=bad, rotation_seed=None)
 
 
 def test_quadratic_saddle_shape():
-    obj = make_quadratic_saddle(d=5, gamma=1.5, L_top=3.0, n=6, seed=4,
-                                noise_scale=0.2)
+    obj = QuadraticSaddleInstance(d=5, gamma=1.5, L_top=3.0, n=6,
+                                  rotation_seed=4, noise_scale=0.2)
     evals = np.sort(np.linalg.eigvalsh(obj.Abar))
     assert evals[0] == pytest.approx(-1.5, abs=1e-12)
     assert evals[-1] == pytest.approx(3.0, abs=1e-12)
@@ -411,11 +414,12 @@ def test_quadratic_saddle_shape():
 
 
 def test_quadratic_convex_instance_allowed():
-    obj = make_quadratic_saddle(d=3, gamma=-0.5, L_top=2.0, n=4, seed=None,
-                                noise_scale=0.0)
+    obj = QuadraticSaddleInstance(d=3, gamma=-0.5, L_top=2.0, n=4,
+                                  rotation_seed=None, noise_scale=0.0)
     assert np.min(np.linalg.eigvalsh(obj.Abar)) == pytest.approx(0.5)
     with pytest.raises(ParameterError):
-        make_quadratic_saddle(d=3, gamma=1.0, L_top=0.0, n=4, seed=None)
+        QuadraticSaddleInstance(d=3, gamma=1.0, L_top=0.0, n=4,
+                                rotation_seed=None, noise_scale=0.1)
 
 
 @pytest.mark.parametrize("L_top", [np.inf, np.nan])
@@ -423,8 +427,8 @@ def test_quadratic_saddle_rejects_non_finite_L_top(L_top):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ParameterError, match="0 < L_top < inf"):
-            make_quadratic_saddle(d=3, gamma=1.0, L_top=L_top, n=30,
-                                  seed=None)
+            QuadraticSaddleInstance(d=3, gamma=1.0, L_top=L_top, n=30,
+                                    rotation_seed=None, noise_scale=0.1)
 
 
 # d x d float64 at d = 5,000,000 is 182 TiB, past the 128 TiB address
@@ -440,11 +444,12 @@ def test_oversized_spectrum_is_a_parameter_error(kind, seed):
     d = HUGE_D
     with pytest.raises(ParameterError) as info:
         if kind == "quadratic_saddle":
-            make_quadratic_saddle(d, gamma=1.0, L_top=2.0, n=2, seed=seed)
+            QuadraticSaddleInstance(d, gamma=1.0, L_top=2.0, n=2,
+                                    rotation_seed=seed, noise_scale=0.1)
         elif kind == "rayleigh":
-            make_rayleigh(d, 2, np.linspace(2.0, 0.0, d), 0.1, seed)
+            RayleighInstance(d, 2, np.linspace(2.0, 0.0, d), 0.1, seed)
         else:
-            make_streaming_rayleigh(d, np.linspace(2.0, 0.0, d), seed)
+            StreamingRayleighInstance(d, np.linspace(2.0, 0.0, d), seed)
     assert str(info.value) == (
         f"spectrum of length d = {d} needs d x d matrices of {8 * d * d} "
         f"bytes each, which cannot be allocated")
@@ -455,8 +460,9 @@ def test_oversized_spectrum_is_a_parameter_error(kind, seed):
 
 def test_streaming_matches_population_objective():
     spec = np.linspace(2.0, 0.1, 8)
-    obj = make_streaming_rayleigh(d=8, spectrum=spec, seed=None)
-    fin = make_rayleigh(d=8, n=10, spectrum=spec, noise_scale=0.0, seed=None)
+    obj = StreamingRayleighInstance(d=8, spectrum=spec, rotation_seed=None)
+    fin = RayleighInstance(d=8, n=10, spectrum=spec, noise_scale=0.0,
+                           rotation_seed=None)
     rng = np.random.default_rng(5)
     x = obj.manifold.rand_point(rng)
     assert obj.value(x) == pytest.approx(fin.value(x), abs=1e-12)
@@ -467,8 +473,8 @@ def test_streaming_matches_population_objective():
 
 
 def test_streaming_batch_mean_of_draws():
-    obj = make_streaming_rayleigh(d=5, spectrum=[2.0, 1.0, 0.8, 0.5, 0.2],
-                                  seed=3)
+    obj = StreamingRayleighInstance(d=5, spectrum=[2.0, 1.0, 0.8, 0.5, 0.2],
+                                    rotation_seed=3)
     rng = np.random.default_rng(8)
     x = obj.manifold.rand_point(rng)
     y = x.coords
@@ -486,7 +492,7 @@ def test_streaming_batch_mean_of_draws():
 
 def _online_stream_instance():
     spec = np.concatenate([[2.0, 1.0], np.linspace(0.6, 0.1, 18)])
-    return make_streaming_rayleigh(d=20, spectrum=spec, seed=7)
+    return StreamingRayleighInstance(d=20, spectrum=spec, rotation_seed=7)
 
 
 @pytest.mark.parametrize("size", [1, 20])
@@ -568,7 +574,8 @@ def test_streaming_bartlett_moments(size):
 
 @pytest.mark.parametrize("size", [0, -3, True, 2.0, 64.0, "8", None])
 def test_streaming_rejects_bad_batch_sizes(size):
-    obj = make_streaming_rayleigh(d=3, spectrum=[2.0, 1.0, 0.5], seed=None)
+    obj = StreamingRayleighInstance(d=3, spectrum=[2.0, 1.0, 0.5],
+                                    rotation_seed=None)
     rng = np.random.default_rng(0)
     for sample in (obj.sample_minibatch, obj.sample_largebatch):
         with pytest.raises(ParameterError, match="integer >= 1"):
@@ -580,7 +587,8 @@ def test_streaming_rejects_bad_batch_sizes(size):
 
 def test_streaming_rejects_negative_covariance():
     with pytest.raises(ParameterError):
-        make_streaming_rayleigh(d=3, spectrum=[2.0, 1.0, -0.1], seed=None)
+        StreamingRayleighInstance(d=3, spectrum=[2.0, 1.0, -0.1],
+                                  rotation_seed=None)
 
 
 # --------------------------------------------------------- epoch draws
@@ -589,10 +597,10 @@ def _index_sampler(kind, n):
     """A finite-sum index sampler whose n is set to ``n``: the samplers read
     only n, so a small instance stands in for n = 2**31 components."""
     if kind == "rayleigh":
-        obj = make_rayleigh(d=4, n=8, spectrum=[2.0, 1.0, 0.5, 0.1],
-                            noise_scale=0.2, seed=None)
+        obj = RayleighInstance(d=4, n=8, spectrum=[2.0, 1.0, 0.5, 0.1],
+                               noise_scale=0.2, rotation_seed=None)
     else:
-        obj = make_data_rayleigh(np.arange(24.0).reshape(8, 3))
+        obj = DataRayleighInstance(np.arange(24.0).reshape(8, 3))
     obj = copy.copy(obj)
     obj.n = n
     return obj
@@ -651,18 +659,18 @@ def test_epoch_draw_rejects_bad_minibatch_size_on_first_take():
 @pytest.mark.parametrize("n", [1, 4, 8])
 def test_data_rayleigh_has_no_prefix(n):
     # its n is the data's row count, which no sweep can shorten
-    obj = make_data_rayleigh(np.arange(24.0).reshape(8, 3))
+    obj = DataRayleighInstance(np.arange(24.0).reshape(8, 3))
     with pytest.raises(ParameterError, match="data objective has no prefix"):
         obj.prefix(n)
 
 
 def test_data_rayleigh_rejects_empty():
     with pytest.raises(ParameterError):
-        make_data_rayleigh(np.zeros((0, 3)))
+        DataRayleighInstance(np.zeros((0, 3)))
     with pytest.raises(ParameterError):
-        make_data_rayleigh(np.zeros(3))
+        DataRayleighInstance(np.zeros(3))
     with pytest.raises(ParameterError, match="non-finite"):
-        make_data_rayleigh(np.array([[1.0, 2.0], [np.nan, 0.0]]))
+        DataRayleighInstance(np.array([[1.0, 2.0], [np.nan, 0.0]]))
 
 
 # -------------------------------------------------------- matrix IO

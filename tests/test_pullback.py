@@ -15,10 +15,10 @@ from prsrg import (
     OutOfBall,
     ParameterError,
     PullbackOracle,
+    QuadraticSaddleInstance,
+    RayleighInstance,
+    StreamingRayleighInstance,
     TangentVector,
-    make_quadratic_saddle,
-    make_rayleigh,
-    make_streaming_rayleigh,
 )
 from prsrg.pullback import HVP_FD_STEP, Batch
 from prsrg.rng import StreamTree
@@ -45,8 +45,8 @@ def test_value_at_zero_is_objective_value(small_rayleigh):
 
 def test_value_pulls_back_through_retraction():
     # noiseless instance so F is exactly -y^T Abar y
-    obj = make_rayleigh(d=3, n=4, spectrum=[2.0, 1.0, 0.0],
-                        noise_scale=0.0, seed=None)
+    obj = RayleighInstance(d=3, n=4, spectrum=[2.0, 1.0, 0.0],
+                           noise_scale=0.0, rotation_seed=None)
     man = obj.manifold
     x = man.point(np.array([1.0, 0.0, 0.0]))
     oracle = PullbackOracle(obj, x)
@@ -190,8 +190,8 @@ def test_largebatch_exceeding_n_rejected(small_rayleigh):
 
 
 def test_streaming_largebatch_concentrates():
-    obj = make_streaming_rayleigh(d=10, spectrum=np.linspace(2.0, 0.1, 10),
-                                  seed=None)
+    obj = StreamingRayleighInstance(d=10, spectrum=np.linspace(2.0, 0.1, 10),
+                                    rotation_seed=None)
     man = obj.manifold
     B = 10_000
     sigma = obj.sigma_hint
@@ -224,8 +224,8 @@ def test_minibatch_unbiased(medium_rayleigh):
 # ------------------------------------------------------------ HVP
 
 def test_hvp_linear_gradient_is_exact():
-    obj = make_quadratic_saddle(d=6, gamma=1.0, L_top=2.0, n=8,
-                                seed=3, noise_scale=0.0)
+    obj = QuadraticSaddleInstance(d=6, gamma=1.0, L_top=2.0, n=8,
+                                  rotation_seed=3, noise_scale=0.0)
     man = obj.manifold
     rng = np.random.default_rng(5)
     x = man.point(np.zeros(6))
@@ -394,15 +394,16 @@ def _reference_probe(oracle, rng, pairs):
 def _probe_oracle(kind):
     if kind == "rotated_sphere200":
         spec = np.concatenate(([2.0, 1.0], np.linspace(0.9, 0.1, 198)))
-        obj = make_rayleigh(d=200, n=400, spectrum=spec, noise_scale=0.4,
-                            seed=11)
+        obj = RayleighInstance(d=200, n=400, spectrum=spec, noise_scale=0.4,
+                               rotation_seed=11)
         return PullbackOracle(obj, obj.eigvec(1))
     if kind == "streaming_rayleigh":
-        obj = make_streaming_rayleigh(d=20, spectrum=np.linspace(2.0, 0.1, 20),
-                                      seed=3)
+        obj = StreamingRayleighInstance(d=20,
+                                        spectrum=np.linspace(2.0, 0.1, 20),
+                                        rotation_seed=3)
         return PullbackOracle(obj, obj.eigvec(1))
-    obj = make_quadratic_saddle(d=10, gamma=1.0, L_top=2.0, n=30, seed=3,
-                                noise_scale=0.1)
+    obj = QuadraticSaddleInstance(d=10, gamma=1.0, L_top=2.0, n=30,
+                                  rotation_seed=3, noise_scale=0.1)
     rng = np.random.default_rng(2)
     return PullbackOracle(obj, obj.manifold.rand_point(rng))
 

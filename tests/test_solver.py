@@ -15,15 +15,15 @@ from prsrg import (
     ContractViolation,
     ParameterError,
     PullbackOracle,
+    RayleighInstance,
     SolverConstants,
     SolverParams,
+    StreamingRayleighInstance,
     TssrgParams,
     auto_solve,
     baseline_run,
     certify,
     derive_params,
-    make_rayleigh,
-    make_streaming_rayleigh,
     prsrg_run,
     small_grad_check,
     solver,
@@ -149,8 +149,8 @@ def test_grad_check_vacuous_threshold(medium_rayleigh):
 def test_online_check_agrees_outside_margin():
     # whenever the population norm is clearly on one side of epsilon, the
     # sampled check must agree with the population check
-    obj = make_streaming_rayleigh(d=12, spectrum=np.linspace(2.0, 0.1, 12),
-                                  seed=None)
+    obj = StreamingRayleighInstance(d=12, spectrum=np.linspace(2.0, 0.1, 12),
+                                    rotation_seed=None)
     man = obj.manifold
     eps = 0.5
     sigma = obj.sigma_hint
@@ -311,8 +311,8 @@ def test_certifies_at_minimizer(small_rayleigh):
 
 
 def test_exact_saddle_with_zero_radius_never_moves():
-    obj = make_rayleigh(d=10, n=40, spectrum=np.linspace(2.0, 0.2, 10),
-                        noise_scale=0.0, seed=None)
+    obj = RayleighInstance(d=10, n=40, spectrum=np.linspace(2.0, 0.2, 10),
+                           noise_scale=0.0, rotation_seed=None)
     x0 = obj.eigvec(1)
     base = _tiny_params(obj.n, budget=4000)
     params = replace(base, r=0.0)
@@ -358,8 +358,8 @@ def test_stuck_certifications_stop_at_the_verdict(monkeypatch,
 
 
 def test_first_epoch_descends_from_large_gradient():
-    obj = make_rayleigh(d=16, n=64, spectrum=np.linspace(2.0, 0.1, 16),
-                        noise_scale=0.0, seed=4)
+    obj = RayleighInstance(d=16, n=64, spectrum=np.linspace(2.0, 0.1, 16),
+                           noise_scale=0.0, rotation_seed=4)
     rng = np.random.default_rng(2)
     x0 = obj.manifold.rand_point(rng)
     params = _tiny_params(obj.n, budget=50_000)
@@ -509,10 +509,10 @@ def test_charged_batches_never_share_samples(mode, generator_origins):
     # and escapes follow; B < n, so finite-sum checks and anchors sample too
     spec = np.linspace(2.0, 0.5, 6)
     if mode == "online":
-        obj = make_streaming_rayleigh(d=6, spectrum=spec, seed=None)
+        obj = StreamingRayleighInstance(d=6, spectrum=spec, rotation_seed=None)
     else:
-        obj = make_rayleigh(d=6, n=400, spectrum=spec, noise_scale=0.2,
-                            seed=None)
+        obj = RayleighInstance(d=6, n=400, spectrum=spec, noise_scale=0.2,
+                               rotation_seed=None)
     params = SolverParams(eta=0.05, m=8, b=8, B=200, D=0.5, T_max=40,
                           r=0.05, epsilon=1.0, delta=0.1, budget=3000,
                           mode=mode)
@@ -530,11 +530,11 @@ def _escape_mints(mode, origins):
     drawn once per process, so it is drawn before the count starts."""
     spec = np.linspace(2.0, 0.5, 6)
     if mode == "online":
-        obj = make_streaming_rayleigh(d=6, spectrum=spec, seed=None)
+        obj = StreamingRayleighInstance(d=6, spectrum=spec, rotation_seed=None)
         B, r = 200, 0.05
     else:
-        obj = make_rayleigh(d=6, n=64, spectrum=spec, noise_scale=0.2,
-                            seed=None)
+        obj = RayleighInstance(d=6, n=64, spectrum=spec, noise_scale=0.2,
+                               rotation_seed=None)
         B, r = 64, 0.0
     params = SolverParams(eta=0.05, m=8, b=8, B=B, D=0.5, T_max=40, r=r,
                           epsilon=1.0, delta=0.1, budget=4000, mode=mode)
@@ -594,8 +594,8 @@ def test_auto_solve_selects_finite_sum(small_rayleigh):
 
 
 def test_auto_solve_selects_online():
-    obj = make_streaming_rayleigh(d=6, spectrum=np.linspace(2.0, 0.5, 6),
-                                  seed=None)
+    obj = StreamingRayleighInstance(d=6, spectrum=np.linspace(2.0, 0.5, 6),
+                                    rotation_seed=None)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         report, params = auto_solve(obj, obj.manifold.point(np.eye(6)[0]),
@@ -610,14 +610,20 @@ def test_auto_solve_validates_rng_and_mode(small_rayleigh):
     with pytest.raises(ParameterError):
         auto_solve(small_rayleigh, x0, epsilon=1e-3, delta=0.5, budget=1000,
                    rng="not-a-seed")
-    obj = make_streaming_rayleigh(d=6, spectrum=np.linspace(2.0, 0.5, 6),
-                                  seed=None)
-    with pytest.raises(ParameterError):
-        auto_solve(obj, obj.manifold.point(np.eye(6)[0]), epsilon=0.5,
-                   delta=1.0, budget=1000, rng=1, mode="finite_sum")
-    # online sizing of a finite sum checks B <= n before the probe, and a
-    # bad epsilon is named as such, not as an overflow of the sizes
+    # the objective decides the mode, and a bad epsilon is named as such
     for epsilon in (0.0, float("nan")):
-        with pytest.raises(ParameterError, match="epsilon > 0, got"):
+        with pytest.raises(ParameterError,
+                           match="epsilon and delta must be positive"):
             auto_solve(small_rayleigh, x0, epsilon=epsilon, delta=0.5,
-                       budget=1000, rng=1, mode="online")
+                       budget=1000, rng=1)
+
+
+def test_online_objective_without_sigma_hint_is_rejected():
+    # a stream (n = None) is sized by its sigma_hint; an API-built one
+    # without it gets a ParameterError, not a TypeError from float(None)
+    obj = StreamingRayleighInstance(d=6, spectrum=np.linspace(2.0, 0.5, 6),
+                                    rotation_seed=None)
+    del obj.sigma_hint
+    with pytest.raises(ParameterError, match="needs a sigma_hint"):
+        auto_solve(obj, obj.manifold.point(np.eye(6)[0]), epsilon=0.5,
+                   delta=1.0, budget=1000, rng=1)

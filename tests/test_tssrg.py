@@ -18,12 +18,12 @@ from prsrg import (
     OutOfBall,
     ParameterError,
     PullbackOracle,
+    QuadraticSaddleInstance,
+    RayleighInstance,
+    StreamingRayleighInstance,
     TangentVector,
     TssrgParams,
     boundary_alpha,
-    make_quadratic_saddle,
-    make_rayleigh,
-    make_streaming_rayleigh,
     tssrg_run,
 )
 from prsrg.rng import TAG_ANCHOR, TAG_BATCH, TAG_OUTER, master_stream
@@ -38,8 +38,8 @@ def _params(**kw):
 
 
 def _quadratic_oracle(d=4, gamma=1.0, noise=0.0, n=8, seed=None):
-    obj = make_quadratic_saddle(d=d, gamma=gamma, L_top=2.0, n=n, seed=seed,
-                                noise_scale=noise)
+    obj = QuadraticSaddleInstance(d=d, gamma=gamma, L_top=2.0, n=n,
+                                  rotation_seed=seed, noise_scale=noise)
     x0 = obj.manifold.point(np.zeros(d))
     return obj, PullbackOracle(obj, x0)
 
@@ -301,10 +301,10 @@ def test_coupled_runs_share_minibatches_until_either_exits(kind, r_a, r_b):
     # breaks at its stopping index, the larger start leaves the ball first
     spec = np.concatenate(([2.0, 1.0], np.linspace(0.9, 0.1, 18)))
     if kind == "rayleigh":
-        obj = make_rayleigh(d=20, n=100, spectrum=spec, noise_scale=0.4,
-                            seed=5)
+        obj = RayleighInstance(d=20, n=100, spectrum=spec, noise_scale=0.4,
+                               rotation_seed=5)
     else:
-        obj = make_streaming_rayleigh(d=20, spectrum=spec, seed=5)
+        obj = StreamingRayleighInstance(d=20, spectrum=spec, rotation_seed=5)
     recorder = _MinibatchRecorder(obj)
     oracle = PullbackOracle(recorder, obj.eigvec(1))
     e0 = obj.eigvec(0).coords
@@ -378,7 +378,6 @@ class _PoisonAfter:
         self._left = calls
         self.manifold = base.manifold
         self.n = base.n
-        self.sigma_hint = base.sigma_hint
 
     def value(self, x):
         return self._base.value(x)
@@ -534,13 +533,13 @@ def _bitwise_case(case):
     rng = np.random.default_rng(21)
     spec = np.concatenate(([2.0, 1.0], np.linspace(0.9, 0.1, 18)))
     if case.startswith("rayleigh"):
-        obj = make_rayleigh(d=20, n=100, spectrum=spec, noise_scale=0.4,
-                            seed=5)
+        obj = RayleighInstance(d=20, n=100, spectrum=spec, noise_scale=0.4,
+                               rotation_seed=5)
     elif case.startswith("quadratic"):
-        obj = make_quadratic_saddle(d=6, gamma=1.0, L_top=2.0, n=32, seed=3,
-                                    noise_scale=0.3)
+        obj = QuadraticSaddleInstance(d=6, gamma=1.0, L_top=2.0, n=32,
+                                      rotation_seed=3, noise_scale=0.3)
     else:
-        obj = make_streaming_rayleigh(d=20, spectrum=spec, seed=5)
+        obj = StreamingRayleighInstance(d=20, spectrum=spec, rotation_seed=5)
     x = obj.manifold.rand_point(rng)
     return obj, x, {
         "rayleigh_max_iter_gaps": (0.05, _params(eta=0.05, m=5, b=8,
