@@ -26,9 +26,8 @@ _EXPORTS = {
     "geometry": "Euclidean Manifold ManifoldPoint Sphere TangentVector",
     "harness": "ExperimentConfig dump_config load_config parse_config "
                "parse_spectrum run_certify run_experiment run_sweep",
-    "problems": "DataRayleighInstance QuadraticSaddleInstance "
-                "RayleighInstance StreamingRayleighInstance load_matrix "
-                "save_matrix",
+    "problems": "QuadraticSaddleInstance RayleighInstance "
+                "StreamingRayleighInstance",
     "pullback": "Batch FiniteSumObjective LipschitzEstimate PullbackOracle",
     "rng": "StreamTree master_stream",
     "solver": "SolverConstants SolverParams SolverReport auto_solve "

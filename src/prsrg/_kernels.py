@@ -6,8 +6,8 @@ The inner loops of every objective reduce to one of two shapes:
   perturbation actions ``E_i y`` read from the pair store (one row per
   +/- pair): ``E_i = s_i (p_k q_k^T + q_k p_k^T)`` with ``k = i >> 1`` and
   ``s_i = 1 - 2 (i & 1)``;
-* ``rows_rank1_mean`` — mean over data rows of ``a_i (a_i . y)`` for
-  sample-covariance objectives (callers gather index batches as ``A[idx]``).
+* ``rows_rank1_mean`` — mean over rows of ``a_i (a_i . y)``: the streaming
+  objective's batch, as drawn samples or Bartlett pseudo-rows.
 
 Both take y as one vector or stacked as rows, shape (..., d), and act on
 each row through ``np.matmul(M, Y[..., None])``, one gemv per row, so a row

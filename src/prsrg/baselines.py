@@ -11,7 +11,6 @@ radius forced to zero), runs through ``harness.run_experiment``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -20,7 +19,7 @@ from .errors import ParameterError
 from .geometry import ManifoldPoint, TangentVector
 from .pullback import PullbackOracle
 from .rng import TAG_OUTER, TAG_PERTURB, as_stream
-from .solver import EPOCH_KEYS, SolverReport
+from .solver import EPOCH_KEYS, SolverParams, SolverReport
 from .trace import TraceRow
 from .tssrg import boundary_alpha
 
@@ -32,10 +31,8 @@ class BaselineConfig:
     escape_steps: int = 20    # pullback descent steps after perturbing
 
     def __post_init__(self):
-        if not (self.eta > 0 and math.isfinite(self.eta)):
-            raise ParameterError(f"eta must be positive, got {self.eta}")
-        if not 0 <= self.r < math.inf:
-            raise ParameterError(f"r must be finite and >= 0, got {self.r}")
+        SolverParams._check_field("eta", self.eta)
+        SolverParams._check_field("r", self.r)
         if self.escape_steps < 1:
             raise ParameterError("escape_steps must be >= 1")
 
@@ -44,10 +41,9 @@ def baseline_run(objective, x0: ManifoldPoint, config: BaselineConfig,
                  epsilon: float, delta: float, budget: int,
                  rng) -> SolverReport:
     """Run ``prgd`` under the same budget discipline as the solver."""
-    if not (0 < epsilon < math.inf and 0 < delta < math.inf):
-        raise ParameterError("epsilon and delta must be positive and finite")
-    if budget < 0:
-        raise ParameterError("budget must be >= 0")
+    for name, value in (("epsilon", epsilon), ("delta", delta),
+                        ("budget", budget)):
+        SolverParams._check_field(name, value)
     man = objective.manifold
     man._require_point(x0)
     stream, seed = as_stream(rng)

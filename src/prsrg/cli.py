@@ -49,8 +49,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cert = sub.add_parser("certify", help="certify a stored point")
     common(p_cert)
     p_cert.add_argument("--point", required=True,
-                        help="point coordinates (.mat, .csv, or whitespace "
-                             "text)")
+                        help="point coordinates (.csv or whitespace text)")
 
     p_sweep = sub.add_parser("sweep", help="run the [sweep] grid")
     common(p_sweep)

@@ -50,6 +50,13 @@ class Certification:
         return asdict(self)
 
 
+def _check_tolerance(value) -> None:
+    """The range rule for epsilon and delta, which every entry point that
+    reads them applies (``SolverParams._check_field`` among them)."""
+    if not 0 < value < math.inf:
+        raise ParameterError("epsilon and delta must be positive and finite")
+
+
 @functools.lru_cache(maxsize=None)
 def _lanczos_start(ambient_dim: int) -> np.ndarray:
     """The Lanczos start vector, a standard normal draw from the fixed
@@ -153,8 +160,8 @@ def certify(oracle: PullbackOracle, epsilon: float, delta: float, *,
     and fewer ``lanczos_iters``, and a passing one is unchanged field for
     field. The solver loops, which discard failing certifications, set it.
     """
-    if not (0 < epsilon < math.inf and 0 < delta < math.inf):
-        raise ParameterError("epsilon and delta must be positive and finite")
+    _check_tolerance(epsilon)
+    _check_tolerance(delta)
     gnorm = oracle.exact_grad(oracle.zero()).norm
     res = _hessian_lanczos(oracle,
                            stop_below=-delta if stop_at_verdict else None)

@@ -35,6 +35,7 @@ import os
 import pickle
 import sys
 import typing
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -43,17 +44,15 @@ import numpy as np
 from .diagnostics import certify
 from .errors import InvariantViolation, ParameterError, SchemaError
 from .geometry import Manifold, ManifoldPoint
-from .problems import (DataRayleighInstance, QuadraticSaddleInstance,
-                       RayleighInstance, StreamingRayleighInstance,
-                       _loadtxt, _usable_cpus, load_matrix)
+from .problems import (QuadraticSaddleInstance, RayleighInstance,
+                       StreamingRayleighInstance, _usable_cpus)
 from .pullback import LipschitzEstimate, PullbackOracle
 from .rng import TAG_INIT, master_stream
 from .solver import SolverConstants, SolverParams, probe_params, prsrg_run
 from .trace import write_trace
 
 ALGOS = ("prsrg", "prgd", "rsrg_unperturbed")
-PROBLEM_KINDS = ("rayleigh", "quadratic_saddle", "streaming_rayleigh",
-                 "data_rayleigh")
+PROBLEM_KINDS = ("rayleigh", "quadratic_saddle", "streaming_rayleigh")
 
 # far above any dimension whose dense d x d problem matrices fit in memory
 _MAX_LINSPACE = 1_000_000
@@ -105,7 +104,6 @@ class ProblemSpec:
     start: str = "random"
     n: int | None = 1000
     rotation_seed: int | None = None
-    data: str | None = None
 
 
 @dataclass(frozen=True)
@@ -166,13 +164,16 @@ class ExperimentConfig:
             raise ParameterError(
                 f"[problem] kind must be one of {PROBLEM_KINDS}, got "
                 f"{self.problem.kind!r}")
-        if self.budget < 0:
-            raise ParameterError("[experiment] budget must be >= 0")
-        if not (self.solver.epsilon > 0 and self.solver.delta > 0):
-            raise ParameterError("[solver] epsilon and delta must be positive")
-        if self.sweep.n_values and self.problem.kind in (
-                "streaming_rayleigh", "data_rayleigh"):
-            raise ParameterError(f"[sweep] n: a {self.problem.kind} problem "
+        for prefix, name, value in (
+                ("[experiment]", "budget", self.budget),
+                ("[solver]", "epsilon", self.solver.epsilon),
+                ("[solver]", "delta", self.solver.delta)):
+            try:
+                SolverParams._check_field(name, value)
+            except ParameterError as exc:
+                raise ParameterError(f"{prefix} {exc}") from exc
+        if self.sweep.n_values and self.problem.kind == "streaming_rayleigh":
+            raise ParameterError("[sweep] n: a streaming_rayleigh problem "
                                  "has no n to sweep")
         seeds = {"[experiment] seed": self.seed,
                  "[problem] rotation_seed": self.problem.rotation_seed}
@@ -313,9 +314,8 @@ def build_problem(cfg: ExperimentConfig):
 
 def _build_kind(prob):
     spectrum = parse_spectrum(prob.spectrum)
-    if prob.kind in ("rayleigh", "quadratic_saddle"):
-        if prob.n is None:
-            raise ParameterError(f"[problem] {prob.kind} needs n")
+    if prob.kind != "streaming_rayleigh" and prob.n is None:
+        raise ParameterError(f"[problem] {prob.kind} needs n")
     try:
         if prob.kind == "rayleigh":
             return RayleighInstance(spectrum.size, prob.n, spectrum,
@@ -324,35 +324,26 @@ def _build_kind(prob):
             return QuadraticSaddleInstance(
                 spectrum.size, prob.gamma, prob.L_top, prob.n,
                 prob.rotation_seed, prob.noise_scale)
-        if prob.kind == "streaming_rayleigh":
-            return StreamingRayleighInstance(spectrum.size, spectrum,
-                                             prob.rotation_seed)
+        return StreamingRayleighInstance(spectrum.size, spectrum,
+                                         prob.rotation_seed)
     except ParameterError as exc:
         # their checks name the [problem] keys they read
         raise ParameterError(f"[problem] {exc}") from exc
-    if prob.kind == "data_rayleigh":
-        if prob.data is None:
-            raise ParameterError("[problem] data_rayleigh needs data = <path>")
-        return DataRayleighInstance(load_matrix(prob.data))
-    raise ParameterError(f"[problem] unknown kind {prob.kind!r}")
 
 
 def resolve_start(cfg: ExperimentConfig, objective, stream) -> ManifoldPoint:
-    """Name -> point: eN / eig:N / zero / random / coords:... / file:..."""
+    """Name -> point: eN / zero / random / coords:... / file:..."""
     man = objective.manifold
     name = cfg.problem.start.strip()
     if name == "random":
         x0 = man.rand_point(stream.child(TAG_INIT).generator())
     elif name == "zero":
         x0 = man.point(np.zeros(man.ambient_dim))
-    elif name.startswith("eig:") or (name.startswith("e") and name[1:].isdigit()):
+    elif name.startswith("e") and name[1:].isdecimal():
         if not hasattr(objective, "eigvec"):
             raise ParameterError(f"[problem] start {name!r} needs a spectrum "
                                  "problem")
-        try:
-            j = int(name[4:]) if ":" in name else int(name[1:]) - 1
-        except ValueError as exc:
-            raise ParameterError(f"[problem] start {name!r}: {exc}") from exc
+        j = int(name[1:]) - 1
         if not 0 <= j < man.ambient_dim:
             raise ParameterError(f"[problem] start {name!r}: eigenvector "
                                  f"index out of range for dimension "
@@ -374,23 +365,29 @@ def resolve_start(cfg: ExperimentConfig, objective, stream) -> ManifoldPoint:
     return x0
 
 
+def _loadtxt(path, delimiter: str | None = None) -> np.ndarray:
+    """``np.loadtxt`` into a 2-D float64 array, without the warning it prints
+    for input with no data row (empty, blank or ``#`` comments only); the
+    caller rejects that empty result with its own error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        return np.loadtxt(path, delimiter=delimiter, dtype=np.float64, ndmin=2)
+
+
 def load_point(man: Manifold, path) -> ManifoldPoint:
-    """Read a point's ambient coordinates from .mat or text and validate."""
-    path = Path(path)
-    if not path.exists():
-        raise SchemaError(f"point file not found: {path}")
-    if path.suffix.lower() == ".mat":
-        arr = load_matrix(path)
-    else:
+    """Read a point's ambient coordinates from CSV or whitespace text and
+    validate them."""
+    if not Path(path).is_file():
+        raise SchemaError(f"point file not found: {str(path)!r}")
+    try:
+        arr = _loadtxt(path, ",")
+    except ValueError:
         try:
-            arr = _loadtxt(path, ",")
-        except ValueError:
-            try:
-                arr = _loadtxt(path)
-            except ValueError as exc:
-                raise SchemaError(f"cannot parse point file {path}: {exc}") from exc
-        if arr.size == 0:
-            raise SchemaError(f"point file {path} holds no coordinates")
+            arr = _loadtxt(path)
+        except ValueError as exc:
+            raise SchemaError(f"cannot parse point file {path}: {exc}") from exc
+    if arr.size == 0:
+        raise SchemaError(f"point file {path} holds no coordinates")
     return man.point(arr.ravel())
 
 

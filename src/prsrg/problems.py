@@ -11,16 +11,14 @@
   target. A batch of B > d samples is drawn as its second moment (B times
   it is Wishart_d(B, Abar)) by Bartlett's decomposition: d(d+1)/2 variates
   instead of B d. Only it has a ``sigma_hint``, which sizes an online run.
-* ``DataRayleighInstance`` — the same objective backed by a dense data
-  matrix (rows are samples), read from CSV or the PRSRGMAT binary format.
 
 Each objective gives only ``Abar``, ``scale`` (F = scale * y^T Abar y) and
 its batch mean action; ``FiniteSumObjective`` forms the Euclidean
 derivatives and the manifold makes them Riemannian. rayleigh and
 streaming_rayleigh also share the spectrum check, the rotated mean matrix
-and ``eigvec``; data_rayleigh reuses the finite-sum index sampler, which
-draws an epoch's minibatch indices in one call (``sample_epoch``). The
-streaming sampler draws one batch per step.
+and ``eigvec``. The finite-sum index sampler draws an epoch's minibatch
+indices in one call (``sample_epoch``); the streaming sampler draws one
+batch per step.
 
 Paired finite-sum components are Abar + E_i where the E_i are symmetric
 rank-2 perturbations of two-norm exactly ``noise_scale``, generated in +/-
@@ -45,10 +43,7 @@ from __future__ import annotations
 import copy
 import math
 import os
-import struct
 import threading
-import warnings
-from pathlib import Path
 from typing import Iterator
 
 import numpy as np
@@ -58,8 +53,6 @@ from .errors import ParameterError
 from .geometry import Euclidean, ManifoldPoint, Sphere
 from .pullback import Batch, FiniteSumObjective
 from .rng import TAG_PROBLEM, StreamTree, as_generator, master_stream
-
-MAGIC = b"PRSRGMAT"
 
 
 def _too_large(d: int) -> ParameterError:
@@ -234,8 +227,7 @@ class _PairedComponentObjective(FiniteSumObjective):
 
     The pair store (p, q) from ``_paired_noise`` holds ceil(n/2) rows;
     component i reads row i >> 1 with the sign 1 - 2 (i & 1).
-    Subclasses set ``scale``; other components override ``__init__`` and
-    ``_matvec_mean``.
+    Subclasses set ``scale``.
     """
 
     def __init__(self, manifold, Abar: np.ndarray, n: int, p: np.ndarray,
@@ -260,7 +252,7 @@ class _PairedComponentObjective(FiniteSumObjective):
         """This instance cut to its first n components, equal field for
         field to a fresh build at n: the pair store is a view of the first
         n // 2 rows for even n, a copy of them plus a zero row for odd n;
-        every other field is shared. Pair-store components only."""
+        every other field is shared."""
         if not 1 <= n <= self.n:
             raise ParameterError(
                 f"prefix size {n} out of range for n = {self.n}")
@@ -439,78 +431,3 @@ class StreamingRayleighInstance(_SpectralRayleigh, FiniteSumObjective):
     def sample_largebatch(self, B: int,
                           rng: np.random.Generator | StreamTree) -> Batch:
         return self._draw(B, rng)
-
-
-class DataRayleighInstance(_PairedComponentObjective):
-    """Finite-sum Rayleigh backed by a data matrix: f_i(x) = -(a_i . x)^2."""
-
-    scale = -1.0
-
-    def __init__(self, data: np.ndarray):
-        data = np.asarray(data, dtype=np.float64)
-        if data.ndim != 2 or data.shape[0] < 1:
-            raise ParameterError("data must be a nonempty 2-D matrix")
-        if not np.all(np.isfinite(data)):
-            raise ParameterError("data has non-finite entries (nan or inf)")
-        self.data = data
-        self.n, self.d = data.shape
-        with np.errstate(over="ignore", invalid="ignore"):
-            self.Abar = data.T @ data / self.n
-        if not np.all(np.isfinite(self.Abar)):
-            raise ParameterError(
-                "data overflows: its mean second-moment matrix is not finite")
-        self.manifold = Sphere(self.d)
-
-    def prefix(self, n: int):
-        raise ParameterError("a data objective has no prefix: its n is the "
-                             "data matrix's row count")
-
-    def _matvec_mean(self, batch: Batch, Y: np.ndarray):
-        if batch.idx is None:
-            return super()._matvec_mean(batch, Y)
-        return _kernels.rows_rank1_mean(self.data[batch.idx], Y), None
-
-
-def save_matrix(path, arr: np.ndarray) -> None:
-    """Write a dense matrix in the PRSRGMAT format: 16-byte header (magic
-    ``PRSRGMAT``, u32 rows, u32 cols, little-endian) then row-major f64."""
-    arr = np.ascontiguousarray(arr, dtype="<f8")
-    if arr.ndim != 2:
-        raise ParameterError("only 2-D matrices are supported")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<II", arr.shape[0], arr.shape[1]))
-        fh.write(arr.tobytes(order="C"))
-
-
-def _loadtxt(path, delimiter: str | None = None) -> np.ndarray:
-    """``np.loadtxt`` into a 2-D float64 array, without the warning it prints
-    for input with no data row (empty, blank or ``#`` comments only); the
-    callers reject that empty result with their own error."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        return np.loadtxt(path, delimiter=delimiter, dtype=np.float64, ndmin=2)
-
-
-def load_matrix(path) -> np.ndarray:
-    """Load a dense matrix from a PRSRGMAT binary or a CSV file."""
-    path = Path(path)
-    if path.suffix.lower() == ".csv":
-        try:
-            arr = _loadtxt(path, ",")
-        except ValueError as exc:
-            raise ParameterError(f"{path}: not a numeric CSV: {exc}") from exc
-        if arr.size == 0:
-            raise ParameterError(f"{path}: no data rows")
-        return arr
-    with open(path, "rb") as fh:
-        head = fh.read(16)
-        if len(head) != 16 or head[:8] != MAGIC:
-            raise ParameterError(f"{path} is not a PRSRGMAT file")
-        rows, cols = struct.unpack("<II", head[8:])
-        body = fh.read()
-    expected = rows * cols * 8
-    if len(body) != expected:
-        raise ParameterError(
-            f"{path}: expected {expected} payload bytes, found {len(body)}")
-    return np.frombuffer(body, dtype="<f8").reshape(rows, cols).astype(np.float64)

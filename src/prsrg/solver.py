@@ -31,7 +31,7 @@ import warnings
 from dataclasses import asdict, dataclass
 from typing import Optional
 
-from .diagnostics import Certification, certify
+from .diagnostics import Certification, _check_tolerance, certify
 from .errors import ContractViolation, InvariantViolation, ParameterError
 from .geometry import ManifoldPoint, TangentVector
 from .pullback import LipschitzEstimate, PullbackOracle
@@ -82,9 +82,8 @@ class SolverParams(TssrgParams):
     @staticmethod
     def _check_field(name: str, v) -> None:
         TssrgParams._check_field(name, v)
-        if name in ("epsilon", "delta") and not 0 < v < math.inf:
-            raise ParameterError("epsilon and delta must be positive and "
-                                 "finite")
+        if name in ("epsilon", "delta"):
+            _check_tolerance(v)
         if name == "r" and not 0 <= v < math.inf:
             raise ParameterError(f"r must be finite and >= 0, got {v}")
         if name == "budget" and v < 0:
@@ -210,8 +209,7 @@ def small_grad_check(oracle: PullbackOracle, B_size: int, epsilon: float,
     """Large-batch gradient at the origin of T_x M (x the oracle anchor) and
     its epsilon test; ``rng`` is a Generator or a StreamTree node, minted
     only if the batch is not exhaustive."""
-    if not epsilon > 0:
-        raise ParameterError("epsilon must be positive")
+    _check_tolerance(epsilon)
     g = oracle.grad_largebatch(B_size, oracle.zero(), rng)
     return bool(g.norm <= epsilon), g
 

@@ -7,14 +7,13 @@ import csv
 import numpy as np
 import pytest
 
-from prsrg import (DataRayleighInstance, ManifoldPoint, PullbackOracle,
-                   QuadraticSaddleInstance, RayleighInstance, SchemaError,
-                   StreamingRayleighInstance, TangentVector, TraceRow)
+from prsrg import (ManifoldPoint, PullbackOracle, QuadraticSaddleInstance,
+                   RayleighInstance, SchemaError, StreamingRayleighInstance,
+                   TangentVector, TraceRow)
 from prsrg.trace import COLUMNS
 
 # every objective family that has a closed-form Hessian action
-HESSIAN_KINDS = ("rayleigh", "quadratic_saddle", "data_rayleigh",
-                 "streaming_rayleigh")
+HESSIAN_KINDS = ("rayleigh", "quadratic_saddle", "streaming_rayleigh")
 
 
 def fd_pullback_grad(oracle, u, h=1e-6):
@@ -74,9 +73,6 @@ def kind_oracle(kind, d=30, seed=0):
     elif kind == "quadratic_saddle":
         obj = QuadraticSaddleInstance(d=d, gamma=1.0, L_top=2.0, n=64,
                                       rotation_seed=3, noise_scale=0.3)
-    elif kind == "data_rayleigh":
-        obj = DataRayleighInstance(rng.standard_normal((200, d))
-                                   * np.sqrt(spec))
     else:
         obj = StreamingRayleighInstance(d=d, spectrum=spec, rotation_seed=5)
     return PullbackOracle(obj, obj.manifold.rand_point(rng))

@@ -2,9 +2,9 @@
 
 Bad input exits 2 and an internal failure exits 1; either way the user sees
 one ``error:`` line on stderr, never a traceback. The config grammar either
-parses or raises ParameterError, whatever text it is given; the matrix and
-point loaders return float64 data or raise an exit-2 error, whatever bytes
-they read.
+parses or raises ParameterError, whatever text it is given; the point
+loader returns float64 data or raises an exit-2 error, whatever bytes it
+reads.
 """
 
 import pickle
@@ -20,7 +20,6 @@ from prsrg.cli import EXIT_BAD_INPUT, EXIT_FAIL, main
 from prsrg.errors import (ContractViolation, NumericalFailure, ParameterError,
                           SchemaError)
 from prsrg.harness import load_point, parse_config, parse_spectrum
-from prsrg.problems import load_matrix, save_matrix
 
 BASE = """\
 [experiment]
@@ -39,14 +38,6 @@ start = {start}
 epsilon = 0.05
 delta = 0.5
 """
-
-DATA_RAYLEIGH = """\
-[problem]
-manifold = sphere:3
-kind = data_rayleigh
-data = {data}
-"""
-
 
 def _at_d5(cfg_text: str) -> str:
     """The config at d = 5, where n = 2**52 asks for an 80 PiB pair store
@@ -86,13 +77,15 @@ SOLVER_OVERRIDES = {"B_zero": "B = 0", "m_zero": "m = 0",
 
 @pytest.mark.parametrize("case", [
     "sweep_n_not_integer", "coords_not_numeric", "eig_not_integer",
-    "eig_out_of_range", "data_csv_not_numeric", "data_csv_non_finite",
+    "eig_out_of_range", "start_eig_colon", "kind_data_rayleigh",
+    "problem_data", "certify_point_mat", "start_file_no_path",
+    "start_file_directory",
     "seed_above_64_bits", "noise_scale_negative", "noise_scale_nan",
     "unknown_key", "misplaced_key", "unknown_section",
     "manifold_mismatch_streaming", "manifold_mismatch_quadratic",
-    "manifold_mismatch_data", "n_negative", "n_zero", "sweep_seeds_zero",
-    "sweep_n_repeated", "sweep_n_streaming", "data_csv_empty",
-    "start_file_empty", "coords_norm_overflow", "data_csv_overflow",
+    "n_negative", "n_zero", "sweep_seeds_zero",
+    "sweep_n_repeated", "sweep_n_streaming",
+    "start_file_empty", "coords_norm_overflow",
     "epsilon_nan", "delta_nan", "T_max_inf", "m_nan", "m_not_integer",
     "record_gaps_not_boolean", "couple_section", "baseline_batch",
     "start_off_sphere", "quadratic_one_entry_spectrum", "spectrum_inf",
@@ -147,25 +140,27 @@ def test_bad_input_exits_2_with_one_line(case, tmp_path, capsys):
     elif case == "coords_norm_overflow":
         cfg_text = BASE.format(start="coords:1e200,0,0")
     elif case == "eig_not_integer":
-        cfg_text = BASE.format(start="eig:x")
+        cfg_text = BASE.format(start="e1.5")
     elif case == "eig_out_of_range":
-        cfg_text = BASE.format(start="eig:9")
-    elif case == "data_csv_not_numeric":
-        data = tmp_path / "rows.csv"
-        data.write_text("a,b,c\n1,2,3\n")
-        cfg_text = DATA_RAYLEIGH.format(data=data)
-    elif case == "data_csv_non_finite":
-        data = tmp_path / "rows.csv"
-        data.write_text("1,2,3\ninf,0,1\n")
-        cfg_text = DATA_RAYLEIGH.format(data=data)
-    elif case == "data_csv_overflow":
-        data = tmp_path / "rows.csv"
-        data.write_text("1e200,1,1\n1,2,3\n0,1,0\n")
-        cfg_text = DATA_RAYLEIGH.format(data=data)
-    elif case == "data_csv_empty":
-        data = tmp_path / "rows.csv"
-        data.write_text("# header only\n\n")
-        cfg_text = DATA_RAYLEIGH.format(data=data)
+        cfg_text = BASE.format(start="e9")
+    elif case == "start_eig_colon":
+        # the removed 0-based spelling of eN
+        cfg_text = BASE.format(start="eig:0")
+    elif case == "kind_data_rayleigh":
+        # the removed data-backed objective, and below its data file key
+        cfg_text = cfg_text.replace("kind = rayleigh", "kind = data_rayleigh")
+    elif case == "problem_data":
+        cfg_text = cfg_text.replace("n = 30", "n = 30\ndata = rows.csv")
+    elif case == "certify_point_mat":
+        # (0, 1, 0) in the removed PRSRGMAT binary format
+        command = "certify"
+        point = tmp_path / "x.mat"
+        point.write_bytes(b"PRSRGMAT" + np.array([1, 3], "<u4").tobytes()
+                          + np.array([0.0, 1.0, 0.0], "<f8").tobytes())
+        extra = ["--point", str(point)]
+    elif case in ("start_file_no_path", "start_file_directory"):
+        path = "" if case == "start_file_no_path" else tmp_path
+        cfg_text = BASE.format(start=f"file:{path}")
     elif case == "start_file_empty":
         point = tmp_path / "x0.txt"
         point.write_text("")
@@ -289,10 +284,6 @@ def test_bad_input_exits_2_with_one_line(case, tmp_path, capsys):
         cfg_text = (cfg_text.replace("kind = rayleigh\nn = 30",
                                      "kind = streaming_rayleigh")
                     .replace("epsilon = 0.05", f"epsilon = {value}"))
-    elif case == "manifold_mismatch_data":
-        data = tmp_path / "rows.csv"
-        data.write_text("1,2,3,4\n0,1,0,1\n")
-        cfg_text = DATA_RAYLEIGH.format(data=data)
     elif case == "print_config_not_utf8":
         command = "print-config"
     cfg = tmp_path / "bad.ini"
@@ -304,14 +295,24 @@ def test_bad_input_exits_2_with_one_line(case, tmp_path, capsys):
         warnings.simplefilter("error", RuntimeWarning)
         assert main([command, "--config", str(cfg), *extra]) == EXIT_BAD_INPUT
     line = _assert_one_error_line(capsys)
-    expect = {"data_csv_non_finite": "non-finite",
+    expect = {"eig_not_integer": "[problem] unknown start 'e1.5'",
+              "eig_out_of_range":
+                  "[problem] start 'e9': eigenvector index out of range",
+              "start_eig_colon": "[problem] unknown start 'eig:0'",
+              "kind_data_rayleigh":
+                  "[problem] kind must be one of ('rayleigh', "
+                  "'quadratic_saddle', 'streaming_rayleigh'), got "
+                  "'data_rayleigh'",
+              "problem_data": "[problem] unknown key 'data'",
+              "certify_point_mat": f"cannot parse point file {tmp_path}",
+              "start_file_no_path": "point file not found: ''",
+              "start_file_directory":
+                  f"point file not found: {str(tmp_path)!r}",
               "n_negative": "n must be >= 1",
               "n_zero": "n must be >= 1",
               "sweep_seeds_zero": "[sweep] seeds",
               "sweep_n_repeated": "distinct",
               "sweep_n_streaming": "no n to sweep",
-              "data_csv_empty": "no data rows",
-              "data_csv_overflow": "data overflows",
               "config_not_utf8": "is not UTF-8",
               "print_config_not_utf8": "is not UTF-8",
               "start_file_empty": "no coordinates",
@@ -324,7 +325,6 @@ def test_bad_input_exits_2_with_one_line(case, tmp_path, capsys):
               "unknown_section": "[solvr]",
               "manifold_mismatch_streaming": "sphere:7 does not match",
               "manifold_mismatch_quadratic": "euclidean:9 does not match",
-              "manifold_mismatch_data": "sphere:3 does not match",
               "epsilon_nan": "[solver] epsilon",
               "delta_nan": "[solver] delta",
               "T_max_inf": "[solver] T_max",
@@ -480,7 +480,7 @@ SPECTRUM_TEXT = st.text(alphabet="0123456789.,:-+e linspacif", max_size=40)
 CONFIG_KEYS = {
     "experiment": ("seed", "budget", "out", "algo", "record_gaps"),
     "problem": ("manifold", "kind", "n", "spectrum", "noise_scale",
-                "rotation_seed", "gamma", "L_top", "data", "start"),
+                "rotation_seed", "gamma", "L_top", "start"),
     "solver": ("epsilon", "delta", "eta", "m", "b", "B", "T_max", "r",
                "D"),
     "constants": ("c_eta", "c_T", "c_r", "c_m", "c_B"),
@@ -547,7 +547,7 @@ def test_spectrum_linspace_length_is_bounded():
 # Corrupt loader input. Under the suite's warning filters a numpy warning
 # (e.g. loadtxt's on a file without data rows) fails the test too.
 
-LOADER_INPUTS = ("matrix.mat", "rows.csv", "point.txt", "point.mat")
+LOADER_INPUTS = ("point.txt",)
 
 EDITS = st.lists(st.tuples(st.sampled_from(("truncate", "flip", "insert")),
                            st.integers(0, 200), st.integers(0, 255)),
@@ -571,10 +571,6 @@ def _edit(data: bytes, edits) -> bytes:
 def loader_inputs(tmp_path_factory):
     """Valid bytes for each loader input, keyed by file name."""
     root = tmp_path_factory.mktemp("valid")
-    save_matrix(root / "matrix.mat", np.arange(6.0).reshape(2, 3) / 7.0)
-    save_matrix(root / "point.mat", np.array([[0.6, 0.8, 0.0]]))
-    (root / "rows.csv").write_text("# rows are samples\n1.5,-2,0.25\n"
-                                   "0,1e-3,4\n")
     (root / "point.txt").write_text("0.6 0.8 0\n")
     return {name: (root / name).read_bytes() for name in LOADER_INPUTS}
 
@@ -586,10 +582,7 @@ def test_corrupt_loader_input_returns_float64_or_input_error(
     path = tmp_path_factory.getbasetemp() / f"corrupt-{name}"
     path.write_bytes(_edit(loader_inputs[name], edits))
     try:
-        if name.startswith("point"):
-            out = load_point(Sphere(3), path).coords
-        else:
-            out = load_matrix(path)
+        out = load_point(Sphere(3), path).coords
     except (ParameterError, SchemaError, ContractViolation):
         return
     assert isinstance(out, np.ndarray) and out.dtype == np.float64

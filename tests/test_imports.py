@@ -175,7 +175,8 @@ REMOVED = {
     "problems.QuadraticSaddleInstance": ("H", "min_curvature_direction"),
     "harness": ("format_spectrum", "_apply_overrides"),
     "problems": ("make_rayleigh", "make_quadratic_saddle",
-                 "make_streaming_rayleigh", "make_data_rayleigh"),
+                 "make_streaming_rayleigh", "make_data_rayleigh",
+                 "DataRayleighInstance", "load_matrix", "save_matrix"),
     "tssrg": ("tssrg_run_coupled",),
     "solver": ("_mode_scale",),
 }

@@ -22,13 +22,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from prsrg import (DataRayleighInstance, QuadraticSaddleInstance,
-                   RayleighInstance, StreamingRayleighInstance)
+from prsrg import (QuadraticSaddleInstance, RayleighInstance,
+                   StreamingRayleighInstance)
 
 D = 7
 SPEC = np.linspace(2.0, 0.1, D)
-KINDS = ("rayleigh_rotated", "rayleigh_axis_aligned", "data_rayleigh",
-         "streaming_rayleigh", "quadratic_saddle")
+KINDS = ("rayleigh_rotated", "rayleigh_axis_aligned", "streaming_rayleigh",
+         "quadratic_saddle")
 
 
 def _build(kind):
@@ -38,10 +38,6 @@ def _build(kind):
     if kind == "rayleigh_axis_aligned":
         return RayleighInstance(d=D, n=40, spectrum=SPEC, noise_scale=0.3,
                                 rotation_seed=None)
-    if kind == "data_rayleigh":
-        rng = np.random.default_rng(8)
-        return DataRayleighInstance(
-            rng.standard_normal((40, D)) * np.sqrt(SPEC))
     if kind == "streaming_rayleigh":
         return StreamingRayleighInstance(d=D, spectrum=SPEC, rotation_seed=5)
     return QuadraticSaddleInstance(d=D, gamma=1.0, L_top=2.0, n=40,

@@ -1,5 +1,5 @@
-"""Synthetic problem instances: paired-noise construction, eigen oracles,
-streaming sampler, data-backed objectives, and matrix IO."""
+"""Synthetic problem instances: paired-noise construction, eigen oracles
+and the index and streaming samplers."""
 
 from __future__ import annotations
 
@@ -15,14 +15,13 @@ import numpy as np
 import pytest
 
 from prsrg import (
-    DataRayleighInstance,
     ParameterError,
     QuadraticSaddleInstance,
     RayleighInstance,
     StreamingRayleighInstance,
 )
 from prsrg import _kernels, problems
-from prsrg.problems import PAIR_BLOCK, _paired_noise, load_matrix, save_matrix
+from prsrg.problems import PAIR_BLOCK, _paired_noise
 from prsrg.pullback import Batch
 from prsrg.rng import TAG_BATCH, TAG_PROBLEM, master_stream
 
@@ -296,9 +295,7 @@ def test_pair_store_memory_is_one_row_per_pair():
                              noise_scale=0.5, rotation_seed=7),
     lambda: QuadraticSaddleInstance(d=6, gamma=1.0, L_top=2.0, n=9,
                                     rotation_seed=3, noise_scale=0.3),
-    lambda: DataRayleighInstance(
-        np.random.default_rng(12).standard_normal((40, 6))),
-], ids=["rayleigh", "quadratic_saddle", "data_rayleigh"])
+], ids=["rayleigh", "quadratic_saddle"])
 def test_component_mean_equals_full_gradient(build):
     obj = build()
     rng = np.random.default_rng(1)
@@ -593,15 +590,11 @@ def test_streaming_rejects_negative_covariance():
 
 # --------------------------------------------------------- epoch draws
 
-def _index_sampler(kind, n):
+def _index_sampler(n):
     """A finite-sum index sampler whose n is set to ``n``: the samplers read
     only n, so a small instance stands in for n = 2**31 components."""
-    if kind == "rayleigh":
-        obj = RayleighInstance(d=4, n=8, spectrum=[2.0, 1.0, 0.5, 0.1],
-                               noise_scale=0.2, rotation_seed=None)
-    else:
-        obj = DataRayleighInstance(np.arange(24.0).reshape(8, 3))
-    obj = copy.copy(obj)
+    obj = copy.copy(RayleighInstance(d=4, n=8, spectrum=[2.0, 1.0, 0.5, 0.1],
+                                     noise_scale=0.2, rotation_seed=None))
     obj.n = n
     return obj
 
@@ -611,7 +604,8 @@ def _state(gen):
     return repr(gen.bit_generator.state)
 
 
-@pytest.mark.parametrize("kind", ["rayleigh", "data_rayleigh"])
+# kind names the sampler's objective in the test ids; rayleigh is the one
+@pytest.mark.parametrize("kind", ["rayleigh"])
 @pytest.mark.parametrize("n, b, count", [
     (1000, 32, 32), (1000, 31, 17), (100, 1, 9), (7, 3, 4), (3, 33, 2),
     (2**31, 17, 5), (100, 100, 6)],
@@ -624,7 +618,7 @@ def test_epoch_draw_equals_per_step_draws_bitwise(kind, n, b, count, block,
     # step the batch its own sample_minibatch call gives, and leaves the tape
     # where the per-step draws leave it; b = n draws nothing
     monkeypatch.setattr(problems, "EPOCH_BLOCK", block)
-    obj = _index_sampler(kind, n)
+    obj = _index_sampler(n)
     for seed in range(5):
         tape = master_stream(seed).child(TAG_BATCH, 0).generator()
         ref = master_stream(seed).child(TAG_BATCH, 0).generator()
@@ -648,59 +642,7 @@ def test_epoch_draw_equals_per_step_draws_bitwise(kind, n, b, count, block,
 
 
 def test_epoch_draw_rejects_bad_minibatch_size_on_first_take():
-    obj = _index_sampler("rayleigh", 100)
+    obj = _index_sampler(100)
     epoch = obj.sample_epoch(2**31 + 1, 3, np.random.default_rng(0))
     with pytest.raises(ParameterError, match="bad minibatch size"):
         next(epoch)
-
-
-# -------------------------------------------------------- data-backed
-
-@pytest.mark.parametrize("n", [1, 4, 8])
-def test_data_rayleigh_has_no_prefix(n):
-    # its n is the data's row count, which no sweep can shorten
-    obj = DataRayleighInstance(np.arange(24.0).reshape(8, 3))
-    with pytest.raises(ParameterError, match="data objective has no prefix"):
-        obj.prefix(n)
-
-
-def test_data_rayleigh_rejects_empty():
-    with pytest.raises(ParameterError):
-        DataRayleighInstance(np.zeros((0, 3)))
-    with pytest.raises(ParameterError):
-        DataRayleighInstance(np.zeros(3))
-    with pytest.raises(ParameterError, match="non-finite"):
-        DataRayleighInstance(np.array([[1.0, 2.0], [np.nan, 0.0]]))
-
-
-# -------------------------------------------------------- matrix IO
-
-def test_matrix_roundtrip_binary(tmp_path):
-    rng = np.random.default_rng(0)
-    arr = rng.standard_normal((7, 3))
-    path = tmp_path / "m.mat"
-    save_matrix(path, arr)
-    back = load_matrix(path)
-    assert np.array_equal(back, arr)
-    raw = path.read_bytes()
-    assert raw[:8] == b"PRSRGMAT"
-    assert len(raw) == 16 + 7 * 3 * 8
-
-
-def test_matrix_roundtrip_csv(tmp_path):
-    arr = np.array([[1.5, -2.0], [0.25, 1e-3]])
-    path = tmp_path / "m.csv"
-    np.savetxt(path, arr, delimiter=",")
-    assert np.allclose(load_matrix(path), arr, atol=1e-15)
-
-
-def test_load_matrix_rejects_garbage(tmp_path):
-    path = tmp_path / "bad.mat"
-    path.write_bytes(b"NOTMAGIC" + b"\x00" * 16)
-    with pytest.raises(ParameterError):
-        load_matrix(path)
-    trunc = tmp_path / "short.mat"
-    trunc.write_bytes(b"PRSRGMAT" + np.uint32(2).tobytes() +
-                      np.uint32(2).tobytes() + b"\x00" * 8)
-    with pytest.raises(ParameterError):
-        load_matrix(trunc)

@@ -80,7 +80,7 @@ def _reference_grad(oracle, batch, u):
 
 
 @pytest.mark.parametrize("kind", ["rayleigh", "streaming_rayleigh",
-                                  "quadratic_saddle", "data_rayleigh"])
+                                  "quadratic_saddle"])
 def test_grad_equals_retract_then_adjoint_reference_bitwise(kind):
     # _grad hands the retraction's scale to the adjoint instead of forming
     # x + u again; every gradient keeps its bits, at the ball's edge too.
