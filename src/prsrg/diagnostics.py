@@ -50,11 +50,13 @@ class Certification:
         return asdict(self)
 
 
-def _check_tolerance(value) -> None:
+def _check_tolerance(name: str, value) -> None:
     """The range rule for epsilon and delta, which every entry point that
-    reads them applies (``SolverParams._check_field`` among them)."""
+    reads them applies (``SolverParams._check_field`` among them); the
+    error names the field and its value."""
     if not 0 < value < math.inf:
-        raise ParameterError("epsilon and delta must be positive and finite")
+        raise ParameterError(f"{name} must be positive and finite, got "
+                             f"{value}")
 
 
 @functools.lru_cache(maxsize=None)
@@ -160,8 +162,8 @@ def certify(oracle: PullbackOracle, epsilon: float, delta: float, *,
     and fewer ``lanczos_iters``, and a passing one is unchanged field for
     field. The solver loops, which discard failing certifications, set it.
     """
-    _check_tolerance(epsilon)
-    _check_tolerance(delta)
+    _check_tolerance("epsilon", epsilon)
+    _check_tolerance("delta", delta)
     gnorm = oracle.exact_grad(oracle.zero()).norm
     res = _hessian_lanczos(oracle,
                            stop_below=-delta if stop_at_verdict else None)

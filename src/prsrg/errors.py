@@ -22,7 +22,7 @@ class ParameterError(ValueError):
 
 
 class SchemaError(ValueError):
-    """A trace segment is missing columns a checker needs."""
+    """A point file is missing, cannot be parsed or holds no coordinates."""
 
 
 class InvariantViolation(RuntimeError):

@@ -5,10 +5,12 @@ as a frozen dataclass whose fields are its keys in dump order: a field's
 annotation gives the key's type (int, finite float, str or boolean; ``T |
 None`` may be unset) and its default the key's default. [experiment] is
 ExperimentConfig's scalar fields; its other fields are the sections
-[problem], [solver], [constants], [baseline] and [sweep].
-parse_config and dump_config walk the fields; the one key they name is
-[sweep] n, held in SweepSpec.n_values. Any other section or key is an
-error. Every run is a pure function of (config, seed):
+[problem], [solver] and [sweep]. A config states what to solve and to what
+accuracy: every run parameter is derived from [solver] epsilon and delta
+and the problem (``resolve_params``). parse_config and dump_config walk
+the fields; the one key they name is [sweep] n, held in
+SweepSpec.n_values. Any other section or key is an error. Every run is a
+pure function of (config, seed):
 all randomness descends from the seed through position-keyed substreams, so
 reruns reproduce traces byte for byte, and a sweep cell writes the same
 bytes as a standalone run of that cell's config. A sweep runs its seeds
@@ -19,8 +21,7 @@ Spectrum grammar: a comma list of terms, each either a float literal or
 ``linspace:a:b:k`` (k evenly spaced values from a to b inclusive), e.g.
 ``2.0,1.0,linspace:0.9:0.1:98``.
 
-Option names are case-sensitive: ``b`` (step minibatch) and ``B`` (anchor
-batch) are different [solver] keys.
+Option names are case-sensitive: [problem] ``L_top`` is not ``l_top``.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from .problems import (QuadraticSaddleInstance, RayleighInstance,
                        StreamingRayleighInstance, _usable_cpus)
 from .pullback import LipschitzEstimate, PullbackOracle
 from .rng import TAG_INIT, master_stream
-from .solver import SolverConstants, SolverParams, probe_params, prsrg_run
+from .solver import SolverParams, probe_params, prsrg_run
 from .trace import write_trace
 
 ALGOS = ("prsrg", "prgd", "rsrg_unperturbed")
@@ -108,25 +109,11 @@ class ProblemSpec:
 
 @dataclass(frozen=True)
 class SolverSpec:
-    """(epsilon, delta) and optional overrides of the derived run
-    parameters (None keeps the derived value)."""
+    """The (epsilon, delta) a run certifies; its other parameters are
+    derived from them."""
 
     epsilon: float = 1e-3
     delta: float = 0.1
-    eta: float | None = None
-    m: int | None = None
-    b: int | None = None
-    B: int | None = None
-    T_max: int | None = None
-    r: float | None = None
-    D: float | None = None
-
-
-@dataclass(frozen=True)
-class BaselineSpec:
-    eta: float = 0.1
-    r: float = 0.01
-    escape_steps: int = 20
 
 
 @dataclass(frozen=True)
@@ -152,8 +139,6 @@ class ExperimentConfig:
     out: str | None = None
     problem: ProblemSpec = field(default_factory=ProblemSpec)
     solver: SolverSpec = field(default_factory=SolverSpec)
-    constants: SolverConstants = field(default_factory=SolverConstants)
-    baseline: BaselineSpec = field(default_factory=BaselineSpec)
     sweep: SweepSpec = field(default_factory=SweepSpec)
 
     def __post_init__(self):
@@ -235,7 +220,7 @@ def _convert(section: str, key: str, raw: str, kind, default):
 def parse_config(text: str) -> ExperimentConfig:
     """Parse INI text; every section and key must be a dataclass field."""
     parser = configparser.ConfigParser(interpolation=None)
-    parser.optionxform = str  # solver keys b and B are distinct sizes
+    parser.optionxform = str  # keys are case-sensitive: L_top
     try:
         parser.read_string(text)
     except configparser.Error as exc:
@@ -394,17 +379,14 @@ def load_point(man: Manifold, path) -> ManifoldPoint:
 def resolve_params(cfg: ExperimentConfig, objective, x0, stream,
                    estimate: LipschitzEstimate | None = None
                    ) -> tuple[SolverParams, LipschitzEstimate]:
-    """``probe_params`` at the config's [solver] epsilon and delta, with
-    its other set keys as the overrides; an error is prefixed with
-    ``[solver] ``. Returns (params, lipschitz_estimate).
+    """``probe_params`` at the config's [solver] epsilon and delta; an
+    error is prefixed with ``[solver] ``. Returns (params,
+    lipschitz_estimate).
     """
-    keys = dataclasses.asdict(cfg.solver)
-    epsilon, delta = keys.pop("epsilon"), keys.pop("delta")
     try:
-        return probe_params(
-            objective, x0, epsilon, delta, cfg.budget, stream,
-            constants=cfg.constants, estimate=estimate,
-            overrides={k: v for k, v in keys.items() if v is not None})
+        return probe_params(objective, x0, cfg.solver.epsilon,
+                            cfg.solver.delta, cfg.budget, stream,
+                            estimate=estimate)
     except ParameterError as exc:
         raise ParameterError(f"[solver] {exc}") from exc
 
@@ -426,22 +408,17 @@ def run_experiment(cfg: ExperimentConfig, *, out: str | None = None,
     x0 = resolve_start(cfg, objective, stream)
     params = None
     if cfg.algo in ("prsrg", "rsrg_unperturbed"):
-        run_cfg = cfg
-        if cfg.algo == "rsrg_unperturbed":  # r = 0 as one more override
-            run_cfg = dataclasses.replace(cfg, solver=dataclasses.replace(
-                cfg.solver, r=0.0))
-        params, est = resolve_params(run_cfg, objective, x0, stream, estimate)
+        params, est = resolve_params(cfg, objective, x0, stream, estimate)
+        if cfg.algo == "rsrg_unperturbed":
+            params = dataclasses.replace(params, r=0.0)
         report = prsrg_run(objective, x0, params, stream,
                            record_gaps=cfg.record_gaps)
         report.lipschitz = est
     else:
         from .baselines import BaselineConfig, baseline_run  # on first use
-        try:
-            bcfg = BaselineConfig(**dataclasses.asdict(cfg.baseline))
-        except ParameterError as exc:  # its checks name [baseline] keys
-            raise ParameterError(f"[baseline] {exc}") from exc
-        report = baseline_run(objective, x0, bcfg, cfg.solver.epsilon,
-                              cfg.solver.delta, cfg.budget, stream)
+        report = baseline_run(objective, x0, BaselineConfig(eta=0.1, r=0.01),
+                              cfg.solver.epsilon, cfg.solver.delta,
+                              cfg.budget, stream)
     report.seed = cfg.seed
     target = out if out is not None else cfg.out
     if target is not None:

@@ -107,7 +107,7 @@ PAIR_BLOCK = 512
 PAIR_WORKERS = 4
 
 # minibatch indices per epoch draw: m = b = ceil(sqrt(n)) needs about n,
-# one draw up to n = 65536; [solver] overrides of m and b may ask for more
+# one draw up to n = 65536; a hand-built SolverParams may ask for more
 EPOCH_BLOCK = 2**16
 
 

@@ -18,17 +18,16 @@ is resolved against the exact full gradient on the diagnostic side.
 
 Run parameters take one path, ``probe_params`` (``auto_solve`` and the
 harness both call it). The objective decides the mode: finite_sum at its
-n, or online at its ``sigma_hint`` when n is None. epsilon, delta, each
-override's range, an overridden B <= n and D within the chart radius are
-checked before the Lipschitz probe, then ``derive_params`` and the
-overrides apply.
+n, or online at its ``sigma_hint`` when n is None. epsilon and delta are
+checked before the Lipschitz probe, then ``derive_params`` sets every
+other parameter, with the ball radius D at the manifold's chart radius.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional
 
 from .diagnostics import Certification, _check_tolerance, certify
@@ -83,7 +82,7 @@ class SolverParams(TssrgParams):
     def _check_field(name: str, v) -> None:
         TssrgParams._check_field(name, v)
         if name in ("epsilon", "delta"):
-            _check_tolerance(v)
+            _check_tolerance(name, v)
         if name == "r" and not 0 <= v < math.inf:
             raise ParameterError(f"r must be finite and >= 0, got {v}")
         if name == "budget" and v < 0:
@@ -209,7 +208,7 @@ def small_grad_check(oracle: PullbackOracle, B_size: int, epsilon: float,
     """Large-batch gradient at the origin of T_x M (x the oracle anchor) and
     its epsilon test; ``rng`` is a Generator or a StreamTree node, minted
     only if the batch is not exhaustive."""
-    _check_tolerance(epsilon)
+    _check_tolerance("epsilon", epsilon)
     g = oracle.grad_largebatch(B_size, oracle.zero(), rng)
     return bool(g.norm <= epsilon), g
 
@@ -368,41 +367,27 @@ def prsrg_run(objective, x0: ManifoldPoint, params: SolverParams, rng, *,
 def probe_params(objective, x0: ManifoldPoint, epsilon: float,
                  delta: float, budget: int, stream, *,
                  constants: SolverConstants | None = None,
-                 estimate: LipschitzEstimate | None = None,
-                 overrides: dict | None = None
+                 estimate: LipschitzEstimate | None = None
                  ) -> tuple[SolverParams, LipschitzEstimate]:
     """(params, estimate) for objective and x0 by the one parameter path
     (module docstring); each error names its field. The probe draws from
     ``stream.child(TAG_DIAG)``; a given ``estimate`` (an earlier probe at
-    the same Abar, x0 and stream) replaces it. ``overrides`` maps derived
-    fields (eta, m, b, B, T_max, r, D) to their values; r is capped at the
-    chart radius before they apply.
+    the same Abar, x0 and stream) replaces it.
     """
-    overrides = overrides or {}
-    n, chart = objective.n, objective.manifold.D
-    for key, value in {"epsilon": epsilon, "delta": delta,
-                       **overrides}.items():
+    for key, value in (("epsilon", epsilon), ("delta", delta)):
         SolverParams._check_field(key, value)
-    mode, scale = FINITE_SUM, n
-    if n is None:
+    mode, scale = FINITE_SUM, objective.n
+    if scale is None:
         mode, scale = ONLINE, getattr(objective, "sigma_hint", None)
         if scale is None:
             raise ParameterError("an online objective needs a sigma_hint")
-    elif overrides.get("B", n) > n:
-        raise ParameterError(f"B = {overrides['B']}, above the finite "
-                             f"sum's n = {n}")
-    D = overrides.get("D")
-    if D is not None and D > chart * (1.0 + 1e-12):
-        raise ParameterError(f"D = {D} exceeds the manifold chart radius "
-                             f"{chart}")
     est = estimate
     if est is None:
         est = PullbackOracle(objective, x0).estimate_lipschitz(
             stream.child(TAG_DIAG).generator())
     params = derive_params(mode, scale, epsilon, delta, est.L_hat,
-                           est.rho_hat, constants, D=chart, budget=budget)
-    if overrides:
-        params = SolverParams(**{**asdict(params), **overrides})
+                           est.rho_hat, constants, D=objective.manifold.D,
+                           budget=budget)
     return params, est
 
 

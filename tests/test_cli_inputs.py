@@ -7,6 +7,7 @@ loader returns float64 data or raises an exit-2 error, whatever bytes it
 reads.
 """
 
+import dataclasses
 import pickle
 import warnings
 
@@ -19,7 +20,10 @@ from prsrg import Sphere, harness, solver
 from prsrg.cli import EXIT_BAD_INPUT, EXIT_FAIL, main
 from prsrg.errors import (ContractViolation, NumericalFailure, ParameterError,
                           SchemaError)
-from prsrg.harness import load_point, parse_config, parse_spectrum
+from prsrg.harness import (build_problem, load_point, parse_config,
+                           parse_spectrum, resolve_params, resolve_start)
+from prsrg.rng import master_stream
+from prsrg.solver import prsrg_run
 
 BASE = """\
 [experiment]
@@ -68,11 +72,31 @@ SEED_RANGE = {"seed_negative": "[experiment] seed",
               "rotation_seed_negative_streaming": "[problem] rotation_seed",
               "rotation_seed_above_64_bits": "[problem] rotation_seed"}
 
-# an override out of its range; the overrides build the run's parameters,
-# and the error names the [solver] key
-SOLVER_OVERRIDES = {"B_zero": "B = 0", "m_zero": "m = 0",
-                    "T_max_zero": "T_max = 0", "eta_negative": "eta = -1",
-                    "r_negative": "r = -1", "D_negative": "D = -1"}
+# a config that sets a run parameter, which every run derives: a [solver]
+# key other than epsilon and delta, [constants] or [baseline] exits 2 by
+# the unknown key or section rule, whatever its value;
+# (config text appended, error line)
+REMOVED_KEYS = {
+    "B_zero": ("B = 0", "[solver] unknown key 'B'"),
+    "B_above_n": ("B = 100", "[solver] unknown key 'B'"),
+    "b_zero": ("b = 0", "[solver] unknown key 'b'"),
+    "m_zero": ("m = 0", "[solver] unknown key 'm'"),
+    "m_nan": ("m = nan", "[solver] unknown key 'm'"),
+    "m_not_integer": ("m = 2.7", "[solver] unknown key 'm'"),
+    "m_above_int64": (f"m = {2 ** 63}", "[solver] unknown key 'm'"),
+    "T_max_zero": ("T_max = 0", "[solver] unknown key 'T_max'"),
+    "T_max_inf": ("T_max = inf", "[solver] unknown key 'T_max'"),
+    "eta_negative": ("eta = -1", "[solver] unknown key 'eta'"),
+    "r_negative": ("r = -1", "[solver] unknown key 'r'"),
+    "D_negative": ("D = -1", "[solver] unknown key 'D'"),
+    "D_above_chart": ("D = 0.75", "[solver] unknown key 'D'"),
+    "constants_section": ("\n[constants]\nc_eta = 0.02",
+                          "unknown config section [constants]"),
+    "baseline_batch": ("\n[baseline]\nbatch = 8",
+                       "unknown config section [baseline]"),
+    "baseline_eta_negative": ("\n[baseline]\neta = -1",
+                              "unknown config section [baseline]"),
+}
 
 
 @pytest.mark.parametrize("case", [
@@ -86,21 +110,20 @@ SOLVER_OVERRIDES = {"B_zero": "B = 0", "m_zero": "m = 0",
     "n_negative", "n_zero", "sweep_seeds_zero",
     "sweep_n_repeated", "sweep_n_streaming",
     "start_file_empty", "coords_norm_overflow",
-    "epsilon_nan", "delta_nan", "T_max_inf", "m_nan", "m_not_integer",
-    "record_gaps_not_boolean", "couple_section", "baseline_batch",
+    "epsilon_nan", "epsilon_zero", "delta_nan", "delta_zero",
+    "record_gaps_not_boolean", "couple_section",
     "start_off_sphere", "quadratic_one_entry_spectrum", "spectrum_inf",
     "spectrum_minus_inf", "spectrum_overflow", "spectrum_nan",
     "spectrum_linspace_inf", "spectrum_streaming_inf",
     "spectrum_quadratic_nan", "problem_sigma_radius", "solver_mode",
     "euclidean_start_overflow", "euclidean_start_nan",
-    "euclidean_start_inf", "certify_point_nan", "m_above_int64",
+    "euclidean_start_inf", "certify_point_nan",
     "online_epsilon_overflow", "online_epsilon_underflow",
     "online_epsilon_m_above_int64", "online_epsilon_B_above_int64",
     "sweep_seeds_past_64_bits", "n_pair_store_80_PiB",
     "n_pair_store_past_int64", "sweep_n_pair_store_80_PiB",
-    "config_not_utf8", "print_config_not_utf8", "B_above_n",
-    "D_above_chart", "baseline_eta_negative",
-    *SOLVER_OVERRIDES, *SEED_RANGE,
+    "config_not_utf8", "print_config_not_utf8",
+    *REMOVED_KEYS, *SEED_RANGE,
 ])
 def test_bad_input_exits_2_with_one_line(case, tmp_path, capsys):
     cfg_text = BASE.format(start="random")
@@ -186,13 +209,12 @@ def test_bad_input_exits_2_with_one_line(case, tmp_path, capsys):
         value = "-0.5" if case == "noise_scale_negative" else "nan"
         cfg_text = cfg_text.replace("noise_scale = 0.2",
                                     f"noise_scale = {value}")
-    elif case == "epsilon_nan":
-        cfg_text = cfg_text.replace("epsilon = 0.05", "epsilon = nan")
-    elif case == "delta_nan":
-        cfg_text = cfg_text.replace("delta = 0.5", "delta = nan")
-    elif case in ("T_max_inf", "m_nan", "m_not_integer"):
-        cfg_text += {"T_max_inf": "T_max = inf\n", "m_nan": "m = nan\n",
-                     "m_not_integer": "m = 2.7\n"}[case]
+    elif case in ("epsilon_nan", "epsilon_zero"):
+        value = "nan" if case == "epsilon_nan" else "0"
+        cfg_text = cfg_text.replace("epsilon = 0.05", f"epsilon = {value}")
+    elif case in ("delta_nan", "delta_zero"):
+        value = "nan" if case == "delta_nan" else "0"
+        cfg_text = cfg_text.replace("delta = 0.5", f"delta = {value}")
     elif case == "record_gaps_not_boolean":
         cfg_text = cfg_text.replace("budget = 6000",
                                     "budget = 6000\nrecord_gaps = maybe")
@@ -201,10 +223,6 @@ def test_bad_input_exits_2_with_one_line(case, tmp_path, capsys):
     elif case == "couple_section":
         # the section of the removed couple command
         cfg_text += "\n[couple]\ntrials = 2\n"
-    elif case == "baseline_batch":
-        # the minibatch size of the removed rsgd baseline
-        cfg_text += "\n[baseline]\nbatch = 8\n"
-        extra = ["--algo", "prgd"]
     elif case == "problem_sigma_radius":
         # the removed sigma bound's radius for a finite quadratic_saddle
         cfg_text = (BASE.format(start="zero")
@@ -263,17 +281,10 @@ def test_bad_input_exits_2_with_one_line(case, tmp_path, capsys):
             point = tmp_path / "x.txt"
             point.write_text("nan\n0\n0\n")
             extra = ["--point", str(point)]
-    elif case == "m_above_int64":
-        cfg_text += f"m = {2 ** 63}\n"
-    elif case == "B_above_n":
-        cfg_text += "B = 100\n"
-    elif case == "D_above_chart":
-        cfg_text += "D = 0.75\n"  # the sphere's chart radius is 0.5
-    elif case == "baseline_eta_negative":
-        cfg_text += "\n[baseline]\neta = -1\n"
-        extra = ["--algo", "prgd"]
-    elif case in SOLVER_OVERRIDES:
-        cfg_text += SOLVER_OVERRIDES[case] + "\n"
+    elif case in REMOVED_KEYS:
+        cfg_text += REMOVED_KEYS[case][0] + "\n"
+        if case.startswith("baseline_"):
+            extra = ["--algo", "prgd"]  # the algorithm [baseline] tuned
     elif case.startswith("online_epsilon_"):
         # B's quotient overflows, epsilon^2 underflows, or a finite m (and
         # B) or B alone reaches 2**63
@@ -327,12 +338,8 @@ def test_bad_input_exits_2_with_one_line(case, tmp_path, capsys):
               "manifold_mismatch_quadratic": "euclidean:9 does not match",
               "epsilon_nan": "[solver] epsilon",
               "delta_nan": "[solver] delta",
-              "T_max_inf": "[solver] T_max",
-              "m_nan": "[solver] m",
-              "m_not_integer": "[solver] m",
               "record_gaps_not_boolean": "[experiment] record_gaps",
               "couple_section": "unknown config section [couple]",
-              "baseline_batch": "[baseline] unknown key 'batch'",
               "problem_sigma_radius": "[problem] unknown key 'sigma_radius'",
               "solver_mode": "[solver] unknown key 'mode'",
               "quadratic_one_entry_spectrum": "at least 2 entries",
@@ -348,7 +355,6 @@ def test_bad_input_exits_2_with_one_line(case, tmp_path, capsys):
               "euclidean_start_nan": "non-finite coordinates",
               "euclidean_start_inf": "non-finite coordinates",
               "certify_point_nan": "non-finite coordinates",
-              "m_above_int64": "m must be an integer in [1, 2**63)",
               "online_epsilon_overflow": "online batch sizes overflow",
               "online_epsilon_underflow": "online batch sizes overflow",
               "online_epsilon_m_above_int64": "online batch sizes overflow",
@@ -356,23 +362,19 @@ def test_bad_input_exits_2_with_one_line(case, tmp_path, capsys):
               "sweep_seeds_past_64_bits": "[sweep] seeds",
               "n_pair_store_80_PiB": _store_error(2**52),
               "sweep_n_pair_store_80_PiB": _store_error(2**52),
-              "n_pair_store_past_int64": _store_error(2**62),
-              "B_above_n": "[solver] B = 100, above the finite sum's n = 30",
-              "D_above_chart":
-                  "[solver] D = 0.75 exceeds the manifold chart radius 0.5",
-              "baseline_eta_negative":
-                  "[baseline] eta must be positive, got -1.0"}
+              "n_pair_store_past_int64": _store_error(2**62)}
     assert expect.get(case, "") in line
-    if case in ("D_above_chart", "baseline_eta_negative"):
-        assert line.startswith("error: " + expect[case]), line
+    if case in ("epsilon_zero", "delta_zero"):
+        name = case.split("_")[0]
+        assert line == (f"error: [solver] {name} must be positive and "
+                        f"finite, got 0.0"), line
     if case in SEED_RANGE:
         value = {"seed_negative": -3, "seed_flag_negative": -3,
                  "rotation_seed_above_64_bits": 2**64}.get(case, -1)
         assert line == (f"error: {SEED_RANGE[case]} must be a 64-bit "
                         f"unsigned integer, got {value}"), line
-    if case in SOLVER_OVERRIDES:
-        key = SOLVER_OVERRIDES[case].split()[0]
-        assert line.startswith(f"error: [solver] {key} must be"), line
+    if case in REMOVED_KEYS:
+        assert line == f"error: {REMOVED_KEYS[case][1]}", line
     if command == "sweep":
         # bad input is found before the first cell writes anything
         assert not any((tmp_path / "sweep").glob("*"))
@@ -441,19 +443,26 @@ def test_numerical_failure_survives_pickling():
 
 
 @pytest.mark.parametrize("eta", ["1e160", "1e300"])
-def test_huge_step_size_runs_to_budget(tmp_path, capsys, eta):
+def test_huge_step_size_runs_to_budget(eta):
     # every step is so long that its squared norm overflows; each epoch
     # exits on the ball boundary instead of turning the iterate into NaN
-    cfg = tmp_path / "run.ini"
-    cfg.write_text(BASE.format(start="random") + f"eta = {eta}\n")
+    cfg = parse_config(BASE.format(start="random"))
+    obj = build_problem(cfg)
+    stream = master_stream(cfg.seed)
+    x0 = resolve_start(cfg, obj, stream)
+    derived, _ = resolve_params(cfg, obj, x0, stream)
+    params = dataclasses.replace(derived, eta=float(eta))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        code = main(["run", "--config", str(cfg), "--out",
-                     str(tmp_path / "run")])
-    captured = capsys.readouterr()
-    assert code == 0, captured.err
-    assert captured.err == ""
-    assert '"exit_reason": "budget"' in captured.out
+        report = prsrg_run(obj, x0, params, stream)
+    assert report.exit_reason == "budget"
+    epochs = report.outer_iterations
+    assert epochs > 1
+    assert report.epochs == {"type1_descent": epochs, "type2_descent": 0,
+                             "useful": 0, "wasted": 0, "escape": 0}
+    exits = [row for row in report.trace if row.event != "anchor"]
+    assert [row.event for row in exits] == ["boundary"] * epochs
+    assert all(abs(row.u_norm - params.D) <= 1e-12 for row in exits)
 
 
 def test_budget_invariant_exits_1(tmp_path, capsys, monkeypatch):
@@ -481,10 +490,7 @@ CONFIG_KEYS = {
     "experiment": ("seed", "budget", "out", "algo", "record_gaps"),
     "problem": ("manifold", "kind", "n", "spectrum", "noise_scale",
                 "rotation_seed", "gamma", "L_top", "start"),
-    "solver": ("epsilon", "delta", "eta", "m", "b", "B", "T_max", "r",
-               "D"),
-    "constants": ("c_eta", "c_T", "c_r", "c_m", "c_B"),
-    "baseline": ("eta", "r", "escape_steps"),
+    "solver": ("epsilon", "delta"),
     "sweep": ("n", "seeds"),
 }
 
@@ -532,7 +538,7 @@ def test_parse_config_returns_or_raises_parameter_error(text):
 
 @pytest.mark.parametrize("text", [
     "[sweep]\nn = abc\n", "[experiment]\nbudget =\n",
-    "[constants]\nc_eta = none\n",
+    "[constants]\nc_eta = none\n", "[solver]\nepsilon = none\n",
 ])
 def test_config_values_that_escaped_as_value_or_type_error(text):
     with pytest.raises(ParameterError):

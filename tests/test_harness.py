@@ -21,18 +21,18 @@ import numpy as np
 import pytest
 
 from prsrg import harness
+from prsrg.baselines import BaselineConfig, baseline_run
 from prsrg.cli import EXIT_BAD_INPUT, EXIT_FAIL, EXIT_OK, main
 from prsrg.errors import (ContractViolation, InvariantViolation,
                           NumericalFailure, ParameterError, SchemaError)
-from prsrg.harness import (BaselineSpec, ExperimentConfig, ProblemSpec,
-                           SolverSpec, SweepSpec, build_problem, dump_config,
-                           load_point, parse_config, parse_spectrum,
-                           resolve_params, resolve_start, run_experiment,
-                           run_sweep)
+from prsrg.harness import (ExperimentConfig, ProblemSpec, SolverSpec,
+                           SweepSpec, build_problem, dump_config, load_point,
+                           parse_config, parse_spectrum, resolve_params,
+                           resolve_start, run_experiment, run_sweep)
 from prsrg.problems import PAIR_BLOCK
 from prsrg.pullback import PullbackOracle
 from prsrg.rng import master_stream
-from prsrg.solver import (SolverConstants, SolverParams, auto_solve,
+from prsrg.solver import (SolverParams, auto_solve, prsrg_run,
                           small_grad_check)
 from prsrg.trace import COLUMNS, TraceRow, rows_to_csv, write_trace
 
@@ -177,22 +177,6 @@ def test_config_defaults_and_roundtrip():
     assert parse_config(dump_config(seeds_only)) == seeds_only
 
 
-# the [constants] and [baseline] sections every dump below ends with
-_DEFAULT_TAIL = """\
-[constants]
-c_eta = 0.1
-c_T = 20.0
-c_r = 1.0
-c_m = 1.0
-c_B = 16.0
-
-[baseline]
-eta = 0.1
-r = 0.01
-escape_steps = 20
-
-"""
-
 GOLDEN_DUMPS = {
     "empty": """\
 [experiment]
@@ -215,7 +199,7 @@ n = 1000
 epsilon = 0.001
 delta = 0.1
 
-""" + _DEFAULT_TAIL,
+""",
     "readme": """\
 [experiment]
 seed = 7
@@ -237,7 +221,7 @@ n = 30
 epsilon = 0.05
 delta = 0.5
 
-""" + _DEFAULT_TAIL,
+""",
     "sweep_escape": """\
 [experiment]
 seed = 1
@@ -260,7 +244,6 @@ rotation_seed = 7
 epsilon = 0.001
 delta = 0.1
 
-""" + _DEFAULT_TAIL + """\
 [sweep]
 n = 10000,20000
 seeds = 2
@@ -287,7 +270,7 @@ n = 1000
 epsilon = 0.001
 delta = 0.1
 
-""" + _DEFAULT_TAIL,
+""",
     "online_stream": """\
 [experiment]
 seed = 1
@@ -310,7 +293,7 @@ rotation_seed = 7
 epsilon = 0.2
 delta = 0.5
 
-""" + _DEFAULT_TAIL,
+""",
 }
 
 
@@ -346,15 +329,12 @@ def test_config_roundtrip_every_section():
         problem=ProblemSpec(manifold="sphere:5", kind="rayleigh", n=40,
                             spectrum="2.0,1.0,linspace:0.9:0.5:3",
                             noise_scale=0.3, rotation_seed=4, start="e2"),
-        solver=SolverSpec(epsilon=0.01, delta=0.2, eta=0.05, m=4, B=16),
-        constants=SolverConstants(c_eta=0.2, c_T=10.0, c_r=0.5, c_m=2.0,
-                                  c_B=8.0),
-        sweep=SweepSpec(n_values=(8, 16), seeds=3),
-        baseline=BaselineSpec(eta=0.2, r=0.02, escape_steps=5))
+        solver=SolverSpec(epsilon=0.01, delta=0.2),
+        sweep=SweepSpec(n_values=(8, 16), seeds=3))
     text = dump_config(cfg)
     assert parse_config(text) == cfg
-    # integer overrides are written back as integers
-    assert "\nm = 4\nB = 16\n" in text
+    # integers are written back as integers
+    assert "\nn = 40\n" in text and "\nseeds = 3\n" in text
 
 
 def test_config_validation_errors():
@@ -452,21 +432,27 @@ def test_load_point_formats(tmp_path):
         load_point(man, off)
 
 
-# --------------------------------------------------------------- overrides
+# ------------------------------------------------------ derived parameters
 
 def test_small_minibatch_warns_once_per_run_from_a_source_line():
-    # the overrides build the run's TssrgParams once; each outer
+    # the caller builds the run's SolverParams once; each outer
     # iteration's capped copy must not warn again, and the warning must
     # name the constructor's caller, not the generated __init__
-    cfg = parse_config(SMALL_RUN + "m = 1000000\n")
+    cfg = parse_config(SMALL_RUN)
+    obj = build_problem(cfg)
+    stream = master_stream(cfg.seed)
+    x0 = resolve_start(cfg, obj, stream)
+    derived, _ = resolve_params(cfg, obj, x0, stream)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        report, params = run_experiment(cfg)
+        params = SolverParams(**{**dataclasses.asdict(derived),
+                                 "m": 1000000})
+        report = prsrg_run(obj, x0, params, stream)
+    assert params.b < params.m
     assert report.outer_iterations > 1
     below = [w for w in caught if "below epoch length" in str(w.message)]
     assert len(below) == 1, [str(w.message) for w in below]
-    assert below[0].filename != "<string>"
-    assert Path(below[0].filename).is_file()
+    assert below[0].filename == __file__
 
 
 def test_config_sections_resolve_type_hints_once(monkeypatch):
@@ -480,27 +466,31 @@ def test_config_sections_resolve_type_hints_once(monkeypatch):
     monkeypatch.setattr(typing, "get_type_hints", counted)
     harness._fields.cache_clear()
     cfg = parse_config(SMALL_RUN)
-    parse_config(SMALL_RUN + "m = 4\n")
+    parse_config(SMALL_RUN + "[sweep]\nn = 8\n")
     dump_config(cfg)
-    sections = {ExperimentConfig, ProblemSpec, SolverSpec, SolverConstants,
-                BaselineSpec, SweepSpec}
+    sections = {ExperimentConfig, ProblemSpec, SolverSpec, SweepSpec}
     assert set(calls) <= sections
     assert max(calls.values()) == 1
 
 
-def test_solver_overrides_reach_params():
-    text = SMALL_RUN + ("eta = 0.05\nm = 4\nb = 4\nB = 16\nT_max = 9\n"
-                        "r = 0.001\nD = 0.4\n")
-    cfg = parse_config(text)
-    obj = build_problem(cfg)
-    stream = master_stream(cfg.seed)
-    x0 = resolve_start(cfg, obj, stream)
-    p, est = resolve_params(cfg, obj, x0, stream)
-    assert (p.eta, p.m, p.b, p.B, p.T_max, p.D) == (0.05, 4, 4, 16, 9, 0.4)
-    assert isinstance(p.m, int) and isinstance(p.B, int)
-    assert p.r == 0.001
-    assert p.budget == cfg.budget
-    assert est.l_hat > 0
+def test_unperturbed_params_are_prsrg_params_with_zero_radius(monkeypatch):
+    # rsrg_unperturbed derives its parameters as prsrg does, from one
+    # probe, and only then sets r = 0
+    probes = []
+    real = PullbackOracle.estimate_lipschitz
+
+    def counting_probe(self, *args, **kwargs):
+        probes.append(self.objective.n)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(PullbackOracle, "estimate_lipschitz", counting_probe)
+    cfg = parse_config(SMALL_RUN)
+    _, params = run_experiment(cfg)
+    _, unperturbed = run_experiment(
+        dataclasses.replace(cfg, algo="rsrg_unperturbed"))
+    assert probes == [cfg.problem.n, cfg.problem.n]
+    assert params.r > 0
+    assert unperturbed == dataclasses.replace(params, r=0.0)
 
 
 # --------------------------------------------------------------- artifacts
@@ -525,18 +515,36 @@ def test_run_experiment_writes_artifacts(tmp_path):
     assert payload["report"]["seed"] == 7
 
 
+def test_prgd_runs_at_fixed_settings():
+    # no config key tunes prgd: --algo prgd runs eta = 0.1 and r = 0.01,
+    # with BaselineConfig's 20 escape steps, and reports no params
+    cfg = dataclasses.replace(parse_config(SMALL_RUN), algo="prgd")
+    report, params = run_experiment(cfg)
+    assert params is None
+    obj = build_problem(cfg)
+    stream = master_stream(cfg.seed)
+    x0 = resolve_start(cfg, obj, stream)
+    expected = baseline_run(obj, x0, BaselineConfig(eta=0.1, r=0.01),
+                            0.05, 0.5, cfg.budget, stream)
+    expected.seed = cfg.seed
+    assert report.as_dict() == expected.as_dict()
+    assert rows_to_csv(report.trace) == rows_to_csv(expected.trace)
+
+
 def test_report_params_are_the_solver_params_fields(tmp_path):
-    # one naming from [solver] to report.json: the record's fields are the
-    # [solver] override keys plus epsilon, delta, mode and budget
-    cfg = parse_config(SMALL_RUN + "B = 16\nr = 0.001\n")
+    # report.json's params are SolverParams field by field: [solver]
+    # epsilon and delta, the budget, and what is derived from them
+    cfg = parse_config(SMALL_RUN)
     prefix = tmp_path / "exp"
     _, params = run_experiment(cfg, out=str(prefix))
     payload = json.loads(prefix.with_suffix(".report.json").read_text())
     fields = {f.name for f in dataclasses.fields(SolverParams)}
-    run_keys = {"epsilon", "delta", "mode", "budget"}
-    overrides = {f.name for f in dataclasses.fields(SolverSpec)} - run_keys
-    assert set(payload["params"]) == fields == overrides | run_keys
+    derived = {"eta", "m", "b", "B", "D", "T_max", "r", "mode"}
+    config_keys = {f.name for f in dataclasses.fields(SolverSpec)}
+    assert set(payload["params"]) == fields == derived | config_keys | {
+        "budget"}
     assert SolverParams(**payload["params"]) == params
+    assert (params.epsilon, params.delta, params.budget) == (0.05, 0.5, 6000)
 
 
 def test_run_experiment_budget_zero_vacuous():
@@ -856,30 +864,10 @@ def test_sweep_caller_failure_kills_and_reaps_children(
     assert time.monotonic() - start < 30
 
 
-# each [solver] override out of its field's range: the full message
-OUT_OF_RANGE = {
-    "m = 0": "[solver] m must be an integer in [1, 2**63), got 0",
-    "b = 0": "[solver] b must be an integer in [1, 2**63), got 0",
-    "B = 0": "[solver] B must be an integer in [1, 2**63), got 0",
-    "T_max = 0": "[solver] T_max must be an integer in [1, 2**63), got 0",
-    "eta = -1": "[solver] eta must be positive, got -1.0",
-    "r = -1": "[solver] r must be finite and >= 0, got -1.0",
-    "D = 0": "[solver] D must be positive, got 0.0",
-}
-
-
-@pytest.mark.parametrize("solver_keys, key", [
-    ("B = 100\n", "[solver] B = 100"),
-    ("D = 0.75\n", "[solver] D = 0.75"),
-    (None, "epsilon and delta"),  # auto_solve, delta = 0
-    *((f"{keys}\n", message) for keys, message in OUT_OF_RANGE.items()),
-])
-def test_batch_above_n_is_rejected_before_the_probe(monkeypatch, solver_keys,
-                                                     key):
-    # every override is checked by its field's rule, B against n and D
-    # against the chart radius, which depend on nothing the probe
-    # measures, so a bad override or a zero delta exits before the
-    # smoothness probe runs, for auto_solve too
+@pytest.mark.parametrize("name", ["epsilon", "delta"])
+def test_zero_tolerance_is_rejected_before_the_probe(monkeypatch, name):
+    # epsilon and delta depend on nothing the probe measures, so a zero
+    # one exits before the smoothness probe runs, and the error names it
     seen = []
     real = PullbackOracle.estimate_lipschitz
 
@@ -888,21 +876,11 @@ def test_batch_above_n_is_rejected_before_the_probe(monkeypatch, solver_keys,
         return real(self, rng, *args, **kwargs)
 
     monkeypatch.setattr(PullbackOracle, "estimate_lipschitz", counting_probe)
-    if key == "epsilon and delta":
-        bound = " must be positive and finite"
-    elif "D = 0.75" in key:
-        bound = " exceeds the manifold chart radius 0.5"
-    elif "B = 100" in key:
-        bound = ", above the finite sum's n = 30"
-    else:
-        bound = ""
-    with pytest.raises(ParameterError, match=re.escape(key + bound)):
-        if solver_keys is None:
-            obj = build_problem(parse_config(SMALL_RUN))
-            auto_solve(obj, obj.eigvec(1), epsilon=0.05, delta=0.0,
-                       budget=6000, rng=7)
-        else:
-            run_experiment(parse_config(SMALL_RUN + solver_keys))
+    obj = build_problem(parse_config(SMALL_RUN))
+    tolerances = {"epsilon": 0.05, "delta": 0.5, name: 0.0}
+    with pytest.raises(ParameterError, match=re.escape(
+            f"{name} must be positive and finite, got 0.0")):
+        auto_solve(obj, obj.eigvec(1), budget=6000, rng=7, **tolerances)
     assert seen == []
 
 
@@ -910,18 +888,18 @@ def test_infinite_epsilon_is_rejected_by_the_one_range_rule():
     # the config and the gradient check apply the rule SolverParams does,
     # under their own prefix; an API-built config skips the INI parser's
     # finite-float check, so only the rule stands between it and a run
-    rule = "epsilon and delta must be positive and finite"
+    rule = "must be positive and finite, got inf"
     inf = float("inf")
-    for spec in (SolverSpec(epsilon=inf), SolverSpec(delta=inf)):
+    for name in ("epsilon", "delta"):
         with pytest.raises(ParameterError,
-                           match=re.escape(f"[solver] {rule}")):
-            ExperimentConfig(solver=spec)
+                           match=re.escape(f"[solver] {name} {rule}")):
+            ExperimentConfig(solver=SolverSpec(**{name: inf}))
     with pytest.raises(ParameterError, match=re.escape(
             "[experiment] budget must be >= 0, got -1")):
         ExperimentConfig(budget=-1)
     obj = build_problem(parse_config(SMALL_RUN))
     oracle = PullbackOracle(obj, obj.eigvec(0))
-    with pytest.raises(ParameterError, match=re.escape(rule)):
+    with pytest.raises(ParameterError, match=re.escape(f"epsilon {rule}")):
         small_grad_check(oracle, obj.n, inf, master_stream(0))
 
 

@@ -56,9 +56,9 @@ LOADED = {"run": [], "sweep": [], "prgd": ["prsrg.baselines"]}
 # constants (fields, replace, ==), validated parameters (__post_init__,
 # replace), Certification (asdict) and StreamTree
 KEPT_DATACLASSES = {
-    "prsrg.diagnostics.Certification", "prsrg.harness.BaselineSpec",
-    "prsrg.harness.ExperimentConfig", "prsrg.harness.ProblemSpec",
-    "prsrg.harness.SolverSpec", "prsrg.harness.SweepSpec",
+    "prsrg.diagnostics.Certification", "prsrg.harness.ExperimentConfig",
+    "prsrg.harness.ProblemSpec", "prsrg.harness.SolverSpec",
+    "prsrg.harness.SweepSpec",
     "prsrg.rng.StreamTree",
     "prsrg.solver.SolverConstants", "prsrg.solver.SolverParams",
     "prsrg.tssrg.TssrgParams",
@@ -161,7 +161,8 @@ def test_unknown_name_raises_attribute_error():
 # the solver never needs (it pulls gradients back through the adjoint);
 # the tests' reference differential is in conftest; the second path to the
 # run parameters (probe_params is the one path now); the problem factories,
-# which only passed their arguments to the classes
+# which only passed their arguments to the classes; the [baseline] section
+# (prgd runs at fixed settings)
 REMOVED = {
     "geometry.Manifold": ("dretract_apply", "dretract_matrix",
                           "_dretract_coords", "_dretract_target"),
@@ -173,7 +174,7 @@ REMOVED = {
     "problems.RayleighInstance": ("component_riem_grad", "hess_eigval"),
     "problems.StreamingRayleighInstance": ("hess_eigval",),
     "problems.QuadraticSaddleInstance": ("H", "min_curvature_direction"),
-    "harness": ("format_spectrum", "_apply_overrides"),
+    "harness": ("format_spectrum", "_apply_overrides", "BaselineSpec"),
     "problems": ("make_rayleigh", "make_quadratic_saddle",
                  "make_streaming_rayleigh", "make_data_rayleigh",
                  "DataRayleighInstance", "load_matrix", "save_matrix"),

@@ -3,6 +3,7 @@ accounting, and fixed-point behaviour at exact saddles."""
 
 from __future__ import annotations
 
+import re
 import warnings
 from collections import Counter
 from dataclasses import asdict, replace
@@ -612,8 +613,8 @@ def test_auto_solve_validates_rng_and_mode(small_rayleigh):
                    rng="not-a-seed")
     # the objective decides the mode, and a bad epsilon is named as such
     for epsilon in (0.0, float("nan")):
-        with pytest.raises(ParameterError,
-                           match="epsilon and delta must be positive"):
+        with pytest.raises(ParameterError, match=re.escape(
+                f"epsilon must be positive and finite, got {epsilon}")):
             auto_solve(small_rayleigh, x0, epsilon=epsilon, delta=0.5,
                        budget=1000, rng=1)
 
