@@ -30,8 +30,8 @@ _EXPORTS = {
                 "StreamingRayleighInstance",
     "pullback": "Batch FiniteSumObjective LipschitzEstimate PullbackOracle",
     "rng": "StreamTree master_stream",
-    "solver": "SolverConstants SolverParams SolverReport auto_solve "
-              "derive_params prsrg_run small_grad_check",
+    "solver": "SolverParams SolverReport auto_solve derive_params "
+              "prsrg_run small_grad_check",
     "trace": "TraceRow TraceSegment rows_to_csv write_trace",
     "tssrg": "ExitReason TssrgOutcome TssrgParams boundary_alpha tssrg_run",
 }

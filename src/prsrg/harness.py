@@ -2,8 +2,8 @@
 
 Configs are INI files (configparser dialect). Each section is stated once,
 as a frozen dataclass whose fields are its keys in dump order: a field's
-annotation gives the key's type (int, finite float, str or boolean; ``T |
-None`` may be unset) and its default the key's default. [experiment] is
+annotation gives the key's type (int, finite float or str; ``T | None``
+may be unset) and its default the key's default. [experiment] is
 ExperimentConfig's scalar fields; its other fields are the sections
 [problem], [solver] and [sweep]. A config states what to solve and to what
 accuracy: every run parameter is derived from [solver] epsilon and delta
@@ -135,7 +135,6 @@ class ExperimentConfig:
     seed: int = 0
     budget: int = 1_000_000
     algo: str = "prsrg"
-    record_gaps: bool = False
     out: str | None = None
     problem: ProblemSpec = field(default_factory=ProblemSpec)
     solver: SolverSpec = field(default_factory=SolverSpec)
@@ -180,15 +179,8 @@ def _finite_float(raw: str) -> float:
     return value
 
 
-def _strict_bool(raw: str) -> bool:
-    states = configparser.ConfigParser.BOOLEAN_STATES
-    if raw.lower() not in states:
-        raise ValueError(f"not a boolean: use one of {', '.join(states)}")
-    return states[raw.lower()]
-
-
-_CONVERTERS = {int: int, float: _finite_float, str: str, bool: _strict_bool}
-_FORMATTERS = {float: repr, bool: lambda v: str(v).lower()}  # others: str
+_CONVERTERS = {int: int, float: _finite_float, str: str}
+_FORMATTERS = {float: repr}  # others: str
 
 
 @functools.cache
@@ -411,8 +403,7 @@ def run_experiment(cfg: ExperimentConfig, *, out: str | None = None,
         params, est = resolve_params(cfg, objective, x0, stream, estimate)
         if cfg.algo == "rsrg_unperturbed":
             params = dataclasses.replace(params, r=0.0)
-        report = prsrg_run(objective, x0, params, stream,
-                           record_gaps=cfg.record_gaps)
+        report = prsrg_run(objective, x0, params, stream)
         report.lipschitz = est
     else:
         from .baselines import BaselineConfig, baseline_run  # on first use

@@ -18,9 +18,12 @@ is resolved against the exact full gradient on the diagnostic side.
 
 Run parameters take one path, ``probe_params`` (``auto_solve`` and the
 harness both call it). The objective decides the mode: finite_sum at its
-n, or online at its ``sigma_hint`` when n is None. epsilon and delta are
-checked before the Lipschitz probe, then ``derive_params`` sets every
-other parameter, with the ball radius D at the manifold's chart radius.
+n, or online at its ``sigma_hint`` when n is None. epsilon, delta and the
+budget are checked before the Lipschitz probe, then ``derive_params`` sets
+every other parameter, with the ball radius D at the manifold's chart
+radius. Its three multipliers are module constants, not options: C_ETA
+(0.1) for the step size, C_T (20) for the episode length and C_B (16) for
+the online anchor batch.
 """
 
 from __future__ import annotations
@@ -43,28 +46,10 @@ EPOCH_KEYS = ("type1_descent", "type2_descent", "useful", "wasted", "escape")
 FINITE_SUM = "finite_sum"
 ONLINE = "online"
 
-
-@dataclass(frozen=True)
-class SolverConstants:
-    """Tunable multipliers for the derived run parameters.
-
-    c_eta scales the step size eta = c_eta / L_hat, c_T the episode length
-    T_max = ceil(c_T / delta), c_r the perturbation radius formula, and c_m,
-    c_B the online batch sizes m = b = ceil(c_m sigma / eps) and
-    B = ceil(c_B sigma^2 / eps^2).
-    """
-
-    c_eta: float = 0.1
-    c_T: float = 20.0
-    c_r: float = 1.0
-    c_m: float = 1.0
-    c_B: float = 16.0
-
-    def __post_init__(self):
-        for name in ("c_eta", "c_T", "c_r", "c_m", "c_B"):
-            v = getattr(self, name)
-            if not (v > 0 and math.isfinite(v)):
-                raise ParameterError(f"{name} must be positive, got {v}")
+# derive_params' multipliers
+C_ETA = 0.1
+C_T = 20.0
+C_B = 16.0
 
 
 @dataclass(frozen=True)
@@ -138,19 +123,17 @@ class SolverReport:
 
 
 def derive_params(mode: str, n_or_sigma, epsilon: float, delta: float,
-                  L_hat: float, rho_hat: float,
-                  constants: SolverConstants | None = None, *,
+                  L_hat: float, rho_hat: float, *,
                   D: float = 0.5, budget: int = 10_000_000) -> SolverParams:
     """Turn problem scale and smoothness estimates into run parameters.
 
     finite_sum: m = b = ceil(sqrt(n)), B = n. online: m = b =
-    ceil(c_m sigma / eps), B = ceil(c_B sigma^2 / eps^2). Both modes:
-    eta = c_eta / L_hat, T_max = ceil(c_T / delta), r = c_r * min of
+    ceil(sigma / eps), B = ceil(C_B sigma^2 / eps^2). Both modes:
+    eta = C_ETA / L_hat, T_max = ceil(C_T / delta), r = min of
     delta^3/(rho_hat^2 eps) and sqrt(delta^3/(rho_hat^2 L_hat)), capped at
     the ball radius D (the cap binds when rho_hat is tiny, e.g. exactly
-    quadratic objectives).
+    quadratic objectives). C_ETA, C_T and C_B are module constants.
     """
-    cons = constants if constants is not None else SolverConstants()
     for name, value in (("epsilon", epsilon), ("delta", delta)):
         SolverParams._check_field(name, value)
     if L_hat <= 0 or not math.isfinite(L_hat):
@@ -162,13 +145,12 @@ def derive_params(mode: str, n_or_sigma, epsilon: float, delta: float,
             f"delta={delta} exceeds the gradient Lipschitz estimate "
             f"L_hat={L_hat}; the Hessian clause is looser than the estimated "
             "curvature scale (certification still checks it)", stacklevel=2)
-    m, B = _batch_sizes(mode, n_or_sigma, epsilon, cons)
-    eta = cons.c_eta / L_hat
-    T_max = math.ceil(cons.c_T / delta)
+    m, B = _batch_sizes(mode, n_or_sigma, epsilon)
+    eta = C_ETA / L_hat
+    T_max = math.ceil(C_T / delta)
     if rho_hat > 0:
-        r = cons.c_r * min(delta ** 3 / (rho_hat ** 2 * epsilon),
-                           math.sqrt(delta ** 3 / (rho_hat ** 2 * L_hat)))
-        r = min(r, D)
+        r = min(delta ** 3 / (rho_hat ** 2 * epsilon),
+                math.sqrt(delta ** 3 / (rho_hat ** 2 * L_hat)), D)
     else:
         r = D
     return SolverParams(eta=eta, m=m, b=m, B=B, D=D, T_max=T_max, r=r,
@@ -176,8 +158,7 @@ def derive_params(mode: str, n_or_sigma, epsilon: float, delta: float,
                         mode=mode)
 
 
-def _batch_sizes(mode: str, n_or_sigma, epsilon: float,
-                 cons: SolverConstants) -> tuple[int, int]:
+def _batch_sizes(mode: str, n_or_sigma, epsilon: float) -> tuple[int, int]:
     """(m = b, B) for the mode: see ``derive_params``."""
     if mode == FINITE_SUM:
         if not (1 <= n_or_sigma < math.inf
@@ -192,8 +173,8 @@ def _batch_sizes(mode: str, n_or_sigma, epsilon: float,
             raise ParameterError(f"online needs sigma > 0, got {n_or_sigma!r}")
         try:  # ceil of inf or nan, or epsilon^2 underflowing to 0, raises;
             # a size past TssrgParams' 2**63 bound is the same failure
-            m = math.ceil(cons.c_m * sigma / epsilon)
-            B = math.ceil(cons.c_B * sigma * sigma / (epsilon * epsilon))
+            m = math.ceil(sigma / epsilon)
+            B = math.ceil(C_B * sigma * sigma / (epsilon * epsilon))
             if max(m, B) >= 2 ** 63:
                 raise OverflowError
         except (ArithmeticError, ValueError) as exc:
@@ -241,8 +222,8 @@ def _half_rule_large(rows, epsilon: float) -> bool:
     return 2 * large >= len(norms)
 
 
-def prsrg_run(objective, x0: ManifoldPoint, params: SolverParams, rng, *,
-              record_gaps: bool = False) -> SolverReport:
+def prsrg_run(objective, x0: ManifoldPoint, params: SolverParams,
+              rng) -> SolverReport:
     """Run the full solver from x0 under a strict query budget.
 
     ``rng`` is a 64-bit seed or a StreamTree; all randomness descends from
@@ -311,8 +292,7 @@ def prsrg_run(objective, x0: ManifoldPoint, params: SolverParams, rng, *,
             check_row.epoch_type = "escape"
             u0 = manifold.sample_ball(x, radius, ostream.child(TAG_PERTURB))
             out = tssrg_run(oracle, u0, params._capped(T_run),
-                            ostream, outer_t=outer_t, record_gaps=record_gaps,
-                            query_offset=total_q)
+                            ostream, outer_t=outer_t, query_offset=total_q)
             for row in out.segment.rows:
                 row.epoch_type = "escape"
             rows_all.extend(out.segment.rows)
@@ -323,7 +303,7 @@ def prsrg_run(objective, x0: ManifoldPoint, params: SolverParams, rng, *,
             out = tssrg_run(oracle, manifold.zero_tangent(x),
                             params._capped(T_run), ostream,
                             outer_t=outer_t, anchor_grad=g,
-                            record_gaps=record_gaps, query_offset=total_q)
+                            query_offset=total_q)
             rows_all.extend(out.segment.rows)
             if out.exit == ExitReason.BOUNDARY:
                 for row in out.segment.rows:
@@ -366,7 +346,6 @@ def prsrg_run(objective, x0: ManifoldPoint, params: SolverParams, rng, *,
 
 def probe_params(objective, x0: ManifoldPoint, epsilon: float,
                  delta: float, budget: int, stream, *,
-                 constants: SolverConstants | None = None,
                  estimate: LipschitzEstimate | None = None
                  ) -> tuple[SolverParams, LipschitzEstimate]:
     """(params, estimate) for objective and x0 by the one parameter path
@@ -374,7 +353,8 @@ def probe_params(objective, x0: ManifoldPoint, epsilon: float,
     ``stream.child(TAG_DIAG)``; a given ``estimate`` (an earlier probe at
     the same Abar, x0 and stream) replaces it.
     """
-    for key, value in (("epsilon", epsilon), ("delta", delta)):
+    for key, value in (("epsilon", epsilon), ("delta", delta),
+                       ("budget", budget)):
         SolverParams._check_field(key, value)
     mode, scale = FINITE_SUM, objective.n
     if scale is None:
@@ -386,20 +366,16 @@ def probe_params(objective, x0: ManifoldPoint, epsilon: float,
         est = PullbackOracle(objective, x0).estimate_lipschitz(
             stream.child(TAG_DIAG).generator())
     params = derive_params(mode, scale, epsilon, delta, est.L_hat,
-                           est.rho_hat, constants, D=objective.manifold.D,
+                           est.rho_hat, D=objective.manifold.D,
                            budget=budget)
     return params, est
 
 
 def auto_solve(objective, x0: ManifoldPoint, epsilon: float, delta: float,
-               budget: int, rng, *,
-               constants: SolverConstants | None = None,
-               record_gaps: bool = False) -> tuple[SolverReport, SolverParams]:
+               budget: int, rng) -> tuple[SolverReport, SolverParams]:
     """Estimate smoothness at x0, derive parameters, and run the solver."""
     stream, seed = as_stream(rng)
-    params, _ = probe_params(objective, x0, epsilon, delta, budget, stream,
-                             constants=constants)
-    report = prsrg_run(objective, x0, params, stream,
-                       record_gaps=record_gaps)
+    params, _ = probe_params(objective, x0, epsilon, delta, budget, stream)
+    report = prsrg_run(objective, x0, params, stream)
     report.seed = seed
     return report, params

@@ -27,8 +27,8 @@ from prsrg import (
 from prsrg.diagnostics import certify
 from prsrg.geometry import Sphere
 from prsrg.harness import parse_config, run_experiment, run_sweep
-from prsrg.rng import TAG_DIAG, TAG_INIT, master_stream
-from prsrg.solver import FINITE_SUM, SolverConstants, derive_params, prsrg_run
+from prsrg.rng import TAG_INIT, master_stream
+from prsrg.solver import probe_params, prsrg_run
 from prsrg.tssrg import TssrgParams, tssrg_run
 
 from conftest import dretract_matrix, fd_pullback_grad
@@ -260,16 +260,12 @@ def _escape_runs():
     spec = np.concatenate(([2.0, 1.0], np.linspace(0.9, 0.1, 98)))
     obj = RayleighInstance(d=100, n=1000, spectrum=spec, noise_scale=0.5,
                            rotation_seed=None)
-    man = obj.manifold
     x0 = obj.eigvec(1)
     t0 = time.perf_counter()
     runs = []
     for s in range(10):
         stream = master_stream(8000 + s)
-        probe = PullbackOracle(obj, x0)
-        est = probe.estimate_lipschitz(stream.child(TAG_DIAG).generator())
-        params = derive_params(FINITE_SUM, 1000, 1e-3, 0.1, est.L_hat,
-                               est.rho_hat, D=man.D, budget=5_000_000)
+        params, est = probe_params(obj, x0, 1e-3, 0.1, 5_000_000, stream)
         rep = prsrg_run(obj, x0, params, stream)
         runs.append((rep, est))
     return obj, runs, time.perf_counter() - t0
@@ -277,7 +273,6 @@ def _escape_runs():
 
 def test_08_saddle_escape_end_to_end():
     obj, runs, t_main = _escape_runs()
-    man = obj.manifold
     x0 = obj.eigvec(1)
     v1 = obj.eigvec(0).coords
     wins = 0
@@ -291,10 +286,7 @@ def test_08_saddle_escape_end_to_end():
     # ablation: without the perturbation the exact saddle is a fixed point
     t1 = time.perf_counter()
     stream = master_stream(8042)
-    probe = PullbackOracle(obj, x0)
-    est = probe.estimate_lipschitz(stream.child(TAG_DIAG).generator())
-    params = derive_params(FINITE_SUM, 1000, 1e-3, 0.1, est.L_hat,
-                           est.rho_hat, D=man.D, budget=5_000_000)
+    params, _ = probe_params(obj, x0, 1e-3, 0.1, 5_000_000, stream)
     params = dataclasses.replace(params, r=0.0)
     rep0 = prsrg_run(obj, x0, params, stream)
     move = float(np.linalg.norm(rep0.final_point.coords - x0.coords))
@@ -345,7 +337,6 @@ def test_10_certification_separates_minimizer_from_saddle():
 
 def test_11_queries_to_certification_scale_like_sqrt_n():
     spec = np.concatenate(([2.0, 1.0], np.linspace(0.9, 0.1, 28)))
-    cons = SolverConstants(c_eta=0.02)  # deep in the multi-epoch regime
     medians = []
     for n in (256, 1024, 4096):
         obj = RayleighInstance(d=30, n=n, spectrum=spec, noise_scale=0.4,
@@ -355,11 +346,10 @@ def test_11_queries_to_certification_scale_like_sqrt_n():
         for s in range(10):
             stream = master_stream(11000 + 97 * s)
             x0 = man.rand_point(stream.child(TAG_INIT).generator())
-            probe = PullbackOracle(obj, x0)
-            est = probe.estimate_lipschitz(stream.child(TAG_DIAG).generator())
-            params = derive_params(FINITE_SUM, n, 0.05, 0.5, est.L_hat,
-                                   est.rho_hat, cons, D=man.D,
-                                   budget=10_000_000)
+            params, est = probe_params(obj, x0, 0.05, 0.5, 10_000_000,
+                                       stream)
+            # a fifth of the derived step: deep in the multi-epoch regime
+            params = dataclasses.replace(params, eta=0.02 / est.L_hat)
             rep = prsrg_run(obj, x0, params, stream)
             assert rep.exit_reason == "certified"
             queries.append(rep.queries_used)

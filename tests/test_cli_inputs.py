@@ -111,7 +111,7 @@ REMOVED_KEYS = {
     "sweep_n_repeated", "sweep_n_streaming",
     "start_file_empty", "coords_norm_overflow",
     "epsilon_nan", "epsilon_zero", "delta_nan", "delta_zero",
-    "record_gaps_not_boolean", "couple_section",
+    "record_gaps_not_boolean", "record_gaps_true", "couple_section",
     "start_off_sphere", "quadratic_one_entry_spectrum", "spectrum_inf",
     "spectrum_minus_inf", "spectrum_overflow", "spectrum_nan",
     "spectrum_linspace_inf", "spectrum_streaming_inf",
@@ -215,9 +215,11 @@ def test_bad_input_exits_2_with_one_line(case, tmp_path, capsys):
     elif case in ("delta_nan", "delta_zero"):
         value = "nan" if case == "delta_nan" else "0"
         cfg_text = cfg_text.replace("delta = 0.5", f"delta = {value}")
-    elif case == "record_gaps_not_boolean":
+    elif case.startswith("record_gaps_"):
+        # the removed run flag, whatever its value
+        value = "maybe" if case == "record_gaps_not_boolean" else "true"
         cfg_text = cfg_text.replace("budget = 6000",
-                                    "budget = 6000\nrecord_gaps = maybe")
+                                    f"budget = 6000\nrecord_gaps = {value}")
     elif case == "start_off_sphere":
         cfg_text = BASE.format(start="coords:1,1,1")
     elif case == "couple_section":
@@ -338,7 +340,6 @@ def test_bad_input_exits_2_with_one_line(case, tmp_path, capsys):
               "manifold_mismatch_quadratic": "euclidean:9 does not match",
               "epsilon_nan": "[solver] epsilon",
               "delta_nan": "[solver] delta",
-              "record_gaps_not_boolean": "[experiment] record_gaps",
               "couple_section": "unknown config section [couple]",
               "problem_sigma_radius": "[problem] unknown key 'sigma_radius'",
               "solver_mode": "[solver] unknown key 'mode'",
@@ -375,6 +376,8 @@ def test_bad_input_exits_2_with_one_line(case, tmp_path, capsys):
                         f"unsigned integer, got {value}"), line
     if case in REMOVED_KEYS:
         assert line == f"error: {REMOVED_KEYS[case][1]}", line
+    if case.startswith("record_gaps_"):
+        assert line == "error: [experiment] unknown key 'record_gaps'", line
     if command == "sweep":
         # bad input is found before the first cell writes anything
         assert not any((tmp_path / "sweep").glob("*"))
@@ -487,7 +490,7 @@ def test_budget_invariant_exits_1(tmp_path, capsys, monkeypatch):
 SPECTRUM_TEXT = st.text(alphabet="0123456789.,:-+e linspacif", max_size=40)
 
 CONFIG_KEYS = {
-    "experiment": ("seed", "budget", "out", "algo", "record_gaps"),
+    "experiment": ("seed", "budget", "out", "algo"),
     "problem": ("manifold", "kind", "n", "spectrum", "noise_scale",
                 "rotation_seed", "gamma", "L_top", "start"),
     "solver": ("epsilon", "delta"),

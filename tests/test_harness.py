@@ -183,7 +183,6 @@ GOLDEN_DUMPS = {
 seed = 0
 budget = 1000000
 algo = prsrg
-record_gaps = false
 
 [problem]
 manifold = sphere:100
@@ -205,7 +204,6 @@ delta = 0.1
 seed = 7
 budget = 6000
 algo = prsrg
-record_gaps = false
 
 [problem]
 manifold = sphere:3
@@ -227,7 +225,6 @@ delta = 0.5
 seed = 1
 budget = 1000000
 algo = prsrg
-record_gaps = false
 
 [problem]
 manifold = sphere:200
@@ -254,7 +251,6 @@ seeds = 2
 seed = 1
 budget = 1000000
 algo = prsrg
-record_gaps = false
 
 [problem]
 manifold = sphere:100
@@ -276,7 +272,6 @@ delta = 0.1
 seed = 1
 budget = 8000000
 algo = prsrg
-record_gaps = false
 
 [problem]
 manifold = sphere:20
@@ -325,7 +320,7 @@ def test_dump_config_golden_bytes(monkeypatch):
 
 def test_config_roundtrip_every_section():
     cfg = ExperimentConfig(
-        seed=11, budget=1234, out="runs/exp", algo="prgd", record_gaps=True,
+        seed=11, budget=1234, out="runs/exp", algo="prgd",
         problem=ProblemSpec(manifold="sphere:5", kind="rayleigh", n=40,
                             spectrum="2.0,1.0,linspace:0.9:0.5:3",
                             noise_scale=0.3, rotation_seed=4, start="e2"),
@@ -864,10 +859,11 @@ def test_sweep_caller_failure_kills_and_reaps_children(
     assert time.monotonic() - start < 30
 
 
-@pytest.mark.parametrize("name", ["epsilon", "delta"])
+@pytest.mark.parametrize("name", ["epsilon", "delta", "budget"])
 def test_zero_tolerance_is_rejected_before_the_probe(monkeypatch, name):
-    # epsilon and delta depend on nothing the probe measures, so a zero
-    # one exits before the smoothness probe runs, and the error names it
+    # epsilon, delta and the budget depend on nothing the probe measures,
+    # so a zero tolerance or a negative budget exits before the smoothness
+    # probe runs, and the error names it
     seen = []
     real = PullbackOracle.estimate_lipschitz
 
@@ -877,10 +873,13 @@ def test_zero_tolerance_is_rejected_before_the_probe(monkeypatch, name):
 
     monkeypatch.setattr(PullbackOracle, "estimate_lipschitz", counting_probe)
     obj = build_problem(parse_config(SMALL_RUN))
-    tolerances = {"epsilon": 0.05, "delta": 0.5, name: 0.0}
-    with pytest.raises(ParameterError, match=re.escape(
-            f"{name} must be positive and finite, got 0.0")):
-        auto_solve(obj, obj.eigvec(1), budget=6000, rng=7, **tolerances)
+    args = {"epsilon": 0.05, "delta": 0.5, "budget": 6000}
+    if name == "budget":
+        args[name], error = -1, "budget must be >= 0, got -1"
+    else:
+        args[name], error = 0.0, f"{name} must be positive and finite, got 0.0"
+    with pytest.raises(ParameterError, match=re.escape(error)):
+        auto_solve(obj, obj.eigvec(1), rng=7, **args)
     assert seen == []
 
 

@@ -52,16 +52,15 @@ PROBLEMS = {
 WATCHED = ("prsrg.baselines", "prsrg.replay", "csv", "scipy", "hypothesis")
 LOADED = {"run": [], "sweep": [], "prgd": ["prsrg.baselines"]}
 
-# the dataclasses ``import prsrg.cli`` defines: config sections and
-# constants (fields, replace, ==), validated parameters (__post_init__,
-# replace), Certification (asdict) and StreamTree
+# the dataclasses ``import prsrg.cli`` defines: config sections (fields,
+# replace, ==), validated parameters (__post_init__, replace),
+# Certification (asdict) and StreamTree
 KEPT_DATACLASSES = {
     "prsrg.diagnostics.Certification", "prsrg.harness.ExperimentConfig",
     "prsrg.harness.ProblemSpec", "prsrg.harness.SolverSpec",
     "prsrg.harness.SweepSpec",
     "prsrg.rng.StreamTree",
-    "prsrg.solver.SolverConstants", "prsrg.solver.SolverParams",
-    "prsrg.tssrg.TssrgParams",
+    "prsrg.solver.SolverParams", "prsrg.tssrg.TssrgParams",
 }
 
 
@@ -162,7 +161,8 @@ def test_unknown_name_raises_attribute_error():
 # the tests' reference differential is in conftest; the second path to the
 # run parameters (probe_params is the one path now); the problem factories,
 # which only passed their arguments to the classes; the [baseline] section
-# (prgd runs at fixed settings)
+# (prgd runs at fixed settings); the run-parameter multipliers, which are
+# module constants now
 REMOVED = {
     "geometry.Manifold": ("dretract_apply", "dretract_matrix",
                           "_dretract_coords", "_dretract_target"),
@@ -179,7 +179,7 @@ REMOVED = {
                  "make_streaming_rayleigh", "make_data_rayleigh",
                  "DataRayleighInstance", "load_matrix", "save_matrix"),
     "tssrg": ("tssrg_run_coupled",),
-    "solver": ("_mode_scale",),
+    "solver": ("_mode_scale", "SolverConstants"),
 }
 
 

@@ -3,6 +3,7 @@ accounting, and fixed-point behaviour at exact saddles."""
 
 from __future__ import annotations
 
+import math
 import re
 import warnings
 from collections import Counter
@@ -17,7 +18,6 @@ from prsrg import (
     ParameterError,
     PullbackOracle,
     RayleighInstance,
-    SolverConstants,
     SolverParams,
     StreamingRayleighInstance,
     TssrgParams,
@@ -25,6 +25,7 @@ from prsrg import (
     baseline_run,
     certify,
     derive_params,
+    parse_spectrum,
     prsrg_run,
     small_grad_check,
     solver,
@@ -40,31 +41,53 @@ from replay import stuck_region_experiment
 
 # -------------------------------------------------------- derive_params
 
+# the derived parameters are pinned to the bit against the formulas with
+# their multipliers written out: c_eta = 0.1, c_T = 20, c_r = c_m = 1 and
+# c_B = 16
+
 def test_finite_sum_parameter_formulas():
-    p = derive_params("finite_sum", 10_000, epsilon=0.01, delta=0.1,
-                      L_hat=4.0, rho_hat=1.0)
-    assert p.m == 100 and p.b == 100
-    assert p.B == 10_000
-    assert p.eta == pytest.approx(0.1 / 4.0)
-    assert p.T_max == 200  # ceil(20 / 0.1)
-    assert p.mode == "finite_sum"
+    for n, delta, L_hat in ((10_000, 0.1, 4.0), (1000, 0.3, 2.718281828)):
+        p = derive_params("finite_sum", n, epsilon=0.01, delta=delta,
+                          L_hat=L_hat, rho_hat=1.0)
+        assert p.m == p.b == math.ceil(math.sqrt(n))
+        assert p.B == n
+        assert p.eta == 0.1 / L_hat
+        assert p.T_max == math.ceil(20.0 / delta)
+        assert p.mode == "finite_sum"
+    assert (p.m, p.T_max) == (32, 67)
 
 
 def test_online_parameter_formulas():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        p = derive_params("online", 1.0, epsilon=0.01, delta=0.1,
-                          L_hat=2.0, rho_hat=1.0)
-    assert p.m == 100 and p.b == 100
-    assert p.B == 160_000
-    assert p.mode == "online"
+    # sigma = 1, and the online_stream benchmark instance's sigma_hint at
+    # its epsilon and delta
+    stream_sigma = StreamingRayleighInstance(
+        d=20, spectrum=parse_spectrum("2.0,1.0,linspace:0.6:0.1:18"),
+        rotation_seed=7).sigma_hint
+    L_hat = 2.0
+    for sigma, eps, delta in ((1.0, 0.01, 0.1), (stream_sigma, 0.2, 0.5)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            p = derive_params("online", sigma, epsilon=eps, delta=delta,
+                              L_hat=L_hat, rho_hat=1.0)
+        assert p.m == p.b == math.ceil(1.0 * sigma / eps)
+        assert p.B == math.ceil(16.0 * sigma * sigma / (eps * eps))
+        assert p.eta == 0.1 / L_hat
+        assert p.T_max == math.ceil(20.0 / delta)
+        assert p.mode == "online"
+        if sigma == 1.0:
+            assert (p.m, p.B) == (100, 160_000)
 
 
 def test_perturbation_radius_formula():
-    # first branch active: delta^3/(rho^2 eps) < sqrt(delta^3/(rho^2 L))
-    p = derive_params("finite_sum", 100, epsilon=1.0, delta=0.1,
-                      L_hat=1.0, rho_hat=1.0, D=10.0)
-    assert p.r == pytest.approx(min(1e-3, np.sqrt(1e-3)))
+    # first branch active: delta^3/(rho^2 eps) < sqrt(delta^3/(rho^2 L)),
+    # then the second: a small L_hat against a small epsilon
+    for eps, delta, L_hat, rho_hat in ((1.0, 0.1, 1.0, 1.0),
+                                       (1e-3, 0.2, 0.5, 0.7)):
+        p = derive_params("finite_sum", 100, epsilon=eps, delta=delta,
+                          L_hat=L_hat, rho_hat=rho_hat, D=10.0)
+        assert p.r == 1.0 * min(delta ** 3 / (rho_hat ** 2 * eps),
+                                math.sqrt(delta ** 3 / (rho_hat ** 2
+                                                        * L_hat)))
     # cap at the ball radius
     q = derive_params("finite_sum", 100, epsilon=1e-9, delta=0.4,
                       L_hat=1.0, rho_hat=1e-6, D=0.5)
@@ -104,14 +127,6 @@ def test_large_delta_warns():
     with pytest.warns(UserWarning, match="exceeds the gradient Lipschitz"):
         derive_params("finite_sum", 100, epsilon=0.1, delta=5.0,
                       L_hat=2.0, rho_hat=1.0)
-
-
-def test_solver_constants_validation():
-    SolverConstants()
-    with pytest.raises(ParameterError):
-        SolverConstants(c_eta=0.0)
-    with pytest.raises(ParameterError):
-        SolverConstants(c_B=-1.0)
 
 
 def test_solver_params_validation():
