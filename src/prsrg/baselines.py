@@ -67,7 +67,7 @@ def baseline_run(objective, x0: ManifoldPoint, config: BaselineConfig,
         total_here = total + oracle.queries
         gnorm = g.norm
         rows.append(TraceRow(outer, 0, "baseline", float(objective.value(x)),
-                             gnorm, None, 0.0, total_here, "grad_check"))
+                             gnorm, 0.0, total_here, "grad_check"))
         if gnorm <= epsilon:
             cert = certify(oracle, epsilon, delta, stop_at_verdict=True)
             diag_q += oracle.diag_queries
@@ -90,14 +90,13 @@ def baseline_run(objective, x0: ManifoldPoint, config: BaselineConfig,
                     nxt = TangentVector(x, u.coords - alpha * w)
                     u = nxt
                     rows.append(TraceRow(outer, k, "baseline",
-                                         oracle.value(u), gu.norm, None,
-                                         u.norm, total + oracle.queries,
-                                         "boundary"))
+                                         oracle.value(u), gu.norm, u.norm,
+                                         total + oracle.queries, "boundary"))
                     break
                 u = nxt
                 rows.append(TraceRow(outer, k, "baseline", oracle.value(u),
-                                     gu.norm, None, u.norm,
-                                     total + oracle.queries, "step"))
+                                     gu.norm, u.norm, total + oracle.queries,
+                                     "step"))
             x = man.retract(x, u)
         else:
             if total_here + n <= budget:

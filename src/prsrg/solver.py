@@ -140,19 +140,26 @@ def derive_params(mode: str, n_or_sigma, epsilon: float, delta: float,
         raise ParameterError(f"L_hat must be positive, got {L_hat}")
     if rho_hat < 0 or not math.isfinite(rho_hat):
         raise ParameterError(f"rho_hat must be >= 0, got {rho_hat}")
+    m, B = _batch_sizes(mode, n_or_sigma, epsilon)
+    eta = C_ETA / L_hat
+    try:  # delta^3 overflows for a huge delta, and a tiny one puts T_max
+        # past TssrgParams' 2**63 bound
+        T_max = math.ceil(C_T / delta)
+        if T_max >= 2 ** 63:
+            raise OverflowError
+        if rho_hat > 0:
+            r = min(delta ** 3 / (rho_hat ** 2 * epsilon),
+                    math.sqrt(delta ** 3 / (rho_hat ** 2 * L_hat)), D)
+        else:
+            r = D
+    except (ArithmeticError, ValueError) as exc:
+        raise ParameterError(
+            f"T_max and r overflow at delta={delta}") from exc
     if delta > L_hat:
         warnings.warn(
             f"delta={delta} exceeds the gradient Lipschitz estimate "
             f"L_hat={L_hat}; the Hessian clause is looser than the estimated "
             "curvature scale (certification still checks it)", stacklevel=2)
-    m, B = _batch_sizes(mode, n_or_sigma, epsilon)
-    eta = C_ETA / L_hat
-    T_max = math.ceil(C_T / delta)
-    if rho_hat > 0:
-        r = min(delta ** 3 / (rho_hat ** 2 * epsilon),
-                math.sqrt(delta ** 3 / (rho_hat ** 2 * L_hat)), D)
-    else:
-        r = D
     return SolverParams(eta=eta, m=m, b=m, B=B, D=D, T_max=T_max, r=r,
                         epsilon=epsilon, delta=delta, budget=budget,
                         mode=mode)
@@ -268,8 +275,8 @@ def prsrg_run(objective, x0: ManifoldPoint, params: SolverParams,
             check_row = TraceRow(
                 outer_t=outer_t, inner_k=0, epoch_type="wasted",
                 F_value=float(objective.value(x)), grad_norm_or_batch=gnorm,
-                estimator_gap=None, u_norm=0.0,
-                queries_cum=total_q + oracle.queries, event="grad_check")
+                u_norm=0.0, queries_cum=total_q + oracle.queries,
+                event="grad_check")
             rows_all.append(check_row)
             cert = certify(oracle, params.epsilon, params.delta,
                            stop_at_verdict=True)

@@ -6,16 +6,14 @@ in shortest round-trip decimal form, so identical runs produce byte-identical
 files.
 
 Schema:
-    outer_t, inner_k, epoch_type, F_value, grad_norm_or_batch,
-    estimator_gap, u_norm, queries_cum, event
+    outer_t, inner_k, epoch_type, F_value, grad_norm_or_batch, u_norm,
+    queries_cum, event
 
 * ``epoch_type`` is one of type1_descent / type2_descent / useful / wasted /
   escape / baseline (the outer-loop proof taxonomy; baselines use
   ``baseline``).
 * ``grad_norm_or_batch`` holds the large-batch gradient norm on anchor and
   grad_check rows and the running estimator norm ||v_t|| on step rows.
-* ``estimator_gap`` is ``||v_t - grad F_hat(u_t)||`` against the exact
-  gradient oracle when gap recording is on, else empty.
 * ``event`` is one of anchor / grad_check / step / boundary / uniform_break /
   max_iter.
 * ``queries_cum`` is the cumulative optimizer query count after the row's
@@ -33,8 +31,7 @@ EPOCH_TYPES = ("type1_descent", "type2_descent", "useful", "wasted",
                "escape", "baseline")
 
 COLUMNS = ("outer_t", "inner_k", "epoch_type", "F_value",
-           "grad_norm_or_batch", "estimator_gap", "u_norm", "queries_cum",
-           "event")
+           "grad_norm_or_batch", "u_norm", "queries_cum", "event")
 
 # events whose row carries a fresh inner-step estimator norm
 _STEP_EVENTS = ("step", "uniform_break", "max_iter")
@@ -46,15 +43,13 @@ class TraceRow:
     __slots__ = COLUMNS
 
     def __init__(self, outer_t: int, inner_k: int, epoch_type: str,
-                 F_value: float, grad_norm_or_batch: float,
-                 estimator_gap: float | None, u_norm: float,
+                 F_value: float, grad_norm_or_batch: float, u_norm: float,
                  queries_cum: int, event: str):
         self.outer_t = outer_t
         self.inner_k = inner_k
         self.epoch_type = epoch_type
         self.F_value = F_value
         self.grad_norm_or_batch = grad_norm_or_batch
-        self.estimator_gap = estimator_gap
         self.u_norm = u_norm
         self.queries_cum = queries_cum
         self.event = event
@@ -67,31 +62,29 @@ class TraceRow:
 
 
 class TraceSegment:
-    """Rows of one TSSRG call plus aligned diagnostic side channels.
-
-    ``du_norms[i]`` is ``||u_t - u_{t-1}||`` for step rows (0 on anchors);
-    ``u_vecs[i]`` is the ambient tangent vector at row i when vector
-    recording was requested, else the list is None. The CSV persists rows
-    only; the side channels feed the diagnostic checkers.
+    """Rows of one TSSRG call and, when the run recorded them, each row's
+    vectors: ``u_vecs[i]`` is the iterate u and ``v_vecs[i]`` the estimator
+    v behind row i (a boundary row keeps the v of the step it cut short), so
+    ``||v_vecs[i]||`` is the row's ``grad_norm_or_batch`` and
+    ``||u_vecs[i]||`` its ``u_norm``. Both lists are None when the run did
+    not record. The CSV persists rows only.
     """
 
-    __slots__ = ("rows", "du_norms", "u_vecs")
+    __slots__ = ("rows", "u_vecs", "v_vecs")
 
     def __init__(self, rows: list[TraceRow] | None = None,
-                 du_norms: list[float] | None = None,
-                 u_vecs: list[np.ndarray] | None = None):
+                 u_vecs: list[np.ndarray] | None = None,
+                 v_vecs: list[np.ndarray] | None = None):
         self.rows = [] if rows is None else rows
-        self.du_norms = [] if du_norms is None else du_norms
         self.u_vecs = u_vecs
+        self.v_vecs = v_vecs
 
 
 def _fmt(x) -> str:
-    """A float column's field: "" for None, ``str`` of an integer and the
-    shortest round-trip ``repr`` of anything else as a float."""
+    """A float column's field: ``str`` of an integer and the shortest
+    round-trip ``repr`` of anything else as a float."""
     if type(x) is float:  # the common case, first
         return repr(x)
-    if x is None:
-        return ""
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     return repr(float(x))
@@ -103,8 +96,8 @@ def rows_to_csv(rows) -> str:
     is what ``csv.writer`` writes with ``lineterminator="\\n"``."""
     return "".join([",".join(COLUMNS) + "\n"] + [
         f"{r.outer_t},{r.inner_k},{r.epoch_type},{_fmt(r.F_value)},"
-        f"{_fmt(r.grad_norm_or_batch)},{_fmt(r.estimator_gap)},"
-        f"{_fmt(r.u_norm)},{r.queries_cum},{r.event}\n" for r in rows])
+        f"{_fmt(r.grad_norm_or_batch)},{_fmt(r.u_norm)},{r.queries_cum},"
+        f"{r.event}\n" for r in rows])
 
 
 def write_trace(path, rows) -> None:

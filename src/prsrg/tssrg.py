@@ -35,8 +35,7 @@ an anchor gradient is one ``_grad`` and its row reuses the last step's F,
 taken at the same u. Norms are ``_norm``, the square root of the dot
 product, which equals ``np.linalg.norm`` bit for bit on 1-D float64.
 Tangent vectors are built only where a public, validating oracle call needs
-one (F at u0 and at a boundary exit, the exact gradient behind
-``record_gaps``) and for the returned outcome.
+one (F at u0 and at a boundary exit) and for the returned outcome.
 """
 
 from __future__ import annotations
@@ -162,14 +161,15 @@ def _finite_norm(arr: np.ndarray, what: str, t: int) -> float:
 def tssrg_run(oracle: PullbackOracle, u0: TangentVector, params: TssrgParams,
               stream: StreamTree, *, outer_t: int = 0,
               anchor_grad: Optional[TangentVector] = None,
-              record_gaps: bool = False, record_u: bool = False,
-              query_offset: int = 0) -> TssrgOutcome:
+              record: bool = False, query_offset: int = 0) -> TssrgOutcome:
     """Run one tangent-space descent from u0; perturbed iff ||u0|| > 0.
 
     ``anchor_grad``, when given, is used as the first anchor gradient v_0
     without drawing or charging a batch (the caller already paid for it at
     the outer gradient check). Trace rows carry ``query_offset`` plus the
     oracle's own counter so cumulative counts survive anchor changes.
+    ``record`` keeps each row's u and v in the segment's ``u_vecs`` and
+    ``v_vecs``; the replay checks read them.
     """
     man = oracle.manifold
     obj = oracle.objective
@@ -188,22 +188,17 @@ def tssrg_run(oracle: PullbackOracle, u0: TangentVector, params: TssrgParams,
     perturbed = u_norm > 0.0
 
     seg = TraceSegment()
-    if record_u:
-        seg.u_vecs = []
+    if record:
+        seg.u_vecs, seg.v_vecs = [], []
 
-    def emit(inner_k, u, F, u_norm, grad_norm, event, gap=None, du=0.0):
+    def emit(inner_k, u, v, F, u_norm, v_norm, event):
         seg.rows.append(TraceRow(
             outer_t=outer_t, inner_k=inner_k, epoch_type="", F_value=F,
-            grad_norm_or_batch=grad_norm, estimator_gap=gap, u_norm=u_norm,
+            grad_norm_or_batch=v_norm, u_norm=u_norm,
             queries_cum=query_offset + oracle.queries, event=event))
-        seg.du_norms.append(du)
-        if seg.u_vecs is not None:
+        if record:
             seg.u_vecs.append(u.copy())
-
-    def gap_at(u, v):
-        if not record_gaps:
-            return None
-        return _norm(v - oracle.exact_grad(TangentVector(x, u)).coords)
+            seg.v_vecs.append(v.copy())
 
     def finish(u, exit_reason, t):
         u_final = TangentVector(x, u)
@@ -217,7 +212,7 @@ def tssrg_run(oracle: PullbackOracle, u0: TangentVector, params: TssrgParams,
             params.B, stream.child(TAG_ANCHOR, 0)), u_prev)
     v_norm = _finite_norm(v, "anchor gradient", 0)
     F = oracle.value(u0)
-    emit(0, u_prev, F, u_norm, v_norm, "anchor", gap=gap_at(u_prev, v))
+    emit(0, u_prev, v, F, u_norm, v_norm, "anchor")
 
     t = 0
     while True:
@@ -236,9 +231,8 @@ def tssrg_run(oracle: PullbackOracle, u0: TangentVector, params: TssrgParams,
             if u_next_norm >= D:
                 alpha = boundary_alpha(u_prev, w, D)
                 u_exit = u_prev - alpha * w
-                emit(k, u_exit, oracle.value(TangentVector(x, u_exit)),
-                     _norm(u_exit), v_norm, "boundary",
-                     du=alpha * params.eta * v_norm)
+                emit(k, u_exit, v, oracle.value(TangentVector(x, u_exit)),
+                     _norm(u_exit), v_norm, "boundary")
                 return finish(u_exit, ExitReason.BOUNDARY, t)
             g_next, g_prev, F = oracle._grad_pair(next(batches), u_next,
                                                   u_prev)
@@ -249,8 +243,7 @@ def tssrg_run(oracle: PullbackOracle, u0: TangentVector, params: TssrgParams,
                 event = "max_iter"
             elif not perturbed and k == stop_k:
                 event = "uniform_break"
-            emit(k, u_next, F, u_next_norm, v_norm, event,
-                 gap=gap_at(u_next, v), du=_norm(w))
+            emit(k, u_next, v, F, u_next_norm, v_norm, event)
             if event != "step":
                 return finish(u_next, ExitReason(event), t)
             u_prev, u_norm = u_next, u_next_norm
@@ -258,5 +251,5 @@ def tssrg_run(oracle: PullbackOracle, u0: TangentVector, params: TssrgParams,
             params.B, stream.child(TAG_ANCHOR, t // params.m)), u_prev)
         v_norm = _finite_norm(v, "anchor gradient", t)
         # the last step's F: that step ended at u_prev
-        emit(0, u_prev, F, u_norm, v_norm, "anchor", gap=gap_at(u_prev, v))
+        emit(0, u_prev, v, F, u_norm, v_norm, "anchor")
 

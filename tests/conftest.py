@@ -108,6 +108,5 @@ def read_trace(path) -> list[TraceRow]:
             rows.append(TraceRow(
                 outer_t=int(rec[0]), inner_k=int(rec[1]), epoch_type=rec[2],
                 F_value=float(rec[3]), grad_norm_or_batch=float(rec[4]),
-                estimator_gap=float(rec[5]) if rec[5] else None,
-                u_norm=float(rec[6]), queries_cum=int(rec[7]), event=rec[8]))
+                u_norm=float(rec[5]), queries_cum=int(rec[6]), event=rec[7]))
     return rows

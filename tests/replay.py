@@ -5,8 +5,8 @@ the way they import ``conftest`` (``from replay import ...``); pytest
 collects only ``test_*.py``, so this module is never collected itself.
 
 The ``check_*`` functions replay recorded runs (``tssrg_run`` with
-``record_gaps`` or ``record_u``) against the bounds the solver's analysis
-relies on (estimator variance, improve or localize), and
+``record=True``, which keeps each row's u and v) against the bounds the
+solver's analysis relies on (estimator variance, improve or localize), and
 ``stuck_region_experiment`` measures coupled-sequence separation and escape
 decrease at a saddle; they fit and report constants rather than assert
 theoretical values.
@@ -21,7 +21,7 @@ import numpy as np
 
 from prsrg.diagnostics import _hessian_lanczos
 from prsrg.errors import ContractViolation, ParameterError, SchemaError
-from prsrg.geometry import TangentVector
+from prsrg.geometry import TangentVector, _norm
 from prsrg.pullback import PullbackOracle
 from prsrg.rng import TAG_PERTURB, TAG_TRIAL, StreamTree
 from prsrg.trace import _STEP_EVENTS, TraceSegment
@@ -49,7 +49,9 @@ class VarianceReport:
     """Measured estimator error against the recursive-variance normalizer.
 
     ratio[t] = gap_t / ((L_hat/sqrt(b)) * sqrt(sum du_j^2 over the current
-    anchor span) + sigma_hat/sqrt(B) when sigma_hat is given).
+    anchor span) + sigma_hat/sqrt(B) when sigma_hat is given), with
+    gap_t = ||v_t - grad F_hat(u_t)|| against the exact gradient and
+    du_j = ||eta v_{j-1}|| the length of step j.
     """
 
     sup_ratio: float
@@ -60,32 +62,42 @@ class VarianceReport:
     online_term: float
 
 
-def check_variance_bound(segment: TraceSegment, L_hat: float, b: int,
-                         B_size: int,
+def estimator_gap(oracle: PullbackOracle, u: np.ndarray,
+                  v: np.ndarray) -> float:
+    """||v - grad F_hat(u)||: a recorded estimator against the exact
+    gradient at its recorded iterate."""
+    return _norm(v - oracle.exact_grad(TangentVector(oracle.anchor, u)).coords)
+
+
+def check_variance_bound(segment: TraceSegment, oracle: PullbackOracle,
+                         params: TssrgParams, L_hat: float,
                          sigma_hat: float | None = None) -> VarianceReport:
-    if L_hat <= 0 or b < 1 or B_size < 1:
-        raise ParameterError("L_hat positive and batch sizes >= 1 required")
+    """Replay a recorded run of ``tssrg_run(oracle, ..., params)``: each
+    anchor and step row's gap is taken against ``oracle.exact_grad`` at the
+    row's u, and each step's length is ||eta v|| of the row before, the
+    step the loop took. Boundary rows carry no fresh estimate."""
+    if L_hat <= 0:
+        raise ParameterError("L_hat must be positive")
+    if segment.v_vecs is None:
+        raise SchemaError("segment lacks vector recording; rerun with "
+                          "record=True")
+    b, B_size = params.b, params.B
     online = (sigma_hat / math.sqrt(B_size)) if sigma_hat else 0.0
-    rows = segment.rows
-    if len(rows) != len(segment.du_norms):
-        raise SchemaError("du side channel misaligned with rows")
     ratios: list[float] = []
     anchor_gaps: list[float] = []
     cum = 0.0
-    for row, du in zip(rows, segment.du_norms):
+    for i, row in enumerate(segment.rows):
         if row.event == "anchor":
             cum = 0.0
-            if row.estimator_gap is not None:
-                anchor_gaps.append(row.estimator_gap)
+            anchor_gaps.append(estimator_gap(oracle, segment.u_vecs[i],
+                                             segment.v_vecs[i]))
             continue
         if row.event not in _STEP_EVENTS:
-            continue  # boundary rows carry no fresh estimate
-        if row.estimator_gap is None:
-            raise SchemaError("segment lacks estimator-gap recording; rerun "
-                              "with record_gaps=True")
+            continue
+        du = _norm(params.eta * segment.v_vecs[i - 1])
         cum += du * du
         bound = (L_hat / math.sqrt(b)) * math.sqrt(cum) + online
-        gap = row.estimator_gap
+        gap = estimator_gap(oracle, segment.u_vecs[i], segment.v_vecs[i])
         if bound > 0.0:
             ratios.append(gap / bound)
         else:
@@ -117,8 +129,8 @@ class LocalizeReport:
 def check_improve_or_localize(segment: TraceSegment, L_hat: float,
                               c1: float = 1.0) -> LocalizeReport:
     if segment.u_vecs is None:
-        raise SchemaError("segment lacks iterate recording; rerun with "
-                          "record_u=True")
+        raise SchemaError("segment lacks vector recording; rerun with "
+                          "record=True")
     if L_hat <= 0 or c1 <= 0:
         raise ParameterError("L_hat and c1 must be positive")
     rows = segment.rows
@@ -224,8 +236,8 @@ def stuck_region_experiment(oracle: PullbackOracle, params: TssrgParams,
         u0 = man.sample_ball(oracle.anchor, r, st.child(TAG_PERTURB))
         u0p = TangentVector(oracle.anchor, u0.coords - r0 * e1)
         # one stream for both runs: the same minibatches at every shared t
-        out_a = tssrg_run(oracle, u0, params, st, record_u=True)
-        out_b = tssrg_run(oracle, u0p, params, st, record_u=True)
+        out_a = tssrg_run(oracle, u0, params, st, record=True)
+        out_b = tssrg_run(oracle, u0p, params, st, record=True)
         dev = _coupled_deviations(out_a, out_b)
         devs.append(dev)
         over = np.nonzero(dev >= dev_threshold)[0]

@@ -32,7 +32,7 @@ from prsrg.solver import probe_params, prsrg_run
 from prsrg.tssrg import TssrgParams, tssrg_run
 
 from conftest import dretract_matrix, fd_pullback_grad
-from replay import check_variance_bound, escape_threshold
+from replay import check_variance_bound, escape_threshold, estimator_gap
 
 
 def _verdict(num: int, label: str, ok: bool, detail: str = "") -> None:
@@ -126,9 +126,11 @@ def test_04_full_batch_estimator_is_exact():
     x = man.rand_point(stream.child(TAG_INIT).generator())
     oracle = PullbackOracle(obj, x)
     p = _quiet_params(eta=0.01, m=64, b=64, B=64, D=man.D, T_max=64)
-    out = tssrg_run(oracle, man.zero_tangent(x), p, stream, record_gaps=True)
-    gaps = [r.estimator_gap for r in out.segment.rows
-            if r.estimator_gap is not None]
+    out = tssrg_run(oracle, man.zero_tangent(x), p, stream, record=True)
+    seg = out.segment
+    gaps = [estimator_gap(oracle, u, v)
+            for r, u, v in zip(seg.rows, seg.u_vecs, seg.v_vecs)
+            if r.event != "boundary"]
     _verdict(4, "recursive estimator gap with b = n",
              len(gaps) > 0 and max(gaps) <= 1e-8,
              f"max gap {max(gaps):.2e} over {len(gaps)} rows")
@@ -155,9 +157,9 @@ def test_05_variance_ratio_flat_across_minibatch_sizes():
             p = _quiet_params(eta=eta, m=16, b=b, B=256, D=man.D,
                               T_max=16)
             out = tssrg_run(oracle, man.zero_tangent(x), p, stream,
-                            record_gaps=True)
-            sups.append(check_variance_bound(out.segment, est.L_hat, b,
-                                             256).sup_ratio)
+                            record=True)
+            sups.append(check_variance_bound(out.segment, oracle, p,
+                                             est.L_hat).sup_ratio)
         medians.append(float(np.median(sups)))
     elapsed = time.perf_counter() - t0
     ratios = [medians[1] / medians[0], medians[2] / medians[1]]
@@ -204,8 +206,8 @@ def _coupled_runs(obj, eta, r0, m, b, T, stream):
     ua = TangentVector(x0, +0.5 * r0 * emin)
     ub = TangentVector(x0, -0.5 * r0 * emin)
     # one stream for both runs: the same minibatches at every shared step
-    return (tssrg_run(oracle, ua, p, stream, record_u=True),
-            tssrg_run(oracle, ub, p, stream, record_u=True))
+    return (tssrg_run(oracle, ua, p, stream, record=True),
+            tssrg_run(oracle, ub, p, stream, record=True))
 
 
 def _deviations(out_a, out_b) -> np.ndarray:

@@ -111,6 +111,7 @@ REMOVED_KEYS = {
     "sweep_n_repeated", "sweep_n_streaming",
     "start_file_empty", "coords_norm_overflow",
     "epsilon_nan", "epsilon_zero", "delta_nan", "delta_zero",
+    "delta_overflow", "delta_underflow",
     "record_gaps_not_boolean", "record_gaps_true", "couple_section",
     "start_off_sphere", "quadratic_one_entry_spectrum", "spectrum_inf",
     "spectrum_minus_inf", "spectrum_overflow", "spectrum_nan",
@@ -212,8 +213,10 @@ def test_bad_input_exits_2_with_one_line(case, tmp_path, capsys):
     elif case in ("epsilon_nan", "epsilon_zero"):
         value = "nan" if case == "epsilon_nan" else "0"
         cfg_text = cfg_text.replace("epsilon = 0.05", f"epsilon = {value}")
-    elif case in ("delta_nan", "delta_zero"):
-        value = "nan" if case == "delta_nan" else "0"
+    elif case.startswith("delta_"):
+        # delta^3 overflows, or the cap ceil(20 / delta) passes 2**63
+        value = {"delta_nan": "nan", "delta_zero": "0",
+                 "delta_overflow": "1e103", "delta_underflow": "1e-300"}[case]
         cfg_text = cfg_text.replace("delta = 0.5", f"delta = {value}")
     elif case.startswith("record_gaps_"):
         # the removed run flag, whatever its value
@@ -383,6 +386,9 @@ def test_bad_input_exits_2_with_one_line(case, tmp_path, capsys):
         assert not any((tmp_path / "sweep").glob("*"))
     if case.startswith("online_epsilon_"):
         assert f"epsilon={float(value)}" in line
+    if case in ("delta_overflow", "delta_underflow"):
+        assert line == (f"error: [solver] T_max and r overflow at "
+                        f"delta={float(value)}"), line
 
 
 @pytest.mark.parametrize("argv", [

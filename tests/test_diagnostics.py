@@ -363,8 +363,8 @@ def test_variance_ratio_zero_for_exact_estimator(medium_rayleigh):
     n = medium_rayleigh.n
     params = _params(eta=0.01, m=6, b=n, B=n, T_max=6)
     out = tssrg_run(oracle, u0, params, master_stream(1).child(TAG_OUTER, 0),
-                    record_gaps=True)
-    rep = check_variance_bound(out.segment, L_hat=6.0, b=n, B_size=n)
+                    record=True)
+    rep = check_variance_bound(out.segment, oracle, params, L_hat=6.0)
     assert rep.sup_ratio == 0.0
 
 
@@ -375,9 +375,8 @@ def test_variance_ratio_finite_for_stochastic_run(medium_rayleigh):
     u0 = medium_rayleigh.manifold.sample_ball(x, 0.05, rng)
     params = _params(eta=0.01, m=8, b=8, B=medium_rayleigh.n, T_max=16)
     out = tssrg_run(oracle, u0, params, master_stream(2).child(TAG_OUTER, 0),
-                    record_gaps=True)
-    rep = check_variance_bound(out.segment, L_hat=6.0, b=8,
-                               B_size=medium_rayleigh.n)
+                    record=True)
+    rep = check_variance_bound(out.segment, oracle, params, L_hat=6.0)
     steps = [r for r in out.segment.rows
              if r.event in ("step", "uniform_break", "max_iter")]
     assert len(rep.ratios) == len(steps)
@@ -385,13 +384,20 @@ def test_variance_ratio_finite_for_stochastic_run(medium_rayleigh):
     assert rep.anchor_gaps  # anchors were measured too
 
 
-def test_variance_online_term():
-    seg = TraceSegment()
-    seg.rows.append(TraceRow(0, 0, "", -1.0, 0.5, 0.0, 0.0, 10, "anchor"))
-    seg.du_norms.append(0.0)
-    seg.rows.append(TraceRow(0, 1, "", -1.0, 0.4, 0.3, 0.1, 14, "step"))
-    seg.du_norms.append(0.1)
-    rep = check_variance_bound(seg, L_hat=2.0, b=4, B_size=100, sigma_hat=5.0)
+def test_variance_online_term(medium_rayleigh):
+    # an anchor with v = e, then one step of length ||eta e|| = 0.1 whose
+    # estimate is off the exact gradient by 0.3 e
+    x = medium_rayleigh.eigvec(0)
+    oracle = PullbackOracle(medium_rayleigh, x)
+    e = medium_rayleigh.eigvec(1).coords
+    params = _params(eta=0.1, m=4, b=4, B=100, T_max=4)
+    u1 = -0.1 * e
+    v1 = oracle.exact_grad(TangentVector(x, u1)).coords + 0.3 * e
+    seg = TraceSegment(u_vecs=[np.zeros_like(e), u1], v_vecs=[e, v1])
+    seg.rows.append(TraceRow(0, 0, "", -1.0, 1.0, 0.0, 10, "anchor"))
+    seg.rows.append(TraceRow(0, 1, "", -1.0, 0.4, 0.1, 14, "step"))
+    rep = check_variance_bound(seg, oracle, params, L_hat=2.0,
+                               sigma_hat=5.0)
     assert rep.online_term == pytest.approx(0.5)
     bound = (2.0 / 2.0) * 0.1 + 0.5
     assert rep.ratios[0] == pytest.approx(0.3 / bound)
@@ -405,13 +411,12 @@ def test_variance_requires_gap_recording(medium_rayleigh):
     params = _params(eta=0.01, m=4, b=4, B=medium_rayleigh.n, T_max=4)
     out = tssrg_run(oracle, u0, params, master_stream(3).child(TAG_OUTER, 0))
     with pytest.raises(SchemaError):
-        check_variance_bound(out.segment, L_hat=6.0, b=4,
-                             B_size=medium_rayleigh.n)
+        check_variance_bound(out.segment, oracle, params, L_hat=6.0)
 
 
 def test_variance_validates_inputs():
     with pytest.raises(ParameterError):
-        check_variance_bound(TraceSegment(), L_hat=0.0, b=4, B_size=4)
+        check_variance_bound(TraceSegment(), None, _params(), L_hat=0.0)
 
 
 # --------------------------------------------------- improve-or-localize
@@ -420,7 +425,7 @@ def test_localize_stationary_run_holds(clean_rayleigh):
     oracle = PullbackOracle(clean_rayleigh, clean_rayleigh.eigvec(1))
     params = _params(m=4, b=4, B=clean_rayleigh.n, T_max=4)
     out = tssrg_run(oracle, oracle.zero(), params,
-                    master_stream(4).child(TAG_OUTER, 0), record_u=True)
+                    master_stream(4).child(TAG_OUTER, 0), record=True)
     rep = check_improve_or_localize(out.segment, L_hat=6.0)
     assert rep.holds and bool(rep)
     assert rep.c1_fit == math.inf  # never moved
@@ -435,20 +440,17 @@ def test_localize_descent_run(medium_rayleigh):
     params = _params(eta=0.02, m=10, b=n, B=n, T_max=10)
     u0 = medium_rayleigh.manifold.sample_ball(x, 0.01, rng)
     out = tssrg_run(oracle, u0, params, master_stream(5).child(TAG_OUTER, 0),
-                    record_u=True)
+                    record=True)
     rep = check_improve_or_localize(out.segment, L_hat=6.0, c1=1e-3)
     assert rep.holds
     assert 0.0 < rep.c1_fit < math.inf
 
 
 def test_localize_flags_increasing_objective():
-    seg = TraceSegment(u_vecs=[])
-    seg.rows.append(TraceRow(0, 0, "", 1.0, 0.5, None, 0.0, 10, "anchor"))
-    seg.du_norms.append(0.0)
-    seg.u_vecs.append(np.zeros(2))
+    seg = TraceSegment(u_vecs=[np.zeros(2)])
+    seg.rows.append(TraceRow(0, 0, "", 1.0, 0.5, 0.0, 10, "anchor"))
     # the iterate moved while F went up: no positive c1 can hold
-    seg.rows.append(TraceRow(0, 1, "", 1.5, 0.5, None, 0.2, 14, "step"))
-    seg.du_norms.append(0.2)
+    seg.rows.append(TraceRow(0, 1, "", 1.5, 0.5, 0.2, 14, "step"))
     seg.u_vecs.append(np.array([0.2, 0.0]))
     rep = check_improve_or_localize(seg, L_hat=2.0)
     assert not rep.holds

@@ -468,22 +468,32 @@ def test_config_sections_resolve_type_hints_once(monkeypatch):
     assert max(calls.values()) == 1
 
 
-def test_unperturbed_params_are_prsrg_params_with_zero_radius(monkeypatch):
-    # rsrg_unperturbed derives its parameters as prsrg does, from one
-    # probe, and only then sets r = 0
-    probes = []
+@pytest.fixture
+def probes(tmp_path, monkeypatch):
+    """Logs every smoothness probe: each ``estimate_lipschitz`` call appends
+    its objective's n to a file, which a forked sweep worker appends to as
+    well. Returns a function that reads the logged n values."""
+    log = tmp_path / "probes.log"
+    log.touch()
     real = PullbackOracle.estimate_lipschitz
 
     def counting_probe(self, *args, **kwargs):
-        probes.append(self.objective.n)
+        with open(log, "a") as fh:
+            fh.write(f"{self.objective.n}\n")
         return real(self, *args, **kwargs)
 
     monkeypatch.setattr(PullbackOracle, "estimate_lipschitz", counting_probe)
+    return lambda: [int(line) for line in log.read_text().split()]
+
+
+def test_unperturbed_params_are_prsrg_params_with_zero_radius(probes):
+    # rsrg_unperturbed derives its parameters as prsrg does, from one
+    # probe, and only then sets r = 0
     cfg = parse_config(SMALL_RUN)
     _, params = run_experiment(cfg)
     _, unperturbed = run_experiment(
         dataclasses.replace(cfg, algo="rsrg_unperturbed"))
-    assert probes == [cfg.problem.n, cfg.problem.n]
+    assert probes() == [cfg.problem.n, cfg.problem.n]
     assert params.r > 0
     assert unperturbed == dataclasses.replace(params, r=0.0)
 
@@ -614,30 +624,18 @@ def test_sweep_builds_each_problem_once_per_n(tmp_path, monkeypatch):
     assert built == [12]
 
 
-@pytest.mark.parametrize("algo, probes", [("prsrg", 2), ("prgd", 0)])
-def test_sweep_probes_smoothness_once_per_seed(tmp_path, monkeypatch, algo,
-                                                probes):
+@pytest.mark.parametrize("algo, count", [("prsrg", 2), ("prgd", 0)])
+def test_sweep_probes_smoothness_once_per_seed(tmp_path, probes, algo,
+                                                count):
     # the probe reads Abar, the start point and the seed, never n, so a
     # seed's first cell probes and its other cells reuse the estimate;
     # baselines derive no parameters and never probe. A seed's cells may
-    # run in a forked worker, so each probe appends a line to a file that
-    # every process writes to
-    log = tmp_path / "probes.log"
-    log.touch()
-    real = PullbackOracle.estimate_lipschitz
-
-    def counting_probe(self, rng, *args, **kwargs):
-        with open(log, "a") as fh:
-            fh.write(f"{self.objective.n}\n")
-        return real(self, rng, *args, **kwargs)
-
-    monkeypatch.setattr(PullbackOracle, "estimate_lipschitz", counting_probe)
+    # run in a forked worker, whose probes the fixture's file logs too
     text = SWEEP_RUN.replace("n = 8,12", "n = 12,7,8").replace(
         "seed = 11", f"seed = 11\nalgo = {algo}")
     rows = run_sweep(parse_config(text), tmp_path / "grid")
     assert len(rows) == 6
-    seen = [int(line) for line in log.read_text().split()]
-    assert seen == [7] * probes
+    assert probes() == [7] * count
 
 
 # ----------------------------------------------------------- sweep workers
@@ -860,18 +858,10 @@ def test_sweep_caller_failure_kills_and_reaps_children(
 
 
 @pytest.mark.parametrize("name", ["epsilon", "delta", "budget"])
-def test_zero_tolerance_is_rejected_before_the_probe(monkeypatch, name):
+def test_zero_tolerance_is_rejected_before_the_probe(probes, name):
     # epsilon, delta and the budget depend on nothing the probe measures,
     # so a zero tolerance or a negative budget exits before the smoothness
     # probe runs, and the error names it
-    seen = []
-    real = PullbackOracle.estimate_lipschitz
-
-    def counting_probe(self, rng, *args, **kwargs):
-        seen.append(self.objective.n)
-        return real(self, rng, *args, **kwargs)
-
-    monkeypatch.setattr(PullbackOracle, "estimate_lipschitz", counting_probe)
     obj = build_problem(parse_config(SMALL_RUN))
     args = {"epsilon": 0.05, "delta": 0.5, "budget": 6000}
     if name == "budget":
@@ -880,7 +870,7 @@ def test_zero_tolerance_is_rejected_before_the_probe(monkeypatch, name):
         args[name], error = 0.0, f"{name} must be positive and finite, got 0.0"
     with pytest.raises(ParameterError, match=re.escape(error)):
         auto_solve(obj, obj.eigvec(1), rng=7, **args)
-    assert seen == []
+    assert probes() == []
 
 
 def test_infinite_epsilon_is_rejected_by_the_one_range_rule():
@@ -943,9 +933,9 @@ def test_sweep_requires_n_values(tmp_path):
 
 def test_trace_csv_roundtrip(tmp_path):
     rows = [
-        TraceRow(0, 0, "type1_descent", 1 / 3, 0.1, None, 0.0, 30, "anchor"),
-        TraceRow(0, 1, "type1_descent", 0.25, 1e-17, 0.125, 0.3, 42, "step"),
-        TraceRow(0, 2, "type1_descent", -0.5, 2.0, None, 0.5, 42, "boundary"),
+        TraceRow(0, 0, "type1_descent", 1 / 3, 0.1, 0.0, 30, "anchor"),
+        TraceRow(0, 1, "type1_descent", 0.25, 1e-17, 0.3, 42, "step"),
+        TraceRow(0, 2, "type1_descent", -0.5, 2.0, 0.5, 42, "boundary"),
     ]
     path = tmp_path / "t.trace.csv"
     write_trace(path, rows)
@@ -961,10 +951,8 @@ def test_trace_csv_roundtrip(tmp_path):
 
 def _csv_writer_trace(rows):
     """The trace through ``csv.writer``, the form ``rows_to_csv`` replaced:
-    "" for None, ``str`` of integers, ``repr(float(x))`` of other numbers."""
+    ``str`` of integers, ``repr(float(x))`` of other numbers."""
     def fmt(x):
-        if x is None:
-            return ""
         if isinstance(x, (int, np.integer)):
             return str(int(x))
         return repr(float(x))
@@ -975,22 +963,23 @@ def _csv_writer_trace(rows):
     for r in rows:
         w.writerow([str(r.outer_t), str(r.inner_k), r.epoch_type,
                     fmt(r.F_value), fmt(r.grad_norm_or_batch),
-                    fmt(r.estimator_gap), fmt(r.u_norm), str(r.queries_cum),
-                    r.event])
+                    fmt(r.u_norm), str(r.queries_cum), r.event])
     return buf.getvalue()
 
 
 def test_rows_to_csv_equals_csv_writer_bytes():
     nan, inf = float("nan"), float("inf")
     rows = [
-        TraceRow(0, 0, "", 1 / 3, 0.1, None, 0.0, 30, "anchor"),
-        TraceRow(1, 2, "escape", nan, inf, -inf, -0.0, 64, "step"),
+        TraceRow(0, 0, "", 1 / 3, np.float64(0.1), -0.0, 30, "anchor"),
+        TraceRow(1, 2, "escape", nan, inf, -inf, 64, "step"),
         TraceRow(np.int64(3), np.int32(4), "useful", 5e-324, -5e-324, 1e308,
-                 np.float64(0.1), np.int64(2**62), "max_iter"),
-        TraceRow(5, 6, "wasted", np.int64(-7), 8, np.float32(0.1),
-                 np.float64(-0.0), 9, "uniform_break"),
-        TraceRow(7, 0, "baseline", True, np.uint8(3), np.float64(nan), 1e-17,
-                 0, "grad_check"),
+                 np.int64(2**62), "max_iter"),
+        TraceRow(5, 6, "wasted", np.int64(-7), 8, np.float32(0.1), 9,
+                 "uniform_break"),
+        TraceRow(7, 0, "baseline", True, np.uint8(3), np.float64(nan), 0,
+                 "grad_check"),
+        TraceRow(8, 1, "type1_descent", 1e-17, np.float64(-0.0), 0.0, 1,
+                 "boundary"),
     ]
     text = rows_to_csv(rows)
     assert text == _csv_writer_trace(rows)

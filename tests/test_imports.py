@@ -212,7 +212,7 @@ def test_coupled_run_is_not_exported():
 
 
 def test_trace_rows_compare_field_by_field():
-    fields = (0, 1, "escape", 0.5, 0.25, None, 0.125, 42, "step")
+    fields = (0, 1, "escape", 0.5, 0.25, 0.125, 42, "step")
     row = TraceRow(*fields)
     assert row == TraceRow(*fields)
     assert row != TraceRow(*fields[:-1], "boundary")

@@ -37,8 +37,12 @@ def test_readme_ini_example_runs_and_certifies(tmp_path, capsys):
     assert set(summary) == set(documented)
     assert summary["certified"] is True
     assert summary == documented
-    assert (tmp_path / "results" / "run0.trace.csv").is_file()
     assert (tmp_path / "results" / "run0.report.json").is_file()
+    # "Output files" documents the trace header the run wrote
+    outputs = README.split("## Output files", 1)[1]
+    (header,) = re.findall(r"```\n(.*?)\n```", outputs, flags=re.DOTALL)[:1]
+    trace = (tmp_path / "results" / "run0.trace.csv").read_text()
+    assert trace.splitlines()[0] == header
 
 
 def test_config_reference_names_every_key():

@@ -26,7 +26,11 @@ from prsrg import (
     boundary_alpha,
     tssrg_run,
 )
+from prsrg.geometry import _norm
 from prsrg.rng import TAG_ANCHOR, TAG_BATCH, TAG_OUTER, master_stream
+from prsrg.trace import _STEP_EVENTS
+
+from replay import estimator_gap
 
 
 def _params(**kw):
@@ -157,9 +161,10 @@ def test_full_batch_recursion_telescopes(medium_rayleigh):
     n = medium_rayleigh.n
     params = _params(eta=0.01, m=8, b=n, B=n, T_max=8)
     out = tssrg_run(oracle, u0, params, master_stream(2).child(TAG_OUTER, 0),
-                    record_gaps=True)
+                    record=True)
     assert out.exit is ExitReason.MAX_ITER
-    gaps = [r.estimator_gap for r in out.segment.rows]
+    gaps = [estimator_gap(oracle, u, v)
+            for u, v in zip(out.segment.u_vecs, out.segment.v_vecs)]
     assert max(gaps) <= 1e-8
 
 
@@ -182,7 +187,7 @@ def test_linear_recursion_closed_form():
     eta, T = 0.1, 30
     params = _params(eta=eta, m=T, b=obj.n, B=obj.n, D=10.0, T_max=T)
     out = tssrg_run(oracle, u0, params, master_stream(4).child(TAG_OUTER, 0),
-                    record_u=True)
+                    record=True)
     M = np.eye(5) - eta * obj.Abar
     expect = u0_vec.copy()
     for t in range(1, T + 1):
@@ -247,8 +252,8 @@ def test_coupled_equal_starts_identical(medium_rayleigh):
     params = _params(eta=0.02, m=4, b=4, B=32, T_max=12)
     oracle = PullbackOracle(medium_rayleigh, x)
     stream = master_stream(9).child(TAG_OUTER, 0)
-    a = tssrg_run(oracle, u0, params, stream, record_u=True)
-    b = tssrg_run(oracle, u0, params, stream, record_u=True)
+    a = tssrg_run(oracle, u0, params, stream, record=True)
+    b = tssrg_run(oracle, u0, params, stream, record=True)
     assert a.exit == b.exit and a.iterations == b.iterations
     assert np.array_equal(a.u_final.coords, b.u_final.coords)
     for ua, ub in zip(a.segment.u_vecs, b.segment.u_vecs):
@@ -267,8 +272,8 @@ def test_coupled_difference_grows_at_exact_rate():
     u0b = oracle.manifold.tangent(oracle.anchor, 0.5 * r0 * e1)
     params = _params(eta=eta, m=T, b=obj.n, B=obj.n, D=10.0, T_max=T)
     stream = master_stream(11).child(TAG_OUTER, 0)
-    a = tssrg_run(oracle, u0a, params, stream, record_u=True)
-    b = tssrg_run(oracle, u0b, params, stream, record_u=True)
+    a = tssrg_run(oracle, u0a, params, stream, record=True)
+    b = tssrg_run(oracle, u0b, params, stream, record=True)
     assert a.exit is ExitReason.MAX_ITER and b.exit is ExitReason.MAX_ITER
     for t in range(T + 1):
         dev = np.linalg.norm(a.segment.u_vecs[t] - b.segment.u_vecs[t])
@@ -312,9 +317,9 @@ def test_coupled_runs_share_minibatches_until_either_exits(kind, r_a, r_b):
     stream = master_stream(3).child(TAG_OUTER, 0)
     x = oracle.anchor
     a = tssrg_run(oracle, obj.manifold.tangent(x, r_a * e0), params, stream,
-                  record_u=True)
+                  record=True)
     b = tssrg_run(oracle, obj.manifold.tangent(x, r_b * e0), params, stream,
-                  record_u=True)
+                  record=True)
     # a boundary exit at step t stops before drawing that step's minibatch
     drawn_a = a.iterations - (a.exit is ExitReason.BOUNDARY)
     drawn_b = b.iterations - (b.exit is ExitReason.BOUNDARY)
@@ -472,21 +477,24 @@ def test_boundary_row_costs_nothing():
 
 # ------------------------------------------- array loop vs. public calls
 
-def _reference_run(oracle, u0, params, stream, anchor_grad=None,
-                   record_gaps=False):
+def _reference_run(oracle, u0, params, stream, anchor_grad=None):
     """The tangent-space loop stepped through the public, validating oracle
     calls on TangentVectors, reading the same per-epoch tapes and anchor
-    streams as tssrg_run. Returns (rows, du_norms, u_final, exit, iterations)."""
+    streams as tssrg_run. Returns (rows, gaps, step lengths, u_final, exit,
+    iterations); a gap is ||v - exact gradient at u|| (None on a boundary
+    row) and a step length ||eta v_{t-1}|| (0 on an anchor or boundary
+    row)."""
     x, obj = oracle.anchor, oracle.objective
     perturbed = np.linalg.norm(u0.coords) > 0.0
-    rows, dus = [], []
+    rows, gaps, dus = [], [], []
 
     def emit(k, u, v, event, du=0.0):
         gap = None
-        if record_gaps and event != "boundary":
+        if event != "boundary":
             gap = float(np.linalg.norm(v.coords - oracle.exact_grad(u).coords))
-        rows.append((k, oracle.value(u), float(np.linalg.norm(v.coords)), gap,
+        rows.append((k, oracle.value(u), float(np.linalg.norm(v.coords)),
                      float(np.linalg.norm(u.coords)), oracle.queries, event))
+        gaps.append(gap)
         dus.append(du)
 
     def anchor(u, pos):
@@ -507,9 +515,8 @@ def _reference_run(oracle, u0, params, stream, anchor_grad=None,
             if np.linalg.norm(u_next.coords) >= params.D:
                 alpha = boundary_alpha(u_prev.coords, w, params.D)
                 u_exit = TangentVector(x, u_prev.coords - alpha * w)
-                emit(k, u_exit, v, "boundary",
-                     du=alpha * params.eta * float(np.linalg.norm(v.coords)))
-                return rows, dus, u_exit.coords, ExitReason.BOUNDARY, t
+                emit(k, u_exit, v, "boundary")
+                return rows, gaps, dus, u_exit.coords, ExitReason.BOUNDARY, t
             batch = obj.sample_minibatch(params.b, tape)
             g_new = oracle.grad_batch(batch, u_next)
             g_old = oracle.grad_batch(batch, u_prev)
@@ -521,14 +528,14 @@ def _reference_run(oracle, u0, params, stream, anchor_grad=None,
                 event = "uniform_break"
             emit(k, u_next, v, event, du=float(np.linalg.norm(w)))
             if event != "step":
-                return rows, dus, u_next.coords, ExitReason(event), t
+                return rows, gaps, dus, u_next.coords, ExitReason(event), t
             u_prev = u_next
         v = anchor(u_prev, t // params.m)
         emit(0, u_prev, v, "anchor")
 
 
 def _bitwise_case(case):
-    """(objective, anchor, u0 radius, params, anchor_grad?, record_gaps,
+    """(objective, anchor, u0 radius, params, anchor_grad?, record,
     expected exit) for one named case."""
     rng = np.random.default_rng(21)
     spec = np.concatenate(([2.0, 1.0], np.linspace(0.9, 0.1, 18)))
@@ -580,7 +587,7 @@ class _ValueCounter(PullbackOracle):
     "streaming_max_iter", "streaming_break",
 ])
 def test_array_loop_matches_public_call_reference_bitwise(case):
-    obj, x, (r0, params, with_anchor, gaps, exit_) = _bitwise_case(case)
+    obj, x, (r0, params, with_anchor, record, exit_) = _bitwise_case(case)
     man = obj.manifold
     u0 = man.sample_ball(x, r0, np.random.default_rng(5))
     stream = master_stream(13).child(TAG_OUTER, 0)
@@ -592,17 +599,15 @@ def test_array_loop_matches_public_call_reference_bitwise(case):
             params.B, ref_oracle.zero(), np.random.default_rng(6))
         anchor_run = run_oracle.grad_largebatch(
             params.B, run_oracle.zero(), np.random.default_rng(6))
-    rows, dus, u_final, ref_exit, iters = _reference_run(
-        ref_oracle, u0, params, stream, anchor_grad=anchor_ref,
-        record_gaps=gaps)
+    rows, gaps, dus, u_final, ref_exit, iters = _reference_run(
+        ref_oracle, u0, params, stream, anchor_grad=anchor_ref)
     out = tssrg_run(run_oracle, u0, params, stream, anchor_grad=anchor_run,
-                    record_gaps=gaps)
+                    record=record)
     assert ref_exit is exit_ and out.exit is exit_
     assert out.iterations == iters
-    got = [(r.inner_k, r.F_value, r.grad_norm_or_batch, r.estimator_gap,
-            r.u_norm, r.queries_cum, r.event) for r in out.segment.rows]
+    got = [(r.inner_k, r.F_value, r.grad_norm_or_batch, r.u_norm,
+            r.queries_cum, r.event) for r in out.segment.rows]
     assert got == rows
-    assert out.segment.du_norms == dus
     assert np.array_equal(out.u_final.coords, u_final)
     assert run_oracle.queries == ref_oracle.queries
     # a step's F comes with its two gradients from one stacked call, and an
@@ -610,6 +615,42 @@ def test_array_loop_matches_public_call_reference_bitwise(case):
     # step's F; only u0's row and a boundary row call the validating value()
     boundary = sum(r.event == "boundary" for r in out.segment.rows)
     assert run_oracle.value_calls == 1 + boundary
+    seg = out.segment
+    if not record:
+        assert seg.u_vecs is None and seg.v_vecs is None
+        return
+    # the replay's gaps and step lengths from the recorded u and v are the
+    # reference loop's, bit for bit
+    assert [None if r.event == "boundary"
+            else estimator_gap(run_oracle, u, v)
+            for r, u, v in zip(seg.rows, seg.u_vecs, seg.v_vecs)] == gaps
+    assert all(_norm(params.eta * seg.v_vecs[i - 1]) == dus[i]
+               for i, r in enumerate(seg.rows) if r.event in _STEP_EVENTS)
+
+
+@pytest.mark.parametrize("case", [
+    "rayleigh_max_iter_gaps", "rayleigh_break", "quadratic_boundary",
+    "rayleigh_exhaustive",
+])
+def test_recorded_vectors_are_the_rows_vectors(case):
+    # the replay checks read u and v from the recording: the norm of each is
+    # its row's u_norm and grad_norm_or_batch bit for bit (a boundary row's
+    # v is the one its cut-short step used), and recording changes no row
+    name = "rayleigh_max_iter_gaps" if case == "rayleigh_exhaustive" else case
+    obj, x, (r0, params, _, _, exit_) = _bitwise_case(name)
+    if case == "rayleigh_exhaustive":  # b = B = n: every batch is exact
+        params = _params(eta=0.05, m=5, b=obj.n, B=obj.n, T_max=12)
+    u0 = obj.manifold.sample_ball(x, r0, np.random.default_rng(5))
+    stream = master_stream(13).child(TAG_OUTER, 0)
+    out = tssrg_run(PullbackOracle(obj, x), u0, params, stream, record=True)
+    plain = tssrg_run(PullbackOracle(obj, x), u0, params, stream)
+    assert out.exit is exit_
+    seg = out.segment
+    assert seg.rows == plain.segment.rows
+    assert len(seg.u_vecs) == len(seg.v_vecs) == len(seg.rows)
+    for row, u, v in zip(seg.rows, seg.u_vecs, seg.v_vecs):
+        assert _norm(v) == row.grad_norm_or_batch
+        assert _norm(u) == row.u_norm
 
 
 def test_foreign_base_point_rejected_at_entry(medium_rayleigh):
