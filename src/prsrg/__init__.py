@@ -22,10 +22,10 @@ _EXPORTS = {
     "baselines": "BaselineConfig baseline_run",
     "diagnostics": "Certification certify lanczos_min_eig",
     "errors": "ContractViolation EmptyBatch InvariantViolation "
-              "NumericalFailure OutOfBall ParameterError SchemaError",
+              "NumericalFailure OutOfBall ParameterError",
     "geometry": "Euclidean Manifold ManifoldPoint Sphere TangentVector",
     "harness": "ExperimentConfig dump_config load_config parse_config "
-               "parse_spectrum run_certify run_experiment run_sweep",
+               "parse_spectrum run_experiment run_sweep",
     "problems": "QuadraticSaddleInstance RayleighInstance "
                 "StreamingRayleighInstance",
     "pullback": "Batch FiniteSumObjective LipschitzEstimate PullbackOracle",

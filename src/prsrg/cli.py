@@ -1,10 +1,10 @@
 """Command-line entry points.
 
-Subcommands: run (optimize per config), certify (check a stored point),
-sweep (n x seed grid), print-config.
+Subcommands: run (optimize per config), sweep (n x seed grid),
+print-config.
 Exit codes: 0 success, 1 internal failure (non-finite values mid-run or a
-broken accounting invariant), 2 config/point validation error. Failures
-print one ``error:`` line on stderr.
+broken accounting invariant), 2 config validation error. Failures print
+one ``error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ import json
 import sys
 
 from .errors import (ContractViolation, InvariantViolation, NumericalFailure,
-                     ParameterError, SchemaError)
-from .harness import (ALGOS, dump_config, load_config, run_certify,
+                     ParameterError)
+from .harness import (ALGOS, _run_summary, dump_config, load_config,
                       run_experiment, run_sweep)
 
 EXIT_OK = 0
@@ -46,11 +46,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--algo", choices=ALGOS, default=None,
                        help="override [experiment] algo")
 
-    p_cert = sub.add_parser("certify", help="certify a stored point")
-    common(p_cert)
-    p_cert.add_argument("--point", required=True,
-                        help="point coordinates (.csv or whitespace text)")
-
     p_sweep = sub.add_parser("sweep", help="run the [sweep] grid")
     common(p_sweep)
 
@@ -77,17 +72,7 @@ def main(argv=None) -> int:
         if args.command == "run":
             cfg = _load(args)
             report, _ = run_experiment(cfg, out=args.out)
-            line = {"exit_reason": report.exit_reason,
-                    "queries_used": report.queries_used,
-                    "best_F": report.best_F,
-                    "certified": report.certified is not None
-                                 and report.certified.passed}
-            print(json.dumps(line, sort_keys=True))
-            return EXIT_OK
-        if args.command == "certify":
-            cfg = _load(args)
-            payload = run_certify(cfg, args.point, out=args.out)
-            print(json.dumps(payload, sort_keys=True))
+            print(json.dumps(_run_summary(report), sort_keys=True))
             return EXIT_OK
         if args.command == "sweep":
             cfg = _load(args)
@@ -101,7 +86,7 @@ def main(argv=None) -> int:
             print(dump_config(cfg), end="")
             return EXIT_OK
         raise AssertionError(f"unhandled command {args.command}")
-    except (ParameterError, SchemaError, ContractViolation, OSError) as exc:
+    except (ParameterError, ContractViolation, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except (NumericalFailure, InvariantViolation) as exc:

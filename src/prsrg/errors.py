@@ -1,7 +1,9 @@
 """Shared exception types.
 
 Every contract violation in the library raises one of these rather than a bare
-ValueError, so callers (and the CLI) can map failure classes to exit codes.
+ValueError, so callers can map failure classes to exit codes: the CLI exits
+2 on ParameterError and ContractViolation (bad input) and 1 on
+InvariantViolation and NumericalFailure.
 """
 
 
@@ -19,10 +21,6 @@ class EmptyBatch(ValueError):
 
 class ParameterError(ValueError):
     """A solver parameter is out of its documented range."""
-
-
-class SchemaError(ValueError):
-    """A point file is missing, cannot be parsed or holds no coordinates."""
 
 
 class InvariantViolation(RuntimeError):

@@ -21,7 +21,7 @@ Spectrum grammar: a comma list of terms, each either a float literal or
 ``linspace:a:b:k`` (k evenly spaced values from a to b inclusive), e.g.
 ``2.0,1.0,linspace:0.9:0.1:98``.
 
-Option names are case-sensitive: [problem] ``L_top`` is not ``l_top``.
+Option names are case-sensitive: ``Seed`` is not [experiment] ``seed``.
 """
 
 from __future__ import annotations
@@ -36,24 +36,22 @@ import os
 import pickle
 import sys
 import typing
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .diagnostics import certify
-from .errors import InvariantViolation, ParameterError, SchemaError
-from .geometry import Manifold, ManifoldPoint
-from .problems import (QuadraticSaddleInstance, RayleighInstance,
-                       StreamingRayleighInstance, _usable_cpus)
-from .pullback import LipschitzEstimate, PullbackOracle
+from .errors import InvariantViolation, ParameterError
+from .geometry import ManifoldPoint
+from .problems import (RayleighInstance, StreamingRayleighInstance,
+                       _usable_cpus)
+from .pullback import LipschitzEstimate
 from .rng import TAG_INIT, master_stream
 from .solver import SolverParams, probe_params, prsrg_run
 from .trace import write_trace
 
 ALGOS = ("prsrg", "prgd", "rsrg_unperturbed")
-PROBLEM_KINDS = ("rayleigh", "quadratic_saddle", "streaming_rayleigh")
+PROBLEM_KINDS = ("rayleigh", "streaming_rayleigh")
 
 # far above any dimension whose dense d x d problem matrices fit in memory
 _MAX_LINSPACE = 1_000_000
@@ -100,8 +98,6 @@ class ProblemSpec:
     kind: str = "rayleigh"
     spectrum: str = "2.0,1.0,linspace:0.9:0.1:98"
     noise_scale: float = 0.5
-    gamma: float = 1.0
-    L_top: float = 2.0
     start: str = "random"
     n: int | None = 1000
     rotation_seed: int | None = None
@@ -212,7 +208,7 @@ def _convert(section: str, key: str, raw: str, kind, default):
 def parse_config(text: str) -> ExperimentConfig:
     """Parse INI text; every section and key must be a dataclass field."""
     parser = configparser.ConfigParser(interpolation=None)
-    parser.optionxform = str  # keys are case-sensitive: L_top
+    parser.optionxform = str  # keys are case-sensitive: Seed is not seed
     try:
         parser.read_string(text)
     except configparser.Error as exc:
@@ -297,10 +293,6 @@ def _build_kind(prob):
         if prob.kind == "rayleigh":
             return RayleighInstance(spectrum.size, prob.n, spectrum,
                                     prob.noise_scale, prob.rotation_seed)
-        if prob.kind == "quadratic_saddle":
-            return QuadraticSaddleInstance(
-                spectrum.size, prob.gamma, prob.L_top, prob.n,
-                prob.rotation_seed, prob.noise_scale)
         return StreamingRayleighInstance(spectrum.size, spectrum,
                                          prob.rotation_seed)
     except ParameterError as exc:
@@ -309,63 +301,24 @@ def _build_kind(prob):
 
 
 def resolve_start(cfg: ExperimentConfig, objective, stream) -> ManifoldPoint:
-    """Name -> point: eN / zero / random / coords:... / file:..."""
+    """Name -> point: random / eN."""
     man = objective.manifold
     name = cfg.problem.start.strip()
     if name == "random":
         x0 = man.rand_point(stream.child(TAG_INIT).generator())
-    elif name == "zero":
-        x0 = man.point(np.zeros(man.ambient_dim))
     elif name.startswith("e") and name[1:].isdecimal():
-        if not hasattr(objective, "eigvec"):
-            raise ParameterError(f"[problem] start {name!r} needs a spectrum "
-                                 "problem")
         j = int(name[1:]) - 1
         if not 0 <= j < man.ambient_dim:
             raise ParameterError(f"[problem] start {name!r}: eigenvector "
                                  f"index out of range for dimension "
                                  f"{man.ambient_dim}")
         x0 = objective.eigvec(j)
-    elif name.startswith("coords:"):
-        try:
-            vals = np.array([float(s) for s in name[7:].split(",")])
-        except ValueError as exc:
-            raise ParameterError(f"[problem] start {name!r}: {exc}") from exc
-        x0 = man.point(vals)
-    elif name.startswith("file:"):
-        x0 = load_point(man, name[5:])
     else:
         raise ParameterError(f"[problem] unknown start {name!r}")
-    with np.errstate(all="ignore"):  # far out on euclidean:n, F overflows
+    with np.errstate(all="ignore"):  # a spectrum near 1e308 overflows F
         if not math.isfinite(objective.value(x0)):
             raise ParameterError(f"[problem] start {name!r}: F is not finite")
     return x0
-
-
-def _loadtxt(path, delimiter: str | None = None) -> np.ndarray:
-    """``np.loadtxt`` into a 2-D float64 array, without the warning it prints
-    for input with no data row (empty, blank or ``#`` comments only); the
-    caller rejects that empty result with its own error."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        return np.loadtxt(path, delimiter=delimiter, dtype=np.float64, ndmin=2)
-
-
-def load_point(man: Manifold, path) -> ManifoldPoint:
-    """Read a point's ambient coordinates from CSV or whitespace text and
-    validate them."""
-    if not Path(path).is_file():
-        raise SchemaError(f"point file not found: {str(path)!r}")
-    try:
-        arr = _loadtxt(path, ",")
-    except ValueError:
-        try:
-            arr = _loadtxt(path)
-        except ValueError as exc:
-            raise SchemaError(f"cannot parse point file {path}: {exc}") from exc
-    if arr.size == 0:
-        raise SchemaError(f"point file {path} holds no coordinates")
-    return man.point(arr.ravel())
 
 
 def resolve_params(cfg: ExperimentConfig, objective, x0, stream,
@@ -417,6 +370,16 @@ def run_experiment(cfg: ExperimentConfig, *, out: str | None = None,
     return report, params
 
 
+def _run_summary(report) -> dict:
+    """A run's summary: the ``prsrg run`` stdout line and, after n and
+    seed, a row of a sweep's summary.csv."""
+    return {"exit_reason": report.exit_reason,
+            "queries_used": report.queries_used,
+            "best_F": report.best_F,
+            "certified": (report.certified is not None
+                          and report.certified.passed)}
+
+
 def _artifact_path(prefix, suffix: str) -> Path:
     """prefix with suffix appended to its whole name, so dots in the name
     stay: res/run.v1 gives res/run.v1.trace.csv."""
@@ -424,19 +387,15 @@ def _artifact_path(prefix, suffix: str) -> Path:
     return path.with_name(path.name + suffix)
 
 
-def _write_json(prefix, suffix: str, payload: dict) -> Path:
-    """Write payload as sorted, indented JSON to prefix + suffix, creating
-    the parent directory."""
-    path = _artifact_path(prefix, suffix)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
-
-
 def write_artifacts(prefix, cfg: ExperimentConfig, report, params) -> tuple[Path, Path]:
+    """Write <prefix>.report.json (sorted, indented JSON) and
+    <prefix>.trace.csv, creating the parent directory."""
     payload = {"config": dump_config(cfg), "report": report.as_dict(),
                "params": dataclasses.asdict(params) if params else None}
-    report_path = _write_json(prefix, ".report.json", payload)
+    report_path = _artifact_path(prefix, ".report.json")
+    report_path.parent.mkdir(parents=True, exist_ok=True)
+    report_path.write_text(json.dumps(payload, indent=2, sort_keys=True)
+                           + "\n")
     trace_path = _artifact_path(prefix, ".trace.csv")
     write_trace(trace_path, report.trace)
     return trace_path, report_path
@@ -506,12 +465,7 @@ def run_sweep(cfg: ExperimentConfig, out_dir) -> list[dict]:
                                        objective=objective,
                                        estimate=estimates.get(seed))
             estimates.setdefault(seed, report.lipschitz)
-            rows.append({"n": n, "seed": seed,
-                         "exit_reason": report.exit_reason,
-                         "queries_used": report.queries_used,
-                         "best_F": report.best_F,
-                         "certified": (report.certified is not None
-                                       and report.certified.passed)})
+            rows.append({"n": n, "seed": seed, **_run_summary(report)})
 
     rows: list[list] = [[] for _ in range(workers)]
     errors: dict[int, Exception] = {}
@@ -608,18 +562,3 @@ def _sweep_child(run_cells, w: int, fd: int) -> typing.NoReturn:
             _flush_stdio()
         finally:
             os._exit(code)
-
-
-def run_certify(cfg: ExperimentConfig, point_path, *,
-                out: str | None = None) -> dict:
-    """Certify a stored point against the configured problem."""
-    objective = build_problem(cfg)
-    x = load_point(objective.manifold, point_path)
-    cert = certify(PullbackOracle(objective, x), cfg.solver.epsilon,
-                   cfg.solver.delta)
-    payload = cert.as_dict()
-    target = out if out is not None else cfg.out
-    if target is not None:
-        _write_json(target, ".cert.json", payload)
-    return payload
-

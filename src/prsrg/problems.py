@@ -5,7 +5,8 @@
   Hessian at eigenvector v_j has eigenvalues -2(lambda_i - lambda_j) along
   v_i.
 * ``QuadraticSaddleInstance`` — Euclidean F(u) = 1/2 u^T H u with
-  lambda_min(H) = -gamma < 0: an exact strict saddle at the origin.
+  lambda_min(H) = -gamma < 0: an exact strict saddle at the origin. It is
+  built through the API only; it is no config ``kind``.
 * ``StreamingRayleighInstance`` — online analogue: components A = a a^T
   with a ~ N(0, Abar), so the population objective matches the finite-sum
   target. A batch of B > d samples is drawn as its second moment (B times
@@ -332,8 +333,7 @@ class QuadraticSaddleInstance(_PairedComponentObjective):
             raise ParameterError("need finite gamma and 0 < L_top < inf")
         if d < 2:
             raise ParameterError(
-                f"quadratic_saddle needs d >= 2 (a spectrum of at least 2 "
-                f"entries), got d = {d}")
+                f"QuadraticSaddleInstance needs d >= 2, got d = {d}")
         self.d = int(d)
         rest = np.linspace(L_top / (d - 1), L_top, d - 1)
         self.spectrum = np.concatenate([[-gamma], rest])
@@ -371,7 +371,10 @@ class StreamingRayleighInstance(_SpectralRayleigh, FiniteSumObjective):
         self._below = np.tril_indices(self.d, -1)
         self._df_offset = np.arange(self.d)
         self.manifold = Sphere(d)
-        self.sigma_hint = self._estimate_sigma()
+        # a spectrum of scale near 1e153 overflows the hint to inf without a
+        # warning; derive_params rejects it with one error
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.sigma_hint = self._estimate_sigma()
 
     def _estimate_sigma(self) -> float:
         rng = master_stream(0).child(TAG_PROBLEM, 3).generator()

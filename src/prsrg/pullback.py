@@ -298,7 +298,10 @@ class PullbackOracle:
         evaluated ``PROBE_BLOCK`` pairs at a time: the block's u, v and
         u +- s w, v +- s w go through ``_exact_grad_coords`` as one stack.
         Every row equals a one-vector evaluation bit for bit, so the
-        estimate is the one a pair-at-a-time loop gives.
+        estimate is the one a pair-at-a-time loop gives. A probe whose
+        gradients or their difference norms pass the float64 range (a
+        spectrum of scale near 1e154) warns nothing and returns a
+        non-finite estimate, which ``probe_params`` rejects.
         """
         if pairs < 1:
             raise ParameterError("need at least one probe pair")
@@ -336,18 +339,19 @@ class PullbackOracle:
             U, V, du = np.array(us), np.array(vs), np.array(dus)
             Uw, Vw = U[has_w], V[has_w]
             S = np.reshape(steps, Uw.shape)
-            G = self._exact_grad_coords(
-                np.concatenate([U, V, Uw + S, Uw - S, Vw + S, Vw - S]))
-            gu, gv, gup, gum, gvp, gvm = np.split(
-                G, np.cumsum([len(us)] * 2 + [len(has_w)] * 3))
-            # fmax passes over a NaN quotient, as max() over floats does
-            l_max = float(np.fmax.reduce(_row_norms(gu - gv)[:, 0] / du,
-                                         initial=l_max))
             c = np.array(scales)[:, None]
-            hu = man.project_ambient(x, (gup - gum) * c)
-            hv = man.project_ambient(x, (gvp - gvm) * c)
-            r_max = float(np.fmax.reduce(
-                _row_norms(hu - hv)[:, 0] / du[has_w], initial=r_max))
+            # an overflow gives an inf or NaN quotient, and maximum keeps it
+            with np.errstate(over="ignore", invalid="ignore"):
+                G = self._exact_grad_coords(
+                    np.concatenate([U, V, Uw + S, Uw - S, Vw + S, Vw - S]))
+                gu, gv, gup, gum, gvp, gvm = np.split(
+                    G, np.cumsum([len(us)] * 2 + [len(has_w)] * 3))
+                l_max = float(np.maximum.reduce(
+                    _row_norms(gu - gv)[:, 0] / du, initial=l_max))
+                hu = man.project_ambient(x, (gup - gum) * c)
+                hv = man.project_ambient(x, (gvp - gvm) * c)
+                r_max = float(np.maximum.reduce(
+                    _row_norms(hu - hv)[:, 0] / du[has_w], initial=r_max))
         l_hat = 1.2 * l_max
         rho_hat = 1.2 * r_max
         return LipschitzEstimate(l_hat, rho_hat, l_hat + rho_hat * D)

@@ -136,10 +136,10 @@ def derive_params(mode: str, n_or_sigma, epsilon: float, delta: float,
     """
     for name, value in (("epsilon", epsilon), ("delta", delta)):
         SolverParams._check_field(name, value)
-    if L_hat <= 0 or not math.isfinite(L_hat):
-        raise ParameterError(f"L_hat must be positive, got {L_hat}")
-    if rho_hat < 0 or not math.isfinite(rho_hat):
-        raise ParameterError(f"rho_hat must be >= 0, got {rho_hat}")
+    if not 0 < L_hat < math.inf:
+        raise ParameterError(f"L_hat must be positive and finite, got {L_hat}")
+    if not 0 <= rho_hat < math.inf:
+        raise ParameterError(f"rho_hat must be >= 0 and finite, got {rho_hat}")
     m, B = _batch_sizes(mode, n_or_sigma, epsilon)
     eta = C_ETA / L_hat
     try:  # delta^3 overflows for a huge delta, and a tiny one puts T_max
@@ -176,7 +176,7 @@ def _batch_sizes(mode: str, n_or_sigma, epsilon: float) -> tuple[int, int]:
         return math.ceil(math.sqrt(n)), n
     if mode == ONLINE:
         sigma = float(n_or_sigma)
-        if not 0 < sigma < math.inf:
+        if not sigma > 0:  # an infinite sigma overflows below
             raise ParameterError(f"online needs sigma > 0, got {n_or_sigma!r}")
         try:  # ceil of inf or nan, or epsilon^2 underflowing to 0, raises;
             # a size past TssrgParams' 2**63 bound is the same failure
@@ -372,6 +372,10 @@ def probe_params(objective, x0: ManifoldPoint, epsilon: float,
     if est is None:
         est = PullbackOracle(objective, x0).estimate_lipschitz(
             stream.child(TAG_DIAG).generator())
+    if not math.isfinite(est.L_hat):
+        raise ParameterError(
+            f"the smoothness probe overflows float64 at spectrum scale "
+            f"{max(abs(objective.spectrum)):.3g} (L_hat = {est.L_hat})")
     params = derive_params(mode, scale, epsilon, delta, est.L_hat,
                            est.rho_hat, D=objective.manifold.D,
                            budget=budget)

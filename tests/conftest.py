@@ -7,9 +7,9 @@ import csv
 import numpy as np
 import pytest
 
-from prsrg import (ManifoldPoint, PullbackOracle, QuadraticSaddleInstance,
-                   RayleighInstance, SchemaError, StreamingRayleighInstance,
-                   TangentVector, TraceRow)
+from prsrg import (ContractViolation, ManifoldPoint, PullbackOracle,
+                   QuadraticSaddleInstance, RayleighInstance,
+                   StreamingRayleighInstance, TangentVector, TraceRow)
 from prsrg.trace import COLUMNS
 
 # every objective family that has a closed-form Hessian action
@@ -102,7 +102,7 @@ def read_trace(path) -> list[TraceRow]:
         reader = csv.reader(fh)
         header = next(reader)
         if tuple(header) != COLUMNS:
-            raise SchemaError(f"unexpected trace header: {header}")
+            raise ContractViolation(f"unexpected trace header: {header}")
         rows = []
         for rec in reader:
             rows.append(TraceRow(

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from prsrg.diagnostics import _hessian_lanczos
-from prsrg.errors import ContractViolation, ParameterError, SchemaError
+from prsrg.errors import ContractViolation, ParameterError
 from prsrg.geometry import TangentVector, _norm
 from prsrg.pullback import PullbackOracle
 from prsrg.rng import TAG_PERTURB, TAG_TRIAL, StreamTree
@@ -79,8 +79,8 @@ def check_variance_bound(segment: TraceSegment, oracle: PullbackOracle,
     if L_hat <= 0:
         raise ParameterError("L_hat must be positive")
     if segment.v_vecs is None:
-        raise SchemaError("segment lacks vector recording; rerun with "
-                          "record=True")
+        raise ContractViolation("segment lacks vector recording; rerun "
+                                "with record=True")
     b, B_size = params.b, params.B
     online = (sigma_hat / math.sqrt(B_size)) if sigma_hat else 0.0
     ratios: list[float] = []
@@ -129,8 +129,8 @@ class LocalizeReport:
 def check_improve_or_localize(segment: TraceSegment, L_hat: float,
                               c1: float = 1.0) -> LocalizeReport:
     if segment.u_vecs is None:
-        raise SchemaError("segment lacks vector recording; rerun with "
-                          "record=True")
+        raise ContractViolation("segment lacks vector recording; rerun "
+                                "with record=True")
     if L_hat <= 0 or c1 <= 0:
         raise ParameterError("L_hat and c1 must be positive")
     rows = segment.rows

@@ -11,12 +11,12 @@ import pytest
 
 from prsrg import (
     Certification,
+    ContractViolation,
     Euclidean,
     ParameterError,
     PullbackOracle,
     QuadraticSaddleInstance,
     RayleighInstance,
-    SchemaError,
     StreamingRayleighInstance,
     TangentVector,
     TssrgParams,
@@ -410,7 +410,7 @@ def test_variance_requires_gap_recording(medium_rayleigh):
     u0 = medium_rayleigh.manifold.sample_ball(x, 0.05, rng)
     params = _params(eta=0.01, m=4, b=4, B=medium_rayleigh.n, T_max=4)
     out = tssrg_run(oracle, u0, params, master_stream(3).child(TAG_OUTER, 0))
-    with pytest.raises(SchemaError):
+    with pytest.raises(ContractViolation):
         check_variance_bound(out.segment, oracle, params, L_hat=6.0)
 
 
@@ -462,7 +462,7 @@ def test_localize_requires_iterate_recording(clean_rayleigh):
     params = _params(m=2, b=2, B=clean_rayleigh.n, T_max=2)
     out = tssrg_run(oracle, oracle.zero(), params,
                     master_stream(6).child(TAG_OUTER, 0))
-    with pytest.raises(SchemaError):
+    with pytest.raises(ContractViolation):
         check_improve_or_localize(out.segment, L_hat=6.0)
 
 

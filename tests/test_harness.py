@@ -24,12 +24,12 @@ from prsrg import harness
 from prsrg.baselines import BaselineConfig, baseline_run
 from prsrg.cli import EXIT_BAD_INPUT, EXIT_FAIL, EXIT_OK, main
 from prsrg.errors import (ContractViolation, InvariantViolation,
-                          NumericalFailure, ParameterError, SchemaError)
+                          NumericalFailure, ParameterError)
 from prsrg.harness import (ExperimentConfig, ProblemSpec, SolverSpec,
-                           SweepSpec, build_problem, dump_config, load_point,
+                           SweepSpec, build_problem, dump_config,
                            parse_config, parse_spectrum, resolve_params,
                            resolve_start, run_experiment, run_sweep)
-from prsrg.problems import PAIR_BLOCK
+from prsrg.problems import PAIR_BLOCK, QuadraticSaddleInstance
 from prsrg.pullback import PullbackOracle
 from prsrg.rng import master_stream
 from prsrg.solver import (SolverParams, auto_solve, prsrg_run,
@@ -55,22 +55,6 @@ epsilon = 0.05
 delta = 0.5
 """
 
-CLEAN_CERT = """\
-[experiment]
-seed = 3
-
-[problem]
-manifold = sphere:3
-kind = rayleigh
-n = 20
-spectrum = 2.0,1.0,0.0
-noise_scale = 0.0
-
-[solver]
-epsilon = 0.001
-delta = 0.5
-"""
-
 # delta = 1.9 is above the probe's sampled smoothness (l_hat ~1.42), but e2
 # is a strict saddle with lambda_min = -2 < -delta
 SADDLE_ABOVE_PROBE = """\
@@ -90,24 +74,22 @@ epsilon = 0.001
 delta = 1.9
 """
 
-QUAD_ZERO_START = """\
+# noise-free, so the certificate at an eigenvector is exact
+CLEAN_CERT = """\
 [experiment]
 seed = 3
-budget = 10000
 
 [problem]
-manifold = euclidean:6
-kind = quadratic_saddle
-n = 16
-spectrum = linspace:1.0:1.0:6
-gamma = 1.0
-L_top = 2.0
+manifold = sphere:3
+kind = rayleigh
+n = 20
+spectrum = 2.0,1.0,0.0
 noise_scale = 0.0
-start = zero
+start = {start}
 
 [solver]
-epsilon = 0.05
-delta = 0.25
+epsilon = 0.001
+delta = 0.5
 """
 
 SWEEP_RUN = """\
@@ -189,8 +171,6 @@ manifold = sphere:100
 kind = rayleigh
 spectrum = 2.0,1.0,linspace:0.9:0.1:98
 noise_scale = 0.5
-gamma = 1.0
-L_top = 2.0
 start = random
 n = 1000
 
@@ -210,8 +190,6 @@ manifold = sphere:3
 kind = rayleigh
 spectrum = 2.0,1.0,0.0
 noise_scale = 0.2
-gamma = 1.0
-L_top = 2.0
 start = random
 n = 30
 
@@ -231,8 +209,6 @@ manifold = sphere:200
 kind = rayleigh
 spectrum = 2.0,1.0,linspace:0.9:0.1:198
 noise_scale = 0.5
-gamma = 1.0
-L_top = 2.0
 start = e2
 n = 1000
 rotation_seed = 7
@@ -257,8 +233,6 @@ manifold = sphere:100
 kind = rayleigh
 spectrum = 2.0,1.0,linspace:0.9:0.1:98
 noise_scale = 0.5
-gamma = 1.0
-L_top = 2.0
 start = e2
 n = 1000
 
@@ -278,8 +252,6 @@ manifold = sphere:20
 kind = streaming_rayleigh
 spectrum = 2.0,1.0,linspace:0.6:0.1:18
 noise_scale = 0.5
-gamma = 1.0
-L_top = 2.0
 start = random
 n = 1000
 rotation_seed = 7
@@ -376,55 +348,17 @@ def test_resolve_start_grammar(tmp_path):
     np.testing.assert_array_equal(a.coords, b.coords)  # same stream, same point
     np.testing.assert_array_equal(at("e2").coords, obj.eigvec(1).coords)
     np.testing.assert_array_equal(at("e1").coords, obj.eigvec(0).coords)
-    np.testing.assert_array_equal(at("coords:1,0,0").coords, [1.0, 0.0, 0.0])
+    for name in ("northpole", "zero", "coords:1,0,0", f"file:{tmp_path}"):
+        with pytest.raises(ParameterError, match="unknown start"):
+            at(name)
 
-    pt = tmp_path / "pt.csv"
-    pt.write_text("0.0,1.0,0.0\n")
-    np.testing.assert_array_equal(at(f"file:{pt}").coords, [0.0, 1.0, 0.0])
-
-    with pytest.raises(ParameterError, match="unknown start"):
-        at("northpole")
-
-    # zero only makes sense on a linear manifold; eN needs a spectrum problem
-    qcfg = parse_config(QUAD_ZERO_START)
-    qobj = build_problem(qcfg)
-    z = resolve_start(qcfg, qobj, master_stream(0))
-    np.testing.assert_array_equal(z.coords, np.zeros(6))
-    with pytest.raises(ParameterError, match="spectrum problem"):
-        resolve_start(ExperimentConfig(problem=ProblemSpec(
-            kind="quadratic_saddle", start="e1")), qobj, master_stream(0))
-
-    # streaming_rayleigh is a spectrum problem too
+    # streaming_rayleigh has eigenvector starts too
     scfg = ExperimentConfig(problem=ProblemSpec(
         manifold="sphere:3", kind="streaming_rayleigh", n=None,
         spectrum="2.0,1.0,0.0", rotation_seed=4, start="e2"))
     sobj = build_problem(scfg)
     np.testing.assert_array_equal(
         resolve_start(scfg, sobj, master_stream(0)).coords, sobj.rotation[:, 1])
-
-
-def test_load_point_formats(tmp_path):
-    cfg = parse_config(SMALL_RUN)
-    man = build_problem(cfg).manifold
-
-    csvf = tmp_path / "p.csv"
-    csvf.write_text("1.0,0.0,0.0\n")
-    np.testing.assert_array_equal(load_point(man, csvf).coords, [1, 0, 0])
-
-    txt = tmp_path / "p.txt"
-    txt.write_text("0.0\n0.0\n1.0\n")
-    np.testing.assert_array_equal(load_point(man, txt).coords, [0, 0, 1])
-
-    with pytest.raises(SchemaError, match="not found"):
-        load_point(man, tmp_path / "missing.csv")
-    bad = tmp_path / "bad.txt"
-    bad.write_text("hello world\n")
-    with pytest.raises(SchemaError):
-        load_point(man, bad)
-    off = tmp_path / "off.csv"
-    off.write_text("2.0,0.0,0.0\n")  # norm 2, not on the sphere
-    with pytest.raises(ContractViolation):
-        load_point(man, off)
 
 
 # ------------------------------------------------------ derived parameters
@@ -898,14 +832,12 @@ def test_prefix_equals_fresh_build_bitwise(kind, noise_scale):
     # the largest n is odd and its store spans several draw blocks; every
     # smaller n, even or odd, must read the bits a build at that n draws
     largest = 2 * PAIR_BLOCK + 5
-    text = SMALL_RUN.replace("noise_scale = 0.2",
-                             f"noise_scale = {noise_scale}")
-    if kind == "quadratic_saddle":
-        text = (text.replace("sphere:3", "euclidean:3")
-                .replace("kind = rayleigh", "kind = quadratic_saddle"))
-    base = parse_config(text)
+    base = parse_config(SMALL_RUN.replace("noise_scale = 0.2",
+                                          f"noise_scale = {noise_scale}"))
 
     def build(n):
+        if kind == "quadratic_saddle":  # a library problem, no config kind
+            return QuadraticSaddleInstance(3, 1.0, 2.0, n, None, noise_scale)
         return build_problem(dataclasses.replace(
             base, problem=dataclasses.replace(base.problem, n=n)))
 
@@ -945,7 +877,7 @@ def test_trace_csv_roundtrip(tmp_path):
 
     bad = tmp_path / "bad.csv"
     bad.write_text("a,b,c\n1,2,3\n")
-    with pytest.raises(SchemaError, match="header"):
+    with pytest.raises(ContractViolation, match="header"):
         read_trace(bad)
 
 
@@ -1019,7 +951,7 @@ def test_cli_run_twice_byte_identical(tmp_path, capsys):
 
 def test_cli_dotted_out_prefixes(tmp_path, capsys):
     # each suffix is appended to the whole prefix: run.v1 and run.v2 write
-    # separate files, and cert.final keeps its ".final"
+    # separate files
     cfgfile = tmp_path / "run.ini"
     cfgfile.write_text(SMALL_RUN)
     for tag in ("v1", "v2"):
@@ -1028,14 +960,6 @@ def test_cli_dotted_out_prefixes(tmp_path, capsys):
     names = sorted(f.name for f in (tmp_path / "res").iterdir())
     assert names == ["run.v1.report.json", "run.v1.trace.csv",
                      "run.v2.report.json", "run.v2.trace.csv"]
-
-    certcfg = tmp_path / "cert.ini"
-    certcfg.write_text(CLEAN_CERT)
-    point = tmp_path / "v1.csv"
-    point.write_text("1.0,0.0,0.0\n")
-    assert main(["certify", "--config", str(certcfg), "--point", str(point),
-                 "--out", str(tmp_path / "res" / "cert.final")]) == EXIT_OK
-    assert (tmp_path / "res" / "cert.final.cert.json").exists()
     capsys.readouterr()
 
 
@@ -1046,35 +970,60 @@ def test_cli_exit_codes(tmp_path):
     badcfg.write_text("[experiment]\nalgo = sgd\n")
     assert main(["run", "--config", str(badcfg)]) == EXIT_BAD_INPUT
 
-    certcfg = tmp_path / "cert.ini"
-    certcfg.write_text(CLEAN_CERT)
-    badpt = tmp_path / "pt.txt"
-    badpt.write_text("not a number\n")
-    assert main(["certify", "--config", str(certcfg),
-                 "--point", str(badpt)]) == EXIT_BAD_INPUT
+
+def _cli_certified_run(tmp_path, cfg_text, name):
+    """Run the CLI on cfg_text; its stdout line, report.json and trace."""
+    cfgfile = tmp_path / f"{name}.ini"
+    cfgfile.write_text(cfg_text)
+    out = tmp_path / name
+    assert main(["run", "--config", str(cfgfile), "--out", str(out)]) == EXIT_OK
+    report = json.loads(Path(f"{out}.report.json").read_text())["report"]
+    return report, read_trace(f"{out}.trace.csv")
 
 
 def test_cli_certify(tmp_path, capsys):
-    cfgfile = tmp_path / "cert.ini"
-    cfgfile.write_text(CLEAN_CERT)
-    obj = build_problem(parse_config(CLEAN_CERT))
+    # the run certifies each small-gradient point: the minimizer v1 passes
+    # at the first check, the saddle e2 is rejected there and escaped
+    v1 = build_problem(parse_config(CLEAN_CERT.format(start="e1"))).eigvec(0)
+    report, rows = _cli_certified_run(tmp_path, CLEAN_CERT.format(start="e1"),
+                                      "v1")
+    line = json.loads(capsys.readouterr().out)
+    assert line["exit_reason"] == "certified" and line["certified"] is True
+    assert report["certified"]["passed"] is True
+    assert np.allclose(report["certified_point"], v1.coords)
+    assert [(r.event, r.epoch_type) for r in rows] == [("grad_check",
+                                                        "useful")]
 
-    v1 = tmp_path / "v1.csv"
-    np.savetxt(v1, obj.eigvec(0).coords.reshape(1, -1), delimiter=",")
-    rc = main(["certify", "--config", str(cfgfile), "--point", str(v1),
-               "--out", str(tmp_path / "v1")])
-    assert rc == EXIT_OK
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["passed"] is True
-    assert json.loads((tmp_path / "v1.cert.json").read_text()) == payload
+    report, rows = _cli_certified_run(tmp_path, CLEAN_CERT.format(start="e2"),
+                                      "e2")
+    capsys.readouterr()
+    assert (rows[0].event, rows[0].epoch_type) == ("grad_check", "escape")
+    assert rows[0].F_value == -1.0  # F(e2) = -lambda_2
+    assert report["exit_reason"] == "certified"
+    assert report["certified"]["passed"] is True
+    assert abs(abs(np.dot(report["certified_point"], v1.coords)) - 1) < 1e-6
+    # the argparse rejection of the removed certify subcommand
+    with pytest.raises(SystemExit) as info:
+        main(["certify", "--config", str(tmp_path / "v1.ini")])
+    assert info.value.code == EXIT_BAD_INPUT
+    assert not list(tmp_path.glob("*.cert.json"))
 
-    e2 = tmp_path / "e2.csv"
-    np.savetxt(e2, obj.eigvec(1).coords.reshape(1, -1), delimiter=",")
-    assert main(["certify", "--config", str(cfgfile),
-                 "--point", str(e2)]) == EXIT_OK
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["passed"] is False
-    assert abs(payload["lambda_min_estimate"] + 2.0) < 0.01
+
+def test_cli_certify_rejects_saddle_when_delta_exceeds_probe(tmp_path,
+                                                              capsys):
+    # delta is above the probe's l_hat, but the saddle's lambda_min = -2 is
+    # below -delta: the first check rejects e2 rather than certify it
+    e2 = build_problem(parse_config(SADDLE_ABOVE_PROBE)).eigvec(1)
+    with pytest.warns(UserWarning, match="exceeds the gradient Lipschitz"):
+        report, rows = _cli_certified_run(tmp_path, SADDLE_ABOVE_PROBE,
+                                          "saddle")
+    capsys.readouterr()
+    first = rows[0]
+    assert (first.outer_t, first.event, first.epoch_type) == (
+        0, "grad_check", "escape")
+    assert abs(first.F_value + 1.0) <= 1e-12  # F(e2) = -lambda_2
+    assert report["certified"]["passed"] is True
+    assert abs(np.dot(report["certified_point"], e2.coords)) < 0.1
 
 
 def test_cli_run_escapes_saddle_when_delta_exceeds_probe(tmp_path, capsys):
@@ -1087,20 +1036,6 @@ def test_cli_run_escapes_saddle_when_delta_exceeds_probe(tmp_path, capsys):
     assert line["exit_reason"] == "certified" and line["certified"] is True
     # the top eigenvector, F = -lambda_1 = -2, not the saddle's F = -1
     assert abs(line["best_F"] + 2.0) <= 1e-3
-
-
-def test_cli_certify_rejects_saddle_when_delta_exceeds_probe(tmp_path,
-                                                              capsys):
-    cfgfile = tmp_path / "saddle.ini"
-    cfgfile.write_text(SADDLE_ABOVE_PROBE)
-    e2 = tmp_path / "e2.csv"
-    obj = build_problem(parse_config(SADDLE_ABOVE_PROBE))
-    np.savetxt(e2, obj.eigvec(1).coords.reshape(1, -1), delimiter=",")
-    assert main(["certify", "--config", str(cfgfile),
-                 "--point", str(e2)]) == EXIT_OK
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["passed"] is False
-    assert abs(payload["lambda_min_estimate"] + 2.0) <= 1e-8
 
 
 def test_cli_sweep(tmp_path, capsys):

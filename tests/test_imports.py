@@ -37,14 +37,12 @@ epsilon = {epsilon}
 delta = 0.5
 """
 
-# (manifold, [problem] keys, epsilon, budget) per kind: a finite-sum run, an
-# online run, whose anchor batches (B > d) go through the Wishart draw, and
-# a Euclidean run
+# (manifold, [problem] keys, epsilon, budget) per kind: a finite-sum run
+# and an online run, whose anchor batches (B > d) go through the Wishart
+# draw
 PROBLEMS = {
     "rayleigh": ("sphere:3", "n = 30\nstart = e2\n", 0.05, 20000),
     "streaming_rayleigh": ("sphere:3", "start = e2\n", 0.2, 2000000),
-    "quadratic_saddle": ("euclidean:3", "n = 30\nstart = zero\n", 0.05,
-                         20000),
 }
 
 # the modules a command may load, in load order; no command loads csv,
@@ -112,7 +110,7 @@ print(json.dumps([call(argv) for argv in json.loads(sys.argv[1])]))
 """
     results = _child(code, json.dumps([argv for *_, argv in steps]),
                      json.dumps(WATCHED))
-    assert len(results) == len(steps) == 6
+    assert len(results) == len(steps) == 4
     for (command, kind, _), (exit_code, out, loaded) in zip(steps, results):
         assert exit_code == 0, (command, kind, out)
         assert loaded == LOADED[command], (command, kind, loaded)
@@ -162,7 +160,8 @@ def test_unknown_name_raises_attribute_error():
 # run parameters (probe_params is the one path now); the problem factories,
 # which only passed their arguments to the classes; the [baseline] section
 # (prgd runs at fixed settings); the run-parameter multipliers, which are
-# module constants now
+# module constants now; the point-file inputs and the certify command's
+# runner, and the point files' error type
 REMOVED = {
     "geometry.Manifold": ("dretract_apply", "dretract_matrix",
                           "_dretract_coords", "_dretract_target"),
@@ -174,7 +173,9 @@ REMOVED = {
     "problems.RayleighInstance": ("component_riem_grad", "hess_eigval"),
     "problems.StreamingRayleighInstance": ("hess_eigval",),
     "problems.QuadraticSaddleInstance": ("H", "min_curvature_direction"),
-    "harness": ("format_spectrum", "_apply_overrides", "BaselineSpec"),
+    "harness": ("format_spectrum", "_apply_overrides", "BaselineSpec",
+                "run_certify", "load_point", "_loadtxt"),
+    "errors": ("SchemaError",),
     "problems": ("make_rayleigh", "make_quadratic_saddle",
                  "make_streaming_rayleigh", "make_data_rayleigh",
                  "DataRayleighInstance", "load_matrix", "save_matrix"),
