@@ -3,8 +3,8 @@
 Subcommands: run (optimize per config), sweep (n x seed grid),
 print-config.
 Exit codes: 0 success, 1 internal failure (non-finite values mid-run or a
-broken accounting invariant), 2 config validation error. Failures print
-one ``error:`` line on stderr.
+library bug: a broken invariant or argument contract), 2 config
+validation error. Failures print one ``error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -86,10 +86,10 @@ def main(argv=None) -> int:
             print(dump_config(cfg), end="")
             return EXIT_OK
         raise AssertionError(f"unhandled command {args.command}")
-    except (ParameterError, ContractViolation, OSError) as exc:
+    except (ParameterError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    except (NumericalFailure, InvariantViolation) as exc:
+    except (NumericalFailure, InvariantViolation, ContractViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
 

@@ -2,8 +2,8 @@
 
 Every contract violation in the library raises one of these rather than a bare
 ValueError, so callers can map failure classes to exit codes: the CLI exits
-2 on ParameterError and ContractViolation (bad input) and 1 on
-InvariantViolation and NumericalFailure.
+2 on ParameterError (bad input) and 1 on NumericalFailure,
+InvariantViolation and ContractViolation (library bugs).
 """
 
 

@@ -9,12 +9,16 @@ a uniformly drawn tangent perturbation followed by a T_max-step episode.
 The run stops at the first certification pass or when the query budget
 cannot fund another epoch.
 
-Epochs are labeled with the descent taxonomy: type1_descent (left the
-ball), type2_descent (at least half the inner estimator norms stayed above
-epsilon/2), useful (quiet epoch whose endpoint passed the next gradient
-check), wasted (quiet epoch that did not), escape (perturbed episode).
-Quiet epochs are labeled only when the next check arrives; a trailing one
-is resolved against the exact full gradient on the diagnostic side.
+The trace rows are the run's one account: the loop writes them unlabeled,
+and ``_label_epochs`` then labels each outer_t's rows as one epoch. A
+grad_check row and the episode after it are escape; a descent epoch is
+type1_descent if it exits at the boundary, type2_descent if at least half
+its estimator norms exceed epsilon/2, and else quiet: useful if the next
+outer iteration opens with a grad_check row (its check passed), wasted if
+with an anchor, and settled by the exact gradient at the final point if it
+is the run's last. A lone final grad_check row (a certified point, or no
+budget for an episode) is useful if the run certified, else wasted, and is
+no epoch.
 
 Run parameters take one path, ``probe_params`` (``auto_solve`` and the
 harness both call it). The objective decides the mode: finite_sum at its
@@ -31,6 +35,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import groupby
+from operator import attrgetter
 from typing import Optional
 
 from .diagnostics import Certification, _check_tolerance, certify
@@ -39,7 +45,7 @@ from .geometry import ManifoldPoint, TangentVector
 from .pullback import LipschitzEstimate, PullbackOracle
 from .rng import TAG_CHECK, TAG_DIAG, TAG_OUTER, TAG_PERTURB, as_stream
 from .trace import _STEP_EVENTS, TraceRow
-from .tssrg import ExitReason, TssrgParams, tssrg_run
+from .tssrg import TssrgParams, tssrg_run
 
 EPOCH_KEYS = ("type1_descent", "type2_descent", "useful", "wasted", "escape")
 
@@ -138,8 +144,9 @@ def derive_params(mode: str, n_or_sigma, epsilon: float, delta: float,
         SolverParams._check_field(name, value)
     if not 0 < L_hat < math.inf:
         raise ParameterError(f"L_hat must be positive and finite, got {L_hat}")
-    if not 0 <= rho_hat < math.inf:
-        raise ParameterError(f"rho_hat must be >= 0 and finite, got {rho_hat}")
+    if not (rho_hat >= 0 and rho_hat * rho_hat < math.inf):  # r squares it
+        raise ParameterError(f"rho_hat must be >= 0 with a finite square, "
+                             f"got {rho_hat}")
     m, B = _batch_sizes(mode, n_or_sigma, epsilon)
     eta = C_ETA / L_hat
     try:  # delta^3 overflows for a huge delta, and a tiny one puts T_max
@@ -220,13 +227,34 @@ def _affordable_T(remaining: int, B: int, b: int, m: int,
     return min((k + 1) * m, (left + b2 - B * k) // b2)
 
 
-def _half_rule_large(rows, epsilon: float) -> bool:
-    """True when at least half the inner estimator norms exceed epsilon/2."""
-    norms = [r.grad_norm_or_batch for r in rows if r.event in _STEP_EVENTS]
-    if not norms:
-        return False
-    large = sum(1 for v in norms if v > epsilon / 2.0)
-    return 2 * large >= len(norms)
+def _label_epochs(rows: list[TraceRow], epsilon: float, certified: bool,
+                  tail_small) -> dict[str, int]:
+    """Set every row's epoch_type from its outer iteration's rows and return
+    the epoch counts (module docstring). ``tail_small()`` settles a quiet
+    final epoch; it is called only for one."""
+    counts = dict.fromkeys(EPOCH_KEYS, 0)
+    groups = [list(g) for _, g in groupby(rows, attrgetter("outer_t"))]
+    for i, group in enumerate(groups):
+        if len(group) == 1:  # the lone final check: labelled, but no epoch
+            group[0].epoch_type = "useful" if certified else "wasted"
+            continue
+        norms = [r.grad_norm_or_batch for r in group
+                 if r.event in _STEP_EVENTS]
+        if group[0].event == "grad_check":
+            label = "escape"
+        elif group[-1].event == "boundary":
+            label = "type1_descent"
+        elif 2 * sum(v > epsilon / 2.0 for v in norms) >= len(norms):
+            label = "type2_descent"
+        elif i + 1 < len(groups):
+            label = ("useful" if groups[i + 1][0].event == "grad_check"
+                     else "wasted")
+        else:
+            label = "useful" if tail_small() else "wasted"
+        for row in group:
+            row.epoch_type = label
+        counts[label] += 1
+    return counts
 
 
 def prsrg_run(objective, x0: ManifoldPoint, params: SolverParams,
@@ -247,8 +275,7 @@ def prsrg_run(objective, x0: ManifoldPoint, params: SolverParams,
     stream, seed = as_stream(rng)
 
     B, b, m = params.B, params.b, params.m
-    rows_all: list[TraceRow] = []
-    counts = dict.fromkeys(EPOCH_KEYS, 0)
+    rows: list[TraceRow] = []
     total_q = 0
     diag_q = 0
     x = x0
@@ -256,7 +283,6 @@ def prsrg_run(objective, x0: ManifoldPoint, params: SolverParams,
     certified: Optional[Certification] = None
     certified_point: Optional[ManifoldPoint] = None
     exit_reason = "budget"
-    pending: Optional[list[TraceRow]] = None
     outer_t = 0
 
     while total_q + B + 2 * b <= params.budget:
@@ -264,64 +290,34 @@ def prsrg_run(objective, x0: ManifoldPoint, params: SolverParams,
         ostream = stream.child(TAG_OUTER, outer_t)
         ok_small, g = small_grad_check(oracle, B, params.epsilon,
                                        ostream.child(TAG_CHECK))
-        gnorm = g.norm
-        if pending is not None:
-            label = "useful" if ok_small else "wasted"
-            for row in pending:
-                row.epoch_type = label
-            counts[label] += 1
-            pending = None
+        remaining = params.budget - total_q - oracle.queries
         if ok_small:
-            check_row = TraceRow(
-                outer_t=outer_t, inner_k=0, epoch_type="wasted",
-                F_value=float(objective.value(x)), grad_norm_or_batch=gnorm,
+            rows.append(TraceRow(
+                outer_t=outer_t, inner_k=0, epoch_type="",
+                F_value=float(objective.value(x)), grad_norm_or_batch=g.norm,
                 u_norm=0.0, queries_cum=total_q + oracle.queries,
-                event="grad_check")
-            rows_all.append(check_row)
+                event="grad_check"))
             cert = certify(oracle, params.epsilon, params.delta,
                            stop_at_verdict=True)
-            if cert.passed:
-                check_row.epoch_type = "useful"
-                certified = cert
-                certified_point = x
-                exit_reason = "certified"
-                total_q += oracle.queries
-                diag_q += oracle.diag_queries
-                break
-            radius = min(params.r, params.D)
-            remaining = params.budget - total_q - oracle.queries
             T_run = min(params.T_max,
                         _affordable_T(remaining, B, b, m, False))
-            if T_run < 1:
+            if cert.passed or T_run < 1:
+                if cert.passed:
+                    certified, certified_point = cert, x
+                    exit_reason = "certified"
                 total_q += oracle.queries
                 diag_q += oracle.diag_queries
                 break
-            check_row.epoch_type = "escape"
-            u0 = manifold.sample_ball(x, radius, ostream.child(TAG_PERTURB))
-            out = tssrg_run(oracle, u0, params._capped(T_run),
-                            ostream, outer_t=outer_t, query_offset=total_q)
-            for row in out.segment.rows:
-                row.epoch_type = "escape"
-            rows_all.extend(out.segment.rows)
-            counts["escape"] += 1
+            u0 = manifold.sample_ball(x, min(params.r, params.D),
+                                      ostream.child(TAG_PERTURB))
+            anchor_grad = None
         else:
-            remaining = params.budget - total_q - oracle.queries
             T_run = min(m, _affordable_T(remaining, B, b, m, True))
-            out = tssrg_run(oracle, manifold.zero_tangent(x),
-                            params._capped(T_run), ostream,
-                            outer_t=outer_t, anchor_grad=g,
-                            query_offset=total_q)
-            rows_all.extend(out.segment.rows)
-            if out.exit == ExitReason.BOUNDARY:
-                for row in out.segment.rows:
-                    row.epoch_type = "type1_descent"
-                counts["type1_descent"] += 1
-            elif _half_rule_large(out.segment.rows, params.epsilon):
-                for row in out.segment.rows:
-                    row.epoch_type = "type2_descent"
-                counts["type2_descent"] += 1
-            else:
-                pending = out.segment.rows
+            u0, anchor_grad = manifold.zero_tangent(x), g
+        out = tssrg_run(oracle, u0, params._capped(T_run), ostream,
+                        outer_t=outer_t, anchor_grad=anchor_grad,
+                        query_offset=total_q)
+        rows.extend(out.segment.rows)
         x = out.result
         total_q += oracle.queries
         diag_q += oracle.diag_queries
@@ -330,23 +326,18 @@ def prsrg_run(objective, x0: ManifoldPoint, params: SolverParams,
             best_F, best_x = fx, x
         outer_t += 1
 
-    if pending is not None:
-        # trailing quiet epoch: settle it against the exact full gradient
-        tail_oracle = PullbackOracle(objective, x)
-        gtail = tail_oracle.exact_grad(manifold.zero_tangent(x))
-        label = "useful" if gtail.norm <= params.epsilon else "wasted"
-        for row in pending:
-            row.epoch_type = label
-        counts[label] += 1
-
     if total_q > params.budget:
         raise InvariantViolation(
             f"query accounting bug: used {total_q} of {params.budget} "
             f"after {outer_t} outer iterations")
+    epochs = _label_epochs(
+        rows, params.epsilon, certified is not None,
+        lambda: PullbackOracle(objective, x).exact_grad(
+            manifold.zero_tangent(x)).norm <= params.epsilon)
     return SolverReport(best_point=best_x, best_F=best_F, certified=certified,
                         certified_point=certified_point, final_point=x,
                         queries_used=total_q, diag_queries=diag_q,
-                        epochs=counts, trace=rows_all,
+                        epochs=epochs, trace=rows,
                         exit_reason=exit_reason, outer_iterations=outer_t,
                         seed=seed)
 
@@ -372,10 +363,13 @@ def probe_params(objective, x0: ManifoldPoint, epsilon: float,
     if est is None:
         est = PullbackOracle(objective, x0).estimate_lipschitz(
             stream.child(TAG_DIAG).generator())
-    if not math.isfinite(est.L_hat):
-        raise ParameterError(
-            f"the smoothness probe overflows float64 at spectrum scale "
-            f"{max(abs(objective.spectrum)):.3g} (L_hat = {est.L_hat})")
+    # r's formula squares rho_hat, so a finite rho_hat can overflow there
+    for name, value in (("L_hat", est.L_hat),
+                        ("rho_hat^2", est.rho_hat * est.rho_hat)):
+        if not math.isfinite(value):
+            raise ParameterError(
+                f"the smoothness probe overflows float64 at spectrum scale "
+                f"{max(abs(objective.spectrum)):.3g} ({name} = {value})")
     params = derive_params(mode, scale, epsilon, delta, est.L_hat,
                            est.rho_hat, D=objective.manifold.D,
                            budget=budget)

@@ -10,8 +10,8 @@ Schema:
     queries_cum, event
 
 * ``epoch_type`` is one of type1_descent / type2_descent / useful / wasted /
-  escape / baseline (the outer-loop proof taxonomy; baselines use
-  ``baseline``).
+  escape, one label per outer_t that the solver sets from its rows after
+  the run (``solver._label_epochs``), or baseline on a baseline's rows.
 * ``grad_norm_or_batch`` holds the large-batch gradient norm on anchor and
   grad_check rows and the running estimator norm ||v_t|| on step rows.
 * ``event`` is one of anchor / grad_check / step / boundary / uniform_break /

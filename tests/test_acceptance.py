@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import math
 import time
 import warnings
@@ -304,18 +305,12 @@ def test_09_escape_episodes_decrease_objective_enough():
     total = good = 0
     for rep, est in runs:
         thresh = escape_threshold(0.1, est.rho_hat)
-        rows = rep.trace
-        i = 0
-        while i < len(rows):
-            if rows[i].event == "grad_check" and rows[i].epoch_type == "escape":
-                j = i + 1
-                while j < len(rows) and rows[j].event != "grad_check":
-                    j += 1
+        # an episode is the rows of its outer_t, as the solver labels them
+        for _, group in itertools.groupby(rep.trace, lambda r: r.outer_t):
+            rows = list(group)
+            if rows[0].epoch_type == "escape":
                 total += 1
-                good += (rows[i].F_value - rows[j - 1].F_value) >= thresh
-                i = j
-            else:
-                i += 1
+                good += (rows[0].F_value - rows[-1].F_value) >= thresh
     _verdict(9, "per-episode decrease beyond configured threshold",
              total >= 1 and good >= 0.9 * total, f"{good}/{total} episodes")
 

@@ -14,9 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prsrg import harness, solver
+from prsrg import cli, harness, solver
 from prsrg.cli import EXIT_BAD_INPUT, EXIT_FAIL, main
-from prsrg.errors import NumericalFailure, ParameterError
+from prsrg.errors import ContractViolation, NumericalFailure, ParameterError
 from prsrg.harness import (build_problem, parse_config, parse_spectrum,
                            resolve_params, resolve_start)
 from prsrg.rng import master_stream
@@ -162,6 +162,7 @@ REMOVED_INPUTS = {
     "spectrum_minus_inf", "spectrum_overflow", "spectrum_nan",
     "spectrum_linspace_inf", "spectrum_streaming_inf",
     "spectrum_probe_overflow", "spectrum_streaming_probe_overflow",
+    "spectrum_probe_rho_squared_overflow",
     "problem_sigma_radius", "solver_mode",
     "online_epsilon_overflow", "online_epsilon_underflow",
     "online_epsilon_m_above_int64", "online_epsilon_B_above_int64",
@@ -280,6 +281,8 @@ def test_bad_input_exits_2_with_one_line(case, tmp_path, capsys):
                     # pass the float64 range
                     "spectrum_probe_overflow": "1e154,1.0,0.0",
                     "spectrum_streaming_probe_overflow": "1e154,1.0,0.0",
+                    # L_hat is finite, but r's formula squares rho_hat
+                    "spectrum_probe_rho_squared_overflow": "5e153,1.0,0.0",
                     }[case]
         cfg_text = cfg_text.replace("spectrum = 2.0,1.0,0.0",
                                     f"spectrum = {spectrum}")
@@ -369,6 +372,11 @@ def test_bad_input_exits_2_with_one_line(case, tmp_path, capsys):
     if case.endswith("probe_overflow"):
         assert line == ("error: [solver] the smoothness probe overflows "
                         "float64 at spectrum scale 1e+154 (L_hat = inf)"), line
+    if case == "spectrum_probe_rho_squared_overflow":
+        # the spectrum's scale is at fault, not the sound delta = 0.5
+        assert line == ("error: [solver] the smoothness probe overflows "
+                        "float64 at spectrum scale 5e+153 (rho_hat^2 = inf)"
+                        ), line
     if case.startswith("record_gaps_"):
         assert line == "error: [experiment] unknown key 'record_gaps'", line
     if command == "sweep":
@@ -430,6 +438,20 @@ def test_numerical_failure_exits_1(tmp_path, capsys, monkeypatch):
     cfg.write_text(BASE.format(start="random"))
     assert main(["run", "--config", str(cfg)]) == EXIT_FAIL
     _assert_one_error_line(capsys)
+
+
+def test_contract_violation_exits_1(tmp_path, capsys, monkeypatch):
+    # no config value or flag reaches a contract check, so a failed one is
+    # a library bug: exit 1, not the bad-input exit 2
+    def broken(*args, **kwargs):
+        raise ContractViolation("tangent vector based at the wrong point")
+
+    monkeypatch.setattr(cli, "run_experiment", broken)
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(BASE.format(start="random"))
+    assert main(["run", "--config", str(cfg)]) == EXIT_FAIL
+    line = _assert_one_error_line(capsys)
+    assert line == "error: tangent vector based at the wrong point", line
 
 
 def test_numerical_failure_survives_pickling():

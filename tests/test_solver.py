@@ -8,6 +8,8 @@ import re
 import warnings
 from collections import Counter
 from dataclasses import asdict, replace
+from itertools import groupby
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -30,11 +32,12 @@ from prsrg import (
     small_grad_check,
     solver,
 )
-from prsrg.solver import _affordable_T
-from prsrg.trace import EPOCH_TYPES
+from prsrg.harness import parse_config, run_experiment
+from prsrg.solver import EPOCH_KEYS, _affordable_T, _label_epochs
+from prsrg.trace import EPOCH_TYPES, TraceRow
 from prsrg.diagnostics import _lanczos_start
-from prsrg.rng import (TAG_ANCHOR, TAG_BATCH, TAG_CHECK, TAG_OUTER,
-                       TAG_PERTURB, StreamTree, master_stream)
+from prsrg.rng import (TAG_ANCHOR, TAG_BATCH, TAG_CHECK, TAG_INIT,
+                       TAG_OUTER, TAG_PERTURB, StreamTree, master_stream)
 
 from replay import stuck_region_experiment
 
@@ -111,6 +114,11 @@ def test_derive_params_validation():
     with pytest.raises(ParameterError):
         derive_params("finite_sum", 100, epsilon=0.1, delta=0.1,
                       L_hat=1.0, rho_hat=-0.5)
+    # a finite rho_hat whose square overflows is named, not a sound delta
+    with pytest.raises(ParameterError, match="rho_hat must be >= 0 with a "
+                       "finite square, got 1e[+]200"):
+        derive_params("finite_sum", 100, epsilon=0.1, delta=0.5,
+                      L_hat=1.0, rho_hat=1e200)
     for n in (99.5, float("nan"), float("inf")):
         with pytest.raises(ParameterError, match="positive integer n"):
             derive_params("finite_sum", n, epsilon=0.1, delta=0.1,
@@ -435,6 +443,116 @@ def test_trailing_quiet_epoch_resolved(small_rayleigh):
     report = prsrg_run(small_rayleigh, x0, params, master_stream(19))
     for row in report.trace:
         assert row.epoch_type in EPOCH_TYPES
+
+
+def _group(outer_t, events, norm=1.0):
+    """One outer iteration's unlabeled rows, one per event, each with
+    estimator norm ``norm``."""
+    return [TraceRow(outer_t=outer_t, inner_k=k, epoch_type="", F_value=0.0,
+                     grad_norm_or_batch=norm, u_norm=0.0, queries_cum=0,
+                     event=event) for k, event in enumerate(events)]
+
+
+QUIET = ("anchor", "step", "uniform_break")  # at norm 0.01 < epsilon / 2
+
+
+@pytest.mark.parametrize("tail", [True, False])
+def test_label_epochs_covers_every_rule(tail):
+    # epsilon = 0.1: a norm of 1.0 is large, 0.01 quiet
+    groups = [
+        _group(0, ("anchor", "step", "boundary")),
+        # one large norm of two: exactly half, still type 2
+        _group(1, ("anchor", "step")) + _group(1, ("uniform_break",), 0.01),
+        _group(2, QUIET, 0.01),                       # the next opens a check
+        _group(3, ("grad_check", "anchor", "step", "boundary"), 0.01),
+        _group(4, QUIET, 0.01),                       # the next opens an anchor
+        _group(5, ("anchor", "step", "max_iter")),
+        _group(6, QUIET, 0.01),                       # the run's last epoch
+    ]
+    calls = []
+
+    def tail_small():
+        calls.append(1)
+        return tail
+
+    rows = [row for group in groups for row in group]
+    counts = _label_epochs(rows, 0.1, False, tail_small)
+    last = "useful" if tail else "wasted"
+    assert [{r.epoch_type for r in g} for g in groups] == [
+        {"type1_descent"}, {"type2_descent"}, {"useful"}, {"escape"},
+        {"wasted"}, {"type2_descent"}, {last}]
+    assert len(calls) == 1
+    assert counts == {"type1_descent": 1, "type2_descent": 2,
+                      "useful": 1 + tail, "wasted": 1 + (not tail),
+                      "escape": 1}
+
+
+@pytest.mark.parametrize("certified", [True, False])
+def test_label_epochs_lone_final_check_is_no_epoch(certified):
+    quiet = _group(0, QUIET, 0.01)
+    check = _group(1, ("grad_check",), 0.01)
+
+    def tail_small():
+        raise AssertionError("a check settles the quiet epoch")
+
+    counts = _label_epochs(quiet + check, 0.1, certified, tail_small)
+    assert {r.epoch_type for r in quiet} == {"useful"}
+    assert check[0].epoch_type == ("useful" if certified else "wasted")
+    assert counts == dict.fromkeys(EPOCH_KEYS, 0) | {"useful": 1}
+
+
+SADDLE_STALL = """\
+[experiment]
+seed = 3
+[problem]
+manifold = sphere:100
+kind = rayleigh
+n = 1000
+spectrum = 2.0,1.0,linspace:0.9:0.1:98
+noise_scale = 0.5
+start = e2
+"""
+
+
+def _rsrg_unperturbed_stall():
+    # 21,000 queries: the seventh check is paid for, its episode is not
+    cfg = replace(parse_config(SADDLE_STALL), algo="rsrg_unperturbed",
+                  budget=21_000)
+    return run_experiment(cfg)[0]
+
+
+def _stream_to_tail():
+    # 900,000 queries end the run on a quiet descent epoch
+    obj = StreamingRayleighInstance(
+        d=20, spectrum=parse_spectrum("2.0,1.0,linspace:0.6:0.1:18"),
+        rotation_seed=7)
+    stream = master_stream(1)
+    x0 = obj.manifold.rand_point(stream.child(TAG_INIT).generator())
+    return auto_solve(obj, x0, 0.2, 0.5, 900_000, stream)[0]
+
+
+def _escape_from_saddle():
+    # acceptance 08's instance and its first seed
+    spec = np.concatenate(([2.0, 1.0], np.linspace(0.9, 0.1, 98)))
+    obj = RayleighInstance(d=100, n=1000, spectrum=spec, noise_scale=0.5,
+                           rotation_seed=None)
+    return auto_solve(obj, obj.eigvec(1), 1e-3, 0.1, 5_000_000,
+                      master_stream(8000))[0]
+
+
+@pytest.mark.parametrize("run, last", [
+    (_escape_from_saddle, ("grad_check", "useful")),
+    (_stream_to_tail, ("uniform_break", "useful")),
+    (_rsrg_unperturbed_stall, ("grad_check", "wasted")),
+], ids=["acceptance_08", "stream", "rsrg_unperturbed"])
+def test_epoch_counts_are_the_labelled_outer_iterations(run, last):
+    report = run()
+    groups = [list(g) for _, g in groupby(report.trace, attrgetter("outer_t"))]
+    assert all(len({r.epoch_type for r in g}) == 1 for g in groups)
+    # a lone final check is labelled but counts as no epoch
+    labelled = Counter(g[0].epoch_type for g in groups if len(g) > 1)
+    assert report.epochs == {k: labelled[k] for k in EPOCH_KEYS}
+    assert (groups[-1][-1].event, groups[-1][-1].epoch_type) == last
 
 
 def test_seed_reproducibility(medium_rayleigh):
