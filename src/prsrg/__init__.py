@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 # module -> the public names it defines
 _EXPORTS = {
     "_kernels": "backend_name",
-    "baselines": "BaselineConfig baseline_run",
+    "baselines": "baseline_run",
     "diagnostics": "Certification certify lanczos_min_eig",
     "errors": "ContractViolation EmptyBatch InvariantViolation "
               "NumericalFailure OutOfBall ParameterError",

@@ -6,14 +6,14 @@ annotation gives the key's type (int, finite float or str; ``T | None``
 may be unset) and its default the key's default. [experiment] is
 ExperimentConfig's scalar fields; its other fields are the sections
 [problem], [solver] and [sweep]. A config states what to solve and to what
-accuracy: every run parameter is derived from [solver] epsilon and delta
-and the problem (``resolve_params``). parse_config and dump_config walk
-the fields; the one key they name is [sweep] n, held in
-SweepSpec.n_values. Any other section or key is an error. Every run is a
-pure function of (config, seed):
-all randomness descends from the seed through position-keyed substreams, so
-reruns reproduce traces byte for byte, and a sweep cell writes the same
-bytes as a standalone run of that cell's config. A sweep runs its seeds
+accuracy: every run parameter, of every algorithm, is derived from
+[solver] epsilon and delta and the problem (``resolve_params``).
+parse_config and dump_config walk the fields; the one key they name is
+[sweep] n, held in SweepSpec.n_values. Any other section or key is an
+error. Every run is a pure function of (config, seed): all randomness
+descends from the seed through position-keyed substreams, so reruns
+reproduce traces byte for byte, and a sweep cell writes the same bytes as
+a standalone run of that cell's config. A sweep runs its seeds
 in parallel, on the calling process and forked children (``run_sweep``);
 no byte depends on how many.
 
@@ -344,25 +344,23 @@ def run_experiment(cfg: ExperimentConfig, *, out: str | None = None,
     caller; objectives are read-only, so one instance can serve many runs.
     ``estimate``, when given, is the smoothness probe this config's seed
     and start give (``report.lipschitz`` of an earlier run); the run uses
-    it instead of probing. Returns (report, params_or_None). Artifacts:
-    <out>.trace.csv and <out>.report.json.
+    it instead of probing. Every algorithm runs on the params
+    ``resolve_params`` gives, with r = 0 for rsrg_unperturbed. Returns
+    (report, params). Artifacts: <out>.trace.csv and <out>.report.json.
     """
     stream = master_stream(cfg.seed)
     if objective is None:
         objective = build_problem(cfg)
     x0 = resolve_start(cfg, objective, stream)
-    params = None
-    if cfg.algo in ("prsrg", "rsrg_unperturbed"):
-        params, est = resolve_params(cfg, objective, x0, stream, estimate)
+    params, est = resolve_params(cfg, objective, x0, stream, estimate)
+    if cfg.algo == "prgd":
+        from .baselines import baseline_run  # on first use
+        report = baseline_run(objective, x0, params, stream)
+    else:
         if cfg.algo == "rsrg_unperturbed":
             params = dataclasses.replace(params, r=0.0)
         report = prsrg_run(objective, x0, params, stream)
-        report.lipschitz = est
-    else:
-        from .baselines import BaselineConfig, baseline_run  # on first use
-        report = baseline_run(objective, x0, BaselineConfig(eta=0.1, r=0.01),
-                              cfg.solver.epsilon, cfg.solver.delta,
-                              cfg.budget, stream)
+    report.lipschitz = est
     report.seed = cfg.seed
     target = out if out is not None else cfg.out
     if target is not None:
@@ -391,7 +389,7 @@ def write_artifacts(prefix, cfg: ExperimentConfig, report, params) -> tuple[Path
     """Write <prefix>.report.json (sorted, indented JSON) and
     <prefix>.trace.csv, creating the parent directory."""
     payload = {"config": dump_config(cfg), "report": report.as_dict(),
-               "params": dataclasses.asdict(params) if params else None}
+               "params": dataclasses.asdict(params)}
     report_path = _artifact_path(prefix, ".report.json")
     report_path.parent.mkdir(parents=True, exist_ok=True)
     report_path.write_text(json.dumps(payload, indent=2, sort_keys=True)

@@ -11,7 +11,9 @@ cannot fund another epoch.
 
 The trace rows are the run's one account: the loop writes them unlabeled,
 and ``_label_epochs`` then labels each outer_t's rows as one epoch. A
-grad_check row and the episode after it are escape; a descent epoch is
+grad_check row and the episode after it are escape if the episode's anchor
+row has u_norm > 0 (it was perturbed; with r = 0, as under
+rsrg_unperturbed, it is a descent epoch). A descent epoch is
 type1_descent if it exits at the boundary, type2_descent if at least half
 its estimator norms exceed epsilon/2, and else quiet: useful if the next
 outer iteration opens with a grad_check row (its check passed), wasted if
@@ -21,7 +23,8 @@ budget for an episode) is useful if the run certified, else wasted, and is
 no epoch.
 
 Run parameters take one path, ``probe_params`` (``auto_solve`` and the
-harness both call it). The objective decides the mode: finite_sum at its
+harness, for every algorithm, call it; ``baselines.baseline_run`` reads the
+same record). The objective decides the mode: finite_sum at its
 n, or online at its ``sigma_hint`` when n is None. epsilon, delta and the
 budget are checked before the Lipschitz probe, then ``derive_params`` sets
 every other parameter, with the ball radius D at the manifold's chart
@@ -84,14 +87,12 @@ class SolverParams(TssrgParams):
 
 
 class SolverReport:
-    __slots__ = ("best_point", "best_F", "certified", "certified_point",
-                 "final_point", "queries_used", "diag_queries", "epochs",
-                 "trace", "exit_reason", "outer_iterations", "seed",
-                 "lipschitz")
+    __slots__ = ("best_point", "best_F", "certified", "final_point",
+                 "queries_used", "diag_queries", "epochs", "trace",
+                 "exit_reason", "outer_iterations", "seed", "lipschitz")
 
     def __init__(self, best_point: ManifoldPoint, best_F: float,
                  certified: Optional[Certification],
-                 certified_point: Optional[ManifoldPoint],
                  final_point: ManifoldPoint, queries_used: int,
                  diag_queries: int, epochs: dict[str, int],
                  trace: list[TraceRow], exit_reason: str,
@@ -100,7 +101,6 @@ class SolverReport:
         self.best_point = best_point
         self.best_F = best_F
         self.certified = certified
-        self.certified_point = certified_point
         self.final_point = final_point
         self.queries_used = queries_used
         self.diag_queries = diag_queries
@@ -116,8 +116,6 @@ class SolverReport:
             "best_F": self.best_F,
             "best_point": self.best_point.coords.tolist(),
             "certified": self.certified.as_dict() if self.certified else None,
-            "certified_point": (self.certified_point.coords.tolist()
-                                if self.certified_point else None),
             "final_point": self.final_point.coords.tolist(),
             "queries_used": self.queries_used,
             "diag_queries": self.diag_queries,
@@ -240,7 +238,7 @@ def _label_epochs(rows: list[TraceRow], epsilon: float, certified: bool,
             continue
         norms = [r.grad_norm_or_batch for r in group
                  if r.event in _STEP_EVENTS]
-        if group[0].event == "grad_check":
+        if group[0].event == "grad_check" and group[1].u_norm > 0:
             label = "escape"
         elif group[-1].event == "boundary":
             label = "type1_descent"
@@ -281,7 +279,6 @@ def prsrg_run(objective, x0: ManifoldPoint, params: SolverParams,
     x = x0
     best_x, best_F = x0, float(objective.value(x0))
     certified: Optional[Certification] = None
-    certified_point: Optional[ManifoldPoint] = None
     exit_reason = "budget"
     outer_t = 0
 
@@ -303,7 +300,7 @@ def prsrg_run(objective, x0: ManifoldPoint, params: SolverParams,
                         _affordable_T(remaining, B, b, m, False))
             if cert.passed or T_run < 1:
                 if cert.passed:
-                    certified, certified_point = cert, x
+                    certified = cert
                     exit_reason = "certified"
                 total_q += oracle.queries
                 diag_q += oracle.diag_queries
@@ -335,9 +332,8 @@ def prsrg_run(objective, x0: ManifoldPoint, params: SolverParams,
         lambda: PullbackOracle(objective, x).exact_grad(
             manifold.zero_tangent(x)).norm <= params.epsilon)
     return SolverReport(best_point=best_x, best_F=best_F, certified=certified,
-                        certified_point=certified_point, final_point=x,
-                        queries_used=total_q, diag_queries=diag_q,
-                        epochs=epochs, trace=rows,
+                        final_point=x, queries_used=total_q,
+                        diag_queries=diag_q, epochs=epochs, trace=rows,
                         exit_reason=exit_reason, outer_iterations=outer_t,
                         seed=seed)
 

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from prsrg import (
-    BaselineConfig,
     ParameterError,
     QuadraticSaddleInstance,
     RayleighInstance,
@@ -20,16 +19,34 @@ from prsrg.rng import master_stream
 from prsrg.solver import prsrg_run, probe_params
 
 
-# ------------------------------------------------------------ config
+def _prgd(obj, x0, epsilon, delta, budget, seed, **tuned):
+    """prgd on the derived parameters with ``tuned`` fields replaced."""
+    stream = master_stream(seed)
+    params, _ = probe_params(obj, x0, epsilon, delta, budget, stream)
+    return baseline_run(obj, x0, replace(params, **tuned), stream)
+
+
+def _small_params():
+    obj = RayleighInstance(d=4, n=8, spectrum=[2.0, 1.0, 0.5, 0.1],
+                           noise_scale=0.1, rotation_seed=0)
+    x0 = obj.eigvec(0)
+    params, _ = probe_params(obj, x0, 0.1, 0.5, 100, master_stream(0))
+    return obj, x0, params
+
+
+# ------------------------------------------------------------ params
 
 def test_config_validation():
-    BaselineConfig(eta=0.1, r=0.01)
+    # prgd's step size, radius and escape length are SolverParams fields,
+    # tuned by replace, which validates them
+    _, _, params = _small_params()
+    replace(params, eta=0.1, r=0.01, T_max=20)
     with pytest.raises(ParameterError):
-        BaselineConfig(eta=0.0)
+        replace(params, eta=0.0)
     with pytest.raises(ParameterError):
-        BaselineConfig(eta=0.1, r=-0.1)
+        replace(params, r=-0.1)
     with pytest.raises(ParameterError):
-        BaselineConfig(eta=0.1, escape_steps=0)
+        replace(params, T_max=0)
 
 
 # ------------------------------------------------------------ prgd
@@ -43,9 +60,8 @@ def test_prgd_converges_on_convex_quadratic():
     rng = np.random.default_rng(0)
     x0 = obj.manifold.point(0.3 * rng.standard_normal(8))
     eps = 1e-6
-    config = BaselineConfig(eta=1.0 / L, r=1e-3)
-    report = baseline_run(obj, x0, config, epsilon=eps,
-                          delta=0.5, budget=10_000_000, rng=1)
+    report = _prgd(obj, x0, eps, 0.5, 10_000_000, 1, eta=1.0 / L, r=1e-3,
+                   T_max=20)
     assert report.exit_reason == "certified"
     assert report.certified.grad_norm <= eps
     kappa = L / mu
@@ -62,12 +78,26 @@ def test_prgd_escapes_rayleigh_saddle():
         ([2.0, 1.0], np.linspace(0.9, 0.1, 10))), noise_scale=0.0,
         rotation_seed=None)
     x0 = obj.eigvec(1)
-    config = BaselineConfig(eta=0.05, r=1e-3, escape_steps=40)
-    report = baseline_run(obj, x0, config, epsilon=1e-4,
-                          delta=0.5, budget=2_000_000, rng=5)
+    report = _prgd(obj, x0, 1e-4, 0.5, 2_000_000, 5, eta=0.05, r=1e-3,
+                   T_max=40)
     assert report.exit_reason == "certified"
-    align = abs(report.certified_point.coords @ obj.eigvec(0).coords)
+    align = abs(report.final_point.coords @ obj.eigvec(0).coords)
     assert align >= 0.99
+
+
+@pytest.mark.parametrize("T_max", [3, 7])
+def test_prgd_escape_length_is_t_max(T_max):
+    # at the exact saddle the check passes and certification fails, so the
+    # first outer iteration perturbs and then takes the params' T_max steps
+    obj = RayleighInstance(d=12, n=48, spectrum=np.concatenate(
+        ([2.0, 1.0], np.linspace(0.9, 0.1, 10))), noise_scale=0.0,
+        rotation_seed=None)
+    report = _prgd(obj, obj.eigvec(1), 1e-4, 0.5, 2_000, 5, eta=0.05,
+                   r=1e-3, T_max=T_max)
+    first = [(r.inner_k, r.event) for r in report.trace if r.outer_t == 0]
+    assert first == [(0, "grad_check")] + [
+        (k, "step") for k in range(1, T_max + 1)]
+    assert report.trace[T_max].queries_cum == (T_max + 1) * obj.n
 
 
 def test_prgd_rows_labeled_baseline():
@@ -75,9 +105,7 @@ def test_prgd_rows_labeled_baseline():
                            noise_scale=0.1, rotation_seed=2)
     rng = np.random.default_rng(3)
     x0 = obj.manifold.rand_point(rng)
-    config = BaselineConfig(eta=0.05, r=1e-3)
-    report = baseline_run(obj, x0, config, epsilon=1e-3,
-                          delta=0.5, budget=5_000, rng=7)
+    report = _prgd(obj, x0, 1e-3, 0.5, 5_000, 7, eta=0.05, r=1e-3, T_max=20)
     assert report.trace
     assert all(r.epoch_type == "baseline" for r in report.trace)
     assert report.queries_used <= 5_000
@@ -118,19 +146,14 @@ def test_rsrg_unperturbed_descends_from_generic_start():
 # -------------------------------------------------------- shared rules
 
 def test_baseline_validation():
-    obj = RayleighInstance(d=4, n=8, spectrum=[2.0, 1.0, 0.5, 0.1],
-                           noise_scale=0.1, rotation_seed=0)
-    x0 = obj.eigvec(0)
-    config = BaselineConfig(eta=0.1)
+    # epsilon and the budget are SolverParams fields too
+    obj, x0, params = _small_params()
     with pytest.raises(ParameterError):
-        baseline_run(obj, x0, config, epsilon=0.0, delta=0.5,
-                     budget=100, rng=0)
+        replace(params, epsilon=0.0)
     with pytest.raises(ParameterError):
-        baseline_run(obj, x0, config, epsilon=0.1, delta=0.5,
-                     budget=-1, rng=0)
+        replace(params, budget=-1)
     with pytest.raises(ParameterError):
-        baseline_run(obj, x0, config, epsilon=0.1, delta=0.5,
-                     budget=100, rng="not-a-seed")
+        baseline_run(obj, x0, params, rng="not-a-seed")
 
 
 def test_prgd_spends_more_queries_than_prsrg_head_to_head():
@@ -144,13 +167,10 @@ def test_prgd_spends_more_queries_than_prsrg_head_to_head():
     for seed in range(10):
         rng = np.random.default_rng(100 + seed)
         x0 = obj.manifold.rand_point(rng)
-        solver_report, _ = auto_solve(obj, x0, epsilon=0.05, delta=0.5,
-                                      budget=3_000_000, rng=seed)
-        config = BaselineConfig(eta=0.05, r=1e-3,
-                                escape_steps=30)
-        base_report = baseline_run(obj, x0, config,
-                                   epsilon=0.05, delta=0.5,
-                                   budget=3_000_000, rng=seed)
+        solver_report, params = auto_solve(obj, x0, epsilon=0.05, delta=0.5,
+                                           budget=3_000_000, rng=seed)
+        base_report = baseline_run(
+            obj, x0, replace(params, eta=0.05, r=1e-3, T_max=30), seed)
         solver_q = (solver_report.queries_used
                     if solver_report.exit_reason == "certified"
                     else 3_000_000)

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from prsrg import harness
-from prsrg.baselines import BaselineConfig, baseline_run
+from prsrg.baselines import baseline_run
 from prsrg.cli import EXIT_BAD_INPUT, EXIT_FAIL, EXIT_OK, main
 from prsrg.errors import (ContractViolation, InvariantViolation,
                           NumericalFailure, ParameterError)
@@ -454,20 +454,27 @@ def test_run_experiment_writes_artifacts(tmp_path):
     assert payload["report"]["seed"] == 7
 
 
-def test_prgd_runs_at_fixed_settings():
-    # no config key tunes prgd: --algo prgd runs eta = 0.1 and r = 0.01,
-    # with BaselineConfig's 20 escape steps, and reports no params
-    cfg = dataclasses.replace(parse_config(SMALL_RUN), algo="prgd")
-    report, params = run_experiment(cfg)
-    assert params is None
+def test_every_algo_runs_on_the_resolved_params():
+    # every algorithm runs on the params resolve_params gives, r = 0 for
+    # rsrg_unperturbed, and prgd is baseline_run on them
+    cfg = parse_config(SMALL_RUN)
     obj = build_problem(cfg)
     stream = master_stream(cfg.seed)
     x0 = resolve_start(cfg, obj, stream)
-    expected = baseline_run(obj, x0, BaselineConfig(eta=0.1, r=0.01),
-                            0.05, 0.5, cfg.budget, stream)
+    resolved, est = resolve_params(cfg, obj, x0, stream)
+    reports = {}
+    for algo in harness.ALGOS:
+        reports[algo], params = run_experiment(
+            dataclasses.replace(cfg, algo=algo))
+        r = 0.0 if algo == "rsrg_unperturbed" else resolved.r
+        assert params == dataclasses.replace(resolved, r=r), algo
+        lipschitz = reports[algo].lipschitz
+        assert (lipschitz.L_hat, lipschitz.rho_hat) == (est.L_hat,
+                                                         est.rho_hat), algo
+    expected = baseline_run(obj, x0, resolved, stream)
     expected.seed = cfg.seed
-    assert report.as_dict() == expected.as_dict()
-    assert rows_to_csv(report.trace) == rows_to_csv(expected.trace)
+    assert reports["prgd"].as_dict() == expected.as_dict()
+    assert rows_to_csv(reports["prgd"].trace) == rows_to_csv(expected.trace)
 
 
 def test_report_params_are_the_solver_params_fields(tmp_path):
@@ -558,13 +565,13 @@ def test_sweep_builds_each_problem_once_per_n(tmp_path, monkeypatch):
     assert built == [12]
 
 
-@pytest.mark.parametrize("algo, count", [("prsrg", 2), ("prgd", 0)])
+@pytest.mark.parametrize("algo, count", [("prsrg", 2), ("prgd", 2)])
 def test_sweep_probes_smoothness_once_per_seed(tmp_path, probes, algo,
                                                 count):
     # the probe reads Abar, the start point and the seed, never n, so a
     # seed's first cell probes and its other cells reuse the estimate;
-    # baselines derive no parameters and never probe. A seed's cells may
-    # run in a forked worker, whose probes the fixture's file logs too
+    # every algorithm probes so. A seed's cells may run in a forked
+    # worker, whose probes the fixture's file logs too
     text = SWEEP_RUN.replace("n = 8,12", "n = 12,7,8").replace(
         "seed = 11", f"seed = 11\nalgo = {algo}")
     rows = run_sweep(parse_config(text), tmp_path / "grid")
@@ -990,7 +997,7 @@ def test_cli_certify(tmp_path, capsys):
     line = json.loads(capsys.readouterr().out)
     assert line["exit_reason"] == "certified" and line["certified"] is True
     assert report["certified"]["passed"] is True
-    assert np.allclose(report["certified_point"], v1.coords)
+    assert np.allclose(report["final_point"], v1.coords)
     assert [(r.event, r.epoch_type) for r in rows] == [("grad_check",
                                                         "useful")]
 
@@ -1001,7 +1008,7 @@ def test_cli_certify(tmp_path, capsys):
     assert rows[0].F_value == -1.0  # F(e2) = -lambda_2
     assert report["exit_reason"] == "certified"
     assert report["certified"]["passed"] is True
-    assert abs(abs(np.dot(report["certified_point"], v1.coords)) - 1) < 1e-6
+    assert abs(abs(np.dot(report["final_point"], v1.coords)) - 1) < 1e-6
     # the argparse rejection of the removed certify subcommand
     with pytest.raises(SystemExit) as info:
         main(["certify", "--config", str(tmp_path / "v1.ini")])
@@ -1023,7 +1030,7 @@ def test_cli_certify_rejects_saddle_when_delta_exceeds_probe(tmp_path,
         0, "grad_check", "escape")
     assert abs(first.F_value + 1.0) <= 1e-12  # F(e2) = -lambda_2
     assert report["certified"]["passed"] is True
-    assert abs(np.dot(report["certified_point"], e2.coords)) < 0.1
+    assert abs(np.dot(report["final_point"], e2.coords)) < 0.1
 
 
 def test_cli_run_escapes_saddle_when_delta_exceeds_probe(tmp_path, capsys):

@@ -159,9 +159,10 @@ def test_unknown_name_raises_attribute_error():
 # the tests' reference differential is in conftest; the second path to the
 # run parameters (probe_params is the one path now); the problem factories,
 # which only passed their arguments to the classes; the [baseline] section
-# (prgd runs at fixed settings); the run-parameter multipliers, which are
-# module constants now; the point-file inputs and the certify command's
-# runner, and the point files' error type
+# and prgd's own parameter record (prgd runs on the derived SolverParams);
+# the run-parameter multipliers, which are module constants now; the
+# point-file inputs and the certify command's runner, and the point files'
+# error type
 REMOVED = {
     "geometry.Manifold": ("dretract_apply", "dretract_matrix",
                           "_dretract_coords", "_dretract_target"),
@@ -181,6 +182,7 @@ REMOVED = {
                  "DataRayleighInstance", "load_matrix", "save_matrix"),
     "tssrg": ("tssrg_run_coupled",),
     "solver": ("_mode_scale", "SolverConstants"),
+    "baselines": ("BaselineConfig",),
 }
 
 

@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from prsrg import (
-    BaselineConfig,
     ContractViolation,
     ParameterError,
     PullbackOracle,
@@ -24,7 +23,6 @@ from prsrg import (
     StreamingRayleighInstance,
     TssrgParams,
     auto_solve,
-    baseline_run,
     certify,
     derive_params,
     parse_spectrum,
@@ -279,14 +277,6 @@ def _solver_params(**kw):
         id="stuck_r"),
     pytest.param(lambda o: stuck_region_experiment(
         o, _TSS, 0.1, 1, master_stream(0), **_SR, c2=NAN), id="stuck_c2"),
-    pytest.param(lambda o: baseline_run(
-        o.objective, o.anchor, BaselineConfig(0.1), NAN, 0.1, 10,
-        0), id="baseline_epsilon"),
-    pytest.param(lambda o: baseline_run(
-        o.objective, o.anchor, BaselineConfig(0.1), 0.1, NAN, 10,
-        0), id="baseline_delta"),
-    pytest.param(lambda o: BaselineConfig(0.1, r=NAN),
-                 id="baseline_r"),
 ])
 def test_nan_parameters_raise_parameter_error(call, small_rayleigh):
     # NaN fails every comparison, so a check written as x <= 0 lets it in
@@ -328,7 +318,7 @@ def test_certifies_at_minimizer(small_rayleigh):
     report = prsrg_run(small_rayleigh, x0, params, master_stream(3))
     assert report.exit_reason == "certified"
     assert report.certified is not None and report.certified.passed
-    assert np.array_equal(report.certified_point.coords, x0.coords)
+    assert np.array_equal(report.final_point.coords, x0.coords)
     assert report.queries_used <= params.budget
     # certification work is tracked separately
     assert report.diag_queries > 0
@@ -436,20 +426,31 @@ def test_monotone_best(medium_rayleigh):
 
 
 def test_trailing_quiet_epoch_resolved(small_rayleigh):
-    # budget sized so the run ends right after a quiet (pending) epoch;
-    # the label must still be settled, never left empty
-    x0 = small_rayleigh.eigvec(1)
-    params = _tiny_params(small_rayleigh.n, budget=200)
-    report = prsrg_run(small_rayleigh, x0, params, master_stream(19))
-    for row in report.trace:
-        assert row.epoch_type in EPOCH_TYPES
+    # eta = 0.1 / L_hat = 0.4 takes long steps, so the recursive estimator
+    # drifts off the gradient: the run's last epoch is quiet by its
+    # estimator norms, yet the exact gradient at its end exceeds epsilon
+    params = _tiny_params(small_rayleigh.n, budget=700, L_hat=0.25)
+    report = prsrg_run(small_rayleigh, small_rayleigh.eigvec(1), params,
+                       master_stream(16))
+    last = [r for r in report.trace if r.outer_t == report.trace[-1].outer_t]
+    assert [r.event for r in last] == (["anchor"] + ["step"] * 5
+                                       + ["uniform_break"])
+    norms = [r.grad_norm_or_batch for r in last[1:]]
+    assert 2 * sum(v > params.epsilon / 2 for v in norms) < len(norms)
+    x = report.final_point
+    tail = PullbackOracle(small_rayleigh, x).exact_grad(
+        small_rayleigh.manifold.zero_tangent(x)).norm
+    assert tail > params.epsilon  # the exact-gradient tail check fails
+    assert report.queries_used + params.B + 2 * params.b > params.budget
+    assert {r.epoch_type for r in last} == {"wasted"}
+    assert report.epochs["wasted"] == 1
 
 
-def _group(outer_t, events, norm=1.0):
+def _group(outer_t, events, norm=1.0, u_norm=0.0):
     """One outer iteration's unlabeled rows, one per event, each with
-    estimator norm ``norm``."""
+    estimator norm ``norm`` and tangent norm ``u_norm``."""
     return [TraceRow(outer_t=outer_t, inner_k=k, epoch_type="", F_value=0.0,
-                     grad_norm_or_batch=norm, u_norm=0.0, queries_cum=0,
+                     grad_norm_or_batch=norm, u_norm=u_norm, queries_cum=0,
                      event=event) for k, event in enumerate(events)]
 
 
@@ -464,10 +465,13 @@ def test_label_epochs_covers_every_rule(tail):
         # one large norm of two: exactly half, still type 2
         _group(1, ("anchor", "step")) + _group(1, ("uniform_break",), 0.01),
         _group(2, QUIET, 0.01),                       # the next opens a check
-        _group(3, ("grad_check", "anchor", "step", "boundary"), 0.01),
-        _group(4, QUIET, 0.01),                       # the next opens an anchor
-        _group(5, ("anchor", "step", "max_iter")),
-        _group(6, QUIET, 0.01),                       # the run's last epoch
+        # a perturbed episode: its anchor row starts off the origin
+        _group(3, ("grad_check", "anchor", "step", "boundary"), 0.01, 0.1),
+        # r = 0: the episode after the check is a descent epoch
+        _group(4, ("grad_check",) + QUIET, 0.01),
+        _group(5, QUIET, 0.01),                       # the next opens an anchor
+        _group(6, ("anchor", "step", "max_iter")),
+        _group(7, QUIET, 0.01),                       # the run's last epoch
     ]
     calls = []
 
@@ -480,10 +484,10 @@ def test_label_epochs_covers_every_rule(tail):
     last = "useful" if tail else "wasted"
     assert [{r.epoch_type for r in g} for g in groups] == [
         {"type1_descent"}, {"type2_descent"}, {"useful"}, {"escape"},
-        {"wasted"}, {"type2_descent"}, {last}]
+        {"wasted"}, {"wasted"}, {"type2_descent"}, {last}]
     assert len(calls) == 1
     assert counts == {"type1_descent": 1, "type2_descent": 2,
-                      "useful": 1 + tail, "wasted": 1 + (not tail),
+                      "useful": 1 + tail, "wasted": 2 + (not tail),
                       "escape": 1}
 
 
@@ -514,10 +518,10 @@ start = e2
 """
 
 
-def _rsrg_unperturbed_stall():
+def _rsrg_unperturbed_stall(budget=21_000):
     # 21,000 queries: the seventh check is paid for, its episode is not
     cfg = replace(parse_config(SADDLE_STALL), algo="rsrg_unperturbed",
-                  budget=21_000)
+                  budget=budget)
     return run_experiment(cfg)[0]
 
 
@@ -553,6 +557,12 @@ def test_epoch_counts_are_the_labelled_outer_iterations(run, last):
     labelled = Counter(g[0].epoch_type for g in groups if len(g) > 1)
     assert report.epochs == {k: labelled[k] for k in EPOCH_KEYS}
     assert (groups[-1][-1].event, groups[-1][-1].epoch_type) == last
+    if run is _rsrg_unperturbed_stall:
+        # r = 0 perturbs nothing, so no episode is an escape: each is a
+        # quiet descent epoch that the next check settles as useful
+        assert report.epochs == dict.fromkeys(EPOCH_KEYS, 0) | {"useful": 6}
+        short = _rsrg_unperturbed_stall(20_000)  # no seventh check
+        assert (short.epochs, short.queries_used) == (report.epochs, 19_488)
 
 
 def test_seed_reproducibility(medium_rayleigh):
@@ -687,7 +697,12 @@ def test_finite_sum_exhaustive_run_mints_only_epoch_tapes(generator_origins):
     # only generators are the epoch tapes, one per epoch run (each tssrg
     # call here is one unperturbed epoch, which starts at an anchor row)
     report, by_tag = _escape_mints("finite_sum", generator_origins)
-    assert report.epochs["escape"] >= 2
+    # at least two episodes follow a failed certification; r = 0 perturbs
+    # nothing, so none of them is an escape
+    checks = {r.outer_t for r in report.trace if r.event == "grad_check"}
+    anchors = {r.outer_t for r in report.trace if r.event == "anchor"}
+    assert len(checks & anchors) >= 2
+    assert report.epochs["escape"] == 0
     assert set(by_tag) == {TAG_BATCH}
     tapes = [(TAG_OUTER, row.outer_t, TAG_BATCH, 0)
              for row in report.trace if row.event == "anchor"]
