@@ -7,8 +7,8 @@ space and descends the pullback there for a fixed number of steps. It runs
 on the solver's own ``SolverParams``: the step size eta, the perturbation
 radius r, T_max escape steps, (epsilon, delta) and the budget. Every
 gradient is the full one, so the batch sizes go unused, and steps stay in
-the manifold's chart radius, the D that ``derive_params`` sets. It emits
-the solver's SolverReport and trace schema, with rows labeled
+the manifold's ball radius D, read from the manifold like the solver's. It
+emits the solver's SolverReport and trace schema, with rows labeled
 ``baseline``, so a CSV diff against the solver is meaningful. The other
 comparator, ``rsrg_unperturbed`` (the main solver with r forced to zero),
 runs through ``harness.run_experiment``.

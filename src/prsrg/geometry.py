@@ -27,6 +27,8 @@ The public ``dretract_adjoint_apply`` validates, then calls them.
 A manifold's chart is two class constants, D <= 1/(2 c0): the ball radius
 D the solver works in and the c0 of sigma_min(T_u) >= 1 - c0 ||u||, 0.5
 and 1.0 on the sphere, 1e9 (in effect unbounded) and 0.0 on Euclidean space.
+The solver, ``prgd`` and the Lipschitz probe read D here; no run-parameter
+record copies it.
 """
 
 from __future__ import annotations

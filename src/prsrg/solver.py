@@ -22,15 +22,21 @@ is the run's last. A lone final grad_check row (a certified point, or no
 budget for an episode) is useful if the run certified, else wasted, and is
 no epoch.
 
+As in SSRGD (Li 2019), useful means the epoch's output passes the
+first-order test. So an r = 0 run parked at a saddle labels its quiet
+epochs, the unperturbed episodes after each failed certification, useful:
+its waste sits in those escapes that cannot move, not in wasted.
+
 Run parameters take one path, ``probe_params`` (``auto_solve`` and the
 harness, for every algorithm, call it; ``baselines.baseline_run`` reads the
 same record). The objective decides the mode: finite_sum at its
 n, or online at its ``sigma_hint`` when n is None. epsilon, delta and the
 budget are checked before the Lipschitz probe, then ``derive_params`` sets
-every other parameter, with the ball radius D at the manifold's chart
-radius. Its three multipliers are module constants, not options: C_ETA
-(0.1) for the step size, C_T (20) for the episode length and C_B (16) for
-the online anchor batch.
+every other parameter, with r capped at the manifold's chart radius D, the
+radius of the ball every epoch runs in (no run record copies it). Its
+three multipliers are module constants, not options: C_ETA (0.1) for the
+step size, C_T (20) for the episode length and C_B (16) for the online
+anchor batch.
 """
 
 from __future__ import annotations
@@ -43,7 +49,7 @@ from operator import attrgetter
 from typing import Optional
 
 from .diagnostics import Certification, _check_tolerance, certify
-from .errors import ContractViolation, InvariantViolation, ParameterError
+from .errors import InvariantViolation, ParameterError
 from .geometry import ManifoldPoint, TangentVector
 from .pullback import LipschitzEstimate, PullbackOracle
 from .rng import TAG_CHECK, TAG_DIAG, TAG_OUTER, TAG_PERTURB, as_stream
@@ -64,13 +70,12 @@ C_B = 16.0
 @dataclass(frozen=True)
 class SolverParams(TssrgParams):
     """The inner loop's parameters, the perturbation radius r, (epsilon,
-    delta), the budget and the mode: report.json's params, by field name."""
+    delta) and the budget: report.json's params, by field name."""
 
     r: float
     epsilon: float
     delta: float
     budget: int
-    mode: str
 
     @staticmethod
     def _check_field(name: str, v) -> None:
@@ -81,9 +86,6 @@ class SolverParams(TssrgParams):
             raise ParameterError(f"r must be finite and >= 0, got {v}")
         if name == "budget" and v < 0:
             raise ParameterError(f"budget must be >= 0, got {v}")
-        if name == "mode" and v not in (FINITE_SUM, ONLINE):
-            raise ParameterError(f"mode must be finite_sum or online, got "
-                                 f"{v!r}")
 
 
 class SolverReport:
@@ -135,8 +137,10 @@ def derive_params(mode: str, n_or_sigma, epsilon: float, delta: float,
     ceil(sigma / eps), B = ceil(C_B sigma^2 / eps^2). Both modes:
     eta = C_ETA / L_hat, T_max = ceil(C_T / delta), r = min of
     delta^3/(rho_hat^2 eps) and sqrt(delta^3/(rho_hat^2 L_hat)), capped at
-    the ball radius D (the cap binds when rho_hat is tiny, e.g. exactly
-    quadratic objectives). C_ETA, C_T and C_B are module constants.
+    the chart radius D, the manifold's ball radius (the cap binds when
+    rho_hat is tiny, e.g. exactly quadratic objectives). The mode picks the
+    formulas; neither it nor D is returned. C_ETA, C_T and C_B are module
+    constants.
     """
     for name, value in (("epsilon", epsilon), ("delta", delta)):
         SolverParams._check_field(name, value)
@@ -165,9 +169,8 @@ def derive_params(mode: str, n_or_sigma, epsilon: float, delta: float,
             f"delta={delta} exceeds the gradient Lipschitz estimate "
             f"L_hat={L_hat}; the Hessian clause is looser than the estimated "
             "curvature scale (certification still checks it)", stacklevel=2)
-    return SolverParams(eta=eta, m=m, b=m, B=B, D=D, T_max=T_max, r=r,
-                        epsilon=epsilon, delta=delta, budget=budget,
-                        mode=mode)
+    return SolverParams(eta=eta, m=m, b=m, B=B, T_max=T_max, r=r,
+                        epsilon=epsilon, delta=delta, budget=budget)
 
 
 def _batch_sizes(mode: str, n_or_sigma, epsilon: float) -> tuple[int, int]:
@@ -266,10 +269,6 @@ def prsrg_run(objective, x0: ManifoldPoint, params: SolverParams,
     """
     manifold = objective.manifold
     manifold._require_point(x0)
-    if params.D > manifold.D * (1.0 + 1e-12):
-        raise ContractViolation(
-            f"run ball radius {params.D} exceeds the manifold chart "
-            f"radius {manifold.D}")
     stream, seed = as_stream(rng)
 
     B, b, m = params.B, params.b, params.m
@@ -305,7 +304,7 @@ def prsrg_run(objective, x0: ManifoldPoint, params: SolverParams,
                 total_q += oracle.queries
                 diag_q += oracle.diag_queries
                 break
-            u0 = manifold.sample_ball(x, min(params.r, params.D),
+            u0 = manifold.sample_ball(x, min(params.r, manifold.D),
                                       ostream.child(TAG_PERTURB))
             anchor_grad = None
         else:

@@ -1,9 +1,9 @@
 """Recursive-gradient descent run inside one tangent-space ball.
 
 The loop descends a pullback objective F_hat = f(R_x(u)) over the ball
-B(0, D) in T_x M using a recursively corrected stochastic gradient: every
-``m`` steps an anchor gradient is taken on a batch of size ``B`` and in
-between the estimator is updated as
+B(0, D) in T_x M, D the manifold's chart radius, using a recursively
+corrected stochastic gradient: every ``m`` steps an anchor gradient is
+taken on a batch of size ``B`` and in between the estimator is updated as
 
     v_t = grad F_hat_I(u_t) - grad F_hat_I(u_{t-1}) + v_{t-1}
 
@@ -27,12 +27,11 @@ both reach; equal starts give bit-identical outcomes. An anchor's large
 batch reads ``stream.child(TAG_ANCHOR, e)``, minted only if not exhaustive.
 
 ``tssrg_run`` validates its inputs once, at entry: u0 and ``anchor_grad``
-must be based at the oracle's anchor, u0 must lie in the run ball, and the
-run ball must fit in the manifold's chart. After that the loop keeps u, v
-and the step w as plain float64 arrays. A step makes one oracle call,
-``PullbackOracle._grad_pair``, for both minibatch gradients and its row's F;
-an anchor gradient is one ``_grad`` and its row reuses the last step's F,
-taken at the same u. Norms are ``_norm``, the square root of the dot
+must be based at the oracle's anchor, and u0 must lie in the ball. After
+that the loop keeps u, v and the step w as plain float64 arrays. A step
+makes one oracle call, ``PullbackOracle._grad_pair``, for both minibatch
+gradients and its row's F; an anchor gradient is one ``_grad`` and its row
+reuses the last step's F, taken at the same u. Norms are ``_norm``, the square root of the dot
 product, which equals ``np.linalg.norm`` bit for bit on 1-D float64.
 Tangent vectors are built only where a public, validating oracle call needs
 one (F at u0 and at a boundary exit) and for the returned outcome.
@@ -49,7 +48,7 @@ import warnings
 
 import numpy as np
 
-from .errors import ContractViolation, NumericalFailure, OutOfBall, ParameterError
+from .errors import NumericalFailure, ParameterError
 from .geometry import ManifoldPoint, TangentVector, _norm
 from .pullback import PullbackOracle
 from .rng import TAG_ANCHOR, TAG_BATCH, StreamTree
@@ -64,13 +63,13 @@ class ExitReason(enum.Enum):
 
 @dataclass(frozen=True)
 class TssrgParams:
-    """Step size, epoch length, batch sizes, ball radius, iteration cap."""
+    """Step size, epoch length, batch sizes, iteration cap; the ball radius
+    is the manifold's D."""
 
     eta: float
     m: int
     b: int
     B: int
-    D: float
     T_max: int
 
     def __post_init__(self):
@@ -89,7 +88,7 @@ class TssrgParams:
     @staticmethod
     def _check_field(name: str, v) -> None:
         """Raise ParameterError if v is out of range for field ``name``."""
-        if name in ("eta", "D") and not (v > 0 and math.isfinite(v)):
+        if name == "eta" and not (v > 0 and math.isfinite(v)):
             raise ParameterError(f"{name} must be positive, got {v}")
         if name in ("m", "b", "B", "T_max") and not (
                 isinstance(v, (int, np.integer)) and 1 <= v < 2 ** 63):
@@ -174,17 +173,13 @@ def tssrg_run(oracle: PullbackOracle, u0: TangentVector, params: TssrgParams,
     man = oracle.manifold
     obj = oracle.objective
     x = oracle.anchor
-    D = params.D
+    D = man.D
     man._require_base(x, u0)
     if anchor_grad is not None:
         man._require_base(x, anchor_grad)
-    if D > man.D * (1.0 + 1e-12):
-        raise ContractViolation(
-            f"run ball radius {D} exceeds the manifold chart radius {man.D}")
+    man._require_in_ball(u0)
     u_prev = u0.coords
     u_norm = _norm(u_prev)
-    if u_norm > D * (1.0 + 1e-12):
-        raise OutOfBall(f"u0 norm {u_norm} exceeds ball radius {D}")
     perturbed = u_norm > 0.0
 
     seg = TraceSegment()

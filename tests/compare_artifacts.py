@@ -51,7 +51,7 @@ def _run(root: Path, d: Path, command: str, text: str,
     proc = subprocess.run(
         [sys.executable, "-m", "prsrg.cli", command, "--config",
          str(d / "in.ini"), "--out", str(out), *extra],
-        env=dict(os.environ, PYTHONPATH=str(root / "src"), PRSRG_THREADS="2"),
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
         capture_output=True, text=True)
     seen = f"exit {proc.returncode}\n{proc.stdout}{proc.stderr}"
     return seen.replace(str(out), "<out>")

@@ -126,7 +126,7 @@ def test_04_full_batch_estimator_is_exact():
     stream = master_stream(404)
     x = man.rand_point(stream.child(TAG_INIT).generator())
     oracle = PullbackOracle(obj, x)
-    p = _quiet_params(eta=0.01, m=64, b=64, B=64, D=man.D, T_max=64)
+    p = _quiet_params(eta=0.01, m=64, b=64, B=64, T_max=64)
     out = tssrg_run(oracle, man.zero_tangent(x), p, stream, record=True)
     seg = out.segment
     gaps = [estimator_gap(oracle, u, v)
@@ -155,8 +155,7 @@ def test_05_variance_ratio_flat_across_minibatch_sizes():
             stream = master_stream(5000 + s)
             x = man.rand_point(stream.child(TAG_INIT).generator())
             oracle = PullbackOracle(obj, x)
-            p = _quiet_params(eta=eta, m=16, b=b, B=256, D=man.D,
-                              T_max=16)
+            p = _quiet_params(eta=eta, m=16, b=b, B=256, T_max=16)
             out = tssrg_run(oracle, man.zero_tangent(x), p, stream,
                             record=True)
             sups.append(check_variance_bound(out.segment, oracle, p,
@@ -189,7 +188,7 @@ def test_06_large_gradient_epochs_do_not_increase_objective():
         oracle = PullbackOracle(obj, x)
         # random starts on this instance always sit above the threshold
         assert oracle.exact_grad(oracle.zero()).norm >= eps
-        p = _quiet_params(eta=eta, m=32, b=32, B=1000, D=man.D, T_max=32)
+        p = _quiet_params(eta=eta, m=32, b=32, B=1000, T_max=32)
         out = tssrg_run(oracle, man.zero_tangent(x), p, stream)
         good += obj.value(out.result) <= obj.value(x)
     _verdict(6, "objective non-increase from large-gradient starts",
@@ -203,7 +202,7 @@ def _coupled_runs(obj, eta, r0, m, b, T, stream):
     x0 = man.point(np.zeros(man.ambient_dim))
     oracle = PullbackOracle(obj, x0)
     emin = obj.rotation[:, 0]
-    p = _quiet_params(eta=eta, m=m, b=b, B=obj.n, D=man.D, T_max=T)
+    p = _quiet_params(eta=eta, m=m, b=b, B=obj.n, T_max=T)
     ua = TangentVector(x0, +0.5 * r0 * emin)
     ub = TangentVector(x0, -0.5 * r0 * emin)
     # one stream for both runs: the same minibatches at every shared step

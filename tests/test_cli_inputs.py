@@ -482,7 +482,7 @@ def test_huge_step_size_runs_to_budget(eta):
                              "useful": 0, "wasted": 0, "escape": 0}
     exits = [row for row in report.trace if row.event != "anchor"]
     assert [row.event for row in exits] == ["boundary"] * epochs
-    assert all(abs(row.u_norm - params.D) <= 1e-12 for row in exits)
+    assert all(abs(row.u_norm - obj.manifold.D) <= 1e-12 for row in exits)
 
 
 def test_budget_invariant_exits_1(tmp_path, capsys, monkeypatch):

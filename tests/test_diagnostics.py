@@ -36,7 +36,7 @@ from replay import (NotASaddle, check_improve_or_localize,
 
 
 def _params(**kw):
-    base = dict(eta=0.05, m=5, b=5, B=50, D=0.5, T_max=50)
+    base = dict(eta=0.05, m=5, b=5, B=50, T_max=50)
     base.update(kw)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -497,7 +497,7 @@ def test_stuck_region_zero_trials_and_r0_arithmetic():
     obj = QuadraticSaddleInstance(d=100, gamma=1.0, L_top=2.0, n=4,
                                   rotation_seed=None, noise_scale=0.0)
     oracle = PullbackOracle(obj, obj.manifold.point(np.zeros(100)))
-    params = _params(eta=0.05, m=4, b=4, B=4, D=1.0, T_max=4)
+    params = _params(eta=0.05, m=4, b=4, B=4, T_max=4)
     stats = stuck_region_experiment(oracle, params, nu=0.1, trials=0,
                                     stream=master_stream(1), rho_hat=1.0,
                                     delta=0.5, r=0.01)
@@ -515,7 +515,7 @@ def test_stuck_region_deviation_time_closed_form():
                                   rotation_seed=None, noise_scale=0.0)
     oracle = PullbackOracle(obj, obj.manifold.point(np.zeros(16)))
     nu, r, rho, delta, c2 = 0.1, 0.04, 1.0, 0.02, 1.0
-    params = _params(eta=eta, m=200, b=obj.n, B=obj.n, D=5.0, T_max=200)
+    params = _params(eta=eta, m=200, b=obj.n, B=obj.n, T_max=200)
     stats = stuck_region_experiment(oracle, params, nu=nu, trials=3,
                                     stream=master_stream(2), rho_hat=rho,
                                     delta=delta, r=r, c2=c2)

@@ -35,6 +35,7 @@ from prsrg.rng import master_stream
 from prsrg.solver import (SolverParams, auto_solve, prsrg_run,
                           small_grad_check)
 from prsrg.trace import COLUMNS, TraceRow, rows_to_csv, write_trace
+from prsrg.tssrg import TssrgParams
 
 from conftest import read_trace
 
@@ -485,12 +486,40 @@ def test_report_params_are_the_solver_params_fields(tmp_path):
     _, params = run_experiment(cfg, out=str(prefix))
     payload = json.loads(prefix.with_suffix(".report.json").read_text())
     fields = {f.name for f in dataclasses.fields(SolverParams)}
-    derived = {"eta", "m", "b", "B", "D", "T_max", "r", "mode"}
+    derived = {"eta", "m", "b", "B", "T_max", "r"}
     config_keys = {f.name for f in dataclasses.fields(SolverSpec)}
     assert set(payload["params"]) == fields == derived | config_keys | {
         "budget"}
     assert SolverParams(**payload["params"]) == params
     assert (params.epsilon, params.delta, params.budget) == (0.05, 0.5, 6000)
+
+
+def test_ball_radius_is_the_manifolds():
+    # no run record carries a radius or a mode: every epoch runs in the
+    # manifold's ball, so each boundary row of each algorithm sits on it
+    assert [f.name for f in dataclasses.fields(TssrgParams)] == [
+        "eta", "m", "b", "B", "T_max"]
+    assert [f.name for f in dataclasses.fields(SolverParams)] == [
+        "eta", "m", "b", "B", "T_max", "r", "epsilon", "delta", "budget"]
+    cfg = parse_config(SMALL_RUN)
+    obj = build_problem(cfg)
+    D = obj.manifold.D
+    # eta = 0.5 takes descent epochs from a random start, and prgd's escape
+    # from the saddle e2, out to the ball's edge
+    for algo, start in (("prsrg", "random"), ("rsrg_unperturbed", "random"),
+                        ("prgd", "e2")):
+        stream = master_stream(cfg.seed)
+        x0 = resolve_start(dataclasses.replace(
+            cfg, problem=dataclasses.replace(cfg.problem, start=start)),
+            obj, stream)
+        params, _ = resolve_params(cfg, obj, x0, stream)
+        params = dataclasses.replace(
+            params, eta=0.5, r=0.0 if algo == "rsrg_unperturbed" else params.r)
+        run = baseline_run if algo == "prgd" else prsrg_run
+        exits = [row.u_norm for row in run(obj, x0, params, stream).trace
+                 if row.event == "boundary"]
+        assert exits, algo
+        assert all(abs(u - D) <= 1e-12 for u in exits), algo
 
 
 def test_run_experiment_budget_zero_vacuous():

@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from prsrg import (
-    ContractViolation,
     ParameterError,
     PullbackOracle,
     RayleighInstance,
@@ -54,7 +53,6 @@ def test_finite_sum_parameter_formulas():
         assert p.B == n
         assert p.eta == 0.1 / L_hat
         assert p.T_max == math.ceil(20.0 / delta)
-        assert p.mode == "finite_sum"
     assert (p.m, p.T_max) == (32, 67)
 
 
@@ -74,7 +72,6 @@ def test_online_parameter_formulas():
         assert p.B == math.ceil(16.0 * sigma * sigma / (eps * eps))
         assert p.eta == 0.1 / L_hat
         assert p.T_max == math.ceil(20.0 / delta)
-        assert p.mode == "online"
         if sigma == 1.0:
             assert (p.m, p.B) == (100, 160_000)
 
@@ -136,18 +133,12 @@ def test_large_delta_warns():
 
 
 def test_solver_params_validation():
-    tss = dict(eta=0.1, m=2, b=2, B=4, D=0.5, T_max=10)
-    SolverParams(**tss, r=0.0, epsilon=0.1, delta=0.1, budget=0,
-                 mode="finite_sum")
+    tss = dict(eta=0.1, m=2, b=2, B=4, T_max=10)
+    SolverParams(**tss, r=0.0, epsilon=0.1, delta=0.1, budget=0)
     with pytest.raises(ParameterError):
-        SolverParams(**tss, r=-0.1, epsilon=0.1, delta=0.1, budget=10,
-                     mode="finite_sum")
+        SolverParams(**tss, r=-0.1, epsilon=0.1, delta=0.1, budget=10)
     with pytest.raises(ParameterError):
-        SolverParams(**tss, r=0.1, epsilon=0.1, delta=0.1, budget=-1,
-                     mode="finite_sum")
-    with pytest.raises(ParameterError):
-        SolverParams(**tss, r=0.1, epsilon=0.1, delta=0.1, budget=10,
-                     mode="batch")
+        SolverParams(**tss, r=0.1, epsilon=0.1, delta=0.1, budget=-1)
 
 
 # ------------------------------------------------------ small_grad_check
@@ -245,13 +236,12 @@ def test_affordable_T_closed_form_matches_search():
 # ---------------------------------------------------- NaN parameters
 
 NAN = float("nan")
-_TSS = TssrgParams(eta=0.1, m=2, b=2, B=4, D=0.5, T_max=3)
+_TSS = TssrgParams(eta=0.1, m=2, b=2, B=4, T_max=3)
 _SR = dict(rho_hat=1.0, delta=0.1, r=0.1)
 
 
 def _solver_params(**kw):
-    base = dict(asdict(_TSS), r=0.1, epsilon=0.1, delta=0.1, budget=10,
-                mode="finite_sum")
+    base = dict(asdict(_TSS), r=0.1, epsilon=0.1, delta=0.1, budget=10)
     return SolverParams(**{**base, **kw})
 
 
@@ -288,9 +278,9 @@ def test_nan_parameters_raise_parameter_error(call, small_rayleigh):
 # ------------------------------------------------------------ prsrg_run
 
 def _tiny_params(n, *, budget, epsilon=1e-3, delta=0.1, L_hat=4.0,
-                 rho_hat=8.0, D=0.5):
+                 rho_hat=8.0):
     return derive_params("finite_sum", n, epsilon=epsilon, delta=delta,
-                         L_hat=L_hat, rho_hat=rho_hat, D=D, budget=budget)
+                         L_hat=L_hat, rho_hat=rho_hat, budget=budget)
 
 
 def test_zero_budget_is_vacuous(small_rayleigh):
@@ -303,13 +293,6 @@ def test_zero_budget_is_vacuous(small_rayleigh):
     assert report.certified is None
     assert report.trace == []
     assert np.array_equal(report.best_point.coords, x0.coords)
-
-
-def test_run_ball_must_fit_chart(small_rayleigh):
-    params = _tiny_params(small_rayleigh.n, budget=1000, D=0.75)
-    with pytest.raises(ContractViolation):
-        prsrg_run(small_rayleigh, small_rayleigh.eigvec(0), params,
-                  master_stream(0))
 
 
 def test_certifies_at_minimizer(small_rayleigh):
@@ -657,9 +640,8 @@ def test_charged_batches_never_share_samples(mode, generator_origins):
     else:
         obj = RayleighInstance(d=6, n=400, spectrum=spec, noise_scale=0.2,
                                rotation_seed=None)
-    params = SolverParams(eta=0.05, m=8, b=8, B=200, D=0.5, T_max=40,
-                          r=0.05, epsilon=1.0, delta=0.1, budget=3000,
-                          mode=mode)
+    params = SolverParams(eta=0.05, m=8, b=8, B=200, T_max=40, r=0.05,
+                          epsilon=1.0, delta=0.1, budget=3000)
     ledger = _BatchLedger(obj, generator_origins)
     report = prsrg_run(ledger, obj.eigvec(1), params, master_stream(1))
     assert report.epochs["escape"] >= 1
@@ -680,8 +662,8 @@ def _escape_mints(mode, origins):
         obj = RayleighInstance(d=6, n=64, spectrum=spec, noise_scale=0.2,
                                rotation_seed=None)
         B, r = 64, 0.0
-    params = SolverParams(eta=0.05, m=8, b=8, B=B, D=0.5, T_max=40, r=r,
-                          epsilon=1.0, delta=0.1, budget=4000, mode=mode)
+    params = SolverParams(eta=0.05, m=8, b=8, B=B, T_max=40, r=r,
+                          epsilon=1.0, delta=0.1, budget=4000)
     _lanczos_start(obj.manifold.ambient_dim)
     origins.clear()
     report = prsrg_run(obj, obj.eigvec(1), params, master_stream(1))
@@ -735,8 +717,7 @@ def test_auto_solve_selects_finite_sum(small_rayleigh):
     report, params = auto_solve(small_rayleigh, small_rayleigh.eigvec(0),
                                 epsilon=1e-3, delta=0.5, budget=50_000,
                                 rng=31)
-    assert params.mode == "finite_sum"
-    assert params.m == int(np.ceil(np.sqrt(small_rayleigh.n)))
+    assert params.m == params.b == int(np.ceil(np.sqrt(small_rayleigh.n)))
     assert params.B == small_rayleigh.n
     assert report.exit_reason == "certified"
     assert report.seed == 31
@@ -750,7 +731,10 @@ def test_auto_solve_selects_online():
         report, params = auto_solve(obj, obj.manifold.point(np.eye(6)[0]),
                                     epsilon=0.5, delta=1.0, budget=3000,
                                     rng=37)
-    assert params.mode == "online"
+    # the online formulas at the objective's sigma_hint
+    sigma = obj.sigma_hint
+    assert params.m == params.b == math.ceil(sigma / 0.5)
+    assert params.B == math.ceil(16.0 * sigma * sigma / 0.25)
     assert report.queries_used <= 3000
 
 

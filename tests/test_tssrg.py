@@ -34,7 +34,7 @@ from replay import estimator_gap
 
 
 def _params(**kw):
-    base = dict(eta=0.1, m=4, b=4, B=8, D=0.5, T_max=100)
+    base = dict(eta=0.1, m=4, b=4, B=8, T_max=100)
     base.update(kw)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -60,14 +60,12 @@ def test_params_validation():
     with pytest.raises(ParameterError):
         _params(b=-1)
     with pytest.raises(ParameterError):
-        _params(D=0.0)
-    with pytest.raises(ParameterError):
         _params(T_max=0)
 
 
 def test_small_minibatch_warns_not_raises():
     with pytest.warns(UserWarning, match="b=2 below epoch length m=8"):
-        TssrgParams(eta=0.1, m=8, b=2, B=8, D=0.5, T_max=10)
+        TssrgParams(eta=0.1, m=8, b=2, B=8, T_max=10)
 
 
 # ------------------------------------------------------------ boundary exit
@@ -88,18 +86,28 @@ def test_boundary_alpha_step_whose_square_overflows():
     assert np.linalg.norm(alpha * w) == pytest.approx(0.5, abs=1e-12)
 
 
-def test_boundary_exit_outcome():
-    obj, oracle = _quadratic_oracle(d=2)
-    x = oracle.anchor
-    u0 = oracle.manifold.tangent(oracle.anchor, np.array([0.9, 0.0]))
-    v_fixed = oracle.manifold.tangent(oracle.anchor, np.array([-1.0, 0.0]))
-    params = _params(eta=0.5, D=1.0, b=obj.n, B=obj.n)
+def _boundary_run(obj):
+    """One step from u0 = 0.45 e2 along the fixed anchor gradient -e2 at e1
+    on the sphere: 0.45 + eta = 0.95 leaves the ball D = 0.5 at alpha =
+    0.1."""
+    oracle = PullbackOracle(obj, obj.eigvec(0))
+    e2 = obj.eigvec(1).coords
+    u0 = oracle.manifold.tangent(oracle.anchor, 0.45 * e2)
+    v_fixed = oracle.manifold.tangent(oracle.anchor, -e2)
+    params = _params(eta=0.5, b=obj.n, B=obj.n)
     out = tssrg_run(oracle, u0, params, master_stream(0).child(TAG_OUTER, 0),
                     anchor_grad=v_fixed)
+    return oracle, out
+
+
+def test_boundary_exit_outcome(small_rayleigh):
+    _, out = _boundary_run(small_rayleigh)
+    assert small_rayleigh.manifold.D == 0.5
     assert out.exit is ExitReason.BOUNDARY
     assert out.iterations == 1
-    assert np.allclose(out.u_final.coords, [1.0, 0.0], atol=1e-12)
-    assert out.u_final.norm == pytest.approx(1.0, abs=1e-10)
+    assert np.allclose(out.u_final.coords,
+                       0.5 * small_rayleigh.eigvec(1).coords, atol=1e-12)
+    assert out.u_final.norm == pytest.approx(0.5, abs=1e-10)
     assert out.segment.rows[-1].event == "boundary"
 
 
@@ -141,14 +149,19 @@ def test_boundary_alpha_near_tangent_step(seed, dim, D, gap, tilt, scale):
     assert np.linalg.norm(u - alpha * w) == pytest.approx(D, rel=1e-10)
 
 
-def test_iterates_stay_in_ball():
-    obj, oracle = _quadratic_oracle(d=3, gamma=2.0, noise=0.3)
-    rng = np.random.default_rng(3)
-    u0 = oracle.manifold.tangent(oracle.anchor, 0.05 * rng.standard_normal(3))
-    params = _params(eta=0.3, m=6, b=8, B=obj.n, D=0.4, T_max=200)
+def test_iterates_stay_in_ball(small_rayleigh):
+    # a perturbed start at the saddle e2 escapes to the sphere's ball edge
+    x = small_rayleigh.eigvec(1)
+    oracle = PullbackOracle(small_rayleigh, x)
+    D = oracle.manifold.D
+    u0 = small_rayleigh.manifold.sample_ball(x, 0.05,
+                                             np.random.default_rng(3))
+    params = _params(eta=0.3, m=6, b=8, B=small_rayleigh.n, T_max=200)
     out = tssrg_run(oracle, u0, params, master_stream(1).child(TAG_OUTER, 0))
+    assert out.exit is ExitReason.BOUNDARY
     for row in out.segment.rows:
-        assert row.u_norm <= params.D * (1.0 + 1e-12)
+        assert row.u_norm <= D * (1.0 + 1e-12)
+    assert out.segment.rows[-1].u_norm == pytest.approx(D, abs=1e-12)
 
 
 # ----------------------------------------------------- recursion exactness
@@ -185,7 +198,7 @@ def test_linear_recursion_closed_form():
     u0_vec = 1e-3 * rng.standard_normal(5)
     u0 = oracle.manifold.tangent(oracle.anchor, u0_vec)
     eta, T = 0.1, 30
-    params = _params(eta=eta, m=T, b=obj.n, B=obj.n, D=10.0, T_max=T)
+    params = _params(eta=eta, m=T, b=obj.n, B=obj.n, T_max=T)
     out = tssrg_run(oracle, u0, params, master_stream(4).child(TAG_OUTER, 0),
                     record=True)
     M = np.eye(5) - eta * obj.Abar
@@ -219,7 +232,7 @@ def test_max_iter_takes_precedence_over_break(small_rayleigh):
 def test_perturbed_run_never_breaks_early():
     obj, oracle = _quadratic_oracle(d=3, gamma=0.5)
     u0 = oracle.manifold.tangent(oracle.anchor, np.array([1e-4, 0.0, 0.0]))
-    params = _params(eta=0.01, m=4, b=obj.n, B=obj.n, T_max=20, D=5.0)
+    params = _params(eta=0.01, m=4, b=obj.n, B=obj.n, T_max=20)
     out = tssrg_run(oracle, u0, params, master_stream(5).child(TAG_OUTER, 0))
     assert out.exit is ExitReason.MAX_ITER
     assert out.iterations == 20
@@ -270,7 +283,7 @@ def test_coupled_difference_grows_at_exact_rate():
     # both starts perturbed so neither sequence breaks before T
     u0a = oracle.manifold.tangent(oracle.anchor, -0.5 * r0 * e1)
     u0b = oracle.manifold.tangent(oracle.anchor, 0.5 * r0 * e1)
-    params = _params(eta=eta, m=T, b=obj.n, B=obj.n, D=10.0, T_max=T)
+    params = _params(eta=eta, m=T, b=obj.n, B=obj.n, T_max=T)
     stream = master_stream(11).child(TAG_OUTER, 0)
     a = tssrg_run(oracle, u0a, params, stream, record=True)
     b = tssrg_run(oracle, u0b, params, stream, record=True)
@@ -429,10 +442,11 @@ def test_non_finite_estimator_aborts_with_iteration_index(small_rayleigh):
 def test_u0_outside_ball_rejected(small_rayleigh):
     x = small_rayleigh.eigvec(0)
     oracle = PullbackOracle(small_rayleigh, x)
-    u0 = TangentVector(x, np.array([0.0, 0.49, 0.0]))
+    u0 = TangentVector(x, np.array([0.0, 0.6, 0.0]))  # past the sphere's 0.5
     with pytest.raises(OutOfBall):
-        tssrg_run(oracle, u0, _params(D=0.3),
+        tssrg_run(oracle, u0, _params(),
                   master_stream(0).child(TAG_OUTER, 0))
+    assert oracle.queries == 0
 
 
 # ------------------------------------------------------ query accounting
@@ -464,13 +478,8 @@ def test_anchor_grad_reuse_skips_first_charge(medium_rayleigh):
     assert oracle.queries == out.iterations * 2 * params.b
 
 
-def test_boundary_row_costs_nothing():
-    obj, oracle = _quadratic_oracle(d=2)
-    u0 = oracle.manifold.tangent(oracle.anchor, np.array([0.9, 0.0]))
-    v_fixed = oracle.manifold.tangent(oracle.anchor, np.array([-1.0, 0.0]))
-    params = _params(eta=0.5, D=1.0, b=obj.n, B=obj.n)
-    out = tssrg_run(oracle, u0, params, master_stream(0).child(TAG_OUTER, 0),
-                    anchor_grad=v_fixed)
+def test_boundary_row_costs_nothing(small_rayleigh):
+    oracle, out = _boundary_run(small_rayleigh)
     assert out.exit is ExitReason.BOUNDARY
     assert oracle.queries == 0
 
@@ -484,7 +493,7 @@ def _reference_run(oracle, u0, params, stream, anchor_grad=None):
     iterations); a gap is ||v - exact gradient at u|| (None on a boundary
     row) and a step length ||eta v_{t-1}|| (0 on an anchor or boundary
     row)."""
-    x, obj = oracle.anchor, oracle.objective
+    x, obj, D = oracle.anchor, oracle.objective, oracle.manifold.D
     perturbed = np.linalg.norm(u0.coords) > 0.0
     rows, gaps, dus = [], [], []
 
@@ -512,8 +521,8 @@ def _reference_run(oracle, u0, params, stream, anchor_grad=None):
             t += 1
             w = params.eta * v.coords
             u_next = TangentVector(x, u_prev.coords - w)
-            if np.linalg.norm(u_next.coords) >= params.D:
-                alpha = boundary_alpha(u_prev.coords, w, params.D)
+            if np.linalg.norm(u_next.coords) >= D:
+                alpha = boundary_alpha(u_prev.coords, w, D)
                 u_exit = TangentVector(x, u_prev.coords - alpha * w)
                 emit(k, u_exit, v, "boundary")
                 return rows, gaps, dus, u_exit.coords, ExitReason.BOUNDARY, t
@@ -556,11 +565,10 @@ def _bitwise_case(case):
                                         T_max=50),
                            False, False, ExitReason.UNIFORM_BREAK),
         "rayleigh_boundary_anchor_grad": (0.0, _params(eta=0.4, m=10, b=8,
-                                                       B=40, D=0.3,
-                                                       T_max=10),
+                                                       B=40, T_max=10),
                                           True, False, ExitReason.BOUNDARY),
         "quadratic_boundary": (0.05, _params(eta=0.5, m=4, b=8, B=16,
-                                             D=0.5, T_max=200),
+                                             T_max=200),
                                False, False, ExitReason.BOUNDARY),
         "streaming_max_iter": (0.02, _params(eta=0.01, m=4, b=8, B=64,
                                              T_max=6),
@@ -666,6 +674,4 @@ def test_foreign_base_point_rejected_at_entry(medium_rayleigh):
     with pytest.raises(ContractViolation):
         tssrg_run(oracle, oracle.zero(), params, stream,
                   anchor_grad=man.zero_tangent(elsewhere))
-    with pytest.raises(ContractViolation, match="chart radius"):
-        tssrg_run(oracle, oracle.zero(), _params(D=2 * man.D), stream)
     assert oracle.queries == 0
